@@ -21,8 +21,9 @@ Usage::
         [--check-against BASELINE.json [--tolerance 0.30]] [--tag NAME]
 
 ``--speedup-check RATIO`` exits non-zero unless fast-path-on p50 beats
-fast-path-off by at least RATIO at every measured n >= 16 (the headline
-acceptance gate uses 1.7).
+fast-path-off by at least RATIO at every measured n >= 16 (CI uses 1.0 on
+the quick grid: since the classic engine announces ``dec`` on demand the
+margin at n=16 is 1.07x, and at n=32 classic is ahead).
 """
 
 from __future__ import annotations

@@ -301,7 +301,8 @@ class FastPathConsensus(AgreementInstance):
             coordinator_seed=self.coordinator_seed,
             on_round=self.on_round,
             max_rounds=self.max_rounds,
-            dec_adoption_quorum=self._dec_adoption_quorum)
+            dec_adoption_quorum=self._dec_adoption_quorum,
+            eager_dec=False)    # like a fast decision: the host announces
         pending = sorted(self._dec_msgs.items(), key=lambda kv: repr(kv[0]))
         self._vc.start()
         for sender, vec in pending:
@@ -355,6 +356,16 @@ class FastPathConsensus(AgreementInstance):
         if self._vc is not None:
             self._vc.freeze_rounds()
 
+    def resolicit(self):
+        """See :meth:`VectorConsensus.resolicit` (the host aborts every
+        instance into its fallback before it freezes one)."""
+        if self._vc is not None:
+            self._vc.resolicit()
+
+    @property
+    def dec_announced(self):
+        return self._vc is not None and self._vc.dec_announced
+
     @property
     def dec_adoption_quorum(self):
         return self._dec_adoption_quorum
@@ -385,10 +396,8 @@ class FastPathConsensus(AgreementInstance):
     def state_size(self):
         """Retained-entry count, for the bounded-state checker."""
         size = len(self._echoes) + len(self._dec_msgs) + len(self._digests)
-        vc = self._vc
-        if vc is not None:
-            size += (len(vc._dec_msgs) + len(vc._coord_msgs)
-                     + sum(len(v) for v in vc._val_msgs.values()))
+        if self._vc is not None:
+            size += self._vc.state_size()
         return size
 
     # -- helpers ---------------------------------------------------------

@@ -15,7 +15,9 @@ FIFO channels by the hosting layer):
 * ``("coord", r, vec)`` -- the round-r coordinator's dominating vector;
 * ``("dec", vec)``      -- a decided process's final value; satisfies both
   the ``val`` and the ``coord`` waits of every later round, as in the
-  listing's lines 6 and 27.
+  listing's lines 6 and 27.  Broadcast at decide time unless the host
+  passed ``eager_dec=False`` and announces decisions itself (the ordering
+  layer answers a straggler's ``val`` from its decision archive).
 
 Round r's coordinator is ``members[(hash(n, vid) + r) mod n]`` -- rotated
 every round so a mute coordinator delays at most one round, and seeded from
@@ -61,18 +63,27 @@ class VectorConsensus(AgreementInstance):
         Optional ``callback(round, awaited_members)`` fired when a round's
         step-1 wait begins -- the hosting layer uses it to register fuzzy
         mute expectations against members it has not heard from.
+    eager_dec:
+        ``False`` defers the listing's decide-time ``dec`` broadcast to the
+        host, which must answer every ``val`` that reaches it after the
+        decision with the decided vector.  ``dec_announced`` then says
+        whether the instance had to announce anyway: a peer's ``val`` for a
+        later round was already here, so that peer left the deciding round
+        undecided and may send this instance nothing further.
     """
 
     def __init__(self, instance_id, members, me, f, proposal, broadcast,
                  is_suspected=None, on_decide=None, on_misbehavior=None,
                  coordinator_seed=0, on_round=None, max_rounds=1000,
-                 dec_adoption_quorum=None):
+                 dec_adoption_quorum=None, eager_dec=True):
         super().__init__(instance_id, members, me, f, broadcast,
                          is_suspected, on_decide, on_misbehavior)
         if self.n <= 6 * f:
             raise ValueError(
                 "vector consensus needs n > 6f (n=%d, f=%d)" % (self.n, f)
             )
+        self.eager_dec = eager_dec
+        self.dec_announced = False
         self.est = list(proposal)
         self.width = len(self.est)
         self.on_round = on_round or (lambda rnd, awaited: None)
@@ -130,9 +141,24 @@ class VectorConsensus(AgreementInstance):
 
         Used during the view-change flush when the round quorums are no
         longer reachable: the instance must not race to a late quorum
-        decision after its owner reported it undecided in SYNC.
+        decision after its owner reported it undecided in SYNC.  Decs
+        that arrived before the adoption quorum was set count toward it.
         """
         self._frozen = True
+        self._adopt_if_quorum()
+
+    def resolicit(self):
+        """Repeat this round's ``val`` (peers still in the instance drop
+        the duplicate): a frozen instance's way of asking members that
+        finished it, and announce on demand, for their ``dec``."""
+        if self.round and not self.decided:
+            self.broadcast(
+                ("val", self.round, self._val_msgs[self.round][self.me]))
+
+    def state_size(self):
+        """Retained-entry count, for the bounded-state checker."""
+        return (len(self._dec_msgs) + len(self._coord_msgs)
+                + sum(len(v) for v in self._val_msgs.values()))
 
     # ------------------------------------------------------------------
     # message intake
@@ -153,6 +179,9 @@ class VectorConsensus(AgreementInstance):
     def _on_val(self, sender, rnd, est):
         vec = self._checked_vector(sender, est, "val")
         if vec is None:
+            return
+        if not isinstance(rnd, int):
+            self.on_misbehavior(sender, "consensus:bad-val-round")
             return
         per_round = self._val_msgs.setdefault(rnd, {})
         if sender in per_round:
@@ -181,10 +210,14 @@ class VectorConsensus(AgreementInstance):
                 self.on_misbehavior(sender, "consensus:equivocated-dec")
             return
         self._dec_msgs[sender] = checked
-        if self.dec_adoption_quorum is not None and not self.decided:
-            matching = sum(1 for v in self._dec_msgs.values() if v == checked)
-            if matching >= self.dec_adoption_quorum:
-                self._decide(checked)
+        self._adopt_if_quorum()
+
+    def _adopt_if_quorum(self):
+        if self.dec_adoption_quorum is None or not self._dec_msgs:
+            return
+        vec, matching = Counter(self._dec_msgs.values()).most_common(1)[0]
+        if matching >= self.dec_adoption_quorum:
+            self._decide(vec)
 
     # ------------------------------------------------------------------
     # round machinery
@@ -304,5 +337,8 @@ class VectorConsensus(AgreementInstance):
     def _broadcast_decision(self):
         decision = tuple(self.est)
         self._dec_msgs[self.me] = decision
-        self.broadcast(("dec", decision))
+        self.dec_announced = self.eager_dec or any(
+            rnd > self.round for rnd in self._val_msgs)
+        if self.dec_announced:
+            self.broadcast(("dec", decision))
         self._decide(decision)

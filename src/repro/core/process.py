@@ -152,6 +152,8 @@ class GroupProcess:
                 sizes["%s.%s" % (layer.name, metric)] = count
         for metric, count in self.stability.state_sizes().items():
             sizes["stability.%s" % (metric,)] = count
+        for metric, count in self.mute_detector.state_sizes().items():
+            sizes["mute.%s" % (metric,)] = count
         sizes["fuzzy.mute_levels"] = len(self.mute_levels._levels)
         sizes["fuzzy.verbose_levels"] = len(self.verbose_levels._levels)
         sizes["process.last_heard"] = len(self._last_heard)

@@ -15,6 +15,15 @@ For small messages the proposals carry the messages themselves, so total
 ordering subsumes uniform broadcast without a separate protocol, exactly
 as the paper notes.
 
+Decisions are announced on demand.  Algorithm 1 ends every instance with
+each member broadcasting ``dec`` -- n of the n + 1-ish broadcasts of a
+one-round instance, almost never read.  Here every decided instance (either
+engine) goes into one bounded archive and nothing is broadcast at decide
+time; a ``val`` arriving for a finished instance proves its sender is
+behind, and is answered with the archived ``("dec", vector)``, once per
+instance.  Same messages, later: safety is untouched, and only a member
+that is already behind pays an extra hop (DESIGN section 6).
+
 View-change interaction: the SYNC reports of the flush protocol carry each
 member's highest started instance; every member joins all instances up to
 the maximum before delivering the deterministic tail, so the total order
@@ -35,8 +44,8 @@ from __future__ import annotations
 
 from repro.core import message as mk
 from repro.core.message import Message
-from repro.consensus.fastpath import (FastPathConsensus, fast_coordinator,
-                                      proposal_digest)
+from repro.consensus.fastpath import FastPathConsensus, fast_coordinator
+from repro.consensus.vector import VectorConsensus
 from repro.layers.base import Layer
 
 #: bound on how far a (possibly lying) SYNC report can make us chase
@@ -82,13 +91,13 @@ class OrderingLayer(Layer):
         self._flush_done_cb = None
         self._flush_undecidable = False
         self._frozen_undecidable = False
+        self._decisions = {}     # k -> [vector, dec already broadcast]
         self.batches_decided = 0
         self.messages_ordered = 0
         # --- fast path state (all empty/None while the knob is off) ---
         self._instances = {}       # k -> FastPathConsensus (in flight)
         self._decided_out = {}     # k -> (vector, mode) decided, unapplied
         self._fast_timers = {}     # k -> fprop->quorum deadline timer
-        self._fast_decisions = {}  # k -> [vector, digest, responded]
         self._buffered_at = {}     # msg_id -> buffer time (latency marks)
         self.fast_decides = 0      # instances decided in 2 steps
         self.fast_fallbacks = 0    # fast instances aborted into consensus
@@ -118,7 +127,7 @@ class OrderingLayer(Layer):
         self._frozen_undecidable = False
         self._instances.clear()
         self._decided_out.clear()
-        self._fast_decisions.clear()
+        self._decisions.clear()
         self._buffered_at.clear()
         self._cancel_fast_timers()
 
@@ -153,7 +162,7 @@ class OrderingLayer(Layer):
         In *undecidable* mode -- the agreed survivor set is smaller than
         n - f, so no further round quorum can ever complete -- the
         in-flight instances are frozen: they may only finish by adopting
-        the broadcast decision of a member that decided before the freeze.
+        the announced decision of a member that decided before the freeze.
         This pins the watermarks the SYNC reports carry, making the
         members' flush decisions mutually consistent.
 
@@ -166,14 +175,30 @@ class OrderingLayer(Layer):
         self._stopped_proposing = True
         if undecidable:
             self._frozen_undecidable = True
-            if self._fast_enabled():
-                for inst in list(self._instances.values()):
-                    inst.dec_adoption_quorum = self.process.f + 1
-                    inst.freeze_rounds()
-            elif self._instance is not None:
-                self._instance.dec_adoption_quorum = self.process.f + 1
-                self._instance.freeze_rounds()
+            self._freeze_in_flight()
         return (self._instance_k, self._decided_k)
+
+    def _in_flight(self):
+        """``{k: instance}`` of the running instances, either engine."""
+        if self._fast_enabled():
+            return dict(self._instances)
+        if self._instance is not None:
+            return {self._instance_k: self._instance}
+        return {}
+
+    def _freeze_in_flight(self):
+        """From now on the running instances finish only by adopting f + 1
+        matching decs (undecidable flush)."""
+        for inst in self._in_flight().values():
+            inst.dec_adoption_quorum = self.process.f + 1
+            inst.freeze_rounds()
+
+    def _open_next(self):
+        """Start instance ``_instance_k + 1`` on the configured engine."""
+        if self._fast_enabled():
+            self._start_instance_fast()
+        else:
+            self._start_instance()
 
     # ------------------------------------------------------------------
     # message plane
@@ -218,6 +243,8 @@ class OrderingLayer(Layer):
                 # someone is ahead of us: join their instance even with an
                 # empty local batch, or we would block their termination
                 self._start_instance()
+        else:
+            self._on_stale_order_msg(k, proto)
 
     def _on_order_msg_fast(self, origin, k, proto):
         inst = self._instances.get(k)
@@ -238,35 +265,29 @@ class OrderingLayer(Layer):
                    and not self._frozen_undecidable):
                 self._start_instance_fast()
             return
-        self._on_stale_order_msg(origin, k, proto)
+        self._on_stale_order_msg(k, proto)
 
-    def _on_stale_order_msg(self, origin, k, proto):
+    def _on_stale_order_msg(self, k, proto):
         """A message for an instance we already finished.
 
-        Fast decisions broadcast no ``dec`` in the common case, so a
-        member that missed the coordinator's proposal (withheld by a
-        Byzantine coordinator, or lost to a partition that healed) could
-        wait forever on an instance everyone else completed.  The archive
-        of recent fast decisions lets us answer such stragglers with a
-        one-shot ``dec`` -- the exact message the fallback would have
-        broadcast -- which both classic rounds and dec-adoption flushes
-        know how to consume.
+        No decision is broadcast at decide time, so a member whose round
+        did not complete with ours (it missed a quorum or a fast proposal,
+        was suspected and left out, or is joining the instance during a
+        flush) would wait forever on an instance everyone else completed.
+        Such a member always has a ``val`` in flight that our decision did
+        not count -- its next round's, its fallback's, or a frozen
+        instance's repeat -- and that ``val`` is answered from the archive
+        with the ``dec`` Algorithm 1 would have broadcast, which both live
+        rounds and dec-adoption flushes know how to consume.  The answer
+        is a broadcast, so one per instance serves every straggler.
         """
-        entry = self._fast_decisions.get(k)
-        if entry is None or not isinstance(proto, tuple) or not proto:
+        entry = self._decisions.get(k)
+        if (entry is None or entry[1] or not isinstance(proto, tuple)
+                or not proto or proto[0] != "val"):
             return
-        vector, digest, responded = entry
-        kind = proto[0]
-        if kind in ("dec", "fprop"):
-            return              # echoes of the decision itself: benign
-        if kind == "fecho" and len(proto) == 2 and proto[1] == digest:
-            return              # the quorum's trailing echoes: benign
-        # val/coord (a peer fell back), a conflicting echo, or garbage:
-        # somebody has not converged on k -- publish the decision once
-        if not responded:
-            entry[2] = True
-            self.count("fast_dec_responses")
-            self._bcast_proto(k, ("dec", vector))
+        entry[1] = True
+        self.count("dec_responses")
+        self._bcast_proto(k, ("dec", entry[0]))
 
     # ------------------------------------------------------------------
     # instance lifecycle
@@ -366,28 +387,14 @@ class OrderingLayer(Layer):
         self._instance_k = k
         batch = self._proposal()
         instance_id = ("ord", view.vid.key(), k)
-
-        def bcast(proto):
-            size = 16 + sum(e[2] + 10 for e in batch)
-            out = Message(mk.KIND_ORDER, self.me, view.vid,
-                          ("ord", k, proto), payload_size=size)
-            self.send_down(out)
-
-        def on_round(rnd, awaited):
-            for member in awaited:
-                if member != self.me:
-                    self.process.mute_detector.expect(
-                        member, "ordering", self.config.consensus_msg_timeout)
-
-        from repro.consensus.vector import VectorConsensus
         self._instance = VectorConsensus(
             instance_id, list(view.mbrs), self.me, self.process.f,
-            (batch,), bcast,
+            (batch,), lambda proto: self._bcast_proto(k, proto),
             is_suspected=self._fd_suspects,
-            on_decide=lambda vec, k=k: self._on_decided(k, vec),
+            on_decide=lambda vec: self._on_decided(k, vec),
             on_misbehavior=self._misbehavior,
             coordinator_seed=("ord",) + view.vid.key() + (k,),
-            on_round=on_round)
+            on_round=self._on_round, eager_dec=False)
         early = self._pending.pop(k, [])
         self._instance.start()
         for sender, proto in early:
@@ -399,25 +406,15 @@ class OrderingLayer(Layer):
         self._instance_k = k
         batch = self._proposal_fast()
         instance_id = ("ord", view.vid.key(), k)
-
-        def bcast(proto, _k=k):
-            self._bcast_proto(_k, proto)
-
-        def on_round(rnd, awaited):
-            for member in awaited:
-                if member != self.me:
-                    self.process.mute_detector.expect(
-                        member, "ordering", self.config.consensus_msg_timeout)
-
         members = list(view.mbrs)
         instance = FastPathConsensus(
             instance_id, members, self.me, self.process.f,
-            (batch,), bcast,
+            (batch,), lambda proto: self._bcast_proto(k, proto),
             is_suspected=self._fd_suspects,
             on_decide=lambda vec, _k=k: self._on_decided_fast(_k, vec),
             on_misbehavior=self._misbehavior,
             coordinator_seed=("ord",) + view.vid.key() + (k,),
-            on_round=on_round,
+            on_round=self._on_round,
             validate=self._validate_proposal,
             on_fallback=lambda reason, _k=k: self._on_fast_fallback(_k,
                                                                     reason))
@@ -446,14 +443,17 @@ class OrderingLayer(Layer):
                       ("ord", k, proto), payload_size=self._proto_size(proto))
         self.send_down(out)
 
-    def _proto_size(self, proto):
-        """Accounting size of one ordering protocol message (fast mode).
+    def _on_round(self, rnd, awaited):
+        """A consensus round began: its awaited members owe us a message
+        by one shared deadline (one timer per round, not one per member)."""
+        self.process.mute_detector.expect_all(
+            [m for m in awaited if m != self.me], "ordering",
+            self.config.consensus_msg_timeout)
 
-        The classic closure charged every message for the local batch;
-        with the fast path the whole point is that echoes are digests, so
-        charge each kind for what it actually carries: fecho is a fixed
-        digest, everything else ships a proposal vector as its last slot.
-        """
+    def _proto_size(self, proto):
+        """Accounting size of one ordering protocol message: what it
+        actually carries.  fecho is a fixed digest, everything else ships
+        a proposal vector as its last slot."""
         kind = proto[0] if isinstance(proto, tuple) and proto else None
         if kind == "fecho":
             return 80
@@ -540,6 +540,7 @@ class OrderingLayer(Layer):
     def _on_decided(self, k, vector):
         if k != self._instance_k:
             return
+        self._archive_decision(k, vector, self._instance.dec_announced)
         self._instance = None
         self._decided_k = k
         self._apply_batch(vector, None)
@@ -560,7 +561,7 @@ class OrderingLayer(Layer):
             mode = "fast"
             self.fast_decides += 1
             self.count("fast_decides")
-            self._archive_fast_decision(k, vector)
+        self._archive_decision(k, vector, inst.dec_announced)
         self._decided_out[k] = (vector, mode)
         self._apply_ready()
 
@@ -598,15 +599,15 @@ class OrderingLayer(Layer):
         for msg_id, payload, size in entries:
             self._deliver(msg_id, payload, size, mode)
 
-    def _archive_fast_decision(self, k, vector):
-        """Remember a 2-step decision so stragglers can be answered.
+    def _archive_decision(self, k, vector, announced):
+        """Remember a decision so stragglers can be answered.
 
         Bounded by the same skew window as instance chasing: entries
         retire as the instance number advances, and the whole archive
         clears at each view install.
         """
-        self._fast_decisions[k] = [vector, proposal_digest(vector), False]
-        self._fast_decisions.pop(k - MAX_INSTANCE_SKEW, None)
+        self._decisions[k] = [vector, announced]
+        self._decisions.pop(k - MAX_INSTANCE_SKEW, None)
 
     def _deliver(self, msg_id, payload, size, mode=None):
         if msg_id in self._delivered or not isinstance(msg_id, tuple):
@@ -644,7 +645,7 @@ class OrderingLayer(Layer):
 
         Undecidable mode: ``k_star`` is the maximum *decided* anywhere
         (from the frozen SYNC watermarks); instances up to it finish by
-        adopting the decider's broadcast ``dec``; instances beyond it were
+        adopting the deciders' on-demand ``dec``; instances beyond it were
         decided by nobody and are poisoned identically at every member --
         their messages fall into the deterministic tail.
         """
@@ -652,38 +653,25 @@ class OrderingLayer(Layer):
         self._flush_undecidable = undecidable
         self._flush_target = min(k_star, self._instance_k + MAX_INSTANCE_SKEW)
         self._flush_done_cb = on_done
+        if undecidable:
+            # a frozen instance's val may have been counted by the very
+            # decisions it now waits for: repeat it, so the deciders (all
+            # frozen before their SYNC, hence finished by now) answer
+            for k, inst in self._in_flight().items():
+                if k <= self._flush_target:
+                    inst.resolicit()
         self._continue_flush()
 
     def _continue_flush(self):
         if self._flush_undecidable:
             self._continue_flush_undecidable()
             return
-        if self._fast_enabled():
-            if self._instances:
-                return  # wait for the in-flight instances to decide
-            if self._instance_k < self._flush_target:
-                self._start_instance_fast()
-                return
-            self._deliver_tail()
-            return
-        if self._instance is not None:
-            return  # wait for the in-flight instance to decide
+        if self._in_flight():
+            return  # wait for the in-flight instances to decide
         if self._instance_k < self._flush_target:
-            self._start_instance()
+            self._open_next()
             return
-        # every agreed batch is delivered; the rest of the cut is delivered
-        # in a deterministic order identical at all members
-        for msg_id in sorted(self._buffer, key=batch_sort_key):
-            msg = self._buffer[msg_id]
-            self._delivered.add(msg_id)
-            self.messages_ordered += 1
-            self.count("messages_ordered")
-            self.send_up(msg)
-        self._buffer.clear()
-        done, self._flush_done_cb = self._flush_done_cb, None
-        self._flush_target = None
-        if done is not None:
-            done()
+        self._deliver_tail()
 
     # ------------------------------------------------------------------
     # bounded-state introspection (soak / tournament checker)
@@ -692,68 +680,45 @@ class OrderingLayer(Layer):
         # _delivered is deliberately absent: it grows monotonically within
         # a view by design (dedup over the view's lifetime) and resets at
         # every install, so it would only false-positive the growth check
-        if self._fast_enabled():
-            instance_state = sum(i.state_size()
-                                 for i in self._instances.values())
-        else:
-            inst = self._instance
-            if inst is None:
-                instance_state = 0
-            elif isinstance(inst, FastPathConsensus):
-                instance_state = inst.state_size()
-            else:
-                instance_state = (len(inst._dec_msgs) + len(inst._coord_msgs)
-                                  + sum(len(v)
-                                        for v in inst._val_msgs.values()))
         return {
             "buffer": len(self._buffer),
             "pending": sum(len(v) for v in self._pending.values()),
-            "fast_archive": len(self._fast_decisions),
+            "decision_archive": len(self._decisions),
             "decided_backlog": len(self._decided_out),
             "latency_marks": len(self._buffered_at),
-            "instance_state": instance_state,
+            "instance_state": sum(i.state_size()
+                                  for i in self._in_flight().values()),
         }
 
     def _continue_flush_undecidable(self):
-        if self._fast_enabled():
-            # instances (and parked decisions) beyond the target were
-            # decided-and-applied by nobody: poison them identically at
-            # every member -- their messages stay buffered and join the
-            # deterministic tail
-            for k in [k for k in self._instances if k > self._flush_target]:
-                del self._instances[k]
-                self._cancel_fast_timer(k)
-            for k in [k for k in self._decided_out
-                      if k > self._flush_target]:
-                del self._decided_out[k]
-            if self._decided_k < self._flush_target:
-                if not self._instances:
-                    # a peer decided an instance we never started: open it
-                    # in frozen mode purely to receive and adopt the dec
-                    self._start_instance_fast()
-                    inst = self._instances.get(self._instance_k)
-                    if inst is not None:
-                        inst.dec_adoption_quorum = self.process.f + 1
-                        inst.freeze_rounds()
-                return  # the decider's dec broadcast will resolve it
-            self._deliver_tail()
-            return
-        if self._decided_k < self._flush_target:
-            if self._instance is None:
-                # a peer decided an instance we never started: open it in
-                # frozen mode purely to receive and adopt the dec
-                self._start_instance()
-                if self._instance is not None:
-                    self._instance.dec_adoption_quorum = self.process.f + 1
-                    self._instance.freeze_rounds()
-            return  # the decider's dec broadcast will resolve it
-        if self._instance is not None and self._instance_k > self._flush_target:
-            # nobody decided this instance before the freeze: poison it;
-            # its messages remain in the buffer and join the tail
+        # instances (and parked decisions) beyond the target were
+        # decided-and-applied by nobody: poison them identically at every
+        # member -- their messages stay buffered and join the
+        # deterministic tail
+        target = self._flush_target
+        for k in [k for k in self._instances if k > target]:
+            del self._instances[k]
+            self._cancel_fast_timer(k)
+        for k in [k for k in self._decided_out if k > target]:
+            del self._decided_out[k]
+        if self._instance is not None and self._instance_k > target:
             self._instance = None
-        self._deliver_tail()
+        if self._decided_k < target:
+            self._open_to_adopt()
+        else:
+            self._deliver_tail()
+
+    def _open_to_adopt(self):
+        """A peer decided an instance we have not finished: unless it is
+        in flight (and frozen) already, open it in frozen mode purely to
+        broadcast its val and adopt the decs the deciders answer with."""
+        if not self._in_flight():
+            self._open_next()
+            self._freeze_in_flight()
 
     def _deliver_tail(self):
+        # every agreed batch is delivered; the rest of the cut is delivered
+        # in a deterministic order identical at all members
         for msg_id in sorted(self._buffer, key=batch_sort_key):
             msg = self._buffer[msg_id]
             self._delivered.add(msg_id)

@@ -46,6 +46,7 @@ class WallTimer:
         if self.cancelled:
             return
         self.cancelled = True
+        self.callback = self.args = None    # as sim.clock.Timer.cancel
         if self._handle is not None:
             self._handle.cancel()
         self._clock._live.discard(self)

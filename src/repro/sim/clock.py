@@ -26,8 +26,14 @@ class Timer:
         self.cancelled = False
 
     def cancel(self):
-        """Prevent the callback from firing.  Safe to call repeatedly."""
+        """Prevent the callback from firing.  Safe to call repeatedly.
+
+        Drops the callback and its arguments: the heap entry outlives the
+        cancel until its deadline, and must not keep what it would have
+        called (or a cycle back to its own holder) alive until then.
+        """
         self.cancelled = True
+        self.callback = self.args = None
 
     @property
     def active(self):

@@ -277,3 +277,63 @@ def test_dec_adoption_requires_matching_quorum():
     assert not inst.decided
     inst.on_message(5, ("dec", (1,)))
     assert inst.decided and inst.decision == (1,)
+
+
+def _lone_instance(eager_dec, sent):
+    return VectorConsensus("test", list(range(7)), 0, 1, (1,), sent.append,
+                           eager_dec=eager_dec)
+
+
+def test_deferred_dec_is_silent_unless_a_peer_already_left_the_round():
+    # the host announces decisions itself (ordering): nothing at decide time
+    sent = []
+    inst = _lone_instance(False, sent)
+    inst.start()
+    for sender in range(1, 7):
+        inst.on_message(sender, ("val", 1, (1,)))
+    assert inst.decided and not inst.dec_announced
+    assert [p[0] for p in sent] == ["val"]
+    # ...unless a peer's val for a later round is already here: that peer
+    # left round 1 undecided and may never send this instance another val
+    sent = []
+    inst = _lone_instance(False, sent)
+    inst.start()
+    inst.on_message(6, ("val", 2, (1,)))
+    for sender in range(1, 7):
+        inst.on_message(sender, ("val", 1, (1,)))
+    assert inst.decided and inst.dec_announced
+    assert [p[0] for p in sent] == ["val", "dec"]
+    # the paper's listing (membership's host) always announces
+    sent = []
+    inst = _lone_instance(True, sent)
+    inst.start()
+    for sender in range(1, 7):
+        inst.on_message(sender, ("val", 1, (1,)))
+    assert inst.dec_announced and [p[0] for p in sent] == ["val", "dec"]
+
+
+def test_resolicit_repeats_the_round_val_until_decided():
+    sent = []
+    inst = _lone_instance(False, sent)
+    inst.resolicit()                    # not started: nothing to repeat
+    inst.start()
+    inst.freeze_rounds()
+    inst.resolicit()
+    assert sent == [("val", 1, (1,)), ("val", 1, (1,))]
+    inst.dec_adoption_quorum = 1
+    inst.on_message(3, ("dec", (1,)))
+    inst.resolicit()
+    assert inst.decided and len(sent) == 2
+
+
+def test_non_integer_val_round_is_misbehavior_not_a_crash():
+    flagged = []
+    inst = VectorConsensus("test", list(range(7)), 0, 1, (1,),
+                           lambda payload: None, eager_dec=False,
+                           on_misbehavior=lambda m, why: flagged.append(why))
+    inst.start()
+    inst.on_message(6, ("val", "2", (1,)))
+    for sender in range(1, 6):
+        inst.on_message(sender, ("val", 1, (1,)))
+    inst.on_message(6, ("val", 1, (1,)))
+    assert inst.decided and flagged == ["consensus:bad-val-round"]

@@ -154,6 +154,73 @@ def test_expectations_keyed_by_tag():
     assert levels.level("a") == 1.0
 
 
+def test_expect_all_is_one_timer_and_raises_who_is_left_in_order():
+    sim = Simulator()
+    levels = make_levels(sim, decay_interval=10.0)
+    raised = []
+    levels.subscribe(lambda name, member, level: raised.append(member))
+    mute = FuzzyMuteDetector(sim, levels, default_timeout=0.1)
+    exp = mute.expect_all(["d", "a", "c", "b"], "round")
+    assert sim.pending - 1 == 1         # one deadline (+ the aging timer)
+    assert mute.pending_count() == 4 and mute.pending_count("c") == 1
+    assert mute.fulfil("a", "round")
+    assert not mute.fulfil("a", "round")    # struck off: nothing owed now
+    assert mute.fulfil("b", "round")
+    sim.run(until=0.2)
+    assert raised == ["d", "c"]         # registration order, minus fulfilled
+    assert mute.timeouts_fired == 2
+    assert exp.done and exp.timer is None
+    assert mute.state_sizes() == {"expectations": 0}
+
+
+def test_expect_all_last_fulfil_cancels_the_timer():
+    sim = Simulator()
+    levels = make_levels(sim, decay_interval=10.0)
+    mute = FuzzyMuteDetector(sim, levels, default_timeout=0.1)
+    exp = mute.expect_all(["a", "b"], "round")
+    timer = exp.timer
+    mute.fulfil("b", "round")
+    assert not exp.done and timer.active
+    mute.fulfil("a", "round")
+    assert exp.done and timer.cancelled
+    # both ends of the Timer <-> Expectation cycle are dropped at cancel
+    assert exp.timer is None and timer.args is None and timer.callback is None
+    assert mute.state_sizes() == {"expectations": 0}
+    sim.run(until=0.2)
+    assert levels.snapshot() == {} and mute.timeouts_fired == 0
+    assert mute.expect_all([], "round").done    # nobody owed: no timer
+
+
+def test_expect_all_rounds_discharge_oldest_first_per_member():
+    sim = Simulator()
+    levels = make_levels(sim, decay_interval=10.0)
+    mute = FuzzyMuteDetector(sim, levels, default_timeout=0.1)
+    mute.expect_all(["a", "b"], "round", timeout=0.1)
+    mute.expect_all(["a", "b"], "round", timeout=0.5)
+    mute.fulfil("a", "round")
+    mute.fulfil("a", "round")
+    mute.fulfil("b", "round")           # the 0.1s round is now discharged
+    mute.cancel_member("a")
+    sim.run(until=0.6)
+    assert levels.snapshot() == {"b": 1.0}
+
+
+def test_timed_out_expectations_do_not_pile_up_against_a_mute_member():
+    # regression: expiry marked the handle done but left it queued until a
+    # later message from that member -- which a mute member never sends
+    sim = Simulator()
+    levels = make_levels(sim, decay_interval=10.0)
+    mute = FuzzyMuteDetector(sim, levels, default_timeout=0.01)
+    for _round in range(50):
+        mute.expect("a", "round")
+        mute.expect_all(["a", "b"], "round")
+        mute.fulfil("b", "round")
+        sim.run(until=sim.now + 0.02)
+    assert mute.timeouts_fired == 100
+    assert mute.pending_count() == 0
+    assert mute.state_sizes() == {"expectations": 0}
+
+
 # ----------------------------------------------------------------------
 # FuzzyVerboseDetector
 # ----------------------------------------------------------------------

@@ -330,22 +330,24 @@ def test_stack_stale_responder_is_one_shot():
     group.endpoints[0].cast(("solo", 0))
     group.run(0.5)
     layer = group.processes[0].stack.layer("ordering")
-    archived = [k for k, e in layer._fast_decisions.items() if not e[2]]
+    archived = [k for k, e in layer._decisions.items() if not e[1]]
     assert archived, "expected at least one archived fast decision"
     k = archived[0]
     sent = []
     layer._bcast_proto = lambda k, proto: sent.append((k, proto))
     # a straggler's classic round-1 val for an instance we fast-decided:
     # answer once with the decision, then stay quiet
-    layer._on_stale_order_msg(1, k, ("val", 1, (("x",),)))
-    layer._on_stale_order_msg(1, k, ("val", 1, (("x",),)))
+    layer._on_stale_order_msg(k, ("val", 1, (("x",),)))
+    layer._on_stale_order_msg(k, ("val", 1, (("x",),)))
     assert len(sent) == 1
     assert sent[0][0] == k and sent[0][1][0] == "dec"
     # benign traffic for the same instance never triggers a response
-    vector, digest, _ = layer._fast_decisions[k]
-    layer._fast_decisions[k][2] = False
-    layer._on_stale_order_msg(2, k, ("fecho", digest))
-    layer._on_stale_order_msg(2, k, ("dec", vector))
+    vector, _ = layer._decisions[k]
+    layer._decisions[k][1] = False
+    layer._on_stale_order_msg(k, ("fecho", proposal_digest(vector)))
+    layer._on_stale_order_msg(k, ("fecho", "not-the-digest"))
+    layer._on_stale_order_msg(k, ("coord", 1, vector))
+    layer._on_stale_order_msg(k, ("dec", vector))
     assert len(sent) == 1
     group.stop()
 
