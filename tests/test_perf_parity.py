@@ -24,19 +24,22 @@ Switches under test:
   in the global heap instead of the per-node serial-queue k-way merge;
 * ``BottomLayer.batch_verify`` -- off = packed datagrams verify each
   inner message through the per-message reference path instead of one
-  ``verify_batch`` call per drain;
-* ``OrderingLayer.fast_path_enabled`` -- the optimistic 2-step ordering
-  fast path's kill switch: with the ``ordering_fast_path`` config knob
-  off (the default), flipping the class switch must change nothing, i.e.
-  the fast-path integration is byte-invisible until explicitly enabled.
+  ``verify_batch`` call per drain.
+
+The differential oracle needs a reference path to compare against.  Where
+there is none -- the one ordering instance manager serves both
+``ordering_fast_path`` modes -- committed golden digests pin the per-seed
+executions instead (``GOLDEN_ORDERING`` below; ROADMAP item 2's oracle).
 """
 
+import hashlib
 from contextlib import contextmanager
+
+import pytest
 
 from repro import StackConfig
 from repro.core.message import Message
 from repro.layers.bottom import BottomLayer
-from repro.layers.ordering import OrderingLayer
 from repro.layers.reliable import ReliableLayer
 from repro.sim.scheduler import Simulator
 from repro.tools.fuzzer import ScenarioFuzzer
@@ -44,27 +47,24 @@ from repro.tools.fuzzer import ScenarioFuzzer
 
 @contextmanager
 def switches(cache=True, token_mode="digest", incremental=True,
-             ack_memo=True, serial=True, batch=True, fast=True):
+             ack_memo=True, serial=True, batch=True):
     saved = (Message.auth_cache_enabled, Message.auth_token_mode,
              ReliableLayer.incremental_ack_vector,
              ReliableLayer.ack_vector_memo,
-             Simulator.serial_queues, BottomLayer.batch_verify,
-             OrderingLayer.fast_path_enabled)
+             Simulator.serial_queues, BottomLayer.batch_verify)
     Message.auth_cache_enabled = cache
     Message.auth_token_mode = token_mode
     ReliableLayer.incremental_ack_vector = incremental
     ReliableLayer.ack_vector_memo = ack_memo
     Simulator.serial_queues = serial
     BottomLayer.batch_verify = batch
-    OrderingLayer.fast_path_enabled = fast
     try:
         yield
     finally:
         (Message.auth_cache_enabled, Message.auth_token_mode,
          ReliableLayer.incremental_ack_vector,
          ReliableLayer.ack_vector_memo,
-         Simulator.serial_queues, BottomLayer.batch_verify,
-         OrderingLayer.fast_path_enabled) = saved
+         Simulator.serial_queues, BottomLayer.batch_verify) = saved
 
 
 def run_scenario(seed, config, **fuzz_kw):
@@ -90,10 +90,9 @@ VARIANTS = {
     "no-ack-memo": dict(ack_memo=False),
     "heap-schedule": dict(serial=False),
     "per-frame-verify": dict(batch=False),
-    "no-fast-path": dict(fast=False),
     "all-reference": dict(cache=False, token_mode="content",
                           incremental=False, ack_memo=False,
-                          serial=False, batch=False, fast=False),
+                          serial=False, batch=False),
 }
 
 
@@ -139,11 +138,51 @@ def test_parity_gossip_acks():
 
 def test_parity_total_order_fast_path_off():
     # total ordering with the ordering_fast_path knob at its default
-    # (off): the fast-path integration -- wrapper instances, eager
-    # coordinator starts, latency stamps, the dec responder -- must be
-    # completely inert, leaving histories/metrics/event counts identical
-    # whether the class switch is on or off
+    # (off): the six reference paths must stay invisible underneath
+    # consensus-based ordering too
     assert_parity(606, StackConfig.byz(crypto="sym", total_order=True))
+
+
+#: sha256 over (per-node histories, metric export, event count) of
+#: ``run_scenario(seed, byz(crypto="sym", total_order=True,
+#: ordering_fast_path=fast), n=8)``.  Recorded at the parent of the PR that
+#: collapsed the two ordering engines into one instance manager; seeds 13
+#: and 14 take a view change under ordering.  An intended behaviour change
+#: re-records exactly the entries it moves (the failure prints the new
+#: value) and says which ones in CHANGES.md.
+GOLDEN_ORDERING = {
+    (False, 606):
+        "78c160ba498f0012706b36ab9cdc543e07146e0da7f36093bd32b8572406881b",
+    (False, 11):
+        "648c6d731476e5564f4af0be21c36ba9f565a084f630b1e9d7865e3f4f1d1815",
+    (False, 13):
+        "0842305b8adcdb6f72adc5b8b838b1b1f3f3c762d86b80fdb0bc1acf1187896f",
+    (False, 14):
+        "ffe6d63ee1050cac73327eb8ea8d6bd4d808e294702ce85e6606be10d66d8936",
+    (True, 606):
+        "5de5c6816c589e86f0158111e4c726c839b707fab0f1a2a5751ecc4f75ab8d0f",
+    (True, 11):
+        "c5bad3b3e3264f93871e3bc760966e7d06d296fa9d0b6d725cd8f940570607c2",
+    (True, 13):
+        "c19fb4e189607de773caa8f4a287b1ba4f0ddf0ffc9eb899566eeeb35facf007",
+    (True, 14):
+        "9f03b7013dd6232d4f38d16e3557d6e2660d10d89fee9032efd75c5acc417580",
+}
+
+
+def scenario_digest(seed, config, **fuzz_kw):
+    outcome = run_scenario(seed, config, **fuzz_kw)
+    return hashlib.sha256(repr(outcome).encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("fast,seed", sorted(GOLDEN_ORDERING))
+def test_golden_ordering_digest(fast, seed):
+    config = StackConfig.byz(crypto="sym", total_order=True,
+                             ordering_fast_path=fast)
+    digest = scenario_digest(seed, config, n=8)
+    assert digest == GOLDEN_ORDERING[fast, seed], \
+        "ordering execution moved: GOLDEN_ORDERING[(%r, %d)] is now %r" \
+        % (fast, seed, digest)
 
 
 def test_parity_wire_knobs():
@@ -162,18 +201,16 @@ def test_parity_wire_knobs():
 
 def test_switches_restore():
     with switches(cache=False, token_mode="content", incremental=False,
-                  ack_memo=False, serial=False, batch=False, fast=False):
+                  ack_memo=False, serial=False, batch=False):
         assert Message.auth_cache_enabled is False
         assert Message.auth_token_mode == "content"
         assert ReliableLayer.incremental_ack_vector is False
         assert ReliableLayer.ack_vector_memo is False
         assert Simulator.serial_queues is False
         assert BottomLayer.batch_verify is False
-        assert OrderingLayer.fast_path_enabled is False
     assert Message.auth_cache_enabled is True
     assert Message.auth_token_mode == "digest"
     assert ReliableLayer.incremental_ack_vector is True
     assert ReliableLayer.ack_vector_memo is True
     assert Simulator.serial_queues is True
     assert BottomLayer.batch_verify is True
-    assert OrderingLayer.fast_path_enabled is True

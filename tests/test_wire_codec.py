@@ -458,6 +458,21 @@ def test_corrupt_subframe_spares_siblings_from_memoryview():
     assert errors[0].src == 6
 
 
+def _nan_safe(value):
+    """``value`` with every NaN replaced by a token that equals itself.
+
+    A drawn bit flip can turn a float inside a container into NaN; NaN !=
+    NaN, and each NaN object hashes by identity (so set order and ``repr``
+    move too): two identical decodes would compare unequal by chance."""
+    if isinstance(value, float) and value != value:
+        return "<nan>"
+    if isinstance(value, (tuple, list, set, frozenset)):
+        return type(value)(_nan_safe(v) for v in value)
+    if isinstance(value, dict):
+        return {_nan_safe(k): _nan_safe(v) for k, v in value.items()}
+    return value
+
+
 @given(subframe_lists, st.data())
 def test_zero_copy_switch_is_invisible(subframes, data):
     # flip ZERO_COPY off (the copy-out reference decoder) and compare the
@@ -475,7 +490,7 @@ def test_zero_copy_switch_is_invisible(subframes, data):
         reference = _outcome(blob)
     finally:
         wire_mod.ZERO_COPY = saved
-    assert optimized == reference
+    assert _nan_safe(optimized) == _nan_safe(reference)
 
 
 def test_decoded_strings_and_bytes_escape_the_buffer():
