@@ -17,9 +17,8 @@ as the paper notes.
 
 Decisions are announced on demand.  Algorithm 1 ends every instance with
 each member broadcasting ``dec`` -- n of the n + 1-ish broadcasts of a
-one-round instance, almost never read.  Here every decided instance (either
-engine) goes into one bounded archive and nothing is broadcast at decide
-time; a ``val`` arriving for a finished instance proves its sender is
+one-round instance, almost never read.  Here every decided instance goes
+into one bounded archive and nothing is broadcast at decide time; a ``val`` arriving for a finished instance proves its sender is
 behind, and is answered with the archived ``("dec", vector)``, once per
 instance.  Same messages, later: safety is untouched, and only a member
 that is already behind pays an extra hop (DESIGN section 6).
@@ -29,15 +28,18 @@ member's highest started instance; every member joins all instances up to
 the maximum before delivering the deterministic tail, so the total order
 extends unbroken to the view boundary.
 
-The optimistic fast path (``ordering_fast_path``): instances run the
-2-step echo protocol of ``repro.consensus.fastpath`` and -- the part that
-actually buys latency -- are *pipelined*: up to ``FAST_PIPELINE_WINDOW``
-instances run concurrently, so a cast arriving while instance ``k`` is in
-flight rides instance ``k+1`` immediately instead of waiting for ``k`` to
-finish plus an ordering tick.  Decided batches are held and applied
-strictly in instance order; overlap between concurrent proposals is safe
-because delivery dedups by message id, and in-order application makes the
-dedup resolve identically at every correct member.
+One instance manager runs both modes: up to *window* instances in flight,
+decided batches held and applied strictly in instance order.  The classic
+path is window 1 with no fast round.  The optimistic fast path
+(``ordering_fast_path``) differs at three policy points only: instances run
+the 2-step echo protocol of ``repro.consensus.fastpath`` in front of the
+same consensus; the window is ``FAST_PIPELINE_WINDOW``; and -- the part
+that actually buys latency -- a cast arrival may open an instance, so a
+cast arriving while instance ``k`` is in flight rides instance ``k+1``
+immediately instead of waiting for ``k`` to finish plus an ordering tick.
+Overlap between concurrent proposals is safe because delivery dedups by
+message id, and in-order application makes the dedup resolve identically at
+every correct member.
 """
 
 from __future__ import annotations
@@ -73,16 +75,12 @@ class OrderingLayer(Layer):
 
     name = "ordering"
 
-    #: class-level perf-parity switch: with it (or the config knob) off,
-    #: the layer must behave byte-identically to the pre-fast-path code
-    fast_path_enabled = True
-
     def __init__(self):
         super().__init__()
         self._buffer = {}        # msg_id -> Message (received, unordered)
         self._delivered = set()  # msg_ids already delivered
-        self._instance = None
-        self._instance_k = 0     # number of the running/last instance
+        self._instances = {}     # k -> AgreementInstance (in flight)
+        self._instance_k = 0     # number of the last instance opened
         self._pending = {}       # k -> [(sender, proto)] early messages
         self._tick_timer = None
         self._stopped_proposing = False
@@ -92,11 +90,10 @@ class OrderingLayer(Layer):
         self._flush_undecidable = False
         self._frozen_undecidable = False
         self._decisions = {}     # k -> [vector, dec already broadcast]
+        self._decided_out = {}   # k -> (vector, mode) decided, unapplied
         self.batches_decided = 0
         self.messages_ordered = 0
-        # --- fast path state (all empty/None while the knob is off) ---
-        self._instances = {}       # k -> FastPathConsensus (in flight)
-        self._decided_out = {}     # k -> (vector, mode) decided, unapplied
+        # --- fast round state (all empty while the knob is off) ---
         self._fast_timers = {}     # k -> fprop->quorum deadline timer
         self._buffered_at = {}     # msg_id -> buffer time (latency marks)
         self.fast_decides = 0      # instances decided in 2 steps
@@ -116,7 +113,7 @@ class OrderingLayer(Layer):
     def on_view(self, view):
         self._buffer.clear()
         self._delivered.clear()
-        self._instance = None
+        self._instances.clear()
         self._instance_k = 0
         self._pending.clear()
         self._stopped_proposing = False
@@ -125,7 +122,6 @@ class OrderingLayer(Layer):
         self._flush_done_cb = None
         self._flush_undecidable = False
         self._frozen_undecidable = False
-        self._instances.clear()
         self._decided_out.clear()
         self._decisions.clear()
         self._buffered_at.clear()
@@ -136,19 +132,20 @@ class OrderingLayer(Layer):
             return
         if event == "view-change-started":
             self._stopped_proposing = True
-            if self._fast_enabled():
+            if self.config.ordering_fast_path:
                 # resolve the in-flight fast instances through consensus:
                 # the coordinator may be the member we are reconfiguring
                 # around, and the flush must not stall on their deadlines
                 for inst in list(self._instances.values()):
                     inst.abort("view-change")
         elif event == "suspicions-updated":
-            if self._fast_enabled():
+            if self.config.ordering_fast_path:
                 for inst in list(self._instances.values()):
                     inst.notify_suspicion_change()
 
-    def _fast_enabled(self):
-        return self.config.ordering_fast_path and self.fast_path_enabled
+    def _window(self):
+        """How many instances may be in flight at once."""
+        return FAST_PIPELINE_WINDOW if self.config.ordering_fast_path else 1
 
     @property
     def highest_instance(self):
@@ -178,27 +175,12 @@ class OrderingLayer(Layer):
             self._freeze_in_flight()
         return (self._instance_k, self._decided_k)
 
-    def _in_flight(self):
-        """``{k: instance}`` of the running instances, either engine."""
-        if self._fast_enabled():
-            return dict(self._instances)
-        if self._instance is not None:
-            return {self._instance_k: self._instance}
-        return {}
-
     def _freeze_in_flight(self):
         """From now on the running instances finish only by adopting f + 1
         matching decs (undecidable flush)."""
-        for inst in self._in_flight().values():
+        for inst in list(self._instances.values()):
             inst.dec_adoption_quorum = self.process.f + 1
             inst.freeze_rounds()
-
-    def _open_next(self):
-        """Start instance ``_instance_k + 1`` on the configured engine."""
-        if self._fast_enabled():
-            self._start_instance_fast()
-        else:
-            self._start_instance()
 
     # ------------------------------------------------------------------
     # message plane
@@ -211,7 +193,7 @@ class OrderingLayer(Layer):
             if msg.msg_id is None or msg.msg_id in self._delivered:
                 return
             self._buffer[msg.msg_id] = msg
-            if self._fast_enabled():
+            if self.config.ordering_fast_path:
                 self._on_cast_buffered(msg.msg_id)
             return
         if msg.kind == mk.KIND_ORDER:
@@ -229,43 +211,26 @@ class OrderingLayer(Layer):
         if payload[0] != "ord" or not isinstance(k, int) or k < 1:
             self._misbehavior(msg.origin, "ordering:bad-instance")
             return
-        if self._fast_enabled():
-            self._on_order_msg_fast(msg.origin, k, proto)
-            return
-        if self._instance is not None and k == self._instance_k:
-            self._instance.on_message(msg.origin, proto)
+        inst = self._instances.get(k)
+        if inst is not None:
+            inst.on_message(msg.origin, proto)
         elif k > self._instance_k:
             if k > self._instance_k + MAX_INSTANCE_SKEW:
                 self._misbehavior(msg.origin, "ordering:instance-skew")
                 return
             self._pending.setdefault(k, []).append((msg.origin, proto))
-            if self._instance is None and k == self._instance_k + 1:
-                # someone is ahead of us: join their instance even with an
-                # empty local batch, or we would block their termination
-                self._start_instance()
-        else:
-            self._on_stale_order_msg(k, proto)
-
-    def _on_order_msg_fast(self, origin, k, proto):
-        inst = self._instances.get(k)
-        if inst is not None:
-            inst.on_message(origin, proto)
-            return
-        if k > self._instance_k:
-            if k > self._instance_k + MAX_INSTANCE_SKEW:
-                self._misbehavior(origin, "ordering:instance-skew")
-                return
-            self._pending.setdefault(k, []).append((origin, proto))
             # someone is ahead of us: join their instances (up to the
-            # pipelining window) even with empty local batches, or we
-            # would block their termination
+            # window) even with empty local batches, or we would block
+            # their termination.  Joining is not proposing, so a started
+            # view change does not forbid it -- but a flush in progress
+            # does: the SYNC watermarks are pinned by then
             while (self._instance_k < k
-                   and len(self._instances) < FAST_PIPELINE_WINDOW
+                   and len(self._instances) < self._window()
                    and self._flush_target is None
                    and not self._frozen_undecidable):
-                self._start_instance_fast()
-            return
-        self._on_stale_order_msg(k, proto)
+                self._open_instance()
+        else:
+            self._on_stale_order_msg(k, proto)
 
     def _on_stale_order_msg(self, k, proto):
         """A message for an instance we already finished.
@@ -293,18 +258,15 @@ class OrderingLayer(Layer):
     # instance lifecycle
     # ------------------------------------------------------------------
     def _tick(self):
-        if self._fast_enabled():
-            # bootstrap only: cast arrivals and decide events drive the
-            # pipeline; the tick mops up anything those paths missed
-            self._maybe_start_fast()
-        elif (self._instance is None and self._buffer
-                and not self._stopped_proposing):
-            self._start_instance()
+        # classic: the tick opens an instance when idle.  Fast: bootstrap
+        # only -- cast arrivals and decide events drive the pipeline, the
+        # tick mops up anything those paths missed
+        self._maybe_start()
         self._tick_timer = self.sim.schedule(self.config.order_tick,
                                              self._tick)
 
     def _on_cast_buffered(self, msg_id):
-        """Fast-path hooks on cast arrival (knob-on only).
+        """Cast-arrival hooks (fast mode only).
 
         Two jobs: stamp the cast for the cast->deliver latency histograms,
         and feed the pipeline -- a newly buffered cast may complete the
@@ -318,31 +280,34 @@ class OrderingLayer(Layer):
             self._buffered_at[msg_id] = self.sim.now
         for inst in list(self._instances.values()):
             inst.revalidate()
-        self._maybe_start_fast()
+        self._maybe_start()
 
-    def _maybe_start_fast(self):
-        """Open the next fast instance when the pipeline has room.
+    def _maybe_start(self):
+        """Open the next instance when the window has room.
 
-        Idle (no instance in flight): any member starts on a non-empty
-        buffer -- non-coordinators simply wait for the coordinator's
-        proposal, and the fast deadline bounds that wait.  Busy (one
-        instance in flight): only the *next* instance's fast coordinator
+        A peer's early message for the next instance always warrants
+        joining it, view change started or not.  Otherwise, idle (no
+        instance in flight): any member starts on a non-empty buffer -- in
+        fast mode non-coordinators simply wait for the coordinator's
+        proposal, and the fast deadline bounds that wait.  Busy (window
+        above 1 and room left): only the *next* instance's fast coordinator
         opens the overlap slot, and only for casts the in-flight proposals
         do not already cover -- everyone else joins when its proposal
-        arrives, exactly like the classic join-on-first-message.
+        arrives.
         """
-        if (self._stopped_proposing or self._flush_target is not None
-                or self._frozen_undecidable):
+        if self._flush_target is not None or self._frozen_undecidable:
             return
-        if len(self._instances) >= FAST_PIPELINE_WINDOW:
+        if len(self._instances) >= self._window():
             return
         k_next = self._instance_k + 1
         if self._pending.get(k_next):
-            self._start_instance_fast()
+            self._open_instance()
+            return
+        if self._stopped_proposing:
             return
         if not self._instances:
             if self._buffer:
-                self._start_instance_fast()
+                self._open_instance()
             return
         view = self.view
         seed = ("ord",) + view.vid.key() + (k_next,)
@@ -350,7 +315,7 @@ class OrderingLayer(Layer):
             return
         covered = self._covered_ids()
         if any(mid not in covered for mid in self._buffer):
-            self._start_instance_fast()
+            self._open_instance()
 
     def _covered_ids(self):
         """Message ids already owned by an in-flight or unapplied batch."""
@@ -366,75 +331,55 @@ class OrderingLayer(Layer):
         return covered
 
     def _proposal(self):
-        entries = []
-        for msg_id, msg in self._buffer.items():
-            entries.append((msg_id, msg.payload, msg.payload_size))
-        entries.sort(key=lambda e: batch_sort_key(e[0]))
-        return tuple(entries[: self.config.order_batch_max])
-
-    def _proposal_fast(self):
-        """Like ``_proposal`` but minus casts an in-flight instance will
-        already order -- overlap is *safe* (delivery dedups) but wasteful."""
+        """The buffered casts, minus those an in-flight instance will
+        already order -- overlap is *safe* (delivery dedups) but wasteful.
+        With nothing in flight (always, at window 1) nothing is covered."""
         covered = self._covered_ids()
         entries = [(mid, m.payload, m.payload_size)
                    for mid, m in self._buffer.items() if mid not in covered]
         entries.sort(key=lambda e: batch_sort_key(e[0]))
         return tuple(entries[: self.config.order_batch_max])
 
-    def _start_instance(self):
+    def _open_instance(self):
+        """Start instance ``_instance_k + 1`` on the buffered casts."""
         view = self.view
         k = self._instance_k + 1
         self._instance_k = k
-        batch = self._proposal()
-        instance_id = ("ord", view.vid.key(), k)
-        self._instance = VectorConsensus(
-            instance_id, list(view.mbrs), self.me, self.process.f,
-            (batch,), lambda proto: self._bcast_proto(k, proto),
-            is_suspected=self._fd_suspects,
-            on_decide=lambda vec: self._on_decided(k, vec),
-            on_misbehavior=self._misbehavior,
-            coordinator_seed=("ord",) + view.vid.key() + (k,),
-            on_round=self._on_round, eager_dec=False)
-        early = self._pending.pop(k, [])
-        self._instance.start()
-        for sender, proto in early:
-            self._instance.on_message(sender, proto)
-
-    def _start_instance_fast(self):
-        view = self.view
-        k = self._instance_k + 1
-        self._instance_k = k
-        batch = self._proposal_fast()
-        instance_id = ("ord", view.vid.key(), k)
         members = list(view.mbrs)
-        instance = FastPathConsensus(
-            instance_id, members, self.me, self.process.f,
-            (batch,), lambda proto: self._bcast_proto(k, proto),
-            is_suspected=self._fd_suspects,
-            on_decide=lambda vec, _k=k: self._on_decided_fast(_k, vec),
-            on_misbehavior=self._misbehavior,
-            coordinator_seed=("ord",) + view.vid.key() + (k,),
-            on_round=self._on_round,
-            validate=self._validate_proposal,
-            on_fallback=lambda reason, _k=k: self._on_fast_fallback(_k,
-                                                                    reason))
+        args = (("ord", view.vid.key(), k), members, self.me, self.process.f,
+                (self._proposal(),), lambda proto: self._bcast_proto(k, proto))
+        hooks = dict(is_suspected=self._fd_suspects,
+                     on_decide=lambda vec: self._on_decided(k, vec),
+                     on_misbehavior=self._misbehavior,
+                     coordinator_seed=("ord",) + view.vid.key() + (k,),
+                     on_round=self._on_round)
+        if self.config.ordering_fast_path:
+            instance = FastPathConsensus(
+                *args, validate=self._validate_proposal,
+                on_fallback=lambda reason: self._on_fast_fallback(k, reason),
+                **hooks)
+            # mode arbitration: run the 2-step protocol only when nothing
+            # suggests it could stall -- no flush in progress, proposing
+            # allowed, and no live suspicion against any member
+            fast_round = (self._flush_target is None
+                          and not self._frozen_undecidable
+                          and not self._stopped_proposing
+                          and not any(self._fd_suspects(m) for m in members))
+            if not fast_round:
+                self.count("fast_skipped")
+            start = lambda: instance.start(fast=fast_round)
+        else:
+            instance = VectorConsensus(*args, eager_dec=False, **hooks)
+            fast_round = False
+            start = instance.start
         self._instances[k] = instance
-        # mode arbitration: run the 2-step protocol only when nothing
-        # suggests it could stall -- no flush in progress, proposing
-        # allowed, and no live suspicion against any member
-        fast_ok = (self._flush_target is None
-                   and not self._frozen_undecidable
-                   and not self._stopped_proposing
-                   and not any(self._fd_suspects(m) for m in members))
-        if not fast_ok:
-            self.count("fast_skipped")
         early = self._pending.pop(k, [])
-        instance.start(fast=fast_ok)
+        start()
         for sender, proto in early:
             if self._instances.get(k) is not instance:
-                break
+                break           # decided (or poisoned) under our feet
             instance.on_message(sender, proto)
-        if (self._instances.get(k) is instance and not instance.decided
+        if (fast_round and self._instances.get(k) is instance
                 and instance.mode == "fast"):
             self._arm_fast_deadline(k)
 
@@ -538,29 +483,17 @@ class OrderingLayer(Layer):
             self.process.verbose_detector.illegal(member, reason)
 
     def _on_decided(self, k, vector):
-        if k != self._instance_k:
-            return
-        self._archive_decision(k, vector, self._instance.dec_announced)
-        self._instance = None
-        self._decided_k = k
-        self._apply_batch(vector, None)
-        if self._flush_target is not None:
-            self._continue_flush()
-            return
-        if self._pending.get(k + 1) or (self._buffer
-                                        and not self._stopped_proposing):
-            self._start_instance()
-
-    def _on_decided_fast(self, k, vector):
         inst = self._instances.pop(k, None)
         self._cancel_fast_timer(k)
         if inst is None:
             return              # poisoned by an undecidable flush
-        mode = "fallback"
-        if inst.fast_decided:
-            mode = "fast"
-            self.fast_decides += 1
-            self.count("fast_decides")
+        mode = None             # classic: no per-mode latency histogram
+        if self.config.ordering_fast_path:
+            mode = "fallback"
+            if inst.fast_decided:
+                mode = "fast"
+                self.fast_decides += 1
+                self.count("fast_decides")
         self._archive_decision(k, vector, inst.dec_announced)
         self._decided_out[k] = (vector, mode)
         self._apply_ready()
@@ -581,7 +514,7 @@ class OrderingLayer(Layer):
         if self._flush_target is not None:
             self._continue_flush()
         else:
-            self._maybe_start_fast()
+            self._maybe_start()
 
     def _apply_batch(self, vector, mode):
         batch = vector[0]
@@ -657,7 +590,7 @@ class OrderingLayer(Layer):
             # a frozen instance's val may have been counted by the very
             # decisions it now waits for: repeat it, so the deciders (all
             # frozen before their SYNC, hence finished by now) answer
-            for k, inst in self._in_flight().items():
+            for k, inst in list(self._instances.items()):
                 if k <= self._flush_target:
                     inst.resolicit()
         self._continue_flush()
@@ -666,29 +599,12 @@ class OrderingLayer(Layer):
         if self._flush_undecidable:
             self._continue_flush_undecidable()
             return
-        if self._in_flight():
+        if self._instances:
             return  # wait for the in-flight instances to decide
         if self._instance_k < self._flush_target:
-            self._open_next()
+            self._open_instance()
             return
         self._deliver_tail()
-
-    # ------------------------------------------------------------------
-    # bounded-state introspection (soak / tournament checker)
-    # ------------------------------------------------------------------
-    def state_sizes(self):
-        # _delivered is deliberately absent: it grows monotonically within
-        # a view by design (dedup over the view's lifetime) and resets at
-        # every install, so it would only false-positive the growth check
-        return {
-            "buffer": len(self._buffer),
-            "pending": sum(len(v) for v in self._pending.values()),
-            "decision_archive": len(self._decisions),
-            "decided_backlog": len(self._decided_out),
-            "latency_marks": len(self._buffered_at),
-            "instance_state": sum(i.state_size()
-                                  for i in self._in_flight().values()),
-        }
 
     def _continue_flush_undecidable(self):
         # instances (and parked decisions) beyond the target were
@@ -701,8 +617,6 @@ class OrderingLayer(Layer):
             self._cancel_fast_timer(k)
         for k in [k for k in self._decided_out if k > target]:
             del self._decided_out[k]
-        if self._instance is not None and self._instance_k > target:
-            self._instance = None
         if self._decided_k < target:
             self._open_to_adopt()
         else:
@@ -712,8 +626,8 @@ class OrderingLayer(Layer):
         """A peer decided an instance we have not finished: unless it is
         in flight (and frozen) already, open it in frozen mode purely to
         broadcast its val and adopt the decs the deciders answer with."""
-        if not self._in_flight():
-            self._open_next()
+        if not self._instances:
+            self._open_instance()
             self._freeze_in_flight()
 
     def _deliver_tail(self):
@@ -730,3 +644,20 @@ class OrderingLayer(Layer):
         self._flush_target = None
         if done is not None:
             done()
+
+    # ------------------------------------------------------------------
+    # bounded-state introspection (soak / tournament checker)
+    # ------------------------------------------------------------------
+    def state_sizes(self):
+        # _delivered is deliberately absent: it grows monotonically within
+        # a view by design (dedup over the view's lifetime) and resets at
+        # every install, so it would only false-positive the growth check
+        return {
+            "buffer": len(self._buffer),
+            "pending": sum(len(v) for v in self._pending.values()),
+            "decision_archive": len(self._decisions),
+            "decided_backlog": len(self._decided_out),
+            "latency_marks": len(self._buffered_at),
+            "instance_state": sum(i.state_size()
+                                  for i in self._instances.values()),
+        }

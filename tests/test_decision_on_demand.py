@@ -217,7 +217,7 @@ def test_undecidable_flush_finishes_by_adopting_on_demand_decs(laggards):
     answered = decs_by(log, 1)
     assert set(answered.values()) == {1}
     assert set(deciders) <= set(answered)
-    assert all(layer._instance is None and layer._decided_k == 1
+    assert all(not layer._instances and layer._decided_k == 1
                for layer in layers.values())
     assert {tuple(cast_payloads(e)) for e in group.endpoints.values()} == {
         ("y",)}
