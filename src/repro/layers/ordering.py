@@ -138,10 +138,14 @@ class OrderingLayer(Layer):
                 # around, and the flush must not stall on their deadlines
                 for inst in list(self._instances.values()):
                     inst.abort("view-change")
-        elif event == "suspicions-updated":
-            if self.config.ordering_fast_path:
-                for inst in list(self._instances.values()):
-                    inst.notify_suspicion_change()
+        elif event != "suspicions-updated":
+            return
+        # both events mean the failure detector's verdicts moved (the
+        # *first* suspicion raises only view-change-started): an instance
+        # that has heard every live member gets no further message to
+        # re-evaluate its wait on, so the host must poke it
+        for inst in list(self._instances.values()):
+            inst.notify_suspicion_change()
 
     def _window(self):
         """How many instances may be in flight at once."""

@@ -1,8 +1,10 @@
 """Tests for total ordering via repeated Byzantine consensus (section 3.5)."""
 
+import pytest
+
 from tests.helpers import cast_ids, cast_payloads, make_group
 
-from repro import Group, StackConfig
+from repro import Group, StackConfig, check_virtual_synchrony
 from repro.core.properties import check_total_order
 from repro.sim.network import NetworkConfig
 
@@ -95,3 +97,31 @@ def test_ordered_delivery_includes_own_messages():
     group.endpoints[3].cast("mine")
     group.run(0.5)
     assert "mine" in cast_payloads(group.endpoints[3])
+
+
+@pytest.mark.parametrize("fast", [False, True])
+@pytest.mark.parametrize("seed", [0, 3, 7])
+def test_first_suspicion_pokes_the_in_flight_instance(fast, seed):
+    # one crash under load, no loss: every survivor sits in round 1 of the
+    # in-flight instance having heard all seven survivors, and the crashed
+    # member becomes suspected only afterwards.  The *first* suspicion
+    # raises view-change-started, never suspicions-updated; unless that
+    # pokes the instance, no message is left to re-evaluate its wait and
+    # the view change never completes
+    config = StackConfig.byz(crypto="sym", total_order=True,
+                             ordering_fast_path=fast)
+    group = Group.bootstrap(8, config=config, seed=seed)
+    for i in range(120):
+        group.sim.schedule(0.0007 * i, group.endpoints[i % 7].cast, i)
+    crash_at = 0.020 + 0.0003 * seed
+    group.sim.schedule(crash_at, group.crash, 7)
+    group.run(crash_at)
+    survivors = [p for node, p in group.processes.items() if node != 7]
+    assert group.run_until(lambda: all(p.view.n == 7 for p in survivors),
+                           timeout=1.0)
+    group.run(0.5)
+    execution = group.execution()
+    execution.correct.discard(7)
+    assert not check_virtual_synchrony(execution, total_order=True)
+    group.stop()
+
