@@ -5,12 +5,17 @@ protocol slot into the membership and ordering layers (paper section 1.2,
 "Novel Protocols for View Management").  Hosts interact with protocol
 instances only through this narrow surface:
 
-* the host delivers protocol messages via ``on_message(sender, payload)``;
+* the host delivers protocol messages via ``on_message(sender, payload)``,
+  the payload exactly as it came off the wire: the instance checks its
+  shape and reports a bad one through ``on_misbehavior``, it never raises;
 * the instance sends by calling the ``broadcast(payload)`` callback it was
   constructed with (intra-view reliable FIFO delivery is assumed, provided
   by the layers underneath -- paper section 3.3);
 * the instance consults the fuzzy mute detector via ``is_suspected(member)``
-  and must be poked with ``notify_suspicion_change()`` when verdicts move;
+  and must be poked with ``notify_suspicion_change()`` when verdicts move --
+  every time, the first suspicion of a view change included: an instance
+  that has heard from every live member gets no further message that would
+  make it look again;
 * completion is reported through the ``on_decide`` callback.
 """
 

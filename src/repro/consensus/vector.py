@@ -36,6 +36,9 @@ from repro.consensus.interface import AgreementInstance
 
 BOTTOM = None  # the ⊥ placeholder of the listing
 
+#: payload length of each protocol message kind
+_ARITY = {"val": 3, "coord": 3, "dec": 2}
+
 
 def _stable_hash(n, seed):
     """Deterministic replacement for the listing's ``hash(n, view_id)``.
@@ -121,15 +124,23 @@ class VectorConsensus(AgreementInstance):
     def on_message(self, sender, payload):
         if sender not in self.members:
             return
+        # hosts hand the wire value straight in: a Byzantine member's
+        # payload may be any shape, and must not raise inside this process
+        if not isinstance(payload, tuple) or not payload:
+            self.on_misbehavior(sender, "consensus:malformed")
+            return
         kind = payload[0]
-        if kind == "val":
+        arity = _ARITY.get(kind) if isinstance(kind, str) else None
+        if arity is None:
+            self.on_misbehavior(sender, "consensus:unknown-kind")
+        elif len(payload) != arity:
+            self.on_misbehavior(sender, "consensus:malformed")
+        elif kind == "val":
             self._on_val(sender, payload[1], payload[2])
         elif kind == "coord":
             self._on_coord(sender, payload[1], payload[2])
-        elif kind == "dec":
-            self._on_dec(sender, payload[1])
         else:
-            self.on_misbehavior(sender, "consensus:unknown-kind")
+            self._on_dec(sender, payload[1])
         self._progress()
 
     def notify_suspicion_change(self):
@@ -193,6 +204,9 @@ class VectorConsensus(AgreementInstance):
     def _on_coord(self, sender, rnd, vec):
         checked = self._checked_vector(sender, vec, "coord")
         if checked is None:
+            return
+        if not isinstance(rnd, int):
+            self.on_misbehavior(sender, "consensus:bad-coord-round")
             return
         if sender != self.coordinator_of(rnd):
             # a correct process never sends coord for a round it does not

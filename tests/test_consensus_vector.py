@@ -337,3 +337,23 @@ def test_non_integer_val_round_is_misbehavior_not_a_crash():
         inst.on_message(sender, ("val", 1, (1,)))
     inst.on_message(6, ("val", 1, (1,)))
     assert inst.decided and flagged == ["consensus:bad-val-round"]
+
+
+@pytest.mark.parametrize("payload", [
+    7, (), ("val",), ("coord", 1), ("dec",), (["val"], 1, (1,)),
+    ("coord", "1", (1,)),
+])
+def test_malformed_payload_is_misbehavior_not_a_crash(payload):
+    # hosts pass the wire value straight in, so any shape can arrive from
+    # a Byzantine member: it is flagged, and the instance carries on
+    flagged = []
+    inst = VectorConsensus("test", list(range(7)), 0, 1, (1,),
+                           lambda payload: None,
+                           on_misbehavior=lambda m, why: flagged.append(
+                               (m, why)))
+    inst.start()
+    inst.on_message(6, payload)
+    assert len(flagged) == 1 and flagged[0][0] == 6
+    for sender in range(1, 7):
+        inst.on_message(sender, ("val", 1, (1,)))
+    assert inst.decided and len(flagged) == 1

@@ -124,6 +124,22 @@ def test_malformed_sync_flagged():
     assert process.verbose_detector.violations >= 1
 
 
+def test_malformed_consensus_payload_flagged_not_raised():
+    # the failed-set agreement gets the wire value as it came: a Byzantine
+    # member's shapeless protocol payload must not raise inside this node
+    process = membership_stub()
+    layer = process.layer
+    process._fake_suspicion.suspect_locally(7)
+    layer.on_control("start-view-change", {"suspected": {7}})
+    iid = layer._consensus.instance_id
+    for proto in (7, (), ("val",), ("coord", 1)):
+        bad = Message(mk.KIND_CONSENSUS, 3, process.view.vid, (iid, proto))
+        bad.sender = 3
+        layer.handle_up(bad)
+    assert process.verbose_detector.violations == 4
+    assert layer._state == "consensus"
+
+
 def test_stale_epoch_sync_ignored():
     process = membership_stub()
     layer = drive_to_sync(process)

@@ -5,6 +5,8 @@ import pytest
 from tests.helpers import cast_ids, cast_payloads, make_group
 
 from repro import Group, StackConfig, check_virtual_synchrony
+from repro.core import message as mk
+from repro.core.message import Message
 from repro.core.properties import check_total_order
 from repro.sim.network import NetworkConfig
 
@@ -125,3 +127,19 @@ def test_first_suspicion_pokes_the_in_flight_instance(fast, seed):
     assert not check_virtual_synchrony(execution, total_order=True)
     group.stop()
 
+
+@pytest.mark.parametrize("fast", [False, True])
+def test_malformed_ordering_payload_flagged_not_raised(fast):
+    # a Byzantine member's shapeless protocol payload reaches the instance
+    # as it came off the wire: flagged, and the instance still decides
+    group = make_group(8, seed=8, total_order=True, ordering_fast_path=fast)
+    process = group.processes[0]
+    for proto in (7, (), ("val",), ("coord", 1)):
+        bad = Message(mk.KIND_ORDER, 6, process.view.vid, ("ord", 1, proto))
+        process.ordering.handle_up(bad)
+    assert process.verbose_detector.violations == 4
+    group.endpoints[2].cast("after")
+    group.run(0.5)
+    assert all(cast_payloads(group.endpoints[n]) == ["after"]
+               for n in range(8))
+    group.stop()
