@@ -123,6 +123,9 @@ CHAOS_PRESETS = {
     "byz": {"config": None, "byzantine_fraction": 0.3},
     "byz-sym": {"config": {"byzantine": True, "crypto": "sym"},
                 "byzantine_fraction": 0.3, "corrupt": True},
+    # the default (classic) ordering mode under the byz op mix
+    "byz-total": {"config": {"byzantine": True, "total_order": True},
+                  "byzantine_fraction": 0.3},
     # fast-path campaign: total ordering with the optimistic 2-step path
     # armed, the full adversary vocabulary (byzantine_at schedules
     # Equivocator & co. mid-run), and corruption enabled since crypto

@@ -128,7 +128,8 @@ class OrderingLayer(Layer):
         self._cancel_fast_timers()
 
     def on_control(self, event, data):
-        if not self.config.total_order:
+        if (not self.config.total_order or event not in (
+                "view-change-started", "suspicions-updated")):
             return
         if event == "view-change-started":
             self._stopped_proposing = True
@@ -138,9 +139,7 @@ class OrderingLayer(Layer):
                 # around, and the flush must not stall on their deadlines
                 for inst in list(self._instances.values()):
                     inst.abort("view-change")
-        elif event != "suspicions-updated":
-            return
-        # both events mean the failure detector's verdicts moved (the
+        # either event means the failure detector's verdicts moved (the
         # *first* suspicion raises only view-change-started): an instance
         # that has heard every live member gets no further message to
         # re-evaluate its wait on, so the host must poke it
