@@ -18,10 +18,11 @@ as the paper notes.
 Decisions are announced on demand.  Algorithm 1 ends every instance with
 each member broadcasting ``dec`` -- n of the n + 1-ish broadcasts of a
 one-round instance, almost never read.  Here every decided instance goes
-into one bounded archive and nothing is broadcast at decide time; a ``val`` arriving for a finished instance proves its sender is
-behind, and is answered with the archived ``("dec", vector)``, once per
-instance.  Same messages, later: safety is untouched, and only a member
-that is already behind pays an extra hop (DESIGN section 6).
+into one bounded archive and nothing is broadcast at decide time; a ``val``
+arriving for a finished instance proves its sender is behind, and is
+answered with the archived ``("dec", vector)``, once per instance.  Same
+messages, later: safety is untouched, and only a member that is already
+behind pays an extra hop (DESIGN section 6).
 
 View-change interaction: the SYNC reports of the flush protocol carry each
 member's highest started instance; every member joins all instances up to
@@ -609,6 +610,23 @@ class OrderingLayer(Layer):
             return
         self._deliver_tail()
 
+    # ------------------------------------------------------------------
+    # bounded-state introspection (soak / tournament checker)
+    # ------------------------------------------------------------------
+    def state_sizes(self):
+        # _delivered is deliberately absent: it grows monotonically within
+        # a view by design (dedup over the view's lifetime) and resets at
+        # every install, so it would only false-positive the growth check
+        return {
+            "buffer": len(self._buffer),
+            "pending": sum(len(v) for v in self._pending.values()),
+            "decision_archive": len(self._decisions),
+            "decided_backlog": len(self._decided_out),
+            "latency_marks": len(self._buffered_at),
+            "instance_state": sum(i.state_size()
+                                  for i in self._instances.values()),
+        }
+
     def _continue_flush_undecidable(self):
         # instances (and parked decisions) beyond the target were
         # decided-and-applied by nobody: poison them identically at every
@@ -647,20 +665,3 @@ class OrderingLayer(Layer):
         self._flush_target = None
         if done is not None:
             done()
-
-    # ------------------------------------------------------------------
-    # bounded-state introspection (soak / tournament checker)
-    # ------------------------------------------------------------------
-    def state_sizes(self):
-        # _delivered is deliberately absent: it grows monotonically within
-        # a view by design (dedup over the view's lifetime) and resets at
-        # every install, so it would only false-positive the growth check
-        return {
-            "buffer": len(self._buffer),
-            "pending": sum(len(v) for v in self._pending.values()),
-            "decision_archive": len(self._decisions),
-            "decided_backlog": len(self._decided_out),
-            "latency_marks": len(self._buffered_at),
-            "instance_state": sum(i.state_size()
-                                  for i in self._instances.values()),
-        }

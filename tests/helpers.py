@@ -4,6 +4,11 @@ from __future__ import annotations
 
 from repro import Group, StackConfig
 
+#: consensus protocol payloads no correct member sends and that an
+#: unchecked ``payload[0..2]`` would raise on: not a tuple, empty, and two
+#: known kinds with too few fields
+MALFORMED_CONSENSUS_PAYLOADS = (7, (), ("val",), ("coord", 1))
+
 
 def cast_payloads(endpoint):
     """Payloads of all CastDeliver events at an endpoint, in order."""

@@ -2,6 +2,8 @@
 
 import pytest
 
+from tests.helpers import MALFORMED_CONSENSUS_PAYLOADS
+
 from repro.consensus.interface import max_f_consensus
 from repro.consensus.vector import VectorConsensus
 from repro.sim.scheduler import Simulator
@@ -339,10 +341,8 @@ def test_non_integer_val_round_is_misbehavior_not_a_crash():
     assert inst.decided and flagged == ["consensus:bad-val-round"]
 
 
-@pytest.mark.parametrize("payload", [
-    7, (), ("val",), ("coord", 1), ("dec",), (["val"], 1, (1,)),
-    ("coord", "1", (1,)),
-])
+@pytest.mark.parametrize("payload", MALFORMED_CONSENSUS_PAYLOADS + (
+    ("dec",), (["val"], 1, (1,)), ("coord", "1", (1,))))
 def test_malformed_payload_is_misbehavior_not_a_crash(payload):
     # hosts pass the wire value straight in, so any shape can arrive from
     # a Byzantine member: it is flagged, and the instance carries on

@@ -1,5 +1,6 @@
 """Unit tests driving the membership layer's FSM through the stub harness."""
 
+from tests.helpers import MALFORMED_CONSENSUS_PAYLOADS
 from tests.stubs import StubProcess
 
 from repro.core import message as mk
@@ -132,11 +133,12 @@ def test_malformed_consensus_payload_flagged_not_raised():
     process._fake_suspicion.suspect_locally(7)
     layer.on_control("start-view-change", {"suspected": {7}})
     iid = layer._consensus.instance_id
-    for proto in (7, (), ("val",), ("coord", 1)):
+    for proto in MALFORMED_CONSENSUS_PAYLOADS:
         bad = Message(mk.KIND_CONSENSUS, 3, process.view.vid, (iid, proto))
         bad.sender = 3
         layer.handle_up(bad)
-    assert process.verbose_detector.violations == 4
+    assert process.verbose_detector.violations == len(
+        MALFORMED_CONSENSUS_PAYLOADS)
     assert layer._state == "consensus"
 
 

@@ -2,7 +2,8 @@
 
 import pytest
 
-from tests.helpers import cast_ids, cast_payloads, make_group
+from tests.helpers import (MALFORMED_CONSENSUS_PAYLOADS, cast_ids,
+                           cast_payloads, make_group)
 
 from repro import Group, StackConfig, check_virtual_synchrony
 from repro.core import message as mk
@@ -134,10 +135,11 @@ def test_malformed_ordering_payload_flagged_not_raised(fast):
     # as it came off the wire: flagged, and the instance still decides
     group = make_group(8, seed=8, total_order=True, ordering_fast_path=fast)
     process = group.processes[0]
-    for proto in (7, (), ("val",), ("coord", 1)):
+    for proto in MALFORMED_CONSENSUS_PAYLOADS:
         bad = Message(mk.KIND_ORDER, 6, process.view.vid, ("ord", 1, proto))
         process.ordering.handle_up(bad)
-    assert process.verbose_detector.violations == 4
+    assert process.verbose_detector.violations == len(
+        MALFORMED_CONSENSUS_PAYLOADS)
     group.endpoints[2].cast("after")
     group.run(0.5)
     assert all(cast_payloads(group.endpoints[n]) == ["after"]
