@@ -143,48 +143,69 @@ def test_parity_total_order_fast_path_off():
     assert_parity(606, StackConfig.byz(crypto="sym", total_order=True))
 
 
-#: sha256 over (per-node histories, metric export, event count) of
-#: ``run_scenario(seed, byz(crypto="sym", total_order=True,
-#: ordering_fast_path=fast), n=8)``.  Recorded at the parent of the PR that
-#: collapsed the two ordering engines into one instance manager; seeds 13
-#: and 14 take a view change under ordering.  An intended behaviour change
-#: re-records exactly the entries it moves (the failure prints the new
-#: value) and says which ones in CHANGES.md.  Re-recorded so far: classic
-#: 13 and 14, by the first-suspicion poke (the in-flight instance now
-#: decides instead of waiting for the flush).
+#: Two pinned sha256 digests per ``run_scenario(seed, byz(crypto="sym",
+#: total_order=True, ordering_fast_path=fast), n=8)``: the first over the
+#: per-node histories (what the application saw, with simulated times), the
+#: second over the bookkeeping (metric export + event count).  A change that
+#: only moves how much scheduling work an execution costs -- fewer idle
+#: timers -- re-records the second half alone, and the unchanged first half
+#: is the proof that behaviour did not move.  Seeds 13 and 14 take a view
+#: change under ordering.  An intended change re-records exactly the halves
+#: it moves (the failure prints the new value) and says which in CHANGES.md.
+#: Re-recorded so far: classic 13 and 14, both halves, by the first-suspicion
+#: poke (the in-flight instance now decides instead of waiting for the
+#: flush).
 GOLDEN_ORDERING = {
-    (False, 606):
-        "78c160ba498f0012706b36ab9cdc543e07146e0da7f36093bd32b8572406881b",
-    (False, 11):
-        "648c6d731476e5564f4af0be21c36ba9f565a084f630b1e9d7865e3f4f1d1815",
-    (False, 13):
-        "b000dff2ee3e56e7fd4ef3fbd885eda0cb44c0d38bf9fa090a9ae416f43ea519",
-    (False, 14):
-        "012d5adbc319519eb22783fbfa027bf9f9c4ff29ac3cbd7c2cfb0e2fa27d6322",
-    (True, 606):
-        "5de5c6816c589e86f0158111e4c726c839b707fab0f1a2a5751ecc4f75ab8d0f",
-    (True, 11):
-        "c5bad3b3e3264f93871e3bc760966e7d06d296fa9d0b6d725cd8f940570607c2",
-    (True, 13):
-        "c19fb4e189607de773caa8f4a287b1ba4f0ddf0ffc9eb899566eeeb35facf007",
-    (True, 14):
-        "9f03b7013dd6232d4f38d16e3557d6e2660d10d89fee9032efd75c5acc417580",
+    (False, 606): (
+        "ea415bdc0756823885f090d29d0935ce290faa75dc2d13a8b162e25d03b4c19f",
+        "cbcfc4971edac3ad7047c6e0e4c0f0425cbccad48f25d6eda986b49b19e5b03a"),
+    (False, 11): (
+        "3fb1e87a3c820d74eeabe4104b62e126ff6d333e0f77ae0fe08b9b037ee81c30",
+        "e380cf4f7266e11346de17c4c3a155bc660ecd2303510e74e9a7a5b693ebeb23"),
+    (False, 13): (
+        "ffcbb113c2cf2d56416a29d422430903ada34ada9c652b02ea307da5954707b2",
+        "53de9cb9c1b272a04d35eea1007d0c691f431e65c130cb767a42b7aaa57ebbc5"),
+    (False, 14): (
+        "08f6c359b340940760e28deb75b492aef2fcb73a9c58f7ed6ea7745031b1ed27",
+        "efe7afaef97df7576084612e93bb387ead25b53251bf0e0555b95a07023b18e2"),
+    (True, 606): (
+        "18c706c2bde3f20d0c21af11119795dc46d25c1692a2a2b96cc1781549a42aa3",
+        "0fdef029e5fe4245b36bfb4f6a5568f216bee05e0ce85175302d976dc7669830"),
+    (True, 11): (
+        "3e46fd979483d51b02056b99c689787775da40ea21c9d7f9ae6a3472b83bd4cf",
+        "f3c8281715cf5cf01c8eb5268aad348a42c0c727484c53a68eb4de962bceb8f6"),
+    (True, 13): (
+        "bbbca6f2dc30745f791e66fe18319aa47a13339d86d1b71d84f7ea551ccf7ed1",
+        "78e531eeff55c7888a605b9fbe4a5148dc2a2e9cd37b9a7f9908c896972c5988"),
+    (True, 14): (
+        "24c4e8bf54b1f50cd95b95a66a8bf75069fa90290d9039f45a29f1c67aa6cd5b",
+        "16e650a143dfff38d56993fad44556662f54df92a86ed263acd46019678923c1"),
 }
 
 
-def scenario_digest(seed, config, **fuzz_kw):
-    outcome = run_scenario(seed, config, **fuzz_kw)
-    return hashlib.sha256(repr(outcome).encode("utf-8")).hexdigest()
+def _sha(value):
+    return hashlib.sha256(repr(value).encode("utf-8")).hexdigest()
+
+
+def scenario_digests(seed, config, **fuzz_kw):
+    """(history digest, bookkeeping digest) of one scenario."""
+    histories, export, events = run_scenario(seed, config, **fuzz_kw)
+    return _sha(histories), _sha((export, events))
 
 
 @pytest.mark.parametrize("fast,seed", sorted(GOLDEN_ORDERING))
 def test_golden_ordering_digest(fast, seed):
     config = StackConfig.byz(crypto="sym", total_order=True,
                              ordering_fast_path=fast)
-    digest = scenario_digest(seed, config, n=8)
-    assert digest == GOLDEN_ORDERING[fast, seed], \
-        "ordering execution moved: GOLDEN_ORDERING[(%r, %d)] is now %r" \
-        % (fast, seed, digest)
+    histories, bookkeeping = scenario_digests(seed, config, n=8)
+    golden = GOLDEN_ORDERING[fast, seed]
+    assert histories == golden[0], \
+        "ordering BEHAVIOUR moved: GOLDEN_ORDERING[(%r, %d)] history " \
+        "half is now %r" % (fast, seed, histories)
+    assert bookkeeping == golden[1], \
+        "ordering bookkeeping moved (histories identical): " \
+        "GOLDEN_ORDERING[(%r, %d)] bookkeeping half is now %r" \
+        % (fast, seed, bookkeeping)
 
 
 def test_parity_wire_knobs():
