@@ -26,6 +26,18 @@ metrics are host-dependent, so cross-run comparison
 exactly like ``bench_wallclock.py`` (shared ``calibrate`` /
 ``check_against`` machinery).
 
+**events/s is not comparable across the signalled shard client and the
+demand-armed ordering tick** (CHANGES PR 15).  The ``migration`` point is
+the only one on a total-order stack with a ``ShardClient``: it lost the
+idle members' no-op ``_tick`` events (a third of its events) and the
+per-event ``_outcome`` scan, so it does the same simulated work in less
+wall time with fewer, on average dearer, events -- which a gate on
+events / wall reads as a regression.  ``BENCH_shards.json`` was
+re-recorded at that commit; a baseline from before it must not gate a
+tree from after it (or the reverse).  Compare ``wall_s`` across that
+boundary instead.  The ``saturation`` and ``clients`` points run FIFO
+stacks and execute none of the changed code.
+
 Usage::
 
     python benchmarks/bench_shards.py [--quick] [--out BENCH_shards.json]

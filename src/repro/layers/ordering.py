@@ -50,6 +50,7 @@ from repro.core.message import Message
 from repro.consensus.fastpath import FastPathConsensus, fast_coordinator
 from repro.consensus.vector import VectorConsensus
 from repro.layers.base import Layer
+from repro.sim.clock import GridTimer
 
 #: bound on how far a (possibly lying) SYNC report can make us chase
 #: ordering instances past our own; vacuous instances are cheap but a
@@ -83,7 +84,7 @@ class OrderingLayer(Layer):
         self._instances = {}     # k -> AgreementInstance (in flight)
         self._instance_k = 0     # number of the last instance opened
         self._pending = {}       # k -> [(sender, proto)] early messages
-        self._tick_timer = None
+        self._ticker = None      # GridTimer on order_tick, set at attach
         self._stopped_proposing = False
         self._decided_k = 0
         self._flush_target = None
@@ -101,14 +102,18 @@ class OrderingLayer(Layer):
         self.fast_fallbacks = 0    # fast instances aborted into consensus
 
     # ------------------------------------------------------------------
+    def attach(self, stack):
+        super().attach(stack)
+        self._ticker = GridTimer(self.sim, self.config.order_tick,
+                                 self._tick)
+
     def start(self):
         if self.config.total_order:
-            self._tick_timer = self.sim.schedule(self.config.order_tick,
-                                                 self._tick)
+            self._ticker.start()
+            self._ticker.arm()  # picks up anything buffered before boot
 
     def stop(self):
-        if self._tick_timer is not None:
-            self._tick_timer.cancel()
+        self._ticker.stop()
         self._cancel_fast_timers()
 
     def on_view(self, view):
@@ -197,6 +202,7 @@ class OrderingLayer(Layer):
             if msg.msg_id is None or msg.msg_id in self._delivered:
                 return
             self._buffer[msg.msg_id] = msg
+            self._ticker.arm()
             if self.config.ordering_fast_path:
                 self._on_cast_buffered(msg.msg_id)
             return
@@ -223,6 +229,7 @@ class OrderingLayer(Layer):
                 self._misbehavior(msg.origin, "ordering:instance-skew")
                 return
             self._pending.setdefault(k, []).append((msg.origin, proto))
+            self._ticker.arm()
             # someone is ahead of us: join their instances (up to the
             # window) even with empty local batches, or we would block
             # their termination.  Joining is not proposing, so a started
@@ -264,10 +271,13 @@ class OrderingLayer(Layer):
     def _tick(self):
         # classic: the tick opens an instance when idle.  Fast: bootstrap
         # only -- cast arrivals and decide events drive the pipeline, the
-        # tick mops up anything those paths missed
+        # tick mops up anything those paths missed.  Dormant iff nothing
+        # is buffered, stashed or in flight (then it could start nothing);
+        # a cast or stashed ``ord`` re-arms it on the same grid, so an
+        # idle member costs no events and a busy one keeps its instants
         self._maybe_start()
-        self._tick_timer = self.sim.schedule(self.config.order_tick,
-                                             self._tick)
+        self._ticker.fired(
+            bool(self._buffer or self._pending or self._instances))
 
     def _on_cast_buffered(self, msg_id):
         """Cast-arrival hooks (fast mode only).

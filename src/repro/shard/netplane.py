@@ -36,7 +36,7 @@ from repro.runtime.backend_asyncio import AsyncioRuntime, net_profile
 from repro.runtime.clock import AsyncioClock
 from repro.shard.directory import ShardDirectory
 from repro.shard.reshard import ReshardCoordinator
-from repro.shard.rsm import ShardReplica
+from repro.shard.rsm import Applied, ShardReplica, op_outcome
 
 #: how often coroutines yield to the loop while watching replica state
 POLL_INTERVAL = 0.01
@@ -54,12 +54,13 @@ class NetShardPlane:
     the wire.
     """
 
-    def __init__(self, clock, directory, groups, replicas, runtimes,
-                 processes, config):
+    def __init__(self, clock, directory, groups, replicas, applied,
+                 runtimes, processes, config):
         self.sim = clock               # manager-shaped: .now for pacing
         self.directory = directory
         self.groups = groups           # {shard: (node_id, ...)}
         self.replicas = replicas       # {shard: {node_id: ShardReplica}}
+        self.applied = applied         # {shard: Applied}
         self.runtimes = runtimes       # {node_id: AsyncioRuntime}
         self.processes = processes     # {node_id: GroupProcess}
         self.config = config
@@ -72,15 +73,14 @@ class NetShardPlane:
         return self.directory.route(key, epoch)
 
     def live_replica(self, shard):
-        for node_id in sorted(self.replicas[shard]):
-            replica = self.replicas[shard][node_id]
+        # boot_plane fills each shard's dict in node-id order
+        for replica in self.replicas[shard].values():
             if not replica.endpoint.process.stopped:
                 return replica
         return None
 
     def machines(self, shard):
-        return [replica.machine
-                for node_id, replica in sorted(self.replicas[shard].items())
+        return [replica.machine for replica in self.replicas[shard].values()
                 if not replica.endpoint.process.stopped]
 
     def shard_digests(self, shard):
@@ -96,6 +96,21 @@ class NetShardPlane:
                 return True
             await asyncio.sleep(POLL_INTERVAL)
         return bool(predicate())
+
+    async def until_applied(self, shard, check, timeout=5.0):
+        """Await ``check()``, re-evaluated when a replica of ``shard``
+        applies something (the shard's signal), not on a poll."""
+        loop = asyncio.get_event_loop()
+        deadline = self.sim.now + timeout
+        while not check():
+            woken = loop.create_future()
+            self.applied[shard].waiters.append(
+                lambda: woken.done() or woken.set_result(None))
+            try:
+                await asyncio.wait_for(woken, deadline - self.sim.now)
+            except asyncio.TimeoutError:
+                return bool(check())
+        return True
 
     async def views_formed(self, timeout=10.0):
         """Every shard's members agree on the full per-shard view."""
@@ -134,12 +149,13 @@ async def boot_plane(shards, nodes_per_shard, ring_shards=None, seed=0,
     directory = ShardDirectory(ring_shards,
                                ring_slots=cfg.shard.ring_slots,
                                epoch=cfg.shard.epoch)
-    groups, replicas, runtimes, processes = {}, {}, {}, {}
+    groups, replicas, applied, runtimes, processes = {}, {}, {}, {}, {}
     for shard in range(shards):
         node_ids = tuple(range(shard * nodes_per_shard,
                                (shard + 1) * nodes_per_shard))
         groups[shard] = node_ids
         replicas[shard] = {}
+        applied[shard] = Applied()
         for node in node_ids:
             runtime = AsyncioRuntime(node, addresses, seed=seed + node,
                                      loop=loop)
@@ -148,14 +164,14 @@ async def boot_plane(shards, nodes_per_shard, ring_shards=None, seed=0,
             process = runtime.spawn_process(cfg, initial_view=initial,
                                             group_id=shard)
             endpoint = GroupEndpoint(process)
-            replicas[shard][node] = ShardReplica(endpoint,
-                                                 epoch=directory.epoch)
+            replicas[shard][node] = ShardReplica(
+                endpoint, epoch=directory.epoch, applied=applied[shard])
             runtimes[node] = runtime
             processes[node] = process
     for process in processes.values():
         process.start()
-    return NetShardPlane(clock, directory, groups, replicas, runtimes,
-                         processes, cfg)
+    return NetShardPlane(clock, directory, groups, replicas, applied,
+                         runtimes, processes, cfg)
 
 
 # ----------------------------------------------------------------------
@@ -219,8 +235,8 @@ class NetShardClient:
                 continue
             token = (op_id, attempt)
             replica.submit(("op", op_id, attempt, epoch, key, sub))
-            seen = await self.plane.until(
-                lambda: self._outcome(shard, op_id, token) is not None,
+            seen = await self.plane.until_applied(
+                shard, lambda: self._outcome(shard, op_id, token) is not None,
                 timeout=self.timeout)
             if not seen:
                 self.retries += 1
@@ -236,14 +252,7 @@ class NetShardClient:
         return ("failed", None)
 
     def _outcome(self, shard, op_id, token):
-        for machine in self.plane.machines(shard):
-            record = machine.op_results.get(op_id)
-            if record is not None:
-                return ("ok", record[1])
-            fence = machine.fence_log.get(token)
-            if fence is not None:
-                return fence
-        return None
+        return op_outcome(self.plane.machines(shard), op_id, token)
 
     async def set(self, key, value, **kw):
         return await self.op(key, ("set", key, value), **kw)

@@ -159,8 +159,8 @@ class ReshardCoordinator:
     # machine observation
     # ------------------------------------------------------------------
     def _machines(self, shard):
-        for node_id in sorted(self.replicas[shard]):
-            replica = self.replicas[shard][node_id]
+        # both planes keep each shard's replica dict in node-id order
+        for replica in self.replicas[shard].values():
             if not replica.endpoint.process.stopped:
                 yield replica.machine
 
@@ -174,8 +174,7 @@ class ReshardCoordinator:
         last = self._last_submit.get(tag)
         if last is not None and now - last < self.phase_timeout:
             return
-        for node_id in sorted(self.replicas[shard]):
-            replica = self.replicas[shard][node_id]
+        for replica in self.replicas[shard].values():
             if not replica.endpoint.process.stopped:
                 if last is not None:
                     self.resubmits += 1

@@ -267,15 +267,53 @@ class ShardedKVStore(KVStore):
                 "fence_log": len(self.fence_log)}
 
 
+class Applied:
+    """One shard's completion signal: ``version`` moves whenever a replica
+    of the shard applies a command or installs a snapshot.  Clients learn
+    outcomes by reading replica state; this tells them *when* to read, so
+    a wait costs an integer compare per scheduler event (nothing at all on
+    asyncio), not a scan of the shard's machines after every event."""
+
+    __slots__ = ("version", "waiters")
+
+    def __init__(self):
+        self.version = 0
+        self.waiters = []       # callables, each woken by the next bump
+
+    def bump(self):
+        self.version += 1
+        woken, self.waiters = self.waiters, []
+        for wake in woken:
+            wake()
+
+    def gate(self, check):
+        """``check`` as a ``run_until`` predicate that re-evaluates it
+        only after the version moved (and once on entry)."""
+        seen = [None]
+
+        def predicate():
+            if seen[0] == self.version:
+                return False
+            seen[0] = self.version
+            return check()
+        return predicate
+
+
 class ShardReplica(Replica):
     """A Replica whose snapshots carry the transfer AND migration tables,
     so a member rejoining mid-transfer or mid-migration (state transfer
     after a view change) resumes with the same epoch/outbox/dedup state
-    its peers have."""
+    its peers have.  ``applied`` is the shard's shared :class:`Applied`
+    signal, bumped after every change to this replica's machine."""
 
-    def __init__(self, endpoint, machine=None, epoch=0):
+    def __init__(self, endpoint, machine=None, epoch=0, applied=None):
+        self.applied = applied or Applied()
         super().__init__(endpoint,
                          machine=machine or ShardedKVStore(epoch=epoch))
+
+    def _on_cast(self, event):
+        super()._on_cast(event)
+        self.applied.bump()
 
     def _snapshot(self):
         m = self.machine
@@ -311,16 +349,16 @@ class ShardReplica(Replica):
             m.fence_log = dict(snapshot[11])
             m._fence_order = deque(snapshot[12])
             m.fenced = dict(snapshot[13])
-            return
-        if (isinstance(snapshot, tuple) and len(snapshot) == 5
+        elif (isinstance(snapshot, tuple) and len(snapshot) == 5
                 and snapshot[0] == "skv" and isinstance(m, ShardedKVStore)):
             # pre-migration snapshot form, still accepted
             m.data = dict(snapshot[1])
             m.pending = dict(snapshot[2])
             m.finished = dict(snapshot[3])
             m.applied = snapshot[4]
-            return
-        super()._install_snapshot(snapshot)
+        else:
+            super()._install_snapshot(snapshot)
+        self.applied.bump()
 
 
 class TransferCoordinator:
@@ -335,33 +373,24 @@ class TransferCoordinator:
     first submission survived the flush.
     """
 
-    def __init__(self, manager, replicas, phase_timeout=3.0, attempts=4):
-        self.manager = manager
-        self.replicas = replicas       # {shard: {node_id: ShardReplica}}
+    def __init__(self, rsm, phase_timeout=3.0, attempts=4):
+        self.rsm = rsm                 # the ShardedRSM: replicas + signals
+        self.manager = rsm.manager
         self.phase_timeout = phase_timeout
         self.attempts = attempts
         self.retries = 0
 
     # ------------------------------------------------------------------
-    def _live(self, shard):
-        for node_id in sorted(self.replicas[shard]):
-            replica = self.replicas[shard][node_id]
-            if not replica.endpoint.process.stopped:
-                yield replica
-
-    def _machines(self, shard):
-        return [replica.machine for replica in self._live(shard)]
-
     def _phase(self, shard, command, done):
         """Submit ``command`` on ``shard`` until ``done(machine)`` holds on
         some live replica; resubmits with the same txid on timeout."""
         for _attempt in range(self.attempts):
-            submitter = next(iter(self._live(shard)), None)
+            submitter = self.rsm.live_replica(shard)
             if submitter is None:
                 return False
             submitter.submit(command)
-            ok = self.manager.run_until(
-                lambda: any(done(m) for m in self._machines(shard)),
+            ok = self.manager.run_until(self.rsm.applied[shard].gate(
+                lambda: any(done(m) for m in self.rsm.machines(shard))),
                 timeout=self.phase_timeout)
             if ok:
                 return True
@@ -414,7 +443,7 @@ class TransferCoordinator:
         return "committed" if ok else "failed"
 
     def _outcome(self, shard, txid):
-        for machine in self._machines(shard):
+        for machine in self.rsm.machines(shard):
             if txid in machine.pending:
                 return "prepared"
             outcome = machine.finished.get(txid)
@@ -431,11 +460,14 @@ class ShardedRSM:
     def __init__(self, manager, phase_timeout=3.0):
         self.manager = manager
         epoch = manager.directory.epoch
+        self.applied = {shard: Applied() for shard in manager.groups}
+        # each shard's dict stays in node-id order (here and in rebind)
         self.replicas = {
-            shard: {node_id: ShardReplica(endpoint, epoch=epoch)
-                    for node_id, endpoint in group.endpoints.items()}
+            shard: {node_id: ShardReplica(endpoint, epoch=epoch,
+                                          applied=self.applied[shard])
+                    for node_id, endpoint in sorted(group.endpoints.items())}
             for shard, group in manager.groups.items()}
-        self.coordinator = TransferCoordinator(manager, self.replicas,
+        self.coordinator = TransferCoordinator(self,
                                                phase_timeout=phase_timeout)
         self._txid_seq = 0
         self._client_seq = 0
@@ -443,16 +475,14 @@ class ShardedRSM:
     # ------------------------------------------------------------------
     def live_replica(self, shard):
         """The first live replica of ``shard``, or None."""
-        for node_id in sorted(self.replicas[shard]):
-            replica = self.replicas[shard][node_id]
+        for replica in self.replicas[shard].values():
             if not replica.endpoint.process.stopped:
                 return replica
         return None
 
     def machines(self, shard):
         """The live replicas' machines of one shard."""
-        return [replica.machine
-                for node_id, replica in sorted(self.replicas[shard].items())
+        return [replica.machine for replica in self.replicas[shard].values()
                 if not replica.endpoint.process.stopped]
 
     def rebind(self):
@@ -466,11 +496,14 @@ class ShardedRSM:
         """
         rebound = 0
         for shard, group in self.manager.groups.items():
+            replicas = self.replicas[shard]
             for node_id, endpoint in group.endpoints.items():
-                replica = self.replicas[shard].get(node_id)
+                replica = replicas.get(node_id)
                 if replica is None or replica.endpoint is not endpoint:
-                    self.replicas[shard][node_id] = ShardReplica(endpoint)
+                    replicas[node_id] = ShardReplica(
+                        endpoint, applied=self.applied[shard])
                     rebound += 1
+            self.replicas[shard] = dict(sorted(replicas.items()))
         return rebound
 
     def client(self, name=None, timeout=2.0, attempts=12):
@@ -509,6 +542,19 @@ class ShardedRSM:
         return {node_id: replica.state_digest()
                 for node_id, replica in self.replicas[shard].items()
                 if not replica.endpoint.process.stopped}
+
+
+def op_outcome(machines, op_id, token):
+    """One op attempt's verdict as the shard's replicas record it:
+    ``("ok", result)``, a fence ``(reason, epoch)``, or None so far."""
+    for machine in machines:
+        record = machine.op_results.get(op_id)
+        if record is not None:
+            return ("ok", record[1])
+        fence = machine.fence_log.get(token)
+        if fence is not None:
+            return fence
+    return None
 
 
 class ShardClient:
@@ -574,8 +620,8 @@ class ShardClient:
                 continue
             token = (op_id, attempt)
             replica.submit(("op", op_id, attempt, epoch, key, sub))
-            seen = self.manager.run_until(
-                lambda: self._outcome(shard, op_id, token) is not None,
+            seen = self.manager.run_until(self.rsm.applied[shard].gate(
+                lambda: self._outcome(shard, op_id, token) is not None),
                 timeout=timeout)
             if not seen:
                 self.retries += 1
@@ -591,14 +637,7 @@ class ShardClient:
         return ("failed", None)
 
     def _outcome(self, shard, op_id, token):
-        for machine in self.rsm.machines(shard):
-            record = machine.op_results.get(op_id)
-            if record is not None:
-                return ("ok", record[1])
-            fence = machine.fence_log.get(token)
-            if fence is not None:
-                return fence
-        return None
+        return op_outcome(self.rsm.machines(shard), op_id, token)
 
     # -- grammar conveniences ------------------------------------------
     def set(self, key, value, **kw):

@@ -44,6 +44,60 @@ class Timer:
         return "Timer(deadline={:.6f}, {})".format(self.deadline, state)
 
 
+class GridTimer:
+    """A periodic timer that sleeps while its owner is idle and wakes on
+    the grid it would have kept had it never slept.
+
+    The grid is ``start + k * period`` by repeated addition (one per period
+    slept), so every deadline is the float the always-armed chain --
+    ``schedule(period)`` again from the callback -- produces.  :meth:`arm`
+    takes the first instant strictly after ``now``: a timer set a period
+    ago precedes whatever reaches the same instant later.  The owner's
+    bound method is scheduled as is (timer cost is attributed by
+    ``callback.__self__``) and must call :meth:`fired`.  A drifted
+    :class:`NodeClock` scales the step like a ``schedule`` delay.
+    """
+
+    __slots__ = ("clock", "period", "callback", "deadline", "timer")
+
+    def __init__(self, clock, period, callback):
+        self.clock = clock
+        self.period = period
+        self.callback = callback
+        self.deadline = None    # last grid instant used; None = not running
+        self.timer = None       # None while dormant
+
+    def start(self):
+        """Fix the grid origin at ``now``; the timer stays dormant."""
+        self.deadline = self.clock.now
+
+    def arm(self):
+        """Wake at the next grid instant.  No-op while armed, before
+        :meth:`start` and after :meth:`stop` (a late cast must not revive
+        a dead node's timer)."""
+        deadline = self.deadline
+        if self.timer is not None or deadline is None:
+            return
+        step = self.period * getattr(self.clock, "drift", 1.0)
+        now = self.clock.now
+        while deadline <= now:
+            deadline += step
+        self.deadline = deadline
+        self.timer = self.clock.schedule_at(deadline, self.callback)
+
+    def fired(self, again):
+        """The callback ran: stay armed only if the owner says *again*."""
+        self.timer = None
+        if again:
+            self.arm()
+
+    def stop(self):
+        self.deadline = None
+        if self.timer is not None:
+            self.timer.cancel()
+            self.timer = None
+
+
 class NodeClock:
     """A per-node view of the simulator with (optional) timer drift.
 

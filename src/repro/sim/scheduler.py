@@ -234,14 +234,15 @@ class Simulator:
         finally:
             self._running = False
 
-    def run_until(self, predicate, timeout, max_events=None, poll=None):
+    def run_until(self, predicate, timeout, max_events=None):
         """Run until ``predicate()`` is true or ``timeout`` sim-seconds pass.
 
         Returns True if the predicate became true.  The predicate is checked
         after every processed event, which is exact for event-driven
-        conditions; ``poll`` is unused and kept for API compatibility.
+        conditions -- and why it should be O(1): a waiter that must scan
+        state gates the scan on a version its subject bumps
+        (:meth:`repro.shard.rsm.Applied.gate`).
         """
-        del poll
         deadline = self.now + timeout
         processed = 0
         heap = self._heap

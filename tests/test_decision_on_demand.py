@@ -182,7 +182,7 @@ def test_undecidable_flush_finishes_by_adopting_on_demand_decs(laggards):
         for node, layer in layers.items():
             if node != absent:
                 layer._fd_suspects = lambda member: member == absent
-        layers[absent]._tick_timer.cancel()
+        layers[absent]._ticker.stop()
         holds.append(Hold(layers[absent]))
     if frozen is not None:
         # starts instance 1 -- every decision counts its val -- but hears

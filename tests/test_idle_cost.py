@@ -1,0 +1,335 @@
+"""Idle members cost nothing: the demand-armed ordering tick and the
+signalled op completion of the shard clients.
+
+Two polls were replaced by signals; these tests pin the contracts that
+replaced them.  The ordering tick is *dormant iff nothing is buffered,
+stashed or in flight* and *grid-preserving*: re-armed, it fires at the
+float instant the always-armed chain would have fired at (``==``, checked
+against a real always-armed reference chain on the same simulator).  A
+shard client re-reads replica state only after a replica of the target
+shard applied something, and still wakes on fences and timeouts.
+"""
+
+import pytest
+
+from tests.helpers import cast_ids, make_group
+
+from repro import Cluster, Group, StackConfig
+from repro.core import message as mk
+from repro.core.message import Message
+from repro.layers.ordering import OrderingLayer
+from repro.shard.rsm import Applied
+from repro.sim.clock import GridTimer, NodeClock
+from repro.sim.scheduler import Simulator
+
+
+class TickCounter:
+    """A scheduler observer: when each member's ``_tick`` fired."""
+
+    def __init__(self):
+        self.fired = {}     # node id -> [time]
+
+    def on_timer(self, now, timer):
+        owner = getattr(timer.callback, "__self__", None)
+        if (isinstance(owner, OrderingLayer)
+                and timer.callback.__name__ == "_tick"):
+            self.fired.setdefault(owner.me, []).append(now)
+
+
+def reference_chain(sim, period):
+    """The always-armed chain the tick used to be, from ``sim.now``."""
+    instants = []
+
+    def tick():
+        instants.append(sim.now)
+        sim.schedule(period, tick)
+    sim.schedule(period, tick)
+    return instants
+
+
+def first_after(instants, t):
+    return next(x for x in instants if x > t)
+
+
+def grid_instant_after(origin, period, t):
+    """The chain's first instant past ``t``, before the run reaches it."""
+    while origin <= t:
+        origin += period
+    return origin
+
+
+# ----------------------------------------------------------------------
+# GridTimer
+# ----------------------------------------------------------------------
+def test_grid_timer_sleeps_and_wakes_on_the_always_armed_grid():
+    sim = Simulator(seed=0)
+    sim.run(until=0.0137)                   # an origin that is no multiple
+    reference = reference_chain(sim, 0.002)
+    fired = []
+    timer = GridTimer(sim, 0.002, lambda: (fired.append(sim.now),
+                                           timer.fired(False)))
+    timer.arm()                             # not started: stays dormant
+    assert timer.timer is None
+    timer.start()
+    for wake_at in (0.0141, 0.0203, 0.0550001, 0.3):
+        sim.run(until=wake_at)
+        timer.arm()
+        timer.arm()                         # idempotent while armed
+    sim.run(until=0.4)
+    assert fired == [first_after(reference, t)
+                     for t in (0.0141, 0.0203, 0.0550001, 0.3)]
+    timer.stop()
+    timer.arm()                             # a dead node's timer stays dead
+    assert timer.timer is None
+
+
+def test_grid_timer_arming_on_a_grid_instant_takes_the_next_one():
+    sim = Simulator(seed=0)
+    reference = reference_chain(sim, 0.002)
+    fired = []
+    timer = GridTimer(sim, 0.002, lambda: (fired.append(sim.now),
+                                           timer.fired(False)))
+    timer.start()
+    sim.run(until=0.0071)
+    # an event that reaches instant reference[3] after the chain's own
+    # timer for it (set a period earlier) has missed that instant
+    sim.schedule_at(reference[2] + 0.002, timer.arm)
+    sim.run(until=0.02)
+    assert fired == [reference[4]]
+
+
+def test_grid_timer_scales_its_step_with_clock_drift():
+    sim = Simulator(seed=0)
+    clock = NodeClock(sim, drift=1.5)
+    chain = []
+
+    def tick():
+        chain.append(sim.now)
+        clock.schedule(0.002, tick)
+    clock.schedule(0.002, tick)
+    fired = []
+    timer = GridTimer(clock, 0.002, lambda: (fired.append(sim.now),
+                                             timer.fired(True)))
+    timer.start()
+    timer.arm()
+    sim.run(until=0.05)
+    assert fired == chain and len(fired) > 10
+
+
+# ----------------------------------------------------------------------
+# the ordering tick
+# ----------------------------------------------------------------------
+def test_quiescent_members_fire_at_most_one_tick():
+    group = Group.bootstrap(
+        8, config=StackConfig.byz(crypto="sym", total_order=True), seed=5)
+    counter = group.sim.observer = TickCounter()
+    group.run(1.0)
+    assert all(len(times) <= 1 for times in counter.fired.values()), \
+        counter.fired
+    # and the members are not deaf: a cast still gets ordered, then the
+    # ticks stop again
+    group.endpoints[3].cast("wake")
+    group.run(0.1)
+    assert all(len(cast_ids(group.endpoints[n])) == 1 for n in range(8))
+    after_cast = {n: len(t) for n, t in counter.fired.items()}
+    group.run(1.0)
+    assert {n: len(t) for n, t in counter.fired.items()} == after_cast
+
+
+def inject_cast(group, node, at, counter):
+    """Hand ``node``'s ordering layer a cast at exactly ``at``."""
+    layer = group.processes[node].ordering
+    msg = Message(mk.KIND_CAST, 0, group.processes[node].view.vid,
+                  ("injected", counter), 16, msg_id=(0, 1000 + counter))
+    group.sim.schedule_at(at, layer.handle_up, msg)
+
+
+@pytest.mark.parametrize("fast", [False, True])
+@pytest.mark.parametrize("offset", [-0.0007, 0.0, 0.0004])
+def test_mid_period_cast_is_served_on_the_always_armed_grid(fast, offset):
+    group = Group.bootstrap(
+        4, config=StackConfig.byz(total_order=True, ordering_fast_path=fast),
+        seed=9, start=False)
+    sim = group.sim
+    tick = group.processes[0].config.order_tick
+    reference = reference_chain(sim, tick)      # same origin as start()
+    for process in group.processes.values():
+        process.start()
+    counter = sim.observer = TickCounter()
+    opened = []
+    layer = group.processes[2].ordering
+    open_instance = layer._open_instance
+    layer._open_instance = lambda: (opened.append(sim.now), open_instance())
+    group.run(0.0501)                           # long dormant
+    assert len(counter.fired.get(2, [])) <= 1
+    arrival = grid_instant_after(0.0, tick, 0.061) + offset
+    if offset == 0.0:
+        # scheduled from inside the period, so the chain's own timer for
+        # this instant precedes it -- as any real arrival would be
+        sim.schedule_at(arrival - tick / 2,
+                        lambda: inject_cast(group, 2, arrival, 1))
+    else:
+        inject_cast(group, 2, arrival, 1)
+    group.run(0.05)
+    expected = first_after(reference, arrival)
+    ticks = [t for t in counter.fired[2] if t > 0.0501]
+    assert ticks[0] == expected                 # == on floats, no tolerance
+    if not fast:
+        # classic: the tick is what opens the instance
+        assert opened[0] == expected
+    else:
+        # fast: the arrival itself may open it; the tick only mops up
+        assert opened[0] == arrival
+
+
+@pytest.mark.parametrize("fast", [False, True])
+def test_grid_survives_a_view_change_that_empties_the_buffer(fast):
+    group = Group.bootstrap(
+        5, config=StackConfig.byz(total_order=True, ordering_fast_path=fast),
+        seed=21, start=False)
+    sim = group.sim
+    tick = group.processes[0].config.order_tick
+    reference = reference_chain(sim, tick)
+    for process in group.processes.values():
+        process.start()
+    counter = sim.observer = TickCounter()
+    group.endpoints[1].cast("before")
+    group.run(0.05)
+    group.crash(4)
+    assert group.run_until(
+        lambda: all(group.processes[n].view.n == 4 for n in range(4)),
+        timeout=5.0)
+    group.run(0.2)                              # the new view goes quiet
+    layer = group.processes[0].ordering
+    assert not (layer._buffer or layer._pending or layer._instances)
+    assert layer._ticker.timer is None          # dormant again
+    quiet_since = sim.now
+    arrival = grid_instant_after(0.0, tick, quiet_since + 0.0101) - 0.0003
+    inject_cast(group, 0, arrival, 2)
+    group.run(0.05)
+    ticks = [t for t in counter.fired[0] if t > quiet_since]
+    assert ticks[0] == first_after(reference, arrival)
+
+
+def test_stopped_member_is_not_rearmed_by_a_late_cast():
+    group = make_group(4, seed=2, total_order=True)
+    group.run(0.05)
+    layer = group.processes[3].ordering
+    assert layer._ticker.timer is None          # dormant when stopped
+    group.crash(3)
+    pending = group.sim.pending
+    msg = Message(mk.KIND_CAST, 0, group.processes[3].view.vid, "late", 16,
+                  msg_id=(0, 99))
+    layer.handle_up(msg)                        # a receive charged earlier
+    assert layer._ticker.timer is None
+    assert group.sim.pending == pending
+
+
+# ----------------------------------------------------------------------
+# signalled op completion
+# ----------------------------------------------------------------------
+def make_plane(shards=4, nodes_per_shard=5, seed=3, ring_shards=None):
+    cluster = Cluster.create(
+        shards=shards, nodes_per_shard=nodes_per_shard, seed=seed,
+        config=StackConfig.byz(total_order=True, crypto="none"),
+        ring_shards=ring_shards)
+    cluster.run_until_stable_views(10.0)
+    return cluster
+
+
+def count_calls(obj, name):
+    calls = []
+    method = getattr(obj, name)
+
+    def counted(*args, **kw):
+        calls.append(args)
+        return method(*args, **kw)
+    setattr(obj, name, counted)
+    return calls
+
+
+def test_applied_gate_rereads_only_after_a_bump():
+    signal = Applied()
+    reads = []
+    predicate = signal.gate(lambda: (reads.append(1), False)[1])
+    assert [predicate() for _ in range(5)] == [False] * 5
+    assert len(reads) == 1                      # once on entry
+    signal.bump()
+    predicate(), predicate()
+    assert len(reads) == 2
+    woken = []
+    signal.waiters.append(lambda: woken.append(signal.version))
+    signal.bump(), signal.bump()
+    assert woken == [2]                         # one-shot
+
+
+def test_op_reads_replica_state_per_apply_not_per_event():
+    cluster = make_plane()
+    rsm = cluster.sharded_rsm()
+    client = rsm.client("counted")
+    assert client.set("k", 0)[0] == "ok"
+    cluster.run(0.05)                           # every replica has the set
+    calls = count_calls(client, "_outcome")
+    applied0 = {s: signal.version for s, signal in rsm.applied.items()}
+    events0 = cluster.sim.events_processed
+    for _ in range(50):
+        assert client.incr("k")[0] == "ok"
+    events = cluster.sim.events_processed - events0
+    cluster.run(0.05)                           # the last op's stragglers
+    shard = cluster.manager.route("k")
+    applied = rsm.applied[shard].version - applied0[shard]
+    assert rsm.get("k") == 50
+    assert applied == 50 * 5                    # every replica, every op
+    # per op: one read on entry, one after each apply until the first
+    # replica shows the result, one to fetch it -- never one per event
+    assert len(calls) <= applied + 2 * 50
+    assert len(calls) * 5 < events
+    assert all(args[0] == shard for args in calls)
+
+
+def test_fenced_attempt_wakes_and_reroutes():
+    cluster = make_plane(shards=2, nodes_per_shard=4, ring_shards=1)
+    rsm = cluster.sharded_rsm()
+    client = rsm.client("fenced", timeout=1.5, attempts=30)
+    keys = ["s:%d" % i for i in range(12)]
+    for key in keys:
+        assert client.set(key, 1)[0] == "ok"
+    coordinator = cluster.resharder()
+
+    def pump():     # the migration advances while the client waits
+        if coordinator.state == "migrating":
+            coordinator.poll()
+            cluster.sim.schedule(0.3, pump)
+    cluster.sim.schedule(0.3, pump)
+    coordinator.start(shards=2)
+    # the client still holds the old table: its op is ordered behind the
+    # source shard's mig_begin (same submitter, FIFO), fenced ``stale``,
+    # re-routed, and held ``wait`` at the destination until the install
+    moved = next(k for k in keys if cluster.manager.route(k) == 1)
+    assert client.incr(moved) == ("ok", 2)
+    assert client.fences["stale"] >= 1, client.fences
+    assert coordinator.run(timeout=30.0)
+    assert rsm.get(moved) == 2
+
+
+def test_timed_out_attempt_wakes_and_resubmits_the_same_op():
+    cluster = make_plane(shards=2, nodes_per_shard=4)
+    rsm = cluster.sharded_rsm()
+    client = rsm.client("retry", timeout=0.2)
+    assert client.set("t", 0)[0] == "ok"
+    shard = cluster.manager.route("t")
+    replica = rsm.live_replica(shard)
+    submit = replica.submit
+    lost = []
+
+    def lossy_submit(command, size=32):
+        if not lost:
+            lost.append(command)    # the first submission never leaves
+            return None
+        return submit(command, size=size)
+    replica.submit = lossy_submit
+    started = cluster.sim.now
+    assert client.incr("t") == ("ok", 1)
+    assert client.retries == 1 and len(lost) == 1
+    assert cluster.sim.now - started >= 0.2     # the timeout really ran
+    assert rsm.get("t") == 1                    # exactly once

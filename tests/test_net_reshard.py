@@ -44,3 +44,56 @@ def test_net_migration_fences_and_applies_exactly_once():
     assert report["ok"], report["violations"]
     fencing = report["migration"]["fencing"]
     assert sum(fencing.values()) > 0, fencing
+
+
+def test_idle_members_stop_ticking_and_ops_await_the_signal():
+    """The asyncio half of tests/test_idle_cost.py: on ``AsyncioClock`` a
+    quiet member's ordering tick is dormant (at most the boot tick), an
+    op wakes it and it goes back to sleep, and ``NetShardClient.op``
+    completes off the shard's ``Applied`` signal with no waiter left."""
+    import asyncio
+
+    from repro.layers.ordering import OrderingLayer
+    from repro.shard.netplane import NetShardClient, boot_plane
+
+    class TickCounter:
+        def __init__(self):
+            self.ticks = 0
+
+        def on_timer(self, now, timer):
+            owner = getattr(timer.callback, "__self__", None)
+            if (isinstance(owner, OrderingLayer)
+                    and timer.callback.__name__ == "_tick"):
+                self.ticks += 1
+
+    async def scenario():
+        plane = await boot_plane(1, 4, seed=3)
+        try:
+            counters = {}
+            for node, runtime in plane.runtimes.items():
+                counters[node] = runtime.clock.observer = TickCounter()
+            assert await plane.views_formed(timeout=NET_WALL_BUDGET / 2)
+            await asyncio.sleep(0.5)
+            quiet = {node: c.ticks for node, c in counters.items()}
+            assert all(ticks <= 1 for ticks in quiet.values()), quiet
+            client = NetShardClient(plane, name="idle")
+            assert await client.set("k", 1) == ("ok", None)
+            assert await client.incr("k") == ("ok", 2)
+            busy = {node: c.ticks for node, c in counters.items()}
+            assert all(busy[node] > quiet[node] for node in busy), busy
+            await asyncio.sleep(0.3)            # drain, then go quiet
+            drained = {node: c.ticks for node, c in counters.items()}
+            await asyncio.sleep(0.5)
+            assert {n: c.ticks for n, c in counters.items()} == drained
+            for process in plane.processes.values():
+                assert process.ordering._ticker.timer is None
+        finally:
+            plane.stop()
+
+    loop = asyncio.new_event_loop()
+    asyncio.set_event_loop(loop)
+    try:
+        loop.run_until_complete(
+            asyncio.wait_for(scenario(), NET_WALL_BUDGET))
+    finally:
+        loop.close()

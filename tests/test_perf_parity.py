@@ -158,28 +158,28 @@ def test_parity_total_order_fast_path_off():
 GOLDEN_ORDERING = {
     (False, 606): (
         "ea415bdc0756823885f090d29d0935ce290faa75dc2d13a8b162e25d03b4c19f",
-        "cbcfc4971edac3ad7047c6e0e4c0f0425cbccad48f25d6eda986b49b19e5b03a"),
+        "9f6adee43c9c1ba3183455eeae2af42bf52b0a78c70f9d782e606f21c835464f"),
     (False, 11): (
         "3fb1e87a3c820d74eeabe4104b62e126ff6d333e0f77ae0fe08b9b037ee81c30",
-        "e380cf4f7266e11346de17c4c3a155bc660ecd2303510e74e9a7a5b693ebeb23"),
+        "397d1c7b725312fb11983481e51e836d8dfbfe700c3e5061ac82baae49ae3f4f"),
     (False, 13): (
         "ffcbb113c2cf2d56416a29d422430903ada34ada9c652b02ea307da5954707b2",
-        "53de9cb9c1b272a04d35eea1007d0c691f431e65c130cb767a42b7aaa57ebbc5"),
+        "f29fe2059f0ee385acf567b01645d9d2cdb68251c4d7af1cc9fc186f57686931"),
     (False, 14): (
         "08f6c359b340940760e28deb75b492aef2fcb73a9c58f7ed6ea7745031b1ed27",
-        "efe7afaef97df7576084612e93bb387ead25b53251bf0e0555b95a07023b18e2"),
+        "bf08b4be533e5caecdf969588b506339aef0db15735ff2b9be81c00053b884cd"),
     (True, 606): (
         "18c706c2bde3f20d0c21af11119795dc46d25c1692a2a2b96cc1781549a42aa3",
-        "0fdef029e5fe4245b36bfb4f6a5568f216bee05e0ce85175302d976dc7669830"),
+        "840b795c8d786d8653a25827ccb3d4353a71e6ba0b7ef829c0300acb1b3338bc"),
     (True, 11): (
         "3e46fd979483d51b02056b99c689787775da40ea21c9d7f9ae6a3472b83bd4cf",
-        "f3c8281715cf5cf01c8eb5268aad348a42c0c727484c53a68eb4de962bceb8f6"),
+        "c30e8dc0e54c887c0c0d7c48a8158886735f8f248edf591ceaba61f3bdfdcbf4"),
     (True, 13): (
         "bbbca6f2dc30745f791e66fe18319aa47a13339d86d1b71d84f7ea551ccf7ed1",
-        "78e531eeff55c7888a605b9fbe4a5148dc2a2e9cd37b9a7f9908c896972c5988"),
+        "d3c990a3017203f623f23ab3021df5b8774a47af2b659aa0ce51d1add4f92dee"),
     (True, 14): (
         "24c4e8bf54b1f50cd95b95a66a8bf75069fa90290d9039f45a29f1c67aa6cd5b",
-        "16e650a143dfff38d56993fad44556662f54df92a86ed263acd46019678923c1"),
+        "bfd80fc1d1af7177e17b7ec40760abcc20b2905f03cc16348991842afc40829e"),
 }
 
 
