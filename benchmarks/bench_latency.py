@@ -14,14 +14,15 @@ host-independent; wall-clock events/s is also recorded per point and
 compared with the same calibration-normalized ``--check-against``
 machinery as ``bench_wallclock.py`` (sub-0.1 s wall points ungated).
 
-**events/s is not comparable across the demand-armed ordering tick**
-(CHANGES PR 15): idle members stopped firing a no-op ``_tick`` every
-2 ms, so every ``+Total`` point processes fewer -- and on average
-dearer -- events while its wall time per run falls.  The gate divides
-events by wall, so it reads a faster program with fewer cheap events as
-slower; ``BENCH_latency.json`` was re-recorded at that commit, and a
-baseline from before it must not gate a tree from after it (or the
-reverse).  Compare ``wall_s`` across that boundary instead.
+The gate divides events by wall, so it is only meaningful between two
+trees that fire the same events.  The demand-armed ordering tick (CHANGES
+PR 15) removed the no-op ``_tick`` of *idle* members; every member of
+these workloads is busy for the whole window, so the ``+Total`` points
+kept their event counts (identical at n=8 and n=16, 169 and 8 events of
+~400k fewer at n=32) and events/s stays comparable across that commit
+here -- unlike ``bench_shards.py``'s ``migration`` point.
+``BENCH_latency.json`` was re-recorded at that commit for the exact
+counts.
 
 Usage::
 

@@ -29,14 +29,17 @@ exactly like ``bench_wallclock.py`` (shared ``calibrate`` /
 **events/s is not comparable across the signalled shard client and the
 demand-armed ordering tick** (CHANGES PR 15).  The ``migration`` point is
 the only one on a total-order stack with a ``ShardClient``: it lost the
-idle members' no-op ``_tick`` events (a third of its events) and the
-per-event ``_outcome`` scan, so it does the same simulated work in less
-wall time with fewer, on average dearer, events -- which a gate on
-events / wall reads as a regression.  ``BENCH_shards.json`` was
-re-recorded at that commit; a baseline from before it must not gate a
-tree from after it (or the reverse).  Compare ``wall_s`` across that
-boundary instead.  The ``saturation`` and ``clients`` points run FIFO
-stacks and execute none of the changed code.
+idle members' no-op ``_tick`` events (205 249 -> 149 876 events, -27 %)
+and the ``_outcome`` scan that ran inside the scheduler after every
+event, so it does the same simulated work in 2.14 -> 1.28 s of wall with
+a different event mix.  events / wall happened to *rise* (96k -> 118k:
+the scan was dearer than the ticks were cheap), but the ratio no longer
+measures the same thing on the two sides; ``BENCH_shards.json`` was
+re-recorded at that commit, and a baseline from before it must not gate
+this point on a tree from after it (or the reverse) -- compare
+``wall_s`` across that boundary instead.  The ``saturation`` and
+``clients`` points run FIFO stacks, execute none of the changed code and
+kept their event counts exactly.
 
 Usage::
 

@@ -46,16 +46,14 @@ class Timer:
 
 class GridTimer:
     """A periodic timer that sleeps while its owner is idle and wakes on
-    the grid it would have kept had it never slept.
+    the grid it would have kept had it never slept (DESIGN section 4).
 
     The grid is ``start + k * period`` by repeated addition (one per period
     slept), so every deadline is the float the always-armed chain --
-    ``schedule(period)`` again from the callback -- produces.  :meth:`arm`
-    takes the first instant strictly after ``now``: a timer set a period
-    ago precedes whatever reaches the same instant later.  The owner's
-    bound method is scheduled as is (timer cost is attributed by
-    ``callback.__self__``) and must call :meth:`fired`.  A drifted
-    :class:`NodeClock` scales the step like a ``schedule`` delay.
+    ``schedule(period)`` again from the callback -- produces; a drifted
+    :class:`NodeClock` scales the step like a ``schedule`` delay.  The
+    owner's bound method is scheduled as is (timer cost is attributed by
+    ``callback.__self__``) and must call :meth:`fired`.
     """
 
     __slots__ = ("clock", "period", "callback", "deadline", "timer")
@@ -72,9 +70,10 @@ class GridTimer:
         self.deadline = self.clock.now
 
     def arm(self):
-        """Wake at the next grid instant.  No-op while armed, before
-        :meth:`start` and after :meth:`stop` (a late cast must not revive
-        a dead node's timer)."""
+        """Wake at the first grid instant strictly after ``now`` (a timer
+        set a period ago precedes whatever reaches its instant later).
+        No-op while armed, before :meth:`start` and after :meth:`stop` --
+        a late cast must not revive a dead node's timer."""
         deadline = self.deadline
         if self.timer is not None or deadline is None:
             return
