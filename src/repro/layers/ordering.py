@@ -276,8 +276,7 @@ class OrderingLayer(Layer):
         # a cast or stashed ``ord`` re-arms it on the same grid, so an
         # idle member costs no events and a busy one keeps its instants
         self._maybe_start()
-        self._ticker.fired(
-            bool(self._buffer or self._pending or self._instances))
+        self._ticker.fired(self._buffer or self._pending or self._instances)
 
     def _on_cast_buffered(self, msg_id):
         """Cast-arrival hooks (fast mode only).

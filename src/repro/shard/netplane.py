@@ -100,15 +100,20 @@ class NetShardPlane:
     async def until_applied(self, shard, check, timeout=5.0):
         """Await ``check()``, re-evaluated when a replica of ``shard``
         applies something (the shard's signal), not on a poll."""
-        loop = asyncio.get_event_loop()
+        signal = self.applied[shard]
         deadline = self.sim.now + timeout
         while not check():
-            woken = loop.create_future()
-            self.applied[shard].waiters.append(
-                lambda: woken.done() or woken.set_result(None))
+            woken = asyncio.get_running_loop().create_future()
+
+            def wake(woken=woken):
+                if not woken.done():
+                    woken.set_result(None)
+            signal.waiters.append(wake)     # bump() swaps the list: no alias
             try:
                 await asyncio.wait_for(woken, deadline - self.sim.now)
             except asyncio.TimeoutError:
+                if wake in signal.waiters:  # no bump came to collect it
+                    signal.waiters.remove(wake)
                 return bool(check())
         return True
 

@@ -282,19 +282,21 @@ class Applied:
 
     def bump(self):
         self.version += 1
-        woken, self.waiters = self.waiters, []
-        for wake in woken:
-            wake()
+        if self.waiters:        # asyncio only; never on the simulator
+            woken, self.waiters = self.waiters, []
+            for wake in woken:
+                wake()
 
     def gate(self, check):
         """``check`` as a ``run_until`` predicate that re-evaluates it
         only after the version moved (and once on entry)."""
-        seen = [None]
+        seen = None
 
         def predicate():
-            if seen[0] == self.version:
+            nonlocal seen
+            if seen == self.version:
                 return False
-            seen[0] = self.version
+            seen = self.version
             return check()
         return predicate
 
@@ -497,13 +499,15 @@ class ShardedRSM:
         rebound = 0
         for shard, group in self.manager.groups.items():
             replicas = self.replicas[shard]
+            known = len(replicas)
             for node_id, endpoint in group.endpoints.items():
                 replica = replicas.get(node_id)
                 if replica is None or replica.endpoint is not endpoint:
                     replicas[node_id] = ShardReplica(
                         endpoint, applied=self.applied[shard])
                     rebound += 1
-            self.replicas[shard] = dict(sorted(replicas.items()))
+            if len(replicas) > known:   # a new id: restore node-id order
+                self.replicas[shard] = dict(sorted(replicas.items()))
         return rebound
 
     def client(self, name=None, timeout=2.0, attempts=12):

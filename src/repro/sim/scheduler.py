@@ -239,9 +239,8 @@ class Simulator:
 
         Returns True if the predicate became true.  The predicate is checked
         after every processed event, which is exact for event-driven
-        conditions -- and why it should be O(1): a waiter that must scan
-        state gates the scan on a version its subject bumps
-        (:meth:`repro.shard.rsm.Applied.gate`).
+        conditions -- and why it should be O(1): a caller that must scan
+        state should gate the scan on a version counter its subject bumps.
         """
         deadline = self.now + timeout
         processed = 0

@@ -12,28 +12,15 @@ shard applied something, and still wakes on fences and timeouts.
 
 import pytest
 
-from tests.helpers import cast_ids, make_group
+from tests.helpers import TickCounter, cast_ids, make_group
+from tests.test_reshard import make_plane
 
-from repro import Cluster, Group, StackConfig
+from repro import Group, StackConfig
 from repro.core import message as mk
 from repro.core.message import Message
-from repro.layers.ordering import OrderingLayer
 from repro.shard.rsm import Applied
 from repro.sim.clock import GridTimer, NodeClock
 from repro.sim.scheduler import Simulator
-
-
-class TickCounter:
-    """A scheduler observer: when each member's ``_tick`` fired."""
-
-    def __init__(self):
-        self.fired = {}     # node id -> [time]
-
-    def on_timer(self, now, timer):
-        owner = getattr(timer.callback, "__self__", None)
-        if (isinstance(owner, OrderingLayer)
-                and timer.callback.__name__ == "_tick"):
-            self.fired.setdefault(owner.me, []).append(now)
 
 
 def reference_chain(sim, period):
@@ -131,9 +118,9 @@ def test_quiescent_members_fire_at_most_one_tick():
     group.endpoints[3].cast("wake")
     group.run(0.1)
     assert all(len(cast_ids(group.endpoints[n])) == 1 for n in range(8))
-    after_cast = {n: len(t) for n, t in counter.fired.items()}
+    after_cast = counter.counts()
     group.run(1.0)
-    assert {n: len(t) for n, t in counter.fired.items()} == after_cast
+    assert counter.counts() == after_cast
 
 
 def inject_cast(group, node, at, counter):
@@ -228,15 +215,6 @@ def test_stopped_member_is_not_rearmed_by_a_late_cast():
 # ----------------------------------------------------------------------
 # signalled op completion
 # ----------------------------------------------------------------------
-def make_plane(shards=4, nodes_per_shard=5, seed=3, ring_shards=None):
-    cluster = Cluster.create(
-        shards=shards, nodes_per_shard=nodes_per_shard, seed=seed,
-        config=StackConfig.byz(total_order=True, crypto="none"),
-        ring_shards=ring_shards)
-    cluster.run_until_stable_views(10.0)
-    return cluster
-
-
 def count_calls(obj, name):
     calls = []
     method = getattr(obj, name)
@@ -264,7 +242,7 @@ def test_applied_gate_rereads_only_after_a_bump():
 
 
 def test_op_reads_replica_state_per_apply_not_per_event():
-    cluster = make_plane()
+    cluster = make_plane(4, 5, seed=3)
     rsm = cluster.sharded_rsm()
     client = rsm.client("counted")
     assert client.set("k", 0)[0] == "ok"
@@ -288,7 +266,7 @@ def test_op_reads_replica_state_per_apply_not_per_event():
 
 
 def test_fenced_attempt_wakes_and_reroutes():
-    cluster = make_plane(shards=2, nodes_per_shard=4, ring_shards=1)
+    cluster = make_plane(2, 4, seed=3, ring_shards=1)
     rsm = cluster.sharded_rsm()
     client = rsm.client("fenced", timeout=1.5, attempts=30)
     keys = ["s:%d" % i for i in range(12)]
@@ -313,7 +291,7 @@ def test_fenced_attempt_wakes_and_reroutes():
 
 
 def test_timed_out_attempt_wakes_and_resubmits_the_same_op():
-    cluster = make_plane(shards=2, nodes_per_shard=4)
+    cluster = make_plane(2, 4, seed=3)
     rsm = cluster.sharded_rsm()
     client = rsm.client("retry", timeout=0.2)
     assert client.set("t", 0)[0] == "ok"

@@ -53,38 +53,31 @@ def test_idle_members_stop_ticking_and_ops_await_the_signal():
     completes off the shard's ``Applied`` signal with no waiter left."""
     import asyncio
 
-    from repro.layers.ordering import OrderingLayer
+    from tests.helpers import TickCounter
     from repro.shard.netplane import NetShardClient, boot_plane
-
-    class TickCounter:
-        def __init__(self):
-            self.ticks = 0
-
-        def on_timer(self, now, timer):
-            owner = getattr(timer.callback, "__self__", None)
-            if (isinstance(owner, OrderingLayer)
-                    and timer.callback.__name__ == "_tick"):
-                self.ticks += 1
 
     async def scenario():
         plane = await boot_plane(1, 4, seed=3)
         try:
-            counters = {}
-            for node, runtime in plane.runtimes.items():
-                counters[node] = runtime.clock.observer = TickCounter()
+            counter = TickCounter()     # one observer on every node's clock
+            for runtime in plane.runtimes.values():
+                runtime.clock.observer = counter
             assert await plane.views_formed(timeout=NET_WALL_BUDGET / 2)
             await asyncio.sleep(0.5)
-            quiet = {node: c.ticks for node, c in counters.items()}
+            quiet = counter.counts()
             assert all(ticks <= 1 for ticks in quiet.values()), quiet
             client = NetShardClient(plane, name="idle")
             assert await client.set("k", 1) == ("ok", None)
             assert await client.incr("k") == ("ok", 2)
-            busy = {node: c.ticks for node, c in counters.items()}
-            assert all(busy[node] > quiet[node] for node in busy), busy
+            busy = counter.counts()
+            assert all(busy[node] > quiet.get(node, 0)
+                       for node in plane.processes), busy
             await asyncio.sleep(0.3)            # drain, then go quiet
-            drained = {node: c.ticks for node, c in counters.items()}
+            drained = counter.counts()
             await asyncio.sleep(0.5)
-            assert {n: c.ticks for n, c in counters.items()} == drained
+            assert counter.counts() == drained
+            assert not any(signal.waiters
+                           for signal in plane.applied.values())
             for process in plane.processes.values():
                 assert process.ordering._ticker.timer is None
         finally:
