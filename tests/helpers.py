@@ -43,6 +43,51 @@ class TickCounter:
         return {node: len(times) for node, times in self.fired.items()}
 
 
+class DatagramLog:
+    """A ``Network.observer`` recording every protocol message handed to
+    the simulated network as ``(time, src, dst, message)``, and every
+    arrival time per (src, dst) link -- how the control-plane tests count
+    acks, heartbeats and probes without reading layer counters."""
+
+    def __init__(self, group):
+        self.sim = group.sim
+        self.sent = []
+        self.arrivals = {}      # (src, dst) -> [time]
+        group.network.observer = self
+
+    def on_datagram_sent(self, src, dst, size, payload):
+        self.sent.append((self.sim.now, src, dst, payload))
+
+    def on_datagram_delivered(self, dst, src, payload):
+        self.arrivals.setdefault((src, dst), []).append(self.sim.now)
+
+    def on_datagram_dropped(self, src, dst):
+        pass
+
+    def on_gossip_sent(self, src, size):
+        pass
+
+    def on_gossip_delivered(self, dst, src):
+        pass
+
+    def select(self, kind=None, since=0.0, until=float("inf"), src=None,
+               dst=None):
+        """The logged ``(time, src, dst, message)`` rows matching."""
+        return [row for row in self.sent
+                if since <= row[0] < until
+                and (kind is None or row[3].kind == kind)
+                and (src is None or row[1] == src)
+                and (dst is None or row[2] == dst)]
+
+    def count(self, kind=None, **where):
+        return len(self.select(kind, **where))
+
+
+def is_probe(msg):
+    """A probe is a heartbeat carrying the reliable layer's header."""
+    return msg.kind == "heartbeat" and msg.header("rel") is not None
+
+
 def make_group(n, seed=0, established=True, behaviors=None, **config_kw):
     config = StackConfig.byz(**config_kw)
     return Group.bootstrap(n, config=config, seed=seed,

@@ -311,3 +311,27 @@ def test_timed_out_attempt_wakes_and_resubmits_the_same_op():
     assert client.retries == 1 and len(lost) == 1
     assert cluster.sim.now - started >= 0.2     # the timeout really ran
     assert rsm.get("t") == 1                    # exactly once
+
+
+def test_get_reads_the_most_advanced_live_replica():
+    """An op is complete for its client as soon as ANY replica recorded
+    it, so ``get`` must not read a replica that has yet to apply it."""
+    cluster = make_plane(2, 4, seed=3)
+    rsm = cluster.sharded_rsm()
+    client = rsm.client("lag")
+    assert client.set("t", 0)[0] == "ok"
+    shard = cluster.manager.route("t")
+    first = rsm.live_replica(shard)     # what get() used to read
+    endpoint = first.endpoint
+    held, deliver = [], endpoint.on_cast
+    endpoint.on_cast = held.append      # replica 0 applies nothing for now
+    assert client.incr("t") == ("ok", 1)
+    assert first.machine.data["t"] == 0
+    assert rsm.get("t") == client.get("t") == 1
+    cluster.run(0.05)
+    assert held and first.machine.data["t"] == 0
+    endpoint.on_cast = deliver
+    for event in held:
+        deliver(event)
+    assert first.machine.data["t"] == 1
+    assert len(set(rsm.shard_digests(shard).values())) == 1
