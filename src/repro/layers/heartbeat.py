@@ -3,7 +3,10 @@
 Heartbeats alone cannot detect Byzantine failures (a Byzantine node can
 heartbeat on time while misbehaving -- paper section 3.2), but they remain
 the baseline liveness signal: a node from which *nothing* has been heard
-for a timeout gains mute fuzziness.
+for a timeout gains mute fuzziness.  Any authenticated datagram counts as
+heard, so the heartbeat is the *idle* beacon only: it is skipped while a
+broadcast ack left within the last interval, and it carries the reliable
+layer's delivered vector, which the receiver's reliable layer consumes.
 
 The layer also implements the view-discovery gossip of section 3.4.2: the
 coordinator of every view periodically IP-multicasts a gossip message
@@ -70,10 +73,15 @@ class HeartbeatLayer(Layer):
             self.observe("hb_interval", tick - self._last_hb_tick)
         self._last_hb_tick = tick
         if self.view.n > 1:
-            hb = Message(mk.KIND_HEARTBEAT, self.me, self.view.vid, (),
-                         payload_size=4)
-            self.count("heartbeats_sent")
-            self.send_down(hb)
+            # one beacon (DESIGN section 4): the heartbeat carries the
+            # delivered vector and counts as an ack at the receiver; a
+            # recent broadcast ack counted as a heartbeat, so none is sent
+            vector = process.reliable.beacon()
+            if vector is not None:
+                hb = Message(mk.KIND_HEARTBEAT, self.me, self.view.vid,
+                             vector, payload_size=4 + 6 * len(vector))
+                self.count("heartbeats_sent")
+                self.send_down(hb)
             now = self.sim.now
             for member in self.view.mbrs:
                 if member == self.me:
@@ -83,11 +91,6 @@ class HeartbeatLayer(Layer):
                     process.mute_levels.raise_level(member, 1.0)
         self._hb_timer = self.sim.schedule(config.heartbeat_interval,
                                            self._heartbeat_tick)
-
-    def handle_up(self, msg):
-        if msg.kind == mk.KIND_HEARTBEAT:
-            return  # liveness already noted by the bottom layer
-        self.send_up(msg)
 
     # ------------------------------------------------------------------
     # gossip: coordinator announces; everyone listens

@@ -17,10 +17,16 @@ message together with its *original bottom-layer signature*, so the
 receiver can verify it is indeed the origin's message being re-sent --
 the one place the paper needs cryptography above raw sends (section 1.2).
 
+Acknowledgements are sent on demand (DESIGN section 4): the ack tick
+broadcasts only while this member's delivered vector moved or is not yet
+known stable at every view member, the heartbeat carries the same vector
+(so a lost final ack is repaired), and a peer silent for longer than any
+loss-free gap is probed from the tick and answers with a unicast ack.
+
 The layer feeds the fuzzy detectors: acknowledgements that could not
-correspond to any sent message, malformed stream headers, and NAK floods
-are verbose failures; persistent ack laggards are handled by the
-stability tracker.
+correspond to any sent message, malformed stream headers, and NAK or
+probe floods are verbose failures; persistent ack laggards are handled
+by the stability tracker.
 """
 
 from __future__ import annotations
@@ -91,6 +97,8 @@ class ReliableLayer(Layer):
         self.naks_suppressed = 0
         self.duplicates = 0
         self.archive_trimmed = 0
+        self.probes_sent = 0
+        self.probes_dropped = 0
 
     def _reset_state(self):
         self._out_seq = {STREAM_APP: 0, STREAM_CTL: 0}
@@ -98,6 +106,9 @@ class ReliableLayer(Layer):
         self._in_streams = {}   # (origin, stream) -> _InStream
         self._archive = {}      # (origin, stream, seq) -> archived wire tuple
         self._since_ack = 0
+        self._ack_sent = None    # the vector my last ack carried
+        self._ack_sent_at = float("-inf")   # when it left, if broadcast
+        self._ack_stable = None  # the last vector found stable everywhere
         # incremental delivered-vector bookkeeping (built lazily because
         # self.me is unknown before the layer is attached): the entries of
         # _delivered_vector() kept sorted by repr at all times, updated
@@ -131,8 +142,15 @@ class ReliableLayer(Layer):
     # lifecycle
     # ------------------------------------------------------------------
     def start(self):
-        self._ack_timer = self.sim.schedule(self.config.ack_interval,
+        config = self.config
+        self._ack_timer = self.sim.schedule(config.ack_interval,
                                             self._ack_tick)
+        if config.byzantine:
+            # a correct member probes a silent peer once per ack tick and
+            # is silenced by the first answer; twice that is verbose
+            self.process.verbose_detector.set_rate_bound(
+                "rel:probe", window=config.mute_timeout,
+                max_count=2 * int(config.mute_timeout / config.ack_interval))
 
     def stop(self):
         if getattr(self, "_ack_timer", None) is not None:
@@ -185,6 +203,8 @@ class ReliableLayer(Layer):
         kind = msg.kind
         if kind == mk.KIND_ACK:
             self._on_ack(msg)
+        elif kind == mk.KIND_HEARTBEAT:
+            self._on_beacon(msg)
         elif kind == mk.KIND_NAK:
             self._on_nak(msg)
         elif kind == mk.KIND_RETRANS:
@@ -254,7 +274,7 @@ class ReliableLayer(Layer):
                 state.gap_timer = None
         self._dv_refresh_stream(origin, stream, state)
         if self._since_ack >= self.config.ack_every:
-            self._broadcast_ack()
+            self._broadcast_ack(self._delivered_vector())
         stability = self.process.stability
         if self.incremental_ack_vector:
             # the ack table keeps per-(origin, stream) maxima and the vector
@@ -391,17 +411,78 @@ class ReliableLayer(Layer):
                      (self.me, stream, self._out_seq[stream]))
 
     def _ack_tick(self):
-        self._broadcast_ack()
+        # acks on demand (DESIGN section 4): one is due only while my
+        # vector moved since the one I last sent, or something I hold is
+        # not yet known stable at some view member -- so a crashed, mute
+        # or under-acking member keeps this at one ack per tick until the
+        # view change, never more.  Compared by VALUE: the reference
+        # paths rebuild the vector on every call
+        vector = self._delivered_vector()
+        if vector != self._ack_sent or self._unstable(vector):
+            self._broadcast_ack(vector)
+        # probe on silence: thinned idle traffic leaves the mute detector
+        # few datagrams to lose, so past the worst loss-free gap (two
+        # heartbeat intervals, plus this tick's own period of slack) a
+        # silent peer is asked directly and answers at once
+        horizon = (self.sim.now - 2 * self.config.heartbeat_interval
+                   - self.config.ack_interval)
+        last_heard = self.process.last_heard
+        for member in self.view.mbrs:
+            if member != self.me and last_heard(member) < horizon:
+                self.probes_sent += 1
+                self.count("probes_sent")
+                probe = Message(
+                    mk.KIND_HEARTBEAT, self.me, self.view.vid, vector,
+                    payload_size=4 + 6 * len(vector), dest=member)
+                probe.push_header("rel", "probe")
+                self.send_down(probe)
         self._ack_timer = self.sim.schedule(self.config.ack_interval,
                                             self._ack_tick)
 
-    def _broadcast_ack(self):
+    def _unstable(self, vector):
+        """Is some entry of ``vector`` above what a view member acked?"""
+        if vector == self._ack_stable:
+            return False  # rows only grow within a view
+        acked_seq = self.process.stability.acked_seq
+        for member in self.view.mbrs:
+            if member != self.me:
+                for origin, stream, cum in vector:
+                    if acked_seq(member, origin, stream) < cum:
+                        return True
+        self._ack_stable = vector
+        return False
+
+    def beacon(self):
+        """The vector the heartbeat layer's beacon carries, or None while
+        a broadcast ack -- which is a heartbeat -- left within the last
+        ``heartbeat_interval``."""
+        if self.sim.now - self._ack_sent_at < self.config.heartbeat_interval:
+            return None
+        return self._delivered_vector()
+
+    def _on_beacon(self, msg):
+        """A heartbeat is an ack (it repairs a lost final one); one with
+        my header on it is a probe and is answered with a unicast ack."""
+        if msg.pop_header("rel") is not None:
+            if (self.config.byzantine and self.process.verbose_detector
+                    .observe(msg.sender, "rel:probe")):
+                self.probes_dropped += 1
+                self.count("probes_dropped")
+                return
+            vector = self._delivered_vector()
+            self.send_down(Message(
+                mk.KIND_ACK, self.me, self.view.vid, vector,
+                payload_size=6 * len(vector), dest=msg.sender))
+        self._on_ack(msg)
+
+    def _broadcast_ack(self, vector):
         self._since_ack = 0
-        vector = self._delivered_vector()
+        self._ack_sent = vector
         if self.config.ack_mode == "gossip":
             self.count("ack_gossips_sent")
             self._gossip_ack(vector)
             return
+        self._ack_sent_at = self.sim.now
         self.count("acks_sent")
         ack = Message(mk.KIND_ACK, self.me, self.view.vid, vector,
                       payload_size=6 * len(vector))
@@ -506,7 +587,7 @@ class ReliableLayer(Layer):
         self._recover_trailing(vector)
 
     def _on_matrix_ack(self, msg, rows):
-        if self.config.ack_mode != "gossip":
+        if self.config.ack_mode != "gossip" or msg.kind != mk.KIND_ACK:
             if self.config.byzantine:
                 self.process.verbose_detector.illegal(
                     msg.sender, "rel:unexpected-matrix-ack")

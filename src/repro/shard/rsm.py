@@ -527,13 +527,15 @@ class ShardedRSM:
         return replica.submit(command, size=size)
 
     def get(self, key):
-        """Read ``key`` from a live replica of its shard (local read --
-        the RSM's agreed state, not a linearizable quorum read)."""
+        """Read ``key`` from the most advanced live replica of its shard
+        (local read -- the RSM's agreed state, not a linearizable quorum
+        read; any replica that completed an op for a client has applied
+        at least as much, so a caller reads its own writes)."""
         shard = self.manager.route(key)
         machines = self.machines(shard)
         if not machines:
             raise RuntimeError("shard %r has no live replica" % (shard,))
-        return machines[0].data.get(key)
+        return max(machines, key=lambda m: m.applied).data.get(key)
 
     def transfer(self, src_key, dst_key, amount, txid=None):
         if txid is None:

@@ -11,6 +11,7 @@ path off.
 import pytest
 
 from repro import Group, StackConfig
+from repro.chaos import FaultPlan, run_plan
 from repro.consensus.fastpath import (FastPathConsensus, fast_coordinator,
                                       proposal_digest)
 from repro.core.properties import check_virtual_synchrony
@@ -373,3 +374,37 @@ def test_stack_fast_on_off_deliver_same_messages():
     # deliver exactly the same set of messages
     assert {m for m, _p in fast_order} == {m for m, _p in slow_order}
     assert len(fast_order) == 6
+
+
+# ----------------------------------------------------------------------
+# ROADMAP 1(c), known red: per-origin FIFO holes inside the total order
+# when a pipelined instance decides a batch other than the one
+# ``_covered_ids`` guessed.  Which chaos seeds trip it moves with any
+# timing change; these are the ddmin-minimized byz-fast plans exposed by
+# the quiescent control plane (23, 205) plus two red at its parent too
+# (30, 211) -- each a failure-free ``cast`` burst.  strict: the 1(c) fix
+# must delete these pins.
+# ----------------------------------------------------------------------
+class FifoBroken(Exception):
+    """The one failure the pins below expect."""
+
+
+@pytest.mark.xfail(strict=True, raises=FifoBroken,
+                   reason="ROADMAP 1(c): fifo/fifo-hole in the pipelined "
+                   "fast path on a failure-free burst")
+@pytest.mark.parametrize("seed,n,ops", [
+    (23, 8, [["cast", 1, 10]]),
+    (30, 10, [["cast", 8, 1], ["cast", 1, 3]]),
+    (205, 9, [["cast", 5, 6]]),
+    (211, 10, [["cast", 5, 11]]),
+])
+def test_minimized_byz_fast_burst_keeps_fifo(seed, n, ops):
+    config = {"byzantine": True, "crypto": "sym", "total_order": True,
+              "ordering_fast_path": True}
+    violations, engine = run_plan(FaultPlan(seed=seed, n=n, ops=ops,
+                                            config=config))
+    engine.group.stop()
+    # nothing but the 1(c) signature may hide behind the xfail
+    assert all(v.startswith(("fifo:", "fifo-hole:")) for v in violations)
+    if violations:
+        raise FifoBroken(violations[0])
