@@ -18,8 +18,6 @@ fuzzy mute detector on their own coordinator's behalf.
 
 from __future__ import annotations
 
-from repro.core import message as mk
-from repro.core.message import Message
 from repro.layers.base import Layer
 
 #: protocol-stack fingerprint carried in gossip; views only merge when
@@ -73,13 +71,11 @@ class HeartbeatLayer(Layer):
             self.observe("hb_interval", tick - self._last_hb_tick)
         self._last_hb_tick = tick
         if self.view.n > 1:
-            # one beacon (DESIGN section 4): the heartbeat carries the
-            # delivered vector and counts as an ack at the receiver; a
-            # recent broadcast ack counted as a heartbeat, so none is sent
-            vector = process.reliable.beacon()
-            if vector is not None:
-                hb = Message(mk.KIND_HEARTBEAT, self.me, self.view.vid,
-                             vector, payload_size=4 + 6 * len(vector))
+            # one beacon (DESIGN section 4): the reliable layer builds
+            # it around its delivered vector, and withholds it while a
+            # recent broadcast ack already served as the heartbeat
+            hb = process.reliable.beacon()
+            if hb is not None:
                 self.count("heartbeats_sent")
                 self.send_down(hb)
             now = self.sim.now

@@ -431,9 +431,8 @@ class ReliableLayer(Layer):
             if member != self.me and last_heard(member) < horizon:
                 self.probes_sent += 1
                 self.count("probes_sent")
-                probe = Message(
-                    mk.KIND_HEARTBEAT, self.me, self.view.vid, vector,
-                    payload_size=4 + 6 * len(vector), dest=member)
+                probe = self._vector_message(mk.KIND_HEARTBEAT, vector,
+                                             member)
                 probe.push_header("rel", "probe")
                 self.send_down(probe)
         self._ack_timer = self.sim.schedule(self.config.ack_interval,
@@ -452,13 +451,20 @@ class ReliableLayer(Layer):
         self._ack_stable = vector
         return False
 
+    def _vector_message(self, kind, vector, dest=None):
+        """An ack, or a heartbeat (4 bytes of its own), carrying ``vector``."""
+        own = 4 if kind == mk.KIND_HEARTBEAT else 0
+        return Message(kind, self.me, self.view.vid, vector,
+                       payload_size=own + 6 * len(vector), dest=dest)
+
     def beacon(self):
-        """The vector the heartbeat layer's beacon carries, or None while
-        a broadcast ack -- which is a heartbeat -- left within the last
-        ``heartbeat_interval``."""
+        """The heartbeat layer's beacon -- a heartbeat carrying my vector --
+        or None while a broadcast ack, which is a heartbeat, left within
+        the last ``heartbeat_interval``."""
         if self.sim.now - self._ack_sent_at < self.config.heartbeat_interval:
             return None
-        return self._delivered_vector()
+        return self._vector_message(mk.KIND_HEARTBEAT,
+                                    self._delivered_vector())
 
     def _on_beacon(self, msg):
         """A heartbeat is an ack (it repairs a lost final one); one with
@@ -469,10 +475,8 @@ class ReliableLayer(Layer):
                 self.probes_dropped += 1
                 self.count("probes_dropped")
                 return
-            vector = self._delivered_vector()
-            self.send_down(Message(
-                mk.KIND_ACK, self.me, self.view.vid, vector,
-                payload_size=6 * len(vector), dest=msg.sender))
+            self.send_down(self._vector_message(
+                mk.KIND_ACK, self._delivered_vector(), msg.sender))
         self._on_ack(msg)
 
     def _broadcast_ack(self, vector):
@@ -484,9 +488,7 @@ class ReliableLayer(Layer):
             return
         self._ack_sent_at = self.sim.now
         self.count("acks_sent")
-        ack = Message(mk.KIND_ACK, self.me, self.view.vid, vector,
-                      payload_size=6 * len(vector))
-        self.send_down(ack)
+        self.send_down(self._vector_message(mk.KIND_ACK, vector))
 
     def _gossip_ack(self, vector):
         """Epidemic ack dissemination ([29]): send the aggregated matrix

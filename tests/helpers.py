@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from repro import Group, StackConfig
+from repro.core.message import KIND_HEARTBEAT
 
 #: consensus protocol payloads no correct member sends and that an
 #: unchecked ``payload[0..2]`` would raise on: not a tuple, empty, and two
@@ -85,7 +86,7 @@ class DatagramLog:
 
 def is_probe(msg):
     """A probe is a heartbeat carrying the reliable layer's header."""
-    return msg.kind == "heartbeat" and msg.header("rel") is not None
+    return msg.kind == KIND_HEARTBEAT and msg.header("rel") is not None
 
 
 def make_group(n, seed=0, established=True, behaviors=None, **config_kw):
