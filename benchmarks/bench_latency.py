@@ -24,6 +24,15 @@ here -- unlike ``bench_shards.py``'s ``migration`` point.
 ``BENCH_latency.json`` was re-recorded at that commit for the exact
 counts.
 
+The quiescent control plane (CHANGES PR 17) is different: a loaded member
+sends no heartbeat any more, so every point lost events (``+Total`` -3.7 /
+-3.9 / -5.9 % at n=8/16/32, ``+Total+Fast`` -1.3 / -5.1 / -4.8 %, the fig6
+ring points -0.3 to -3.7 %) and the simulated latencies moved with them
+(classic p50 1.34 / 2.25 / 4.77 -> 1.37 / 2.10 / 4.57 ms, fast 1.13 / 2.11
+/ 6.24 -> 1.12 / 2.02 / 6.04).  **events/s is not comparable across that
+commit**; ``BENCH_latency.json`` was re-recorded there, and a baseline
+from one side must not gate a tree from the other.
+
 Usage::
 
     python benchmarks/bench_latency.py [--quick] [--out PATH]
@@ -33,7 +42,8 @@ Usage::
 ``--speedup-check RATIO`` exits non-zero unless fast-path-on p50 beats
 fast-path-off by at least RATIO at every measured n >= 16 (CI uses 1.0 on
 the quick grid: since the classic engine announces ``dec`` on demand the
-margin at n=16 is 1.07x, and at n=32 classic is ahead).
+margin at n=16 is thin -- 1.07x then, 1.04x since the quiescent control
+plane -- and at n=32 classic is ahead).
 """
 
 from __future__ import annotations

@@ -50,6 +50,16 @@ calibration loop the perf-smoke gate uses (``events_per_s * calib_s``
 style), so the check is host-speed-independent.  Points whose measure
 window is under 0.1 wall seconds are reported but not gated -- they flap
 on shared CI runners (the perf-smoke tolerance rules, mirrored).
+
+``BENCH_net.json`` was re-recorded with the quiescent control plane
+(CHANGES PR 17: acks on demand, one beacon): the same workloads put fewer
+datagrams on the wire (rate-limited net 1412 -> 1077, sim 2667 -> 1728;
+saturation 543 -> 289 at the n=5 / 16 B headline, 2128 -> 1073 at n=7),
+so ``datagrams_per_s``, ``frames_per_datagram`` and ``bytes_per_msg`` are
+not comparable across that commit; msgs/s is the same workload on both
+sides and rose on every saturation point.  ``formation_s`` of the net
+backend depends on which singleton merges race (0.17-0.58 s over six
+alternating runs of parent and change); the file holds a median of three.
 """
 
 from __future__ import annotations

@@ -41,6 +41,18 @@ this point on a tree from after it (or the reverse) -- compare
 ``clients`` points run FIFO stacks, execute none of the changed code and
 kept their event counts exactly.
 
+**Nor across the quiescent control plane** (CHANGES PR 17: acks on
+demand, one beacon).  The ``clients`` points lost 23-25 % of their events
+(89 920 -> 69 175 at 16x5) and ``migration`` 40 % (149 876 -> 90 151, wall
+1.28 -> 0.68 s): idle members' acks and heartbeats, the cheapest events of
+the run.  The ``saturation`` points keep every member busy and kept their
+event counts within 0.04 % (the heartbeats a loaded member no longer
+sends); their simulated msgs/s rose 0.4-1.4 % (the single-group baselines
+3.6-6.5 %, so the headline ratio reads 119.9x for 123.8x).
+``BENCH_shards.json`` was
+re-recorded at that commit; the same rule applies -- a baseline from one
+side must not gate ``clients`` or ``migration`` on a tree from the other.
+
 Usage::
 
     python benchmarks/bench_shards.py [--quick] [--out BENCH_shards.json]

@@ -23,6 +23,21 @@ runs (``--check-against``) use the *calibration-normalized* rate
 ``events_per_s * calib_s``, which is stable across machines of different
 speeds but catches real slowdowns of the simulation code.
 
+**events/s is not comparable across the quiescent control plane** (CHANGES
+PR 17: acks on demand, one beacon).  The datagrams that left were among
+the cheapest events a run fires, so the same simulated work now takes
+fewer events and -- usually -- less wall time at a *lower* events/s: the
+fig8 points lost 34-46 % of their events (they are mostly idle members
+waiting for a view change: merge n=50 87 028 -> 49 014) and read 15-43 %
+lower events/s on -28 to +9 % of the wall time; the fig5 points run
+saturated, kept their event counts within 0.4 % and read the same within
+this box's (wide) noise -- three alternating runs of SymCrypto n=50 gave
+1834/1342/1314 normalized events/s at the parent and 1817/1369/1528 at
+the change.  ``BENCH_wallclock.json`` was re-recorded at that commit with both
+``runs`` taken back to back on one box (``before`` = its parent, ``after``
+= the change); a baseline from before it must not gate a tree from after
+it, or the reverse -- compare ``wall_s``.
+
 Usage::
 
     python benchmarks/bench_wallclock.py [--quick] [--out PATH]

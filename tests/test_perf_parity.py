@@ -159,9 +159,9 @@ def test_parity_total_order_fast_path_off():
 #: Re-recorded so far: classic 13 and 14, both halves, by the first-suspicion
 #: poke (the in-flight instance now decides instead of waiting for the
 #: flush); all eight by the quiescent control plane (acks on demand, one
-#: beacon) -- both halves except seed 11, whose scenario draws no jitter
-#: after the first removed datagram and kept its histories.  Every entry
-#: is recorded from an execution the Definition 2.1/2.2 checker passes.
+#: beacon) -- both halves except seed 11 (both modes), whose per-node
+#: histories came out byte-identical.  Every entry is recorded from an
+#: execution the Definition 2.1/2.2 checker passes.
 GOLDEN_ORDERING = {
     (False, 11): (
         "3fb1e87a3c820d74eeabe4104b62e126ff6d333e0f77ae0fe08b9b037ee81c30",
