@@ -72,8 +72,8 @@ class HeartbeatLayer(Layer):
         self._last_hb_tick = tick
         if self.view.n > 1:
             # one beacon (DESIGN section 4): the reliable layer builds
-            # it around its delivered vector, and withholds it while a
-            # recent broadcast ack already served as the heartbeat
+            # it around its delivered vector; while a recent broadcast ack
+            # already served as the heartbeat it hands over a probe or None
             hb = process.reliable.beacon()
             if hb is not None:
                 self.count("heartbeats_sent")

@@ -20,8 +20,9 @@ the one place the paper needs cryptography above raw sends (section 1.2).
 Acknowledgements are sent on demand (DESIGN section 4): the ack tick
 broadcasts only while this member's delivered vector moved or is not yet
 known stable at every view member, the heartbeat carries the same vector
-(so a lost final ack is repaired), and a peer silent for longer than any
-loss-free gap is probed from the tick and answers with a unicast ack.
+(so a lost final ack is repaired), and a tick with nothing to send probes
+the peer silent for longer than any loss-free gap, which answers from its
+next tick: no tick signs more than one message.
 
 The layer feeds the fuzzy detectors: acknowledgements that could not
 correspond to any sent message, malformed stream headers, and NAK or
@@ -97,8 +98,6 @@ class ReliableLayer(Layer):
         self.naks_suppressed = 0
         self.duplicates = 0
         self.archive_trimmed = 0
-        self.probes_sent = 0
-        self.probes_dropped = 0
 
     def _reset_state(self):
         self._out_seq = {STREAM_APP: 0, STREAM_CTL: 0}
@@ -109,6 +108,7 @@ class ReliableLayer(Layer):
         self._ack_sent = None    # the vector my last ack carried
         self._ack_sent_at = float("-inf")   # when it left, if broadcast
         self._ack_stable = None  # the last vector found stable everywhere
+        self._probed = False     # a peer probed me since my last tick
         # incremental delivered-vector bookkeeping (built lazily because
         # self.me is unknown before the layer is attached): the entries of
         # _delivered_vector() kept sorted by repr at all times, updated
@@ -146,8 +146,8 @@ class ReliableLayer(Layer):
         self._ack_timer = self.sim.schedule(config.ack_interval,
                                             self._ack_tick)
         if config.byzantine:
-            # a correct member probes a silent peer once per ack tick and
-            # is silenced by the first answer; twice that is verbose
+            # a correct member probes a silent peer once per ack tick at
+            # most and is silenced by the first answer; twice is verbose
             self.process.verbose_detector.set_rate_bound(
                 "rel:probe", window=config.mute_timeout,
                 max_count=2 * int(config.mute_timeout / config.ack_interval))
@@ -411,32 +411,41 @@ class ReliableLayer(Layer):
                      (self.me, stream, self._out_seq[stream]))
 
     def _ack_tick(self):
-        # acks on demand (DESIGN section 4): one is due only while my
-        # vector moved since the one I last sent, or something I hold is
-        # not yet known stable at some view member -- so a crashed, mute
-        # or under-acking member keeps this at one ack per tick until the
-        # view change, never more.  Compared by VALUE: the reference
-        # paths rebuild the vector on every call
+        # one signed message per tick, as when the ack was periodic (DESIGN
+        # section 4): the answer if a peer probed me; else an ack, due only
+        # while my vector moved since the one I last sent (by VALUE: the
+        # reference paths rebuild it on every call) or something I hold is
+        # not yet known stable at some view member -- so a crashed, mute,
+        # under-acking or probing member keeps this at one message per
+        # tick until the view change, never more; else one probe
         vector = self._delivered_vector()
-        if vector != self._ack_sent or self._unstable(vector):
+        if self._probed:
+            self._probed = False
+            self.send_down(self._heartbeat(vector))
+        elif vector != self._ack_sent or self._unstable(vector):
             self._broadcast_ack(vector)
-        # probe on silence: thinned idle traffic leaves the mute detector
-        # few datagrams to lose, so past the worst loss-free gap (two
-        # heartbeat intervals, plus this tick's own period of slack) a
-        # silent peer is asked directly and answers at once
-        horizon = (self.sim.now - 2 * self.config.heartbeat_interval
-                   - self.config.ack_interval)
-        last_heard = self.process.last_heard
-        for member in self.view.mbrs:
-            if member != self.me and last_heard(member) < horizon:
-                self.probes_sent += 1
-                self.count("probes_sent")
-                probe = self._vector_message(mk.KIND_HEARTBEAT, vector,
-                                             member)
-                probe.push_header("rel", "probe")
+        else:
+            probe = self._probe(vector)
+            if probe is not None:
                 self.send_down(probe)
         self._ack_timer = self.sim.schedule(self.config.ack_interval,
                                             self._ack_tick)
+
+    def _probe(self, vector):
+        """Thinned idle traffic leaves the mute detector few datagrams to
+        lose, so the peer silent longest past the worst loss-free gap (two
+        heartbeat intervals and an ack tick of slack) is asked directly."""
+        horizon = (self.sim.now - 2 * self.config.heartbeat_interval
+                   - self.config.ack_interval)
+        last_heard = self.process.last_heard
+        peer = min((member for member in self.view.mbrs if member != self.me),
+                   key=last_heard, default=None)
+        if peer is None or last_heard(peer) >= horizon:
+            return None
+        self.count("probes_sent")
+        probe = self._heartbeat(vector, peer)
+        probe.push_header("rel", "probe")
+        return probe
 
     def _unstable(self, vector):
         """Is some entry of ``vector`` above what a view member acked?"""
@@ -451,32 +460,29 @@ class ReliableLayer(Layer):
         self._ack_stable = vector
         return False
 
-    def _vector_message(self, kind, vector, dest=None):
-        """An ack, or a heartbeat (4 bytes of its own), carrying ``vector``."""
-        own = 4 if kind == mk.KIND_HEARTBEAT else 0
-        return Message(kind, self.me, self.view.vid, vector,
-                       payload_size=own + 6 * len(vector), dest=dest)
+    def _heartbeat(self, vector, dest=None):
+        """A heartbeat carrying ``vector``: the beacon, or a probe."""
+        return Message(mk.KIND_HEARTBEAT, self.me, self.view.vid, vector,
+                       payload_size=4 + 6 * len(vector), dest=dest)
 
     def beacon(self):
-        """The heartbeat layer's beacon -- a heartbeat carrying my vector --
-        or None while a broadcast ack, which is a heartbeat, left within
-        the last ``heartbeat_interval``."""
+        """The heartbeat tick's one message: a heartbeat carrying my
+        vector or, while a broadcast ack that left within the last
+        ``heartbeat_interval`` stands in for it, a probe if one is due."""
+        vector = self._delivered_vector()
         if self.sim.now - self._ack_sent_at < self.config.heartbeat_interval:
-            return None
-        return self._vector_message(mk.KIND_HEARTBEAT,
-                                    self._delivered_vector())
+            return self._probe(vector)
+        return self._heartbeat(vector)
 
     def _on_beacon(self, msg):
         """A heartbeat is an ack (it repairs a lost final one); one with
-        my header on it is a probe and is answered with a unicast ack."""
+        my header on it is a probe, answered from my next ack tick."""
         if msg.pop_header("rel") is not None:
             if (self.config.byzantine and self.process.verbose_detector
                     .observe(msg.sender, "rel:probe")):
-                self.probes_dropped += 1
                 self.count("probes_dropped")
                 return
-            self.send_down(self._vector_message(
-                mk.KIND_ACK, self._delivered_vector(), msg.sender))
+            self._probed = True
         self._on_ack(msg)
 
     def _broadcast_ack(self, vector):
@@ -488,7 +494,8 @@ class ReliableLayer(Layer):
             return
         self._ack_sent_at = self.sim.now
         self.count("acks_sent")
-        self.send_down(self._vector_message(mk.KIND_ACK, vector))
+        self.send_down(Message(mk.KIND_ACK, self.me, self.view.vid, vector,
+                               payload_size=6 * len(vector)))
 
     def _gossip_ack(self, vector):
         """Epidemic ack dissemination ([29]): send the aggregated matrix

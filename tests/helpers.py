@@ -83,6 +83,10 @@ class DatagramLog:
     def count(self, kind=None, **where):
         return len(self.select(kind, **where))
 
+    def probes(self, **where):
+        return [row for row in self.select(KIND_HEARTBEAT, **where)
+                if is_probe(row[3])]
+
 
 def is_probe(msg):
     """A probe is a heartbeat carrying the reliable layer's header."""

@@ -380,10 +380,9 @@ def test_stack_fast_on_off_deliver_same_messages():
 # ROADMAP 1(c), known red: per-origin FIFO holes inside the total order
 # when a pipelined instance decides a batch other than the one
 # ``_covered_ids`` guessed.  Which chaos seeds trip it moves with any
-# timing change; these are the ddmin-minimized byz-fast plans exposed by
-# the quiescent control plane (23, 205) plus two red at its parent too
-# (30, 211) -- each a failure-free ``cast`` burst.  strict: the 1(c) fix
-# must delete these pins.
+# timing change; these are the ddmin-minimized byz-fast plans newly
+# exposed by the quiescent control plane -- each a failure-free ``cast``
+# burst.  strict: the 1(c) fix must delete these pins.
 # ----------------------------------------------------------------------
 class FifoBroken(Exception):
     """The one failure the pins below expect."""
@@ -394,9 +393,7 @@ class FifoBroken(Exception):
                    "fast path on a failure-free burst")
 @pytest.mark.parametrize("seed,n,ops", [
     (23, 8, [["cast", 1, 10]]),
-    (30, 10, [["cast", 8, 1], ["cast", 1, 3]]),
     (205, 9, [["cast", 5, 6]]),
-    (211, 10, [["cast", 5, 11]]),
 ])
 def test_minimized_byz_fast_burst_keeps_fifo(seed, n, ops):
     config = {"byzantine": True, "crypto": "sym", "total_order": True,

@@ -167,26 +167,26 @@ GOLDEN_ORDERING = {
         "3fb1e87a3c820d74eeabe4104b62e126ff6d333e0f77ae0fe08b9b037ee81c30",
         "6b62d9e563ca34561efb01c7573d6a6a3a41b21b6d79bdbef013a217643d94e4"),
     (False, 13): (
-        "74da0ac4f729c82c3d7dc069795ce043f9b14bb14656f825cb64bc510da8b7d2",
-        "fec2c4cfb2afa22a33dc69cf29149d99a1343d71d14f46308c44d594977be3ae"),
+        "1fc26e13765e084b91095e26ed56000ec005e3828d09e9fd8740fcbed8d12691",
+        "917092efd007563ed1a3e05b4b6f74ba737c97d7a7b125c1eb9e48d714a96008"),
     (False, 14): (
         "ce0b14cc992467389faaf1790ada3c43729db1603cf83b81e9db33417e361f06",
-        "1bdcb59adb7f1939379f203a7e4d0040f3c7498dc53b6096873827f3009ad71f"),
+        "f420c7d009f12f4ea7a7eca0156448edcf51fa7fb10735977234d112c9858dca"),
     (False, 606): (
-        "bf55d9ee6a825148e5f5ab42ed4e6cfae94e68dcb62f29bdc3fac7eda08f9d05",
-        "3e08dad20d47539326eb9f563c57efba81842db5b616c89f0ce8b16783ad9d56"),
+        "e7e2ba3ac88018547845798fbb0855d8e1fcba9f945590aaca3676937441f916",
+        "10fcd9dabb63fb78ef7fd235f3e3a4dae5f73d2690205605d95c686d7e9e0323"),
     (True, 11): (
         "3e46fd979483d51b02056b99c689787775da40ea21c9d7f9ae6a3472b83bd4cf",
         "2aa061c5d152f2ad90109d4724cd0269c219a3df665af6662d7d74ba0ff379ec"),
     (True, 13): (
-        "12babe43ec40b115e0e5b2b0f7e5cca62a75dd2acb5e2ad8c17b5250061c6b75",
-        "fedb79af097258358578d100bb03c77f2219dfe93505c5a888c6633bf06b6662"),
+        "ad9614790734a51189fb0ab0224808c6f7952085bbb27ad787fead43f384ee21",
+        "11c3034bf96b41600c4ac540bcc009c1b842b71d3c42b184b936914d60350337"),
     (True, 14): (
-        "1c64d511ebd0e0626877da3d3aadfcff4ad04a0ec798cbc2151ac3f4a5a9f13f",
-        "2befc1e5f6f38955e0bc680bf728fa6d9b414b2582ae9ca8e4fc1eacf613aa5c"),
+        "80964efcb70165e7c86d422af14fd12aa16f578d5e95257d3efc53cac3e57313",
+        "c07595e65da65427f854b1d0be642640a9b4939ef42db85139b4e118242193c8"),
     (True, 606): (
-        "27e1dfd9e44608b979c17de3780848b62b8830f1acc2d13362e851ab51e6be34",
-        "c48dc64d5d762cdc0540de24c914d9374a98a63a2ff17379cbfc223fe714bb3e"),
+        "dc5f69dcaef742c98c578e6302faadb81b5440b808dd76f384352de0f4318137",
+        "6c3a3cf13776f150264707bca780dc0d9b15d3e822c7ab67bef5a04c67bb318c"),
 }
 
 

@@ -4,9 +4,11 @@ Acks are sent on demand -- only while this member's delivered vector moved
 since its last ack or something it holds is not yet known stable at some
 view member -- and the heartbeat is the one idle beacon: it carries the
 delivered vector (so it repairs a lost final ack), is suppressed while a
-broadcast ack left within the last ``heartbeat_interval``, and a peer
-silent past the worst loss-free gap is probed from the ack tick.  Counted
-from outside the layers, through ``Network.observer`` (``DatagramLog``).
+broadcast ack left within the last ``heartbeat_interval``, and a tick of
+either timer with nothing else to send probes the peer silent longest past
+the worst loss-free gap, which answers from its own next ack tick -- no
+tick ever signs more than one message.  Counted from outside the layers,
+through ``Network.observer`` (``DatagramLog``).
 """
 
 import asyncio
@@ -70,7 +72,7 @@ def test_idle_group_sends_no_acks_and_one_vector_heartbeat_per_interval():
         for _t, _src, _dst, msg in beats:
             assert msg.payload is vector    # the receiver's memo hits
             assert msg.payload_size == 4 + 6 * len(vector)
-    assert sum(p.reliable.probes_sent for p in group.processes.values()) == 0
+    assert not log.probes()
     group.stop()
 
 
@@ -97,7 +99,7 @@ def test_loaded_group_acks_every_tick_and_sends_no_heartbeat():
         times = [t for t in times if t < until]
         worst = max(b - a for a, b in zip(times, times[1:]))
         assert worst < 2 * config.heartbeat_interval, (link, worst)
-    assert sum(p.reliable.probes_sent for p in group.processes.values()) == 0
+    assert not log.probes()
     group.stop()
 
 
@@ -209,22 +211,67 @@ def test_crash_keeps_acks_and_probes_until_the_view_change_then_quiet():
                                           since=crashed_at,
                                           until=suspected_at),
                           config.ack_interval)
-    probes = [row for row in log.select(mk.KIND_HEARTBEAT, since=crashed_at)
-              if is_probe(row[3])]
+    probes = log.probes(since=crashed_at)
     assert {row[1] for row in probes} == set(survivors)
     assert {row[2] for row in probes} == {dead}
     # silent for two heartbeat intervals and an ack tick before the first
     first = min(row[0] for row in probes)
     horizon = 2 * config.heartbeat_interval + config.ack_interval
     assert first - crashed_at > horizon - config.heartbeat_interval
+    for node in survivors:
+        # every ack tick is taken by the ack, so the probe rides the
+        # heartbeat tick whose beacon that ack suppressed: neither timer
+        # ever hands down more than one message per tick
+        assert not broadcast_times(log, mk.KIND_HEARTBEAT, node,
+                                   since=first, until=suspected_at)
+        mine = [row for row in probes
+                if row[1] == node and row[0] < suspected_at]
+        assert 0 < len(mine) <= ((suspected_at - first)
+                                 / config.heartbeat_interval + 1)
     # the new view: one first ack each, then only heartbeats
     group.run(SETTLE)
     quiet = group.sim.now
     group.run(1.0)
     assert log.count(mk.KIND_ACK, since=quiet) == 0
-    assert not [row for row in log.select(since=quiet) if is_probe(row[3])]
+    assert not log.probes(since=quiet)
     assert log.count(since=quiet) == idle_datagrams(group, 1.0)
     assert installed_at - crashed_at < 0.25
+    group.stop()
+
+
+@pytest.mark.parametrize("dead,parent_install_s", [
+    ((6, 7), 0.369), ((5, 6, 7), 0.332)])
+def test_pub_crypto_crashes_cost_no_more_signatures_than_periodic_acks(
+        dead, parent_install_s):
+    """Every unicast is signed on its own and an RSA signature is 5 ms of
+    a 12 ms tick: probing each silent peer from every tick on top of the
+    ack outran the CPU (two crashes installed in 1.08 s against the
+    periodic stack's 0.368 s, three never did).  One message per tick of
+    either timer is the periodic stack's own budget."""
+    group, log = boot(crypto="pub")
+    config = group.config
+    group.run(SETTLE)
+    for node in dead:
+        group.crash(node)
+    crashed_at = group.sim.now
+    group.endpoints[0].cast("never-acked-by-the-dead")
+    survivors = [node for node in group.processes if node not in dead]
+    assert group.run_until(
+        lambda: all(group.processes[node].view.n == N - len(dead)
+                    for node in survivors), timeout=2.0)
+    assert group.sim.now - crashed_at <= parent_install_s
+    suspected_at = log.select(mk.KIND_SLANDER, since=crashed_at)[0][0]
+    window = suspected_at - crashed_at
+    budget = window / config.ack_interval + window / config.heartbeat_interval
+    for node in survivors:
+        signed = (len(broadcast_times(log, mk.KIND_ACK, node,
+                                      since=crashed_at, until=suspected_at))
+                  + len(broadcast_times(log, mk.KIND_HEARTBEAT, node,
+                                        since=crashed_at, until=suspected_at))
+                  + len(log.probes(since=crashed_at, until=suspected_at,
+                                   src=node)))
+        assert signed <= budget + 2, (node, signed, budget)
+    assert {row[2] for row in log.probes(since=crashed_at)} <= set(dead)
     group.stop()
 
 
@@ -357,27 +404,81 @@ def test_malformed_heartbeat_vector_is_flagged_and_ignored(payload, tag,
     group.stop()
 
 
-def test_probe_is_answered_with_a_unicast_ack_up_to_the_rate_bound():
-    group, log = boot(n=4)
+def test_probes_are_answered_by_one_beacon_from_the_next_ack_tick():
+    group, log = boot(n=4, obs=True)
     config = group.config
-    group.run(SETTLE)
+    group.run(0.062)        # the next ack tick (72 ms) is no heartbeat tick
     process = group.processes[0]
     bound = 2 * int(config.mute_timeout / config.ack_interval)
     before = group.sim.now
-    vector = group.processes[2].reliable._delivered_vector()
-    for _ in range(bound + 2):      # two over: verbose, not yet suspected
-        process.reliable.handle_up(beacon_from(process, 2, vector,
-                                               probe=True))
-    group.run(0.001)
-    answers = log.select(mk.KIND_ACK, since=before, src=0)
-    assert len(answers) == bound and {row[2] for row in answers} == {2}
+    vectors = {node: group.processes[node].reliable._delivered_vector()
+               for node in (2, 3)}
+    for sender in (3,) + (2,) * (bound + 2):    # two over: verbose only
+        process.reliable.handle_up(beacon_from(process, sender,
+                                               vectors[sender], probe=True))
+    # however many asked, one signature answers them all: an extra
+    # beacon to everybody, from the ack tick -- never an extra ack
+    group.run(config.ack_interval)
+    answers = [row for row in log.select(mk.KIND_HEARTBEAT, since=before,
+                                         src=0)
+               if row[0] % config.heartbeat_interval > 1e-3]
+    assert sorted(row[2] for row in answers) == [1, 2, 3]
+    assert len({row[0] for row in answers}) == 1
     assert all(row[3].payload is process.reliable._delivered_vector()
-               for row in answers)
-    assert process.reliable.probes_dropped == 2
+               and not is_probe(row[3]) for row in answers)
+    assert log.count(mk.KIND_ACK, since=before, src=0) == 0
+    assert group.obs.metrics.total("probes_dropped", layer="reliable") == 2
     assert process.verbose_levels.level(2) > 0
-    # an answer is not a probe: nothing comes back
+    assert process.verbose_levels.level(3) == 0
+    # an answer is not a probe: nothing comes back, and it is sent once
     group.run(0.1)
-    assert log.count(mk.KIND_ACK, since=before, src=2) == 0
+    assert log.count(mk.KIND_ACK, since=before) == 0
+    assert log.count(since=before) == idle_datagrams(group, 0.1) + 3
+    group.stop()
+
+
+class Prober(ByzantineBehavior):
+    """Probes one victim every ``ack_interval``, silent or not -- as fast
+    as a correct member ever does, so the ``rel:probe`` bound lets it."""
+
+    def __init__(self, victim):
+        super().__init__()
+        self.victim = victim
+
+    def start(self):
+        reliable = self.process.reliable
+        if not self.process.stopped:
+            probe = Message(mk.KIND_HEARTBEAT, self.me, reliable.view.vid,
+                            reliable._delivered_vector(), dest=self.victim)
+            probe.push_header("rel", "probe")
+            reliable.send_down(probe)
+            self.sim.schedule(self.process.config.ack_interval, self.start)
+
+
+def test_prober_cannot_raise_a_members_send_rate_above_the_periodic_one():
+    liar, victim = N - 1, 0
+    group, log = boot(behaviors={liar: Prober(victim)})
+    config = group.config
+    group.run(SETTLE)
+    start = group.sim.now
+    group.run(1.0)
+    # (a received probe's header is popped off the logged object: count
+    # the heartbeats the victim got beyond everybody's share of beacons)
+    assert log.count(mk.KIND_HEARTBEAT, since=start, src=liar, dst=victim) \
+        - log.count(mk.KIND_HEARTBEAT, since=start, src=liar, dst=1) \
+        == pytest.approx(1.0 / config.ack_interval, abs=1)
+    # the victim answers from its ack tick: one broadcast per tick of
+    # either timer, which is what every member sent when acks were
+    # periodic -- and nobody else sends anything more than idle
+    ticks = 1.0 / config.ack_interval + 1.0 / config.heartbeat_interval
+    sent = log.count(since=start, src=victim)
+    assert idle_datagrams(group, 1.0) // N < sent <= (N - 1) * (ticks + 1)
+    for node in group.processes:
+        if node not in (liar, victim):
+            assert log.count(since=start, src=node) \
+                == idle_datagrams(group, 1.0) // N
+    assert {p.view.n for p in group.processes.values()} == {N}
+    assert log.count(mk.KIND_SLANDER) == 0
     group.stop()
 
 
@@ -408,11 +509,10 @@ def test_never_acking_member_cannot_raise_the_ack_rate():
             # exactly the periodic rate: one ack per tick, never more
             assert ticks - 1 <= len(sent) <= ticks + 1
             assert_every_tick(sent, config.ack_interval)
-        # every ack was one of those broadcasts: unicast acks only ever
-        # answer probes, and nobody was silent
+        # every ack was one of those broadcasts: there are no unicast acks
         assert len(log.select(mk.KIND_ACK, since=start, src=node)) \
             == len(sent) * (N - 1)
-    assert sum(p.reliable.probes_sent for p in group.processes.values()) == 0
+    assert not log.probes()
     assert {p.view.n for p in group.processes.values()} == {N}
     group.stop()
 
