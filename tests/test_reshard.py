@@ -17,8 +17,11 @@ The tentpole's contract, exercised at the ``Cluster`` surface:
 
 import pytest
 
-from repro import Cluster, StackConfig
-from repro.shard.chaos import check_key_conservation
+from repro import Cluster, Group, StackConfig
+from repro.chaos import ChaosEngine
+from repro.shard.chaos import ShardChaosEngine, check_key_conservation
+from repro.shard.rsm import ShardReplica
+from repro.sim.topology import FlatGigE
 
 
 def make_plane(shards, nodes_per_shard, seed=0, ring_shards=None):
@@ -244,4 +247,86 @@ def test_abandoned_migration_is_resumable_by_a_fresh_coordinator():
     assert second.state == "done"
     assert cluster.directory.epochs() == (adopted_epoch,)
     assert check_key_conservation(rsm, expected) == []
+    cluster.stop()
+
+
+# ----------------------------------------------------------------------
+# the sharded chaos engine: ChaosEngine's ops over a plane
+# ----------------------------------------------------------------------
+def test_settle_restores_a_degraded_nic():
+    cluster = make_plane(2, 4, seed=2)
+    engine = ShardChaosEngine(cluster)
+    network = cluster.manager.network
+    line_rate = network.topology.nic_bandwidth_bps
+    for op in (["nic", 5, 0.1], ["run", 0.2]):
+        engine.apply(op)
+    assert network.nic_of(5).bandwidth_bps == 0.1 * line_rate
+    engine.settle(duration=0.5)
+    assert network.nic_of(5).bandwidth_bps == line_rate
+    cluster.stop()
+
+
+_ONE_PLAN = [["cast", 0, 3], ["run", 0.1], ["drop", None, 2, 0.3],
+             ["cast", 1, 4], ["run", 0.2], ["crash", 4], ["cast", 2, 2],
+             ["run", 0.6], ["partition", [[0, 1, 2], [3]]], ["cast", 0, 2],
+             ["run", 0.5], ["heal"], ["clear_faults"], ["cast", 3, 1],
+             ["run", 1.0]]
+
+
+def _histories(group):
+    return {node: [repr(event) for event in process.history.events]
+            for node, process in group.processes.items()}
+
+
+@pytest.mark.parametrize("seed", [3, 11])
+def test_one_plan_two_targets_equal_histories(seed):
+    """The same script through ChaosEngine on a bootstrapped group and
+    through the sharded engine on a one-shard plane: equal per-node
+    histories and event counts.  Both sides run the same application
+    (the sharded engine attaches the RSM, whose state provider makes
+    merges carry snapshots) on the same fabric."""
+    config = StackConfig.byz(total_order=True)
+    group = Group.bootstrap(5, config=config, seed=seed,
+                            topology_cls=FlatGigE)
+    for endpoint in group.endpoints.values():
+        ShardReplica(endpoint)
+    single = ChaosEngine.attached(group)
+    cluster = Cluster.create(shards=1, nodes_per_shard=5, config=config,
+                             seed=seed)
+    sharded = ShardChaosEngine(cluster)
+    for op in _ONE_PLAN:
+        single.apply(op)
+        sharded.apply(op)
+    single.settle(2.0)
+    sharded.settle(duration=2.0)
+    assert single.crashed == sharded.crashed == {4}
+    assert _histories(group) == _histories(cluster.group)
+    assert group.sim.events_processed == cluster.sim.events_processed
+    assert single.check() == sharded.check() == []
+    group.stop()
+    cluster.stop()
+
+
+def test_unknown_op_raises_on_both_engines():
+    group = Group.bootstrap(4, seed=1)
+    cluster = make_plane(1, 4, seed=1)
+    for engine in (ChaosEngine.attached(group), ShardChaosEngine(cluster)):
+        with pytest.raises(ValueError):
+            engine.apply(["scramble", 0])
+    group.stop()
+    cluster.stop()
+
+
+def test_crash_below_the_shard_floor_is_refused():
+    cluster = make_plane(2, 4, seed=5)
+    engine = ShardChaosEngine(cluster)
+    engine.apply(["crash", 4])          # 4 -> 3 live: at the floor
+    engine.apply(["crash", 5])          # would leave 2 < max(3, 2k/3)
+    engine.apply(["leave", 6])          # a leave is a loss too
+    assert engine.crashed == {4} and engine.left == set()
+    shard = cluster.shard_group(1)
+    assert [n for n, p in shard.processes.items() if p.stopped] == [4]
+    # the other shard's budget is its own
+    engine.apply(["crash", 0])
+    assert engine.crashed == {0, 4}
     cluster.stop()

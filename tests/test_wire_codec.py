@@ -19,6 +19,8 @@ Everything here is socket-free: the codec is pure bytes in/bytes out.
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -119,6 +121,48 @@ def test_frame_layout_is_versioned():
     assert frame[:2] == MAGIC
     assert frame[2] == WIRE_VERSION
     assert frame[3] == FRAME_DATAGRAM
+
+
+#: sha256 over the concatenated corpus below; a decoder-side change must
+#: leave it alone, an encoder-side one re-records it with WIRE_VERSION bumped
+WIRE_CORPUS_SHA256 = (
+    "5c893109c77a194d15e08547801b8e56e8c53d8a4c6c4a5d471feb92edb02434")
+
+
+def _corpus():
+    """One datagram of each shape the transport emits, fixed content."""
+    inner = Message("ack", 2, ViewId(7, 2), (1, 2), payload_size=8, dest=0)
+    msg = Message("cast", 1, ViewId(1 << 40, 3),
+                  (None, True, False, -5, 1 << 70, 2.5, "hé", b"\x00\xff",
+                   [1, [2, (3,)]], {"k": {"n": ViewId(2, 0)}, 4: [5]},
+                   {1, 2}, frozenset({"a", ("b", 1)})),
+                  payload_size=64, dest=4, msg_id=(1, 9), group=3)
+    msg.push_header("reliable", ("data", 12))
+    msg.push_header("frag", (0, 1))
+    msg.signature = b"\x01" * 32
+    return (encode_frame(FRAME_DATAGRAM, 1, msg),
+            encode_frame(FRAME_DATAGRAM, 1, ("pack", (msg, inner))),
+            encode_batch(5, [(FRAME_DATAGRAM, inner),
+                             (FRAME_GOSSIP, ("grp", 3, ("view", 5))),
+                             (FRAME_DATAGRAM, msg)]),
+            encode_frame(FRAME_GOSSIP, (2, "x"), ("announce", ViewId(4, 1),
+                                                  (0, 1, 2))))
+
+
+def test_wire_corpus_digest_is_pinned():
+    """The encoded bytes are the wire contract: every value tag (ViewId, a
+    big int, nested containers), a message with a non-None ``group``, a
+    3-sub-frame batch and a gossip frame hash to the recorded digest, and
+    each datagram still decodes to what was encoded."""
+    corpus = _corpus()
+    digest = hashlib.sha256(b"".join(corpus)).hexdigest()
+    assert digest == WIRE_CORPUS_SHA256
+    for blob in corpus:
+        frames, errors = decode_datagram(blob)
+        assert errors == []
+        rebuilt = (encode_frame(*frames[0]) if blob[3] != FRAME_BATCH else
+                   encode_batch(frames[0][1], [(ft, p) for ft, _, p in frames]))
+        assert rebuilt == blob
 
 
 # ----------------------------------------------------------------------
