@@ -30,7 +30,7 @@ from repro.apps.ring import RingDemo
 from repro.byzantine.behaviors import (BadViewCoordinator, MuteCoordinator,
                                        MuteNode, VerboseNode)
 from repro.core.view import choose_coordinator
-from repro.sim.stats import mean
+from repro.obs.metrics import mean
 
 #: group sizes measured in the paper (8-50, two per blade above 24)
 FULL_SIZES = (8, 12, 16, 24, 32, 40, 48)

@@ -32,12 +32,7 @@ from repro.byzantine.behaviors import (
     TwoFacedCaster,
     VerboseNode,
 )
-from repro.core.config import (
-    ChaosConfig,
-    ShardConfig,
-    StackConfig,
-    WireConfig,
-)
+from repro.core.config import ShardConfig, StackConfig
 from repro.core.endpoint import GroupEndpoint
 from repro.core.events import BlockEvent, CastDeliver, SendDeliver, ViewEvent
 from repro.core.group import Group
@@ -67,7 +62,6 @@ __all__ = [
     "BlockEvent",
     "ByzantineBehavior",
     "CastDeliver",
-    "ChaosConfig",
     "Cluster",
     "Execution",
     "Field",
@@ -103,7 +97,6 @@ __all__ = [
     "View",
     "ViewEvent",
     "ViewId",
-    "WireConfig",
     "__version__",
     "check_virtual_synchrony",
     "singleton_view",

@@ -215,11 +215,24 @@ class ChaosEngine:
             raise ValueError("unknown chaos op %r" % (op[0],))
         handler(*op[1:])
 
+    def _group_of(self, node):
+        """The :class:`Group` ``node`` belongs to (running or not), or None
+        for a stranger.  One group here; the sharded engine answers per
+        shard."""
+        return self.group if node in self.group.processes else None
+
     def _process_of(self, node):
-        process = self.group.processes.get(node)
-        if process is None or process.stopped:
+        """``node``'s live process, or None (stranger, crashed, stopped)."""
+        group = self._group_of(node)
+        if group is None or group.processes[node].stopped:
             return None
-        return process
+        return group.processes[node]
+
+    def _may_lose(self, node):
+        """Whether a crash or leave of ``node`` may go ahead.  Always, on
+        one group (the plan generator's quorum floor already counted its
+        nodes); the sharded engine holds a floor per shard."""
+        return True
 
     def _budget_run(self, duration):
         """``group.run`` capped by the remaining event budget.
@@ -241,9 +254,10 @@ class ChaosEngine:
             self.stalled = True
 
     def _op_cast(self, sender, count):
-        if self._process_of(sender) is None:
+        process = self._process_of(sender)
+        if process is None:
             return
-        endpoint = self.group.endpoints[sender]
+        endpoint = process.endpoint
         for k in range(count):
             endpoint.cast((sender, "fz", k))
 
@@ -251,7 +265,7 @@ class ChaosEngine:
         self._budget_run(duration)
 
     def _op_crash(self, node):
-        if self._process_of(node) is None:
+        if self._process_of(node) is None or not self._may_lose(node):
             return
         self.group.crash(node)
         self.crashed.add(node)
@@ -264,9 +278,10 @@ class ChaosEngine:
         self.group.restart(node)
 
     def _op_leave(self, node):
-        if self._process_of(node) is None or node in self.left:
+        process = self._process_of(node)
+        if process is None or node in self.left or not self._may_lose(node):
             return
-        self.group.endpoints[node].leave()
+        process.endpoint.leave()
         self.left.add(node)
 
     def _op_join(self, node_id):
@@ -284,7 +299,7 @@ class ChaosEngine:
             for node in component:
                 if isinstance(node, list):
                     node = tuple(node)
-                if node in self.group.processes and node not in seen:
+                if self._group_of(node) is not None and node not in seen:
                     seen.add(node)
                     side.add(node)
             if side:
@@ -322,7 +337,7 @@ class ChaosEngine:
             return   # unknown params: tolerate, stay benign
         process.behavior = behavior
         behavior.install(process)
-        self.group.byzantine_nodes.add(node)
+        self._group_of(node).byzantine_nodes.add(node)
         behavior.start()
 
     def _op_drop(self, src, dst, prob):
@@ -338,7 +353,7 @@ class ChaosEngine:
         self.faults.set_fault("duplicate", src, dst, prob)
 
     def _op_nic(self, node, factor):
-        if node not in self.group.processes:
+        if self._group_of(node) is None:
             return
         try:
             self.group.network.degrade_nic(node, factor)
@@ -363,14 +378,10 @@ class ChaosEngine:
         self.faults.clear()
 
     def _op_reshard_at(self, delta=1):
-        """Start a live reshard mid-run -- only meaningful on a sharded
-        plane.  ``resharder`` is the injection seam: the sharded driver
-        (:class:`repro.shard.chaos.ShardChaosEngine`) sets it to its
-        coordinator-starting hook; on a plain single-group engine the op
-        is a tolerant no-op, keeping every plan ddmin-shrinkable."""
-        resharder = getattr(self, "resharder", None)
-        if resharder is not None:
-            resharder(delta)
+        """Only a sharded plane can reshard
+        (:class:`repro.shard.chaos.ShardChaosEngine` overrides this); on
+        one group the op is a tolerant no-op, keeping every plan
+        ddmin-shrinkable."""
 
     # ------------------------------------------------------------------
     # whole-plan execution

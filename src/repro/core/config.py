@@ -26,38 +26,6 @@ from repro.crypto.cost import CryptoCostModel
 from repro.obs import ObsConfig
 from repro.sim.topology import HostModel
 
-#: sentinel distinguishing "caller passed this flat kwarg" from the default
-_UNSET = object()
-
-
-class WireConfig:
-    """Datagram aggregation policy: sim-side packing and wire coalescing.
-
-    One composable section of :class:`StackConfig` (``wire=``): the
-    modelled LAN MTU and packing-optimization knobs the simulator charges
-    for, plus the real-network transport's datagram-coalescer budget.
-    The flat kwargs (``packing=``, ``mtu=``, ``wire_mtu=``, ...) remain
-    accepted on :class:`StackConfig` and route here.
-    """
-
-    def __init__(self, packing=False, packing_delay=0.0008, mtu=1400,
-                 coalesce=True, coalesce_mtu=16000, coalesce_delay=None):
-        self.packing = packing
-        self.packing_delay = packing_delay
-        self.mtu = mtu
-        self.coalesce = coalesce
-        self.coalesce_mtu = coalesce_mtu
-        self.coalesce_delay = coalesce_delay
-
-    def clone(self, **overrides):
-        fresh = WireConfig(**vars(self))
-        fresh.__dict__.update(overrides)
-        return fresh
-
-    def __repr__(self):
-        return "WireConfig(packing={}, mtu={}, coalesce={})".format(
-            self.packing, self.mtu, self.coalesce)
-
 
 class ShardConfig:
     """Shard-plane layout (:mod:`repro.shard`): how many groups the
@@ -89,36 +57,12 @@ class ShardConfig:
             self.shards, self.nodes_per_shard)
 
 
-class ChaosConfig:
-    """Declarative fault injection (:mod:`repro.chaos`) as a config
-    section: a :class:`~repro.chaos.plan.FaultPlan` (or a plain list of
-    its op tuples) the owner of the stack applies at bootstrap, and the
-    seed salt for the fault engine's *own* RNG stream (never the
-    simulator's -- toggling chaos must not shift scheduled histories).
-    """
-
-    def __init__(self, plan=None, seed=None):
-        self.plan = plan
-        self.seed = seed
-
-    def clone(self, **overrides):
-        fresh = ChaosConfig(**vars(self))
-        fresh.__dict__.update(overrides)
-        return fresh
-
-    def __repr__(self):
-        return "ChaosConfig(plan={!r}, seed={!r})".format(self.plan, self.seed)
-
-
 class StackConfig:
-    """All knobs of one node's protocol stack.
+    """All knobs of one node's protocol stack, as plain attributes.
 
-    Composable sections (``wire=``, ``obs=``, ``chaos=``, ``shard=``)
-    group the aggregation, observability, fault-injection, and
-    shard-plane knobs so a per-shard override replaces one small section
-    instead of copying the whole config; every historical flat kwarg is
-    still accepted and routed into its section (an explicit flat kwarg
-    wins over the same field of a passed section).
+    ``obs=`` and ``shard=`` take small config objects of their own
+    (:class:`~repro.obs.ObsConfig`, :class:`ShardConfig`); everything
+    else is a flat field.
     """
 
     def __init__(self,
@@ -165,11 +109,11 @@ class StackConfig:
                  # bottom layer reports it to the suspicion layer
                  # (0 disables corruption-triggered suspicion)
                  corruption_suspect_threshold=4,
-                 mtu=_UNSET,
+                 mtu=1400,
                  # packing/batching optimization [33] -- OFF in the paper's
                  # measurements; implemented here as the predicted extension
-                 packing=_UNSET,
-                 packing_delay=_UNSET,
+                 packing=False,
+                 packing_delay=0.0008,
                  # wire-path datagram coalescing (real-network runtime only;
                  # the sim backend never reads these, so toggling them is
                  # byte-identical per seed).  wire_mtu is the coalescer's
@@ -177,9 +121,9 @@ class StackConfig:
                  # MAX_DATAGRAM_BYTES); wire_coalesce_delay is the flush
                  # backstop timer, defaulting to packing_delay -- one
                  # packing policy shared with the sim pack queues
-                 wire_coalesce=_UNSET,
-                 wire_mtu=_UNSET,
-                 wire_coalesce_delay=_UNSET,
+                 wire_coalesce=True,
+                 wire_mtu=16000,
+                 wire_coalesce_delay=None,
                  # total ordering
                  order_batch_max=1024,
                  order_tick=0.002,
@@ -191,10 +135,7 @@ class StackConfig:
                  # observability (repro.obs): None/False = fully disabled
                  # (untaxed failure-free path); True = ObsConfig defaults
                  obs=None,
-                 # composable sections: aggregation policy, fault
-                 # injection, shard-plane layout (obs= above is the fourth)
-                 wire=None,
-                 chaos=None,
+                 # shard-plane layout (repro.shard): None = ShardConfig()
                  shard=None,
                  # models
                  host=None,
@@ -228,14 +169,12 @@ class StackConfig:
         self.retrans_jitter = retrans_jitter
         self.nak_window_budget = nak_window_budget
         self.corruption_suspect_threshold = corruption_suspect_threshold
-        # route the flat aggregation kwargs into the wire section; an
-        # explicit flat kwarg overrides the same field of a passed section
-        section = wire if wire is not None else WireConfig()
-        flat = {name: value for name, value in (
-            ("mtu", mtu), ("packing", packing), ("packing_delay", packing_delay),
-            ("coalesce", wire_coalesce), ("coalesce_mtu", wire_mtu),
-            ("coalesce_delay", wire_coalesce_delay)) if value is not _UNSET}
-        self.wire = section.clone(**flat) if flat else section
+        self.mtu = mtu
+        self.packing = packing
+        self.packing_delay = packing_delay
+        self.wire_coalesce = wire_coalesce
+        self.wire_mtu = wire_mtu
+        self.wire_coalesce_delay = wire_coalesce_delay
         self.order_batch_max = order_batch_max
         self.order_tick = order_tick
         self.ordering_fast_path = ordering_fast_path
@@ -243,36 +182,9 @@ class StackConfig:
         if obs is True:
             obs = ObsConfig()
         self.obs = obs or None
-        self.chaos = chaos or None
         self.shard = shard if shard is not None else ShardConfig()
         self.host = host or HostModel()
         self.crypto_costs = crypto_costs or CryptoCostModel()
-
-    # ------------------------------------------------------------------
-    # flat-attribute compatibility surface over the wire section: reads
-    # come from the section; writes replace it copy-on-write, so clones
-    # sharing a section never see each other's overrides
-    # ------------------------------------------------------------------
-    def _wire_set(self, field, value):
-        self.__dict__["wire"] = self.wire.clone(**{field: value})
-
-    mtu = property(lambda self: self.wire.mtu,
-                   lambda self, v: self._wire_set("mtu", v))
-    packing = property(lambda self: self.wire.packing,
-                       lambda self, v: self._wire_set("packing", v))
-    packing_delay = property(lambda self: self.wire.packing_delay,
-                             lambda self, v: self._wire_set("packing_delay", v))
-    wire_coalesce = property(lambda self: self.wire.coalesce,
-                             lambda self, v: self._wire_set("coalesce", v))
-    wire_mtu = property(lambda self: self.wire.coalesce_mtu,
-                        lambda self, v: self._wire_set("coalesce_mtu", v))
-    wire_coalesce_delay = property(
-        lambda self: self.wire.coalesce_delay,
-        lambda self, v: self._wire_set("coalesce_delay", v))
-
-    #: flat clone()/spec kwargs that route into the wire section
-    _WIRE_FLAT = ("mtu", "packing", "packing_delay", "wire_coalesce",
-                  "wire_mtu", "wire_coalesce_delay")
 
     # ------------------------------------------------------------------
     # presets named after the paper's plot lines
@@ -342,29 +254,22 @@ class StackConfig:
         return (self.mtu, self.packing_delay)
 
     def clone(self, **overrides):
+        """A copy with ``overrides`` replaced; every key must be a field."""
+        unknown = sorted(set(overrides) - set(self.__dict__))
+        if unknown:
+            raise TypeError("StackConfig has no field(s) %s"
+                            % ", ".join(unknown))
         # clone() bypasses __init__, so the constructor's normalizations
-        # (obs True -> ObsConfig(), falsy -> None; flat wire kwargs routed
-        # into the wire section) must be applied here too -- otherwise a
-        # literal True would be stored, or a flat override would be
-        # shadowed by the section the compatibility properties read
+        # (obs True -> ObsConfig(), falsy -> None; shard None -> defaults)
+        # must be applied here too -- otherwise a literal True would be
+        # stored
         if "obs" in overrides:
             obs = overrides["obs"]
             overrides["obs"] = ObsConfig() if obs is True else (obs or None)
-        if "chaos" in overrides:
-            overrides["chaos"] = overrides["chaos"] or None
         if "shard" in overrides and overrides["shard"] is None:
             overrides["shard"] = ShardConfig()
         fresh = StackConfig.__new__(StackConfig)
         fresh.__dict__.update(self.__dict__)
-        if "wire" in overrides:
-            # the section override lands before flat keys so an explicit
-            # flat kwarg wins over the same field of the passed section
-            fresh.__dict__["wire"] = overrides.pop("wire") or WireConfig()
-        for key in self._WIRE_FLAT:
-            if key in overrides:
-                # copy-on-write through the property setter: replaces the
-                # (possibly shared) section instead of mutating it
-                setattr(fresh, key, overrides.pop(key))
         fresh.__dict__.update(overrides)
         return fresh
 

@@ -14,8 +14,6 @@ path is exercised.
 
 from __future__ import annotations
 
-import warnings
-
 from repro.core.config import StackConfig
 from repro.core.endpoint import GroupEndpoint
 from repro.core.history import Execution
@@ -26,22 +24,17 @@ from repro.obs import ObservabilityPlane
 from repro.runtime.interface import SimRuntime
 from repro.sim.clock import NodeClock
 
-#: sentinel the builder classmethods pass so only *direct* Group(...)
-#: construction trips the deprecation shim
-_BUILT = object()
-
 
 class Group:
-    """A simulated cluster of group-communication daemons."""
+    """A simulated cluster of group-communication daemons.
+
+    Built by :meth:`bootstrap`, :meth:`on_runtime` or
+    :meth:`bootstrap_adhoc` (or ``Cluster.create``); the constructor only
+    stores what those assembled.
+    """
 
     def __init__(self, sim, network, processes, endpoints, config,
-                 keys=None, obs=None, runtime=None, _built=None):
-        if _built is not _BUILT:
-            warnings.warn(
-                "direct Group(sim, network, processes, ...) construction is "
-                "deprecated; use Cluster.create(...), Group.bootstrap(...), "
-                "or Group.on_runtime(...)",
-                DeprecationWarning, stacklevel=2)
+                 keys=None, obs=None, runtime=None):
         self.sim = sim
         self.network = network
         self.runtime = runtime        # the Runtime these seams came from
@@ -143,7 +136,7 @@ class Group:
             processes[node_id] = process
             endpoints[node_id] = GroupEndpoint(process)
         group = cls(sim, network, processes, endpoints, config, keys=keys,
-                    obs=obs, runtime=runtime, _built=_BUILT)
+                    obs=obs, runtime=runtime)
         group.group_id = group_id
         group.byzantine_nodes = set(behaviors)
         group.clocks = clocks
@@ -204,7 +197,7 @@ class Group:
             endpoints[node_id] = GroupEndpoint(process)
         network.refresh_components()
         group = cls(sim, network, processes, endpoints, config, keys=keys,
-                    obs=obs, _built=_BUILT)
+                    obs=obs)
         group.byzantine_nodes = set(behaviors)
         if start:
             group.start()

@@ -180,10 +180,6 @@ class Message:
     # repro.runtime.wire.WIRE_VERSION, and nothing else.
     WIRE_FIELD_COUNT = 11
 
-    #: field count of wire versions 1 and 2 (no ``group`` envelope); the
-    #: codec still decodes those frames, defaulting ``group`` to None
-    WIRE_FIELD_COUNT_V2 = 10
-
     def wire_fields(self):
         """The transmitted state, in wire order (see runtime/wire.py)."""
         return (self.kind, self.origin, self.sender, self.view_id,
@@ -244,9 +240,6 @@ class Message:
         verification.
         """
         fields = tuple(fields)
-        if len(fields) == cls.WIRE_FIELD_COUNT_V2:
-            # a v1/v2 peer: no group envelope on the wire
-            fields = fields[:8] + (None,) + fields[8:]
         if len(fields) != cls.WIRE_FIELD_COUNT:
             raise ValueError("message struct has %d fields, expected %d"
                              % (len(fields), cls.WIRE_FIELD_COUNT))

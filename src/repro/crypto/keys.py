@@ -126,8 +126,3 @@ class KeyManager:
         self.signing_derivations += 1
         self._priv_cache[owner] = key
         return key
-
-    def _private_key_unchecked(self, owner):
-        """Deprecated internal alias kept for compatibility; use
-        :meth:`verify_key_of`."""
-        return self._signing_key(owner)

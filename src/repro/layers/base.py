@@ -154,9 +154,6 @@ class LayerStack:
     def layer(self, name):
         return self._by_name[name]
 
-    def has_layer(self, name):
-        return name in self._by_name
-
     # ------------------------------------------------------------------
     def down_from(self, layer, msg):
         below = layer._below
@@ -173,21 +170,6 @@ class LayerStack:
         if self.obs is not None:
             self.obs.hop(self.process.node_id, above.name, "up", msg)
         above.handle_up(msg)
-
-    def inject_down(self, msg):
-        """Entry point for the endpoint: hand a message to the top layer."""
-        top = self.layers[-1]
-        if self.obs is not None:
-            # this hop opens the message's span at its origin
-            self.obs.hop(self.process.node_id, top.name, "down", msg)
-        top.handle_down(msg)
-
-    def inject_up(self, msg):
-        """Entry point for the network: hand a datagram to the bottom."""
-        bottom = self.layers[0]
-        if self.obs is not None:
-            self.obs.hop(self.process.node_id, bottom.name, "up", msg)
-        bottom.handle_up(msg)
 
     # ------------------------------------------------------------------
     def control(self, event, **data):

@@ -156,11 +156,6 @@ class OrderingLayer(Layer):
         """How many instances may be in flight at once."""
         return FAST_PIPELINE_WINDOW if self.config.ordering_fast_path else 1
 
-    @property
-    def highest_instance(self):
-        """Highest instance started locally (reported in SYNC)."""
-        return self._instance_k
-
     def freeze_for_flush(self, undecidable):
         """Called by the membership layer just before it broadcasts its
         SYNC report.  Returns the (started, decided) instance watermarks.

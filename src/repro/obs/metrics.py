@@ -18,7 +18,7 @@ import math
 
 
 # ----------------------------------------------------------------------
-# sample statistics (moved here from repro.sim.stats, which now shims)
+# sample statistics
 # ----------------------------------------------------------------------
 def mean(samples):
     if not samples:

@@ -180,8 +180,3 @@ class ObservabilityPlane:
         with open(path, "w") as handle:
             json.dump(self.to_dict(), handle, indent=indent, default=repr)
         return path
-
-    def export_csv(self, path):
-        """Metrics table only (traces are inherently nested; use JSON)."""
-        self.metrics.write_csv(path)
-        return path

@@ -15,8 +15,8 @@ reaches into message internals).  The body of a datagram frame is either
 one ``Message`` or the bottom layer's ``("pack", (msg, ...))`` container;
 the body of a gossip frame is the plain gossip payload tuple.
 
-Version 2 adds the **batch container** the transport's datagram coalescer
-emits -- many protocol frames from one source in one UDP datagram::
+The transport's datagram coalescer emits the **batch container** -- many
+protocol frames from one source in one UDP datagram::
 
     batch := MAGIC(2) VERSION(1) FRAME_BATCH(1) src:value COUNT(4)
              { SUBTYPE(1) BODYLEN(4) body:value } * COUNT
@@ -27,10 +27,13 @@ frame's source (:func:`decode_datagram` collects it as a
 :class:`WireError`) while every sibling sub-frame is still delivered --
 the length prefix is the resynchronization point.  Only damage to the
 batch header or to a sub-frame's own framing (type byte, length) loses
-the rest of the datagram, exactly the blast radius a single v1 frame
-already had.  v1 frames remain decodable (the single-frame layout is
-unchanged; only the version byte moved), so a mixed-version cluster
-drains in-flight traffic across an upgrade.
+the rest of the datagram, exactly the blast radius of a single frame.
+
+There is one wire version.  A frame or batch whose version byte is not
+:data:`WIRE_VERSION` is refused with a :class:`WireError` like any other
+undecodable datagram: a sender cannot pick an older struct layout (one
+without the signed-and-filtered ``group`` field) by claiming an older
+version.
 
 Decoding is *total*: any input -- truncated, bit-flipped, or random
 garbage -- either yields a value or raises :class:`WireError`; it never
@@ -72,17 +75,10 @@ ZERO_COPY = True
 MAGIC = b"JB"
 WIRE_VERSION = 3
 
-#: versions this decoder accepts (v1 single frames share the v2 layout;
-#: v3 appends the multi-group ``group`` field to the message struct)
-DECODABLE_VERSIONS = (1, 2, 3)
-
-#: versions that may carry the FRAME_BATCH container
-_BATCH_VERSIONS = (2, 3)
-
 #: frame types
 FRAME_DATAGRAM = 1   # unicast protocol datagram (Message or pack container)
 FRAME_GOSSIP = 2     # gossip-bus announcement (plain payload)
-FRAME_BATCH = 3      # v2 coalescer container: many sub-frames, one source
+FRAME_BATCH = 3      # coalescer container: many sub-frames, one source
 
 #: types a frame may carry on its own (a batch is never nested)
 _FRAME_TYPES = (FRAME_DATAGRAM, FRAME_GOSSIP)
@@ -326,20 +322,6 @@ def decode_value(data):
     return value
 
 
-def _message_field_count(version):
-    """How many fields a Message struct carries in ``version`` frames.
-
-    v3 appended the multi-group ``group`` envelope; v1/v2 structs decode
-    with ``group`` defaulting to None (from_wire_fields upgrades them),
-    so a mixed-version cluster drains in-flight traffic across an
-    upgrade exactly as the v1→v2 transition did.
-    """
-    from repro.core.message import Message
-    if version >= 3:
-        return Message.WIRE_FIELD_COUNT
-    return Message.WIRE_FIELD_COUNT_V2
-
-
 def _need(data, offset, nbytes):
     if offset + nbytes > len(data):
         raise WireError("truncated: need %d bytes at offset %d, have %d"
@@ -357,7 +339,7 @@ def _count(data, offset, minimum_item_bytes=1):
     return count, offset
 
 
-def _decode(data, offset, depth, msg_fields=None):
+def _decode(data, offset, depth):
     if depth > _MAX_DEPTH:
         raise WireError("value nesting exceeds depth %d" % _MAX_DEPTH)
     _need(data, offset, 1)
@@ -398,7 +380,7 @@ def _decode(data, offset, depth, msg_fields=None):
         count, offset = _count(data, offset)
         items = []
         for _ in range(count):
-            item, offset = _decode(data, offset, depth + 1, msg_fields)
+            item, offset = _decode(data, offset, depth + 1)
             items.append(item)
         if tag == _T_TUPLE:
             return tuple(items), offset
@@ -413,8 +395,8 @@ def _decode(data, offset, depth, msg_fields=None):
         count, offset = _count(data, offset, minimum_item_bytes=2)
         table = {}
         for _ in range(count):
-            key, offset = _decode(data, offset, depth + 1, msg_fields)
-            value, offset = _decode(data, offset, depth + 1, msg_fields)
+            key, offset = _decode(data, offset, depth + 1)
+            value, offset = _decode(data, offset, depth + 1)
             try:
                 table[key] = value
             except TypeError:
@@ -422,17 +404,16 @@ def _decode(data, offset, depth, msg_fields=None):
         return table, offset
     if tag == _T_VIEWID:
         from repro.core.view import ViewId
-        counter, offset = _decode(data, offset, depth + 1, msg_fields)
-        creator, offset = _decode(data, offset, depth + 1, msg_fields)
+        counter, offset = _decode(data, offset, depth + 1)
+        creator, offset = _decode(data, offset, depth + 1)
         if not isinstance(counter, int) or isinstance(counter, bool):
             raise WireError("view-id counter is not an int: %r" % (counter,))
         return ViewId(counter, creator), offset
     if tag == _T_MESSAGE:
         from repro.core.message import Message
         fields = []
-        for _ in range(msg_fields if msg_fields is not None
-                       else Message.WIRE_FIELD_COUNT):
-            field, offset = _decode(data, offset, depth + 1, msg_fields)
+        for _ in range(Message.WIRE_FIELD_COUNT):
+            field, offset = _decode(data, offset, depth + 1)
             fields.append(field)
         try:
             return Message.from_wire_fields(fields), offset
@@ -457,9 +438,8 @@ def decode_frame(data):
         # 2-byte copy per datagram just to check the magic
         if data[:2] != MAGIC:
             raise WireError("bad magic %r" % (bytes(data[:2]),))
-        if data[2] not in DECODABLE_VERSIONS:
+        if data[2] != WIRE_VERSION:
             raise WireError("unsupported wire version %d" % data[2])
-        msg_fields = _message_field_count(data[2])
         frame_type = data[3]
         if frame_type not in _FRAME_TYPES:
             raise WireError("unknown frame type %d" % frame_type)
@@ -470,7 +450,7 @@ def decode_frame(data):
         if body_len != len(data) - offset:
             raise WireError("body length %d does not match remaining %d "
                             "bytes" % (body_len, len(data) - offset), src=src)
-        payload, offset = _decode(data, offset, 0, msg_fields)
+        payload, offset = _decode(data, offset, 0)
         if offset != len(data):
             raise WireError("trailing garbage after frame body", src=src)
         return frame_type, src, payload
@@ -494,7 +474,7 @@ def decode_datagram(data):
     siblings -- located through the per-sub-frame length prefix -- still
     decode.  Damage to the batch header or to sub-frame framing itself
     drops the remainder of the datagram with a single error, the same
-    blast radius a v1 frame had.
+    blast radius a plain frame has.
     """
     data = _as_buffer(data)
     if len(data) < 4 or data[:2] != MAGIC or data[3] != FRAME_BATCH:
@@ -505,9 +485,8 @@ def decode_datagram(data):
     frames, errors = [], []
     src = None
     try:
-        if data[2] not in _BATCH_VERSIONS:   # batches exist only from v2 on
-            raise WireError("unsupported batch wire version %d" % data[2])
-        msg_fields = _message_field_count(data[2])
+        if data[2] != WIRE_VERSION:
+            raise WireError("unsupported wire version %d" % data[2])
         src, offset = _decode(data, 4, 0)
         count, offset = _count(data, offset,
                                minimum_item_bytes=SUBFRAME_OVERHEAD + 1)
@@ -543,13 +522,13 @@ def decode_datagram(data):
                 # and fails the stop check -- same per-sub-frame verdict,
                 # different error string; allocation stays bounded by the
                 # datagram size either way.
-                payload, stop = _decode(data, offset, 0, msg_fields)
+                payload, stop = _decode(data, offset, 0)
                 if stop != end:
                     raise WireError("sub-frame body length mismatch",
                                     src=src)
             else:
                 body = bytes(data[offset:end])
-                payload, stop = _decode(body, 0, 0, msg_fields)
+                payload, stop = _decode(body, 0, 0)
                 if stop != len(body):
                     raise WireError("trailing garbage in sub-frame",
                                     src=src)

@@ -1,12 +1,12 @@
 """Chaos over the sharded plane: fault plans with live resharding.
 
 The single-group :class:`~repro.chaos.engine.ChaosEngine` drives one
-``Group``; this module is its sharded sibling.  A
-:class:`ShardChaosEngine` applies the same declarative op vocabulary
-(crash / restart / partition / heal / link faults) to a
-:class:`~repro.shard.Cluster` by GLOBAL node id -- plus the op that
-justifies its existence, ``reshard_at``: start a live epoch migration
-mid-plan so every subsequent fault lands while key ranges are in flight.
+``Group``; :class:`ShardChaosEngine` is that engine driving a
+:class:`~repro.shard.Cluster` by GLOBAL node id -- the same handlers for
+the same op vocabulary (crash / restart / partition / heal / link
+faults), plus the op that justifies its existence, ``reshard_at``: start
+a live epoch migration mid-plan so every subsequent fault lands while
+key ranges are in flight.
 
 :func:`run_reshard_campaign` is the acceptance harness (the CI
 ``reshard-smoke`` leg and ``python -m repro reshard``): per seed it
@@ -29,45 +29,38 @@ never break:
 
 from __future__ import annotations
 
-import random
-
-from repro.chaos.engine import LinkFaults, _FAULT_SEED_SALT
+from repro.chaos.engine import ChaosEngine
 from repro.chaos.plan import RESHARD_OPS, random_plan
 from repro.core.config import StackConfig
 from repro.core.properties import check_virtual_synchrony
 from repro.shard.cluster import Cluster
 
 
-class ShardChaosEngine:
-    """Applies a fault-plan op script to a sharded cluster.
+class ShardChaosEngine(ChaosEngine):
+    """:class:`ChaosEngine` over a sharded cluster, by GLOBAL node id.
 
-    Ops are tolerant exactly as in the single-group engine: a target in
-    the wrong state is a no-op, so any subset of a plan's ops is itself
-    runnable.  Crash/leave additionally respect a PER-SHARD quorum floor
-    -- the generator's floor only knows the global node count, and
-    chaos that silently kills a whole shard would turn every liveness
-    assertion into noise.
+    The op handlers, the link-fault tables and ``lift_faults`` are the
+    single-group engine's, driving the :class:`ShardManager` where that
+    engine drives a ``Group``.  What is added is what only a plane has:
+    node ids resolve through their shard, crash/leave respect a PER-SHARD
+    quorum floor -- the generator's floor only knows the global node
+    count, and chaos that silently kills a whole shard would turn every
+    liveness assertion into noise -- a restarted member gets its replica
+    back, and ``reshard_at`` starts a live migration that every later op
+    (and every ``run``) keeps pumping.
     """
 
-    def __init__(self, cluster, plan=None, seed=0):
+    def __init__(self, cluster, plan=None):
+        super().__init__(plan=plan, group=cluster.manager)
         self.cluster = cluster
         self.manager = cluster.manager
         self.rsm = cluster.sharded_rsm()
-        self.plan = plan
-        self.faults = LinkFaults(
-            random.Random((plan.seed if plan else seed) ^ _FAULT_SEED_SALT))
-        self.crashed = set()
-        self.left = set()
-        self.restarted = set()
         self.coordinators = []     # every migration started by reshard_at
         self._active = None        # the one currently in flight
 
     # ------------------------------------------------------------------
     def apply(self, op):
-        handler = getattr(self, "_op_" + str(op[0]), None)
-        if handler is None:
-            return   # tolerant: unknown ops no-op on the sharded plane
-        handler(*op[1:])
+        super().apply(op)
         self.pump()
 
     def pump(self):
@@ -86,119 +79,35 @@ class ShardChaosEngine:
             remaining -= step
             self.pump()
 
-    # -- shard-aware guards --------------------------------------------
-    def _live_in_shard(self, shard):
-        group = self.manager.groups[shard]
-        return [n for n, p in group.processes.items() if not p.stopped]
+    # -- shard-aware lookups and guards ----------------------------------
+    def _group_of(self, node):
+        shard = self.manager.shard_of.get(node)
+        return None if shard is None else self.manager.groups[shard]
 
-    def _shard_floor(self, shard):
+    def _may_lose(self, node):
         # the same convention as random_plan's quorum floor, per shard:
         # crash-stops are benign (the view change evicts them), but the
         # membership machinery needs a surviving supermajority to agree
-        k = len(self.manager.groups[shard].processes)
-        return max(3, (2 * k) // 3)
+        processes = self._group_of(node).processes
+        live = sum(1 for p in processes.values() if not p.stopped)
+        return live - 1 >= max(3, (2 * len(processes)) // 3)
 
-    def _may_lose(self, node):
-        shard = self.manager.shard_of.get(node)
-        if shard is None:
-            return False
-        return len(self._live_in_shard(shard)) - 1 >= self._shard_floor(shard)
-
-    # -- op handlers ----------------------------------------------------
-    def _op_cast(self, sender, count):
-        shard = self.manager.shard_of.get(sender)
-        if shard is None:
-            return
-        process = self.manager.groups[shard].processes.get(sender)
-        if process is None or process.stopped:
-            return
-        endpoint = self.manager.endpoint(shard, sender)
-        for k in range(count):
-            endpoint.cast((sender, "fz", k))
-
+    # -- ops that differ on a plane --------------------------------------
     def _op_run(self, duration):
         self.run_slices(duration)
 
-    def _op_crash(self, node):
-        if node in self.crashed or not self._may_lose(node):
-            return
-        process = self.manager.group_of(node).processes.get(node)
-        if process is None or process.stopped:
-            return
-        self.manager.crash(node)
-        self.crashed.add(node)
-
     def _op_restart(self, node):
-        if node not in self.crashed:
-            return
-        self.crashed.discard(node)
-        self.restarted.add(node)
-        self.manager.restart(node)
+        super()._op_restart(node)
         # the fresh incarnation needs a replica bound to its new endpoint
         # (with the state installer the snapshot merge feeds)
         self.rsm.rebind()
-
-    def _op_leave(self, node):
-        if node in self.left or not self._may_lose(node):
-            return
-        process = self.manager.group_of(node).processes.get(node)
-        if process is None or process.stopped:
-            return
-        self.manager.group_of(node).endpoints[node].leave()
-        self.left.add(node)
 
     def _op_join(self, node_id):
         """Mid-run joins are single-group semantics; no-op on the plane
         (a fresh global node has no shard assignment to merge into)."""
 
-    def _op_partition(self, components):
-        seen = set()
-        sides = []
-        for component in components:
-            side = set()
-            for node in component:
-                if isinstance(node, list):
-                    node = tuple(node)
-                if node in self.manager.shard_of and node not in seen:
-                    seen.add(node)
-                    side.add(node)
-            if side:
-                sides.append(side)
-        if sides:
-            self.manager.partition(*sides)
-
-    def _op_heal(self):
-        self.manager.heal()
-
-    def _ensure_faults(self):
-        if self.manager.network.chaos is not self.faults:
-            self.manager.network.chaos = self.faults
-
-    def _op_drop(self, src, dst, prob):
-        self._ensure_faults()
-        self.faults.set_fault("drop", src, dst, prob)
-
-    def _op_corrupt(self, src, dst, prob):
-        self._ensure_faults()
-        self.faults.set_fault("corrupt", src, dst, prob)
-
-    def _op_duplicate(self, src, dst, prob):
-        self._ensure_faults()
-        self.faults.set_fault("duplicate", src, dst, prob)
-
-    def _op_nic(self, node, factor):
-        if node not in self.manager.shard_of:
-            return
-        try:
-            self.manager.network.degrade_nic(node, factor)
-        except (KeyError, AttributeError):
-            return
-
     def _op_skew(self, node, drift):
         """Clock skew needs construction-time NodeClocks; no-op here."""
-
-    def _op_clear_faults(self):
-        self.faults.clear()
 
     def _op_reshard_at(self, delta=1):
         """Start a live reshard NOW; faults applied after this op land
@@ -218,10 +127,6 @@ class ShardChaosEngine:
         self._active = coordinator
 
     # ------------------------------------------------------------------
-    def lift_faults(self):
-        self.faults.clear()
-        self.manager.heal()
-
     def settle(self, duration=3.0, migration_timeout=30.0):
         """Lift faults, finish any in-flight migration, then drain."""
         self.lift_faults()

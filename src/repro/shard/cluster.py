@@ -5,8 +5,7 @@ point the docs teach: it covers the classic single-group experiment
 (``shards=1``, the exact seed-pinned histories ``Group.bootstrap`` always
 produced) and the multi-group service plane (``shards=N`` over one shared
 runtime) with the same surface.  ``Group.bootstrap`` remains supported as
-the one-shard special case; direct ``Group(...)`` construction is
-deprecated.
+the one-shard special case.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ class Cluster:
     @classmethod
     def create(cls, runtime=None, shards=None, config=None, seed=0,
                nodes_per_shard=None, topology_cls=None, net_config=None,
-               established=True, start=True, behaviors=None, overrides=None,
+               established=True, start=True, behaviors=None,
                ring_shards=None):
         """Build a cluster.
 
@@ -45,7 +44,7 @@ class Cluster:
             or StackConfig.byz(), seed=seed, runtime=runtime,
             topology_cls=topology_cls, net_config=net_config,
             established=established, start=start, behaviors=behaviors,
-            overrides=overrides, ring_shards=ring_shards)
+            ring_shards=ring_shards)
         return cls(manager)
 
     # ------------------------------------------------------------------

@@ -187,22 +187,6 @@ class ShardDirectory:
     def has_epoch(self, epoch):
         return epoch in self._rings
 
-    def moved_arcs(self, old_epoch=None, new_epoch=None):
-        """:func:`ring_diff` between two registered epochs.
-
-        Defaults to the two newest tables -- mid-migration, that is
-        exactly the (retiring, installing) pair.
-        """
-        known = self.epochs()
-        if new_epoch is None:
-            new_epoch = known[-1]
-        if old_epoch is None:
-            older = [e for e in known if e < new_epoch]
-            if not older:
-                raise ValueError("no epoch older than %r" % (new_epoch,))
-            old_epoch = older[-1]
-        return ring_diff(self._rings[old_epoch], self._rings[new_epoch])
-
     def __repr__(self):
         return "ShardDirectory(epoch={}, shards={})".format(
             self.epoch, self.shards)

@@ -49,16 +49,16 @@ class ShardManager:
     @classmethod
     def create(cls, shards=None, nodes_per_shard=None, config=None, seed=0,
                runtime=None, topology_cls=None, net_config=None,
-               established=True, start=True, behaviors=None, overrides=None,
+               established=True, start=True, behaviors=None,
                ring_shards=None):
         """Build the whole plane.
 
         Parameters
         ----------
         shards, nodes_per_shard:
-            Plane shape; default from ``config.shard`` (the composable
-            section), so ``StackConfig(shard=ShardConfig(shards=64))``
-            and ``create(shards=64)`` are the same request.
+            Plane shape; default from ``config.shard``, so
+            ``StackConfig(shard=ShardConfig(shards=64))`` and
+            ``create(shards=64)`` are the same request.
         runtime:
             An existing :class:`SimRuntime` to attach to (it must have
             ports for ``shards * nodes_per_shard`` nodes); None builds
@@ -67,9 +67,6 @@ class ShardManager:
             25-blade testbed (pass ``topology_cls`` to override).
         behaviors:
             ``{node_id: ByzantineBehavior}`` by *global* node id.
-        overrides:
-            ``{shard_id: {clone kwargs}}`` -- per-shard config deltas
-            (section-sized thanks to the composable config split).
         """
         config = config or StackConfig.byz()
         if shards is None:
@@ -98,23 +95,16 @@ class ShardManager:
         obs = Group._make_obs(runtime.sim, runtime.network, config)
         keys = KeyManager()
         behaviors = behaviors or {}
-        overrides = overrides or {}
         groups = {}
         for shard in range(shards):
             node_ids = list(range(shard * nodes_per_shard,
                                   (shard + 1) * nodes_per_shard))
-            shard_config = config
-            if shard in overrides:
-                shard_config = config.clone(**overrides[shard])
             groups[shard] = Group.on_runtime(
-                runtime, node_ids, config=shard_config, keys=keys, obs=obs,
+                runtime, node_ids, config=config, keys=keys, obs=obs,
                 behaviors={n: b for n, b in behaviors.items()
                            if n in node_ids},
                 established=established, start=False, group_id=shard)
         manager = cls(runtime, groups, directory, config, keys, obs=obs)
-        chaos = config.chaos
-        if chaos is not None and chaos.plan:
-            manager.install_link_faults(chaos.plan, seed=chaos.seed)
         if start:
             manager.start()
         return manager
@@ -210,9 +200,8 @@ class ShardManager:
     # so installing faults never perturbs the shared simulator stream
     # ------------------------------------------------------------------
     def install_link_faults(self, specs, seed=None):
-        """Install per-link faults from ``[(kind, src, dst, prob), ...]``
-        (the :class:`~repro.core.config.ChaosConfig` plan form).  Node
-        ids are global, so a plan naming only one shard's nodes is
+        """Install per-link faults from ``[(kind, src, dst, prob), ...]``.
+        Node ids are global, so a plan naming only one shard's nodes is
         confined to that shard by construction."""
         import random
 

@@ -351,13 +351,6 @@ class ShardReplica(Replica):
             m.fence_log = dict(snapshot[11])
             m._fence_order = deque(snapshot[12])
             m.fenced = dict(snapshot[13])
-        elif (isinstance(snapshot, tuple) and len(snapshot) == 5
-                and snapshot[0] == "skv" and isinstance(m, ShardedKVStore)):
-            # pre-migration snapshot form, still accepted
-            m.data = dict(snapshot[1])
-            m.pending = dict(snapshot[2])
-            m.finished = dict(snapshot[3])
-            m.applied = snapshot[4]
         else:
             super()._install_snapshot(snapshot)
         self.applied.bump()

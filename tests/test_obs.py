@@ -237,16 +237,6 @@ def test_trace_cli(capsys):
     assert artifact["trace"]["events"]
 
 
-def test_stats_probes_are_obs_shims():
-    from repro.sim.stats import LatencyProbe
-    probe = LatencyProbe()
-    assert isinstance(probe, Histogram)
-    probe.begin("a", 1.0)
-    probe.end("a", 1.5)
-    probe.add(1.0)
-    assert probe.count == 2 and probe.p99 == 1.0
-
-
 def test_instruments_have_kinds():
     assert Counter().kind == "counter"
     assert Gauge().kind == "gauge"

@@ -38,7 +38,7 @@ def test_documented_surface_is_exported():
                  "MuteNode", "VerboseNode", "TwoFacedCaster",
                  "check_virtual_synchrony", "View", "ViewId",
                  "Cluster", "ShardManager", "ShardDirectory", "HashRing",
-                 "ShardedRSM", "WireConfig", "ShardConfig", "ChaosConfig"):
+                 "ShardedRSM", "ShardConfig"):
         assert name in repro.__all__, name
         assert hasattr(repro, name), name
 

@@ -9,22 +9,13 @@ Covers the repro.shard subsystem end to end on the simulator:
 * cross-shard transfer atomicity, including a destination-shard view
   change in the middle of a transfer (idempotent same-txid retry);
 * fixed-seed multi-shard runs are byte-identical across repeats;
-* the composable config sections and the Cluster facade / deprecation
-  locks that make all of the above the documented entry point.
+* the flat config surface and the Cluster facade that make all of the
+  above the documented entry point.
 """
-
-import warnings
 
 import pytest
 
-from repro import (
-    ChaosConfig,
-    Cluster,
-    Group,
-    ShardConfig,
-    StackConfig,
-    WireConfig,
-)
+from repro import Cluster, ShardConfig, StackConfig
 from repro.obs.metrics import Counter
 from repro.shard.directory import HashRing, ShardDirectory
 from repro.sim.network import NetworkConfig
@@ -91,39 +82,42 @@ def test_cluster_routing_matches_directory():
 
 
 # ----------------------------------------------------------------------
-# config sections
+# config: one flat surface
 # ----------------------------------------------------------------------
-def test_config_sections_compose():
-    config = StackConfig.byz(wire=WireConfig(mtu=900, packing=True),
-                             shard=ShardConfig(shards=16, nodes_per_shard=7),
-                             chaos=ChaosConfig(plan=[("drop", 1, 2, 1.0)]))
-    assert config.mtu == 900 and config.packing is True
-    assert config.shard.shards == 16
-    assert config.chaos.plan == [("drop", 1, 2, 1.0)]
+AGGREGATION_KNOBS = {"mtu": 900, "packing": True, "packing_delay": 0.002,
+                     "wire_coalesce": False, "wire_mtu": 4000,
+                     "wire_coalesce_delay": 0.001}
 
 
-def test_flat_kwargs_still_route_and_win_over_sections():
-    config = StackConfig.byz(mtu=700, wire=WireConfig(mtu=900))
-    assert config.mtu == 700
-    assert config.wire.mtu == 700
-
-
-def test_flat_setters_are_copy_on_write():
-    base = StackConfig.byz(wire=WireConfig(mtu=900))
-    fork = base.clone()
-    fork.mtu = 500
-    assert base.mtu == 900 and fork.mtu == 500
-    assert base.wire is not fork.wire
-
-
-def test_clone_flat_override_beats_passed_section():
+def test_aggregation_knobs_are_plain_fields():
     base = StackConfig.byz()
-    cloned = base.clone(wire=WireConfig(mtu=900), mtu=650)
-    assert cloned.mtu == 650
+    defaults = {name: getattr(base, name) for name in AGGREGATION_KNOBS}
+    for name, value in AGGREGATION_KNOBS.items():
+        assert value != defaults[name]
+        assert getattr(StackConfig.byz(**{name: value}), name) == value
+        assert getattr(base.clone(**{name: value}), name) == value
+        fork = base.clone()
+        setattr(fork, name, value)
+        assert getattr(fork, name) == value
+    # neither a clone's overrides nor writes to a clone reach its parent
+    assert {name: getattr(base, name) for name in AGGREGATION_KNOBS} \
+        == defaults
+    config = StackConfig.byz(shard=ShardConfig(shards=16, nodes_per_shard=7))
+    assert config.shard.shards == 16
+
+
+def test_clone_rejects_unknown_fields():
+    base = StackConfig.byz()
+    with pytest.raises(TypeError, match="packng, wire"):
+        base.clone(wire=None, packng=True, mtu=900)
+    assert not hasattr(base, "packng")
+    for removed in ("wire", "chaos"):
+        with pytest.raises(TypeError):
+            StackConfig(**{removed: None})
 
 
 # ----------------------------------------------------------------------
-# facade / deprecation
+# facade
 # ----------------------------------------------------------------------
 def test_single_shard_cluster_exposes_classic_group():
     cluster = make_cluster(1, 5)
@@ -142,21 +136,6 @@ def test_multi_shard_cluster_group_property_raises():
     with pytest.raises(ValueError):
         cluster.group
     cluster.stop()
-
-
-def test_direct_group_construction_is_deprecated():
-    cluster = make_cluster(1, 3, seed=3)
-    with pytest.warns(DeprecationWarning):
-        Group(cluster.sim, cluster.manager.network, {}, {}, cluster.config)
-    cluster.stop()
-
-
-def test_bootstrap_and_on_runtime_do_not_warn():
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", DeprecationWarning)
-        group = Group.bootstrap(4, config=StackConfig.byz(), seed=1)
-        group.run(0.05)
-        group.stop()
 
 
 # ----------------------------------------------------------------------

@@ -1,10 +1,8 @@
-"""Unit tests for the measurement probes."""
+"""Unit tests for the sample statistics in repro.obs.metrics."""
 
 import math
 
-from repro.sim.scheduler import Simulator
-from repro.sim.stats import (LatencyProbe, ThroughputProbe, mean, percentile,
-                             stddev)
+from repro.obs.metrics import mean, percentile, stddev
 
 
 def test_mean_and_empty_mean():
@@ -25,28 +23,3 @@ def test_stddev():
     assert abs(stddev([1.0, 3.0]) - math.sqrt(2.0)) < 1e-12
     assert stddev([1.0]) == 0.0
 
-
-def test_throughput_probe_windows():
-    sim = Simulator()
-    probe = ThroughputProbe(sim)
-    probe.record(5)  # before start: ignored
-    probe.start()
-    sim.schedule(1.0, lambda: probe.record(100))
-    sim.schedule(2.0, probe.stop)
-    sim.schedule(3.0, lambda: probe.record(999))  # after stop: ignored
-    sim.run()
-    assert probe.count == 100
-    assert probe.elapsed == 2.0
-    assert probe.rate == 50.0
-
-
-def test_latency_probe_begin_end():
-    probe = LatencyProbe()
-    probe.begin("a", 1.0)
-    probe.begin("b", 2.0)
-    probe.end("a", 1.5)
-    probe.end("b", 3.0)
-    probe.end("missing", 9.0)  # no matching begin: ignored
-    assert sorted(probe.samples) == [0.5, 1.0]
-    assert probe.mean == 0.75
-    assert probe.maximum == 1.0

@@ -160,37 +160,3 @@ def test_view_summary_counts_match():
     assert summary[vid]["deliveries"] == {0: 1, 1: 1, 2: 1}
     assert sorted(summary[vid]["installed_by"]) == [0, 1, 2]
     assert render_view_summary(group.execution())
-
-
-def test_explorer_benor_agreement_small():
-    """Exhaustive schedules for the randomized consensus, deterministic
-    coin: the protocol must agree under every delivery order."""
-    from repro.consensus.benor import BenOrConsensus
-    from repro.tools.explorer import ScheduleExplorer
-
-    proposals = {0: 1, 1: 0, 2: 1}
-
-    def factory(bus):
-        instances = {}
-        for i in range(3):
-            instances[i] = BenOrConsensus(
-                "b", list(range(3)), i, 0, proposals[i],
-                lambda payload, i=i: bus.broadcast(i, payload),
-                coin=lambda: 1)  # deterministic coin keeps the space finite
-
-        def kickoff():
-            for i in range(3):
-                instances[i].start()
-        return instances, kickoff
-
-    def check(instances):
-        decided = {i: inst.decision for i, inst in instances.items()
-                   if inst.decided}
-        if len(set(decided.values())) > 1:
-            return "benor agreement violated: %r" % (decided,)
-        return None
-
-    explorer = ScheduleExplorer(factory, check, max_states=40_000,
-                                max_inflight_choice=3)
-    assert explorer.run(), explorer.violations
-    assert explorer.states_explored > 50

@@ -287,7 +287,7 @@ def test_undecodable_rejects_feed_corruption_threshold():
 
 
 # ----------------------------------------------------------------------
-# 4. v2 batch container (the wire coalescer's frame format)
+# 4. batch container (the wire coalescer's frame format)
 # ----------------------------------------------------------------------
 subframe_lists = st.lists(
     st.tuples(st.sampled_from([FRAME_DATAGRAM, FRAME_GOSSIP]), values),
@@ -304,30 +304,29 @@ def test_batch_round_trip(src, subframes):
 @given(st.sampled_from([FRAME_DATAGRAM, FRAME_GOSSIP]),
        st.integers(0, 1 << 20), values)
 def test_decode_datagram_handles_plain_frames(frame_type, src, payload):
-    # non-batch datagrams take the v1-compatible single-frame path
+    # non-batch datagrams take the single-frame path
     frames, errors = decode_datagram(encode_frame(frame_type, src, payload))
     assert errors == []
     assert frames == [(frame_type, src, payload)]
 
 
-@given(values)
-def test_v1_frames_still_decode(payload):
-    # v1's single-frame layout is unchanged -- only the version byte moved
-    frame = bytearray(encode_frame(FRAME_DATAGRAM, 9, payload))
-    assert frame[2] == WIRE_VERSION
-    frame[2] = 1
-    assert decode_frame(bytes(frame)) == (FRAME_DATAGRAM, 9, payload)
-    frames, errors = decode_datagram(bytes(frame))
-    assert errors == []
-    assert frames == [(FRAME_DATAGRAM, 9, payload)]
-
-
-def test_batches_require_v2():
-    batch = bytearray(encode_batch(4, [(FRAME_DATAGRAM, ("a",))]))
-    batch[2] = 1
-    frames, errors = decode_datagram(bytes(batch))
-    assert frames == []
-    assert len(errors) == 1
+@pytest.mark.parametrize("version", [1, 2, WIRE_VERSION + 1])
+def test_other_wire_versions_are_refused(version):
+    # one wire version: a frame or batch claiming any other yields exactly
+    # one WireError and no frame -- a sender cannot choose the struct
+    # layout (and shed the signed ``group`` field) by its version byte
+    msg = Message("cast", 9, ViewId(1, 9), ("p",), group=2)
+    frame = bytearray(encode_frame(FRAME_DATAGRAM, 9, msg))
+    batch = bytearray(encode_batch(9, [(FRAME_DATAGRAM, msg),
+                                       (FRAME_GOSSIP, ("a",))]))
+    assert frame[2] == batch[2] == WIRE_VERSION
+    frame[2] = batch[2] = version
+    with pytest.raises(WireError, match="unsupported wire version"):
+        decode_frame(bytes(frame))
+    for blob in (frame, batch):
+        frames, errors = decode_datagram(bytes(blob))
+        assert frames == []
+        assert len(errors) == 1 and isinstance(errors[0], WireError)
 
 
 @given(st.binary(max_size=300))
