@@ -136,7 +136,6 @@ class ChaosEngine:
         self.restarted = set()   # ever crash-restarted (see check())
         self._degraded = set()   # nodes with a non-1.0 NIC factor
         self._skewed = set()     # nodes with a non-1.0 clock drift
-        self._attached = group is not None
         #: hard cap on total simulator events for this engine's lifetime;
         #: exhausting it mid-run sets ``stalled`` instead of raising, which
         #: is how the tournament scores livelocks (a protocol that spins
