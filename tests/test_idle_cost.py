@@ -10,6 +10,8 @@ shard client re-reads replica state only after a replica of the target
 shard applied something, and still wakes on fences and timeouts.
 """
 
+import random
+
 import pytest
 
 from tests.helpers import TickCounter, cast_ids, make_group
@@ -131,9 +133,10 @@ def inject_cast(group, node, at, counter):
     group.sim.schedule_at(at, layer.handle_up, msg)
 
 
-@pytest.mark.parametrize("fast", [False, True])
-@pytest.mark.parametrize("offset", [-0.0007, 0.0, 0.0004])
-def test_mid_period_cast_is_served_on_the_always_armed_grid(fast, offset):
+def long_dormant_group(fast, member=2):
+    """n=4 beside a reference chain with the ticks' origin, idle for 50 ms.
+    Returns the group, the chain's instants, the tick counter and the
+    times at which ``member`` opened an ordering instance."""
     group = Group.bootstrap(
         4, config=StackConfig.byz(total_order=True, ordering_fast_path=fast),
         seed=9, start=False)
@@ -144,11 +147,20 @@ def test_mid_period_cast_is_served_on_the_always_armed_grid(fast, offset):
         process.start()
     counter = sim.observer = TickCounter()
     opened = []
-    layer = group.processes[2].ordering
+    layer = group.processes[member].ordering
     open_instance = layer._open_instance
     layer._open_instance = lambda: (opened.append(sim.now), open_instance())
     group.run(0.0501)                           # long dormant
-    assert len(counter.fired.get(2, [])) <= 1
+    assert len(counter.fired.get(member, [])) <= 1
+    return group, reference, counter, opened
+
+
+@pytest.mark.parametrize("fast", [False, True])
+@pytest.mark.parametrize("offset", [-0.0007, 0.0, 0.0004])
+def test_mid_period_cast_is_served_on_the_always_armed_grid(fast, offset):
+    group, reference, counter, opened = long_dormant_group(fast)
+    sim = group.sim
+    tick = group.processes[0].config.order_tick
     arrival = grid_instant_after(0.0, tick, 0.061) + offset
     if offset == 0.0:
         # scheduled from inside the period, so the chain's own timer for
@@ -167,6 +179,100 @@ def test_mid_period_cast_is_served_on_the_always_armed_grid(fast, offset):
     else:
         # fast: the arrival itself may open it; the tick only mops up
         assert opened[0] == arrival
+
+
+def test_cast_behind_an_armed_tick_waits_for_the_grid():
+    """Batching kept: a cast buffered in a period another cast already
+    armed opens nothing of its own -- the grid instant does."""
+    group, reference, _counter, opened = long_dormant_group(fast=False)
+    tick = group.processes[0].config.order_tick
+    first = grid_instant_after(0.0, tick, 0.061) + 0.0002
+    second = first + 0.0011
+    for node in group.processes:
+        inject_cast(group, node, first, 1)
+        inject_cast(group, node, second, 2)
+    group.run(0.05)
+    expected = first_after(reference, second)
+    assert first_after(reference, first) == expected    # one period
+    assert [t for t in opened if t >= second] == [expected]
+    assert all(cast_ids(group.endpoints[n]) == [(0, 1001), (0, 1002)]
+               for n in group.processes)
+
+
+def instance_rounds(group):
+    """``{node: [rounds the instance ran, ...]}``, filled as the members'
+    ordering instances decide."""
+    rounds = {}
+    for node, process in group.processes.items():
+        layer = process.ordering
+
+        def on_decided(k, vector, node=node, layer=layer,
+                       decided=layer._on_decided):
+            rounds.setdefault(node, []).append(
+                layer._instances[k].rounds_executed)
+            decided(k, vector)
+        layer._on_decided = on_decided
+    return rounds
+
+
+#: (n, config, cast -> last delivery in ms when only the tick opened
+#: instances: the tick wait plus one consensus round)
+IDLE_CAST_TICK_PACED_MS = [(5, {}, 2.08), (8, {"crypto": "sym"}, 2.33),
+                           (16, {"crypto": "sym"}, 2.76)]
+
+
+@pytest.mark.xfail(strict=True, reason="a classic instance is opened by the "
+                   "tick or a decide event, never by the cast that needs it")
+@pytest.mark.parametrize("n,config_kw,tick_paced_ms", IDLE_CAST_TICK_PACED_MS)
+def test_idle_group_orders_a_cast_at_arrival(n, config_kw, tick_paced_ms):
+    """One cast on a group idle for 50 ms, issued 0.1 ms after a grid
+    instant (so nearly a whole period from the next): every member opens
+    the instance when the cast reaches it, and the staggered opens still
+    propose the same batch -- one round everywhere."""
+    group = Group.bootstrap(
+        n, config=StackConfig.byz(total_order=True, **config_kw), seed=3)
+    sim = group.sim
+    rounds = instance_rounds(group)
+    group.run(0.05)
+    issued = grid_instant_after(
+        0.0, group.processes[0].config.order_tick, sim.now) + 0.0001
+    delivered = {}
+    for node, endpoint in group.endpoints.items():
+        endpoint.on_cast = (
+            lambda event, node=node: delivered.setdefault(node, sim.now))
+    sim.schedule_at(issued, group.endpoints[0].cast, "solo")
+    group.run(0.03)
+    assert sorted(delivered) == sorted(group.processes)
+    assert (max(delivered.values()) - issued) * 1e3 < tick_paced_ms / 2
+    assert rounds == {node: [1] for node in group.processes}
+
+
+def test_open_loop_load_still_batches_on_the_tick():
+    """The ``order_classic_n8`` load shape: four of eight members cast
+    every 3.3 ms, off the 2 ms tick, for 0.8 s.  An instance finishes
+    before the next cast arrives, so the only batching there is the wait
+    for the tick -- 639 instances for the 969 casts when nothing but the
+    tick opens one, 969 if every cast that finds the engine idle did."""
+    seed = 7000
+    rng = random.Random(seed)
+    group = Group.bootstrap(
+        8, config=StackConfig.byz(crypto="sym", total_order=True), seed=seed)
+    sim = group.sim
+    for endpoint in group.endpoints.values():
+        endpoint.record_events = False
+    issued = []
+
+    def cast(node, due, k):
+        if due < 0.8:
+            issued.append(group.endpoints[node].cast((node, k)))
+            sim.schedule_at(due + 0.0033, cast, node, due + 0.0033, k + 1)
+    for node in range(4):
+        phase = 0.0011 * (node + 1) + rng.uniform(0.0, 50e-6)
+        sim.schedule_at(phase, cast, node, phase, 0)
+    group.run(1.0)
+    layer = group.processes[7].ordering
+    assert len(issued) == layer.messages_ordered == 969
+    assert layer.batches_decided <= 1.1 * 639
 
 
 @pytest.mark.parametrize("fast", [False, True])
