@@ -33,6 +33,18 @@ ring points -0.3 to -3.7 %) and the simulated latencies moved with them
 commit**; ``BENCH_latency.json`` was re-recorded there, and a baseline
 from one side must not gate a tree from the other.
 
+Cast-opened ordering (CHANGES PR 20) moves only the three classic
+``SymCrypto+Total`` rows, and only a little, because every member of this
+load is busy and a busy member's cast still waits for the tick: events
++2.1 / -0.3 / +0.1 % at n=8/16/32, simulated p50 1.365 / 2.098 / 4.569 ->
+1.339 / 2.049 / 4.477 ms (p99 at n=32 7.96 -> 8.59).  The ``+Fast`` rows and
+every fig6 row, ``ByzEns+NoCrypto+Total`` at 2.000 ms included, kept their
+simulated results and event counts exactly.  Calibration-normalized
+events/s on the three rows read 0.97 / 1.01 / 1.00 x the parent's back to
+back, so **events/s stays comparable across that commit**: their
+``events_per_s`` baseline was kept, ``wall_s`` restated as events over it,
+and only the simulated fields and ``events`` re-recorded.
+
 Usage::
 
     python benchmarks/bench_latency.py [--quick] [--out PATH]
@@ -43,7 +55,7 @@ Usage::
 fast-path-off by at least RATIO at every measured n >= 16 (CI uses 1.0 on
 the quick grid: since the classic engine announces ``dec`` on demand the
 margin at n=16 is thin -- 1.07x then, 1.04x since the quiescent control
-plane -- and at n=32 classic is ahead).
+plane, 1.01x since cast-opened ordering -- and at n=32 classic is ahead).
 """
 
 from __future__ import annotations

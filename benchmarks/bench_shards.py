@@ -53,6 +53,21 @@ sends); their simulated msgs/s rose 0.4-1.4 % (the single-group baselines
 re-recorded at that commit; the same rule applies -- a baseline from one
 side must not gate ``clients`` or ``migration`` on a tree from the other.
 
+**Nor across cast-opened ordering** (CHANGES PR 20: a cast that finds its
+member's ordering tick dormant opens the instance itself).  Only the
+``migration`` point runs a total-order stack, and its migrating phase is
+time-bounded -- it issues as many ops as fit -- so with most ops done in
+0.3 ms instead of a 2 ms tick it issues 600 instead of 223 while the
+migration itself finishes in 0.54 s instead of 0.75: 90 151 -> 97 633
+events, none of them idle timers any more, events / wall 109k -> 70k back
+to back (wall 0.83 -> 1.39 s for 696 ops instead of 319).  That point alone
+was re-recorded, anchored to the committed one by the back-to-back ratio of
+calibration-normalized events/s (x0.687; the sha256 calibration loop
+wanders 0.026-0.044 s on the recording box, so a ratio measured minutes
+apart is firmer than a fresh absolute); the same rule applies to it.  The
+``saturation`` and ``clients`` points kept their exact event counts and
+their committed rows.
+
 Usage::
 
     python benchmarks/bench_shards.py [--quick] [--out BENCH_shards.json]

@@ -72,6 +72,9 @@ class Replica:
         self.endpoint = endpoint
         self.machine = machine or KVStore()
         self.log = []
+        # the replica's record is ``log``; a second CastDeliver per
+        # delivery in ``endpoint.events`` would only grow with the run
+        endpoint.record_events = False
         endpoint.on_cast = self._on_cast
         # joiners receive the group's state through the Byzantine-safe
         # state-transfer layer (f+1 matching digests vouch the snapshot)

@@ -34,13 +34,18 @@ decided batches held and applied strictly in instance order.  The classic
 path is window 1 with no fast round.  The optimistic fast path
 (``ordering_fast_path``) differs at three policy points only: instances run
 the 2-step echo protocol of ``repro.consensus.fastpath`` in front of the
-same consensus; the window is ``FAST_PIPELINE_WINDOW``; and -- the part
-that actually buys latency -- a cast arrival may open an instance, so a
-cast arriving while instance ``k`` is in flight rides instance ``k+1``
-immediately instead of waiting for ``k`` to finish plus an ordering tick.
-Overlap between concurrent proposals is safe because delivery dedups by
-message id, and in-order application makes the dedup resolve identically at
-every correct member.
+same consensus; the window is ``FAST_PIPELINE_WINDOW``; and any cast
+arrival may open an instance, so a cast arriving while instance ``k`` is in
+flight rides instance ``k+1`` immediately instead of waiting for ``k`` to
+finish plus an ordering tick.  Overlap between concurrent proposals is safe
+because delivery dedups by message id, and in-order application makes the
+dedup resolve identically at every correct member.
+
+Who opens a classic instance: the cast itself when it finds this member's
+ordering tick dormant (the member was idle for a whole tick -- nothing to
+batch with), otherwise the tick or the decide event of the instance in
+flight.  ``order_tick`` is thus the batching period of a busy member, not
+a poll (DESIGN section 4, the ordering tick contract).
 """
 
 from __future__ import annotations
@@ -72,6 +77,60 @@ def batch_sort_key(msg_id):
     return (repr(origin), counter)
 
 
+class _DeliveredIds:
+    """The ids delivered in this view: a set that costs nothing per cast.
+
+    Casts of one origin are delivered in counter order, so per origin one
+    contiguous run ``[first, last]`` of counters holds them all (counters
+    run on across views, so a run starts wherever its origin's first
+    delivery of the view is -- a forged first id costs that origin the
+    compression, nothing else).  Whatever does not extend a run -- out of
+    order, or not shaped like a cast id at all: ids are Byzantine input --
+    is kept in ``overflow`` as a plain set would keep it, and leaves it
+    again when its run catches up.  Membership is exactly that of ``set``,
+    ``(o, True) == (o, 1.0) == (o, 1)`` included.
+    """
+
+    __slots__ = ("_runs", "overflow")
+
+    def __init__(self):
+        self._runs = {}         # origin -> [first, last] counter delivered
+        self.overflow = set()   # delivered ids outside their origin's run
+
+    def __contains__(self, msg_id):
+        if msg_id in self.overflow:
+            return True
+        if not isinstance(msg_id, tuple) or len(msg_id) != 2:
+            return False
+        run = self._runs.get(msg_id[0])
+        counter = msg_id[1]
+        return (run is not None and isinstance(counter, (int, float))
+                and run[0] <= counter <= run[1] and counter == int(counter))
+
+    def add(self, msg_id):
+        if (isinstance(msg_id, tuple) and len(msg_id) == 2
+                and type(msg_id[1]) is int and msg_id[1] > 0):
+            origin, counter = msg_id
+            run = self._runs.get(origin)
+            if run is None:
+                self._runs[origin] = [counter, counter]
+                return
+            if counter == run[1] + 1:
+                run[1] = counter
+                overflow = self.overflow
+                while overflow and (origin, run[1] + 1) in overflow:
+                    run[1] += 1
+                    overflow.discard((origin, run[1]))
+                return
+            if run[0] <= counter <= run[1]:
+                return
+        self.overflow.add(msg_id)
+
+    def clear(self):
+        self._runs.clear()
+        self.overflow.clear()
+
+
 class OrderingLayer(Layer):
     """Atomic (totally ordered) delivery of application casts."""
 
@@ -80,7 +139,7 @@ class OrderingLayer(Layer):
     def __init__(self):
         super().__init__()
         self._buffer = {}        # msg_id -> Message (received, unordered)
-        self._delivered = set()  # msg_ids already delivered
+        self._delivered = _DeliveredIds()   # ids delivered in this view
         self._instances = {}     # k -> AgreementInstance (in flight)
         self._instance_k = 0     # number of the last instance opened
         self._pending = {}       # k -> [(sender, proto)] early messages
@@ -197,9 +256,17 @@ class OrderingLayer(Layer):
             if msg.msg_id is None or msg.msg_id in self._delivered:
                 return
             self._buffer[msg.msg_id] = msg
+            # a dormant tick says this member had nothing buffered,
+            # stashed or in flight at its last grid instant: there is no
+            # load to batch with, so the cast opens its instance now.  A
+            # busy member's cast waits for the tick (or the next decide),
+            # which is all the batching classic ordering has
+            idle = self._ticker.dormant
             self._ticker.arm()
             if self.config.ordering_fast_path:
                 self._on_cast_buffered(msg.msg_id)
+            elif idle:
+                self._maybe_start()
             return
         if msg.kind == mk.KIND_ORDER:
             self._on_order_msg(msg)
@@ -264,12 +331,13 @@ class OrderingLayer(Layer):
     # instance lifecycle
     # ------------------------------------------------------------------
     def _tick(self):
-        # classic: the tick opens an instance when idle.  Fast: bootstrap
-        # only -- cast arrivals and decide events drive the pipeline, the
-        # tick mops up anything those paths missed.  Dormant iff nothing
-        # is buffered, stashed or in flight (then it could start nothing);
-        # a cast or stashed ``ord`` re-arms it on the same grid, so an
-        # idle member costs no events and a busy one keeps its instants
+        # classic: the tick opens an instance for what a busy member
+        # buffered since the last one.  Fast: bootstrap only -- cast
+        # arrivals and decide events drive the pipeline, the tick mops up
+        # anything those paths missed.  Dormant iff nothing is buffered,
+        # stashed or in flight (then it could start nothing); a cast or
+        # stashed ``ord`` re-arms it on the same grid, so an idle member
+        # costs no events and a busy one keeps its instants
         self._maybe_start()
         self._ticker.fired(self._buffer or self._pending or self._instances)
 
@@ -618,11 +686,9 @@ class OrderingLayer(Layer):
     # bounded-state introspection (soak / tournament checker)
     # ------------------------------------------------------------------
     def state_sizes(self):
-        # _delivered is deliberately absent: it grows monotonically within
-        # a view by design (dedup over the view's lifetime) and resets at
-        # every install, so it would only false-positive the growth check
         return {
             "buffer": len(self._buffer),
+            "delivered_overflow": len(self._delivered.overflow),
             "pending": sum(len(v) for v in self._pending.values()),
             "decision_archive": len(self._decisions),
             "decided_backlog": len(self._decided_out),

@@ -63,11 +63,18 @@ class GridTimer:
         self.period = period
         self.callback = callback
         self.deadline = None    # last grid instant used; None = not running
-        self.timer = None       # None while dormant
+        self.timer = None       # None while not armed
 
     def start(self):
         """Fix the grid origin at ``now``; the timer stays dormant."""
         self.deadline = self.clock.now
+
+    @property
+    def dormant(self):
+        """Started and not armed: the owner had nothing to do at its last
+        grid instant.  A stopped (or never started) timer also has
+        ``timer is None`` but is not dormant -- it is never coming back."""
+        return self.deadline is not None and self.timer is None
 
     def arm(self):
         """Wake at the first grid instant strictly after ``now`` (a timer

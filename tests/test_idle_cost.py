@@ -6,8 +6,10 @@ replaced them.  The ordering tick is *dormant iff nothing is buffered,
 stashed or in flight* and *grid-preserving*: re-armed, it fires at the
 float instant the always-armed chain would have fired at (``==``, checked
 against a real always-armed reference chain on the same simulator).  A
-shard client re-reads replica state only after a replica of the target
-shard applied something, and still wakes on fences and timeouts.
+cast that finds the tick dormant opens its instance at arrival; one that
+finds it armed waits for the grid, which is all the batching an open-loop
+load gets.  A shard client re-reads replica state only after a replica of
+the target shard applied something, and still wakes on fences and timeouts.
 """
 
 import random
@@ -57,19 +59,21 @@ def test_grid_timer_sleeps_and_wakes_on_the_always_armed_grid():
     fired = []
     timer = GridTimer(sim, 0.002, lambda: (fired.append(sim.now),
                                            timer.fired(False)))
-    timer.arm()                             # not started: stays dormant
-    assert timer.timer is None
+    timer.arm()                             # not started: stays unarmed
+    assert timer.timer is None and not timer.dormant
     timer.start()
     for wake_at in (0.0141, 0.0203, 0.0550001, 0.3):
         sim.run(until=wake_at)
+        assert timer.dormant                # started, asleep
         timer.arm()
         timer.arm()                         # idempotent while armed
+        assert not timer.dormant
     sim.run(until=0.4)
     assert fired == [first_after(reference, t)
                      for t in (0.0141, 0.0203, 0.0550001, 0.3)]
     timer.stop()
     timer.arm()                             # a dead node's timer stays dead
-    assert timer.timer is None
+    assert timer.timer is None and not timer.dormant    # dead, not asleep
 
 
 def test_grid_timer_arming_on_a_grid_instant_takes_the_next_one():
@@ -173,12 +177,9 @@ def test_mid_period_cast_is_served_on_the_always_armed_grid(fast, offset):
     expected = first_after(reference, arrival)
     ticks = [t for t in counter.fired[2] if t > 0.0501]
     assert ticks[0] == expected                 # == on floats, no tolerance
-    if not fast:
-        # classic: the tick is what opens the instance
-        assert opened[0] == expected
-    else:
-        # fast: the arrival itself may open it; the tick only mops up
-        assert opened[0] == arrival
+    # after a long dormancy the arrival itself opens the instance, in both
+    # modes; the tick it armed only mops up
+    assert opened[0] == arrival
 
 
 def test_cast_behind_an_armed_tick_waits_for_the_grid():
@@ -221,8 +222,6 @@ IDLE_CAST_TICK_PACED_MS = [(5, {}, 2.08), (8, {"crypto": "sym"}, 2.33),
                            (16, {"crypto": "sym"}, 2.76)]
 
 
-@pytest.mark.xfail(strict=True, reason="a classic instance is opened by the "
-                   "tick or a decide event, never by the cast that needs it")
 @pytest.mark.parametrize("n,config_kw,tick_paced_ms", IDLE_CAST_TICK_PACED_MS)
 def test_idle_group_orders_a_cast_at_arrival(n, config_kw, tick_paced_ms):
     """One cast on a group idle for 50 ms, issued 0.1 ms after a grid

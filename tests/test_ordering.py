@@ -1,5 +1,7 @@
 """Tests for total ordering via repeated Byzantine consensus (section 3.5)."""
 
+import random
+
 import pytest
 
 from tests.helpers import (MALFORMED_CONSENSUS_PAYLOADS, cast_ids,
@@ -9,6 +11,7 @@ from repro import Group, StackConfig, check_virtual_synchrony
 from repro.core import message as mk
 from repro.core.message import Message
 from repro.core.properties import check_total_order
+from repro.layers.ordering import _DeliveredIds
 from repro.sim.network import NetworkConfig
 
 
@@ -144,4 +147,85 @@ def test_malformed_ordering_payload_flagged_not_raised(fast):
     group.run(0.5)
     assert all(cast_payloads(group.endpoints[n]) == ["after"]
                for n in range(8))
+    group.stop()
+
+
+#: ids no correct member casts; hashable, so a plain set kept them too
+MALFORMED_IDS = (7, "id", (), (3,), (3, 4, 1), (3, "4"), (3, None),
+                 (3, 0), (3, -2), (3, True), (3, 2.0), (3, 2.5),
+                 (3, float("nan")), (3, 10 ** 9), ((1, 2), 3))
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_delivered_ids_is_a_set_of_whatever_it_is_given(seed):
+    """Per-origin runs plus an overflow set: same membership as the plain
+    set it replaced, whatever arrives in whatever order, and honest
+    traffic leaves the overflow empty."""
+    rng = random.Random(seed)
+    delivered, reference = _DeliveredIds(), set()
+    next_counter = {origin: rng.randrange(1, 50) for origin in range(4)}
+    held_back, added = [], []
+    probes = list(MALFORMED_IDS)            # asked about, some never added
+
+    def add(msg_id):
+        delivered.add(msg_id)
+        reference.add(msg_id)
+        added.append(msg_id)
+
+    for origin in range(4):                 # each run starts honestly
+        add((origin, next_counter[origin]))
+        next_counter[origin] += 1
+    for step in range(600):
+        roll = rng.random()
+        origin = rng.randrange(4)
+        if roll < 0.6:                      # in order
+            add((origin, next_counter[origin]))
+            next_counter[origin] += 1
+        elif roll < 0.7:                    # a gap, filled later
+            held_back.append((origin, next_counter[origin]))
+            next_counter[origin] += 1
+        elif roll < 0.8 and held_back:      # out of order
+            add(held_back.pop(rng.randrange(len(held_back))))
+        elif roll < 0.9:                    # duplicate
+            add(rng.choice(added))
+        else:
+            add(rng.choice(MALFORMED_IDS))
+        if step % 20 == 0:
+            probes.append((origin, next_counter[origin] + rng.randrange(3)))
+            assert all((p in delivered) == (p in reference)
+                       for p in probes + added)
+    while held_back:
+        add(held_back.pop())
+    assert all((p in delivered) == (p in reference) for p in probes + added)
+    # every gap was filled, so only the ids that never fit a run are left
+    assert delivered.overflow <= set(MALFORMED_IDS)
+    delivered.clear()
+    assert not any(p in delivered for p in probes + added)
+
+
+def test_forged_first_id_costs_its_origin_only_the_compression():
+    # a run starts at the first id delivered for its origin in the view; a
+    # Byzantine batch entry that gets there first pins it far away, and
+    # the origin's real ids are then kept one by one, as the set kept them
+    delivered = _DeliveredIds()
+    delivered.add((3, 10 ** 9))
+    for counter in range(1, 6):
+        delivered.add((3, counter))
+    assert all((3, counter) in delivered for counter in range(1, 6))
+    assert (3, 6) not in delivered and (3, 10 ** 9) in delivered
+    assert len(delivered.overflow) == 5
+
+
+def test_honest_delivery_leaves_no_per_cast_dedup_state():
+    group = make_group(5, seed=6, total_order=True)
+    for k in range(40):
+        group.endpoints[k % 3].cast(("op", k))
+    group.run(0.5)
+    for process in group.processes.values():
+        layer = process.ordering
+        assert layer.messages_ordered == 40
+        assert layer.state_sizes()["delivered_overflow"] == 0
+        assert all((origin, k) in layer._delivered
+                   for origin in range(3) for k in range(1, 14))
+        assert (0, 15) not in layer._delivered
     group.stop()
