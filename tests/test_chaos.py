@@ -2,7 +2,9 @@
 
 import random
 
-from tests.helpers import make_group
+import pytest
+
+from tests.helpers import cast_payloads, make_group
 
 from repro.chaos import (ChaosEngine, FaultPlan, LinkFaults, random_plan,
                          run_plan, shrink_plan)
@@ -130,6 +132,27 @@ def test_ops_are_tolerant_of_invalid_targets():
     ])
     violations, _engine = run_plan(plan)
     assert violations == []
+
+
+@pytest.mark.xfail(strict=True, reason="ISSUE 22: the cast-id definition "
+                   "lands in the next commit")
+@pytest.mark.parametrize("preset", ["byz-total", "byz-fast"])
+def test_restarted_member_casts_under_total_order(preset):
+    """A plan the generator almost never draws: 7 of 3000
+    ``random_plan(ops=8)`` plans let a restarted node cast, which is how
+    the restarted member's id shape stayed broken under total order."""
+    from repro.__main__ import CHAOS_PRESETS
+    victim = 3
+    plan = FaultPlan(seed=9, n=7, config=CHAOS_PRESETS[preset]["config"],
+                     ops=[["crash", victim], ["run", 1.5],
+                          ["restart", victim], ["run", 3.0],
+                          ["cast", victim, 3], ["run", 0.5]])
+    violations, engine = run_plan(plan, settle=2.0)
+    assert violations == []
+    assert engine.group.processes[victim].incarnation == 1
+    for endpoint in engine.group.endpoints.values():
+        assert cast_payloads(endpoint) == [(victim, "fz", k)
+                                           for k in range(3)]
 
 
 def test_crash_and_restart_through_plan():
