@@ -376,22 +376,13 @@ class FastPathConsensus(AgreementInstance):
         if self._vc is not None:
             self._vc.dec_adoption_quorum = value
 
-    def covered_ids(self):
-        """Message ids this instance will order if it stays on track.
-
-        Used by a pipelining host to propose only *uncovered* casts to the
-        next concurrent instance.  Best-effort: the fallback may decide
-        something else entirely, but overlap is safe (the host dedups at
-        delivery), so coverage only needs to be a good guess.
-        """
-        vector = self._prop if self._prop is not None else self.proposal
-        ids = set()
-        batch = vector[0] if vector else ()
-        if isinstance(batch, tuple):
-            for entry in batch:
-                if isinstance(entry, tuple) and len(entry) == 3:
-                    ids.add(entry[0])
-        return ids
+    @property
+    def tracked(self):
+        """The vector this instance decides if it stays on track.  A
+        pipelining host leaves what it covers out of the next concurrent
+        proposal: a guess (the fallback may decide anything), and a safe
+        one (the host dedups at delivery)."""
+        return self._prop if self._prop is not None else self.proposal
 
     def state_size(self):
         """Retained-entry count, for the bounded-state checker."""

@@ -18,7 +18,8 @@ authenticators actually MAC -- is computed once and memoized.  Every write
 that can change the authenticated content (``push_header``/``pop_header``
 and ``payload`` assignment, which is why ``payload`` is a property) drops
 the cache, so a Byzantine mutation after signing is still caught on
-verification.  Per-destination fan-out (``clone_for``) is copy-on-write:
+verification (``kind``, ``origin``, ``view_id`` and ``msg_id`` are fixed at
+construction).  Per-destination fan-out (``clone_for``) is copy-on-write:
 the clone shares the header map and the digest cache until either side
 mutates, so an n-1-receiver broadcast no longer copies n-1 header dicts.
 """
@@ -51,6 +52,28 @@ KIND_MANNOUNCE = "mannounce"
 KIND_FRAG = "frag"
 
 _sha256 = hashlib.sha256
+_ANY_ORIGIN = object()
+
+
+def is_cast_id(msg_id, origin=_ANY_ORIGIN):
+    """Is ``msg_id`` a cast id -- one that ``origin`` minted, if given?
+
+    The one definition (DESIGN section 6): the pair ``(origin, counter)``
+    with ``type(counter) is int`` and ``counter > 0``, minted by the top
+    layer as ``(me, (incarnation << 32) + k)``, signed with its message,
+    admitted by the reliable layer on its origin's streams only.  Bound,
+    stated and not enforced: ``k < 2**32`` casts per incarnation and
+    ``incarnation < 2**31`` (the wire's 64-bit integer).
+    """
+    return (isinstance(msg_id, tuple) and len(msg_id) == 2
+            and type(msg_id[1]) is int and msg_id[1] > 0
+            and (origin is _ANY_ORIGIN or msg_id[0] == origin))
+
+
+def batch_sort_key(msg_id):
+    """Total order on cast ids that keeps per-origin FIFO: by origin,
+    then numeric counter (its repr would put 10 before 2)."""
+    return (repr(msg_id[0]), msg_id[1])
 
 
 class Message:
@@ -132,12 +155,15 @@ class Message:
         """The byte-stable content covered by the bottom layer's signature.
 
         Covers everything a Byzantine retransmitter could try to alter:
-        kind, origin, view id, headers, and the payload itself.
+        kind, origin, view id, headers, the payload itself, and the cast
+        id when there is one.
         """
         vid = self.view_id.to_wire() if self.view_id is not None else None
         content = (self.kind, repr(self.origin), vid,
                    tuple(sorted((k, repr(v)) for k, v in self.headers.items())),
                    repr(self._payload))
+        if self.msg_id is not None:
+            content += (("mid", repr(self.msg_id)),)
         if self.group is None:
             # single-group stacks keep the historical byte encoding, so
             # every seed-pinned history is unchanged by the shard plane

@@ -51,7 +51,7 @@ a poll (DESIGN section 4, the ordering tick contract).
 from __future__ import annotations
 
 from repro.core import message as mk
-from repro.core.message import Message
+from repro.core.message import Message, batch_sort_key, is_cast_id
 from repro.consensus.fastpath import FastPathConsensus, fast_coordinator
 from repro.consensus.vector import VectorConsensus
 from repro.layers.base import Layer
@@ -69,12 +69,17 @@ MAX_INSTANCE_SKEW = 64
 FAST_PIPELINE_WINDOW = 2
 
 
-def batch_sort_key(msg_id):
-    """Deterministic order that preserves per-origin FIFO: group by
-    origin, then numeric send counter (repr of the counter would put 10
-    before 2)."""
-    origin, counter = msg_id
-    return (repr(origin), counter)
+def batch_entries(batch):
+    """The well-formed ``(msg_id, payload, size)`` entries of a batch, in
+    batch order.  A batch is Byzantine input (a proposal, or a decided slot
+    that may be the consensus bottom): the rest is left out, and a caller
+    that must refuse such a batch compares lengths."""
+    if not isinstance(batch, tuple):
+        return []
+    return [entry for entry in batch
+            if isinstance(entry, tuple) and len(entry) == 3
+            and is_cast_id(entry[0])
+            and type(entry[2]) is int and entry[2] >= 0]
 
 
 class _DeliveredIds:
@@ -108,8 +113,7 @@ class _DeliveredIds:
                 and run[0] <= counter <= run[1] and counter == int(counter))
 
     def add(self, msg_id):
-        if (isinstance(msg_id, tuple) and len(msg_id) == 2
-                and type(msg_id[1]) is int and msg_id[1] > 0):
+        if is_cast_id(msg_id):
             origin, counter = msg_id
             run = self._runs.get(origin)
             if run is None:
@@ -395,16 +399,10 @@ class OrderingLayer(Layer):
 
     def _covered_ids(self):
         """Message ids already owned by an in-flight or unapplied batch."""
-        covered = set()
-        for inst in self._instances.values():
-            covered.update(inst.covered_ids())
-        for vector, _mode in self._decided_out.values():
-            batch = vector[0] if isinstance(vector, tuple) and vector else ()
-            if isinstance(batch, tuple):
-                for entry in batch:
-                    if isinstance(entry, tuple) and len(entry) == 3:
-                        covered.add(entry[0])
-        return covered
+        vectors = [inst.tracked for inst in self._instances.values()]
+        vectors += [vector for vector, _mode in self._decided_out.values()]
+        return {entry[0] for vector in vectors
+                for entry in batch_entries(vector[0])}
 
     def _proposal(self):
         """The buffered casts, minus those an in-flight instance will
@@ -475,14 +473,9 @@ class OrderingLayer(Layer):
         """Accounting size of one ordering protocol message: what it
         actually carries.  fecho is a fixed digest, everything else ships
         a proposal vector as its last slot."""
-        kind = proto[0] if isinstance(proto, tuple) and proto else None
-        if kind == "fecho":
+        if proto[0] == "fecho":
             return 80
-        try:
-            batch = proto[-1][0]
-            return 16 + sum(e[2] + 10 for e in batch)
-        except (TypeError, IndexError):
-            return 16
+        return 16 + sum(e[2] + 10 for e in batch_entries(proto[-1][0]))
 
     def _validate_proposal(self, vector):
         """Echo gate: is the coordinator's proposed batch one we can sign?
@@ -492,17 +485,13 @@ class OrderingLayer(Layer):
         host re-validates as casts arrive and the deadline bounds the wait.
         """
         batch = vector[0]
-        if (not isinstance(batch, tuple)
+        entries = batch_entries(batch)
+        if (not isinstance(batch, tuple) or len(entries) != len(batch)
                 or len(batch) > self.config.order_batch_max):
             return False
         missing = False
         prev_key = None
-        for entry in batch:
-            if (not isinstance(entry, tuple) or len(entry) != 3
-                    or not isinstance(entry[0], tuple) or len(entry[0]) != 2
-                    or not isinstance(entry[0][1], int)):
-                return False
-            msg_id, payload, size = entry
+        for msg_id, payload, size in entries:
             key = batch_sort_key(msg_id)
             if prev_key is not None and not prev_key < key:
                 return False    # unsorted or duplicated entries
@@ -599,13 +588,8 @@ class OrderingLayer(Layer):
         self.batches_decided += 1
         self.count("batches_decided")
         self.observe("batch_size", len(batch))
-        entries = sorted(
-            (e for e in batch
-             if isinstance(e, tuple) and len(e) == 3
-             and isinstance(e[0], tuple) and len(e[0]) == 2
-             and isinstance(e[0][1], int)),
-            key=lambda e: batch_sort_key(e[0]))
-        for msg_id, payload, size in entries:
+        for msg_id, payload, size in sorted(
+                batch_entries(batch), key=lambda e: batch_sort_key(e[0])):
             self._deliver(msg_id, payload, size, mode)
 
     def _archive_decision(self, k, vector, announced):
@@ -619,7 +603,7 @@ class OrderingLayer(Layer):
         self._decisions.pop(k - MAX_INSTANCE_SKEW, None)
 
     def _deliver(self, msg_id, payload, size, mode=None):
-        if msg_id in self._delivered or not isinstance(msg_id, tuple):
+        if msg_id in self._delivered:
             return
         self._delivered.add(msg_id)
         self.messages_ordered += 1
@@ -630,16 +614,14 @@ class OrderingLayer(Layer):
                 self.observe("cast_latency_" + mode,
                              self.sim.now - buffered_at)
         held = self._buffer.pop(msg_id, None)
-        origin = msg_id[0]
         # always deliver the *decided* content: with a two-faced origin our
         # local copy may differ from what the group agreed on, and content
         # agreement is exactly what consensus-based ordering buys
         if held is not None and held.payload == payload:
             self.send_up(held)
         else:
-            out = Message(mk.KIND_CAST, origin, self.view.vid, payload,
-                          size if isinstance(size, int) else 0,
-                          msg_id=msg_id)
+            out = Message(mk.KIND_CAST, msg_id[0], self.view.vid, payload,
+                          size, msg_id=msg_id)
             self.send_up(out)
 
     # ------------------------------------------------------------------

@@ -36,7 +36,7 @@ from bisect import bisect_left
 from zlib import crc32
 
 from repro.core import message as mk
-from repro.core.message import Message
+from repro.core.message import Message, is_cast_id
 from repro.layers.base import Layer
 
 #: kinds that bypass reliability entirely
@@ -247,6 +247,13 @@ class ReliableLayer(Layer):
             return
         if msg.origin != origin:
             return
+        if msg.msg_id is not None and not is_cast_id(msg.msg_id, origin):
+            # cast ids are admitted here and nowhere else: no layer above
+            # holds a cast under an id its origin did not mint
+            if self.config.byzantine and origin != self.me:
+                self.process.verbose_detector.illegal(
+                    msg.sender, "rel:forged-id")
+            return
         state.buffer[seq] = msg
         if origin != self.me:
             self._archive_from(msg, stream, seq)
@@ -302,8 +309,8 @@ class ReliableLayer(Layer):
         return not self._wedged
 
     def _accept_p2p(self, msg, seq):
-        if msg.dest != self.me:
-            return
+        if msg.dest != self.me or msg.msg_id is not None:
+            return  # not mine, or under a cast id: only broadcasts carry one
         key = (msg.origin, STREAM_P2P)
         state = self._in_streams.get(key)
         if state is None:

@@ -35,16 +35,10 @@ class TopLayer(Layer):
     def submit_cast(self, payload, size):
         """Entry point used by the endpoint for ``cast``."""
         self._cast_counter += 1
-        # the cast counter restarts at 0 in a rebooted incarnation, and the
-        # wire path correctly treats the reboot's casts as new messages --
-        # so the application-facing id must be incarnation-qualified or two
-        # distinct messages would share an id (first-boot ids keep the
-        # historical 2-tuple shape)
-        incarnation = self.process.incarnation
-        if incarnation:
-            msg_id = (self.me, self._cast_counter, incarnation)
-        else:
-            msg_id = (self.me, self._cast_counter)
+        # the counter restarts in a rebooted incarnation, whose casts are
+        # new messages (shape and bound: core.message.is_cast_id)
+        msg_id = (self.me,
+                  (self.process.incarnation << 32) + self._cast_counter)
         self.count("casts_submitted")
         if self.stack.blocked:
             self._blocked_queue.append((msg_id, payload, size))

@@ -29,7 +29,7 @@ from collections import deque
 from repro.broadcast.bracha import BrachaBroadcast
 from repro.broadcast.uniform import UniformBroadcast
 from repro.core import message as mk
-from repro.core.message import Message
+from repro.core.message import Message, is_cast_id
 from repro.layers.base import Layer
 
 
@@ -161,7 +161,7 @@ class UniformDeliveryLayer(Layer):
             self._misbehavior(msg.origin, "uniform:bad-proto")
             return
         tag, msg_id, body = payload
-        if not isinstance(msg_id, tuple) or len(msg_id) != 2:
+        if not is_cast_id(msg_id):
             self._misbehavior(msg.origin, "uniform:bad-id")
             return
         if tag == "ub":

@@ -11,14 +11,11 @@ from repro.byzantine.behaviors import ByzantineBehavior
 from repro.core import message as mk
 from repro.core.message import Message
 from repro.core.properties import check_virtual_synchrony
+from repro.layers.ordering import batch_entries
 
 #: the delivery disciplines an id travels through above the reliable layer,
 #: as StackConfig.byz keywords
 FIFO, CLASSIC, UNIFORM = {}, {"total_order": True}, {"uniform_delivery": True}
-
-ahead = pytest.mark.xfail(strict=True, reason="ISSUE 22: the cast-id "
-                          "definition lands in the next commit")
-
 
 def deliveries(endpoint, payload):
     """(origin, msg_id) of every CastDeliver of ``payload`` at an endpoint."""
@@ -29,16 +26,14 @@ def deliveries(endpoint, payload):
 # ----------------------------------------------------------------------
 # the definition
 # ----------------------------------------------------------------------
-@ahead
 @pytest.mark.parametrize("msg_id", [
     None, 7, "id", (), (3,), (3, 4, 1), (3, "4"), (3, None), (3, 0),
     (3, -2), (3, True), (3, 2.0), [3, 4]])
 def test_what_is_not_a_cast_id(msg_id):
     assert not mk.is_cast_id(msg_id)
-    assert mk.batch_entries(((msg_id, "payload", 16),)) == []
+    assert batch_entries(((msg_id, "payload", 16),)) == []
 
 
-@ahead
 def test_a_cast_id_is_an_origin_and_a_positive_int():
     assert mk.is_cast_id((3, 1)) and mk.is_cast_id(("node", 5 << 32))
     assert mk.is_cast_id((3, 1), 3) and not mk.is_cast_id((3, 1), 4)
@@ -46,26 +41,23 @@ def test_a_cast_id_is_an_origin_and_a_positive_int():
     assert not mk.is_cast_id((3, 1), None)
 
 
-@ahead
 def test_sort_key_is_per_origin_then_numeric():
     ids = [(2, 1), (1, 10), (1, 2), (1, (1 << 32) + 1)]
     assert sorted(ids, key=mk.batch_sort_key) == [
         (1, 2), (1, 10), (1, (1 << 32) + 1), (2, 1)]
 
 
-@ahead
 def test_batch_entries_keeps_the_well_formed_ones_in_order():
     good = [((1, 2), "b", 16), ((0, 1), ("a",), 0)]
     bad = [7, (), ((0, 1), "x"), ((0, 1), "x", -1), ((0, 1), "x", True),
            ((0, 1), "x", "16"), ((0, 1, 7), "x", 16), ((0, True), "x", 16),
            ((0, -5), "x", 16)]
-    assert mk.batch_entries(tuple(bad[:4] + good[:1] + bad[4:] + good[1:])) \
+    assert batch_entries(tuple(bad[:4] + good[:1] + bad[4:] + good[1:])) \
         == good
-    assert mk.batch_entries(None) == [] and mk.batch_entries(7) == []
-    assert mk.batch_entries(()) == []
+    assert batch_entries(None) == [] and batch_entries(7) == []
+    assert batch_entries(()) == []
 
 
-@ahead
 def test_the_id_is_inside_the_signature():
     def token(msg_id):
         return Message(mk.KIND_CAST, 1, None, ("x",), 16,
@@ -77,7 +69,6 @@ def test_the_id_is_inside_the_signature():
         mk.KIND_ACK, "1", None, (), "()")
 
 
-@ahead
 def test_a_restarted_member_mints_the_same_shape():
     group = make_group(4, seed=11)
     group.run(0.1)
@@ -93,7 +84,6 @@ def test_a_restarted_member_mints_the_same_shape():
 # ----------------------------------------------------------------------
 # forged ids
 # ----------------------------------------------------------------------
-@ahead
 @pytest.mark.parametrize("fast", [False, True], ids=["classic", "fast"])
 def test_a_three_field_id_raises_nowhere(fast):
     """One cast with an id of the retired ``(node, k, incarnation)`` shape
@@ -117,7 +107,6 @@ def test_a_three_field_id_raises_nowhere(fast):
     group.stop()
 
 
-@ahead
 @pytest.mark.parametrize("config_kw,dest", [
     (FIFO, None), (FIFO, 2), (CLASSIC, None), (UNIFORM, None), (UNIFORM, 2),
 ], ids=["fifo", "fifo-p2p", "classic", "uniform", "uniform-p2p"])
@@ -152,7 +141,6 @@ def test_a_squatted_id_costs_its_owner_nothing(config_kw, dest):
     group.stop()
 
 
-@ahead
 def test_a_forged_id_is_reported_and_not_buffered():
     group = make_group(4, seed=2)
     group.run(0.05)
@@ -184,7 +172,6 @@ class _CutLink:
         return payload, 0, (src, dst) == self.link
 
 
-@ahead
 def test_a_relabelled_retransmission_is_rejected():
     """Member 3 misses member 1's cast; member 2 retransmits it with the
     ninth field of the archived tuple changed from ``(1, 1)`` to

@@ -134,8 +134,6 @@ def test_ops_are_tolerant_of_invalid_targets():
     assert violations == []
 
 
-@pytest.mark.xfail(strict=True, reason="ISSUE 22: the cast-id definition "
-                   "lands in the next commit")
 @pytest.mark.parametrize("preset", ["byz-total", "byz-fast"])
 def test_restarted_member_casts_under_total_order(preset):
     """A plan the generator almost never draws: 7 of 3000

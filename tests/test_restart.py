@@ -54,16 +54,11 @@ def test_crash_restart_rejoin_and_state_transfer():
     assert group.retired and group.retired[0][:2] == (3, 0)
 
 
-ahead = pytest.mark.xfail(strict=True, reason="ISSUE 22: the cast-id "
-                          "definition lands in the next commit")
-
-
 @pytest.mark.parametrize("config_kw", [
     {},
-    pytest.param({"total_order": True}, marks=ahead),
-    pytest.param({"total_order": True, "ordering_fast_path": True,
-                  "crypto": "sym"}, marks=ahead),
-    pytest.param({"uniform_delivery": True}, marks=ahead),
+    {"total_order": True},
+    {"total_order": True, "ordering_fast_path": True, "crypto": "sym"},
+    {"uniform_delivery": True},
 ], ids=["fifo", "classic", "fast", "uniform"])
 def test_restarted_node_reaches_steady_traffic(config_kw):
     group = make_group(4, seed=11, **config_kw)
