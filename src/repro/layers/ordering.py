@@ -485,9 +485,9 @@ class OrderingLayer(Layer):
         host re-validates as casts arrive and the deadline bounds the wait.
         """
         batch = vector[0]
-        entries = batch_entries(batch)
-        if (not isinstance(batch, tuple) or len(entries) != len(batch)
-                or len(batch) > self.config.order_batch_max):
+        if (not isinstance(batch, tuple)
+                or len(batch) > self.config.order_batch_max
+                or len(entries := batch_entries(batch)) != len(batch)):
             return False
         missing = False
         prev_key = None

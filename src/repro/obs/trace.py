@@ -3,11 +3,11 @@
 A *span* (here: :class:`Trace`) is opened the moment a message enters any
 node's stack and accumulates one :class:`TraceEvent` per hop: layer
 ``down``/``up`` transitions, network ``tx``/``rx``, timer firings that
-carry the message, and the final application ``deliver``.  Because the
-wire format already stamps every application cast with a globally unique
-``msg_id = (origin, counter)``, the same span naturally collects events
-from *every* node the message touches -- the causal, cross-node view the
-paper's evaluation needed ad-hoc probes for.
+carry the message, and the final application ``deliver``.  Because every
+application cast carries a globally unique ``msg_id = (origin, counter)``
+(one shape, restarts included: ``repro.core.message.is_cast_id``), the
+same span naturally collects events from *every* node the message touches
+-- the causal, cross-node view the paper's evaluation needed ad-hoc probes for.
 
 Tracing is an accumulator only: it never schedules, never draws
 randomness, never charges CPU.  Simulated executions are identical with

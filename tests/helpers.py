@@ -93,6 +93,19 @@ def is_probe(msg):
     return msg.kind == KIND_HEARTBEAT and msg.header("rel") is not None
 
 
+def tagged_detector(process):
+    """Record the tags the verbose detector is fed, still feeding it."""
+    tags = []
+    detector = process.verbose_detector
+    illegal = detector.illegal
+
+    def recording(member, tag, weight=None):
+        tags.append(tag)
+        illegal(member, tag, weight)
+    detector.illegal = recording
+    return tags
+
+
 def make_group(n, seed=0, established=True, behaviors=None, **config_kw):
     config = StackConfig.byz(**config_kw)
     return Group.bootstrap(n, config=config, seed=seed,

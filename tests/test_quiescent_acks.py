@@ -15,7 +15,7 @@ import asyncio
 
 import pytest
 
-from tests.helpers import DatagramLog, is_probe
+from tests.helpers import DatagramLog, is_probe, tagged_detector
 
 from repro import Group, StackConfig
 from repro.byzantine.behaviors import ByzantineBehavior
@@ -354,19 +354,6 @@ def test_parent_idle_count_formula():
 # ----------------------------------------------------------------------
 # Byzantine inputs on the new surface
 # ----------------------------------------------------------------------
-def tagged_detector(process):
-    """Record the tags the verbose detector is fed, still feeding it."""
-    tags = []
-    detector = process.verbose_detector
-    illegal = detector.illegal
-
-    def recording(member, tag, weight=None):
-        tags.append(tag)
-        illegal(member, tag, weight)
-    detector.illegal = recording
-    return tags
-
-
 def beacon_from(process, sender, payload, probe=False):
     msg = Message(mk.KIND_HEARTBEAT, sender, process.view.vid, payload,
                   dest=process.node_id if probe else None)
