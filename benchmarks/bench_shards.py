@@ -280,21 +280,16 @@ def migration_latency(shards, nodes_per_shard, seed=7, keys=48,
 
     steady = run_ops("steady", steady_ops)
 
-    coordinator = cluster.resharder()
-
-    def tick():   # advance the migration while client ops run the plane
-        if coordinator.state == "migrating":
-            coordinator.poll()
-            sim.schedule(0.25, tick)
-
-    sim.schedule(0.25, tick)
+    coordinator = cluster.resharder()   # advances itself as the ops run
     coordinator.start(shards=shards)
     migrating = run_ops("mig", max_migration_ops,
                         alive=lambda: coordinator.state == "migrating")
     coordinator.run(timeout=60.0)
     metrics = coordinator.migration_metrics()
     p99_steady = percentile(steady, 99) if steady else None
-    p99_mig = percentile(migrating, 99) if migrating else None
+    # a migration now lasts a handful of ops: a p99 over fewer than ten
+    # would be the max under another name (max_migrating_ms reports that)
+    p99_mig = percentile(migrating, 99) if len(migrating) >= 10 else None
     result = {
         "ring_shards": ring_shards,
         "steady_ops": len(steady),

@@ -368,9 +368,11 @@ def cmd_reshard(args):
         rounds=args.rounds, plan_ops=args.ops, verbose=True)
     moved = sum(m["keys_moved"] for r in report["results"]
                 for m in r["migrations"])
-    print("campaign: %d/%d seeds clean, %d keys moved across the seam"
+    faults = sum(r.get("mid_migration_ops", 0) for r in report["results"])
+    print("campaign: %d/%d seeds clean, %d keys moved across the seam, "
+          "%d fault ops placed mid-migration"
           % (len(report["seeds"]) - len(report["failures"]),
-             len(report["seeds"]), moved))
+             len(report["seeds"]), moved, faults))
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         path = os.path.join(args.out, "reshard-campaign.json")

@@ -151,6 +151,12 @@ class ReliableLayer(Layer):
             self.process.verbose_detector.set_rate_bound(
                 "rel:probe", window=config.mute_timeout,
                 max_count=2 * int(config.mute_timeout / config.ack_interval))
+            if config.nak_window_budget:
+                # a correct member emits at most its budget per window,
+                # and two of its windows can straddle one of ours
+                self.process.verbose_detector.set_rate_bound(
+                    "rel:nak", window=config.retrans_timeout,
+                    max_count=2 * config.nak_window_budget)
 
     def stop(self):
         if getattr(self, "_ack_timer", None) is not None:

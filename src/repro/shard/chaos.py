@@ -34,6 +34,7 @@ from repro.chaos.plan import RESHARD_OPS, random_plan
 from repro.core.config import StackConfig
 from repro.core.properties import check_virtual_synchrony
 from repro.shard.cluster import Cluster
+from repro.shard.reshard import ReshardCoordinator
 
 
 class ShardChaosEngine(ChaosEngine):
@@ -57,9 +58,13 @@ class ShardChaosEngine(ChaosEngine):
         self.rsm = cluster.sharded_rsm()
         self.coordinators = []     # every migration started by reshard_at
         self._active = None        # the one currently in flight
+        self.mid_migration_ops = 0  # fault ops applied while it was
 
     # ------------------------------------------------------------------
     def apply(self, op):
+        if (self._active is not None
+                and op[0] not in ("cast", "run", "reshard_at")):
+            self.mid_migration_ops += 1     # what the campaign is for
         super().apply(op)
         self.pump()
 
@@ -121,7 +126,8 @@ class ShardChaosEngine(ChaosEngine):
             target = max(1, min(len(self.manager.groups), current - delta))
         if target == current:
             return
-        coordinator = self.cluster.resharder()
+        # no Applied signals: pump() steps it, faults land BETWEEN steps
+        coordinator = ReshardCoordinator(self.manager, self.rsm.replicas)
         coordinator.start(shards=target)
         self.coordinators.append(coordinator)
         self._active = coordinator
@@ -131,8 +137,10 @@ class ShardChaosEngine(ChaosEngine):
         """Lift faults, finish any in-flight migration, then drain."""
         self.lift_faults()
         for coordinator in self.coordinators:
-            if coordinator.state == "migrating":
-                coordinator.run(timeout=migration_timeout)
+            deadline = self.manager.sim.now + migration_timeout
+            while (coordinator.poll() == "migrating"
+                   and self.manager.sim.now < deadline):
+                self.manager.run(0.25)
         self._active = None
         self.manager.run_until_stable_views(timeout=max(duration, 5.0))
         self.run_slices(duration)
@@ -287,12 +295,18 @@ def _one_reshard_run(seed, shards, nodes_per_shard, ring_shards, keys,
                   "plan_digest": plan.digest(),
                   "reshards": len(resharded),
                   "crashed": sorted(engine.crashed | engine.restarted),
+                  "mid_migration_ops": engine.mid_migration_ops,
+                  "migration_ms": sum(
+                      (c.metrics["finished_at"] - c.metrics["started_at"])
+                      * 1000.0 for c in resharded),
                   "migrations": [c.migration_metrics()
                                  for c in engine.coordinators]}
         if verbose:
-            print("seed %d: %s (%d reshards, %d violations)"
+            print("seed %d: %s (%d reshards, %d violations; migration "
+                  "%.1f ms, %d fault ops mid-migration)"
                   % (seed, "FAIL" if violations else "ok",
-                     len(resharded), len(violations)))
+                     len(resharded), len(violations),
+                     report["migration_ms"], engine.mid_migration_ops))
         return report
     finally:
         cluster.stop()

@@ -121,9 +121,10 @@ class Cluster:
 
     def resharder(self, phase_timeout=3.0):
         """A non-blocking :class:`ReshardCoordinator` over this cluster's
-        service (the chaos planes drive its ``start``/``poll`` directly
-        so faults interleave mid-migration)."""
-        return ReshardCoordinator(self.manager, self.sharded_rsm().replicas,
+        service: ``start()`` returns at once and the migration advances
+        itself off the shards' ``Applied`` signals as the plane runs."""
+        rsm = self.sharded_rsm()
+        return ReshardCoordinator(self.manager, rsm.replicas, rsm.applied,
                                   phase_timeout=phase_timeout)
 
     def reshard(self, shards=None, ring_slots=None, timeout=60.0,

@@ -11,9 +11,9 @@ sharing one event loop, with each shard an established group scoped by
 The migration itself is THE SAME state machine as on the simulator: the
 plane exposes the manager-shaped surface
 :class:`~repro.shard.reshard.ReshardCoordinator` reads (``.sim`` with
-``now``, ``.directory``, ``.groups``, plus the replica map), and
-:func:`run_net_migration` drives ``poll()`` from a coroutine instead of
-between simulator slices.  Nothing in the epoch seam -- sealing,
+``now``/``schedule``, ``.directory``, ``.groups``, plus the replica map
+and the ``Applied`` signals), and :func:`run_net_migration` awaits its
+state from a coroutine.  Nothing in the epoch seam -- sealing,
 install idempotency, fencing, retirement -- is reimplemented for real
 time; that is the point of building reconfiguration out of ordinary
 totally-ordered commands.
@@ -36,7 +36,7 @@ from repro.runtime.backend_asyncio import AsyncioRuntime, net_profile
 from repro.runtime.clock import AsyncioClock
 from repro.shard.directory import ShardDirectory
 from repro.shard.reshard import ReshardCoordinator
-from repro.shard.rsm import Applied, ShardReplica, op_outcome
+from repro.shard.rsm import Applied, ShardReplica, fence_cleared, op_outcome
 
 #: how often coroutines yield to the loop while watching replica state
 POLL_INTERVAL = 0.01
@@ -187,16 +187,14 @@ async def run_net_migration(plane, shards=None, ring_slots=None,
     """Run one epoch migration on the net plane; returns the coordinator.
 
     Identical protocol to the simulator path -- same
-    :class:`ReshardCoordinator`, same ordered commands -- only the
-    pacing loop awaits the event loop instead of running sim slices.
+    :class:`ReshardCoordinator`, same ordered commands, advancing itself
+    off the same ``Applied`` signals; this coroutine only watches it.
     """
-    coordinator = ReshardCoordinator(plane, plane.replicas,
+    coordinator = ReshardCoordinator(plane, plane.replicas, plane.applied,
                                      phase_timeout=phase_timeout)
     coordinator.start(shards=shards, ring_slots=ring_slots)
-    deadline = plane.sim.now + timeout
-    while coordinator.state == "migrating" and plane.sim.now < deadline:
-        await asyncio.sleep(POLL_INTERVAL * 5)
-        coordinator.poll()
+    await plane.until(lambda: coordinator.state != "migrating", timeout)
+    coordinator.stop()      # out of time: abandoned, still resumable
     return coordinator
 
 
@@ -252,8 +250,9 @@ class NetShardClient:
             self.fences[reason] = self.fences.get(reason, 0) + 1
             if reason in ("stale", "moved"):
                 self.refresh()
-            else:
-                await asyncio.sleep(0.05)
+            else:   # early / wait: resume when that fence lifts
+                await self.plane.until_applied(shard, lambda: fence_cleared(
+                    self.plane.machines(shard), reason, epoch, key), 0.05)
         return ("failed", None)
 
     def _outcome(self, shard, op_id, token):

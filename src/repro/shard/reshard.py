@@ -31,10 +31,10 @@ The epoch lifecycle (see docs/SHARDING.md for the failure matrix):
    source outbox / destination data at every ordered point -- the
    key-conservation invariant the chaos campaign asserts.
 
-The coordinator is poll-driven: :meth:`poll` inspects machine state and
-(re)submits whatever the pacing timer allows, never blocking, so a chaos
-plan can interleave crashes, partitions, and view changes between polls.
-:meth:`run` is the blocking convenience loop on top.
+Every step is one :meth:`poll`: inspect machine state, (re)submit what the
+pacing allows, never block.  Given the shards' ``Applied`` signals it polls
+itself -- after an apply, and at its resubmit deadline -- so a migration
+costs its commands; without them (chaos: faults BETWEEN steps) it is stepped.
 """
 
 from __future__ import annotations
@@ -45,9 +45,10 @@ from repro.shard.directory import ring_diff
 class ReshardCoordinator:
     """Drives one ``epoch -> epoch + 1`` migration over a ShardManager."""
 
-    def __init__(self, manager, replicas, phase_timeout=3.0):
+    def __init__(self, manager, replicas, applied=None, phase_timeout=3.0):
         self.manager = manager
         self.replicas = replicas       # {shard: {node_id: ShardReplica}}
+        self.applied = applied         # {shard: Applied}; None: hand-stepped
         self.phase_timeout = phase_timeout
         self.state = "idle"            # idle -> migrating -> done
         self.epoch = None
@@ -60,6 +61,8 @@ class ReshardCoordinator:
         self.begun = set()
         self.resubmits = 0
         self._last_submit = {}         # submission key -> sim time
+        self._due = float("inf")       # earliest resubmit, as of last poll
+        self._wake = self._deadline = None     # pending: bump, resubmit
         self.metrics = {}              # per-epoch migration metrics
 
     # ------------------------------------------------------------------
@@ -91,16 +94,7 @@ class ReshardCoordinator:
         self.old_epoch = directory.epoch
         self.epoch = self.old_epoch + 1
         directory.install_epoch(self.epoch, shards, ring_slots=ring_slots)
-        self._plan(directory.ring(self.old_epoch), directory.ring())
-        self.metrics = {
-            "epoch": self.epoch, "from_shards": old_ring.shards,
-            "to_shards": shards, "arcs": len(self.arcs),
-            "pairs": len(self.pairs), "keys_moved": 0,
-            "started_at": self.manager.sim.now, "finished_at": None,
-        }
-        self.state = "migrating"
-        self.poll()
-        return self.epoch
+        return self._begin()
 
     def resume(self):
         """Adopt an in-flight migration (e.g. after a coordinator crash).
@@ -115,19 +109,12 @@ class ReshardCoordinator:
         if len(epochs) < 2:
             raise RuntimeError("no migration in flight to resume")
         self.old_epoch, self.epoch = epochs[-2], epochs[-1]
-        self._plan(directory.ring(self.old_epoch), directory.ring())
-        self.metrics = {
-            "epoch": self.epoch,
-            "from_shards": directory.ring(self.old_epoch).shards,
-            "to_shards": directory.ring().shards, "arcs": len(self.arcs),
-            "pairs": len(self.pairs), "keys_moved": 0,
-            "started_at": self.manager.sim.now, "finished_at": None,
-        }
-        self.state = "migrating"
-        self.poll()
-        return self.epoch
+        return self._begin()
 
-    def _plan(self, old_ring, new_ring):
+    def _begin(self):
+        """Plan ``old_epoch -> epoch`` off the directory and start polling."""
+        directory = self.manager.directory
+        old_ring, new_ring = directory.ring(self.old_epoch), directory.ring()
         self.arcs = ring_diff(old_ring, new_ring)
         out_moves = {}    # src -> {dst: [arc, ...]}
         in_moves = {}     # dst -> {src: [arc, ...]}
@@ -154,6 +141,15 @@ class ReshardCoordinator:
             self.begin_cmds[shard] = ("mig_begin", self.epoch, outs, ins)
         self.begun = set()
         self._last_submit = {}
+        self.metrics = {
+            "epoch": self.epoch, "from_shards": old_ring.shards,
+            "to_shards": new_ring.shards, "arcs": len(self.arcs),
+            "pairs": len(self.pairs), "keys_moved": 0,
+            "started_at": self.manager.sim.now, "finished_at": None,
+        }
+        self.state = "migrating"
+        self._advance()         # the first poll; subscribes if it can
+        return self.epoch
 
     # ------------------------------------------------------------------
     # machine observation
@@ -172,15 +168,46 @@ class ReshardCoordinator:
         replica at most once per ``phase_timeout``."""
         now = self.manager.sim.now
         last = self._last_submit.get(tag)
-        if last is not None and now - last < self.phase_timeout:
-            return
-        for replica in self.replicas[shard].values():
-            if not replica.endpoint.process.stopped:
-                if last is not None:
-                    self.resubmits += 1
-                replica.submit(command)
-                self._last_submit[tag] = now
-                return
+        if last is None or now >= last + self.phase_timeout:
+            for replica in self.replicas[shard].values():
+                if not replica.endpoint.process.stopped:
+                    if last is not None:
+                        self.resubmits += 1
+                    replica.submit(command)
+                    self._last_submit[tag] = now
+                    break
+            last = now      # (no live replica: look again a timeout on)
+        self._due = min(self._due, last + self.phase_timeout)
+
+    def _advance(self):
+        """One poll, then (given the signals) wait for the next reason to
+        poll: any shard's next ``Applied`` bump, or the earliest resubmit
+        coming due -- armed only while a command is outstanding."""
+        self.stop()
+        self.poll()
+        if self.applied is not None and self.state == "migrating":
+            for signal in self.applied.values():
+                signal.waiters.append(self._bumped)
+            if self._due < float("inf"):
+                self._deadline = self.manager.sim.schedule_at(
+                    self._due, self._advance)
+
+    def _bumped(self):
+        # called from inside a replica's apply: never poll re-entrantly,
+        # and coalesce an instant's bumps into ONE event
+        if self._wake is None:
+            self._wake = self.manager.sim.schedule(0.0, self._advance)
+
+    def stop(self):
+        """Unsubscribe and disarm: what "the coordinator crashed" means
+        (the migration stays adoptable by a fresh one's :meth:`resume`)."""
+        for signal in (self.applied or {}).values():
+            if self._bumped in signal.waiters:
+                signal.waiters.remove(self._bumped)
+        for timer in (self._wake, self._deadline):
+            if timer is not None:
+                timer.cancel()
+        self._wake = self._deadline = None
 
     # ------------------------------------------------------------------
     # the state machine
@@ -189,12 +216,13 @@ class ReshardCoordinator:
         """Advance the migration as far as machine state allows.
 
         Cheap, idempotent, never blocking: chaos drivers call this
-        between fault ops, :meth:`run` calls it between sim slices.
-        Returns the coordinator state.
+        between fault ops, the coordinator itself on each ``Applied``
+        bump.  Returns the coordinator state.
         """
         if self.state != "migrating":
             return self.state
         epoch = self.epoch
+        self._due = float("inf")
         for shard, command in self.begin_cmds.items():
             if shard in self.begun:
                 continue
@@ -256,19 +284,17 @@ class ReshardCoordinator:
             self.state = "done"
         return self.state
 
-    def run(self, timeout=60.0, slice_=0.25):
-        """Poll + advance the plane until done or ``timeout`` sim-seconds.
+    def run(self, timeout=60.0):
+        """Advance the plane until done or ``timeout`` sim-seconds.
 
         Returns True when the migration completed.  On False the
         migration is NOT rolled back -- it stays resumable: call ``run``
         again (e.g. after the chaos plan heals the network).
         """
-        deadline = self.manager.sim.now + timeout
-        while self.poll() != "done":
-            if self.manager.sim.now >= deadline:
-                return False
-            self.manager.run(min(slice_, self.phase_timeout / 2.0))
-        return True
+        if self.applied is None:
+            raise RuntimeError("a hand-stepped coordinator has no run()")
+        self.manager.run_until(lambda: self.state != "migrating", timeout)
+        return self.state == "done"
 
     # ------------------------------------------------------------------
     # observability

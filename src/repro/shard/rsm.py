@@ -282,7 +282,7 @@ class Applied:
 
     def bump(self):
         self.version += 1
-        if self.waiters:        # asyncio only; never on the simulator
+        if self.waiters:        # awaiting net clients, reshard coordinators
             woken, self.waiters = self.waiters, []
             for wake in woken:
                 wake()
@@ -556,6 +556,16 @@ def op_outcome(machines, op_id, token):
     return None
 
 
+def fence_cleared(machines, reason, epoch, key):
+    """Whether what fenced an op ``early``/``wait`` has lifted: some live
+    machine reached the op's epoch and (``wait``) none of that epoch's
+    in-flight arcs still holds the key.  No other apply is worth a retry."""
+    point = hash_key(key)
+    return any(m.epoch >= epoch and not (reason == "wait" and any(
+        e == epoch and arcs_contain(arcs, point)
+        for (e, _src), arcs in m.in_flight.items())) for m in machines)
+
+
 class ShardClient:
     """An epoch-stamping client with the re-route-and-retry path.
 
@@ -567,7 +577,7 @@ class ShardClient:
     * ``stale`` / ``moved`` -- refresh the cached epoch from the
       directory and re-route: the key's shard changed under us;
     * ``early`` / ``wait``  -- the migration is mid-flight; run the plane
-      briefly and resubmit the SAME ``op_id`` (dedup in ``op_results``
+      until that fence lifts and resubmit the SAME ``op_id`` (``op_results``
       makes the retry exactly-once even if the fenced attempt and the
       retry both survive reordering or a view change).
 
@@ -631,8 +641,10 @@ class ShardClient:
             self.fences[reason] = self.fences.get(reason, 0) + 1
             if reason in ("stale", "moved"):
                 self.refresh()
-            else:   # early / wait: let the migration make progress
-                self.manager.run(0.1)
+            else:   # early / wait: resume when that fence lifts (<= 0.1 s)
+                self.manager.run_until(self.rsm.applied[shard].gate(
+                    lambda: fence_cleared(self.rsm.machines(shard), reason,
+                                          epoch, key)), timeout=0.1)
         return ("failed", None)
 
     def _outcome(self, shard, op_id, token):

@@ -106,6 +106,18 @@ def tagged_detector(process):
     return tags
 
 
+def count_calls(obj, name):
+    """Record the positional arguments of every ``obj.name(...)`` call."""
+    calls = []
+    method = getattr(obj, name)
+
+    def counted(*args, **kw):
+        calls.append(args)
+        return method(*args, **kw)
+    setattr(obj, name, counted)
+    return calls
+
+
 def make_group(n, seed=0, established=True, behaviors=None, **config_kw):
     config = StackConfig.byz(**config_kw)
     return Group.bootstrap(n, config=config, seed=seed,

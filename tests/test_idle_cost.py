@@ -16,7 +16,7 @@ import random
 
 import pytest
 
-from tests.helpers import TickCounter, cast_ids, make_group
+from tests.helpers import TickCounter, cast_ids, count_calls, make_group
 from tests.test_reshard import make_plane
 
 from repro import Group, StackConfig
@@ -320,17 +320,6 @@ def test_stopped_member_is_not_rearmed_by_a_late_cast():
 # ----------------------------------------------------------------------
 # signalled op completion
 # ----------------------------------------------------------------------
-def count_calls(obj, name):
-    calls = []
-    method = getattr(obj, name)
-
-    def counted(*args, **kw):
-        calls.append(args)
-        return method(*args, **kw)
-    setattr(obj, name, counted)
-    return calls
-
-
 def test_applied_gate_rereads_only_after_a_bump():
     signal = Applied()
     reads = []
@@ -378,12 +367,6 @@ def test_fenced_attempt_wakes_and_reroutes():
     for key in keys:
         assert client.set(key, 1)[0] == "ok"
     coordinator = cluster.resharder()
-
-    def pump():     # the migration advances while the client waits
-        if coordinator.state == "migrating":
-            coordinator.poll()
-            cluster.sim.schedule(0.3, pump)
-    cluster.sim.schedule(0.3, pump)
     coordinator.start(shards=2)
     # the client still holds the old table: its op is ordered behind the
     # source shard's mig_begin (same submitter, FIFO), fenced ``stale``,

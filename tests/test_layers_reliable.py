@@ -3,6 +3,9 @@
 from tests.helpers import cast_ids, cast_payloads, make_group
 
 from repro import Group, StackConfig
+from repro.apps.ring import RingDemo
+from repro.core import message as mk
+from repro.core.message import Message
 from repro.sim.network import NetworkConfig
 
 
@@ -157,3 +160,36 @@ def test_stream_state_reports_own_and_peer_progress():
     assert state[0] == 2
     assert state[1] == 1
     assert state[2] == 0  # node 2 sent nothing
+
+
+def test_nak_flood_is_a_verbose_failure_and_stops_being_served():
+    """``start()`` registers the bound (twice the emitter's own budget per
+    window): a member listing the same sequence number over and over is
+    served up to the bound, then raises its level instead."""
+    group = make_group(5, seed=13)
+    group.endpoints[0].cast("wanted")
+    group.run(0.002)            # delivered, not yet stable: still archived
+    victim, flooder = group.processes[0], group.processes[3]
+    bound = 2 * victim.config.nak_window_budget
+    served = victim.reliable.retransmissions_served
+    for _ in range(3 * bound):
+        flooder.reliable.send_down(Message(
+            mk.KIND_NAK, 3, flooder.view.vid, (0, "a", (1,)), dest=0))
+    group.run(victim.config.retrans_timeout / 2.0)
+    assert victim.reliable.retransmissions_served - served == bound
+    assert victim.verbose_levels.level(3) > 0
+    assert all(p.verbose_levels.level(3) == 0
+               for node, p in group.processes.items() if node != 0)
+
+
+def test_lossy_ring_stays_under_the_nak_bound():
+    """The Ring demo at saturation under 5 % loss, n=16 (the ledger's
+    ``ring_loss_n16`` shape): plenty of NAKs, nobody's level moves."""
+    group = lossy_group(16, drop_prob=0.05, seed=7, crypto="sym")
+    RingDemo(group, burst=16, msg_size=16).start()
+    group.run(0.4)
+    processes = group.processes.values()
+    assert sum(p.reliable.naks_sent for p in processes) > 100
+    assert all(p.verbose_detector.violations == 0 for p in processes)
+    assert all(p.verbose_levels.level(m) == 0
+               for p in processes for m in group.processes)

@@ -100,15 +100,17 @@ def test_reliable_nak_for_archived_message_served():
 
 
 def test_reliable_nak_flood_rate_limited():
-    process = stub_for(ReliableLayer())
-    process.verbose_detector.set_rate_bound("rel:nak", max_count=3,
-                                            window=1.0)
-    for _ in range(6):
+    process = stub_for(ReliableLayer())     # start() sets the bound
+    process.feed_down(make_cast(process, 0, "mine", msg_id=(0, 1)))
+    bound = 2 * process.config.nak_window_budget
+    for _ in range(bound + 6):
         nak = Message(mk.KIND_NAK, 2, process.view.vid, (0, "a", (1,)),
                       dest=0)
         nak.sender = 2
         process.feed_up(nak)
     assert process.verbose_levels.level(2) > 0
+    # within the bound every NAK is served; past it, none
+    assert process.layer.retransmissions_served == bound
 
 
 def test_reliable_wedge_blocks_app_but_not_ctl():

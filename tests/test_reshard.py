@@ -22,6 +22,7 @@ from repro.chaos import ChaosEngine
 from repro.shard.chaos import ShardChaosEngine, check_key_conservation
 from repro.shard.rsm import ShardReplica
 from repro.sim.topology import FlatGigE
+from tests.helpers import count_calls
 
 
 def make_plane(shards, nodes_per_shard, seed=0, ring_shards=None):
@@ -34,22 +35,6 @@ def make_plane(shards, nodes_per_shard, seed=0, ring_shards=None):
                              ring_shards=ring_shards)
     cluster.run_until_stable_views(10.0)
     return cluster
-
-
-def pump_migration(cluster, coordinator, interval=0.4):
-    """Poll the migration from a sim timer.
-
-    Client ops advance the plane internally (``run_until`` inside
-    ``ShardClient.op``), so without a timer the coordinator would only
-    make progress between ops -- and an op fenced ``wait`` on an
-    in-flight arc could never be released.  The timer makes migration
-    progress genuinely concurrent with the client's view of time.
-    """
-    def tick():
-        if coordinator.state == "migrating":
-            coordinator.poll()
-            cluster.sim.schedule(interval, tick)
-    cluster.sim.schedule(interval, tick)
 
 
 # ----------------------------------------------------------------------
@@ -68,6 +53,7 @@ def test_reshard_scale_out_moves_exactly_the_routing_delta():
 
     coordinator = cluster.reshard(shards=4)
     assert coordinator.state == "done"
+    cluster.run(0.05)       # every replica applies the last mig_retire
     moved = [key for key in keys if cluster.route(key) != before[key]]
     assert moved, "a 2->4 scale-out must move some keys"
     metrics = coordinator.migration_metrics()
@@ -98,6 +84,9 @@ def test_reshard_shrink_drains_keys_back():
 
     coordinator = cluster.reshard(shards=1)
     assert coordinator.state == "done"
+    # "done" is the first replica's word for the last mig_retire; the
+    # conservation oracle reads replica 0, so let the rest apply it
+    cluster.run(0.05)
     # everything now lives on shard 0; the drained shards hold nothing
     assert check_key_conservation(rsm, expected) == []
     for shard in (1, 2):
@@ -134,7 +123,6 @@ def test_concurrent_writes_during_migration_apply_exactly_once():
         assert client.set(key, 0)[0] == "ok"
 
     coordinator = cluster.resharder()
-    pump_migration(cluster, coordinator)
     coordinator.start(shards=4)
 
     expected = {}
@@ -178,7 +166,6 @@ def test_resubmit_same_op_id_survives_mid_migration_view_change():
     client = rsm.client("vc", timeout=1.5, attempts=80)
 
     coordinator = cluster.resharder()
-    pump_migration(cluster, coordinator)
     coordinator.start(shards=2)
     # a key the new ring hands to the destination shard
     key = next("mv:%d" % i for i in range(10000)
@@ -195,6 +182,10 @@ def test_resubmit_same_op_id_survives_mid_migration_view_change():
     status, result = client.op(key, ("incr", key, 1), op_id=op_id)
     assert status == "ok"
     assert result == 1
+    # a fenced attempt resumes when ITS fence lifts, not on any apply
+    # (its own five would do): at the parent, pumped every 0.4 s, the
+    # view change cost 36 fenced attempts and no timeout
+    assert sum(client.fences.values()) + client.retries <= 36, client.fences
 
     # blind replay of the SAME op id: dedup returns the recorded result,
     # the counter does not move
@@ -218,6 +209,99 @@ def test_resubmit_same_op_id_survives_mid_migration_view_change():
 
 
 # ----------------------------------------------------------------------
+# the coordinator advances itself
+# ----------------------------------------------------------------------
+def _unattended_migration(seed):
+    cluster = make_plane(4, 3, seed=seed, ring_shards=3)
+    rsm = cluster.sharded_rsm()
+    client = rsm.client("seeder")
+    for i in range(30):
+        assert client.set("u:%d" % i, i)[0] == "ok"
+    coordinator = cluster.resharder()
+    polls = count_calls(coordinator, "poll")
+    coordinator.start(shards=4)
+    cluster.run(0.5)            # nobody polls: the plane just runs
+    metrics = coordinator.migration_metrics()
+    polled = len(polls)
+    cluster.run(4.0)            # done: no subscription, no deadline left
+    assert len(polls) == polled
+    waiting = [s for s in rsm.applied.values() if s.waiters]
+    cluster.stop()
+    return metrics, waiting
+
+
+def test_migration_completes_unattended_and_is_a_function_of_the_seed():
+    metrics, waiting = _unattended_migration(seed=4)
+    assert metrics["state"] == "done" and metrics["keys_moved"] > 0
+    assert metrics["resubmits"] == 0
+    # three ordered commands per pair, not three poll periods
+    assert metrics["finished_at"] - metrics["started_at"] < 0.02
+    assert waiting == []        # done: unsubscribed everywhere
+    assert _unattended_migration(seed=4)[0] == metrics
+
+
+def test_op_fenced_wait_resumes_when_its_install_is_applied():
+    cluster = make_plane(2, 4, seed=3, ring_shards=1)
+    rsm = cluster.sharded_rsm()
+    client = rsm.client("parked", timeout=1.5, attempts=30)
+    keys = ["w:%d" % i for i in range(12)]
+    for key in keys:
+        assert client.set(key, 1)[0] == "ok"
+    first = cluster.resharder()
+    first.start(shards=2)
+    epoch = first.epoch
+    assert cluster.run_until(
+        lambda: all(m.epoch == epoch for m in rsm.machines(1)), 1.0)
+    first.stop()                # crashed between mig_begin and mig_install
+    second = cluster.resharder()
+    cluster.sim.schedule(0.33, second.resume)
+    installed_at = []
+
+    def watch():                # when shard 1 first applies the install
+        if any((epoch, 0) in m.installed for m in rsm.machines(1)):
+            installed_at.append(cluster.sim.now)
+        else:
+            rsm.applied[1].waiters.append(watch)
+    watch()
+    moved = next(k for k in keys if cluster.manager.route(k) == 1)
+    client.refresh()
+    assert client.incr(moved) == ("ok", 2)
+    assert client.fences["wait"] >= 3, client.fences    # parked ~0.33 s
+    assert 0.0 <= cluster.sim.now - installed_at[0] < 0.010
+    assert second.run(timeout=5.0)
+    cluster.stop()
+
+
+def test_lost_install_is_resubmitted_by_the_coordinators_own_deadline():
+    cluster = make_plane(2, 4, seed=9, ring_shards=1)
+    rsm = cluster.sharded_rsm()
+    client = rsm.client("seeder")
+    expected = {"d:%d" % i: i for i in range(12)}
+    for key, value in expected.items():
+        assert client.set(key, value)[0] == "ok"
+    dst_group = cluster.shard_group(1)
+    submitter = rsm.live_replica(1)
+    submit = submitter.submit
+
+    def submit_then_crash(command, size=32):
+        submit(command, size=size)
+        if command[0] == "mig_install":
+            dst_group.crash(submitter.endpoint.process.node_id)
+    submitter.submit = submit_then_crash
+    coordinator = cluster.resharder(phase_timeout=1.0)
+    polls = count_calls(coordinator, "poll")
+    coordinator.start(shards=2)
+    assert coordinator.run(timeout=10.0)
+    metrics = coordinator.migration_metrics()
+    assert metrics["resubmits"] == 1
+    assert 1.0 <= metrics["finished_at"] - metrics["started_at"] < 1.1
+    assert polls                # its own, every one: nobody else polled
+    cluster.run(0.05)
+    assert check_key_conservation(rsm, expected) == []
+    cluster.stop()
+
+
+# ----------------------------------------------------------------------
 # coordinator hand-off
 # ----------------------------------------------------------------------
 def test_abandoned_migration_is_resumable_by_a_fresh_coordinator():
@@ -231,10 +315,11 @@ def test_abandoned_migration_is_resumable_by_a_fresh_coordinator():
         expected[key] = i
 
     first = cluster.resharder()
-    first.start(shards=3)
-    cluster.run(0.5)          # mig_begins in flight, then the
-    first.poll()              # coordinator "crashes" (is abandoned)
+    first.start(shards=3)     # mig_begins in flight, then the
+    first.stop()              # coordinator crashes
+    cluster.run(0.5)
     assert first.state == "migrating"
+    assert first.migration_metrics()["pairs_done"] == 0
 
     second = cluster.resharder()
     with pytest.raises(ValueError):
@@ -245,6 +330,7 @@ def test_abandoned_migration_is_resumable_by_a_fresh_coordinator():
     assert adopted_epoch == first.epoch
     assert second.run(timeout=30.0)
     assert second.state == "done"
+    cluster.run(0.05)       # every replica applies the last mig_retire
     assert cluster.directory.epochs() == (adopted_epoch,)
     assert check_key_conservation(rsm, expected) == []
     cluster.stop()
