@@ -5,12 +5,18 @@ recovers into a correct new view, and the execution satisfies the safety
 properties throughout.
 """
 
-from tests.helpers import make_group
+import pytest
+
+from tests.helpers import cast_payloads, make_group
 
 from repro import Group, StackConfig
-from repro.byzantine.behaviors import (BadViewCoordinator, MuteCoordinator,
-                                       MuteNode, TwoFacedCaster, VerboseNode)
-from repro.core.properties import check_view_synchrony
+from repro.byzantine.behaviors import (BadViewCoordinator, ByzantineBehavior,
+                                       MuteCoordinator, MuteNode,
+                                       TwoFacedCaster, VerboseNode)
+from repro.core import message as mk
+from repro.core.message import Message
+from repro.core.properties import (check_view_synchrony,
+                                   check_virtual_synchrony)
 
 
 def excluded_everywhere(group, target):
@@ -204,3 +210,81 @@ def test_replayed_duplicates_are_absorbed():
                     if type(e).__name__ == "CastDeliver"
                     and isinstance(e.payload, tuple) and e.payload[0] == "r"]
         assert payloads == [("r", k) for k in range(10)], "node %d" % node
+
+
+class MatrixAckFlooder(ByzantineBehavior):
+    """Floods signed ``("matrix", rows)`` payloads -- the gossip ack
+    dialect this stack no longer speaks -- claiming EVERY member's row is
+    the attacker's own delivered vector (never above what an origin sent,
+    so no ack-for-unsent check can fire)."""
+
+    def __init__(self, kind, start_at=0.0, interval=0.004):
+        super().__init__()
+        self.kind = kind
+        self.start_at = start_at
+        self.interval = interval
+        self.sent = 0
+
+    def start(self):
+        self.sim.schedule(self.start_at, self._flood)
+
+    def _flood(self):
+        process = self.process
+        if process.stopped:
+            return
+        vector = process.reliable._delivered_vector()
+        rows = tuple((member, vector) for member in process.view.mbrs)
+        process.reliable.send_down(Message(
+            self.kind, self.me, process.view.vid, ("matrix", rows),
+            payload_size=8 + 6 * len(vector) * len(rows)))
+        self.sent += 1
+        self.sim.schedule(self.interval, self._flood)
+
+
+@pytest.mark.parametrize("kind", [mk.KIND_ACK, mk.KIND_HEARTBEAT])
+def test_matrix_ack_flood_cannot_starve_a_deaf_member(kind, **config_kw):
+    """One liar vouching for everybody's acks must not get a message a
+    correct member still lacks trimmed from every archive: third-party
+    rows are refused, so member 3 (deaf while member 0 casts) recovers
+    all 20 by NAK once it hears again."""
+    liar, deaf = 7, 3
+    behaviors = {liar: MatrixAckFlooder(kind)}
+    group = make_group(8, seed=12, behaviors=behaviors, **config_kw)
+    correct = [n for n in group.processes if n != liar]
+    moved, peak = [], dict.fromkeys(correct, 0.0)
+
+    def watch(process):
+        on_ack = process.reliable._on_ack
+        others = [m for m in process.view.mbrs if m != liar]
+
+        def watched(msg):
+            if msg.sender != liar:
+                return on_ack(msg)
+            acked_seq = process.stability.acked_seq
+            before = [acked_seq(m, 0) for m in others]
+            on_ack(msg)
+            if [acked_seq(m, 0) for m in others] != before:
+                moved.append((process.node_id, msg.payload))
+            peak[process.node_id] = max(peak[process.node_id],
+                                        process.verbose_levels.level(liar))
+        process.reliable._on_ack = watched
+
+    for node in correct:
+        watch(group.processes[node])
+    port = group.network._ports[deaf]
+    deliver = port.deliver
+    group.sim.schedule(0.05, setattr, port, "deliver", lambda src, data: None)
+    group.sim.schedule(0.11, setattr, port, "deliver", deliver)
+    for k in range(20):
+        group.sim.schedule(0.05 + 0.002 * k, group.endpoints[0].cast,
+                           ("m", k))
+    group.run(3.0)
+    assert behaviors[liar].sent > 10
+    payloads = [p for p in cast_payloads(group.endpoints[deaf])
+                if isinstance(p, tuple) and p[0] == "m"]
+    assert payloads == [("m", k) for k in range(20)], \
+        "member %d delivered %d/20, in %s" % (
+            deaf, len(payloads), group.processes[deaf].view.vid)
+    assert not moved, moved[:3]
+    assert all(level > 0 for level in peak.values()), peak
+    assert check_virtual_synchrony(group.execution()) == []

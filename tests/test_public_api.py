@@ -1,20 +1,26 @@
-"""The public surface: ``repro.__all__`` and the docs/API.md snippets.
+"""The public surface: ``repro.__all__``, the docs/API.md snippets and
+the example programs.
 
-Two guarantees: every name the package advertises actually resolves, and
+Three guarantees: every name the package advertises actually resolves,
 every ``python`` code block in docs/API.md executes as written (run in
-order, in one shared namespace), so the documentation cannot drift from
-the code.
+order, in one shared namespace), and every ``examples/*.py`` runs to exit
+0 against ``src/`` -- so neither the documentation nor the examples can
+drift from the code.
 """
 
+import glob
 import os
 import re
+import subprocess
+import sys
 
 import pytest
 
 import repro
 
-DOCS_API = os.path.join(os.path.dirname(os.path.dirname(
-    os.path.abspath(__file__))), "docs", "API.md")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+DOCS_API = os.path.join(ROOT, "docs", "API.md")
+EXAMPLES = sorted(glob.glob(os.path.join(ROOT, "examples", "*.py")))
 
 
 def test_all_names_resolve():
@@ -63,3 +69,11 @@ def test_api_md_snippets_execute():
         except Exception as exc:  # pragma: no cover - diagnostic path
             pytest.fail("docs/API.md block %d failed: %r\n%s"
                         % (index, exc, block))
+
+
+@pytest.mark.parametrize("path", EXAMPLES, ids=os.path.basename)
+def test_example_runs(path):
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    done = subprocess.run([sys.executable, path], env=env, cwd=ROOT,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stdout[-2000:] + done.stderr[-2000:]
