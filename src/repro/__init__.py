@@ -20,7 +20,6 @@ Everything in ``__all__`` is the supported public surface; see docs/API.md
 for the tour and docs/OBSERVABILITY.md for the metrics/tracing plane.
 """
 
-from repro.adhoc.geometry import Field
 from repro.byzantine.behaviors import (
     BadViewCoordinator,
     ByzantineBehavior,
@@ -34,7 +33,7 @@ from repro.byzantine.behaviors import (
 )
 from repro.core.config import ShardConfig, StackConfig
 from repro.core.endpoint import GroupEndpoint
-from repro.core.events import BlockEvent, CastDeliver, SendDeliver, ViewEvent
+from repro.core.events import CastDeliver, SendDeliver, ViewEvent
 from repro.core.group import Group
 from repro.core.history import Execution, History
 from repro.core.process import GroupProcess
@@ -59,12 +58,10 @@ __version__ = "1.1.0"
 
 __all__ = [
     "BadViewCoordinator",
-    "BlockEvent",
     "ByzantineBehavior",
     "CastDeliver",
     "Cluster",
     "Execution",
-    "Field",
     "ForgedRetransmitter",
     "Group",
     "GroupEndpoint",

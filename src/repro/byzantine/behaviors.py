@@ -37,6 +37,7 @@ from zlib import crc32
 
 from repro.core import message as mk
 from repro.core.message import Message
+from repro.layers.reliable import ARCHIVED_LEN
 
 
 class ByzantineBehavior:
@@ -227,14 +228,15 @@ class ForgedRetransmitter(ByzantineBehavior):
         if msg.kind != mk.KIND_RETRANS:
             return msg
         wire = msg.payload
-        if not isinstance(wire, tuple) or len(wire) != 8:
+        if not isinstance(wire, tuple) or len(wire) != ARCHIVED_LEN:
             return msg
-        kind, origin, vid, stream, seq, payload, size, signature = wire
+        (kind, origin, vid, stream, seq, payload, size, signature,
+         msg_id) = wire
         if origin == self.me:
             return msg  # altering own messages is TwoFacedCaster's job
         out = msg.clone_for(dst)
         out.payload = (kind, origin, vid, stream, seq,
-                       ("tampered", payload), size, signature)
+                       ("tampered", payload), size, signature, msg_id)
         # re-sign the outer wrapper so only the inner check can catch it
         process = self.process
         new_sig, _cost, _bytes = process.auth.sign(

@@ -356,8 +356,8 @@ class ChaosEngine:
             return
         try:
             self.group.network.degrade_nic(node, factor)
-        except (KeyError, AttributeError):
-            return   # detached port / topology without NICs (ad hoc)
+        except KeyError:
+            return   # detached port
         if factor == 1.0:
             self._degraded.discard(node)
         else:
@@ -401,7 +401,7 @@ class ChaosEngine:
         for node in sorted(self._degraded, key=repr):
             try:
                 self.group.network.degrade_nic(node, 1.0)
-            except (KeyError, AttributeError):
+            except KeyError:
                 pass
         self._degraded.clear()
         for node in sorted(self._skewed, key=repr):

@@ -91,11 +91,6 @@ class StackConfig:
                  flow_window=256,
                  ack_interval=0.012,
                  ack_every=512,
-                 # ack dissemination: "broadcast" (wired default) or
-                 # "gossip" ([29]-style epidemic exchange, benign trust;
-                 # Byzantine-hardening is the paper's stated open problem)
-                 ack_mode="broadcast",
-                 ack_gossip_fanout=2,
                  retrans_timeout=0.04,
                  # hardening against loss storms (chaos plane): repeated
                  # retransmission retries back off exponentially up to this
@@ -162,8 +157,6 @@ class StackConfig:
         self.flow_window = flow_window
         self.ack_interval = ack_interval
         self.ack_every = ack_every
-        self.ack_mode = ack_mode
-        self.ack_gossip_fanout = ack_gossip_fanout
         self.retrans_timeout = retrans_timeout
         self.retrans_backoff_max = retrans_backoff_max
         self.retrans_jitter = retrans_jitter

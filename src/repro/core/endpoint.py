@@ -9,7 +9,7 @@ the strong virtual synchrony abstraction.
 
 from __future__ import annotations
 
-from repro.core.events import BlockEvent, CastDeliver, SendDeliver, ViewEvent
+from repro.core.events import CastDeliver, SendDeliver, ViewEvent
 
 
 class GroupEndpoint:
@@ -21,7 +21,6 @@ class GroupEndpoint:
         self.on_view = None        # callback(ViewEvent)
         self.on_cast = None        # callback(CastDeliver)
         self.on_send = None        # callback(SendDeliver)
-        self.on_block = None       # callback(BlockEvent)
         # state transfer (opt-in): provider() -> snapshot object;
         # installer(snapshot) adopts a vouched snapshot after joining
         self.state_provider = None
@@ -113,8 +112,3 @@ class GroupEndpoint:
             self.events.append(event)
         if self.on_send is not None:
             self.on_send(event)
-
-    def dispatch_block(self, time, blocked):
-        event = BlockEvent(time, blocked)
-        if self.on_block is not None:
-            self.on_block(event)

@@ -65,18 +65,3 @@ class SendDeliver(AppEvent):
     def __repr__(self):
         return "SendDeliver(t={:.4f}, from={}, vid={})".format(
             self.time, self.origin, self.view_id)
-
-
-class BlockEvent(AppEvent):
-    """The stack entered a view change; casts are buffered until the next
-    view.  Ensemble exposes the same block/unblock signal to applications
-    that want to stop producing during synchronization."""
-
-    __slots__ = ("blocked",)
-
-    def __init__(self, time, blocked):
-        super().__init__(time)
-        self.blocked = blocked
-
-    def __repr__(self):
-        return "BlockEvent(t={:.4f}, blocked={})".format(self.time, self.blocked)

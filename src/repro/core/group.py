@@ -28,9 +28,8 @@ from repro.sim.clock import NodeClock
 class Group:
     """A simulated cluster of group-communication daemons.
 
-    Built by :meth:`bootstrap`, :meth:`on_runtime` or
-    :meth:`bootstrap_adhoc` (or ``Cluster.create``); the constructor only
-    stores what those assembled.
+    Built by :meth:`bootstrap` or :meth:`on_runtime` (or
+    ``Cluster.create``); the constructor only stores what those assembled.
     """
 
     def __init__(self, sim, network, processes, endpoints, config,
@@ -140,65 +139,6 @@ class Group:
         group.group_id = group_id
         group.byzantine_nodes = set(behaviors)
         group.clocks = clocks
-        if start:
-            group.start()
-        return group
-
-    @classmethod
-    def bootstrap_adhoc(cls, n, config=None, seed=0, field=None,
-                        net_config=None, behaviors=None, established=True,
-                        start=True, max_paths=2):
-        """Create a cluster on a simulated MANET (paper section 6).
-
-        The identical protocol stack runs over a multi-hop radio network:
-        unit-disk connectivity, node-disjoint multipath forwarding, and
-        flooding gossip.  With ``field=None`` the nodes are placed on a
-        deterministic grid whose radio range yields a connected graph.
-        """
-        from repro.adhoc.geometry import Field
-        from repro.adhoc.network import AdHocNetwork
-        from repro.sim.scheduler import Simulator
-        config = config or StackConfig.byz()
-        # radio timing is ~20x wired: scale the detection constants so the
-        # stack does not mistake multi-hop latency for muteness
-        config = config.clone(
-            # "the stability protocol must become gossip based" (section 6)
-            ack_mode="gossip",
-            heartbeat_interval=max(config.heartbeat_interval, 0.1),
-            mute_timeout=max(config.mute_timeout, 0.5),
-            gossip_interval=max(config.gossip_interval, 0.25),
-            consensus_msg_timeout=max(config.consensus_msg_timeout, 0.5),
-            newview_timeout=max(config.newview_timeout, 0.8),
-            retrans_timeout=max(config.retrans_timeout, 0.2),
-            ack_interval=max(config.ack_interval, 0.05),
-            fuzzy_decay_interval=max(config.fuzzy_decay_interval, 0.25),
-            suspicion_settle_delay=max(config.suspicion_settle_delay, 0.05))
-        sim = Simulator(seed=seed)
-        node_ids = list(range(n))
-        if field is None:
-            field = Field(radio_range=0.45)
-            field.place_grid(node_ids)
-        network = AdHocNetwork(sim, field, net_config, max_paths=max_paths)
-        obs = cls._make_obs(sim, network, config)
-        keys = KeyManager()
-        behaviors = behaviors or {}
-        members = tuple(node_ids)
-        f = config.resilience(n)
-        common = View(ViewId(1, members[0]), members, f=f,
-                      underprovisioned=(f == 0 and config.byzantine))
-        processes = {}
-        endpoints = {}
-        for node_id in node_ids:
-            initial = common if established else singleton_view(node_id)
-            process = GroupProcess(sim, network, node_id, config, keys,
-                                   initial, behavior=behaviors.get(node_id),
-                                   obs=obs)
-            processes[node_id] = process
-            endpoints[node_id] = GroupEndpoint(process)
-        network.refresh_components()
-        group = cls(sim, network, processes, endpoints, config, keys=keys,
-                    obs=obs)
-        group.byzantine_nodes = set(behaviors)
         if start:
             group.start()
         return group

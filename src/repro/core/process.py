@@ -95,13 +95,8 @@ class GroupProcess:
         self.stability = StabilityTracker(self)
         self._last_heard = {}
         self.stack = LayerStack(self, default_layers())
-        if group_id is None:
-            # the historical 3-arg attach keeps every transport (ad-hoc
-            # radio, test doubles) working without a ``group`` kwarg
-            self.network.attach(node_id, self._on_datagram, self._on_gossip)
-        else:
-            self.network.attach(node_id, self._on_datagram, self._on_gossip,
-                                group=group_id)
+        self.network.attach(node_id, self._on_datagram, self._on_gossip,
+                            group=group_id)
         if behavior is not None:
             behavior.install(self)
 

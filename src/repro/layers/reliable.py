@@ -52,6 +52,11 @@ STREAM_APP = "a"
 STREAM_CTL = "c"
 STREAM_P2P = "p"
 
+#: an archived message -- the payload of a KIND_RETRANS -- is the tuple
+#: (kind, origin, vid, stream, seq, payload, size, signature, msg_id)
+#: built by ``ReliableLayer._wire_of``
+ARCHIVED_LEN = 9
+
 
 class _InStream:
     """Receive side of one FIFO stream from one origin."""
@@ -501,38 +506,13 @@ class ReliableLayer(Layer):
     def _broadcast_ack(self, vector):
         self._since_ack = 0
         self._ack_sent = vector
-        if self.config.ack_mode == "gossip":
-            self.count("ack_gossips_sent")
-            self._gossip_ack(vector)
-            return
         self._ack_sent_at = self.sim.now
         self.count("acks_sent")
         self.send_down(Message(mk.KIND_ACK, self.me, self.view.vid, vector,
                                payload_size=6 * len(vector)))
 
-    def _gossip_ack(self, vector):
-        """Epidemic ack dissemination ([29]): send the aggregated matrix
-        to a few random peers instead of broadcasting our own vector."""
-        stability = self.process.stability
-        stability.on_local_progress(vector)
-        rows = stability.matrix_rows()
-        peers = [m for m in self.view.mbrs if m != self.me]
-        if not peers:
-            return
-        rng = self.sim.rng
-        rng.shuffle(peers)
-        size = 8 + sum(6 * len(row_vector) for _m, row_vector in rows)
-        for peer in peers[: self.config.ack_gossip_fanout]:
-            ack = Message(mk.KIND_ACK, self.me, self.view.vid,
-                          ("matrix", rows), payload_size=size, dest=peer)
-            self.send_down(ack)
-
     def _on_ack(self, msg):
         vector = msg.payload
-        if (isinstance(vector, tuple) and len(vector) == 2
-                and vector[0] == "matrix"):
-            self._on_matrix_ack(msg, vector[1])
-            return
         if not isinstance(vector, tuple):
             if self.config.byzantine:
                 self.process.verbose_detector.illegal(msg.sender, "rel:bad-ack")
@@ -607,42 +587,6 @@ class ReliableLayer(Layer):
             return
         self.process.stability.on_ack(msg.sender, vector)
         self._recover_trailing(vector)
-
-    def _on_matrix_ack(self, msg, rows):
-        if self.config.ack_mode != "gossip" or msg.kind != mk.KIND_ACK:
-            if self.config.byzantine:
-                self.process.verbose_detector.illegal(
-                    msg.sender, "rel:unexpected-matrix-ack")
-            return
-        if not isinstance(rows, tuple):
-            if self.config.byzantine:
-                self.process.verbose_detector.illegal(
-                    msg.sender, "rel:bad-matrix-ack")
-            return
-        clean = []
-        for row in rows:
-            if (not isinstance(row, tuple) or len(row) != 2
-                    or not isinstance(row[1], tuple)):
-                continue
-            member, vector = row
-            if member not in self.view.mbrs:
-                continue
-            entries = tuple(entry for entry in vector
-                            if isinstance(entry, tuple) and len(entry) == 3
-                            and isinstance(entry[2], int) and entry[2] >= 0)
-            # overstating OUR own stream is still detectable
-            if self.config.byzantine:
-                bogus = any(origin == self.me and stream in self._out_seq
-                            and cum > self._out_seq[stream]
-                            for origin, stream, cum in entries)
-                if bogus:
-                    self.process.verbose_detector.illegal(
-                        msg.sender, "rel:matrix-ack-for-unsent")
-                    return
-            clean.append((member, entries))
-            if member == msg.sender:
-                self._recover_trailing(entries)
-        self.process.stability.on_matrix(clean)
 
     def _recover_trailing(self, vector):
         """Chase messages nobody followed up on.
@@ -816,7 +760,7 @@ class ReliableLayer(Layer):
 
     def _on_retrans(self, msg):
         wire = msg.payload
-        if not isinstance(wire, tuple) or len(wire) != 9:
+        if not isinstance(wire, tuple) or len(wire) != ARCHIVED_LEN:
             if self.config.byzantine:
                 self.process.verbose_detector.illegal(
                     msg.sender, "rel:bad-retrans")

@@ -100,39 +100,6 @@ class StabilityTracker:
     def on_local_progress(self, vector):
         self.on_ack(self.process.node_id, vector)
 
-    def on_matrix(self, rows):
-        """Merge a gossiped ack matrix: per-(member, stream) maximum.
-
-        Third-party rows are trusted as in the benign gossip stability of
-        [29]; the Byzantine-hardened variant is the open problem the paper
-        names in section 6.
-        """
-        for member, vector in rows:
-            streams = self._acked.get(member)
-            if streams is None:
-                streams = self._acked[member] = {}
-            for origin, stream, cum in vector:
-                table = streams.get(stream)
-                if table is None:
-                    table = streams[stream] = {}
-                if isinstance(cum, int) and cum > table.get(origin, 0):
-                    table[origin] = cum
-        self._notify()
-
-    def matrix_rows(self):
-        """The full known matrix as wire rows for gossip exchange."""
-        rows = []
-        for member, streams in self._acked.items():
-            # flatten back to the canonical (origin, stream, cum) triples;
-            # the wire rows are byte-identical to the flat-table encoding
-            vector = tuple(sorted(((origin, stream, cum)
-                                   for stream, table in streams.items()
-                                   for origin, cum in table.items()),
-                                  key=repr))
-            rows.append((member, vector))
-        rows.sort(key=repr)
-        return tuple(rows)
-
     def _notify(self):
         # snapshot: a callback may unsubscribe itself (the membership
         # layer does, once its cut goes stable) without skipping peers

@@ -10,9 +10,7 @@ layer stack run on top.
 ``net_profile`` widens the failure-detection and retransmission timing
 constants: the simulator's defaults (20 ms heartbeats, 80 ms mute
 timeout) assume a noiseless virtual LAN, while a loaded CI host adds
-scheduling jitter that would read as muteness and churn views.  The
-profile is the real-network analogue of the MANET rescale in
-``Group.bootstrap_adhoc``.
+scheduling jitter that would read as muteness and churn views.
 """
 
 from __future__ import annotations

@@ -13,6 +13,7 @@ import pytest
 from repro.byzantine import behaviors as behavior_library
 from repro.chaos import FaultPlan, run_plan
 from repro.chaos.plan import RUNTIME_BEHAVIORS
+from repro.detectors.verbose import FuzzyVerboseDetector
 
 #: churn tail shared by every scenario: casts from correct nodes, a view
 #: change under attack, and enough run time for detection + recovery
@@ -48,18 +49,41 @@ def test_every_behavior_is_covered():
     assert set(RUNTIME_BEHAVIORS) <= exported
 
 
+#: (villain, plan config, ops ahead of the tail).  A forged retransmission
+#: needs a NAK to answer and an inner signature to break, so that case
+#: alone runs signed, starts under loss, and puts the villain where a
+#: receiver's second NAK round asks (round r goes to the r-th other member)
+_DEFAULT_SETUP = (7, None, [])
+_FORGER_SETUP = (2, {"crypto": "sym", "retrans_timeout": 0.02},
+                 [["drop", None, None, 0.4], ["cast", 0, 40], ["run", 1.0],
+                  ["clear_faults"]])
+
+
 @pytest.mark.parametrize("name,params",
                          BOOT_CASES, ids=[c[0] for c in BOOT_CASES])
-def test_behavior_tolerated_via_engine(name, params):
-    plan = FaultPlan(seed=31, n=8,
-                     ops=[["byzantine", 7, name, params]] + _TAIL)
+def test_behavior_tolerated_via_engine(name, params, monkeypatch):
+    forger = name == "ForgedRetransmitter"
+    villain, config, prelude = _FORGER_SETUP if forger else _DEFAULT_SETUP
+    plan = FaultPlan(seed=31, n=8, config=config,
+                     ops=[["byzantine", villain, name, params]] + prelude
+                     + _TAIL)
+    tags = []
+    illegal = FuzzyVerboseDetector.illegal
+
+    def recording(self, member, tag, weight=None):
+        tags.append((member, tag))
+        illegal(self, member, tag, weight)
+    monkeypatch.setattr(FuzzyVerboseDetector, "illegal", recording)
     violations, engine = run_plan(plan, settle=3.0, event_budget=400_000,
                                   measure_recovery=True)
     assert not violations, violations
     assert not engine.stalled
-    process = engine.group.processes[7]
+    process = engine.group.processes[villain]
     assert type(process.behavior).__name__ == name
-    assert 7 in engine.group.byzantine_nodes
+    assert villain in engine.group.byzantine_nodes
+    if forger:
+        assert process.behavior.forged > 0
+        assert (villain, "rel:forged-retrans") in tags
 
 
 def test_two_faced_caster_under_total_order():

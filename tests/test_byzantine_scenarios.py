@@ -242,14 +242,14 @@ class MatrixAckFlooder(ByzantineBehavior):
 
 
 @pytest.mark.parametrize("kind", [mk.KIND_ACK, mk.KIND_HEARTBEAT])
-def test_matrix_ack_flood_cannot_starve_a_deaf_member(kind, **config_kw):
+def test_matrix_ack_flood_cannot_starve_a_deaf_member(kind):
     """One liar vouching for everybody's acks must not get a message a
     correct member still lacks trimmed from every archive: third-party
     rows are refused, so member 3 (deaf while member 0 casts) recovers
     all 20 by NAK once it hears again."""
     liar, deaf = 7, 3
     behaviors = {liar: MatrixAckFlooder(kind)}
-    group = make_group(8, seed=12, behaviors=behaviors, **config_kw)
+    group = make_group(8, seed=12, behaviors=behaviors)
     correct = [n for n in group.processes if n != liar]
     moved, peak = [], dict.fromkeys(correct, 0.0)
 

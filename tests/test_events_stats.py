@@ -2,7 +2,7 @@
 
 from tests.helpers import make_group
 
-from repro.core.events import BlockEvent, CastDeliver, SendDeliver, ViewEvent
+from repro.core.events import CastDeliver, SendDeliver, ViewEvent
 from repro.core.view import View, ViewId
 
 
@@ -11,7 +11,6 @@ def test_event_reprs_are_informative():
     assert "vid(1;0)" in repr(ViewEvent(0.5, view))
     assert "from=3" in repr(CastDeliver(0.5, 3, "p", ViewId(1, 0)))
     assert "from=2" in repr(SendDeliver(0.5, 2, "p", ViewId(1, 0)))
-    assert "blocked=True" in repr(BlockEvent(0.5, True))
 
 
 def test_events_carry_msg_ids_and_view_ids():

@@ -6,7 +6,7 @@ stability (section 3.1) and the packing/batching optimization of [33]
 small messages").
 """
 
-from tests.helpers import DatagramLog, cast_payloads, make_group
+from tests.helpers import cast_payloads, make_group
 
 from repro import Group, StackConfig
 from repro.core import message as mk
@@ -161,61 +161,8 @@ def test_pack_queue_accounting_and_flush_threshold():
     group.stop()
 
 
-# ----------------------------------------------------------------------
-# gossip ack dissemination ([29]; the paper's section-6 extension)
-# ----------------------------------------------------------------------
-def test_gossip_ack_mode_delivers_and_stabilizes():
-    group = make_group(8, seed=20, ack_mode="gossip")
-    for k in range(25):
-        group.endpoints[0].cast(("ga", k))
-    group.run(1.0)
-    for node in range(8):
-        payloads = [p for p in cast_payloads(group.endpoints[node])
-                    if isinstance(p, tuple) and p[0] == "ga"]
-        assert payloads == [("ga", k) for k in range(25)]
-    # stability knowledge spread without any ack broadcast
-    tracker = group.processes[5].stability
-    assert tracker.min_ack(0, "a", group.processes[5].view.mbrs) == 25
-
-
-def test_gossip_ack_mode_survives_view_change():
-    group = make_group(8, seed=21, ack_mode="gossip")
-    for k in range(10):
-        group.endpoints[1].cast(("gv", k))
-    group.run(0.2)
-    group.crash(7)
-    ok = group.run_until(lambda: all(p.view.n == 7
-                                     for p in group.processes.values()
-                                     if not p.stopped), timeout=5.0)
-    assert ok
-    group.run(0.3)
-    execution = group.execution()
-    execution.correct.discard(7)
-    violations = check_virtual_synchrony(execution)
-    assert not violations, violations[:5]
-
-
-def test_gossip_ack_message_cost_scales_better():
-    def ack_datagrams(mode, n=24):
-        group = make_group(n, seed=22, ack_mode=mode)
-        log = DatagramLog(group)
-        # loaded: an idle group sends no acks at all in either mode
-        for k in range(100):
-            group.sim.schedule(0.005 * k, group.endpoints[k % n].cast,
-                               ("load", k))
-        group.run(0.5)
-        group.stop()
-        return log.count(mk.KIND_ACK)
-
-    broadcast_cost = ack_datagrams("broadcast")
-    gossip_cost = ack_datagrams("gossip")
-    # broadcast acks cost n-1 datagrams each; gossip costs fanout
-    assert 0 < gossip_cost < 0.6 * broadcast_cost, \
-        (gossip_cost, broadcast_cost)
-
-
 def test_matrix_ack_rejected_in_broadcast_mode():
-    group = make_group(4, seed=23)  # broadcast mode
+    group = make_group(4, seed=23)
     process = group.processes[0]
     from repro.core.message import Message
     from repro.core import message as mk

@@ -2,7 +2,7 @@
 
 The base fuzzer runs the plain hardened stack; these runs point the same
 random fault schedules at the other configurations -- crypto, packing,
-gossip acks, uniform delivery -- where layer interactions differ.
+uniform delivery -- where layer interactions differ.
 """
 
 from repro import StackConfig
@@ -26,11 +26,6 @@ def test_fuzz_sym_crypto():
 def test_fuzz_packing():
     for seed in (33, 34):
         run_fuzz(seed, StackConfig.byz(packing=True))
-
-
-def test_fuzz_gossip_acks():
-    for seed in (35, 36):
-        run_fuzz(seed, StackConfig.byz(ack_mode="gossip"))
 
 
 def test_fuzz_uniform_delivery():

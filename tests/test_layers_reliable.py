@@ -1,6 +1,7 @@
 """Tests for reliable FIFO delivery, loss recovery, and retransmission."""
 
-from tests.helpers import cast_ids, cast_payloads, make_group
+from tests.helpers import (cast_ids, cast_payloads, make_group,
+                           tagged_detector)
 
 from repro import Group, StackConfig
 from repro.apps.ring import RingDemo
@@ -140,9 +141,14 @@ def test_forged_retransmission_rejected():
     behaviors = {2: ForgedRetransmitter()}
     group = Group.bootstrap(5, config=config, seed=11, behaviors=behaviors,
                             net_config=NetworkConfig(drop_prob=0.25))
+    tags = [tagged_detector(group.processes[node]) for node in (0, 1, 3, 4)]
     for k in range(15):
         group.endpoints[0].cast(("f", k))
     group.run(3.0)
+    # the attack fired, and a receiver refused the origin's signature over
+    # the tampered contents
+    assert behaviors[2].forged > 0
+    assert any("rel:forged-retrans" in seen for seen in tags)
     # despite the forger, every correct node gets the true contents in order
     for node in (0, 1, 3, 4):
         payloads = [p for p in cast_payloads(group.endpoints[node])

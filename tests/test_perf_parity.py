@@ -131,15 +131,6 @@ def test_parity_packing():
     assert_parity(303, StackConfig.byz(crypto="sym", packing=True))
 
 
-def test_parity_gossip_acks():
-    # gossip acks route the *full* delivered vector through the stability
-    # matrix -- the path where incremental bookkeeping must agree with the
-    # reference rebuild exactly.  Traffic-only script: gossip fault
-    # schedules converge slowly regardless of these optimizations.
-    assert_parity(404, StackConfig.byz(crypto="sym", ack_mode="gossip"),
-                  n=6, ops=5, allow=("cast_burst", "run"))
-
-
 def test_parity_total_order_fast_path_off():
     # total ordering with the ordering_fast_path knob at its default
     # (off): the six reference paths must stay invisible underneath

@@ -40,7 +40,7 @@ def test_documented_surface_is_exported():
     # the names the quickstart and docs lean on, spelled out so an
     # accidental __all__ regression fails loudly with the missing name
     for name in ("Group", "GroupEndpoint", "StackConfig", "NetworkConfig",
-                 "HostModel", "Field", "ObsConfig", "MetricsRegistry",
+                 "HostModel", "ObsConfig", "MetricsRegistry",
                  "MuteNode", "VerboseNode", "TwoFacedCaster",
                  "check_virtual_synchrony", "View", "ViewId",
                  "Cluster", "ShardManager", "ShardDirectory", "HashRing",

@@ -276,39 +276,6 @@ def test_pub_crypto_crashes_cost_no_more_signatures_than_periodic_acks(
 
 
 # ----------------------------------------------------------------------
-# (f) the same rule under gossip acks
-# ----------------------------------------------------------------------
-def test_gossip_mode_goes_quiet_and_wakes_on_a_cast():
-    group, log = boot(ack_mode="gossip")
-    config = group.config
-    group.run(SETTLE)
-    start = group.sim.now
-    group.run(1.0)
-    assert log.count(mk.KIND_ACK, since=start) == 0
-    # gossip acks reach only ``fanout`` peers, so they suppress no
-    # heartbeat: the idle beacon is exactly the broadcast-mode one
-    assert log.count(since=start) == idle_datagrams(group, 1.0)
-    cast_at = group.sim.now
-    group.endpoints[0].cast("wake")
-    assert group.run_until(
-        lambda: all(p.top.delivered == 1 for p in group.processes.values()),
-        timeout=1.0)
-    group.run(4 * config.heartbeat_interval)
-    matrices = log.select(mk.KIND_ACK, since=cast_at)
-    assert matrices and all(row[3].payload[0] == "matrix"
-                            for row in matrices)
-    # every row was learnt (from the matrices or the vector heartbeats):
-    # the epidemic stops instead of running forever
-    quiet = group.sim.now
-    group.run(1.0)
-    assert log.count(mk.KIND_ACK, since=quiet) == 0
-    for process in group.processes.values():
-        for member in process.view.mbrs:
-            assert process.stability.acked_seq(member, 0, "a") == 1
-    group.stop()
-
-
-# ----------------------------------------------------------------------
 # loss margin: thinner idle traffic must not cost false suspicions
 # ----------------------------------------------------------------------
 def parent_idle_datagrams(n, seconds):
@@ -370,19 +337,23 @@ def beacon_from(process, sender, payload, probe=False):
     (((2, "a", -1),), "rel:bad-ack-entry"),
     (((2, "a", "1"),), "rel:bad-ack-entry"),
     (((0, "a", 5),), "rel:ack-for-unsent"),
-    (("matrix", ((3, ((0, "a", 0),)),)), "rel:unexpected-matrix-ack"),
+    (("matrix", ((3, ((0, "a", 0),)),)), "rel:bad-ack-entry"),
 ])
-@pytest.mark.parametrize("ack_mode", ["broadcast", "gossip"])
-def test_malformed_heartbeat_vector_is_flagged_and_ignored(payload, tag,
-                                                           ack_mode):
-    group, log = boot(n=4, ack_mode=ack_mode)
+def test_malformed_heartbeat_vector_is_flagged_and_ignored(payload, tag):
+    group, log = boot(n=4)
     group.run(SETTLE)
     process = group.processes[0]
     tags = tagged_detector(process)
-    rows = process.stability.matrix_rows()
+
+    def table():
+        acked_seq = process.stability.acked_seq
+        return [acked_seq(member, origin, stream)
+                for member in range(4) for origin in range(4)
+                for stream in "ac"]
+    before = table()
     process.reliable.handle_up(beacon_from(process, 2, payload))
     assert tags == [tag]
-    assert process.stability.matrix_rows() == rows
+    assert table() == before
     assert process.verbose_levels.level(2) > 0
     # the correct node carries on exactly as an untouched one would
     group.run(0.5)
@@ -505,7 +476,7 @@ def test_never_acking_member_cannot_raise_the_ack_rate():
 
 
 # ----------------------------------------------------------------------
-# (g) real sockets: an idle AsyncioRuntime cluster sends no ack frames
+# (f) real sockets: an idle AsyncioRuntime cluster sends no ack frames
 # ----------------------------------------------------------------------
 @pytest.mark.net
 def test_net_idle_cluster_sends_no_acks_and_keeps_its_view():
