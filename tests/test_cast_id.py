@@ -140,6 +140,51 @@ def test_a_squatted_id_costs_its_owner_nothing(config_kw, dest):
     group.stop()
 
 
+@pytest.mark.xfail(strict=True, reason="origin spoofing on a direct stream")
+@pytest.mark.parametrize("crypto", ["sym", "pub"])
+@pytest.mark.parametrize("config_kw,dest", [
+    (FIFO, None), (CLASSIC, None), (UNIFORM, None), (FIFO, 2),
+], ids=["fifo", "classic", "uniform", "p2p"])
+def test_a_spoofed_origin_is_dropped(config_kw, dest, crypto):
+    """Byzantine member 0 transmits, under its own signature, a message
+    claiming origin 1 on member 1's first stream slot: a cast ``(1, 1)``
+    to everyone, or a send to member 2.  Only a retransmission may carry
+    another member's message, so the spoof is reported and delivered
+    nowhere, and member 1's own first message everywhere it was
+    addressed."""
+    group = make_group(5, seed=4, behaviors={0: ByzantineBehavior()},
+                       crypto=crypto, **config_kw)
+    group.run(0.05)
+    spoofer = group.processes[0]
+    kind = mk.KIND_CAST if dest is None else mk.KIND_SEND
+    spoof = Message(kind, 1, spoofer.view.vid, ("spoof",), 16, dest=dest,
+                    msg_id=(1, 1) if dest is None else None)
+    spoof.push_header("rel", ("a", 1) if dest is None else ("p", 1))
+    spoof.sender = 0
+    tags = tagged_detector(group.processes[2])
+    spoofer.reliable.send_down(spoof)
+    group.run(0.05)
+    assert tags == ["rel:spoofed-origin"]
+    if dest is None:
+        event, receivers = "CastDeliver", range(1, 5)
+        assert group.endpoints[1].cast(("honest",)) == (1, 1)
+    else:
+        event, receivers = "SendDeliver", (dest,)
+        group.endpoints[1].send(dest, ("honest",))
+
+    def delivered(node, payload):
+        return [e.origin for e in group.endpoints[node].events
+                if type(e).__name__ == event and e.payload == payload]
+    group.run_until(lambda: all(delivered(node, ("honest",))
+                                for node in receivers), timeout=2.0)
+    for node in range(1, 5):
+        assert delivered(node, ("spoof",)) == []
+        assert delivered(node, ("honest",)) == ([1] if node in receivers
+                                                else [])
+    assert check_virtual_synchrony(group.execution()) == []
+    group.stop()
+
+
 def test_a_forged_id_is_reported_and_not_buffered():
     group = make_group(4, seed=2)
     group.run(0.05)

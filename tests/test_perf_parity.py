@@ -30,6 +30,8 @@ The differential oracle needs a reference path to compare against.  Where
 there is none -- the one ordering instance manager serves both
 ``ordering_fast_path`` modes -- committed golden digests pin the per-seed
 executions instead (``GOLDEN_ORDERING`` below; ROADMAP item 2's oracle).
+Every differential scenario is pinned the same way as well
+(``GOLDEN_SCENARIOS``), so the goldens can outlive the reference paths.
 """
 
 import hashlib
@@ -114,28 +116,69 @@ def assert_parity(seed, config, **fuzz_kw):
             "event counts diverge under %s (seed %d)" % (name, seed)
 
 
+#: The (history, bookkeeping) digest pair -- the halves as in
+#: ``GOLDEN_ORDERING`` below -- of each scenario the differential oracle
+#: runs.  Recorded in the same commit as a passing ``assert_parity`` on
+#: the same seed, so every pair is also every reference path's output.
+#: Seed 505 is the wire-knob scenario: all four knob combinations must
+#: hash to it.
+GOLDEN_SCENARIOS = {
+    101: (
+        "a6b0f49b58ef4ec1cdb9d84b4b131bcb5f4f8e57e3f23c8664663c5e11e083bc",
+        "c13dc087e56d2124894da9b76b234777a31a4eb62be2910814e89a36a435f587"),
+    202: (
+        "ac0e26040843380a6f7c40488bbe31fa2a1387a5e507db152d18ed71710a8b0c",
+        "d97f250be5e55e5a6b69ebaff89aab6f93a55ebfab7ff6eec6b171b43a46d741"),
+    303: (
+        "4eebddadc46406a6166b34fdf340291fbe4127d496be8a46c78ac14bfc1bfe96",
+        "dba6f8aa11f084a4af92b86264bf1afe8f275413fc565b5830da768bcac196d8"),
+    505: (
+        "9b8327a46ee6a1b0dc526fda30cacb1f6eded9b4559b6f95fdb188476575d646",
+        "e203fb054823712ab30918daee869e08d6875a8c14fad77f32f9da9979397d6e"),
+    606: (
+        "a0d4da078832c5546715347f406bb8792809ff3be61aa0f0360a07e82f9f6ea5",
+        "6214539ddf847405d13b2613d0f7f9980b99b52e1c67b460bfdbff7997c63530"),
+}
+
+
+def assert_golden(name, golden, seed, config, **fuzz_kw):
+    """Hold one scenario to its pinned (history, bookkeeping) pair."""
+    histories, bookkeeping = scenario_digests(seed, config, **fuzz_kw)
+    assert histories == golden[0], \
+        "BEHAVIOUR moved: %s history half is now %r" % (name, histories)
+    assert bookkeeping == golden[1], \
+        "bookkeeping moved (histories identical): %s bookkeeping half " \
+        "is now %r" % (name, bookkeeping)
+
+
+def assert_scenario(seed, config):
+    assert_parity(seed, config)
+    assert_golden("GOLDEN_SCENARIOS[%d]" % seed, GOLDEN_SCENARIOS[seed],
+                  seed, config)
+
+
 def test_parity_sym_crypto():
     # the fig5 sym-crypto shape: the workload the digest-MAC optimization
     # targets; TwoFacedCaster (drawn by some seeds) exercises the
     # re-sign-after-mutation path against the memoized digest
-    assert_parity(101, StackConfig.byz(crypto="sym"))
+    assert_scenario(101, StackConfig.byz(crypto="sym"))
 
 
 def test_parity_pub_crypto():
-    assert_parity(202, StackConfig.byz(crypto="pub"))
+    assert_scenario(202, StackConfig.byz(crypto="pub"))
 
 
 def test_parity_packing():
     # packing + sym crypto: the batched pack-flush path plus per-receiver
     # MAC vectors
-    assert_parity(303, StackConfig.byz(crypto="sym", packing=True))
+    assert_scenario(303, StackConfig.byz(crypto="sym", packing=True))
 
 
 def test_parity_total_order_fast_path_off():
     # total ordering with the ordering_fast_path knob at its default
     # (off): the six reference paths must stay invisible underneath
     # consensus-based ordering too
-    assert_parity(606, StackConfig.byz(crypto="sym", total_order=True))
+    assert_scenario(606, StackConfig.byz(crypto="sym", total_order=True))
 
 
 #: Two pinned sha256 digests per ``run_scenario(seed, byz(crypto="sym",
@@ -201,29 +244,20 @@ def scenario_digests(seed, config, **fuzz_kw):
 def test_golden_ordering_digest(fast, seed):
     config = StackConfig.byz(crypto="sym", total_order=True,
                              ordering_fast_path=fast)
-    histories, bookkeeping = scenario_digests(seed, config, n=8)
-    golden = GOLDEN_ORDERING[fast, seed]
-    assert histories == golden[0], \
-        "ordering BEHAVIOUR moved: GOLDEN_ORDERING[(%r, %d)] history " \
-        "half is now %r" % (fast, seed, histories)
-    assert bookkeeping == golden[1], \
-        "ordering bookkeeping moved (histories identical): " \
-        "GOLDEN_ORDERING[(%r, %d)] bookkeeping half is now %r" \
-        % (fast, seed, bookkeeping)
+    assert_golden("GOLDEN_ORDERING[(%r, %d)]" % (fast, seed),
+                  GOLDEN_ORDERING[fast, seed], seed, config, n=8)
 
 
 def test_parity_wire_knobs():
     """The wire-path coalescing knobs live strictly below the ``network``
     seam: the simulator never reads them, so any combination must leave
     the simulated history byte-identical per seed."""
-    base = run_scenario(505, StackConfig.byz(crypto="sym"))
-    for overrides in (dict(wire_coalesce=False),
+    for overrides in ({}, dict(wire_coalesce=False),
                       dict(wire_mtu=1000, wire_coalesce_delay=0.1),
                       dict(wire_coalesce=False, wire_mtu=64000)):
-        variant = run_scenario(
-            505, StackConfig.byz(crypto="sym").clone(**overrides))
-        assert variant == base, \
-            "sim history depends on wire knobs %r" % (overrides,)
+        assert_golden("GOLDEN_SCENARIOS[505] with wire knobs %r"
+                      % (overrides,), GOLDEN_SCENARIOS[505], 505,
+                      StackConfig.byz(crypto="sym").clone(**overrides))
 
 
 def test_switches_restore():

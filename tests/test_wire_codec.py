@@ -501,6 +501,45 @@ def test_corrupt_subframe_spares_siblings_from_memoryview():
     assert errors[0].src == 6
 
 
+#: sha256 over the decode verdicts of every single-bit flip, then every
+#: truncation, of the corpus's 3-sub-frame batch.  A verdict is what the
+#: stack acts on -- each decoded frame's (type, source) and each error's
+#: (type, source) -- never the values: a set's repr moves with the
+#: per-process string hash seed, and the round-trip tests own values.
+WIRE_VERDICTS_SHA256 = (
+    "7613eccfce029cdad966fcb92657499e730941b68b19fedba4bb8b2b262c09d1")
+
+
+def _damaged(blob):
+    for bit in range(len(blob) * 8):
+        flipped = bytearray(blob)
+        flipped[bit // 8] ^= 1 << (bit % 8)
+        yield bytes(flipped)
+    for cut in range(len(blob) + 1):
+        yield blob[:cut]
+
+
+def _verdict(data):
+    frames, errors = decode_datagram(data)
+    return ([(frame_type, src) for frame_type, src, _payload in frames],
+            [(type(err).__name__, err.src) for err in errors])
+
+
+def test_batch_damage_verdicts_are_pinned():
+    verdicts = []
+    for blob in _damaged(_corpus()[2]):
+        verdict = _verdict(memoryview(blob))
+        saved = wire_mod.ZERO_COPY
+        wire_mod.ZERO_COPY = False
+        try:
+            assert _verdict(blob) == verdict
+        finally:
+            wire_mod.ZERO_COPY = saved
+        verdicts.append(verdict)
+    digest = hashlib.sha256(repr(verdicts).encode("utf-8")).hexdigest()
+    assert digest == WIRE_VERDICTS_SHA256
+
+
 def _nan_safe(value):
     """``value`` with every NaN replaced by a token that equals itself.
 
