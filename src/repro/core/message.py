@@ -83,15 +83,6 @@ class Message:
                  "payload_size", "headers", "signature", "dest", "msg_id",
                  "group", "_auth_cache", "_hdrs_shared")
 
-    #: class-wide switches used by the perf-parity tests
-    #: (tests/test_perf_parity.py): with the cache off, every
-    #: ``auth_token()`` re-encodes from scratch (the unoptimized reference
-    #: path); in "content" mode the token is the full canonical byte string
-    #: instead of its digest (the pre-optimization MAC input).  Simulated
-    #: histories are byte-identical in all three combinations.
-    auth_cache_enabled = True
-    auth_token_mode = "digest"  # "digest" | "content"
-
     def __init__(self, kind, origin, view_id, payload, payload_size=0,
                  dest=None, msg_id=None, group=None):
         self.kind = kind
@@ -181,18 +172,12 @@ class Message:
         Receivers share the sender's cache through the object reference --
         in-model that is sound because every mutation path (headers,
         payload) drops the cache, so the digest always matches the actual
-        content.  The parity-test switches above select the uncached and
-        the legacy full-content reference paths.
+        content.
         """
-        if Message.auth_token_mode != "digest":
-            return self.canonical_bytes()
-        if Message.auth_cache_enabled:
-            cached = self._auth_cache
-            if cached is None:
-                cached = _sha256(self.canonical_bytes()).digest()
-                self._auth_cache = cached
-            return cached
-        return _sha256(self.canonical_bytes()).digest()
+        cached = self._auth_cache
+        if cached is None:
+            cached = self._auth_cache = _sha256(self.canonical_bytes()).digest()
+        return cached
 
     def wire_size(self, header_overhead, signature_bytes):
         base = 8  # kind + origin + view-id framing

@@ -69,15 +69,13 @@ class Authenticator:
         raise NotImplementedError
 
     def verify_batch(self, receiver, items):
-        """Verify one drain's worth of frames in a single pass.
+        """:meth:`verify` over ``[(claimed_sender, data, signature), ...]``.
 
-        ``items`` is ``[(claimed_sender, data, signature), ...]`` -- one
-        entry per frame of a received datagram batch.  Returns
-        ``(verdicts, total_cpu_cost)`` with one boolean per item, in
-        order: per-frame verdicts are preserved, so one bad MAC strikes
-        only its own frame.  The base implementation loops over
-        :meth:`verify`; schemes override it to hoist per-sender state
-        (key lookups, half-initialized HMAC states) out of the loop.
+        Returns ``(verdicts, total_cpu_cost)`` with one boolean per item,
+        in order.  The stack verifies frame by frame; this loop is the
+        replay entry point of the ledger tracer
+        (benchmarks/ledger/tracer.py), which times sampled verify calls
+        through it.
         """
         verdicts = []
         total = 0.0
@@ -98,9 +96,6 @@ class NullAuth(Authenticator):
 
     def verify(self, receiver, claimed_sender, data, signature):
         return True, 0.0
-
-    def verify_batch(self, receiver, items):
-        return [True] * len(items), 0.0
 
 
 class PairwiseSymmetricAuth(Authenticator):
@@ -181,34 +176,6 @@ class PairwiseSymmetricAuth(Authenticator):
         state.update(data if isinstance(data, bytes) else stable_bytes(data))
         return hmac.compare_digest(mac, state.digest()[:MAC_BYTES]), cost
 
-    def verify_batch(self, receiver, items):
-        # one half-initialized HMAC state lookup per *sender* per drain
-        # (a datagram batch is usually many frames from one sender), and
-        # the loop body is branch-lean: the verdicts are byte-identical
-        # to per-frame verify() calls
-        total = self.costs.sym_verify * len(items)
-        verdicts = []
-        append = verdicts.append
-        bases = {}
-        compare_digest = hmac.compare_digest
-        for claimed_sender, data, signature in items:
-            if not isinstance(signature, dict):
-                append(False)
-                continue
-            mac = signature.get(receiver)
-            if mac is None:
-                append(False)
-                continue
-            base = bases.get(claimed_sender)
-            if base is None:
-                base = bases[claimed_sender] = self._mac_base(
-                    claimed_sender, receiver)
-            state = base.copy()
-            state.update(data if isinstance(data, bytes)
-                         else stable_bytes(data))
-            append(compare_digest(mac, state.digest()[:MAC_BYTES]))
-        return verdicts, total
-
 
 class PublicKeyAuth(Authenticator):
     """One signature per message under the sender's private key.
@@ -235,24 +202,6 @@ class PublicKeyAuth(Authenticator):
         key = self.keys.verify_key_of(claimed_sender)
         expected = hmac.new(key, stable_bytes(data), hashlib.sha256).digest()
         return hmac.compare_digest(signature, expected), cost
-
-    def verify_batch(self, receiver, items):
-        # one verification-key lookup per sender per drain
-        total = self.costs.pub_verify * len(items)
-        verdicts = []
-        keys = {}
-        for claimed_sender, data, signature in items:
-            if not isinstance(signature, bytes):
-                verdicts.append(False)
-                continue
-            key = keys.get(claimed_sender)
-            if key is None:
-                key = keys[claimed_sender] = self.keys.verify_key_of(
-                    claimed_sender)
-            expected = hmac.new(key, stable_bytes(data),
-                                hashlib.sha256).digest()
-            verdicts.append(hmac.compare_digest(signature, expected))
-        return verdicts, total
 
 
 def make_authenticator(scheme, keys, costs):

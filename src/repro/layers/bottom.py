@@ -29,11 +29,6 @@ class BottomLayer(Layer):
 
     name = "bottom"
 
-    #: perf-parity switch (tests/test_perf_parity.py): with this off,
-    #: _process_pack_in verifies each frame through the per-message
-    #: reference path instead of one verify_batch call per drain
-    batch_verify = True
-
     def __init__(self):
         super().__init__()
         self.messages_signed = 0
@@ -212,45 +207,6 @@ class BottomLayer(Layer):
                                  self._process_in, src, msg)
 
     def _process_pack_in(self, src, inner):
-        process = self.process
-        if self.batch_verify and self.config.byzantine and not process.stopped:
-            # one verify_batch pass for the whole drain: the transport
-            # metadata is popped up-front (all frames arrived in this one
-            # callback either way, so the early pop is invisible), frames
-            # failing the impersonation check are excluded exactly as the
-            # per-message path never verifies them, and every
-            # verdict-dependent side effect (drops, strikes, delivery)
-            # still runs per-frame, in frame order
-            incs = []
-            items = []
-            for msg in inner:
-                incs.append(msg.pop_header("inc", 0))
-                if msg.sender == src:
-                    items.append((
-                        msg.origin if msg.sender == msg.origin
-                        else msg.sender,
-                        msg.auth_token(), msg.signature))
-            verdicts, _cost = process.auth.verify_batch(self.me, items)
-            verdict_iter = iter(verdicts)
-            finish = self._finish_in
-            for msg, inc in zip(inner, incs):
-                if process.stopped:
-                    return
-                if msg.sender != src:
-                    self.dropped_impersonation += 1
-                    self.count("drop_impersonation")
-                    process.verbose_detector.illegal(
-                        src, "bottom:impersonation")
-                    continue
-                if not next(verdict_iter):
-                    self.dropped_bad_signature += 1
-                    self.count("drop_bad_signature")
-                    process.verbose_detector.illegal(
-                        src, "bottom:bad-signature")
-                    self._sig_strike(src)
-                    continue
-                finish(src, msg, inc)
-            return
         process_in = self._process_in
         for one in inner:
             process_in(src, one)
@@ -292,12 +248,6 @@ class BottomLayer(Layer):
                 process.verbose_detector.illegal(src, "bottom:bad-signature")
                 self._sig_strike(src)
                 return
-        self._finish_in(src, msg, inc)
-
-    def _finish_in(self, src, msg, inc):
-        """Post-verification filters and delivery, shared by the
-        per-message and batched receive paths."""
-        process = self.process
         if msg.group != self._group_id:
             # a message for another shard on the shared transport (or a
             # cross-shard replay): never let it reach this group's layers

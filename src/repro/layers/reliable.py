@@ -79,22 +79,6 @@ class ReliableLayer(Layer):
 
     name = "reliable"
 
-    #: perf-parity switch (tests/test_perf_parity.py): with this off, the
-    #: ack vector is rebuilt and repr-sorted from scratch on every call --
-    #: the unoptimized reference path the incremental bookkeeping below
-    #: must stay byte-identical to
-    incremental_ack_vector = True
-
-    #: perf-parity switch: senders memoize their delivered vector and its
-    #: entry tuples, so in the simulator repeated acks arrive as the same
-    #: objects -- receivers diff each ack against the sender's previous
-    #: one by identity and re-validate/re-merge only the changed entries
-    #: (validation is pure in the vector and monotone in out_seq; the
-    #: stability merge is max-idempotent).  The trailing-gap scan is
-    #: skipped only while provably clean (see _on_ack).  Off: every ack
-    #: takes the full path.
-    ack_vector_memo = True
-
     def __init__(self):
         super().__init__()
         self._reset_state()
@@ -293,22 +277,16 @@ class ReliableLayer(Layer):
         self._dv_refresh_stream(origin, stream, state)
         if self._since_ack >= self.config.ack_every:
             self._broadcast_ack(self._delivered_vector())
-        stability = self.process.stability
-        if self.incremental_ack_vector:
-            # the ack table keeps per-(origin, stream) maxima and the vector
-            # entries are monotone, so feeding only the entries that changed
-            # since the last flush produces the identical table; on_ack still
-            # runs (and notifies listeners) once per drain, as before
-            if self._dv_map is None:
-                self._dv_build()
-            changed = self._dv_changed
-            if changed:
-                self._dv_changed = {}
-                stability.on_ack(self.me, tuple(changed.values()))
-            else:
-                stability.on_ack(self.me, ())
-        else:
-            stability.on_local_progress(self._delivered_vector())
+        # the ack table keeps per-(origin, stream) maxima and the vector
+        # entries are monotone, so feeding only the entries that changed
+        # since the last drain yields the table the full vector would;
+        # on_ack still runs (and notifies listeners) once per drain
+        if self._dv_map is None:
+            self._dv_build()
+        changed = self._dv_changed
+        if changed:
+            self._dv_changed = {}
+        self.process.stability.on_ack(self.me, tuple(changed.values()))
         if self._cut is not None and self._cut_callback is not None:
             if self.cut_complete(self._cut):
                 callback, self._cut_callback = self._cut_callback, None
@@ -343,25 +321,10 @@ class ReliableLayer(Layer):
     # acknowledgements
     # ------------------------------------------------------------------
     def _delivered_vector(self):
-        if not self.incremental_ack_vector:
-            # reference path: rebuild + repr-sort from scratch (kept for the
-            # perf-parity tests; the incremental path below must return
-            # byte-identical vectors)
-            vector = []
-            for (origin, stream), state in self._in_streams.items():
-                if stream in (STREAM_APP, STREAM_CTL):
-                    top = state.delivered
-                    if state.buffer:
-                        # also acknowledge buffered-but-undeliverable prefix
-                        # so the flush can account for wedged messages we hold
-                        held = state.delivered
-                        while held + 1 in state.buffer:
-                            held += 1
-                        top = held
-                    vector.append((origin, stream, top))
-            vector.append((self.me, STREAM_APP, self._out_seq[STREAM_APP]))
-            vector.append((self.me, STREAM_CTL, self._out_seq[STREAM_CTL]))
-            return tuple(sorted(vector, key=repr))
+        """My ack vector, sorted by entry repr: one ``(origin, stream,
+        top)`` per in-stream -- ``top`` also counts the contiguous
+        buffered-but-undeliverable prefix, so the flush can account for
+        wedged messages I hold -- plus my own two out-streams."""
         if self._dv_map is None:
             self._dv_build()
         vector = self._dv_tuple
@@ -370,14 +333,13 @@ class ReliableLayer(Layer):
         return vector
 
     # ------------------------------------------------------------------
-    # incremental delivered-vector maintenance: the reference path above
-    # rebuilds and repr-sorts the whole vector on every drain, which
-    # profiles as the single hottest non-crypto call in the fig5 workloads.
-    # Instead we keep the entries in a repr-sorted parallel list pair and
-    # touch only the one entry whose stream actually moved.  Entries with
-    # equal repr are equal tuples (origins are ints/strings here), so
-    # which duplicate gets removed is irrelevant -- matching the stable
-    # sort of the reference path.
+    # incremental delivered-vector maintenance: rebuilding and
+    # repr-sorting the whole vector on every drain profiled as the single
+    # hottest non-crypto call in the fig5 workloads.  Instead the entries
+    # live in a repr-sorted parallel list pair and only the one entry
+    # whose stream actually moved is touched.  Entries with equal repr
+    # are equal tuples (origins are ints/strings here), so which
+    # duplicate gets removed is irrelevant.
     # ------------------------------------------------------------------
     def _dv_build(self):
         self._dv_map = {}
@@ -412,7 +374,7 @@ class ReliableLayer(Layer):
 
     def _dv_refresh_stream(self, origin, stream, state):
         if self._dv_map is None:
-            return  # unbuilt (or reference mode); built lazily on first use
+            return  # unbuilt; built lazily on first use
         if stream != STREAM_APP and stream != STREAM_CTL:
             return  # p2p streams are not acknowledged
         top = state.next_seq - 1
@@ -431,11 +393,10 @@ class ReliableLayer(Layer):
     def _ack_tick(self):
         # one signed message per tick, as when the ack was periodic (DESIGN
         # section 4): the answer if a peer probed me; else an ack, due only
-        # while my vector moved since the one I last sent (by VALUE: the
-        # reference paths rebuild it on every call) or something I hold is
-        # not yet known stable at some view member -- so a crashed, mute,
-        # under-acking or probing member keeps this at one message per
-        # tick until the view change, never more; else one probe
+        # while my vector moved since the one I last sent or something I
+        # hold is not yet known stable at some view member -- so a crashed,
+        # mute, under-acking or probing member keeps this at one message
+        # per tick until the view change, never more; else one probe
         vector = self._delivered_vector()
         if self._probed:
             self._probed = False
@@ -517,45 +478,39 @@ class ReliableLayer(Layer):
             if self.config.byzantine:
                 self.process.verbose_detector.illegal(msg.sender, "rel:bad-ack")
             return
-        if self.ack_vector_memo:
-            # Receive-side ack diffing.  Senders memoize their delivered
-            # vector and its entry tuples (_dv_entries reuses unchanged
-            # entry objects across rebuilds), so in the simulator the
-            # repeats arrive as the *same objects*.  Three levels:
-            #
-            # * identical vector object: it already validated (validation
-            #   is pure in the vector) and merged (max-merge idempotent);
-            #   only the listener notify -- on_ack(()) -- and, when the
-            #   last scan found a gap, trailing recovery still run;
-            # * same-sender update: entries present (by identity) in the
-            #   previously-accepted vector are already validated/merged --
-            #   only the changed entries take the full path.  _ack_seen
-            #   keeps the previous vector alive, so an id() collision
-            #   with its entries is impossible;
-            # * first ack from a sender (or a real-network decode, which
-            #   always produces fresh tuples): full reference path below.
-            #
-            # Trailing recovery is skippable only when provably a no-op:
-            # _ack_dirty records whether the last scan of this sender's
-            # vector found any entry ahead of our stream tops.  Tops only
-            # grow within a view (delivered + contiguous buffered
-            # prefix), so a clean entry stays clean forever; a dirty
-            # vector keeps full scans (the NAK re-request path) until a
-            # scan comes back clean.  Over a real network every ack
-            # misses the memo and behaves exactly like the reference.
-            prev = self._ack_seen.get(msg.sender)
-            if vector is prev:
-                self.process.stability.on_ack(msg.sender, ())
-                if self._ack_dirty.get(msg.sender):
-                    self._ack_dirty[msg.sender] = \
-                        self._recover_trailing(vector)
-                return
-            if prev is not None:
-                prev_ids = set(map(id, prev))
-                entries = tuple(entry for entry in vector
-                                if id(entry) not in prev_ids)
-            else:
-                entries = vector
+        # Receive-side ack diffing.  Senders memoize their delivered vector
+        # and its entry tuples (_dv_entries reuses unchanged entry objects
+        # across rebuilds), so in the simulator the repeats arrive as the
+        # *same objects*.  Three levels:
+        #
+        # * identical vector object: it already validated (validation is
+        #   pure in the vector) and merged (max-merge idempotent); only the
+        #   listener notify -- on_ack(()) -- and, when the last scan found
+        #   a gap, trailing recovery still run;
+        # * same-sender update: entries present (by identity) in the
+        #   previously-accepted vector are already validated/merged --
+        #   only the changed entries take the full path.  _ack_seen keeps
+        #   the previous vector alive, so an id() collision with its
+        #   entries is impossible;
+        # * first ack from a sender (or a real-network decode, which always
+        #   produces fresh tuples): every entry takes the full path.
+        #
+        # Trailing recovery is skippable only when provably a no-op:
+        # _ack_dirty records whether the last scan of this sender's vector
+        # found any entry ahead of our stream tops.  Tops only grow within
+        # a view (delivered + contiguous buffered prefix), so a clean entry
+        # stays clean forever; a dirty vector keeps full scans (the NAK
+        # re-request path) until a scan comes back clean.
+        prev = self._ack_seen.get(msg.sender)
+        if vector is prev:
+            self.process.stability.on_ack(msg.sender, ())
+            if self._ack_dirty.get(msg.sender):
+                self._ack_dirty[msg.sender] = self._recover_trailing(vector)
+            return
+        if prev is not None:
+            prev_ids = set(map(id, prev))
+            entries = tuple(entry for entry in vector
+                            if id(entry) not in prev_ids)
         else:
             entries = vector
         for entry in entries:
@@ -576,17 +531,11 @@ class ReliableLayer(Layer):
                 self.process.verbose_detector.illegal(
                     msg.sender, "rel:ack-for-unsent")
                 return
-        if self.ack_vector_memo:
-            self._ack_seen[msg.sender] = vector
-            self.process.stability.on_ack(msg.sender, entries)
-            if entries is vector or self._ack_dirty.get(msg.sender):
-                self._ack_dirty[msg.sender] = self._recover_trailing(vector)
-            else:
-                self._ack_dirty[msg.sender] = \
-                    self._recover_trailing(entries)
-            return
-        self.process.stability.on_ack(msg.sender, vector)
-        self._recover_trailing(vector)
+        self._ack_seen[msg.sender] = vector
+        self.process.stability.on_ack(msg.sender, entries)
+        if entries is not vector and not self._ack_dirty.get(msg.sender):
+            vector = entries
+        self._ack_dirty[msg.sender] = self._recover_trailing(vector)
 
     def _recover_trailing(self, vector):
         """Chase messages nobody followed up on.
@@ -606,20 +555,14 @@ class ReliableLayer(Layer):
         # in-stream's top (delivered + buffered prefix), refreshed by
         # every _drain -- reuse it instead of rescanning the buffer per
         # ack entry (the scan made each ack O(members x window))
-        dv_map = self._dv_map if self.incremental_ack_vector else None
+        if self._dv_map is None:
+            self._dv_build()
+        dv_map = self._dv_map
         for origin, stream, cum in vector:
             if stream not in (STREAM_APP, STREAM_CTL) or origin == self.me:
                 continue
-            if dv_map is not None:
-                entry = dv_map.get(("in", origin, stream))
-                top = entry[2] if entry is not None else 0
-            else:
-                state = self._in_streams.get((origin, stream))
-                top = 0
-                if state is not None:
-                    top = state.delivered
-                    while top + 1 in state.buffer:
-                        top += 1
+            entry = dv_map.get(("in", origin, stream))
+            top = entry[2] if entry is not None else 0
             if cum <= top:
                 continue
             dirty = True

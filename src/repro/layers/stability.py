@@ -97,9 +97,6 @@ class StabilityTracker:
                 table[origin] = cum
         self._notify()
 
-    def on_local_progress(self, vector):
-        self.on_ack(self.process.node_id, vector)
-
     def _notify(self):
         # snapshot: a callback may unsubscribe itself (the membership
         # layer does, once its cut goes stable) without skipping peers

@@ -57,20 +57,16 @@ sub-frames) are views, not copies; bytes are materialized only where a
 value *escapes* into a long-lived Python object (``_T_BYTES`` payloads,
 and the str/int constructors which copy inherently).  Batch sub-frames
 decode in place against their computed ``end`` offset instead of being
-carved into per-sub-frame ``bytes`` bodies first.  The
-:data:`ZERO_COPY` switch (tests/test_perf_parity.py,
-tests/test_wire_codec.py) restores the copy-per-sub-frame reference
-path; either way any buffer type -- ``bytes``, ``bytearray``,
-``memoryview`` -- decodes to identical values and identical
-frame-vs-error verdicts (only error *strings* may differ).
+carved into per-sub-frame ``bytes`` bodies first.  Any buffer type --
+``bytes``, ``bytearray``, ``memoryview`` -- decodes to identical values
+and identical frame-vs-error verdicts; tests/test_wire_codec.py pins the
+verdicts of every bit flip and truncation of a batch
+(``WIRE_VERDICTS_SHA256``).
 """
 
 from __future__ import annotations
 
 import struct
-
-#: perf-parity switch: False restores the copying reference decoder
-ZERO_COPY = True
 
 MAGIC = b"JB"
 WIRE_VERSION = 3
@@ -296,20 +292,12 @@ def encode_frame(frame_type, src, payload):
 # decoding
 # ----------------------------------------------------------------------
 def _as_buffer(data):
-    """Normalize decoder input: one flat buffer, no payload copy.
-
-    With :data:`ZERO_COPY` on, anything buffer-like becomes a
+    """Normalize decoder input: anything buffer-like becomes one flat
     ``memoryview`` (free for ``bytes``/``bytearray``; an incoming view
-    passes through).  With the switch off, the reference decoder runs on
-    a plain ``bytes`` copy, so every slice below is a copy too.
-    """
-    if ZERO_COPY:
-        if type(data) is memoryview:
-            return data
-        return memoryview(data)
-    if type(data) is bytes:
+    passes through), so no slice below copies the payload."""
+    if type(data) is memoryview:
         return data
-    return bytes(data)
+    return memoryview(data)
 
 
 def decode_value(data):
@@ -515,23 +503,13 @@ def decode_datagram(data):
             return frames, errors
         end = offset + body_len
         try:
-            if ZERO_COPY:
-                # decode in place against the sub-frame's end offset: no
-                # per-sub-frame body copy.  A body that would have failed
-                # "truncated" in isolation instead decodes past ``end``
-                # and fails the stop check -- same per-sub-frame verdict,
-                # different error string; allocation stays bounded by the
-                # datagram size either way.
-                payload, stop = _decode(data, offset, 0)
-                if stop != end:
-                    raise WireError("sub-frame body length mismatch",
-                                    src=src)
-            else:
-                body = bytes(data[offset:end])
-                payload, stop = _decode(body, 0, 0)
-                if stop != len(body):
-                    raise WireError("trailing garbage in sub-frame",
-                                    src=src)
+            # decode in place against the sub-frame's end offset: no
+            # per-sub-frame body copy.  A body truncated in isolation
+            # decodes past ``end`` and fails the stop check; allocation
+            # stays bounded by the datagram size.
+            payload, stop = _decode(data, offset, 0)
+            if stop != end:
+                raise WireError("sub-frame body length mismatch", src=src)
             frames.append((sub_type, src, payload))
         except WireError as err:
             if err.src is None:

@@ -15,10 +15,9 @@ such events in a per-queue deque and exposes only each queue's *head* to
 the heap (a k-way merge).  The insertion sequence is still assigned at
 schedule time from the shared counter, and within one queue entries are
 monotone in (deadline, seq), so the popped order -- and therefore every
-simulated history -- is byte-identical to the all-in-heap schedule
-(tests/test_perf_parity.py flips :attr:`Simulator.serial_queues` to prove
-it).  A caller that violates the monotonicity contract silently falls
-back to a plain heap entry, which is always correct.
+simulated history -- is the one an all-in-heap schedule would produce.  A
+caller that violates the monotonicity contract silently falls back to a
+plain heap entry, which is always correct.
 """
 
 from __future__ import annotations
@@ -56,11 +55,6 @@ class Simulator:
 
     __slots__ = ("now", "rng", "_heap", "_seq", "_events_processed",
                  "_running", "_serial_hidden", "observer")
-
-    #: perf-parity switch (tests/test_perf_parity.py): with this off,
-    #: schedule_serial degrades to plain schedule_at -- the reference
-    #: all-entries-in-the-heap schedule the k-way merge must match
-    serial_queues = True
 
     def __init__(self, seed=0):
         self.now = 0.0
@@ -116,9 +110,6 @@ class Simulator:
         timer = Timer(deadline, callback, args)
         self._seq += 1
         seq = self._seq
-        if not self.serial_queues:
-            heapq.heappush(self._heap, (deadline, seq, timer))
-            return timer
         entries = queue.entries
         if entries:
             if deadline < entries[-1][0]:

@@ -206,7 +206,7 @@ def test_flow_window_closes_without_acks():
     process.stability.on_ack(1, ((0, "a", 4),))
     process.stability.on_ack(2, ((0, "a", 4),))
     process.stability.on_ack(3, ((0, "a", 4),))
-    process.stability.on_local_progress(((0, "a", 4),))
+    process.stability.on_ack(process.node_id, ((0, "a", 4),))
     assert len(process.below.received_down) == 8
 
 

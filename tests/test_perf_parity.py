@@ -1,72 +1,24 @@
-"""Perf-optimization parity: the hot-path rewrites must be invisible.
+"""Golden digests: the hot-path optimizations change no simulated result.
 
-The PR that introduced memoized canonical encoding, digest-based MACs and
-the incremental ack vector (docs/PERFORMANCE.md) claims they are pure
-wall-clock optimizations: same seed, byte-identical simulated history,
-identical metric exports.  These tests prove it by running the fuzzer's
-scenario machinery with each optimization switched back to its reference
-implementation and comparing full per-node histories and the complete
-metrics export.
-
-Switches under test:
-
-* ``Message.auth_cache_enabled`` -- off = re-encode/re-hash per call;
-* ``Message.auth_token_mode`` -- ``"content"`` = MAC over the full
-  canonical byte string (the pre-optimization MAC input) instead of its
-  SHA-256 digest;
-* ``ReliableLayer.incremental_ack_vector`` -- off = rebuild + repr-sort
-  the delivered vector from scratch on every drain, and feed the full
-  vector (not the delta) to the stability tracker;
-* ``ReliableLayer.ack_vector_memo`` -- off = every received ack is
-  re-validated and re-merged even when it is the identical memoized
-  tuple the sender already sent;
-* ``Simulator.serial_queues`` -- off = every CPU-completion event sits
-  in the global heap instead of the per-node serial-queue k-way merge;
-* ``BottomLayer.batch_verify`` -- off = packed datagrams verify each
-  inner message through the per-message reference path instead of one
-  ``verify_batch`` call per drain.
-
-The differential oracle needs a reference path to compare against.  Where
-there is none -- the one ordering instance manager serves both
-``ordering_fast_path`` modes -- committed golden digests pin the per-seed
-executions instead (``GOLDEN_ORDERING`` below; ROADMAP item 2's oracle).
-Every differential scenario is pinned the same way as well
-(``GOLDEN_SCENARIOS``), so the goldens can outlive the reference paths.
+The memoized auth digest, the incremental ack vector with its
+receive-side ack diff and the per-node serial queues of CPU completions
+(docs/PERFORMANCE.md) are pure wall-clock optimizations: same seed,
+byte-identical per-node histories, identical metric exports and event
+counts.  Each used to be checked differentially against a reference
+implementation kept alive behind a switch.  ``GOLDEN_SCENARIOS`` pins the
+scenarios that oracle ran, recorded in the commit where every
+differential check last passed on the same seed: each pinned pair is the
+reference paths' output, frozen, and the reference paths are gone.
+``GOLDEN_ORDERING`` pins the ordering executions the same way (ROADMAP
+item 2's oracle).  How a half is re-recorded is in the comment above it.
 """
 
 import hashlib
-from contextlib import contextmanager
 
 import pytest
 
 from repro import StackConfig
-from repro.core.message import Message
-from repro.layers.bottom import BottomLayer
-from repro.layers.reliable import ReliableLayer
-from repro.sim.scheduler import Simulator
 from repro.tools.fuzzer import ScenarioFuzzer
-
-
-@contextmanager
-def switches(cache=True, token_mode="digest", incremental=True,
-             ack_memo=True, serial=True, batch=True):
-    saved = (Message.auth_cache_enabled, Message.auth_token_mode,
-             ReliableLayer.incremental_ack_vector,
-             ReliableLayer.ack_vector_memo,
-             Simulator.serial_queues, BottomLayer.batch_verify)
-    Message.auth_cache_enabled = cache
-    Message.auth_token_mode = token_mode
-    ReliableLayer.incremental_ack_vector = incremental
-    ReliableLayer.ack_vector_memo = ack_memo
-    Simulator.serial_queues = serial
-    BottomLayer.batch_verify = batch
-    try:
-        yield
-    finally:
-        (Message.auth_cache_enabled, Message.auth_token_mode,
-         ReliableLayer.incremental_ack_vector,
-         ReliableLayer.ack_vector_memo,
-         Simulator.serial_queues, BottomLayer.batch_verify) = saved
 
 
 def run_scenario(seed, config, clean=False, **fuzz_kw):
@@ -89,39 +41,12 @@ def run_scenario(seed, config, clean=False, **fuzz_kw):
     return tuple(fingerprint), export, events
 
 
-VARIANTS = {
-    "no-cache": dict(cache=False),
-    "content-macs": dict(token_mode="content"),
-    "full-ack-vector": dict(incremental=False),
-    "no-ack-memo": dict(ack_memo=False),
-    "heap-schedule": dict(serial=False),
-    "per-frame-verify": dict(batch=False),
-    "all-reference": dict(cache=False, token_mode="content",
-                          incremental=False, ack_memo=False,
-                          serial=False, batch=False),
-}
-
-
-def assert_parity(seed, config, **fuzz_kw):
-    with switches():
-        optimized = run_scenario(seed, config, **fuzz_kw)
-    for name, kw in VARIANTS.items():
-        with switches(**kw):
-            reference = run_scenario(seed, config, **fuzz_kw)
-        assert reference[0] == optimized[0], \
-            "histories diverge under %s (seed %d)" % (name, seed)
-        assert reference[1] == optimized[1], \
-            "metric exports diverge under %s (seed %d)" % (name, seed)
-        assert reference[2] == optimized[2], \
-            "event counts diverge under %s (seed %d)" % (name, seed)
-
-
 #: The (history, bookkeeping) digest pair -- the halves as in
 #: ``GOLDEN_ORDERING`` below -- of each scenario the differential oracle
-#: runs.  Recorded in the same commit as a passing ``assert_parity`` on
-#: the same seed, so every pair is also every reference path's output.
-#: Seed 505 is the wire-knob scenario: all four knob combinations must
-#: hash to it.
+#: ran, recorded in the same commit as a passing differential check on the
+#: same seed, so every pair is also every reference path's output.  Seed
+#: 505 is the wire-knob scenario: all four knob combinations must hash to
+#: it.
 GOLDEN_SCENARIOS = {
     101: (
         "a6b0f49b58ef4ec1cdb9d84b4b131bcb5f4f8e57e3f23c8664663c5e11e083bc",
@@ -152,7 +77,6 @@ def assert_golden(name, golden, seed, config, **fuzz_kw):
 
 
 def assert_scenario(seed, config):
-    assert_parity(seed, config)
     assert_golden("GOLDEN_SCENARIOS[%d]" % seed, GOLDEN_SCENARIOS[seed],
                   seed, config)
 
@@ -169,14 +93,14 @@ def test_parity_pub_crypto():
 
 
 def test_parity_packing():
-    # packing + sym crypto: the batched pack-flush path plus per-receiver
-    # MAC vectors
+    # packing + sym crypto: the pack-flush path plus per-receiver MAC
+    # vectors
     assert_scenario(303, StackConfig.byz(crypto="sym", packing=True))
 
 
 def test_parity_total_order_fast_path_off():
     # total ordering with the ordering_fast_path knob at its default
-    # (off): the six reference paths must stay invisible underneath
+    # (off): the optimizations must stay invisible underneath
     # consensus-based ordering too
     assert_scenario(606, StackConfig.byz(crypto="sym", total_order=True))
 
@@ -259,19 +183,3 @@ def test_parity_wire_knobs():
                       % (overrides,), GOLDEN_SCENARIOS[505], 505,
                       StackConfig.byz(crypto="sym").clone(**overrides))
 
-
-def test_switches_restore():
-    with switches(cache=False, token_mode="content", incremental=False,
-                  ack_memo=False, serial=False, batch=False):
-        assert Message.auth_cache_enabled is False
-        assert Message.auth_token_mode == "content"
-        assert ReliableLayer.incremental_ack_vector is False
-        assert ReliableLayer.ack_vector_memo is False
-        assert Simulator.serial_queues is False
-        assert BottomLayer.batch_verify is False
-    assert Message.auth_cache_enabled is True
-    assert Message.auth_token_mode == "digest"
-    assert ReliableLayer.incremental_ack_vector is True
-    assert ReliableLayer.ack_vector_memo is True
-    assert Simulator.serial_queues is True
-    assert BottomLayer.batch_verify is True

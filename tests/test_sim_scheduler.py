@@ -251,20 +251,3 @@ def test_timers_covers_hidden_serial_entries():
     deadlines = sorted(deadline for deadline, _seq, _timer in sim.timers())
     assert deadlines == [0.1, 0.2, 0.3]
 
-
-def test_serial_switch_off_degrades_to_heap():
-    saved = Simulator.serial_queues
-    Simulator.serial_queues = False
-    try:
-        sim = Simulator()
-        queue = sim.serial_queue()
-        fired = []
-        sim.schedule_serial(queue, 0.1, fired.append, "s1")
-        sim.schedule_serial(queue, 0.2, fired.append, "s2")
-        # reference mode: every entry sits in the heap, none are hidden
-        assert len(sim._heap) == 2
-        assert sim.pending == 2
-        sim.run()
-        assert fired == ["s1", "s2"]
-    finally:
-        Simulator.serial_queues = saved
