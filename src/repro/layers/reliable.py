@@ -206,6 +206,12 @@ class ReliableLayer(Layer):
             self._on_retrans(msg)
         elif kind in UNRELIABLE_KINDS:
             self.send_up(msg)
+        elif msg.sender != msg.origin:
+            # only a KIND_RETRANS may carry another member's message: the
+            # bottom layer verified this one under the sender's key
+            if self.config.byzantine:
+                self.process.verbose_detector.illegal(
+                    msg.sender, "rel:spoofed-origin")
         else:
             header = msg.pop_header("rel")
             if (not isinstance(header, tuple) or len(header) != 2

@@ -140,7 +140,6 @@ def test_a_squatted_id_costs_its_owner_nothing(config_kw, dest):
     group.stop()
 
 
-@pytest.mark.xfail(strict=True, reason="origin spoofing on a direct stream")
 @pytest.mark.parametrize("crypto", ["sym", "pub"])
 @pytest.mark.parametrize("config_kw,dest", [
     (FIFO, None), (CLASSIC, None), (UNIFORM, None), (FIFO, 2),
