@@ -176,7 +176,8 @@ class Message:
         """
         cached = self._auth_cache
         if cached is None:
-            cached = self._auth_cache = _sha256(self.canonical_bytes()).digest()
+            cached = _sha256(self.canonical_bytes()).digest()
+            self._auth_cache = cached
         return cached
 
     def wire_size(self, header_overhead, signature_bytes):

@@ -539,9 +539,9 @@ class ReliableLayer(Layer):
                 return
         self._ack_seen[msg.sender] = vector
         self.process.stability.on_ack(msg.sender, entries)
-        if entries is not vector and not self._ack_dirty.get(msg.sender):
-            vector = entries
-        self._ack_dirty[msg.sender] = self._recover_trailing(vector)
+        dirty = self._ack_dirty.get(msg.sender)
+        self._ack_dirty[msg.sender] = self._recover_trailing(
+            vector if dirty else entries)
 
     def _recover_trailing(self, vector):
         """Chase messages nobody followed up on.
