@@ -20,6 +20,7 @@ Everything here is socket-free: the codec is pure bytes in/bytes out.
 from __future__ import annotations
 
 import hashlib
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -527,6 +528,102 @@ def test_batch_damage_verdicts_are_pinned():
     verdicts = [_verdict(blob) for blob in _damaged(_corpus()[2])]
     digest = hashlib.sha256(repr(verdicts).encode("utf-8")).hexdigest()
     assert digest == WIRE_VERDICTS_SHA256
+
+
+#: sha256 over what decode_datagram returns -- each frame's type, source
+#: and full decoded payload, each error's type and source -- for a seeded
+#: corpus of frames, intact, at every truncation and under every 7th bit
+#: flip.  Where WIRE_VERDICTS_SHA256 pins accept/reject, this pins the
+#: values: a decoder rewrite must leave both alone.
+WIRE_VALUES_SHA256 = (
+    "b5eefa904ff418f05cd4bf0735b9ec691db23eb28888ef5456edfdb66f7e4eaf")
+
+
+def _random_value(rng, depth):
+    """One seeded value: no sets in the corpus (their order follows the
+    string hash seed); damage may still decode into one (see _render)."""
+    kinds = ["int", "bigint", "float", "str", "bytes", "vid", "none", "bool"]
+    if depth < 3:
+        kinds += ["tuple", "list", "dict"] * 3
+    kind = rng.choice(kinds)
+    if kind == "int":
+        return rng.randrange(-(1 << 63), 1 << 63) >> rng.randrange(64)
+    if kind == "bigint":
+        return rng.choice((-1, 1)) * rng.randrange(1 << 64, 1 << 200)
+    if kind == "float":
+        return rng.uniform(-1e9, 1e9)
+    if kind == "str":
+        return "".join(rng.choice("abz-é€😀") for _ in range(rng.randrange(8)))
+    if kind == "bytes":
+        return bytes(rng.randrange(256) for _ in range(rng.randrange(12)))
+    if kind == "vid":
+        return ViewId(rng.randrange(1 << 40), rng.randrange(64))
+    if kind == "none":
+        return None
+    if kind == "bool":
+        return rng.random() < 0.5
+    items = [_random_value(rng, depth + 1) for _ in range(rng.randrange(5))]
+    if kind == "tuple":
+        return tuple(items)
+    if kind == "list":
+        return items
+    return {(k, str(k)) if k % 2 else k: item for k, item in enumerate(items)}
+
+
+def _value_corpus():
+    rng = random.Random(2606)
+    values = [_random_value(rng, 0) for _ in range(12)]
+    msg = Message("cast", 3, ViewId(9, 1), _random_value(rng, 1),
+                  payload_size=64, dest=2, msg_id=(3, 17), group=1)
+    msg.push_header("reliable", ("data", 40))
+    msg.push_header("frag", (1, 3))
+    msg.signature = bytes(rng.randrange(256) for _ in range(32))
+    values += [msg, ("pack", (msg, msg.clone_for(0)))]
+    blobs = [encode_frame(FRAME_DATAGRAM if k % 3 else FRAME_GOSSIP, k, value)
+             for k, value in enumerate(values)]
+    blobs.append(encode_batch(7, [(FRAME_DATAGRAM, v) for v in values[-4:]]))
+    return blobs
+
+
+def _render(value):
+    """A hash-seed-independent rendering of a decoded value."""
+    kind = type(value)
+    if kind is Message:
+        return ("Message",) + tuple(_render(f) for f in value.wire_fields())
+    if kind is ViewId:
+        return ("ViewId", _render(value.counter), _render(value.creator))
+    if kind in (tuple, list):
+        return (kind.__name__,) + tuple(_render(item) for item in value)
+    if kind is dict:
+        return ("dict",) + tuple((_render(k), _render(v))
+                                 for k, v in value.items())
+    if kind in (set, frozenset):
+        return (kind.__name__,) + tuple(sorted(repr(_render(item))
+                                               for item in value))
+    return repr(value)
+
+
+def _damaged_sparse(blob):
+    yield blob
+    for cut in range(len(blob)):
+        yield blob[:cut]
+    for bit in range(0, len(blob) * 8, 7):
+        flipped = bytearray(blob)
+        flipped[bit // 8] ^= 1 << (bit % 8)
+        yield bytes(flipped)
+
+
+def test_decoded_values_are_pinned():
+    outcomes = []
+    for blob in _value_corpus():
+        for data in _damaged_sparse(blob):
+            frames, errors = decode_datagram(data)
+            outcomes.append((
+                [(ft, _render(src), _render(payload))
+                 for ft, src, payload in frames],
+                [(type(err).__name__, _render(err.src)) for err in errors]))
+    digest = hashlib.sha256(repr(outcomes).encode("utf-8")).hexdigest()
+    assert digest == WIRE_VALUES_SHA256
 
 
 def test_decoded_strings_and_bytes_escape_the_buffer():
