@@ -113,12 +113,9 @@ class StackConfig:
                  # the sim backend never reads these, so toggling them is
                  # byte-identical per seed).  wire_mtu is the coalescer's
                  # byte budget per UDP datagram (capped by the transport's
-                 # MAX_DATAGRAM_BYTES); wire_coalesce_delay is the flush
-                 # backstop timer, defaulting to packing_delay -- one
-                 # packing policy shared with the sim pack queues
+                 # MAX_DATAGRAM_BYTES)
                  wire_coalesce=True,
                  wire_mtu=16000,
-                 wire_coalesce_delay=None,
                  # total ordering
                  order_batch_max=1024,
                  order_tick=0.002,
@@ -167,7 +164,6 @@ class StackConfig:
         self.packing_delay = packing_delay
         self.wire_coalesce = wire_coalesce
         self.wire_mtu = wire_mtu
-        self.wire_coalesce_delay = wire_coalesce_delay
         self.order_batch_max = order_batch_max
         self.order_tick = order_tick
         self.ordering_fast_path = ordering_fast_path
@@ -230,20 +226,18 @@ class StackConfig:
         return max(0, bound)
 
     def packing_policy(self, wire=False):
-        """The ``(max_bytes, flush_delay)`` aggregation policy.
+        """The aggregation policy of one aggregation point.
 
-        One definition serves both aggregation points: the simulator's
-        bottom-layer pack queues (``wire=False``: the modelled LAN MTU and
-        packing delay) and the real-network transport's datagram coalescer
-        (``wire=True``: the loopback-sized ``wire_mtu`` budget, with the
-        flush backstop defaulting to the same ``packing_delay``).  The
-        transport additionally caps the wire budget at its hard datagram
-        ceiling.
+        The simulator's bottom-layer pack queues (``wire=False``) get
+        ``(max_bytes, flush_delay)``: the modelled LAN MTU and the packing
+        delay.  The real-network transport's datagram coalescer
+        (``wire=True``) gets its byte budget only, the loopback-sized
+        ``wire_mtu``: it flushes at the end of each event-loop burst, so
+        it needs no delay.  The transport additionally caps the wire
+        budget at its hard datagram ceiling.
         """
         if wire:
-            delay = self.wire_coalesce_delay
-            return (self.wire_mtu,
-                    self.packing_delay if delay is None else delay)
+            return self.wire_mtu
         return (self.mtu, self.packing_delay)
 
     def clone(self, **overrides):

@@ -26,6 +26,7 @@ from repro.layers.state_transfer import StateTransferLayer
 from repro.layers.suspicion import SuspicionLayer
 from repro.layers.top import TopLayer
 from repro.layers.uniform_delivery import UniformDeliveryLayer
+from repro.runtime.clock import AsyncioClock, _WallCpu
 from repro.sim.network import Cpu
 
 
@@ -78,7 +79,10 @@ class GroupProcess:
         self.obs = obs    # shared ObservabilityPlane, or None (disabled)
         self.endpoint = None
         self.stopped = False
-        self.cpu = Cpu(self.sim)
+        # the modelled CPU (DESIGN §2) is simulator physics; on a real
+        # clock the host pays what it actually spends
+        self.cpu = (_WallCpu(self.sim) if isinstance(self.sim, AsyncioClock)
+                    else Cpu(self.sim))
         self.auth = make_authenticator(config.crypto, keys,
                                        config.crypto_costs)
         self.history = History(node_id)

@@ -72,8 +72,7 @@ class AsyncioRuntime(Runtime):
 
     def __init__(self, node_id, addresses, seed=0, loop=None):
         self._clock = AsyncioClock(loop=loop, seed=seed)
-        self._transport = AsyncioTransport(self._clock, node_id, addresses,
-                                           loop=loop)
+        self._transport = AsyncioTransport(node_id, addresses, loop=loop)
         self.node_id = node_id
         self.addresses = dict(addresses)
 

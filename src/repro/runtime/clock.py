@@ -10,11 +10,14 @@ Differences from the simulator, deliberate:
 
 * time zero is the instant the clock is created (loop time is offset),
   so protocol timestamps stay small and comparable to simulated runs;
-* a deadline slightly in the past is clamped to "as soon as possible"
-  instead of raising -- real clocks race (a CPU-charge completion time
-  computed a microsecond ago may already have passed), and the asyncio
-  loop preserves FIFO order among same-deadline callbacks just like the
-  simulator's insertion sequence;
+* a deadline that is already due (now, or slightly in the past -- real
+  clocks race) goes on the loop's ready queue instead of its timer
+  heap: the selector rounds any positive timeout up to a whole
+  millisecond, so a due callback parked on a timer would wait one out.
+  Ready callbacks run in FIFO order, like the simulator's insertion
+  sequence;
+* there is no modelled CPU (DESIGN §2): a real host pays for its work
+  by doing it, so :class:`_WallCpu` completes every charge at once;
 * the clock tracks every armed timer and :meth:`close` cancels them all,
   which is what lets ``GroupProcess.stop`` guarantee that repeated
   start/stop cycles leak nothing (each node process owns its clock, so
@@ -60,6 +63,25 @@ class WallTimer:
         return "WallTimer(deadline={:.6f}, {})".format(self.deadline, state)
 
 
+class _WallCpu:
+    """The real clock's stand-in for :class:`repro.sim.network.Cpu`.
+
+    ``charge`` returns the present: the work it accounts for has already
+    run on the host.  The modelled seconds still add up in
+    ``busy_accum``.
+    """
+
+    __slots__ = ("clock", "busy_accum")
+
+    def __init__(self, clock):
+        self.clock = clock
+        self.busy_accum = 0.0
+
+    def charge(self, seconds):
+        self.busy_accum += seconds
+        return self.clock.now
+
+
 class AsyncioClock:
     """One node's real-time clock; the ``process.sim`` seam over asyncio."""
 
@@ -98,13 +120,16 @@ class AsyncioClock:
         return self.schedule_at(self.now + max(0.0, delay), callback, *args)
 
     def schedule_at(self, deadline, callback, *args):
-        """Run ``callback(*args)`` at clock time ``deadline`` (clamped to
-        the present if it already passed -- real clocks race)."""
+        """Run ``callback(*args)`` at clock time ``deadline``; a deadline
+        that is already due goes on the loop's ready queue."""
         if self.closed:
             raise RuntimeError("schedule_at on a closed clock")
         timer = WallTimer(self, deadline, callback, args)
-        timer._handle = self._loop.call_at(self._t0 + deadline,
-                                           self._fire, timer)
+        if deadline <= self.now:
+            timer._handle = self._loop.call_soon(self._fire, timer)
+        else:
+            timer._handle = self._loop.call_at(self._t0 + deadline,
+                                               self._fire, timer)
         self._live.add(timer)
         return timer
 

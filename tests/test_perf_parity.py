@@ -177,7 +177,7 @@ def test_parity_wire_knobs():
     seam: the simulator never reads them, so any combination must leave
     the simulated history byte-identical per seed."""
     for overrides in ({}, dict(wire_coalesce=False),
-                      dict(wire_mtu=1000, wire_coalesce_delay=0.1),
+                      dict(wire_mtu=1000),
                       dict(wire_coalesce=False, wire_mtu=64000)):
         assert_golden("GOLDEN_SCENARIOS[505] with wire knobs %r"
                       % (overrides,), GOLDEN_SCENARIOS[505], 505,
