@@ -32,10 +32,17 @@ class History:
     def __init__(self, node_id):
         self.node_id = node_id
         self.events = []
+        # msg_id -> content digest of each cast this process submitted, for
+        # the origin-authenticity check; a side table, not an event, so the
+        # event sequence (and every digest pinned over it) is unchanged
+        self.cast_digests = {}
 
     # ------------------------------------------------------------------
     def record_view(self, time, view):
         self.events.append((EV_VIEW, time, view.vid, view.mbrs))
+
+    def record_cast_content(self, msg_id, payload):
+        self.cast_digests[msg_id] = content_digest(payload)
 
     def record_cast(self, time, msg_id, vid):
         self.events.append((EV_CAST, time, msg_id, vid))

@@ -178,6 +178,31 @@ def check_fifo_no_holes(execution):
     return violations
 
 
+def check_origin_authenticity(execution):
+    """Def 2.2 validity is about the *correct sender's* message: a correct
+    member delivers, under a correct origin's id, only the content that
+    origin cast.  Ids are chosen by their sender, so a Byzantine member can
+    squat one; :func:`check_content_agreement` would pass a squatter's
+    payload that every member delivered alike.  Ids the correct origins
+    recorded no content for (an earlier incarnation's, or a history read
+    back from a net node's report) are not judged here."""
+    histories = execution.correct_histories()
+    cast = {}
+    for history in histories.values():
+        cast.update(history.cast_digests)
+    violations = []
+    for node, history in histories.items():
+        for ev in history.events:
+            if ev[0] != "cast_deliver":
+                continue
+            expected = cast.get(ev[2])
+            if expected is not None and expected != ev[4]:
+                violations.append(
+                    "origin-authenticity: %r delivered %r as %s but its "
+                    "origin cast %s" % (node, ev[2], ev[4], expected))
+    return violations
+
+
 def check_content_agreement(execution):
     """Uniformity: two correct processes never deliver different contents
     for the same message id (guaranteed by uniform delivery / total order;
@@ -269,6 +294,7 @@ VIRTUAL_SYNCHRONY_CHECKS = VIEW_SYNCHRONY_CHECKS + (
     check_fifo_no_holes,
     check_no_duplicate_delivery,
     check_self_delivery,
+    check_origin_authenticity,
 )
 
 

@@ -40,6 +40,7 @@ class TopLayer(Layer):
         msg_id = (self.me,
                   (self.process.incarnation << 32) + self._cast_counter)
         self.count("casts_submitted")
+        self.process.history.record_cast_content(msg_id, payload)
         if self.stack.blocked:
             self._blocked_queue.append((msg_id, payload, size))
         else:
