@@ -2,8 +2,16 @@
 
 from __future__ import annotations
 
+import json
+import os
+
 from repro import Group, StackConfig
+from repro.chaos import FaultPlan
 from repro.core.message import KIND_HEARTBEAT
+
+#: the committed fault plans: the golden scenarios and pinned reproducers
+GOLDEN_PLANS = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                            "golden_plans.json")
 
 #: consensus protocol payloads no correct member sends and that an
 #: unchecked ``payload[0..2]`` would raise on: not a tuple, empty, and two
@@ -122,3 +130,12 @@ def make_group(n, seed=0, established=True, behaviors=None, **config_kw):
     config = StackConfig.byz(**config_kw)
     return Group.bootstrap(n, config=config, seed=seed,
                            established=established, behaviors=behaviors)
+
+
+def golden_plan(name, **overrides):
+    """The committed plan ``name`` from ``GOLDEN_PLANS``, with
+    ``overrides`` merged into its StackConfig keywords."""
+    with open(GOLDEN_PLANS) as fh:
+        plan = FaultPlan.from_dict(json.load(fh)[name])
+    plan.config.update(overrides)
+    return plan
