@@ -86,35 +86,6 @@ def cmd_trace(args):
     return 0 if ok else 1
 
 
-def cmd_fuzz(args):
-    """Fuzz random fault scenarios; nonzero exit on any safety violation."""
-    from repro import StackConfig
-    from repro.tools.fuzzer import ScenarioFuzzer
-    config = StackConfig.byz(crypto=args.crypto,
-                             total_order=args.total_order)
-    failed = 0
-    for seed in range(args.start, args.start + args.seeds):
-        fuzzer = ScenarioFuzzer(seed, config=config, ops=args.ops).execute()
-        violations = fuzzer.check()
-        if violations:
-            failed += 1
-            print("seed %d: FAIL (%d violations)" % (seed, len(violations)))
-            for line in violations[:5]:
-                print("  " + line)
-            print("  script: %r" % (fuzzer.script,))
-            if args.out:
-                import os
-                os.makedirs(args.out, exist_ok=True)
-                path = fuzzer.as_plan().save(
-                    "%s/fuzz-counterexample-seed%d.json" % (args.out, seed))
-                print("  plan written to %s" % path)
-        else:
-            print("seed %d: ok (%d ops)" % (seed, len(fuzzer.script)))
-        fuzzer.group.stop()
-    print("%d/%d seeds failed" % (failed, args.seeds))
-    return 1 if failed else 0
-
-
 #: chaos presets: config/check/allow bundles for the common campaigns.
 #: ``corrupt`` only enters the op mix when a real crypto scheme can detect
 #: it (the byz-sym preset); with crypto="none" corruption is silent.
@@ -424,19 +395,6 @@ def main(argv=None):
     trace.add_argument("--json", action="store_true",
                        help="emit the artifact as JSON instead of text")
     trace.set_defaults(func=cmd_trace)
-
-    fuzz = sub.add_parser("fuzz", help=cmd_fuzz.__doc__)
-    fuzz.add_argument("--seeds", type=int, default=10,
-                      help="number of seeds to run")
-    fuzz.add_argument("--start", type=int, default=0,
-                      help="first seed of the range")
-    fuzz.add_argument("--ops", type=int, default=12)
-    fuzz.add_argument("--crypto", choices=("none", "sym", "pub"),
-                      default="none")
-    fuzz.add_argument("--total-order", action="store_true")
-    fuzz.add_argument("--out", default=None,
-                      help="directory for failing-seed plan JSON")
-    fuzz.set_defaults(func=cmd_fuzz)
 
     chaos = sub.add_parser("chaos", help=cmd_chaos.__doc__)
     chaos.add_argument("--seeds", type=int, default=10)

@@ -148,7 +148,9 @@ class ChaosEngine:
 
     @classmethod
     def attached(cls, group):
-        """Wrap an already-built cluster (the fuzzer's driver mode).
+        """Wrap an already-built cluster, for callers that build their own
+        group and drive it op by op (the ledger's churn workloads, the
+        reshard tests' one-group twin of a sharded plane).
 
         Build-time ops (``byzantine``, ``skew``) are inert in this mode:
         behaviors and node clocks can only be wired at construction, which

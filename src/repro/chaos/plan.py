@@ -156,23 +156,110 @@ def _runtime_params(rng, kind):
     return {}
 
 
+class _View:
+    """The generator's model of the cluster it draws ops against.
+
+    ``random_plan`` keeps one per plan and each draw updates it: a model
+    of what the plan did so far, never of the simulation, which has not
+    run.  The engine's tolerant op semantics absorb any divergence.
+    """
+
+    def __init__(self, n, villain=None):
+        self.n = n
+        self.quorum_floor = max(3, (2 * n) // 3)
+        self.crashed = set()
+        self.out = {villain}   # left or Byzantine: never a target again
+        self.turned = False    # a byzantine_at was drawn
+        self.resharded = False
+        self.next_join = 1000
+
+    def live(self):
+        return [node for node in range(self.n)
+                if node not in self.crashed and node not in self.out]
+
+    def restartable(self):
+        return sorted(self.crashed)
+
+
+def _draw_op(rng, name, view):
+    """Draw one ``name`` op against ``view`` and update it; None when the
+    view rules the op out.  The sequence of ``rng`` draws is part of every
+    seed's ``plan_hash``: reordering or removing one re-seeds them all."""
+    live = view.live()
+    if name == "cast":
+        if not live:
+            return None
+        return ["cast", rng.choice(live), rng.randint(1, 12)]
+    if name == "run":
+        return ["run", rng.choice((0.05, 0.1, 0.3, 0.6))]
+    if name in ("crash", "leave"):
+        if len(live) <= view.quorum_floor:
+            return None
+        node = rng.choice(live)
+        (view.crashed if name == "crash" else view.out).add(node)
+        return [name, node]
+    if name == "restart":
+        candidates = view.restartable()
+        if not candidates:
+            return None
+        node = rng.choice(candidates)
+        view.crashed.discard(node)
+        return ["restart", node]
+    if name == "partition":
+        if len(live) < 4:
+            return None
+        rng.shuffle(live)
+        split = rng.randint(1, len(live) - 1)
+        side_a = sorted(set(live[:split]) | view.crashed, key=repr)
+        return ["partition", [side_a, sorted(live[split:], key=repr)]]
+    if name in ("heal", "clear_faults"):
+        return [name]
+    if name == "join":
+        view.next_join += 1
+        return ["join", view.next_join - 1]
+    if name in ("drop", "corrupt", "duplicate"):
+        src = rng.choice(live) if live and rng.random() < 0.5 else None
+        return [name, src, None, rng.choice((0.05, 0.1, 0.2, 0.3))]
+    if name in ("nic", "skew"):
+        if not live:
+            return None
+        node = rng.choice(live)
+        if name == "nic":
+            return ["nic", node, rng.choice((0.05, 0.2, 0.5))]
+        return ["skew", node, round(rng.uniform(0.7, 1.4), 3)]
+    if name == "reshard_at":
+        # at most one scripted reshard per plan: the engine refuses
+        # overlapping migrations, and one epoch seam per run is what
+        # the campaign's key-conservation check reasons about
+        if view.resharded:
+            return None
+        view.resharded = True
+        return ["reshard_at", rng.choice((-1, 1))]
+    if name == "byzantine_at":
+        # keep a correct supermajority: at most one mid-run villain on
+        # top of the build-time one, and never below the quorum floor
+        if view.turned or len(live) <= view.quorum_floor:
+            return None
+        node = rng.choice(live)
+        kind = rng.choice(RUNTIME_BEHAVIORS)
+        view.out.add(node)
+        view.turned = True
+        return ["byzantine_at", node, kind, _runtime_params(rng, kind)]
+    raise ValueError("unknown op in allow list: %r" % (name,))
+
+
 def random_plan(seed, n=None, ops=12, allow=DEFAULT_OPS,
                 byzantine_fraction=0.3, config=None, net=None, check=None):
     """Draw one random fault plan (the campaign runner's generator).
 
-    The generator is *state-blind*: it tracks its own model of which
-    nodes it crashed or evicted, never the simulation (which it has not
-    run).  The engine's tolerant op semantics absorb any divergence.
+    The generator is *state-blind*: it draws each op against its own
+    model of which nodes it crashed or evicted (:class:`_View`), never
+    against the simulation.
     """
     rng = random.Random(seed)
     n = n or rng.randint(6, 10)
     plan_ops = []
-    crashed = set()
-    left = set()
     villain = None
-    next_join = 1000
-    skewed_or_degraded = set()
-
     if rng.random() < byzantine_fraction:
         villain = rng.randrange(n)
         kind = rng.choice(("MuteNode", "VerboseNode", "TwoFacedCaster"))
@@ -182,92 +269,10 @@ def random_plan(seed, n=None, ops=12, allow=DEFAULT_OPS,
         elif kind == "VerboseNode":
             params = {"start_at": round(rng.uniform(0.05, 0.3), 4)}
         plan_ops.append(["byzantine", villain, kind, params])
-
-    turned = set()   # nodes flipped Byzantine mid-run via byzantine_at
-
-    def alive():
-        return [node for node in range(n)
-                if node not in crashed and node not in left
-                and node != villain and node not in turned]
-
-    quorum_floor = max(3, (2 * n) // 3)
+    view = _View(n, villain)
     for _step in range(ops):
-        op = rng.choice(allow)
-        live = alive()
-        if op == "cast":
-            if not live:
-                continue
-            plan_ops.append(["cast", rng.choice(live), rng.randint(1, 12)])
-        elif op == "run":
-            plan_ops.append(["run", rng.choice((0.05, 0.1, 0.3, 0.6))])
-        elif op == "crash":
-            if len(live) <= quorum_floor:
-                continue
-            victim = rng.choice(live)
-            crashed.add(victim)
-            plan_ops.append(["crash", victim])
-        elif op == "restart":
-            candidates = sorted(crashed - left)
-            if not candidates:
-                continue
-            node = rng.choice(candidates)
-            crashed.discard(node)
-            plan_ops.append(["restart", node])
-        elif op == "leave":
-            if len(live) <= quorum_floor:
-                continue
-            leaver = rng.choice(live)
-            left.add(leaver)
-            plan_ops.append(["leave", leaver])
-        elif op == "partition":
-            if len(live) < 4:
-                continue
-            rng.shuffle(live)
-            split = rng.randint(1, len(live) - 1)
-            side_a = sorted(set(live[:split]) | crashed, key=repr)
-            side_b = sorted(live[split:], key=repr)
-            plan_ops.append(["partition", [side_a, side_b]])
-        elif op == "heal":
-            plan_ops.append(["heal"])
-        elif op == "join":
-            plan_ops.append(["join", next_join])
-            next_join += 1
-        elif op in ("drop", "corrupt", "duplicate"):
-            src = rng.choice(live) if live and rng.random() < 0.5 else None
-            prob = rng.choice((0.05, 0.1, 0.2, 0.3))
-            plan_ops.append([op, src, None, prob])
-        elif op == "nic":
-            if not live:
-                continue
-            node = rng.choice(live)
-            skewed_or_degraded.add(node)
-            plan_ops.append(["nic", node, rng.choice((0.05, 0.2, 0.5))])
-        elif op == "skew":
-            if not live:
-                continue
-            node = rng.choice(live)
-            skewed_or_degraded.add(node)
-            plan_ops.append(["skew", node, round(rng.uniform(0.7, 1.4), 3)])
-        elif op == "clear_faults":
-            plan_ops.append(["clear_faults"])
-        elif op == "reshard_at":
-            # at most one scripted reshard per plan: the engine refuses
-            # overlapping migrations, and one epoch seam per run is what
-            # the campaign's key-conservation check reasons about
-            if any(existing[0] == "reshard_at" for existing in plan_ops):
-                continue
-            plan_ops.append(["reshard_at", rng.choice((-1, 1))])
-        elif op == "byzantine_at":
-            # keep a correct supermajority: at most one mid-run villain on
-            # top of the build-time one, and never below the quorum floor
-            if turned or len(live) <= quorum_floor:
-                continue
-            node = rng.choice(live)
-            kind = rng.choice(RUNTIME_BEHAVIORS)
-            params = _runtime_params(rng, kind)
-            turned.add(node)
-            plan_ops.append(["byzantine_at", node, kind, params])
-        else:
-            raise ValueError("unknown op in allow list: %r" % (op,))
+        op = _draw_op(rng, rng.choice(allow), view)
+        if op is not None:
+            plan_ops.append(op)
     return FaultPlan(seed=seed, n=n, ops=plan_ops, config=config, net=net,
                      check=check)

@@ -21,8 +21,8 @@ import random
 import time
 
 from repro.chaos.engine import run_plan
-from repro.chaos.plan import (ADVERSARY_OPS, RUNTIME_BEHAVIORS, FaultPlan,
-                              _runtime_params, random_plan)
+from repro.chaos.plan import (ADVERSARY_OPS, FaultPlan, _draw_op, _View,
+                              random_plan)
 from repro.chaos.shrink import shrink_plan
 
 #: seed salt: search randomness never mirrors plan/cluster RNG streams
@@ -82,38 +82,20 @@ def evaluate_plan(plan, event_budget=150_000, settle=3.0):
 # ----------------------------------------------------------------------
 # genetic operators
 # ----------------------------------------------------------------------
+class _BlindView(_View):
+    """A gene's view: it may land anywhere in any script, so every node
+    is live, any node restartable, and no crashed node sides a
+    partition."""
+
+    def restartable(self):
+        return list(range(self.n))
+
+
 def _random_op(rng, n, allow):
-    """One fresh op gene (state-blind; tolerant semantics absorb misfires)."""
-    name = rng.choice(allow)
-    node = rng.randrange(n)
-    if name == "cast":
-        return ["cast", node, rng.randint(1, 8)]
-    if name == "run":
-        return ["run", rng.choice((0.05, 0.1, 0.3, 0.6))]
-    if name in ("crash", "restart", "leave"):
-        return [name, node]
-    if name == "join":
-        return ["join", 2000 + rng.randrange(100)]
-    if name == "partition":
-        members = list(range(n))
-        rng.shuffle(members)
-        split = rng.randint(1, n - 1)
-        return ["partition", [members[:split], members[split:]]]
-    if name == "heal":
-        return ["heal"]
-    if name in ("drop", "corrupt", "duplicate"):
-        src = node if rng.random() < 0.5 else None
-        return [name, src, None, rng.choice((0.05, 0.1, 0.2, 0.3))]
-    if name == "nic":
-        return ["nic", node, rng.choice((0.05, 0.2, 0.5))]
-    if name == "skew":
-        return ["skew", node, round(rng.uniform(0.7, 1.4), 3)]
-    if name == "clear_faults":
-        return ["clear_faults"]
-    if name == "byzantine_at":
-        kind = rng.choice(RUNTIME_BEHAVIORS)
-        return ["byzantine_at", node, kind, _runtime_params(rng, kind)]
-    return ["run", 0.1]
+    """One fresh op gene, drawn from :func:`random_plan`'s op table; a
+    short run when ``n`` is too small for the op (below four nodes: crash,
+    leave, partition, byzantine_at).  Tolerant semantics absorb misfires."""
+    return _draw_op(rng, rng.choice(allow), _BlindView(n)) or ["run", 0.1]
 
 
 def _perturb_scalar(rng, op):
