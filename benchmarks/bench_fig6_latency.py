@@ -7,11 +7,10 @@ Expected shape: single-digit milliseconds growing mildly with n;
 NoCrypto slightly above benign; SymCrypto adds per-receiver MAC cost
 (grows with n); Total adds a consensus round on top.
 
-The same ring sweep is recorded in the committed ``BENCH_latency.json``
-artifact by ``benchmarks/bench_latency.py`` (which also measures the
-ordering fast path) and gated in CI through ``run_all.py --latency`` /
-``--check-against`` with the calibration-normalized machinery shared
-with ``bench_wallclock.py``.
+``run_all.py`` sweeps the full size range into EXPERIMENTS.md.
+Open-loop total-order latency under load, classic engine vs fast path,
+is measured by the ledger's ``order_classic_n8`` / ``order_fast_n8``
+workloads (``benchmarks/ledger``), not here.
 """
 
 import pytest

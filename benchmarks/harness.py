@@ -27,9 +27,9 @@ from contextlib import contextmanager
 
 from repro import Group, ObsConfig, StackConfig
 from repro.apps.ring import RingDemo
-from repro.byzantine.behaviors import (BadViewCoordinator, MuteCoordinator,
-                                       MuteNode, VerboseNode)
-from repro.core.view import choose_coordinator
+# Table 1's runner lives in the package, where ``python -m repro attack``
+# finds it from any directory; re-exported so every runner is named here
+from repro.byzantine.table1 import TABLE1_SCENARIOS, recovery_time
 from repro.obs.metrics import mean
 
 #: group sizes measured in the paper (8-50, two per blade above 24)
@@ -179,89 +179,6 @@ def ring_latency(config, n, seed=7, duration=None):
 
 
 # ----------------------------------------------------------------------
-# ordering fast path: open-loop cast->deliver latency
-# ----------------------------------------------------------------------
-#: per-n cast interval for the moderate-load point of the fast-path
-#: latency benchmark: high enough that the classic (tick-gated,
-#: sequential) ordering path queues, low enough that the pipelined fast
-#: path still absorbs the rate.  Intervals deliberately avoid multiples
-#: of the 2 ms ordering tick so arrivals don't alias with it.
-ORDERING_LOAD_INTERVALS = {8: 0.0033, 16: 0.0053, 32: 0.0093}
-
-
-def ordering_latency(config, n, seed=7, duration=0.4, casters=4,
-                     interval=None):
-    """Failure-free cast->deliver latency under an open-loop cast load.
-
-    ``casters`` members each cast a 16-byte message every ``interval``
-    simulated seconds (open loop: the next cast is scheduled whether or
-    not the previous one was delivered, unlike the closed-loop ring demo
-    whose rounds self-throttle to the ordering rate).  Latency is
-    measured at one observer node from cast time to total-order
-    delivery; decides/s comes from the ordering layer's own counter.
-    """
-    if interval is None:
-        interval = ORDERING_LOAD_INTERVALS.get(
-            n, ORDERING_LOAD_INTERVALS[32])
-    group = Group.bootstrap(n, config=config, seed=seed)
-    latencies = []
-    cast_times = {}
-
-    def observer(event):
-        t0 = cast_times.get(event.msg_id)
-        if t0 is not None:
-            latencies.append(event.time - t0)
-
-    for node, endpoint in group.endpoints.items():
-        endpoint.record_events = False
-        if node == 0:
-            endpoint.on_cast = observer
-        else:
-            endpoint.on_cast = lambda event: None
-    endpoints = list(group.endpoints.values())
-
-    def caster(i):
-        msg_id = endpoints[i].cast(("load", i), size=16)
-        cast_times[msg_id] = group.sim.now
-        group.sim.schedule(interval, caster, i)
-
-    # stagger the casters off each other and off the tick grid
-    for i in range(casters):
-        group.sim.schedule(0.0011 * (i + 1), caster, i)
-    with steady_state_gc():
-        group.run(duration)
-    ordering = group.processes[0].stack.layer("ordering")
-    decides = ordering.batches_decided
-    fast_decides = getattr(ordering, "fast_decides", 0)
-    fast_fallbacks = getattr(ordering, "fast_fallbacks", 0)
-    events = group.sim.events_processed
-    group.stop()
-    latencies.sort()
-    count = len(latencies)
-
-    def pct(q):
-        if not count:
-            return float("nan")
-        return latencies[min(count - 1, int(count * q))] * 1000.0
-
-    return {
-        "label": config.label(),
-        "n": n,
-        "p50_ms": pct(0.50),
-        "p99_ms": pct(0.99),
-        "mean_ms": (sum(latencies) / count * 1000.0) if count else
-                   float("nan"),
-        "delivered": count,
-        "cast": len(cast_times),
-        "decides_per_s": decides / duration,
-        "fast_decides": fast_decides,
-        "fast_fallbacks": fast_fallbacks,
-        "sim_seconds": duration,
-        "events": events,
-    }
-
-
-# ----------------------------------------------------------------------
 # Figure 8: time to establish a new view
 # ----------------------------------------------------------------------
 def view_change_latency(n, kind, seed=7, config=None):
@@ -304,71 +221,3 @@ def view_change_latency(n, kind, seed=7, config=None):
               "events": group.sim.events_processed}
     group.stop()
     return result
-
-
-# ----------------------------------------------------------------------
-# Table 1: recovery time from problematic scenarios
-# ----------------------------------------------------------------------
-def _recovery_run(n, seed, behaviors, exclude, detect_event=None,
-                  config=None):
-    """Run a fault scenario; return detection->install recovery time.
-
-    Following the paper, the time reported EXCLUDES the failure-detection
-    period itself ("does not include the failure detection time as this is
-    a tunable parameter"): we take the latest change-start among survivors
-    as the detection instant.
-    """
-    config = config or StackConfig.byz()
-    group = Group.bootstrap(n, config=config, seed=seed, behaviors=behaviors)
-    group.run(0.05)
-    if detect_event is not None:
-        detect_event(group)
-    ok = group.run_until(
-        lambda: all(exclude not in p.view.mbrs
-                    for node, p in group.processes.items()
-                    if node != exclude and not p.stopped),
-        timeout=10.0)
-    durations = [p.membership.last_change_duration
-                 for node, p in group.processes.items()
-                 if node != exclude and not p.stopped
-                 and p.membership.last_change_duration is not None]
-    group.stop()
-    return {
-        "recovered": ok,
-        "recovery_seconds": mean(durations) if durations else float("nan"),
-        "max_recovery_seconds": max(durations) if durations else float("nan"),
-    }
-
-
-def recovery_time(scenario, n=12, seed=7):
-    """Table 1: recovery time for one named scenario at group size n."""
-    if scenario == "ByzLeave":
-        def leave(group):
-            group.endpoints[n - 1].leave()
-        return _recovery_run(n, seed, {}, exclude=n - 1, detect_event=leave)
-    if scenario == "ByzMuteNode":
-        return _recovery_run(n, seed, {n - 1: MuteNode(mute_at=0.08)},
-                             exclude=n - 1)
-    if scenario == "ByzMuteCoord":
-        coord = choose_coordinator(1, tuple(range(n)))
-        return _recovery_run(n, seed, {coord: MuteCoordinator(mute_at=0.08)},
-                             exclude=coord)
-    if scenario == "ByzVerboseNode":
-        return _recovery_run(n, seed, {n - 1: VerboseNode(start_at=0.08)},
-                             exclude=n - 1)
-    if scenario == "CoordBadView":
-        # crash one node so a view change runs; its generator is Byzantine
-        # and sends a wrong view, forcing a re-run that also evicts it
-        survivors = [m for m in range(n) if m != n - 1]
-        bad_gen = choose_coordinator(1, survivors)
-        behaviors = {bad_gen: BadViewCoordinator()}
-
-        def crash(group):
-            group.crash(n - 1)
-        return _recovery_run(n, seed, behaviors, exclude=bad_gen,
-                             detect_event=crash)
-    raise ValueError("unknown scenario: %r" % (scenario,))
-
-
-TABLE1_SCENARIOS = ("ByzLeave", "ByzMuteNode", "ByzMuteCoord",
-                    "ByzVerboseNode", "CoordBadView")

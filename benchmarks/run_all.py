@@ -199,20 +199,6 @@ def main(argv=None):
     parser.add_argument("--obs-out", default=None, metavar="PATH",
                         help="also run one observability-instrumented point "
                              "and write its metrics+traces JSON artifact")
-    parser.add_argument("--wallclock", default=None, metavar="PATH",
-                        help="also run the wall-clock (host-speed) benchmark "
-                             "and store it under runs['after'] of this JSON "
-                             "(see benchmarks/bench_wallclock.py)")
-    parser.add_argument("--latency", default=None, metavar="PATH",
-                        help="also run the ordering-latency benchmark "
-                             "(fast path on/off + fig6 ring lines) and "
-                             "store it under runs['after'] of this JSON "
-                             "(see benchmarks/bench_latency.py)")
-    parser.add_argument("--net", default=None, metavar="PATH",
-                        help="also run the localhost UDP cluster benchmark "
-                             "(real OS processes + sockets) and write its "
-                             "net-vs-sim JSON here "
-                             "(see benchmarks/bench_net_localhost.py)")
     args = parser.parse_args(argv)
     sizes = QUICK_SIZES if args.quick else FULL_SIZES
     lines = []
@@ -245,18 +231,6 @@ def main(argv=None):
         print("obs artifact: %s (%d traces, %d casts delivered)"
               % (args.obs_out, result["obs"]["traces"],
                  result["obs"]["casts_delivered"]))
-    if args.wallclock:
-        from benchmarks import bench_wallclock
-        bench_wallclock.main((["--quick"] if args.quick else [])
-                             + ["--out", args.wallclock, "--tag", "after"])
-    if args.latency:
-        from benchmarks import bench_latency
-        bench_latency.main((["--quick"] if args.quick else [])
-                           + ["--out", args.latency, "--tag", "after"])
-    if args.net:
-        from benchmarks import bench_net_localhost
-        bench_net_localhost.main((["--quick"] if args.quick else [])
-                                 + ["--out", args.net])
     text = "\n".join(lines) + "\n"
     with open(args.out, "w") as handle:
         handle.write(text)

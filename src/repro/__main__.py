@@ -41,8 +41,7 @@ def cmd_demo(args):
 
 def cmd_attack(args):
     """Inject a Table-1 scenario and report the recovery time."""
-    sys.path.insert(0, ".")
-    from benchmarks.harness import TABLE1_SCENARIOS, recovery_time
+    from repro.byzantine.table1 import TABLE1_SCENARIOS, recovery_time
     if args.scenario not in TABLE1_SCENARIOS:
         print("scenarios: %s" % ", ".join(TABLE1_SCENARIOS))
         return 2

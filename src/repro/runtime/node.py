@@ -169,9 +169,6 @@ async def run_node(spec, loop):
 
     wall = dict(script.milestones())
     wall["wall_elapsed"] = time.monotonic() - wall_start
-    # membership-layer measurement hooks, for benchmarks/bench_net_localhost
-    wall["view_changes"] = process.membership.view_changes
-    wall["last_change_duration"] = process.membership.last_change_duration
     report = NodeReport(node_id, process.history, final_view=final_view,
                         counters=counters, wall=wall, leaks=leaks,
                         ok=ok, error=error, debug=debug)

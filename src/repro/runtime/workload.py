@@ -316,15 +316,12 @@ def run_sim_workload(workload, seed=0, config=None):
     reports = {}
     for node, process in group.processes.items():
         view = process.view
-        wall = dict(scripts[node].milestones())
-        wall["view_changes"] = process.membership.view_changes
-        wall["last_change_duration"] = process.membership.last_change_duration
         reports[node] = NodeReport(
             node, process.history,
             final_view={"vid": [view.vid.counter, view.vid.creator],
                         "mbrs": list(view.mbrs)},
             counters={"datagrams_sent": group.network.datagrams_sent},
-            wall=wall, ok=scripts[node].done())
+            wall=dict(scripts[node].milestones()), ok=scripts[node].done())
     elapsed = group.sim.now
     group.stop()
     return WorkloadResult("sim", workload, reports, ok, elapsed)

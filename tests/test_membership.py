@@ -1,8 +1,11 @@
 """Integration tests for Byzantine membership maintenance (section 3.4)."""
 
+import pytest
+
 from tests.helpers import make_group, view_events
 
-from repro import Group, StackConfig
+from repro import Group, NetworkConfig, StackConfig
+from repro.core.properties import check_virtual_synchrony
 from repro.core.view import choose_coordinator
 
 
@@ -220,7 +223,43 @@ def test_two_sequential_joins():
 
 
 def test_join_duplicate_id_rejected():
-    import pytest
     group = make_group(3, seed=16)
     with pytest.raises(ValueError):
         group.add_node(0)
+
+
+class ViewChangeStuck(Exception):
+    """The one failure the r5 pins below expect."""
+
+
+@pytest.mark.xfail(strict=True, raises=ViewChangeStuck,
+                   reason="ROADMAP 1 r5: two crashes under 5 % loss leave "
+                   "a survivor in membership's cut state, waiting on a "
+                   "reliable cut that never completes")
+@pytest.mark.parametrize("seed", [2, 9])
+def test_two_crashes_under_loss_reach_a_stable_view(seed):
+    group = Group.bootstrap(
+        8, StackConfig.byz(crypto="sym", total_order=True), seed=seed,
+        net_config=NetworkConfig(drop_prob=0.05))
+
+    def cast(i):
+        node = i % 8
+        if not group.processes[node].stopped:
+            group.endpoints[node].cast(("r5", i), size=16)
+
+    def crash_two():
+        group.crash(6)
+        group.crash(7)
+
+    for i in range(200):
+        group.sim.schedule(0.0004 * i, cast, i)
+    group.sim.schedule(0.020 + 0.0007 * seed, crash_two)
+    survivors = set(range(6))
+    ok = group.run_until(
+        lambda: all(set(group.processes[n].view.mbrs) == survivors
+                    for n in survivors), timeout=5.0)
+    # nothing but the r5 signature may hide behind the xfail
+    assert check_virtual_synchrony(group.execution()) == []
+    if not ok:
+        raise ViewChangeStuck({n: group.processes[n].membership._state
+                               for n in sorted(survivors)})

@@ -104,6 +104,22 @@ def test_net_smoke_byzantine_config():
         assert report.wall["delivered"] == total, (node, report.wall)
 
 
+def test_saturation_burst_at_view_formation():
+    """Every node fires its whole burst the moment the view forms, with
+    the wire coalescer on: the cluster stays healthy and every node
+    delivers every cast.  No throughput threshold -- speed on real
+    sockets is the ledger's ``udp_*`` workloads' job."""
+    workload = NetWorkload(n=5, casts_per_node=120, cast_gap=0.0,
+                           payload_bytes=16, leaver=None, deadline=25.0,
+                           linger=0.3)
+    net = run_net_workload(workload, seed=1,
+                           config=dict(BYZ, wire_coalesce=True))
+    _assert_healthy(net, workload)
+    total = workload.expected_deliveries
+    for node, report in net.reports.items():
+        assert report.wall["delivered"] == total, (node, report.wall)
+
+
 def test_conformance_coalescing_off():
     """The wire coalescer is an optimization, not a protocol change: with
     ``wire_coalesce`` off the cluster must still converge and deliver in

@@ -124,6 +124,22 @@ def test_cli_attack_unknown_scenario():
     assert main(["attack", "NotAScenario"]) == 2
 
 
+def test_cli_attack_runs_outside_the_repo_root(tmp_path):
+    """The Table-1 runner ships in the package: no checkout on sys.path."""
+    import os
+    import subprocess
+    import sys
+
+    import repro
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    done = subprocess.run(
+        [sys.executable, "-m", "repro", "attack", "ByzMuteNode",
+         "--nodes", "8"], env=dict(os.environ, PYTHONPATH=src),
+        cwd=str(tmp_path), capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert "recovered=True" in done.stdout
+
+
 # ----------------------------------------------------------------------
 # timeline rendering
 # ----------------------------------------------------------------------
