@@ -1,33 +1,10 @@
 """Byzantine membership maintenance (paper section 3.4).
 
-The view-change state machine, per node:
-
-::
-
-    IDLE --(start-view-change)--> CONSENSUS     vector consensus on the
-                                                suspicion vector
-    CONSENSUS --decided--> SYNC                 wedge app stream, exchange
-                                                SYNC reports (flush)
-    SYNC --all survivors reported--> CUT        agreed cut; recover gaps,
-                                                deliver exactly up to it
-    CUT --complete--> AWAIT_VIEW                new coordinator uniformly
-                                                broadcasts the new view
-    AWAIT_VIEW --UB delivered + verified--> install
-
-Byzantine defences at each step:
-
-* the suspicion vector is agreed via :class:`VectorConsensus` so a
-  Byzantine minority can never evict a correct member on its own;
-* the new coordinator is *locally computable* (rank rotation), so every
-  member knows who must produce the view and registers a fuzzy-mute
-  expectation against it;
-* the new-view message travels by Byzantine uniform broadcast, and members
-  verify its content against what they can compute themselves before
-  echoing (a coordinator sending a wrong view -- the paper's CoordBadView
-  scenario -- is caught here and the change re-runs without it);
-* a member withholds its uniform-broadcast echo until every message it
-  knows of from the terminating view is deliverable locally (the flush
-  rule of section 3.4.4), so installing members agree on delivered sets.
+The view change itself -- consensus on the suspicion vector, the flush,
+the uniform broadcast of the new view -- is
+:class:`repro.layers.view_change.ViewChange`, a machine without I/O.  This
+layer is its host: it turns messages, timers and the stack's services into
+the machine's inputs and outputs, and keeps what lives beside a change.
 
 Merging (section 3.4.2): all nodes listen to coordinator gossip.  The
 side with the *smaller* view identifier requests a merge; the target
@@ -41,20 +18,12 @@ from __future__ import annotations
 
 import hashlib
 
-from repro.broadcast.bracha import BrachaBroadcast
-from repro.broadcast.uniform import UniformBroadcast
 from repro.core import message as mk
 from repro.core.message import Message
-from repro.core.view import View, ViewId, choose_coordinator
+from repro.core.view import View
 from repro.layers.base import Layer
 from repro.layers.heartbeat import stack_fingerprint
-
-IDLE = "idle"
-CONSENSUS = "consensus"
-SYNC = "sync"
-CUT = "cut"
-AWAIT_VIEW = "await-view"
-JOINING = "joining"
+from repro.layers.view_change import IDLE, JOINING, ViewChange
 
 
 def _digest(obj):
@@ -66,179 +35,169 @@ class MembershipLayer(Layer):
 
     name = "membership"
 
-    #: regression-revert switches (tests only).  Flipping either re-opens
-    #: a bug the chaos campaign once found, so the tournament's search can
-    #: prove it would re-discover them:
+    #: regression-revert switches (tests only), handed to the machine.
+    #: Each re-opens a bug the chaos campaign once found, so the
+    #: tournament's search can prove it would re-discover it:
     #:
-    #: * ``vid_counter_floor=False`` drops the never-reuse-a-counter floor
-    #:   -- an aborted change plus a later singleton fallback can bind two
-    #:   memberships to one vid (view-agreement violation; two concurrent
-    #:   leaves sufficed);
-    #: * ``oneshot_view_send=False`` lets every ack-matrix update re-enter
-    #:   the coordinator's view send, whose zero-delay self-delivery then
-    #:   feeds itself forever (livelock) when originate() re-broadcasts;
-    #: * ``unsubscribe_stability=False`` leaves the per-change stability
-    #:   subscription registered forever -- one dead listener per view
-    #:   change, unbounded under churn (the leak the long-horizon soak
-    #:   plane's BoundedStateChecker flags via ``stability.listeners``).
+    #: * ``vid_counter_floor=False``: an aborted change plus a later
+    #:   singleton fallback can bind two memberships to one vid;
+    #: * ``oneshot_view_send=False``: every ack-matrix update re-enters the
+    #:   coordinator's view send, whose zero-delay self-delivery then feeds
+    #:   itself forever (livelock) when originate() re-broadcasts;
+    #: * ``unsubscribe_stability=False``: one dead stability listener per
+    #:   view change, which the soak's BoundedStateChecker flags.
     vid_counter_floor = True
     oneshot_view_send = True
     unsubscribe_stability = True
 
     def __init__(self):
         super().__init__()
-        self._state = IDLE
-        self._epoch = 0
-        self._consensus = None
-        self._consensus_pending = []   # (sender, instance_id, payload)
-        self._suspected_at_start = set()
-        self._leavers = set()
-        self._survivors = None
-        self._failed = None
-        self._new_coord = None
-        self._sync_reports = {}
-        self._sync_ord_k = {}
-        self._sync_pending = []        # (origin, epoch, report, ord_k)
-        self._sync_nudged = set()      # laggards we re-sent our report to
-        self._sync_sent_wire = None    # our frozen report, for re-sends
-        self._cut = None
-        self._cut_done = False
-        self._ub = None
-        self._ub_pending = []
-        self._ub_ready = False
-        self._pending_joiners = None   # foreign View whose members join us
+        self.machine = None
+        self.leavers = set()
+        self.joiners = None            # foreign View whose members join us
         self._merge_requested_at = {}
         self._merge_inflight = None    # (target coordinator, request time)
         self._rejoin_requested_at = -1e9
-        self._regroup_timer = None
         self._join_offer = None        # (view, digest) received as a joiner
         self._join_echoes = {}
         self._join_timer = None        # fallback for a stalled join
-        self._expectations = []
-        self._waiting_stability = False
-        self._flush_undecidable = False
-        self._legacy_substab = False   # oneshot_view_send revert only
-        # the highest view counter this node has ever attached to a view
-        # it proposed on the wire or installed; never reset.  Any view we
-        # CREATE later must use a strictly larger counter, or an aborted
-        # change attempt and a later singleton fallback could bind two
-        # different memberships to the same vid (view-agreement violation
-        # found by the chaos campaign: two concurrent leaves sufficed)
-        self._counter_floor = 0
         # measurement hooks used by the benchmarks
         self.view_changes = 0
         self.change_started_at = None
         self.last_change_duration = None
         self.leaving = False
 
-    def state_sizes(self):
-        return {
-            "sync_reports": len(self._sync_reports),
-            "sync_pending": len(self._sync_pending),
-            "consensus_pending": len(self._consensus_pending),
-            "ub_pending": len(self._ub_pending),
-            "join_echoes": len(self._join_echoes),
-            "merge_requests": len(self._merge_requested_at),
-        }
+    def attach(self, stack):
+        super().attach(stack)
+        process = stack.process  # services the machine uses as they are
+        self.stability = process.stability
+        self.mute = process.mute_detector
+        self.verbose = process.verbose_detector
+        self.machine = ViewChange(
+            self, self.config, self.me,
+            vid_counter_floor=self.vid_counter_floor,
+            oneshot_view_send=self.oneshot_view_send,
+            unsubscribe_stability=self.unsubscribe_stability)
 
-    def _floor(self):
-        """The vid-counter floor, or 0 with the regression revert on."""
-        return self._counter_floor if self.vid_counter_floor else 0
+    def snapshot(self):
+        """The view change and the merge/join state around it."""
+        joiners = self.joiners
+        return dict(self.machine.snapshot(), leaving=self.leaving,
+                    merge_inflight=list(self._merge_inflight or ()) or None,
+                    pending_joiners=(list(joiners.mbrs)
+                                     if joiners is not None else None),
+                    join_offer=self._join_offer is not None)
+
+    def state_sizes(self):
+        return dict(self.machine.state_sizes(),
+                    join_echoes=len(self._join_echoes),
+                    merge_requests=len(self._merge_requested_at))
 
     # ------------------------------------------------------------------
-    # control plane
+    # the machine's host
+    # ------------------------------------------------------------------
+    @property
+    def f(self):
+        return self.process.f
+
+    def send(self, kind, payload, size, dest=None):
+        self.send_down(Message(kind, self.me, self.view.vid, payload,
+                               payload_size=size, dest=dest))
+
+    def arm(self, delay, callback, *args):
+        return self.sim.schedule(delay, callback, *args)
+
+    def suspects(self, member):
+        process = self.process
+        return (process.suspicion.is_suspected(member)
+                or process.mute_levels.level(member)
+                >= self.config.mute_suspect_threshold)
+
+    def suspected(self):
+        return self.process.suspicion.suspected_set()
+
+    def suspect(self, member, reason):
+        self.process.suspicion.suspect_locally(member, reason=reason)
+
+    def block(self):
+        if self.change_started_at is None:
+            self.change_started_at = self.sim.now
+        self.stack.blocked = True
+        self.stack.control("view-change-started")
+
+    def aborted(self):
+        self._cancel_join_timer()
+        self.change_started_at = None
+        self.stack.blocked = False
+        self.stack.control("view-change-aborted")
+
+    def wedge(self, undecidable):
+        reliable = self.process.reliable
+        reliable.wedge()
+        self.stack.control("wedged")
+        report = reliable.stream_state()
+        return report, self.process.ordering_freeze(undecidable)
+
+    def set_cut(self, cut, on_complete):
+        self.process.reliable.set_cut(cut, on_complete=on_complete)
+
+    def flush_app(self, k_star, on_done, undecidable):
+        self.process.flush_app(k_star, on_done, undecidable=undecidable)
+
+    def install(self, new_view):
+        started = self.change_started_at
+        self.view_changes += 1
+        self.count("view_changes")
+        if started is not None:
+            self.last_change_duration = self.sim.now - started
+            self.observe("view_change_seconds", self.last_change_duration)
+        self.change_started_at = None
+        self.process.install_view(new_view)
+
+    # ------------------------------------------------------------------
+    # control and message planes
     # ------------------------------------------------------------------
     def on_view(self, view):
-        self._reset_change_state()
-        # change-attempt epochs restart per view: every agreement instance
-        # id is scoped by vid.key() so uniqueness is unaffected, and a
-        # common baseline is what lets members that joined through
-        # different merge paths (different attempt counts) line their
-        # epochs up for the next change -- critical in regroup mode
-        # (f = 0), which has no consensus traffic to reconcile them
-        self._epoch = 0
-        self._leavers.clear()
-        self._pending_joiners = None
+        self._cancel_join_timer()
+        self.machine.on_view()
+        self.leavers.clear()
+        self.joiners = None
         self._join_offer = None
         self._join_echoes = {}
         self._merge_requested_at.clear()
         self._merge_inflight = None
         self._rejoin_requested_at = -1e9
 
-    def _reset_change_state(self):
-        if self.unsubscribe_stability:
-            # one unsubscribe per live registration: the stability wait
-            # and the legacy-substab revert each subscribe separately
-            if self._waiting_stability:
-                self.process.stability.unsubscribe(self._on_stability_update)
-            if self._legacy_substab:
-                self.process.stability.unsubscribe(self._on_stability_update)
-        self._state = IDLE
-        self._consensus = None
-        self._consensus_pending = []
-        self._survivors = None
-        self._failed = None
-        self._new_coord = None
-        self._sync_reports = {}
-        self._sync_ord_k = {}
-        self._sync_pending = []
-        self._sync_nudged = set()
-        self._sync_sent_wire = None
-        self._cut = None
-        self._cut_done = False
-        self._ub = None
-        self._ub_pending = []
-        self._ub_ready = False
-        self._waiting_stability = False
-        self._flush_undecidable = False
-        self._legacy_substab = False
+    def _cancel_join_timer(self):
         if self._join_timer is not None:
             self._join_timer.cancel()
             self._join_timer = None
-        self._cancel_expectations()
-
-    def _cancel_expectations(self):
-        for exp in self._expectations:
-            exp.cancel()
-        self._expectations = []
 
     def stop(self):
-        # crash semantics: a dead node's pending regroup retry must not
-        # re-enter the view-change machinery (expectation timers live in
-        # the mute detector, which the process cancels wholesale)
-        if self._regroup_timer is not None:
-            self._regroup_timer.cancel()
-            self._regroup_timer = None
-        if self._join_timer is not None:
-            self._join_timer.cancel()
-            self._join_timer = None
-        self._cancel_expectations()
+        self._cancel_join_timer()
+        self.machine.stop()
 
-    def _expect(self, member, tag, timeout):
-        exp = self.process.mute_detector.expect(member, tag, timeout)
-        self._expectations.append(exp)
-        return exp
+    def _on_peer_misbehavior(self, member, reason):
+        self.machine.misbehaved(member, reason)
 
     def on_control(self, event, data):
         if event == "start-view-change":
-            self._begin(data.get("suspected", set()))
+            self.machine.start(data.get("suspected", set()))
         elif event == "suspicions-updated":
-            self._on_suspicions_updated(data.get("suspected", set()))
+            self.machine.on_suspicions(data.get("suspected", set()))
         elif event == "foreign-gossip":
             self._on_foreign_gossip(data["src"], data["view"],
                                     data["fingerprint"])
 
-    # ------------------------------------------------------------------
-    # message plane
-    # ------------------------------------------------------------------
     def handle_up(self, msg):
         kind = msg.kind
-        if kind == mk.KIND_CONSENSUS:
-            self._on_consensus_msg(msg)
-        elif kind == mk.KIND_SYNC:
-            self._on_sync_msg(msg)
-        elif kind == mk.KIND_UB:
-            self._on_ub_msg(msg)
+        if kind in (mk.KIND_CONSENSUS, mk.KIND_SYNC, mk.KIND_UB):
+            payload = msg.payload
+            if (kind == mk.KIND_SYNC and isinstance(payload, tuple)
+                    and payload[:1] == ("nv-echo",)):
+                self._on_join_echo(msg)
+            else:
+                self.machine.on_message(msg.origin, kind, payload)
         elif kind == mk.KIND_LEAVE:
             self._on_leave(msg)
         elif kind == mk.KIND_MERGE:
@@ -255,571 +214,20 @@ class MembershipLayer(Layer):
             self.send_up(msg)
 
     # ------------------------------------------------------------------
-    # phase 1: consensus on the suspicion vector
-    # ------------------------------------------------------------------
-    def _begin(self, suspected, bump_epoch=True):
-        if self._state != IDLE and bump_epoch:
-            return
-        if self.view.n == 1 and self._pending_joiners is None:
-            return  # nothing to decide in a singleton view
-        self._state = CONSENSUS
-        self.count("view_changes_started")
-        if self.change_started_at is None:
-            self.change_started_at = self.sim.now
-        self.stack.blocked = True
-        self.stack.control("view-change-started")
-        self._suspected_at_start = (set(suspected) | self._leavers)
-        self._epoch += 1
-        self._start_agreement()
-
-    def _start_consensus_instance(self):
-        view = self.view
-        proposal = tuple(
-            1 if member in self._suspected_at_start else 0
-            for member in view.mbrs)
-        instance_id = ("vc", view.vid.key(), self._epoch)
-        process = self.process
-
-        def bcast(payload):
-            size = 12 + view.n
-            out = Message(mk.KIND_CONSENSUS, self.me, view.vid,
-                          (instance_id, payload), payload_size=size)
-            self.send_down(out)
-
-        def on_round(rnd, awaited):
-            for member in awaited:
-                if member != self.me:
-                    self._expect(member, "consensus",
-                                 self.config.consensus_msg_timeout)
-
-        from repro.consensus.vector import VectorConsensus
-        self._consensus = VectorConsensus(
-            instance_id, list(view.mbrs), self.me, process.f, proposal,
-            bcast,
-            is_suspected=self._fd_suspects,
-            on_decide=self._on_consensus_decided,
-            on_misbehavior=self._on_peer_misbehavior,
-            coordinator_seed=view.vid.key(),
-            on_round=on_round)
-        pending, self._consensus_pending = self._consensus_pending, []
-        self._consensus.start()
-        for sender, iid, payload in pending:
-            if iid == instance_id:
-                self._consensus.on_message(sender, payload)
-
-    def _fd_suspects(self, member):
-        process = self.process
-        if process.suspicion.is_suspected(member):
-            return True
-        return (process.mute_levels.level(member)
-                >= self.config.mute_suspect_threshold)
-
-    def _on_peer_misbehavior(self, member, reason):
-        if self.config.byzantine and member != self.me:
-            self.process.verbose_detector.illegal(member, reason)
-
-    def _on_consensus_msg(self, msg):
-        payload = msg.payload
-        if not isinstance(payload, tuple) or len(payload) != 2:
-            self._on_peer_misbehavior(msg.origin, "membership:bad-consensus")
-            return
-        instance_id, proto = payload
-        if (not isinstance(instance_id, tuple) or len(instance_id) != 3
-                or instance_id[0] != "vc"):
-            self._on_peer_misbehavior(msg.origin, "membership:bad-instance")
-            return
-        self.process.mute_detector.fulfil(msg.origin, "consensus")
-        _tag, vid_key, epoch = instance_id
-        if vid_key != self.view.vid.key():
-            return
-        if not isinstance(epoch, int) or epoch < 1 or epoch > self._epoch + 64:
-            return
-        if epoch > self._epoch:
-            # another member detected failures (or a later attempt) first:
-            # join its consensus epoch with our own local evidence
-            self._consensus_pending.append((msg.origin, instance_id, proto))
-            self._join_epoch(epoch)
-            return
-        if self._consensus is not None and instance_id == self._consensus.instance_id:
-            self._consensus.on_message(msg.origin, proto)
-        elif epoch == self._epoch and self._consensus is None:
-            self._consensus_pending.append((msg.origin, instance_id, proto))
-            self._begin(self.process.suspicion.suspected_set(),
-                        bump_epoch=False)
-
-    def _join_epoch(self, epoch):
-        self._cancel_expectations()
-        self._state = CONSENSUS
-        if self.change_started_at is None:
-            self.change_started_at = self.sim.now
-        self.stack.blocked = True
-        self.stack.control("view-change-started")
-        self._suspected_at_start = (
-            set(self.process.suspicion.suspected_set()) | self._leavers)
-        self._epoch = epoch
-        self._sync_reports = {}
-        self._sync_ord_k = {}
-        self._start_agreement()
-
-    def _on_suspicions_updated(self, suspected):
-        if self._consensus is not None:
-            self._consensus.notify_suspicion_change()
-        if self._state == CONSENSUS:
-            fresh = set(suspected) - self._suspected_at_start
-            if fresh and len(set(suspected) | self._leavers) > self.process.f:
-                # the consensus floor of n - f responders is no longer
-                # reachable; restart, which routes into regroup mode
-                self._restart()
-        elif self._state in (SYNC, CUT, AWAIT_VIEW):
-            blocking = set(self._survivors or ()) & set(suspected)
-            if blocking - self._suspected_at_start:
-                # a survivor (possibly the new coordinator) failed during
-                # the flush: re-run the agreement with the new evidence
-                self._restart()
-
-    def _restart(self):
-        self._restart_at(self._epoch + 1)
-
-    def _restart_at(self, epoch):
-        self._cancel_expectations()
-        self._state = CONSENSUS
-        self._epoch = epoch
-        self._suspected_at_start = (
-            set(self.process.suspicion.suspected_set()) | self._leavers)
-        self._sync_reports = {}
-        self._sync_ord_k = {}
-        self._sync_nudged = set()
-        self._sync_sent_wire = None
-        self._cut = None
-        self._cut_done = False
-        self._ub = None
-        self._ub_pending = []
-        self._ub_ready = False
-        self._waiting_stability = False
-        self._start_agreement()
-
-    def _start_agreement(self):
-        """Choose how to agree on the failed set.
-
-        The vector consensus needs a core of n - f connected correct
-        members; when more than f members are suspected (a partition or a
-        mass crash), that core cannot exist and the consensus would never
-        terminate.  The paper leaves this case open (section 3.4.5); we
-        fall back to *regroup* mode: survivors converge on the suspicion
-        set through slander exchange, then go straight to the flush -- the
-        verified uniform broadcast of the new view still prevents a wrong
-        membership from installing.
-        """
-        if len(self._suspected_at_start) > self.process.f:
-            self._consensus = None
-            epoch = self._epoch
-            # one heartbeat of grace so slanders equalize suspicion sets
-            timer = self.sim.schedule(self.config.heartbeat_interval,
-                                      self._regroup_fire, epoch)
-            self._regroup_timer = timer
-        else:
-            self._start_consensus_instance()
-
-    def _regroup_fire(self, epoch):
-        if epoch != self._epoch or self._state != CONSENSUS:
-            return
-        self._suspected_at_start = (
-            set(self.process.suspicion.suspected_set()) | self._leavers)
-        view = self.view
-        vector = tuple(1 if m in self._suspected_at_start else 0
-                       for m in view.mbrs)
-        self._on_consensus_decided(vector)
-
-    # ------------------------------------------------------------------
-    # phase 2: flush (sync + cut)
-    # ------------------------------------------------------------------
-    def _on_consensus_decided(self, vector):
-        view = self.view
-        failed = {view.mbrs[k] for k, bit in enumerate(vector) if bit == 1}
-        self._failed = failed
-        if not failed and self._pending_joiners is None:
-            # nothing to change after all; resume normal operation
-            self._reset_change_state()
-            self.change_started_at = None
-            self.stack.blocked = False
-            self.stack.control("view-change-aborted")
-            return
-        if self.me in failed:
-            # the group agreed to exclude us; fall back to a singleton view
-            # (counter carried forward -- view ids must stay monotonic in
-            # our own history, Def 2.1 item 2) and try to merge back in
-            fallback = View(ViewId(max(view.vid.counter,
-                                       self._floor()) + 1, self.me),
-                            (self.me,), coordinator=self.me, f=0,
-                            underprovisioned=True)
-            self._install(fallback)
-            return
-        survivors = [m for m in view.mbrs if m not in failed]
-        self._survivors = survivors
-        self._new_coord = choose_coordinator(view.vid.counter, survivors)
-        self._state = SYNC
-        self.process.reliable.wedge()
-        self.stack.control("wedged")
-        report = self.process.reliable.stream_state()
-        # regroup territory: when the agreed survivor set is smaller than
-        # n - f, no further ordering-consensus quorum can complete; freeze
-        # the ordering layer so the watermarks we report stay true
-        self._flush_undecidable = (
-            len(survivors) < view.n - self.process.f)
-        ord_k = self.process.ordering_freeze(self._flush_undecidable)
-        wire_report = tuple(sorted(report.items(), key=repr))
-        self._sync_sent_wire = (wire_report, ord_k)
-        out = Message(mk.KIND_SYNC, self.me, view.vid,
-                      ("report", self._epoch, wire_report, ord_k),
-                      payload_size=8 + 6 * len(wire_report))
-        self.send_down(out)
-        self._sync_reports[self.me] = dict(report)
-        self._sync_ord_k = {self.me: ord_k}
-        # fold in reports that arrived ahead of us (regroup-mode epoch
-        # reconciliation stashes them while we re-enter the agreement)
-        pending, self._sync_pending = self._sync_pending, []
-        for origin, epoch, peer_report, peer_ord_k in pending:
-            if (epoch == self._epoch and origin in survivors
-                    and origin not in self._sync_reports):
-                self._sync_reports[origin] = peer_report
-                self._sync_ord_k[origin] = peer_ord_k
-        for member in survivors:
-            if member != self.me and member not in self._sync_reports:
-                self._expect(member, "sync", self.config.consensus_msg_timeout)
-        self._maybe_finish_sync()
-
-    def _resend_sync_report(self):
-        """Repeat our frozen flush report (regroup-mode reconciliation)."""
-        if self._sync_sent_wire is None:
-            return
-        wire_report, ord_k = self._sync_sent_wire
-        out = Message(mk.KIND_SYNC, self.me, self.view.vid,
-                      ("report", self._epoch, wire_report, ord_k),
-                      payload_size=8 + 6 * len(wire_report))
-        self.send_down(out)
-
-    def _on_sync_msg(self, msg):
-        payload = msg.payload
-        if not isinstance(payload, tuple) or not payload:
-            self._on_peer_misbehavior(msg.origin, "membership:bad-sync")
-            return
-        if payload[0] == "nv-echo":
-            self._on_join_echo(msg)
-            return
-        if len(payload) != 4 or payload[0] != "report":
-            self._on_peer_misbehavior(msg.origin, "membership:bad-sync")
-            return
-        _tag, epoch, wire_report, ord_k = payload
-        self.process.mute_detector.fulfil(msg.origin, "sync")
-        if msg.origin in self._sync_reports and epoch == self._epoch:
-            return
-        try:
-            report = {origin: int(top) for origin, top in wire_report}
-            ord_k = (int(ord_k[0]), int(ord_k[1]))
-        except (TypeError, ValueError, IndexError):
-            self._on_peer_misbehavior(msg.origin, "membership:bad-sync-body")
-            return
-        if (not isinstance(epoch, int) or isinstance(epoch, bool)
-                or any(top < 0 for top in report.values())
-                or min(ord_k) < 0):
-            self._on_peer_misbehavior(msg.origin, "membership:bad-sync-body")
-            return
-        if self._state not in (SYNC, CUT, AWAIT_VIEW):
-            # A peer's flush report racing ahead of our own consensus
-            # decision (the ctl stream delivers it exactly once, and the
-            # sender has no reason to repeat it at our epoch): dropping
-            # it would wedge the flush forever once we do decide, so
-            # stash it -- _on_consensus_decided folds stashed reports
-            # that match the decided epoch and survivor set.
-            if len(self._sync_pending) < 4 * max(1, self.view.n):
-                self._sync_pending.append((msg.origin, epoch, report, ord_k))
-            return
-        if epoch != self._epoch:
-            # Regroup mode (f = 0) runs no consensus instance, so the
-            # epoch reconciliation of _join_epoch never happens; without
-            # the rules below, members whose attempt counters diverged
-            # (e.g. restarts fired on one side only) flush forever at
-            # different epochs and drop each other's reports -- the
-            # post-merge leave wedge the conformance workload exposed.
-            if self._consensus is not None:
-                return  # consensus traffic will reconcile; drop as before
-            if self._epoch < epoch <= self._epoch + 64:
-                # a peer is flushing ahead of us: adopt its epoch (the
-                # report is kept and folded in once we re-enter SYNC)
-                self._sync_pending.append((msg.origin, epoch, report, ord_k))
-                self._restart_at(epoch)
-            elif epoch < self._epoch and msg.origin not in self._sync_nudged:
-                # a laggard flushing at a stale epoch: repeat our own
-                # report once so it can adopt the current epoch
-                self._sync_nudged.add(msg.origin)
-                self._resend_sync_report()
-            return
-        self._sync_reports[msg.origin] = report
-        self._sync_ord_k[msg.origin] = ord_k
-        if self._state == SYNC:
-            self._maybe_finish_sync()
-
-    def _maybe_finish_sync(self):
-        if self._state != SYNC:
-            return
-        for member in self._survivors:
-            if member not in self._sync_reports:
-                return
-        cut = {origin: 0 for origin in self.view.mbrs}
-        for member in self._survivors:
-            for origin, top in self._sync_reports[member].items():
-                if origin in cut and top > cut[origin]:
-                    cut[origin] = top
-        self._cut = cut
-        self._state = CUT
-        if self._new_coord != self.me:
-            self._expect(self._new_coord, "newview",
-                         self.config.newview_timeout)
-        self.process.reliable.set_cut(cut, on_complete=self._on_cut_complete)
-
-    def _on_cut_complete(self):
-        if self._state != CUT:
-            return
-        epoch = self._epoch
-        index = 1 if self._flush_undecidable else 0
-        k_star = max((self._sync_ord_k.get(m, (0, 0))[index]
-                      for m in self._survivors), default=0)
-        # the app layers (total ordering / uniform delivery) finish their
-        # agreed backlog now that every member holds exactly the cut; only
-        # then may we echo the new view (paper section 3.4.4)
-        self.process.flush_app(k_star,
-                               lambda: self._after_app_flush(epoch),
-                               undecidable=self._flush_undecidable)
-
-    def _after_app_flush(self, epoch):
-        if self._state != CUT or epoch != self._epoch:
-            return
-        self._cut_done = True
-        self._state = AWAIT_VIEW
-        self._ub_ready = True
-        pending, self._ub_pending = self._ub_pending, []
-        for sender, payload in pending:
-            self._feed_ub(sender, payload)
-        if self.me == self._new_coord:
-            self._coordinator_try_send_view()
-
-    # ------------------------------------------------------------------
-    # phase 3: uniform broadcast of the new view
-    # ------------------------------------------------------------------
-    def _proposed_view(self):
-        view = self.view
-        joiners = ()
-        counter = view.vid.counter + 1
-        if self._pending_joiners is not None:
-            joiners = tuple(sorted(self._pending_joiners.mbrs, key=repr))
-            counter = max(counter, self._pending_joiners.vid.counter + 1)
-        members = tuple(self._survivors) + joiners
-        if self._new_coord == self.me:
-            # only the creator can collide with its own past proposals
-            counter = max(counter, self._floor() + 1)
-        f = self.config.resilience(len(members))
-        return View(ViewId(counter, self._new_coord), members,
-                    coordinator=self._new_coord, f=f,
-                    underprovisioned=(f == 0 and self.config.byzantine))
-
-    def _coordinator_try_send_view(self):
-        if not self._cut_done or self._state != AWAIT_VIEW:
-            return
-        if not self.oneshot_view_send and not self._legacy_substab:
-            # reverted wiring: the pre-fix code subscribed to ack-matrix
-            # updates unconditionally on entering AWAIT_VIEW, so every
-            # update (including our own send's zero-delay self-delivery)
-            # re-enters this method
-            self._legacy_substab = True
-            self.process.stability.subscribe(self._on_stability_update)
-        survivors = self._survivors
-        if not self.process.stability.all_stable(self._cut, survivors):
-            if not self._waiting_stability:
-                self._waiting_stability = True
-                self.process.stability.subscribe(self._on_stability_update)
-            return
-        # the send below is one-shot per change: our own broadcast's
-        # self-delivery bumps the ack matrix, which re-enters here through
-        # _on_stability_update at zero delay
-        if self._waiting_stability and self.unsubscribe_stability:
-            # the cut went stable: this change's registration is spent
-            self.process.stability.unsubscribe(self._on_stability_update)
-        self._waiting_stability = False
-        proposed = self._proposed_view()
-        # the vid is about to go on the wire bound to this membership:
-        # nothing this node creates later may reuse the counter
-        self._counter_floor = max(self._counter_floor, proposed.vid.counter)
-        value = (proposed.to_wire(),
-                 tuple(sorted(self._cut.items(), key=repr)))
-        ub = self._make_ub_instance()
-        if ub is None:
-            # view too small for the agreement protocol: send the view as a
-            # plain broadcast (underprovisioned mode, DESIGN.md deviation 5);
-            # build the message first -- installing the view resets all the
-            # change state this closure reads
-            out = Message(mk.KIND_UB, self.me, self.view.vid,
-                          (("nv", self.view.vid.key(), self._epoch),
-                           ("ub-plain", value)),
-                          payload_size=24 + 8 * len(self._survivors))
-            self.send_down(out)
-            self._on_ub_delivered(value)
-        else:
-            ub.originate(value)
-
-    def _on_stability_update(self):
-        if self._state != AWAIT_VIEW:
-            return
-        if self._waiting_stability or not self.oneshot_view_send:
-            self._coordinator_try_send_view()
-
-    def _make_ub_instance(self):
-        if self._ub is not None:
-            return self._ub
-        survivors = list(self._survivors)
-        f = self.process.f
-        instance_id = ("nv", self.view.vid.key(), self._epoch)
-
-        def bcast(payload):
-            out = Message(mk.KIND_UB, self.me, self.view.vid,
-                          (instance_id, payload),
-                          payload_size=24 + 8 * len(survivors))
-            self.send_down(out)
-
-        protocol = (UniformBroadcast if self.config.uniform_protocol == "twostep"
-                    else BrachaBroadcast)
-        try:
-            self._ub = protocol(
-                instance_id, survivors, self.me, f, self._new_coord, bcast,
-                on_deliver=self._on_ub_delivered,
-                on_misbehavior=self._on_peer_misbehavior)
-        except ValueError:
-            # n too small for the chosen protocol at this f; retry at f=0,
-            # and below even that (tiny views) fall back to plain delivery
-            self._ub = None
-            if f > 0:
-                try:
-                    self._ub = protocol(
-                        instance_id, survivors, self.me, 0, self._new_coord,
-                        bcast, on_deliver=self._on_ub_delivered,
-                        on_misbehavior=self._on_peer_misbehavior)
-                except ValueError:
-                    self._ub = None
-        return self._ub
-
-    def _on_ub_msg(self, msg):
-        payload = msg.payload
-        if not isinstance(payload, tuple) or len(payload) != 2:
-            self._on_peer_misbehavior(msg.origin, "membership:bad-ub")
-            return
-        instance_id, proto = payload
-        if (not isinstance(instance_id, tuple) or len(instance_id) != 3
-                or instance_id[0] != "nv"
-                or instance_id[1] != self.view.vid.key()):
-            return
-        if not self._ub_ready:
-            self._ub_pending.append((msg.origin, (instance_id, proto)))
-            return
-        self._feed_ub(msg.origin, (instance_id, proto))
-
-    def _feed_ub(self, sender, payload):
-        instance_id, proto = payload
-        if instance_id[2] != self._epoch or self._state != AWAIT_VIEW:
-            return
-        if not isinstance(proto, tuple) or len(proto) != 2:
-            self._on_peer_misbehavior(sender, "membership:bad-ub-proto")
-            return
-        if proto[0] == "ub-plain":
-            # underprovisioned fallback: accept the coordinator's word
-            if sender == self._new_coord and self._ub is None:
-                self._on_ub_delivered(proto[1])
-            return
-        if proto[0] in ("ub-initial", "br-initial"):
-            self.process.mute_detector.fulfil(self._new_coord, "newview")
-            if not self._verify_view_value(proto[1]):
-                # the coordinator sent a wrong view (CoordBadView): do not
-                # echo it, suspect the coordinator, and re-run the change
-                self.process.verbose_detector.illegal(
-                    self._new_coord, "membership:bad-view-content")
-                self.process.suspicion.suspect_locally(
-                    self._new_coord, reason="bad-view")
-                return
-        ub = self._make_ub_instance()
-        if ub is not None:
-            ub.on_message(sender, proto)
-
-    def _verify_view_value(self, value):
-        if not isinstance(value, tuple) or len(value) != 2:
-            return False
-        view_wire, cut_wire = value
-        try:
-            proposed = View.from_wire(view_wire)
-            cut = {origin: int(top) for origin, top in cut_wire}
-        except (TypeError, ValueError):
-            return False
-        expected = self._proposed_view()
-        if proposed.mbrs != expected.mbrs:
-            return False
-        if proposed.coordinator != self._new_coord:
-            return False
-        if proposed.vid.counter < self.view.vid.counter + 1:
-            return False
-        if proposed.vid.creator != self._new_coord:
-            return False
-        if cut != self._cut:
-            return False
-        return True
-
-    def _on_ub_delivered(self, value):
-        if self._state != AWAIT_VIEW:
-            return
-        if not self._verify_view_value(value):
-            # can only happen if >= quorum echoed a bad view, which needs
-            # more than f Byzantine members; still never install it
-            self.process.suspicion.suspect_locally(
-                self._new_coord, reason="bad-view-delivered")
-            return
-        view_wire, _cut_wire = value
-        new_view = View.from_wire(view_wire)
-        joiners = [m for m in new_view.mbrs if m not in self.view.mbrs]
-        self._install(new_view)
-        if joiners and new_view.coordinator == self.me:
-            for joiner in joiners:
-                offer = Message(mk.KIND_NEWVIEW, self.me, new_view.vid,
-                                ("joined", new_view.to_wire()),
-                                payload_size=24 + 8 * new_view.n,
-                                dest=joiner)
-                self.send_down(offer)
-
-    def _install(self, new_view):
-        self._counter_floor = max(self._counter_floor,
-                                  new_view.vid.counter)
-        started = self.change_started_at
-        self.view_changes += 1
-        self.count("view_changes")
-        if started is not None:
-            self.last_change_duration = self.sim.now - started
-            self.observe("view_change_seconds", self.last_change_duration)
-        self.change_started_at = None
-        self.process.install_view(new_view)
-
-    # ------------------------------------------------------------------
     # leave
     # ------------------------------------------------------------------
     def _on_leave(self, msg):
         leaver = msg.origin
-        if leaver == self.me or leaver not in self.view.mbrs:
+        if (leaver == self.me or leaver not in self.view.mbrs
+                or leaver in self.leavers):
             return
-        if leaver in self._leavers:
-            return
-        self._leavers.add(leaver)
+        self.leavers.add(leaver)
         self.process.suspicion.adopt(leaver, reason="leave")
 
     def announce_leave(self):
         """Called by the endpoint: politely announce departure."""
         self.leaving = True
-        out = Message(mk.KIND_LEAVE, self.me, self.view.vid, ("leave",),
-                      payload_size=6)
-        self.send_down(out)
+        self.send(mk.KIND_LEAVE, ("leave",), 6)
 
     # ------------------------------------------------------------------
     # merge (section 3.4.2)
@@ -831,27 +239,22 @@ class MembershipLayer(Layer):
         if (self.me in foreign.mbrs
                 and foreign.vid.key() > view.vid.key()
                 and all(m in foreign.mbrs for m in view.mbrs)
-                and self._state == IDLE and not self.leaving):
-            # A newer view still names us a member: the group completed a
-            # change whose final view message never reached us (a dropped
-            # datagram on a lossy transport), and our heartbeats are now
-            # view-filtered on their side while theirs are on ours.  The
-            # merge path cannot heal this -- the views are not disjoint --
-            # so ask the coordinator to resend the view offer instead:
-            # one unicast round trip, re-verified by _on_join_offer, with
-            # no extra view change.
+                and self.machine.state == IDLE and not self.leaving):
+            # A newer view still names us: its final view message never
+            # reached us (a dropped datagram), and the merge path cannot
+            # heal this -- the views are not disjoint -- so ask the
+            # coordinator to resend the offer: one unicast round trip,
+            # re-verified by _on_join_offer, no extra view change.
             now = self.sim.now
             if now - self._rejoin_requested_at < self.config.gossip_interval:
                 return
             self._rejoin_requested_at = now
             self.count("rejoin_requests")
-            request = Message(mk.KIND_MERGE, self.me, view.vid, ("rejoin",),
-                              payload_size=8, dest=foreign.coordinator)
-            self.send_down(request)
+            self.send(mk.KIND_MERGE, ("rejoin",), 8, dest=foreign.coordinator)
             return
         if set(foreign.mbrs) & set(view.mbrs):
             return  # not disjoint: stale gossip about an ancestor view
-        if self._state != IDLE or self.leaving:
+        if self.machine.state != IDLE or self.leaving:
             return
         if foreign.vid.key() > view.vid.key():
             # we are the smaller side: our coordinator must request a merge
@@ -869,37 +272,28 @@ class MembershipLayer(Layer):
                 # courtship start: an unresponsive (crashed-after-gossip,
                 # leaving, or Byzantine) coordinator would otherwise pin
                 # us forever and starve every other merge candidate
-                if inflight is not None and inflight[0] == foreign.coordinator:
-                    self._merge_inflight = (foreign.coordinator, inflight[1])
-                else:
+                if inflight is None or inflight[0] != foreign.coordinator:
                     self._merge_inflight = (foreign.coordinator, now)
-                self._merge_requested_at[foreign.coordinator] = self.sim.now
-                request = Message(mk.KIND_MERGE, self.me, view.vid,
-                                  ("request", view.to_wire()),
-                                  payload_size=24 + 8 * view.n,
-                                  dest=foreign.coordinator)
-                self.send_down(request)
+                self._merge_requested_at[foreign.coordinator] = now
+                self.send(mk.KIND_MERGE, ("request", view.to_wire()),
+                          24 + 8 * view.n, dest=foreign.coordinator)
             else:
                 # expect our coordinator to pursue the merge; if no new view
                 # arrives, the coordinator gains mute fuzziness
-                self._expect(view.coordinator, "merge-progress",
-                             6 * self.config.gossip_interval)
+                self.mute.expect(view.coordinator, "merge-progress",
+                                 6 * self.config.gossip_interval)
 
     def _on_rejoin_request(self, msg):
-        """A current member missed our view install (its NEWVIEW datagram
-        was lost) and asks for a resend after seeing the view in gossip.
-        Resending is idempotent and touches no change state; the offer
-        re-runs the full joiner-side verification at the requester."""
+        """A member missed our view install (a lost NEWVIEW) and saw the
+        view in gossip.  Resending is idempotent and touches no change
+        state; the requester re-runs the full joiner-side verification."""
         view = self.view
-        if self.me != view.coordinator or msg.origin == self.me:
-            return
-        if msg.origin not in view.mbrs:
+        if (self.me != view.coordinator or msg.origin == self.me
+                or msg.origin not in view.mbrs):
             return
         self.count("rejoin_resends")
-        offer = Message(mk.KIND_NEWVIEW, self.me, view.vid,
-                        ("joined", view.to_wire()),
-                        payload_size=24 + 8 * view.n, dest=msg.origin)
-        self.send_down(offer)
+        self.send(mk.KIND_NEWVIEW, ("joined", view.to_wire()),
+                  24 + 8 * view.n, dest=msg.origin)
 
     def _on_merge_request(self, msg):
         payload = msg.payload
@@ -913,21 +307,15 @@ class MembershipLayer(Layer):
             self._on_peer_misbehavior(msg.origin, "membership:bad-merge-view")
             return
         view = self.view
-        if (self.me != view.coordinator or self._state != IDLE
-                or self.leaving):
+        if (self.me != view.coordinator or self.machine.state != IDLE
+                or self.leaving or msg.origin != foreign.coordinator
+                or set(foreign.mbrs) & set(view.mbrs)
+                or not foreign.vid.key() < view.vid.key()):
             return
-        if msg.origin != foreign.coordinator:
-            return
-        if set(foreign.mbrs) & set(view.mbrs):
-            return
-        if not foreign.vid.key() < view.vid.key():
-            return
-        self._pending_joiners = foreign
-        announce = Message(mk.KIND_MANNOUNCE, self.me, view.vid,
-                           ("announce", payload[1]),
-                           payload_size=24 + 8 * foreign.n)
-        self.send_down(announce)
-        self._begin(self.process.suspicion.suspected_set())
+        self.joiners = foreign
+        self.send(mk.KIND_MANNOUNCE, ("announce", payload[1]),
+                  24 + 8 * foreign.n)
+        self.machine.start(self.suspected())
 
     def _on_merge_announce(self, msg):
         payload = msg.payload
@@ -945,10 +333,9 @@ class MembershipLayer(Layer):
             return
         if set(foreign.mbrs) & set(self.view.mbrs):
             return
-        if self._pending_joiners is None:
-            self._pending_joiners = foreign
-            self.process.mute_detector.fulfil(self.view.coordinator,
-                                              "merge-progress")
+        if self.joiners is None:
+            self.joiners = foreign
+            self.mute.fulfil(self.view.coordinator, "merge-progress")
 
     # ------------------------------------------------------------------
     # joiner side: receive and cross-check the merged view
@@ -963,54 +350,41 @@ class MembershipLayer(Layer):
         except (TypeError, ValueError):
             return
         view = self.view
-        if self.me not in offered:
-            return
-        if not all(member in offered for member in view.mbrs):
-            return  # the target may not drop any of our members
-        if not offered.vid.key() > view.vid.key():
-            return
-        if msg.sender not in offered.mbrs:
+        # the target may not drop any of our members
+        if (self.me not in offered
+                or not all(member in offered for member in view.mbrs)
+                or not offered.vid.key() > view.vid.key()
+                or msg.sender not in offered.mbrs):
             return
         digest = _digest(payload[1])
         self._join_offer = (offered, digest)
-        self.process.mute_detector.fulfil(view.coordinator, "merge-progress")
+        self.mute.fulfil(view.coordinator, "merge-progress")
         if view.n == 1:
-            self._install(offered)
+            self.machine.install(offered)
             return
         # cross-check among our old members: a two-faced target coordinator
         # must not split us across different "merged" views
-        self._state = JOINING
-        echo = Message(mk.KIND_SYNC, self.me, view.vid,
-                       ("nv-echo", digest, payload[1]), payload_size=24)
-        self.send_down(echo)
+        self.machine.joining()
+        self.send(mk.KIND_SYNC, ("nv-echo", digest, payload[1]), 24)
         self._join_echoes[self.me] = digest
         # a co-member that moved on without us (it suspected us, or raced
         # into a different merge) will never echo; without an escape we
         # would wait forever in JOINING while our stale membership blocks
         # every future merge's disjointness guard
-        if self._join_timer is not None:
-            self._join_timer.cancel()
-        self._join_timer = self.sim.schedule(self.config.newview_timeout,
-                                             self._join_fallback)
+        self._cancel_join_timer()
+        self._join_timer = self.arm(self.config.newview_timeout,
+                                    self._join_fallback)
         self._maybe_finish_join()
 
     def _join_fallback(self):
-        """The cross-check never completed: abandon the join and fall back
-        to a fresh singleton view (counter carried past everything we ever
-        proposed or installed -- Def 2.1 item 2), from which the gossip
-        machinery merges us back into whatever group exists now.  This is
-        the joiner-side twin of the excluded-member fallback in
-        ``_on_consensus_decided``."""
+        """The cross-check never completed: abandon the join for a fresh
+        singleton view, which gossip merges back into whatever group
+        exists now (the twin of the machine's excluded-member fallback)."""
         self._join_timer = None
-        if self._state != JOINING or self._join_offer is None:
+        if self.machine.state != JOINING or self._join_offer is None:
             return
-        view = self.view
-        fallback = View(ViewId(max(view.vid.counter,
-                                   self._floor()) + 1, self.me),
-                        (self.me,), coordinator=self.me, f=0,
-                        underprovisioned=True)
         self.count("join_fallbacks")
-        self._install(fallback)
+        self.machine.fall_back()
 
     def _on_join_echo(self, msg):
         payload = msg.payload
@@ -1036,7 +410,6 @@ class MembershipLayer(Layer):
         if self._join_offer is None:
             return
         offered, digest = self._join_offer
-        for member in self.view.mbrs:
-            if self._join_echoes.get(member) != digest:
-                return
-        self._install(offered)
+        if all(self._join_echoes.get(member) == digest
+               for member in self.view.mbrs):
+            self.machine.install(offered)

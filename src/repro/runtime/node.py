@@ -81,16 +81,15 @@ def _stack_debug(process):
     """Membership-FSM snapshot recorded in failed reports: the first thing
     anyone triaging a net-smoke failure needs is what the node was stuck
     waiting for."""
-    m = process.membership
-    pending = m._pending_joiners
+    snap = process.membership.snapshot()
     return {
-        "membership_state": m._state,
-        "epoch": m._epoch,
+        "membership_state": snap["state"],
+        "epoch": snap["epoch"],
         "coordinator": process.view.coordinator,
-        "leaving": m.leaving,
-        "merge_inflight": list(m._merge_inflight or ()) or None,
-        "pending_joiners": list(pending.mbrs) if pending is not None else None,
-        "join_offer": m._join_offer is not None,
+        "leaving": snap["leaving"],
+        "merge_inflight": snap["merge_inflight"],
+        "pending_joiners": snap["pending_joiners"],
+        "join_offer": snap["join_offer"],
         "suspected": sorted(process.suspicion.suspected_set()),
         "blocked": process.stack.blocked,
     }

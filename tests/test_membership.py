@@ -261,5 +261,6 @@ def test_two_crashes_under_loss_reach_a_stable_view(seed):
     # nothing but the r5 signature may hide behind the xfail
     assert check_virtual_synchrony(group.execution()) == []
     if not ok:
-        raise ViewChangeStuck({n: group.processes[n].membership._state
-                               for n in sorted(survivors)})
+        raise ViewChangeStuck({
+            n: group.processes[n].membership.snapshot()["state"]
+            for n in sorted(survivors)})
