@@ -138,8 +138,8 @@ class MembershipLayer(Layer):
         report = reliable.stream_state()
         return report, self.process.ordering_freeze(undecidable)
 
-    def set_cut(self, cut, on_complete):
-        self.process.reliable.set_cut(cut, on_complete=on_complete)
+    def set_cut(self, cut, survivors, on_complete):
+        self.process.reliable.set_cut(cut, survivors, on_complete=on_complete)
 
     def flush_app(self, k_star, on_done, undecidable):
         self.process.flush_app(k_star, on_done, undecidable=undecidable)

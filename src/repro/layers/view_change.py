@@ -421,7 +421,7 @@ class ViewChange:
         self._to(CUT)
         if att.new_coord != self.me:
             self._expect(att.new_coord, "newview", self.config.newview_timeout)
-        self.host.set_cut(cut, self.on_cut_complete)
+        self.host.set_cut(cut, att.survivors, self.on_cut_complete)
 
     def on_cut_complete(self):
         if self.state != CUT:

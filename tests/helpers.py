@@ -5,9 +5,10 @@ from __future__ import annotations
 import json
 import os
 
-from repro import Group, StackConfig
+from repro import Group, NetworkConfig, StackConfig
 from repro.chaos import FaultPlan
 from repro.core.message import KIND_HEARTBEAT
+from repro.core.properties import check_virtual_synchrony
 
 #: the committed fault plans: the golden scenarios and pinned reproducers
 GOLDEN_PLANS = os.path.join(os.path.dirname(os.path.abspath(__file__)),
@@ -139,3 +140,39 @@ def golden_plan(name, **overrides):
         plan = FaultPlan.from_dict(json.load(fh)[name])
     plan.config.update(overrides)
     return plan
+
+
+def two_crashes_under_loss(seed, fast=False):
+    """ROADMAP 1's r5 scenario: eight members under 5 % loss, total order
+    (classic, or the fast path with ``fast``), 200 casts 0.4 ms apart
+    round robin, and members 6 and 7 crashed at 20 ms + 0.7 ms x seed.
+
+    Returns ``(stuck, violations)``: ``stuck`` maps each survivor to its
+    membership state if the six survivors are not all in the view of
+    exactly themselves within 5 simulated seconds, else None;
+    ``violations`` is the Definition 2.2 checker's list."""
+    config = StackConfig.byz(crypto="sym", total_order=True,
+                             ordering_fast_path=fast)
+    group = Group.bootstrap(8, config, seed=seed,
+                            net_config=NetworkConfig(drop_prob=0.05))
+
+    def cast(i):
+        node = i % 8
+        if not group.processes[node].stopped:
+            group.endpoints[node].cast(("r5", i), size=16)
+
+    def crash_two():
+        group.crash(6)
+        group.crash(7)
+
+    for i in range(200):
+        group.sim.schedule(0.0004 * i, cast, i)
+    group.sim.schedule(0.020 + 0.0007 * seed, crash_two)
+    survivors = set(range(6))
+    ok = group.run_until(
+        lambda: all(set(group.processes[n].view.mbrs) == survivors
+                    for n in survivors), timeout=5.0)
+    stuck = None if ok else {
+        n: group.processes[n].membership.snapshot()["state"]
+        for n in sorted(survivors)}
+    return stuck, check_virtual_synchrony(group.execution())

@@ -88,7 +88,7 @@ class StubProcess:
         def stream_state(self):
             return dict(self.state)
 
-        def set_cut(self, cut, on_complete=None):
+        def set_cut(self, cut, survivors, on_complete=None):
             self.cut = dict(cut)
             if self.complete and on_complete is not None:
                 on_complete()

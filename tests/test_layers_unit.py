@@ -132,7 +132,8 @@ def test_reliable_cut_releases_exactly_up_to_cut():
     for seq in (1, 2, 3):
         process.feed_up(stream_msg(process, 1, seq, ("m", seq)))
     done = []
-    process.layer.set_cut({1: 2}, on_complete=lambda: done.append(True))
+    process.layer.set_cut({1: 2}, [0, 1],
+                          on_complete=lambda: done.append(True))
     payloads = [m.payload for m in process.above.received_up]
     assert payloads == [("m", 1), ("m", 2)]  # seq 3 is beyond the cut
     assert done == [True]

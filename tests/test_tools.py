@@ -151,7 +151,7 @@ class ViewChangeHost:
     def wedge(self, undecidable):
         return {}, (0, 0)
 
-    def set_cut(self, cut, on_complete):
+    def set_cut(self, cut, survivors, on_complete):
         on_complete()
 
     def flush_app(self, k_star, on_done, undecidable):

@@ -1,7 +1,7 @@
 """Trailing-loss recovery: the last message of a burst has no successor,
 so gap-driven NAKs never notice it is missing.  Recovery must come from
-peer ack vectors (``ReliableLayer._recover_trailing``), which double as
-existence proofs for unseen suffixes."""
+peer ack vectors (``ReliableLayer._ack_evidence``), which double as
+existence proofs for unseen suffixes and open the stream's repair at once."""
 
 import pytest
 
@@ -43,7 +43,8 @@ def test_trailing_loss_repaired_via_ack_vectors():
     # retransmission requested off the ack-vector evidence
     assert DropLastCast.dropped >= 1
     victim = group.processes[1].reliable
-    assert victim._trailing_nak_at, "recovery did not use the trailing path"
+    assert victim._in_streams[(0, "a")].asked_at > 0.1, \
+        "ack evidence did not open the repair"
     group.stop()
 
 
