@@ -149,67 +149,30 @@ def cmd_chaos(args):
     return 1 if summary["failed"] else 0
 
 
-def cmd_tournament(args):
-    """Evolve fault plans against the stack (or run a --soak campaign);
-    nonzero exit when a failure is found (or the soak fails)."""
+def cmd_soak(args):
+    """Run a long-horizon soak campaign; nonzero exit when it fails."""
     import json
     import os
 
-    from repro.tournament import run_soak, run_tournament
+    from repro.chaos import run_soak
 
-    if args.soak:
-        report = run_soak(args.seed, n=args.nodes,
-                          target_events=args.events,
-                          recovery_bound=args.recovery_bound,
-                          byzantine=not args.benign, log=print)
-        print("soak seed %d: %s after %d cycles / %d events (%.1fs sim); "
-              "%d byzantine episodes, recovery max %s"
-              % (args.seed, report["verdict"].upper(), report["cycles"],
-                 report["events_processed"], report["sim_time"],
-                 report["byzantine_episodes"], report["recovery"]["max"]))
-        for line in (report["violations"] + report["state_violations"])[:10]:
-            print("  " + line)
-        if args.out:
-            os.makedirs(args.out, exist_ok=True)
-            path = os.path.join(args.out, "soak-seed%d.json" % args.seed)
-            with open(path, "w") as handle:
-                json.dump(report, handle, indent=2, default=str)
-            print("report written to %s" % path)
-        return 1 if report["verdict"] == "fail" else 0
-
-    resume = None
-    if args.resume:
-        with open(args.resume) as handle:
-            resume = json.load(handle)
-    report = run_tournament(args.seed, n=args.nodes,
-                            population=args.population,
-                            generations=args.generations,
-                            plan_ops=args.ops,
-                            event_budget=args.budget,
-                            minutes=args.minutes, resume=resume, log=print)
-    best = report["best"]
-    print("tournament seed %d: %s after %d evaluations (%d cached, "
-          "%.1fs wall%s; best score %.1f, plan %s)"
-          % (args.seed, "FOUND failure" if report["found"] else "no failure",
-             report["evaluations"], report["cache_hits"],
-             report["wall_seconds"],
-             ", timed out" if report["timed_out"] else "",
-             best["score"], best["plan_hash"]))
-    for line in best["violations"][:10]:
+    report = run_soak(args.seed, n=args.nodes, target_events=args.events,
+                      recovery_bound=args.recovery_bound,
+                      byzantine=not args.benign, log=print)
+    print("soak seed %d: %s after %d cycles / %d events (%.1fs sim); "
+          "%d byzantine episodes, recovery max %s"
+          % (args.seed, report["verdict"].upper(), report["cycles"],
+             report["events_processed"], report["sim_time"],
+             report["byzantine_episodes"], report["recovery"]["max"]))
+    for line in (report["violations"] + report["state_violations"])[:10]:
         print("  " + line)
     if args.out:
         os.makedirs(args.out, exist_ok=True)
-        path = os.path.join(args.out, "tournament-seed%d.json" % args.seed)
+        path = os.path.join(args.out, "soak-seed%d.json" % args.seed)
         with open(path, "w") as handle:
             json.dump(report, handle, indent=2, default=str)
         print("report written to %s" % path)
-        if report["minimized"] is not None:
-            plan_path = os.path.join(
-                args.out, "counterexample-tournament-seed%d.json" % args.seed)
-            with open(plan_path, "w") as handle:
-                json.dump(report["minimized"], handle, indent=2)
-            print("minimized counterexample written to %s" % plan_path)
-    return 1 if report["found"] else 0
+    return 1 if report["verdict"] == "fail" else 0
 
 
 def cmd_net(args):
@@ -414,36 +377,18 @@ def main(argv=None):
                        help="replay one saved plan instead of sweeping")
     chaos.set_defaults(func=cmd_chaos)
 
-    tournament = sub.add_parser("tournament", help=cmd_tournament.__doc__)
-    tournament.add_argument("--seed", type=int, default=1)
-    tournament.add_argument("--nodes", type=int, default=6)
-    tournament.add_argument("--population", type=int, default=8)
-    tournament.add_argument("--generations", type=int, default=6)
-    tournament.add_argument("--ops", type=int, default=10,
-                            help="op count of each initial random plan")
-    tournament.add_argument("--budget", type=int, default=150_000,
-                            help="per-evaluation simulated-event budget")
-    tournament.add_argument("--minutes", type=float, default=None,
-                            help="wall-clock budget: keep evolving until "
-                                 "this many minutes elapse (overrides "
-                                 "--generations)")
-    tournament.add_argument("--resume", default=None, metavar="REPORT_JSON",
-                            help="prior tournament report to resume from "
-                                 "(replays its evaluations from cache, "
-                                 "then continues deterministically)")
-    tournament.add_argument("--soak", action="store_true",
-                            help="run a long-horizon soak campaign instead "
-                                 "of the genetic search")
-    tournament.add_argument("--events", type=int, default=1_000_000,
-                            help="soak: target simulated events")
-    tournament.add_argument("--recovery-bound", type=float, default=5.0,
-                            help="soak: max sim-seconds to re-stabilize "
-                                 "after each churn cycle")
-    tournament.add_argument("--benign", action="store_true",
-                            help="soak: no Byzantine episodes in the mix")
-    tournament.add_argument("--out", default=None,
-                            help="directory for report + counterexample JSON")
-    tournament.set_defaults(func=cmd_tournament)
+    soak = sub.add_parser("soak", help=cmd_soak.__doc__)
+    soak.add_argument("--seed", type=int, default=1)
+    soak.add_argument("--nodes", type=int, default=6)
+    soak.add_argument("--events", type=int, default=1_000_000,
+                      help="target simulated events")
+    soak.add_argument("--recovery-bound", type=float, default=5.0,
+                      help="max sim-seconds to re-stabilize after each "
+                           "churn cycle")
+    soak.add_argument("--benign", action="store_true",
+                      help="no Byzantine episodes in the mix")
+    soak.add_argument("--out", default=None, help="directory for report JSON")
+    soak.set_defaults(func=cmd_soak)
 
     net = sub.add_parser("net", help=cmd_net.__doc__)
     net.add_argument("--nodes", type=int, default=5)

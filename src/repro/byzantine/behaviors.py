@@ -13,9 +13,10 @@ Because the network prevents impersonation and the key manager never
 releases another node's keys, behaviors model exactly the adversary of the
 paper: arbitrary deviation *by a signed identity*.
 
-The classes mirror Table 1, plus the active attackers the adversary
-tournament evolves against (equivocation on the *control* plane, slander
-floods aimed at one victim, and replay storms of stale traffic):
+The classes mirror Table 1, plus the active attackers that the chaos
+plane's mid-run ``byzantine_at`` op switches on (equivocation on the
+*control* plane, slander floods aimed at one victim, and replay storms of
+stale traffic):
 
 ==================  ====================================================
 ByzLeave            announces leave, then vanishes

@@ -138,7 +138,7 @@ class ChaosEngine:
         self._skewed = set()     # nodes with a non-1.0 clock drift
         #: hard cap on total simulator events for this engine's lifetime;
         #: exhausting it mid-run sets ``stalled`` instead of raising, which
-        #: is how the tournament scores livelocks (a protocol that spins
+        #: is how a run reports a livelock (a protocol that spins
         #: forever burns its budget without ever going quiet)
         self.event_budget = event_budget
         self.stalled = False

@@ -48,7 +48,7 @@ DEFAULT_OPS = ("cast", "run", "crash", "restart", "leave", "partition",
                "heal", "join", "drop", "duplicate", "nic", "skew",
                "clear_faults")
 
-#: the tournament's richer vocabulary: everything above plus mid-run
+#: the adversary vocabulary: everything above plus mid-run
 #: Byzantine activation.  Kept OUT of ``DEFAULT_OPS`` on purpose --
 #: extending that tuple would shift ``rng.choice`` draw order and silently
 #: re-seed every recorded chaos-smoke campaign.
@@ -177,9 +177,6 @@ class _View:
         return [node for node in range(self.n)
                 if node not in self.crashed and node not in self.out]
 
-    def restartable(self):
-        return sorted(self.crashed)
-
 
 def _draw_op(rng, name, view):
     """Draw one ``name`` op against ``view`` and update it; None when the
@@ -199,7 +196,7 @@ def _draw_op(rng, name, view):
         (view.crashed if name == "crash" else view.out).add(node)
         return [name, node]
     if name == "restart":
-        candidates = view.restartable()
+        candidates = sorted(view.crashed)
         if not candidates:
             return None
         node = rng.choice(candidates)

@@ -36,8 +36,8 @@ class MembershipLayer(Layer):
     name = "membership"
 
     #: regression-revert switches (tests only), handed to the machine.
-    #: Each re-opens a bug the chaos campaign once found, so the
-    #: tournament's search can prove it would re-discover it:
+    #: Each re-opens a bug the chaos campaign once found, so a test can
+    #: prove random plans (or the soak's checker) still find it:
     #:
     #: * ``vid_counter_floor=False``: an aborted change plus a later
     #:   singleton fallback can bind two memberships to one vid;

@@ -680,7 +680,7 @@ class OrderingLayer(Layer):
         self._deliver_tail()
 
     # ------------------------------------------------------------------
-    # bounded-state introspection (soak / tournament checker)
+    # bounded-state introspection (the soak's checker)
     # ------------------------------------------------------------------
     def state_sizes(self):
         return {

@@ -84,7 +84,7 @@ class ShardedKVStore(KVStore):
     """
 
     #: dedup/fence journals are FIFO-capped so the bounded-state checker
-    #: (repro.tournament.bounded) sees a flat ceiling under endless load
+    #: (repro.chaos.bounded) sees a flat ceiling under endless load
     OP_RECORDS_CAP = 4096
     FENCE_LOG_CAP = 1024
 

@@ -2,14 +2,18 @@
 
 import hashlib
 import random
+from contextlib import contextmanager
 
 import pytest
 
 from tests.helpers import cast_payloads, golden_plan, make_group
 
+from repro.broadcast.bracha import BrachaBroadcast
+from repro.broadcast.uniform import UniformBroadcast
 from repro.chaos import (ADVERSARY_OPS, DEFAULT_OPS, ChaosEngine, FaultPlan,
                          LinkFaults, random_plan, run_plan, shrink_plan)
 from repro.chaos.plan import RESHARD_OPS
+from repro.layers.membership import MembershipLayer
 
 
 # ----------------------------------------------------------------------
@@ -444,9 +448,6 @@ def test_originate_is_idempotent():
     ``originate`` on every ack-matrix update, and each re-broadcast's
     zero-delay self-delivery produced the next update -- the simulator
     span forever at one instant.  ``originate`` must broadcast once."""
-    from repro.broadcast.bracha import BrachaBroadcast
-    from repro.broadcast.uniform import UniformBroadcast
-
     for protocol, initial in ((UniformBroadcast, "ub-initial"),
                               (BrachaBroadcast, "br-initial")):
         sent = []
@@ -455,3 +456,127 @@ def test_originate_is_idempotent():
         inst.originate("view-a")
         inst.originate("view-b")   # also not an equivocation channel
         assert [p for p in sent if p[0] == initial] == [(initial, "view-a")]
+
+
+def test_known_counterexamples_stay_fixed():
+    """The two historical minimal plans pass under the shipped defaults."""
+    vid_plan = FaultPlan(seed=14, n=6, ops=[["leave", 5], ["leave", 2]])
+    violations, _engine = run_plan(vid_plan, settle=2.0)
+    assert not violations
+    livelock_plan = FaultPlan(seed=9, n=4,
+                              ops=[["cast", 0, 8], ["crash", 3],
+                                   ["run", 2.0]])
+    violations, engine = run_plan(livelock_plan, settle=2.0,
+                                  event_budget=300_000)
+    assert not violations and not engine.stalled
+
+
+# rediscovery: with a fix reverted behind its test-only switch, plain
+# random plans must find the bug within a small budget and ddmin must
+# shrink it to a replayable counterexample that the fix kills
+@contextmanager
+def vid_reuse_bug():
+    """Revert the vid-counter floor: restarted coordinators reuse vids."""
+    MembershipLayer.vid_counter_floor = False
+    try:
+        yield
+    finally:
+        MembershipLayer.vid_counter_floor = True
+
+
+@contextmanager
+def livelock_bug():
+    """Revert the one-shot view send + idempotent originate fixes."""
+    MembershipLayer.oneshot_view_send = False
+    UniformBroadcast.idempotent_originate = False
+    BrachaBroadcast.idempotent_originate = False
+    try:
+        yield
+    finally:
+        MembershipLayer.oneshot_view_send = True
+        UniformBroadcast.idempotent_originate = True
+        BrachaBroadcast.idempotent_originate = True
+
+
+#: membership churn only, no link faults: keeps every run cheap
+CHURN_OPS = ("cast", "run", "crash", "restart", "leave", "join", "heal")
+
+
+def _find_and_shrink(plans, run, failed, max_runs):
+    """The first of ``plans`` whose ``run`` ``failed``, ddmin-shrunk under
+    the same predicate; returns the shrunk plan and its run's outcome.
+    Runs are deterministic, so each distinct plan runs once."""
+    outcomes = {}
+
+    def fails(plan):
+        if plan.digest() not in outcomes:
+            outcomes[plan.digest()] = run(plan)
+        return failed(*outcomes[plan.digest()])
+
+    found = next((plan for plan in plans if fails(plan)), None)
+    assert found is not None, "no plan in the budget found the bug"
+    small = shrink_plan(found, fails=fails, max_runs=max_runs)
+    assert len(small) <= len(found)
+    return small, outcomes[small.digest()]
+
+
+def test_rediscovers_vid_reuse_bug_and_shrinks():
+    def run(plan):
+        return run_plan(plan, settle=1.5, event_budget=100_000,
+                        measure_recovery=True)
+
+    with vid_reuse_bug():
+        small, (violations, _engine) = _find_and_shrink(
+            (random_plan(seed, n=6, ops=6, allow=CHURN_OPS)
+             for seed in range(16)),
+            run, lambda violations, _engine: bool(violations), max_runs=64)
+        # the counterexample replays from scratch, violation for violation
+        assert violations and run(small)[0] == violations
+    # ... and the fix (flag back on) kills it
+    violations, engine = run(small)
+    assert not violations and engine.recovery_time is not None
+
+
+def test_rediscovers_self_delivery_livelock_and_shrinks():
+    def run(plan):
+        return run_plan(plan, settle=1.0, event_budget=20_000,
+                        measure_recovery=True)
+
+    with livelock_bug():
+        small, (_violations, engine) = _find_and_shrink(
+            (random_plan(seed, n=5, ops=4,
+                         allow=("cast", "run", "crash", "leave", "join"))
+             for seed in range(4)),
+            run, lambda _violations, engine: engine.stalled, max_runs=16)
+        # a stalled run burns its whole event budget, seconds of wall
+        # time: the replay is shrink_plan's own fresh run of the shrunk
+        # plan, not a second one
+        assert engine.stalled
+    # with the fixes restored the same plan runs to quiescence
+    violations, engine = run(small)
+    assert not violations and not engine.stalled
+    assert engine.recovery_time is not None
+
+
+class ChurnLosesOwnCasts(Exception):
+    """The one failure the r2 pins below expect."""
+
+
+@pytest.mark.xfail(strict=True, raises=ChurnLosesOwnCasts,
+                   reason="ROADMAP 1 r2: the ledger's churn_order_n12 "
+                   "probe loses members' own casts across view changes")
+@pytest.mark.parametrize("seed", [8, 9])
+def test_churn_order_probe_keeps_own_casts(seed):
+    # the episode `python -m benchmarks.ledger run --probe churn_order_n12
+    # --seed S` runs; run_probe itself reports only the first three
+    # violations, and every one is checked here
+    from benchmarks.ledger.runner import run_episode, sub_seed
+    from benchmarks.ledger.workloads import PROBES
+
+    violations = run_episode(PROBES["churn_order_n12"],
+                             sub_seed(seed, 0))["violations"]
+    # nothing but the r2 signature may hide behind the xfail
+    assert all(v.startswith(("reliable-delivery:", "self-delivery:",
+                             "total-order:")) for v in violations)
+    if violations:
+        raise ChurnLosesOwnCasts(violations[0])

@@ -10,8 +10,8 @@ import pytest
 
 from tests.helpers import make_group
 
-from repro.tournament import BoundedStateChecker, run_soak
-from repro.tournament.soak import SOAK_SCHEMA
+from repro.chaos import BoundedStateChecker, run_soak
+from repro.chaos.soak import SOAK_SCHEMA
 
 
 # ----------------------------------------------------------------------

@@ -283,6 +283,20 @@ def test_cli_attack_unknown_scenario():
     assert main(["attack", "NotAScenario"]) == 2
 
 
+def test_cli_soak_writes_report(tmp_path, capsys):
+    """The nightly soak matrix's entry point: exit 0 and one report."""
+    import json
+
+    from repro.__main__ import main
+    out = str(tmp_path)
+    assert main(["soak", "--seed", "3", "--nodes", "5", "--events", "60000",
+                 "--out", out]) == 0
+    with open(str(tmp_path / "soak-seed3.json")) as handle:
+        report = json.load(handle)
+    assert report["kind"] == "soak" and report["verdict"] == "pass"
+    assert "soak seed 3: PASS" in capsys.readouterr().out
+
+
 def test_cli_attack_runs_outside_the_repo_root(tmp_path):
     """The Table-1 runner ships in the package: no checkout on sys.path."""
     import os
