@@ -17,6 +17,7 @@ from __future__ import annotations
 from repro.core.config import StackConfig
 from repro.core.endpoint import GroupEndpoint
 from repro.core.history import Execution
+from repro.core.message import MAX_INCARNATION
 from repro.core.process import GroupProcess
 from repro.core.view import View, ViewId, singleton_view
 from repro.crypto.keys import KeyManager
@@ -269,6 +270,10 @@ class Group:
         failure detectors drive on their own.
         """
         old = self.processes[node_id]
+        if old.incarnation >= MAX_INCARNATION:
+            # a higher incarnation would not fit a cast id (is_cast_id)
+            raise OverflowError(f"node {node_id} is at incarnation "
+                                f"{old.incarnation}, the last one")
         if not old.stopped:
             old.stop()
         self.network.detach(node_id)   # free the port for the new process

@@ -54,6 +54,10 @@ KIND_FRAG = "frag"
 _sha256 = hashlib.sha256
 _ANY_ORIGIN = object()
 
+#: a cast id's counter is ``(incarnation << CAST_COUNTER_BITS) + k``
+CAST_COUNTER_BITS = 32
+MAX_INCARNATION = (1 << 31) - 1
+
 
 def is_cast_id(msg_id, origin=_ANY_ORIGIN):
     """Is ``msg_id`` a cast id -- one that ``origin`` minted, if given?
@@ -62,8 +66,9 @@ def is_cast_id(msg_id, origin=_ANY_ORIGIN):
     with ``type(counter) is int`` and ``counter > 0``, minted by the top
     layer as ``(me, (incarnation << 32) + k)``, signed with its message,
     admitted by the reliable layer on its origin's streams only.  Bound,
-    stated and not enforced: ``k < 2**32`` casts per incarnation and
-    ``incarnation < 2**31`` (the wire's 64-bit integer).
+    enforced where ids are minted (the wire's 64-bit integer): ``k <
+    2**CAST_COUNTER_BITS`` casts per incarnation, or the top layer raises,
+    and ``incarnation <= MAX_INCARNATION``, or ``Group.restart`` refuses.
     """
     return (isinstance(msg_id, tuple) and len(msg_id) == 2
             and type(msg_id[1]) is int and msg_id[1] > 0

@@ -132,14 +132,15 @@ class MembershipLayer(Layer):
         self.stack.control("view-change-aborted")
 
     def wedge(self, undecidable):
-        reliable = self.process.reliable
-        reliable.wedge()
+        streams = self.process.reliable.streams
+        streams.wedge()
         self.stack.control("wedged")
-        report = reliable.stream_state()
+        report = streams.stream_state()
         return report, self.process.ordering_freeze(undecidable)
 
     def set_cut(self, cut, survivors, on_complete):
-        self.process.reliable.set_cut(cut, survivors, on_complete=on_complete)
+        self.process.reliable.streams.set_cut(cut, survivors,
+                                             on_complete=on_complete)
 
     def flush_app(self, k_star, on_done, undecidable):
         self.process.flush_app(k_star, on_done, undecidable=undecidable)

@@ -10,18 +10,18 @@ Every broadcast kind is carried on one of two per-origin FIFO streams:
 
 Point-to-point sends use per-pair streams (``"p"``).
 
-Loss recovery is receiver-driven: one repair record per (origin, stream)
-whose ceiling is raised by a buffered message past a hole, a peer's ack
+The receive side is :class:`StreamMachine`, a machine without I/O with
+one record per (origin, stream).  Loss recovery is receiver-driven: the
+record's ceiling is raised by a buffered message past a hole, a peer's ack
 entry above our top (capped at ``top + flow_window``) and the agreed cut,
 inclusive.  One backed-off timer asks while anything up to the ceiling is
 missing; ack and cut evidence also ask at once, once per
-``retrans_timeout``.  The round (timer expiries since the stream last
-delivered) picks the target: round 0 asks the origin while it is in scope
-(the attempt's survivors while a cut is set, else the view), later rounds
-rotate over the in-scope members whose acked prefix covers the first hole.
-Any holder retransmits the *original* message with its *original
-bottom-layer signature*, which the receiver verifies -- the one place the
-paper needs cryptography above raw sends (section 1.2).
+``retrans_timeout``.  Round 0 asks the origin while it is in scope (the
+attempt's survivors while a cut is set, else the view), later rounds
+rotate over in-scope holders.  Any holder retransmits the *original*
+message with its *original bottom-layer signature*, which the receiver
+verifies -- the one place the paper needs cryptography above raw sends
+(section 1.2).
 
 Acknowledgements are sent on demand (DESIGN section 4): the ack tick
 broadcasts only while this member's delivered vector moved or is not yet
@@ -31,14 +31,15 @@ the peer silent for longer than any loss-free gap, which answers from its
 next tick: no tick signs more than one message.
 
 The layer feeds the fuzzy detectors: acknowledgements that could not
-correspond to any sent message, malformed stream headers, and NAK or
-probe floods are verbose failures; persistent ack laggards are handled
+correspond to any sent message, malformed stream headers and NAKs, and NAK
+or probe floods are verbose failures; persistent ack laggards are handled
 by the stability tracker.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
+from itertools import islice
 from zlib import crc32
 
 from repro.core import message as mk
@@ -63,27 +64,249 @@ STREAM_P2P = "p"
 #: built by ``ReliableLayer._archive_copy``
 ARCHIVED_LEN = 9
 
+#: the most sequence numbers one NAK lists; a correct member lists at most
+#: this many, strictly increasing, and any other NAK is refused
+NAK_MAX = 64
 
-class _InStream:
-    """Receive side of one FIFO stream from one origin, and its repair
-    record: ``ceiling`` is the highest number known to exist, ``timer``
-    the one repair timer, ``round`` its expiries since the stream last
-    delivered, ``asked_at`` when evidence last asked at once."""
 
-    __slots__ = ("next_seq", "buffer", "ceiling", "timer", "round",
+class _Record:
+    """One (origin, stream): the delivery cursor ``next_seq``, the
+    ``buffer`` past it and ``top``, the delivered plus contiguous buffered
+    prefix; and the repair record: ``ceiling`` the highest number known to
+    exist, ``timer`` the one repair timer, ``round`` its expiries since
+    the stream last delivered, ``asked_at`` when evidence last asked."""
+
+    __slots__ = ("next_seq", "buffer", "top", "ceiling", "timer", "round",
                  "asked_at")
 
     def __init__(self):
-        self.next_seq = 1
-        self.buffer = {}
-        self.ceiling = 0
-        self.timer = None
-        self.round = 0
-        self.asked_at = float("-inf")
+        self.next_seq, self.buffer, self.top, self.ceiling = 1, {}, 0, 0
+        self.timer, self.round, self.asked_at = None, 0, float("-inf")
 
-    @property
-    def delivered(self):
-        return self.next_seq - 1
+
+class StreamMachine:
+    """The receive side of the reliable layer, without I/O.
+
+    Inputs: :meth:`accept`, :meth:`ask` (ack evidence), :meth:`set_cut`
+    (cut evidence), :meth:`wedge`, the repair timer's expiry and
+    :meth:`clear`.  Outputs go through ``host`` (the layer, or a fake):
+    ``admit(origin, stream, seq, msg)``, ``opened(origin, stream)``,
+    ``deliver(msg)`` (``send_up`` on unacknowledged p2p streams),
+    ``drained(origin, stream, top)``, ``send_nak(target, origin, stream,
+    seqs)``, ``count(name)``, ``schedule(delay, callback, *args)`` and the
+    queries ``now()``, ``acked_seq(member, origin, stream)``, ``members()``
+    and ``sent(stream)``.  Every write of repair fields, cut, scope and
+    wedge goes through :meth:`_to`; only ``_record`` adds a record, and
+    only ``accept`` and the drain move ``next_seq``, ``buffer`` and ``top``."""
+
+    def __init__(self, host, config, me):
+        self.host, self.config, self.me = host, config, me
+        self.records = {}
+        self.clear()
+
+    def _to(self, target, **fields):
+        """The one writer of repair and flush state: ``target`` is a record
+        or the machine itself."""
+        for name, value in fields.items():
+            setattr(target, name, value)
+
+    def clear(self):
+        """Cancel every repair timer and drop all receive state (a view
+        was installed, or the process stopped)."""
+        for rec in self.records.values():
+            if rec.timer is not None:
+                rec.timer.cancel()
+                self._to(rec, timer=None)
+        self._to(self, records={}, cut=None, scope=None, wedged=False,
+                 on_cut=None)
+        # NAK-storm suppression: a global budget per retrans_timeout window
+        self.window_start, self.window_naks = -1.0, 0
+
+    def _record(self, origin, stream):
+        rec = self.records.get((origin, stream))
+        if rec is None:
+            rec = self.records[(origin, stream)] = _Record()
+            self.host.opened(origin, stream)
+        return rec
+
+    def accept(self, origin, stream, seq, msg):
+        """Buffer ``msg`` as number ``seq`` of the stream unless the host
+        refuses it, and deliver what is in order; False for a duplicate."""
+        rec = self._record(origin, stream)
+        buffer = rec.buffer
+        if seq < rec.next_seq or seq in buffer:
+            return False
+        if not self.host.admit(origin, stream, seq, msg):
+            return True
+        buffer[seq] = msg
+        top = rec.top
+        if seq == top + 1:
+            top = seq
+            while top + 1 in buffer:
+                top += 1
+            rec.top = top
+        self._drain(origin, stream, rec, seq)
+        return True
+
+    def _drain(self, origin, stream, rec, ceiling=0):
+        host = self.host
+        deliver = host.send_up if stream == STREAM_P2P else host.deliver
+        buffer = rec.buffer
+        first = rec.next_seq
+        while rec.next_seq in buffer:
+            seq = rec.next_seq
+            if stream == STREAM_APP and (
+                    seq > self.cut.get(origin, 0) if self.cut is not None
+                    else self.wedged):
+                break
+            rec.next_seq = seq + 1
+            deliver(buffer.pop(seq))
+        if rec.next_seq != first and rec.round:
+            self._to(rec, round=0)
+        self._repair(origin, stream, rec, ceiling)
+        if stream == STREAM_P2P:
+            return
+        host.drained(origin, stream, rec.top)
+        if (self.cut is not None and self.on_cut is not None
+                and self.cut_complete(self.cut)):
+            callback = self.on_cut
+            self._to(self, on_cut=None)
+            callback()
+
+    # ------------------------------------------------------------------
+    # loss recovery: one repair record per (origin, stream)
+    # ------------------------------------------------------------------
+    def ask(self, origin, stream, ceiling):
+        """Ack evidence: ``ceiling`` exists; ask for the holes at once."""
+        self._repair(origin, stream, self._record(origin, stream), ceiling,
+                     ask=True)
+
+    def _repair(self, origin, stream, rec, ceiling=0, ask=False):
+        """Raise the ceiling (``top + 1`` is the first hole: a ceiling at
+        or below ``top`` says nothing); ask at once on ``ask``, once per
+        ``retrans_timeout``, without raising the round; keep the timer
+        armed exactly while something up to the ceiling is missing."""
+        if ceiling > rec.ceiling and ceiling > rec.top:
+            self._to(rec, ceiling=ceiling)
+        if self._limit(origin, stream, rec) <= rec.top:
+            if rec.timer is not None:
+                rec.timer.cancel()
+                self._to(rec, timer=None)
+            return
+        now = self.host.now()
+        if ask and now - rec.asked_at >= self.config.retrans_timeout:
+            self._to(rec, asked_at=now)
+            self._send_nak(origin, stream, rec)
+        if rec.timer is None:
+            self._to(rec, timer=self.host.schedule(
+                self._retrans_delay(origin, stream, rec.round),
+                self._repair_expired, origin, stream, rec))
+
+    def _repair_expired(self, origin, stream, rec):
+        self._to(rec, timer=None)
+        if self._limit(origin, stream, rec) > rec.top:
+            self._send_nak(origin, stream, rec)
+            self._to(rec, round=rec.round + 1)
+            self._repair(origin, stream, rec)
+
+    def _limit(self, origin, stream, rec):
+        """The ceiling, clipped to the cut (inclusive) on a cut app stream."""
+        if stream == STREAM_APP and self.cut is not None:
+            return min(rec.ceiling, self.cut.get(origin, 0))
+        return rec.ceiling
+
+    def _retrans_delay(self, origin, stream, nak_round):
+        """Each round doubles the base timeout up to ``retrans_backoff_max``;
+        the jitter decorrelates the receivers of one lost broadcast without
+        a simulator RNG draw: a pure hash of (receiver, origin, stream,
+        round)."""
+        config = self.config
+        delay = config.retrans_timeout * (1 << min(nak_round, 8))
+        if delay > config.retrans_backoff_max:
+            delay = config.retrans_backoff_max
+        jitter = config.retrans_jitter
+        if jitter:
+            salt = crc32(repr((self.me, origin, stream, nak_round))
+                         .encode("utf-8"))
+            delay *= 1.0 + jitter * (salt & 0x3FF) / 1024.0
+        return delay
+
+    def _target(self, origin, stream, first, nak_round):
+        """Round 0 asks the origin while it is in scope, p2p always; later
+        rounds rotate over in-scope holders of ``first``, so an origin that
+        ignores one member's NAKs cannot starve it.  None if no one is."""
+        scope = self.host.members() if self.scope is None else self.scope
+        if stream == STREAM_P2P or (nak_round == 0 and origin in scope):
+            return origin
+        acked_seq = self.host.acked_seq
+        holders = [member for member in scope if member != self.me
+                   and acked_seq(member, origin, stream) >= first]
+        if holders:
+            return holders[nak_round % len(holders)]
+        return origin if origin in scope else None
+
+    def _send_nak(self, origin, stream, rec):
+        first = rec.top + 1
+        target = self._target(origin, stream, first, rec.round)
+        if target is None or target == self.me:
+            return
+        # NAK-storm suppression: when every repair timer fires at once the
+        # repair traffic can drown the repairs; suppressed asks are retried
+        # by the (backed-off) repair timers, so recovery still converges
+        budget = self.config.nak_window_budget
+        if budget:
+            now = self.host.now()
+            if now - self.window_start >= self.config.retrans_timeout:
+                self.window_start, self.window_naks = now, 0
+            if self.window_naks >= budget:
+                self.host.count("naks_suppressed")
+                return
+            self.window_naks += 1
+        last, buffer = self._limit(origin, stream, rec), rec.buffer
+        holes = (seq for seq in range(first, last + 1) if seq not in buffer)
+        self.host.send_nak(target, origin, stream,
+                           tuple(islice(holes, NAK_MAX)))
+
+    # ------------------------------------------------------------------
+    # flush support (wedge / cut), driven by the membership layer
+    # ------------------------------------------------------------------
+    def wedge(self):
+        """Stop delivering new app-stream messages (view change started)."""
+        self._to(self, wedged=True)
+
+    def stream_state(self):
+        """Per-origin contiguously-received app-stream maxima (for SYNC)."""
+        state = {origin: rec.top for (origin, stream), rec
+                 in self.records.items() if stream == STREAM_APP}
+        state[self.me] = self.host.sent(STREAM_APP)
+        return state
+
+    def set_cut(self, cut, survivors, on_complete=None):
+        """Fix the agreed app-stream cut and the attempt's ``survivors``,
+        the only members repair asks from now on; deliver up to the cut
+        and repair what is missing up to it, inclusive."""
+        self._to(self, cut=dict(cut), scope=survivors, on_cut=None)
+        for origin, last in self.cut.items():
+            if origin == self.me:
+                continue
+            if last > 0 or (origin, STREAM_APP) in self.records:
+                rec = self._record(origin, STREAM_APP)
+                # a new scope: its first ask goes out now, from round 0
+                self._to(rec, asked_at=float("-inf"), round=0)
+                self._drain(origin, STREAM_APP, rec)
+                self._repair(origin, STREAM_APP, rec, last, ask=True)
+        if on_complete is not None and self.cut_complete(self.cut):
+            on_complete()
+        else:
+            self._to(self, on_cut=on_complete)
+
+    def cut_complete(self, cut):
+        """Have we *delivered* every app message up to the cut?"""
+        for origin, last in cut.items():
+            rec = self.records.get((origin, STREAM_APP))
+            if origin != self.me and (rec.next_seq - 1 if rec else 0) < last:
+                return False
+        return True
 
 
 class ReliableLayer(Layer):
@@ -96,47 +319,37 @@ class ReliableLayer(Layer):
         self._reset_state()
         self.retransmissions_served = 0
         self.naks_sent = 0
-        self.naks_suppressed = 0
         self.duplicates = 0
         self.archive_trimmed = 0
+
+    def attach(self, stack):
+        super().attach(stack)
+        self.streams = StreamMachine(self, self.config, self.me)
 
     def _reset_state(self):
         self._out_seq = {STREAM_APP: 0, STREAM_CTL: 0}
         self._p2p_out = {}
-        self._in_streams = {}   # (origin, stream) -> _InStream
         self._archive = {}      # (origin, stream, seq) -> archived wire tuple
         self._since_ack = 0
         self._ack_sent = None    # the vector my last ack carried
         self._ack_sent_at = float("-inf")   # when it left, if broadcast
         self._ack_stable = None  # the last vector found stable everywhere
         self._probed = False     # a peer probed me since my last tick
-        # incremental delivered-vector bookkeeping (built lazily because
-        # self.me is unknown before the layer is attached): the entries of
-        # _delivered_vector() kept sorted by repr at all times, updated
-        # only for streams that actually changed
+        # incremental delivered-vector bookkeeping, built lazily
         self._dv_map = None     # map key -> current entry, or None (unbuilt)
         self._dv_keys = []      # sorted reprs of entries (parallel list)
         self._dv_entries = []   # entries, sorted by repr
         self._dv_tuple = None   # memoized tuple(self._dv_entries)
         self._dv_changed = {}   # key -> latest changed entry since last flush
-        self._wedged = False
-        self._cut = None        # {origin: seq} ceiling on the app stream
-        self._cut_callback = None
-        self._scope = None      # who repair may ask while a cut is set
         self._ack_seen = {}     # sender -> last fully-processed ack vector
         self._ack_dirty = {}    # sender -> last evidence scan found a gap
-        # NAK-storm suppression: per-window global NAK budget
-        self._nak_window_start = -1.0
-        self._naks_in_window = 0
 
     def state_sizes(self):
-        return {
-            "in_streams": len(self._in_streams),
-            "stash": sum(len(s.buffer) for s in self._in_streams.values()),
-            "archive": len(self._archive),
-            "p2p_out": len(self._p2p_out),
-            "ack_seen": len(self._ack_seen),
-        }
+        records = self.streams.records
+        return {"in_streams": len(records),
+                "stash": sum(len(rec.buffer) for rec in records.values()),
+                "archive": len(self._archive), "p2p_out": len(self._p2p_out),
+                "ack_seen": len(self._ack_seen)}
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -164,12 +377,74 @@ class ReliableLayer(Layer):
             self._ack_timer = None
         # crash semantics: repair timers re-arm themselves while a stream
         # has holes -- a dead node must not keep NAKing
-        self._cancel_repairs()
+        self.streams.clear()
 
     def on_view(self, view):
-        self._cancel_repairs()
+        self.streams.clear()
         self._reset_state()
         self.process.stability.reset(view)
+
+    # ------------------------------------------------------------------
+    # the stream machine's host port
+    # ------------------------------------------------------------------
+    def admit(self, origin, stream, seq, msg):
+        if msg.msg_id is not None and not is_cast_id(msg.msg_id, origin):
+            # cast ids are admitted here and nowhere else: no layer above
+            # holds a cast under an id its origin did not mint
+            if self.config.byzantine and origin != self.me:
+                self.process.verbose_detector.illegal(
+                    msg.sender, "rel:forged-id")
+            return False
+        if origin != self.me and stream != STREAM_P2P:
+            self._archive_copy(msg, stream, seq)
+        return True
+
+    def opened(self, origin, stream):
+        # a fresh stream contributes a 0-entry to the ack vector even
+        # before anything is delivered; p2p streams are not acknowledged
+        if stream != STREAM_P2P:
+            self._dv_set(("in", origin, stream), (origin, stream, 0))
+
+    def deliver(self, msg):
+        self._since_ack += 1
+        self.send_up(msg)
+
+    def drained(self, origin, stream, top):
+        self._dv_set(("in", origin, stream), (origin, stream, top))
+        if self._since_ack >= self.config.ack_every:
+            self._broadcast_ack(self._delivered_vector())
+        # the ack table keeps per-(origin, stream) maxima and the vector
+        # entries are monotone, so feeding only the entries that changed
+        # since the last drain yields the table the full vector would;
+        # on_ack still runs (and notifies listeners) once per drain
+        if self._dv_map is None:
+            self._dv_build()
+        changed = self._dv_changed
+        if changed:
+            self._dv_changed = {}
+        self.process.stability.on_ack(self.me, tuple(changed.values()))
+
+    def send_nak(self, target, origin, stream, seqs):
+        self.naks_sent += 1
+        self.count("naks_sent")
+        self.send_down(Message(mk.KIND_NAK, self.me, self.view.vid,
+                               (origin, stream, seqs),
+                               payload_size=8 + 4 * len(seqs), dest=target))
+
+    def schedule(self, delay, callback, *args):
+        return self.sim.schedule(delay, callback, *args)
+
+    def now(self):
+        return self.sim.now
+
+    def acked_seq(self, member, origin, stream):
+        return self.process.stability.acked_seq(member, origin, stream)
+
+    def members(self):
+        return self.view.mbrs
+
+    def sent(self, stream):
+        return self._out_seq[stream]
 
     # ------------------------------------------------------------------
     # downward path
@@ -182,7 +457,7 @@ class ReliableLayer(Layer):
             stream = STREAM_APP if msg.kind in APP_STREAM_KINDS else STREAM_CTL
             self._out_seq[stream] += 1
             seq = self._out_seq[stream]
-            self._dv_refresh_out(stream)
+            self._dv_set(("out", stream), (self.me, stream, seq))
             msg.push_header("rel", (stream, seq))
             self.send_down(msg)
             # archived once signed: a holder serves it under this signature
@@ -228,97 +503,20 @@ class ReliableLayer(Layer):
                         msg.sender, "rel:malformed-header")
                 return
             stream, seq = header
-            if stream == STREAM_P2P:
-                self._accept_p2p(msg, seq)
-            elif stream in (STREAM_APP, STREAM_CTL):
+            if stream in (STREAM_APP, STREAM_CTL, STREAM_P2P):
                 self._accept_stream(msg.origin, msg, stream, seq)
             elif self.config.byzantine:
                 self.process.verbose_detector.illegal(
                     msg.sender, "rel:unknown-stream")
 
-    # ------------------------------------------------------------------
-    # stream acceptance and in-order delivery
-    # ------------------------------------------------------------------
     def _accept_stream(self, origin, msg, stream, seq):
         if self.process.stopped:
             return  # a pre-crash self-delivery event racing the stop
-        state = self._in_stream(origin, stream)
-        if seq < state.next_seq or seq in state.buffer:
-            self.duplicates += 1
-            return
-        if msg.origin != origin:
-            return
-        if msg.msg_id is not None and not is_cast_id(msg.msg_id, origin):
-            # cast ids are admitted here and nowhere else: no layer above
-            # holds a cast under an id its origin did not mint
-            if self.config.byzantine and origin != self.me:
-                self.process.verbose_detector.illegal(
-                    msg.sender, "rel:forged-id")
-            return
-        state.buffer[seq] = msg
-        if origin != self.me:
-            self._archive_copy(msg, stream, seq)
-        self._drain(origin, stream, state, seq)
-
-    def _in_stream(self, origin, stream):
-        state = self._in_streams.get((origin, stream))
-        if state is None:
-            state = self._in_streams[(origin, stream)] = _InStream()
-            # a fresh stream contributes a 0-entry to the ack vector even
-            # before anything is delivered
-            self._dv_refresh_stream(origin, stream, state)
-        return state
-
-    def _drain(self, origin, stream, state, ceiling=0):
-        first = state.next_seq
-        while state.next_seq in state.buffer:
-            seq = state.next_seq
-            if (stream == STREAM_APP
-                    and not self._may_deliver_app(origin, seq)):
-                break
-            msg = state.buffer.pop(seq)
-            state.next_seq = seq + 1
-            self._since_ack += 1
-            self.send_up(msg)
-        if state.next_seq != first:
-            state.round = 0
-        self._repair(origin, stream, state, ceiling)
-        self._dv_refresh_stream(origin, stream, state)
-        if self._since_ack >= self.config.ack_every:
-            self._broadcast_ack(self._delivered_vector())
-        # the ack table keeps per-(origin, stream) maxima and the vector
-        # entries are monotone, so feeding only the entries that changed
-        # since the last drain yields the table the full vector would;
-        # on_ack still runs (and notifies listeners) once per drain
-        if self._dv_map is None:
-            self._dv_build()
-        changed = self._dv_changed
-        if changed:
-            self._dv_changed = {}
-        self.process.stability.on_ack(self.me, tuple(changed.values()))
-        if self._cut is not None and self._cut_callback is not None:
-            if self.cut_complete(self._cut):
-                callback, self._cut_callback = self._cut_callback, None
-                callback()
-
-    def _may_deliver_app(self, origin, seq):
-        if self._cut is not None:
-            return seq <= self._cut.get(origin, 0)
-        return not self._wedged
-
-    def _accept_p2p(self, msg, seq):
-        if msg.dest != self.me or msg.msg_id is not None:
+        if stream == STREAM_P2P and (msg.dest != self.me
+                                     or msg.msg_id is not None):
             return  # not mine, or under a cast id: only broadcasts carry one
-        state = self._in_stream(msg.origin, STREAM_P2P)
-        if seq < state.next_seq or seq in state.buffer:
+        if not self.streams.accept(origin, stream, seq, msg):
             self.duplicates += 1
-            return
-        state.buffer[seq] = msg
-        while state.next_seq in state.buffer:
-            self.send_up(state.buffer.pop(state.next_seq))
-            state.next_seq += 1
-            state.round = 0
-        self._repair(msg.origin, STREAM_P2P, state, seq)
 
     # ------------------------------------------------------------------
     # acknowledgements
@@ -336,25 +534,26 @@ class ReliableLayer(Layer):
         return vector
 
     # ------------------------------------------------------------------
-    # incremental delivered-vector maintenance: rebuilding and
-    # repr-sorting the whole vector on every drain profiled as the single
-    # hottest non-crypto call in the fig5 workloads.  Instead the entries
-    # live in a repr-sorted parallel list pair and only the one entry
-    # whose stream actually moved is touched.  Entries with equal repr
-    # are equal tuples (origins are ints/strings here), so which
-    # duplicate gets removed is irrelevant.
+    # incremental delivered-vector maintenance (re-sorting the vector per
+    # drain was the hottest non-crypto call in fig5): entries live in a
+    # repr-sorted parallel list pair and only a moved entry is touched;
+    # equal reprs are equal tuples, so which duplicate goes is irrelevant
     # ------------------------------------------------------------------
     def _dv_build(self):
         self._dv_map = {}
         self._dv_keys = []
         self._dv_entries = []
         self._dv_changed = {}
-        for (origin, stream), state in self._in_streams.items():
-            self._dv_refresh_stream(origin, stream, state)
-        self._dv_refresh_out(STREAM_APP)
-        self._dv_refresh_out(STREAM_CTL)
+        for (origin, stream), rec in self.streams.records.items():
+            if stream != STREAM_P2P:
+                self._dv_set(("in", origin, stream), (origin, stream, rec.top))
+        for stream in (STREAM_APP, STREAM_CTL):
+            self._dv_set(("out", stream),
+                         (self.me, stream, self._out_seq[stream]))
 
     def _dv_set(self, key, entry):
+        if self._dv_map is None:
+            return  # unbuilt; built lazily on first use
         old = self._dv_map.get(key)
         if old == entry:
             return
@@ -362,8 +561,7 @@ class ReliableLayer(Layer):
         entries = self._dv_entries
         if old is not None:
             # NB: repr-order is not stable under counter increments
-            # ("... 10)" sorts before "... 9)"), so entries must be
-            # re-inserted at their new position, never updated in place
+            # ("... 10)" sorts before "... 9)"): re-insert, never update
             pos = bisect_left(keys, repr(old))
             del keys[pos]
             del entries[pos]
@@ -375,31 +573,12 @@ class ReliableLayer(Layer):
         self._dv_tuple = None
         self._dv_changed[key] = entry
 
-    def _dv_refresh_stream(self, origin, stream, state):
-        if self._dv_map is None:
-            return  # unbuilt; built lazily on first use
-        if stream != STREAM_APP and stream != STREAM_CTL:
-            return  # p2p streams are not acknowledged
-        top = state.next_seq - 1
-        buffer = state.buffer
-        if buffer:
-            while top + 1 in buffer:
-                top += 1
-        self._dv_set(("in", origin, stream), (origin, stream, top))
-
-    def _dv_refresh_out(self, stream):
-        if self._dv_map is None:
-            return
-        self._dv_set(("out", stream),
-                     (self.me, stream, self._out_seq[stream]))
-
     def _ack_tick(self):
-        # one signed message per tick, as when the ack was periodic (DESIGN
-        # section 4): the answer if a peer probed me; else an ack, due only
-        # while my vector moved since the one I last sent or something I
-        # hold is not yet known stable at some view member -- so a crashed,
-        # mute, under-acking or probing member keeps this at one message
-        # per tick until the view change, never more; else one probe
+        # one signed message per tick (DESIGN section 4): the answer if a
+        # peer probed me; else an ack, due only while my vector moved since
+        # the one I last sent or is not yet known stable at some view
+        # member (so a crashed or lagging member costs one message per
+        # tick until the view change, never more); else one probe
         vector = self._delivered_vector()
         if self._probed:
             self._probed = False
@@ -481,26 +660,15 @@ class ReliableLayer(Layer):
             if self.config.byzantine:
                 self.process.verbose_detector.illegal(msg.sender, "rel:bad-ack")
             return
-        # Receive-side ack diffing.  Senders memoize their delivered vector
-        # and its entry tuples (_dv_entries reuses unchanged entry objects
-        # across rebuilds), so in the simulator the repeats arrive as the
-        # *same objects*.  Three levels:
-        # * identical vector object: it already validated (validation is
-        #   pure in the vector) and merged (max-merge idempotent); only the
-        #   listener notify and, while dirty, the evidence scan still run;
-        # * same-sender update: entries present (by identity) in the
-        #   previously-accepted vector are already validated/merged --
-        #   only the changed entries take the full path.  _ack_seen keeps
-        #   the previous vector alive, so an id() collision with its
-        #   entries is impossible;
-        # * first ack from a sender (or a real-network decode, which always
-        #   produces fresh tuples): every entry takes the full path.
-        # The evidence scan is skippable only when provably a no-op:
-        # _ack_dirty records whether the last scan of this sender's vector
-        # found any entry ahead of our stream tops.  Tops only grow within
-        # a view (delivered + contiguous buffered prefix), so a clean entry
-        # stays clean forever; a dirty vector keeps full scans until one
-        # comes back clean.
+        # Receive-side ack diffing: senders memoize their vector and its
+        # entry tuples, so in the simulator repeats arrive as the *same
+        # objects*.  An identical vector already validated and merged; only
+        # the notify and, while dirty, the evidence scan run.  Otherwise
+        # only entries absent (by identity) from the sender's previous
+        # vector, which _ack_seen keeps alive against id() reuse, take the
+        # full path.  _ack_dirty: the last scan of this sender's vector
+        # found an entry above our tops; tops only grow within a view, so
+        # a clean entry stays clean and only a dirty vector is rescanned.
         prev = self._ack_seen.get(msg.sender)
         if vector is prev:
             self.process.stability.on_ack(msg.sender, ())
@@ -521,10 +689,8 @@ class ReliableLayer(Layer):
                         msg.sender, "rel:bad-ack-entry")
                 return
             origin, stream, cum = entry
-            # verbose check: acknowledging our own stream beyond what we
-            # ever sent is a message a correct process could never send
-            # (out_seq only grows, so entries validated with an earlier
-            # vector cannot become illegal and are safe to skip above)
+            # verbose: an ack for more than we ever sent (out_seq only
+            # grows, so entries validated earlier stay legal)
             if (origin == self.me and stream in self._out_seq
                     and cum > self._out_seq[stream]
                     and self.config.byzantine):
@@ -538,162 +704,50 @@ class ReliableLayer(Layer):
             vector if dirty else entries)
 
     def _ack_evidence(self, vector):
-        """Raise repair ceilings off peers' ack vectors, existence proofs
-        for the last message of a burst, which no later message reveals.
-        Returns True if any entry was ahead of our stream tops -- even a
-        throttled one, which must stay eligible on a later scan (the
-        ack-diff memo in _on_ack keys off this)."""
+        """Ask off peers' ack vectors, existence proofs for the last
+        message of a burst, which no later message reveals.  True if any
+        entry was ahead of our tops, even a throttled one (the ack-diff
+        memo in _on_ack keys off this)."""
         dirty = False
-        # the incremental delivered-vector map already holds each
-        # in-stream's top (delivered + buffered prefix), refreshed by
-        # every _drain -- reuse it instead of rescanning the buffer per
-        # ack entry (the scan made each ack O(members x window))
-        if self._dv_map is None:
-            self._dv_build()
-        dv_map = self._dv_map
+        records = self.streams.records
         for origin, stream, cum in vector:
             if stream not in (STREAM_APP, STREAM_CTL) or origin == self.me:
                 continue
-            entry = dv_map.get(("in", origin, stream))
-            top = entry[2] if entry is not None else 0
+            rec = records.get((origin, stream))
+            top = rec.top if rec is not None else 0
             if cum <= top or origin not in self.view.mbrs:
                 continue
             dirty = True
             # bound the chase: a lying ack cannot make us request unbounded
             # ranges the origin never sent
-            self._repair(origin, stream, self._in_stream(origin, stream),
-                         min(cum, top + self.config.flow_window), ask=True)
+            self.streams.ask(origin, stream,
+                             min(cum, top + self.config.flow_window))
         return dirty
 
     # ------------------------------------------------------------------
-    # loss recovery: one repair record per (origin, stream)
+    # retransmission service
     # ------------------------------------------------------------------
-    def _repair(self, origin, stream, state, ceiling=0, ask=False):
-        """Raise the ceiling; ask at once on ``ask`` (ack or cut evidence,
-        once per ``retrans_timeout``, without raising the round); keep the
-        timer armed exactly while something up to the ceiling is missing."""
-        if ceiling > state.ceiling:
-            state.ceiling = ceiling
-        holes = self._holes(origin, stream, state)
-        if not holes:
-            if state.timer is not None:
-                state.timer.cancel()
-                state.timer = None
-            return
-        now = self.sim.now
-        if ask and now - state.asked_at >= self.config.retrans_timeout:
-            state.asked_at = now
-            self._send_nak(origin, stream, holes, state.round)
-        if state.timer is None:
-            state.timer = self.sim.schedule(
-                self._retrans_delay(origin, stream, state.round),
-                self._repair_expired, origin, stream, state)
-
-    def _repair_expired(self, origin, stream, state):
-        state.timer = None
-        holes = self._holes(origin, stream, state)
-        if holes:
-            self._send_nak(origin, stream, holes, state.round)
-            state.round += 1
-            self._repair(origin, stream, state)
-
-    def _top(self, origin, stream, state):
-        """The ceiling, clipped to the cut (inclusive) on a cut app stream."""
-        if stream == STREAM_APP and self._cut is not None:
-            return min(state.ceiling, self._cut.get(origin, 0))
-        return state.ceiling
-
-    def _holes(self, origin, stream, state):
-        return [seq for seq in range(state.next_seq,
-                                     self._top(origin, stream, state) + 1)
-                if seq not in state.buffer]
-
-    def _cancel_repairs(self):
-        for state in self._in_streams.values():
-            if state.timer is not None:
-                state.timer.cancel()
-                state.timer = None
-
-    def _retrans_delay(self, origin, stream, nak_round):
-        """Bounded exponential backoff + jitter: each round doubles the
-        base timeout up to ``retrans_backoff_max``, so a dead or partitioned
-        target is not asked at full rate forever.  The jitter decorrelates
-        the receivers of one lost broadcast without consuming simulator RNG
-        draws (which would shift every seeded history): it is a pure hash
-        of (receiver, origin, stream, round)."""
-        config = self.config
-        delay = config.retrans_timeout * (1 << min(nak_round, 8))
-        if delay > config.retrans_backoff_max:
-            delay = config.retrans_backoff_max
-        jitter = config.retrans_jitter
-        if jitter:
-            salt = crc32(repr((self.me, origin, stream, nak_round))
-                         .encode("utf-8"))
-            delay *= 1.0 + jitter * (salt & 0x3FF) / 1024.0
-        return delay
-
-    def _target(self, origin, stream, first, nak_round):
-        """Round 0 asks the origin while it is in scope, p2p always; later
-        rounds rotate over in-scope holders of ``first``, so an origin that
-        ignores one member's NAKs cannot starve it.  None if no one is."""
-        scope = self.view.mbrs if self._scope is None else self._scope
-        if stream == STREAM_P2P or (nak_round == 0 and origin in scope):
-            return origin
-        acked_seq = self.process.stability.acked_seq
-        holders = [member for member in scope if member != self.me
-                   and acked_seq(member, origin, stream) >= first]
-        if holders:
-            return holders[nak_round % len(holders)]
-        return origin if origin in scope else None
-
-    def _send_nak(self, origin, stream, missing, nak_round):
-        target = self._target(origin, stream, missing[0], nak_round)
-        if target is None or target == self.me:
-            return
-        # NAK-storm suppression: under heavy loss (or a chaos corruption
-        # campaign) every repair timer fires at once and the repair traffic
-        # can drown the repairs themselves.  Cap the NAKs this node emits
-        # per retrans_timeout window; suppressed requests are retried by
-        # the (backed-off) repair timers, so recovery still converges.
-        budget = self.config.nak_window_budget
-        if budget:
-            now = self.sim.now
-            if now - self._nak_window_start >= self.config.retrans_timeout:
-                self._nak_window_start = now
-                self._naks_in_window = 0
-            if self._naks_in_window >= budget:
-                self.naks_suppressed += 1
-                self.count("naks_suppressed")
-                return
-            self._naks_in_window += 1
-        self.naks_sent += 1
-        self.count("naks_sent")
-        payload = (origin, stream, tuple(missing[:64]))
-        nak = Message(mk.KIND_NAK, self.me, self.view.vid, payload,
-                      payload_size=8 + 4 * len(payload[2]), dest=target)
-        self.send_down(nak)
-
     def _on_nak(self, msg):
         if self.config.byzantine:
             if self.process.verbose_detector.observe(msg.sender, "rel:nak"):
                 return
         payload = msg.payload
-        if (not isinstance(payload, tuple) or len(payload) != 3
-                or not isinstance(payload[2], tuple)):
+        seqs = (payload[2] if isinstance(payload, tuple) and len(payload) == 3
+                else None)
+        if (not isinstance(seqs, tuple) or not 0 < len(seqs) <= NAK_MAX
+                or not all(isinstance(seq, int) for seq in seqs)
+                or any(a >= b for a, b in zip(seqs, seqs[1:]))):
+            # a correct member lists 1..NAK_MAX strictly increasing seqs
             if self.config.byzantine:
                 self.process.verbose_detector.illegal(msg.sender, "rel:bad-nak")
             return
-        origin, stream, seqs = payload
+        origin, stream = payload[0], payload[1]
+        if stream == STREAM_P2P:
+            # p2p streams are per-pair; only the origin holds the copy,
+            # filed under the requester's pair key
+            stream = STREAM_P2P + repr(msg.sender)
         for seq in seqs:
-            if not isinstance(seq, int):
-                continue
-            if stream == STREAM_P2P:
-                # p2p streams are per-pair; only the origin holds the copy,
-                # filed under the requester's pair key
-                wire = self._archive.get(
-                    (origin, STREAM_P2P + repr(msg.sender), seq))
-            else:
-                wire = self._archive.get((origin, stream, seq))
+            wire = self._archive.get((origin, stream, seq))
             if wire is None:
                 continue
             self.retransmissions_served += 1
@@ -723,7 +777,7 @@ class ReliableLayer(Layer):
             inner = Message(kind, origin, self.view.vid, payload, size,
                             dest=self.me, msg_id=msg_id)
             inner.sender = origin
-            self._accept_p2p(inner, seq)
+            self._accept_stream(origin, inner, STREAM_P2P, seq)
             return
         if stream not in (STREAM_APP, STREAM_CTL):
             return
@@ -734,9 +788,8 @@ class ReliableLayer(Layer):
         if (msg.sender != origin and self.config.byzantine
                 and self.config.crypto != "none"):
             # third-party retransmission: verify the ORIGIN's signature over
-            # the reconstructed content -- p must prove it is q's message.
-            # auth_token() recomputes the digest over the reconstruction,
-            # which matches the origin's memoized digest iff the content does
+            # the reconstructed content -- p must prove it is q's message
+            # (auth_token() matches the origin's digest iff the content does)
             ok, cost = self.process.auth.verify(
                 self.me, origin, inner.auth_token(), signature)
             self.process.cpu.charge(cost)
@@ -782,57 +835,3 @@ class ReliableLayer(Layer):
     @property
     def archive_size(self):
         return len(self._archive)
-
-    # ------------------------------------------------------------------
-    # flush support (wedge / cut), driven by the membership layer
-    # ------------------------------------------------------------------
-    def wedge(self):
-        """Stop delivering new app-stream messages (view change started)."""
-        self._wedged = True
-
-    def stream_state(self):
-        """Per-origin contiguously-received app-stream maxima (for SYNC)."""
-        state = {}
-        for (origin, stream), in_stream in self._in_streams.items():
-            if stream != STREAM_APP:
-                continue
-            top = in_stream.delivered
-            while top + 1 in in_stream.buffer:
-                top += 1
-            state[origin] = top
-        state[self.me] = self._out_seq[STREAM_APP]
-        return state
-
-    def set_cut(self, cut, survivors, on_complete=None):
-        """Fix the agreed app-stream cut and the attempt's ``survivors``,
-        the only members repair asks from now on; deliver up to the cut
-        and repair what is missing up to it, inclusive."""
-        self._cut = dict(cut)
-        self._scope = survivors
-        self._cut_callback = None
-        for origin, last in self._cut.items():
-            if origin == self.me:
-                continue
-            state = self._in_streams.get((origin, STREAM_APP))
-            if state is None and last > 0:
-                state = self._in_stream(origin, STREAM_APP)
-            if state is not None:
-                # a new scope: its first ask goes out now, from round 0
-                state.asked_at, state.round = float("-inf"), 0
-                self._drain(origin, STREAM_APP, state)
-                self._repair(origin, STREAM_APP, state, last, ask=True)
-        if on_complete is not None and self.cut_complete(self._cut):
-            on_complete()
-        else:
-            self._cut_callback = on_complete
-
-    def cut_complete(self, cut):
-        """Have we *delivered* every app message up to the cut?"""
-        for origin, last in cut.items():
-            if origin == self.me:
-                continue
-            state = self._in_streams.get((origin, STREAM_APP))
-            delivered = state.delivered if state else 0
-            if delivered < last:
-                return False
-        return True

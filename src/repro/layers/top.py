@@ -34,11 +34,16 @@ class TopLayer(Layer):
     # ------------------------------------------------------------------
     def submit_cast(self, payload, size):
         """Entry point used by the endpoint for ``cast``."""
+        if self._cast_counter + 1 >= 1 << mk.CAST_COUNTER_BITS:
+            # past the bound the id would alias the next incarnation's
+            raise OverflowError(
+                f"member {self.me} cast 2**{mk.CAST_COUNTER_BITS} - 1 "
+                f"times in incarnation {self.process.incarnation}")
         self._cast_counter += 1
         # the counter restarts in a rebooted incarnation, whose casts are
         # new messages (shape and bound: core.message.is_cast_id)
-        msg_id = (self.me,
-                  (self.process.incarnation << 32) + self._cast_counter)
+        msg_id = (self.me, (self.process.incarnation << mk.CAST_COUNTER_BITS)
+                  + self._cast_counter)
         self.count("casts_submitted")
         self.process.history.record_cast_content(msg_id, payload)
         if self.stack.blocked:

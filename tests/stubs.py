@@ -74,13 +74,18 @@ class StubProcess:
 
     # services the layers might call ------------------------------------
     class FakeReliable:
-        """Stands in for the reliable layer when testing layers above it."""
+        """Stands in for the reliable layer's stream machine when testing
+        layers above it (they reach it as ``process.reliable.streams``)."""
 
         def __init__(self):
             self.wedged = False
             self.cut = None
             self.state = {}
             self.complete = True
+
+        @property
+        def streams(self):
+            return self
 
         def wedge(self):
             self.wedged = True

@@ -80,6 +80,42 @@ def test_a_restarted_member_mints_the_same_shape():
     group.stop()
 
 
+@pytest.mark.parametrize("fast", [False, True], ids=["classic", "fast"])
+def test_the_counter_bound_is_enforced(fast):
+    """``k < 2**32``: a member three casts short of the bound delivers its
+    next two casts everywhere, and the third raises before anything is
+    minted, recorded or sent."""
+    group = make_group(4, seed=4, total_order=True, ordering_fast_path=fast)
+    group.run(0.05)
+    top = group.processes[2].top
+    top._cast_counter = (1 << mk.CAST_COUNTER_BITS) - 3
+    last = [group.endpoints[2].cast(("near", k)) for k in (1, 2)]
+    assert last == [(2, (1 << 32) - 2), (2, (1 << 32) - 1)]
+    assert group.run_until(
+        lambda: all(deliveries(group.endpoints[node], ("near", 2))
+                    for node in range(4)), timeout=5.0)
+    for node in range(4):
+        assert [deliveries(group.endpoints[node], ("near", k))
+                for k in (1, 2)] == [[(2, last[0])], [(2, last[1])]]
+    sent = top.casts_sent
+    with pytest.raises(OverflowError):
+        group.endpoints[2].cast(("past",))
+    assert top._cast_counter == (1 << 32) - 1 and top.casts_sent == sent
+    assert (2, 1 << 32) not in group.processes[2].history.cast_digests
+    group.stop()
+
+
+def test_a_restart_past_the_last_incarnation_is_refused():
+    group = make_group(4, seed=11)
+    group.run(0.05)
+    group.crash(1)
+    group.processes[1].incarnation = mk.MAX_INCARNATION
+    with pytest.raises(OverflowError):
+        group.restart(1)
+    assert group.processes[1].incarnation == mk.MAX_INCARNATION
+    group.stop()
+
+
 # ----------------------------------------------------------------------
 # forged ids
 # ----------------------------------------------------------------------
@@ -196,7 +232,7 @@ def test_a_forged_id_is_reported_and_not_buffered():
     process.reliable.handle_up(forged)
     assert tags == ["rel:forged-id"]
     assert process.verbose_levels.level(2) > 0
-    assert not process.reliable._in_streams[(2, "a")].buffer
+    assert not process.reliable.streams.records[(2, "a")].buffer
     assert process.top.delivered == 0
     group.stop()
 
@@ -239,7 +275,7 @@ def test_a_relabelled_retransmission_is_rejected():
 
     retransmit(wire[:8] + ((1, 7),))
     assert tags == ["rel:forged-retrans"]
-    stream = victim.reliable._in_streams.get((1, "a"))
+    stream = victim.reliable.streams.records.get((1, "a"))
     assert stream is None or not stream.buffer
     assert victim.top.delivered == 0
 

@@ -282,9 +282,9 @@ def test_retrans_backoff_grows_and_caps():
     group = make_group(3, seed=1)
     reliable = group.processes[0].reliable
     config = group.config
-    d0 = reliable._retrans_delay(1, "stream", 0)
-    d3 = reliable._retrans_delay(1, "stream", 3)
-    d20 = reliable._retrans_delay(1, "stream", 20)
+    d0 = reliable.streams._retrans_delay(1, "stream", 0)
+    d3 = reliable.streams._retrans_delay(1, "stream", 3)
+    d20 = reliable.streams._retrans_delay(1, "stream", 20)
     # growth until the cap; at the cap only the per-round jitter varies
     assert config.retrans_timeout <= d0 < d3
     for delay in (d0, d3, d20):
@@ -292,10 +292,10 @@ def test_retrans_backoff_grows_and_caps():
                                                       + config.retrans_jitter)
     # jitter is a pure hash: the same (peer, stream, round) always gets
     # the same delay -- no RNG draw, so seeds stay stable
-    assert d3 == reliable._retrans_delay(1, "stream", 3)
+    assert d3 == reliable.streams._retrans_delay(1, "stream", 3)
     # different nodes decorrelate
     other = group.processes[1].reliable
-    assert d3 != other._retrans_delay(1, "stream", 3)
+    assert d3 != other.streams._retrans_delay(1, "stream", 3)
     group.stop()
 
 

@@ -290,7 +290,7 @@ def test_repair_asks_for_the_cuts_last_message():
     """The cut is an inclusive ceiling: with cut 10, seq 10 missing and 11
     buffered, both the ask at the cut and the timer's ask name 10."""
     process = stub_for(ReliableLayer())
-    process.layer.wedge()
+    process.layer.streams.wedge()
     for seq in list(range(1, 10)) + [11]:
         msg = Message(mk.KIND_CAST, 1, process.view.vid, ("c", seq))
         msg.push_header("rel", ("a", seq))
@@ -304,7 +304,7 @@ def test_repair_asks_for_the_cuts_last_message():
         return sent
 
     naks()
-    process.layer.set_cut({1: 10}, [0, 1, 2, 3])
+    process.layer.streams.set_cut({1: 10}, [0, 1, 2, 3])
     assert naks() == [(1, "a", (10,))]
     process.run(process.config.retrans_backoff_max)
     sent = naks()
@@ -317,7 +317,7 @@ def test_stream_state_reports_own_and_peer_progress():
     group.endpoints[0].cast("b")
     group.endpoints[1].cast("c")
     group.run(0.2)
-    state = group.processes[2].reliable.stream_state()
+    state = group.processes[2].reliable.streams.stream_state()
     assert state[0] == 2
     assert state[1] == 1
     assert state[2] == 0  # node 2 sent nothing
@@ -354,3 +354,31 @@ def test_lossy_ring_stays_under_the_nak_bound():
     assert all(p.verbose_detector.violations == 0 for p in processes)
     assert all(p.verbose_levels.level(m) == 0
                for p in processes for m in group.processes)
+
+
+@pytest.mark.parametrize("seqs", [
+    tuple(range(1, 11)) * 100,      # one NAK, each seq a hundred times
+    tuple(range(1, 66)),            # past the NAK_MAX a correct member lists
+    (2, 1), (1, 1), (), (1, "2")])
+def test_a_malformed_nak_is_refused_and_serves_nothing(seqs):
+    """A correct member lists 1..NAK_MAX strictly increasing seqs; one NAK
+    that repeats them would otherwise be served once per listing."""
+    group = make_group(5, seed=13)
+    for k in range(10):
+        group.endpoints[0].cast(("wanted", k))
+    group.run(0.002)            # delivered, not yet stable: still archived
+    victim, asker = group.processes[0], group.processes[3]
+    assert all((0, "a", seq) in victim.reliable._archive
+               for seq in range(1, 11))
+    tags = tagged_detector(victim)
+    served = victim.reliable.retransmissions_served
+    asker.reliable.send_down(Message(
+        mk.KIND_NAK, 3, asker.view.vid, (0, "a", seqs), dest=0))
+    group.run(victim.config.retrans_timeout / 2.0)
+    assert victim.reliable.retransmissions_served == served
+    assert tags == ["rel:bad-nak"]
+    asker.reliable.send_down(Message(
+        mk.KIND_NAK, 3, asker.view.vid, (0, "a", tuple(range(1, 11))),
+        dest=0))
+    group.run(victim.config.retrans_timeout / 2.0)
+    assert victim.reliable.retransmissions_served == served + 10

@@ -115,7 +115,7 @@ def test_reliable_nak_flood_rate_limited():
 
 def test_reliable_wedge_blocks_app_but_not_ctl():
     process = stub_for(ReliableLayer())
-    process.layer.wedge()
+    process.layer.streams.wedge()
     process.feed_up(stream_msg(process, 1, 1, "app-blocked", stream="a"))
     ctl = Message(mk.KIND_CONSENSUS, 1, process.view.vid, ("x",))
     ctl.push_header("rel", ("c", 1))
@@ -128,12 +128,12 @@ def test_reliable_wedge_blocks_app_but_not_ctl():
 
 def test_reliable_cut_releases_exactly_up_to_cut():
     process = stub_for(ReliableLayer())
-    process.layer.wedge()
+    process.layer.streams.wedge()
     for seq in (1, 2, 3):
         process.feed_up(stream_msg(process, 1, seq, ("m", seq)))
     done = []
-    process.layer.set_cut({1: 2}, [0, 1],
-                          on_complete=lambda: done.append(True))
+    process.layer.streams.set_cut({1: 2}, [0, 1],
+                                  on_complete=lambda: done.append(True))
     payloads = [m.payload for m in process.above.received_up]
     assert payloads == [("m", 1), ("m", 2)]  # seq 3 is beyond the cut
     assert done == [True]

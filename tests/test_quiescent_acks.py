@@ -179,8 +179,8 @@ def test_trailing_loss_recovers_within_the_periodic_ack_time():
         timeout=1.0)
     assert group.network.chaos.dropped == 1
     # an ack's evidence opened the repair, not a later message
-    assert (group.processes[victim].reliable._in_streams[(0, "a")].asked_at
-            >= cast_at)
+    streams = group.processes[victim].reliable.streams
+    assert streams.records[(0, "a")].asked_at >= cast_at
     # the proof is the first ack after the burst: one ack tick, then a
     # NAK/retransmission round trip -- what periodic acks took as well
     assert group.sim.now - cast_at < config.ack_interval + 0.002

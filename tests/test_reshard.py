@@ -15,11 +15,14 @@ The tentpole's contract, exercised at the ``Cluster`` surface:
   rebuilds the plan from the directory and finishes it idempotently.
 """
 
+import re
+
 import pytest
 
 from repro import Cluster, Group, StackConfig
 from repro.chaos import ChaosEngine
-from repro.shard.chaos import ShardChaosEngine, check_key_conservation
+from repro.shard.chaos import (ShardChaosEngine, check_key_conservation,
+                               run_reshard_campaign)
 from repro.shard.rsm import ShardReplica
 from repro.sim.topology import FlatGigE
 from tests.helpers import count_calls
@@ -416,3 +419,22 @@ def test_crash_below_the_shard_floor_is_refused():
     engine.apply(["crash", 0])
     assert engine.crashed == {0, 4}
     cluster.stop()
+
+
+#: the messages of ``check_key_conservation``
+KEY_CONSERVATION = re.compile(
+    r"key |shard \d+ (has no live replica|outbox residue)")
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP 1 (r4): keys on two shards at once")
+def test_reshard_campaign_seed_12_conserves_keys():
+    """r4 pinned: seed 12 of ``python -m repro reshard`` (its defaults)
+    leaves keys on shards 2 and 3 at once and others an increment
+    short.  Any other kind of violation is a different failure."""
+    report = run_reshard_campaign(seeds=(12,))
+    violations = report["results"][0]["violations"]
+    others = [v for v in violations if not KEY_CONSERVATION.match(v)]
+    if others:
+        pytest.fail("r4 changed shape: %r" % (others,))
+    assert violations == []

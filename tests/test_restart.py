@@ -133,6 +133,8 @@ def _armed_victim_timers(group, victim, allow=()):
              process.mute_levels, process.verbose_levels,
              process.mute_detector, process.verbose_detector]
     owned.extend(process.stack.layers)
+    # the machines without I/O arm their own timers
+    owned += [process.reliable.streams, process.membership.machine]
     if process.endpoint is not None:
         owned.append(process.endpoint)
     owned_ids = {id(component) for component in owned}
@@ -148,6 +150,20 @@ def _armed_victim_timers(group, victim, allow=()):
             continue
         hits.append(callback)
     return hits
+
+
+def test_stop_cancels_an_armed_repair_timer():
+    """A stream with holes keeps its repair timer armed; stop() cancels
+    it, or the dead member would go on asking for them."""
+    group = make_group(4, seed=9)
+    group.run(0.05)
+    victim = 2
+    streams = group.processes[victim].reliable.streams
+    streams.ask(0, "a", 3)      # evidence of three casts it never got
+    assert streams.records[(0, "a")].timer is not None
+    group.crash(victim)
+    assert _armed_victim_timers(group, victim, allow=_TRANSIENT_OK) == []
+    group.stop()
 
 
 def test_stop_cancels_all_pending_timers():

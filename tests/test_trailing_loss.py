@@ -43,7 +43,7 @@ def test_trailing_loss_repaired_via_ack_vectors():
     # retransmission requested off the ack-vector evidence
     assert DropLastCast.dropped >= 1
     victim = group.processes[1].reliable
-    assert victim._in_streams[(0, "a")].asked_at > 0.1, \
+    assert victim.streams.records[(0, "a")].asked_at > 0.1, \
         "ack evidence did not open the repair"
     group.stop()
 
