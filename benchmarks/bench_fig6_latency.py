@@ -8,7 +8,7 @@ NoCrypto slightly above benign; SymCrypto adds per-receiver MAC cost
 (grows with n); Total adds a consensus round on top.
 
 ``run_all.py`` sweeps the full size range into EXPERIMENTS.md.
-Open-loop total-order latency under load, classic engine vs fast path,
+Open-loop total-order latency under load, window 1 vs window 2,
 is measured by the ledger's ``order_classic_n8`` / ``order_fast_n8``
 workloads (``benchmarks/ledger``), not here.
 """

@@ -96,10 +96,10 @@ CHAOS_PRESETS = {
     # the default (classic) ordering mode under the byz op mix
     "byz-total": {"config": {"byzantine": True, "total_order": True},
                   "byzantine_fraction": 0.3},
-    # fast-path campaign: total ordering with the optimistic 2-step path
-    # armed, the full adversary vocabulary (byzantine_at schedules
-    # Equivocator & co. mid-run), and corruption enabled since crypto
-    # is real.  Exercises the fallback seam under every fault class.
+    # pipelined ordering (a window of two consensus instances) under the
+    # full adversary vocabulary (byzantine_at schedules Equivocator & co.
+    # mid-run), with corruption enabled since crypto is real.  Exercises
+    # the overlap of in-flight instances under every fault class.
     "byz-fast": {"config": {"byzantine": True, "crypto": "sym",
                             "total_order": True,
                             "ordering_fast_path": True},

@@ -315,7 +315,7 @@ class Equivocator(ByzantineBehavior):
         payload = msg.payload
         # uniform-broadcast / consensus envelopes are (instance_id, inner);
         # ordering envelopes are ("ord", k, inner) -- equivocate on both,
-        # which with the fast path live also attacks fprop/fecho traffic
+        # which under a window of two attacks both in-flight instances
         if not isinstance(payload, tuple) or len(payload) not in (2, 3):
             return msg
         if crc32(repr(dst).encode("utf-8")) & 1 == 0:

@@ -119,11 +119,9 @@ class StackConfig:
                  # total ordering
                  order_batch_max=1024,
                  order_tick=0.002,
-                 # optimistic 2-step ordering fast path (coordinator
-                 # proposal + echo quorum); falls back to the full vector
-                 # consensus on suspicion, conflict, or this deadline
+                 # pipelined ordering: up to FAST_PIPELINE_WINDOW
+                 # consensus instances in flight, any cast may open one
                  ordering_fast_path=False,
-                 order_fast_timeout=0.08,
                  # observability (repro.obs): None/False = fully disabled
                  # (untaxed failure-free path); True = ObsConfig defaults
                  obs=None,
@@ -167,7 +165,6 @@ class StackConfig:
         self.order_batch_max = order_batch_max
         self.order_tick = order_tick
         self.ordering_fast_path = ordering_fast_path
-        self.order_fast_timeout = order_fast_timeout
         if obs is True:
             obs = ObsConfig()
         self.obs = obs or None

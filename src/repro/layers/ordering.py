@@ -29,17 +29,19 @@ member's highest started instance; every member joins all instances up to
 the maximum before delivering the deterministic tail, so the total order
 extends unbroken to the view boundary.
 
-One instance manager runs both modes: up to *window* instances in flight,
-decided batches held and applied strictly in instance order.  The classic
-path is window 1 with no fast round.  The optimistic fast path
-(``ordering_fast_path``) differs at three policy points only: instances run
-the 2-step echo protocol of ``repro.consensus.fastpath`` in front of the
-same consensus; the window is ``FAST_PIPELINE_WINDOW``; and any cast
-arrival may open an instance, so a cast arriving while instance ``k`` is in
-flight rides instance ``k+1`` immediately instead of waiting for ``k`` to
-finish plus an ordering tick.  Overlap between concurrent proposals is safe
-because delivery dedups by message id, and in-order application makes the
-dedup resolve identically at every correct member.
+Every instance is one ``VectorConsensus``, run by one instance manager:
+up to *window* instances in flight, decided batches held and applied
+strictly in instance order.  The classic path is window 1.
+``ordering_fast_path`` sets the window to ``FAST_PIPELINE_WINDOW`` and lets
+any cast arrival open an instance, so a cast arriving while instance ``k``
+is in flight rides instance ``k+1`` immediately instead of waiting for
+``k`` to finish plus an ordering tick.  Every proposal is the whole
+undelivered buffer, so concurrent proposals overlap; delivery dedups by
+message id, and in-order application makes the dedup resolve identically
+at every correct member.  Per-origin FIFO holds by construction: the
+reliable layer feeds the buffer in each origin's order, so a correct
+proposal plus what its proposer already delivered is prefix-closed per
+origin, and every batch applied before it covers that delivered part.
 
 Who opens a classic instance: the cast itself when it finds this member's
 ordering tick dormant (nothing to batch with), otherwise the tick or the
@@ -55,8 +57,7 @@ from __future__ import annotations
 
 from repro.core import message as mk
 from repro.core.message import Message, batch_sort_key, is_cast_id
-from repro.consensus.fastpath import FastPathConsensus, fast_coordinator
-from repro.consensus.vector import VectorConsensus
+from repro.consensus.vector import VectorConsensus, _stable_hash
 from repro.layers.base import Layer
 from repro.sim.clock import GridTimer
 
@@ -65,11 +66,20 @@ from repro.sim.clock import GridTimer
 #: Byzantine member must not be able to request unbounded work
 MAX_INSTANCE_SKEW = 64
 
-#: fast-path pipelining depth: how many ordering instances may be in
-#: flight concurrently.  Two keeps a cast's wait bounded by one in-flight
-#: instance instead of (instance + tick) while capping the per-node state
-#: and the overlap between concurrent proposals.
+#: pipelining depth under ``ordering_fast_path``: how many ordering
+#: instances may be in flight concurrently.  Two keeps a cast's wait
+#: bounded by one in-flight instance instead of (instance + tick) while
+#: capping the per-node state and the overlap between concurrent proposals.
 FAST_PIPELINE_WINDOW = 2
+
+
+def fast_coordinator(members, coordinator_seed):
+    """The one member that may open the overlap slot of the instance
+    seeded ``coordinator_seed`` while another is in flight; everyone else
+    joins it when its ``val`` arrives.  Offset by one from the instance's
+    round-1 coordinator, so one slow member does not gate both."""
+    return members[_stable_hash(len(members), coordinator_seed)
+                   % len(members)]
 
 
 def batch_entries(batch):
@@ -160,14 +170,9 @@ class OrderingLayer(Layer):
         self._flush_undecidable = False
         self._frozen_undecidable = False
         self._decisions = {}     # k -> [vector, dec already broadcast]
-        self._decided_out = {}   # k -> (vector, mode) decided, unapplied
+        self._decided_out = {}   # k -> vector decided, unapplied
         self.batches_decided = 0
         self.messages_ordered = 0
-        # --- fast round state (all empty while the knob is off) ---
-        self._fast_timers = {}     # k -> fprop->quorum deadline timer
-        self._buffered_at = {}     # msg_id -> buffer time (latency marks)
-        self.fast_decides = 0      # instances decided in 2 steps
-        self.fast_fallbacks = 0    # fast instances aborted into consensus
 
     # ------------------------------------------------------------------
     def attach(self, stack):
@@ -182,7 +187,6 @@ class OrderingLayer(Layer):
 
     def stop(self):
         self._ticker.stop()
-        self._cancel_fast_timers()
 
     def on_view(self, view):
         self._buffer.clear()
@@ -198,8 +202,6 @@ class OrderingLayer(Layer):
         self._frozen_undecidable = False
         self._decided_out.clear()
         self._decisions.clear()
-        self._buffered_at.clear()
-        self._cancel_fast_timers()
 
     def on_control(self, event, data):
         if (not self.config.total_order or event not in (
@@ -207,12 +209,6 @@ class OrderingLayer(Layer):
             return
         if event == "view-change-started":
             self._stopped_proposing = True
-            if self.config.ordering_fast_path:
-                # resolve the in-flight fast instances through consensus:
-                # the coordinator may be the member we are reconfiguring
-                # around, and the flush must not stall on their deadlines
-                for inst in list(self._instances.values()):
-                    inst.abort("view-change")
         # either event means the failure detector's verdicts moved (the
         # *first* suspicion raises only view-change-started): an instance
         # that has heard every live member gets no further message to
@@ -273,12 +269,11 @@ class OrderingLayer(Layer):
             # decide that emptied it while not busy: there is no load to
             # batch with, so the cast opens its instance now.  A busy
             # member's cast waits for the tick (or the next decide), which
-            # is all the batching classic ordering has
+            # is all the batching window 1 has; a wider window lets any
+            # arrival open the next instance
             idle = self._ticker.dormant
             self._ticker.arm()
-            if self.config.ordering_fast_path:
-                self._on_cast_buffered(msg.msg_id)
-            elif idle:
+            if idle or self.config.ordering_fast_path:
                 self._maybe_start()
             return
         if msg.kind == mk.KIND_ORDER:
@@ -322,12 +317,12 @@ class OrderingLayer(Layer):
         """A message for an instance we already finished.
 
         No decision is broadcast at decide time, so a member whose round
-        did not complete with ours (it missed a quorum or a fast proposal,
-        was suspected and left out, or is joining the instance during a
-        flush) would wait forever on an instance everyone else completed.
-        Such a member always has a ``val`` in flight that our decision did
-        not count -- its next round's, its fallback's, or a frozen
-        instance's repeat -- and that ``val`` is answered from the archive
+        did not complete with ours (it missed a quorum, was suspected and
+        left out, or is joining the instance during a flush) would wait
+        forever on an instance everyone else completed.  Such a member
+        always has a ``val`` in flight that our decision did not count --
+        its next round's or a frozen instance's repeat -- and that ``val``
+        is answered from the archive
         with the ``dec`` Algorithm 1 would have broadcast, which both live
         rounds and dec-adoption flushes know how to consume.  The answer
         is a broadcast, so one per instance serves every straggler.
@@ -344,45 +339,26 @@ class OrderingLayer(Layer):
     # instance lifecycle
     # ------------------------------------------------------------------
     def _tick(self):
-        # classic: the tick opens an instance for what a busy member
-        # buffered since the last one.  Fast: bootstrap only -- cast
-        # arrivals and decide events drive the pipeline, the tick mops up
-        # anything those paths missed.  Dormant iff nothing is buffered,
-        # stashed or in flight (then it could start nothing); a cast or
-        # stashed ``ord`` re-arms it on the same grid, so an idle member
-        # costs no events and a busy one keeps its instants
+        # the tick opens an instance for what a busy member buffered since
+        # the last one (under a wider window, cast arrivals and decide
+        # events drive the pipeline and the tick mops up anything those
+        # paths missed).  Dormant iff nothing is buffered, stashed or in
+        # flight (then it could start nothing); a cast or stashed ``ord``
+        # re-arms it on the same grid, so an idle member costs no events
+        # and a busy one keeps its instants
         self._maybe_start()
         self._ticker.fired(self._buffer or self._pending or self._instances)
-
-    def _on_cast_buffered(self, msg_id):
-        """Cast-arrival hooks (fast mode only).
-
-        Two jobs: stamp the cast for the cast->deliver latency histograms,
-        and feed the pipeline -- a newly buffered cast may complete the
-        validation of an in-flight proposal (``revalidate``), or warrant
-        opening the next instance immediately instead of waiting out the
-        ordering tick (order_tick dwarfs the simulated network hop, so the
-        tick wait dominates failure-free latency).
-        """
-        obs = self.stack.obs
-        if obs is not None and obs.metrics_enabled:
-            self._buffered_at[msg_id] = self.sim.now
-        for inst in list(self._instances.values()):
-            inst.revalidate()
-        self._maybe_start()
 
     def _maybe_start(self):
         """Open the next instance when the window has room.
 
         A peer's early message for the next instance always warrants
         joining it, view change started or not.  Otherwise, idle (no
-        instance in flight): any member starts on a non-empty buffer -- in
-        fast mode non-coordinators simply wait for the coordinator's
-        proposal, and the fast deadline bounds that wait.  Busy (window
-        above 1 and room left): only the *next* instance's fast coordinator
-        opens the overlap slot, and only for casts the in-flight proposals
-        do not already cover -- everyone else joins when its proposal
-        arrives.
+        instance in flight): any member starts on a non-empty buffer.
+        Busy (window above 1 and room left): only the *next* instance's
+        ``fast_coordinator`` opens the overlap slot, and only for casts the
+        in-flight and unapplied batches do not already cover -- everyone
+        else joins when its ``val`` arrives.
         """
         if self._flush_target is not None or self._frozen_undecidable:
             return
@@ -407,19 +383,18 @@ class OrderingLayer(Layer):
             self._open_instance()
 
     def _covered_ids(self):
-        """Message ids already owned by an in-flight or unapplied batch."""
-        vectors = [inst.tracked for inst in self._instances.values()]
-        vectors += [vector for vector, _mode in self._decided_out.values()]
+        """Message ids an in-flight estimate or unapplied batch holds."""
+        vectors = [inst.est for inst in self._instances.values()]
+        vectors += self._decided_out.values()
         return {entry[0] for vector in vectors
                 for entry in batch_entries(vector[0])}
 
     def _proposal(self):
-        """The buffered casts, minus those an in-flight instance will
-        already order -- overlap is *safe* (delivery dedups) but wasteful.
-        With nothing in flight (always, at window 1) nothing is covered."""
-        covered = self._covered_ids()
+        """Every buffered (so undelivered) cast, in batch order.  Leaving
+        out what an in-flight instance covers would break per-origin FIFO
+        when that instance decides another batch."""
         entries = [(mid, m.payload, m.payload_size)
-                   for mid, m in self._buffer.items() if mid not in covered]
+                   for mid, m in self._buffer.items()]
         entries.sort(key=lambda e: batch_sort_key(e[0]))
         return tuple(entries[: self.config.order_batch_max])
 
@@ -431,40 +406,19 @@ class OrderingLayer(Layer):
         members = list(view.mbrs)
         args = (("ord", view.vid.key(), k), members, self.me, self.process.f,
                 (self._proposal(),), lambda proto: self._bcast_proto(k, proto))
-        hooks = dict(is_suspected=self._fd_suspects,
-                     on_decide=lambda vec: self._on_decided(k, vec),
-                     on_misbehavior=self._misbehavior,
-                     coordinator_seed=("ord",) + view.vid.key() + (k,),
-                     on_round=self._on_round)
-        if self.config.ordering_fast_path:
-            instance = FastPathConsensus(
-                *args, validate=self._validate_proposal,
-                on_fallback=lambda reason: self._on_fast_fallback(k, reason),
-                **hooks)
-            # mode arbitration: run the 2-step protocol only when nothing
-            # suggests it could stall -- no flush in progress, proposing
-            # allowed, and no live suspicion against any member
-            fast_round = (self._flush_target is None
-                          and not self._frozen_undecidable
-                          and not self._stopped_proposing
-                          and not any(self._fd_suspects(m) for m in members))
-            if not fast_round:
-                self.count("fast_skipped")
-            start = lambda: instance.start(fast=fast_round)
-        else:
-            instance = VectorConsensus(*args, eager_dec=False, **hooks)
-            fast_round = False
-            start = instance.start
+        instance = VectorConsensus(
+            *args, eager_dec=False, is_suspected=self._fd_suspects,
+            on_decide=lambda vec: self._on_decided(k, vec),
+            on_misbehavior=self._misbehavior,
+            coordinator_seed=("ord",) + view.vid.key() + (k,),
+            on_round=self._on_round)
         self._instances[k] = instance
         early = self._pending.pop(k, [])
-        start()
+        instance.start()
         for sender, proto in early:
             if self._instances.get(k) is not instance:
                 break           # decided (or poisoned) under our feet
             instance.on_message(sender, proto)
-        if (fast_round and self._instances.get(k) is instance
-                and instance.mode == "fast"):
-            self._arm_fast_deadline(k)
 
     def _bcast_proto(self, k, proto):
         out = Message(mk.KIND_ORDER, self.me, self.view.vid,
@@ -480,71 +434,8 @@ class OrderingLayer(Layer):
 
     def _proto_size(self, proto):
         """Accounting size of one ordering protocol message: what it
-        actually carries.  fecho is a fixed digest, everything else ships
-        a proposal vector as its last slot."""
-        if proto[0] == "fecho":
-            return 80
+        actually carries, a proposal vector in its last slot."""
         return 16 + sum(e[2] + 10 for e in batch_entries(proto[-1][0]))
-
-    def _validate_proposal(self, vector):
-        """Echo gate: is the coordinator's proposed batch one we can sign?
-
-        ``True`` -> echo it; ``False`` -> provably bad (fall back to
-        consensus); ``"wait"`` -> entries we have not received yet, the
-        host re-validates as casts arrive and the deadline bounds the wait.
-        """
-        batch = vector[0]
-        if (not isinstance(batch, tuple)
-                or len(batch) > self.config.order_batch_max
-                or len(entries := batch_entries(batch)) != len(batch)):
-            return False
-        missing = False
-        prev_key = None
-        for msg_id, payload, size in entries:
-            key = batch_sort_key(msg_id)
-            if prev_key is not None and not prev_key < key:
-                return False    # unsorted or duplicated entries
-            prev_key = key
-            if msg_id in self._delivered:
-                # an already-ordered message: benign pipelining overlap
-                # (a concurrent instance delivered it first); delivery
-                # dedups, and the agreed content won that race, so the
-                # copy here is inert whatever it says
-                continue
-            held = self._buffer.get(msg_id)
-            if held is None:
-                missing = True
-            elif held.payload != payload or held.payload_size != size:
-                return False    # conflicts with the signed cast we hold
-        return "wait" if missing else True
-
-    def _on_fast_fallback(self, k, reason):
-        self.fast_fallbacks += 1
-        self.count("fast_fallbacks")
-        self.count("fast_fallback_" + reason)
-        self._cancel_fast_timer(k)
-
-    def _arm_fast_deadline(self, k):
-        self._cancel_fast_timer(k)
-        self._fast_timers[k] = self.sim.schedule(
-            self.config.order_fast_timeout, self._fast_deadline, k)
-
-    def _cancel_fast_timer(self, k):
-        timer = self._fast_timers.pop(k, None)
-        if timer is not None:
-            timer.cancel()
-
-    def _cancel_fast_timers(self):
-        for timer in self._fast_timers.values():
-            timer.cancel()
-        self._fast_timers.clear()
-
-    def _fast_deadline(self, k):
-        self._fast_timers.pop(k, None)
-        inst = self._instances.get(k)
-        if inst is not None and not inst.decided:
-            inst.timeout()
-
     def _fd_suspects(self, member):
         process = self.process
         if process.suspicion.is_suspected(member):
@@ -558,18 +449,10 @@ class OrderingLayer(Layer):
 
     def _on_decided(self, k, vector):
         inst = self._instances.pop(k, None)
-        self._cancel_fast_timer(k)
         if inst is None:
             return              # poisoned by an undecidable flush
-        mode = None             # classic: no per-mode latency histogram
-        if self.config.ordering_fast_path:
-            mode = "fallback"
-            if inst.fast_decided:
-                mode = "fast"
-                self.fast_decides += 1
-                self.count("fast_decides")
         self._archive_decision(k, vector, inst.dec_announced)
-        self._decided_out[k] = (vector, mode)
+        self._decided_out[k] = vector
         self._apply_ready()
 
     def _apply_ready(self):
@@ -582,9 +465,9 @@ class OrderingLayer(Layer):
         """
         while self._decided_k + 1 in self._decided_out:
             k = self._decided_k + 1
-            vector, mode = self._decided_out.pop(k)
+            vector = self._decided_out.pop(k)
             self._decided_k = k
-            self._apply_batch(vector, mode)
+            self._apply_batch(vector)
         if self._flush_target is not None:
             self._continue_flush()
             return
@@ -596,7 +479,7 @@ class OrderingLayer(Layer):
                 or self._instances):
             self._ticker.sleep()
 
-    def _apply_batch(self, vector, mode):
+    def _apply_batch(self, vector):
         batch = vector[0]
         if not isinstance(batch, tuple):
             return
@@ -605,7 +488,7 @@ class OrderingLayer(Layer):
         self.observe("batch_size", len(batch))
         for msg_id, payload, size in sorted(
                 batch_entries(batch), key=lambda e: batch_sort_key(e[0])):
-            self._deliver(msg_id, payload, size, mode)
+            self._deliver(msg_id, payload, size)
 
     def _archive_decision(self, k, vector, announced):
         """Remember a decision so stragglers can be answered.
@@ -617,17 +500,12 @@ class OrderingLayer(Layer):
         self._decisions[k] = [vector, announced]
         self._decisions.pop(k - MAX_INSTANCE_SKEW, None)
 
-    def _deliver(self, msg_id, payload, size, mode=None):
+    def _deliver(self, msg_id, payload, size):
         if msg_id in self._delivered:
             return
         self._delivered.add(msg_id)
         self.messages_ordered += 1
         self.count("messages_ordered")
-        if mode is not None:
-            buffered_at = self._buffered_at.pop(msg_id, None)
-            if buffered_at is not None:
-                self.observe("cast_latency_" + mode,
-                             self.sim.now - buffered_at)
         held = self._buffer.pop(msg_id, None)
         # always deliver the *decided* content: with a two-faced origin our
         # local copy may differ from what the group agreed on, and content
@@ -689,7 +567,6 @@ class OrderingLayer(Layer):
             "pending": sum(len(v) for v in self._pending.values()),
             "decision_archive": len(self._decisions),
             "decided_backlog": len(self._decided_out),
-            "latency_marks": len(self._buffered_at),
             "instance_state": sum(i.state_size()
                                   for i in self._instances.values()),
         }
@@ -702,7 +579,6 @@ class OrderingLayer(Layer):
         target = self._flush_target
         for k in [k for k in self._instances if k > target]:
             del self._instances[k]
-            self._cancel_fast_timer(k)
         for k in [k for k in self._decided_out if k > target]:
             del self._decided_out[k]
         if self._decided_k < target:

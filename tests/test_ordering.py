@@ -8,10 +8,12 @@ from tests.helpers import (MALFORMED_CONSENSUS_PAYLOADS, cast_ids,
                            cast_payloads, make_group)
 
 from repro import Group, StackConfig, check_virtual_synchrony
+from repro.chaos import FaultPlan, run_plan
 from repro.core import message as mk
 from repro.core.message import Message
 from repro.core.properties import check_total_order
-from repro.layers.ordering import _DeliveredIds
+from repro.consensus.vector import VectorConsensus
+from repro.layers.ordering import _DeliveredIds, fast_coordinator
 from repro.sim.network import NetworkConfig
 
 
@@ -148,6 +150,161 @@ def test_malformed_ordering_payload_flagged_not_raised(fast):
     assert all(cast_payloads(group.endpoints[n]) == ["after"]
                for n in range(8))
     group.stop()
+
+
+# ----------------------------------------------------------------------
+# the window: ``ordering_fast_path`` runs up to FAST_PIPELINE_WINDOW
+# instances of the same consensus at once, window 1 is the classic path
+# ----------------------------------------------------------------------
+def window_group(n, fast, seed=7):
+    config = StackConfig.byz(crypto="sym", total_order=True,
+                             ordering_fast_path=fast)
+    return Group.bootstrap(n, config=config, seed=seed)
+
+
+def collect_orders(group):
+    orders = {}
+    for node, endpoint in group.endpoints.items():
+        endpoint.record_events = False
+        orders[node] = []
+        endpoint.on_cast = (lambda event, acc=orders[node]:
+                            acc.append((event.msg_id, event.payload)))
+    return orders
+
+
+@pytest.mark.parametrize("fast", [False, True])
+def test_casts_from_many_members_decide_identical_order(fast):
+    group = window_group(8, fast)
+    orders = collect_orders(group)
+    endpoints = list(group.endpoints.values())
+    for i, endpoint in enumerate(endpoints[:5]):
+        endpoint.cast(("m", i), size=32)
+    group.run(1.0)
+    assert len({tuple(o) for o in orders.values()}) == 1
+    assert len(orders[0]) == 5
+    for process in group.processes.values():
+        sizes = process.ordering.state_sizes()
+        assert sizes["instance_state"] == 0
+        assert sizes["decided_backlog"] == 0
+        assert sizes["buffer"] == 0
+    group.stop()
+
+
+@pytest.mark.parametrize("fast", [False, True])
+def test_pipelined_casts_all_delivered(fast):
+    # a second wave lands while the first instance is in flight: at
+    # window 2 it rides the next instance at once, so two are in flight
+    group = window_group(8, fast)
+    orders = collect_orders(group)
+    in_flight = []
+    for process in group.processes.values():
+        layer = process.ordering
+
+        def opened(layer=layer, open_instance=layer._open_instance):
+            open_instance()
+            in_flight.append(len(layer._instances))
+        layer._open_instance = opened
+    for i, endpoint in enumerate(group.endpoints.values()):
+        group.sim.schedule(0.0003 * i, endpoint.cast, ("w", i))
+    group.run(1.0)
+    assert len({tuple(o) for o in orders.values()}) == 1
+    assert len(orders[0]) == 8
+    assert max(in_flight) == (2 if fast else 1)
+    group.stop()
+
+
+@pytest.mark.parametrize("fast", [False, True])
+def test_view_change_seam_keeps_virtual_synchrony(fast):
+    group = window_group(8, fast)
+    for k in range(6):
+        group.endpoints[k % 8].cast(("pre", k))
+    group.run(0.2)
+    group.endpoints[7].leave()
+    ok = group.run_until(lambda: all(p.view.n == 7
+                                     for node, p in group.processes.items()
+                                     if node != 7), timeout=5.0)
+    assert ok
+    for k in range(4):
+        group.endpoints[k].cast(("post", k))
+    group.run(0.5)
+    execution = group.execution()
+    violations = check_virtual_synchrony(execution, total_order=True)
+    assert not violations, "\n".join(violations[:5])
+    group.stop()
+
+
+@pytest.mark.parametrize("fast", [False, True])
+def test_stale_responder_is_one_shot(fast):
+    group = window_group(8, fast)
+    group.endpoints[0].cast(("solo", 0))
+    group.run(0.5)
+    layer = group.processes[0].ordering
+    archived = [k for k, e in layer._decisions.items() if not e[1]]
+    assert archived, "expected at least one archived decision"
+    k = archived[0]
+    sent = []
+    layer._bcast_proto = lambda k, proto: sent.append((k, proto))
+    # a straggler's round-1 val for an instance we decided: answer once
+    # with the decision, then stay quiet
+    layer._on_stale_order_msg(k, ("val", 1, (("x",),)))
+    layer._on_stale_order_msg(k, ("val", 1, (("x",),)))
+    assert len(sent) == 1
+    assert sent[0][0] == k and sent[0][1][0] == "dec"
+    # other traffic for the same instance never triggers a response
+    vector, _ = layer._decisions[k]
+    layer._decisions[k][1] = False
+    layer._on_stale_order_msg(k, ("coord", 1, vector))
+    layer._on_stale_order_msg(k, ("dec", vector))
+    assert len(sent) == 1
+    group.stop()
+
+
+def test_window_one_and_two_deliver_same_messages():
+    def run_once(fast):
+        group = window_group(8, fast, seed=11)
+        orders = collect_orders(group)
+        endpoints = list(group.endpoints.values())
+        for i, endpoint in enumerate(endpoints[:6]):
+            group.sim.schedule(0.003 * i, endpoint.cast, ("x", i))
+        group.run(1.5)
+        group.stop()
+        assert len({tuple(o) for o in orders.values()}) == 1
+        return orders[0]
+
+    window_two = run_once(True)
+    window_one = run_once(False)
+    # batching differs, so the *order* may differ between the two runs --
+    # but both are internally consistent (asserted above) and must
+    # deliver exactly the same set of messages
+    assert {m for m, _p in window_two} == {m for m, _p in window_one}
+    assert len(window_two) == 6
+
+
+def test_fast_coordinator_offset_from_round_one_coordinator():
+    # the member that opens the overlap slot must not also lead the
+    # instance's first round, or one slow member gates both
+    members = list(range(13))
+    for k in range(1, 30):
+        seed = ("ord", "vid", k)
+        inst = VectorConsensus("x", members, 0, 2, ((1,),), lambda p: None,
+                               coordinator_seed=seed)
+        assert fast_coordinator(members, seed) != inst.coordinator_of(1)
+
+
+@pytest.mark.parametrize("seed,n,ops", [
+    (23, 8, [["cast", 1, 10]]),
+    (205, 9, [["cast", 5, 6]]),
+])
+def test_minimized_byz_fast_burst_keeps_fifo(seed, n, ops):
+    # ddmin-minimized byz-fast plans, each a failure-free cast burst, that
+    # broke per-origin FIFO while instance k+1's proposal left out what
+    # k's covered and k then decided another batch
+    config = {"byzantine": True, "crypto": "sym", "total_order": True,
+              "ordering_fast_path": True}
+    violations, engine = run_plan(FaultPlan(seed=seed, n=n, ops=ops,
+                                            config=config))
+    engine.group.stop()
+    assert violations == []
 
 
 #: ids no correct member casts; hashable, so a plain set kept them too
