@@ -12,7 +12,8 @@ Protocol messages (``payload`` tuples, carried over intra-view reliable
 FIFO channels by the hosting layer):
 
 * ``("val", r, est)``   -- round-r estimate broadcast (step 1);
-* ``("coord", r, vec)`` -- the round-r coordinator's dominating vector;
+* ``("coord", r, vec)`` -- the round-r coordinator's dominating vector,
+  sent only in a round the coordinator does not decide;
 * ``("dec", vec)``      -- a decided process's final value; satisfies both
   the ``val`` and the ``coord`` waits of every later round, as in the
   listing's lines 6 and 27.  Broadcast at decide time unless the host
@@ -309,26 +310,27 @@ class VectorConsensus(AgreementInstance):
             if count > n / 2.0:
                 dominating[k] = value
         self._dominating = dominating
-        if self.me == self.coordinator_of(self.round):
+        support = [columns[k].count(dominating[k]) for k in range(self.width)]
+        decides = all(s >= n - f for s in support)
+        if not decides and self.me == self.coordinator_of(self.round):
+            # a deciding coordinator's coord is read by no correct member
+            # (DESIGN section 6, deviation 13); recorded before any wait
+            # on it, so a coordinator that needs its own coord has it
             vec = tuple(dominating)
             self._coord_msgs.setdefault(self.round, vec)
             self.broadcast(("coord", self.round, vec))
-        need_coord = [False] * self.width
+        need_coord = [s < n - 2 * f - bottoms for s in support]
         for k in range(self.width):
-            support = columns[k].count(dominating[k])
-            if support >= n - 2 * f - bottoms:
+            if not need_coord[k]:
                 self.est[k] = dominating[k]
-            else:
-                need_coord[k] = True
         self._need_coord = need_coord
         if any(need_coord):
             self.phase = "coord"
             self._progress_again = True
             return
-        for k in range(self.width):
-            if columns[k].count(dominating[k]) < n - f:
-                self._next_round()
-                return
+        if not decides:
+            self._next_round()
+            return
         self._broadcast_decision()
 
     def _try_finish_step2(self):

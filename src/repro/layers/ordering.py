@@ -16,11 +16,11 @@ ordering subsumes uniform broadcast without a separate protocol, exactly
 as the paper notes.
 
 Decisions are announced on demand.  Algorithm 1 ends every instance with
-each member broadcasting ``dec`` -- n of the n + 1-ish broadcasts of a
-one-round instance, almost never read.  Here every decided instance goes
-into one bounded archive and nothing is broadcast at decide time; a ``val``
-arriving for a finished instance proves its sender is behind, and is
-answered with the archived ``("dec", vector)``, once per instance.  Same
+each member broadcasting ``dec`` -- n of the listing's 2n + 1 broadcasts
+of a one-round instance, almost never read.  Here every decided instance
+goes into one bounded archive and nothing is broadcast at decide time; a
+``val`` arriving for a finished instance proves its sender is behind, and
+is answered with the archived ``("dec", vector)``, once per instance.  Same
 messages, later: safety is untouched, and only a member that is already
 behind pays an extra hop (DESIGN section 6).
 

@@ -314,6 +314,44 @@ def test_deferred_dec_is_silent_unless_a_peer_already_left_the_round():
     assert inst.dec_announced and [p[0] for p in sent] == ["val", "dec"]
 
 
+def _round_one_coordinator(eager_dec, sent):
+    members = list(range(7))
+    coord = VectorConsensus("test", members, 0, 1, (0,),
+                            None).coordinator_of(1)
+    inst = VectorConsensus("test", members, coord, 1, (0,), sent.append,
+                           eager_dec=eager_dec)
+    return inst, [m for m in members if m != coord]
+
+
+@pytest.mark.parametrize("eager_dec", [False, True])
+def test_deciding_coordinator_sends_no_coord(eager_dec):
+    # DESIGN section 6, deviation 13: n - f matching entries decide, and no
+    # correct member then waits on this round's coord
+    sent = []
+    inst, others = _round_one_coordinator(eager_dec, sent)
+    inst.start()
+    for sender in others:
+        inst.on_message(sender, ("val", 1, (0,)))
+    assert inst.decided and inst.decision == (0,)
+    assert [p[0] for p in sent] == (["val", "dec"] if eager_dec else ["val"])
+
+
+@pytest.mark.parametrize("zeros", [4, 5])
+def test_non_deciding_coordinator_broadcasts_and_records_its_coord(zeros):
+    # 4 of 7 matching entries: below the adopt threshold n - 2f, so the
+    # coordinator itself needs a coord (recording its own is what keeps it
+    # out of a self-deadlock); 5 of 7: adopted, yet short of the n - f a
+    # decision needs, so some member may still wait on it
+    sent = []
+    inst, others = _round_one_coordinator(False, sent)
+    inst.start()
+    for i, sender in enumerate(others):
+        inst.on_message(sender, ("val", 1, (0,) if i < zeros - 1 else (1,)))
+    assert not inst.decided
+    assert sent == [("val", 1, (0,)), ("coord", 1, (0,)), ("val", 2, (0,))]
+    assert inst.round == 2 and inst._coord_msgs[1] == (0,)
+
+
 def test_resolicit_repeats_the_round_val_until_decided():
     sent = []
     inst = _lone_instance(False, sent)

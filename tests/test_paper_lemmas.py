@@ -5,7 +5,10 @@ and 3.4.3 and checks it on the implementation -- under randomized
 schedules here, and (for the small cases) exhaustively in test_tools.py.
 """
 
+import itertools
 import random
+
+import pytest
 
 from repro.broadcast.uniform import UniformBroadcast
 from repro.consensus.interface import max_f_consensus
@@ -212,3 +215,122 @@ def test_section_3_5_amortized_single_round_ordering():
     ordering = group.processes[0].ordering
     assert ordering.batches_decided >= 3
     assert ordering.messages_ordered >= 7 * 100
+
+
+class RoundOne(VectorConsensus):
+    """A real instance that notes whether it ever waited on a ``coord``."""
+
+    waited_on_coord = False
+
+    def _try_finish_step2(self):
+        self.waited_on_coord = True
+        super()._try_finish_step2()
+
+
+def round_one(n, f, me, heard):
+    """Member ``me``'s round 1 over ``heard`` ({sender: value}, ``me``
+    included): every member it did not hear from is suspected, so its
+    matrix freezes on exactly ``heard``.  Returns the instance and what
+    it broadcast."""
+    sent = []
+    inst = RoundOne("d13", list(range(n)), me, f, (heard[me],), sent.append,
+                    is_suspected=lambda m: m not in heard, eager_dec=False)
+    inst.start()
+    for sender, value in heard.items():
+        if sender != me:
+            inst.on_message(sender, ("val", 1, (value,)))
+    return inst, sent
+
+
+def round_one_coordinator(n, f):
+    return VectorConsensus("d13", list(range(n)), 0, f, (0,),
+                           None).coordinator_of(1)
+
+
+def heard_sets(n, f, me):
+    others = [m for m in range(n) if m != me]
+    for size in range(n - f - 1, n):
+        for subset in itertools.combinations(others, size):
+            yield (me,) + subset
+
+
+def check_no_wait_on_coord(n, f, me, heard, decided):
+    member, _sent = round_one(n, f, me, heard)
+    assert not member.waited_on_coord, (me, heard)
+    assert member.est[0] == decided, (me, heard)
+
+
+def test_deviation_13_no_correct_member_waits_on_a_deciding_coordinator():
+    """DESIGN section 6, deviation 13 (n > 6f): when the round's
+    coordinator decides v it sends no coord, because no correct member
+    needs one -- each adopts v at line 20 on whatever n - f estimates it
+    froze.  Exhaustive at n=7, f=1: every two-valued assignment of the
+    correct members' estimates, every Byzantine non-coordinator telling
+    each receiver either value, every heard set of size >= n - f."""
+    n, f = 7, 1
+    coord = round_one_coordinator(n, f)
+    cases = 0
+    for byz in range(n):
+        if byz == coord:
+            continue
+        correct = [m for m in range(n) if m != byz]
+        for values in itertools.product((0, 1), repeat=len(correct)):
+            est = dict(zip(correct, values))
+            decisions = set()
+            for told, heard in itertools.product((0, 1),
+                                                 heard_sets(n, f, coord)):
+                inst, sent = round_one(n, f, coord, {
+                    m: told if m == byz else est[m] for m in heard})
+                if inst.decided:
+                    assert "coord" not in [p[0] for p in sent]
+                    decisions.add(inst.decision[0])
+            if not decisions:
+                continue
+            assert len(decisions) == 1
+            decided = decisions.pop()
+            for me in correct:
+                if me == coord:
+                    continue
+                for told, heard in itertools.product((0, 1),
+                                                     heard_sets(n, f, me)):
+                    check_no_wait_on_coord(n, f, me, {
+                        m: told if m == byz else est[m] for m in heard},
+                        decided)
+                    cases += 1
+    assert cases == 5880
+
+
+@pytest.mark.parametrize("n,f,trials", [(13, 2, 1500), (19, 3, 600)])
+def test_deviation_13_sampled_at_larger_n(n, f, trials):
+    """Deviation 13 at n=13, f=2 and n=19, f=3 on a seeded sample: up to f
+    two-faced Byzantine non-coordinators, up to f dissenting correct
+    members, random heard sets of size >= n - f."""
+    rng = random.Random(n)
+    coord = round_one_coordinator(n, f)
+    decided_trials = 0
+    for _trial in range(trials):
+        byz = set(rng.sample([m for m in range(n) if m != coord],
+                             rng.randint(1, f)))
+        correct = [m for m in range(n) if m not in byz]
+        value = rng.randrange(2)
+        dissent = set(rng.sample(correct, rng.randint(0, f)))
+        # (sender, receiver) -> the estimate that receiver sees
+        seen = {(m, r): rng.randrange(2) if m in byz
+                else value ^ (m in dissent)
+                for m in range(n) for r in range(n)}
+
+        def heard_by(me):
+            others = [m for m in range(n) if m != me]
+            heard = rng.sample(others, rng.randint(n - f - 1, n - 1))
+            return {m: seen[m, me] for m in [me] + heard}
+
+        inst, sent = round_one(n, f, coord, heard_by(coord))
+        if not inst.decided:
+            continue
+        decided_trials += 1
+        assert "coord" not in [p[0] for p in sent]
+        for me in correct:
+            if me != coord:
+                check_no_wait_on_coord(n, f, me, heard_by(me),
+                                       inst.decision[0])
+    assert decided_trials >= trials // 4

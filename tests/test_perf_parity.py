@@ -53,20 +53,24 @@ def run_scenario(plan):
 #: it.  Re-recorded since, from checker-clean replays: by the reliable
 #: layer's one repair record aimed at holders, 101's bookkeeping half (two
 #: fewer NAKs, identical histories) and both of 505's halves (its repairs
-#: ask survivors that hold the cut, so its regroup runs differently).
+#: ask survivors that hold the cut, so its regroup runs differently);
+#: 202, 303 and 505, both halves, by the deciding coordinator that sends
+#: no coord (membership's failed-set agreement sends one message fewer
+#: per one-round instance, so the view changes run on shifted timing; 101
+#: and 606 did not move).
 GOLDEN_SCENARIOS = {
     101: (
         "a6b0f49b58ef4ec1cdb9d84b4b131bcb5f4f8e57e3f23c8664663c5e11e083bc",
         "780094529d7a59ff217ac03e2e813eaf7dd2fa7efe04bdf87ff4d56f9319a286"),
     202: (
-        "ac0e26040843380a6f7c40488bbe31fa2a1387a5e507db152d18ed71710a8b0c",
-        "d97f250be5e55e5a6b69ebaff89aab6f93a55ebfab7ff6eec6b171b43a46d741"),
+        "3f8415b13afb6709f42bd07dcc8c9624dde6f95f7c86fe988c82df0246d1f9af",
+        "554c33947c144ce91d6bf625adf52267c7c0881100e037bfce7c5b2f0954afd9"),
     303: (
-        "4eebddadc46406a6166b34fdf340291fbe4127d496be8a46c78ac14bfc1bfe96",
-        "dba6f8aa11f084a4af92b86264bf1afe8f275413fc565b5830da768bcac196d8"),
+        "a96837523889dadcf463070b682ff859e417dca1696c811c888b7bf404b0a22f",
+        "01c2944d83602fc4d4dfbf31b97aa48cddc84b498b2ebf07ad32ab5e57154c62"),
     505: (
-        "1f0c2981c957b054100fe1be3e1fec63c342d3472a3112a2314d019eeec46828",
-        "c0258471ece24aabeddbd97d676665140539f1946246e1524ae2f952ac13fbf1"),
+        "3256226b7d5b8a77790123120d306029957354c66475120efb932f804314f765",
+        "370a586f06543f318e77b8c06afa7fcc836a5fb2f95c64327fa011e6149b1efe"),
     606: (
         "a0d4da078832c5546715347f406bb8792809ff3be61aa0f0360a07e82f9f6ea5",
         "6214539ddf847405d13b2613d0f7f9980b99b52e1c67b460bfdbff7997c63530"),
@@ -137,33 +141,36 @@ def test_parity_total_order_fast_path_off():
 #: until the cut); all four fast entries, both halves, by the one ordering
 #: engine (the echo round is gone, so every instance of the window is a
 #: vector consensus proposing the whole undelivered buffer; the four
-#: classic entries did not move).  Every entry is recorded from an
-#: execution the Definition 2.1/2.2 checker passes.
+#: classic entries did not move); all eight, both halves, by the deciding
+#: coordinator that sends no coord (a one-round instance costs n
+#: broadcasts instead of n + 1, which shifts every later datagram).
+#: Every entry is recorded from an execution the Definition 2.1/2.2
+#: checker passes.
 GOLDEN_ORDERING = {
     (False, 11): (
-        "3fb1e87a3c820d74eeabe4104b62e126ff6d333e0f77ae0fe08b9b037ee81c30",
-        "6b62d9e563ca34561efb01c7573d6a6a3a41b21b6d79bdbef013a217643d94e4"),
+        "556166c84d3533f257921f42ac308b5ad67feaf35999c513190b946474f95466",
+        "d6dfe98a28d0cd262a09846e7681398332b7d49ab585055973560107360dbb79"),
     (False, 13): (
-        "1e0863c4bbc3ac5693e104e5e8d40fb6be4400c5524f10d66bcbd26161863a91",
-        "5d23823d10846d308dc633d799838f182f9f29e43041b8c38d96bfbbc45e8318"),
+        "7ed877361508efee8b878159afff542477b90f3eeefabd2f60df99ae775a5fa5",
+        "981ee3fa313040919db33e0a84b8c088bab4026c2b9caabd0d1ec64a3b43bb6c"),
     (False, 14): (
-        "ce0b14cc992467389faaf1790ada3c43729db1603cf83b81e9db33417e361f06",
-        "f420c7d009f12f4ea7a7eca0156448edcf51fa7fb10735977234d112c9858dca"),
+        "2c5c1bca9d23abd62ece55191ffe40df342735ac442478e3563cfed149b38d34",
+        "e2bfef1835bbba5e055311eea45bef80ee848347d8ca5f6ee53157e8c207f166"),
     (False, 606): (
-        "e7e2ba3ac88018547845798fbb0855d8e1fcba9f945590aaca3676937441f916",
-        "10fcd9dabb63fb78ef7fd235f3e3a4dae5f73d2690205605d95c686d7e9e0323"),
+        "ac09472ddcf3928406e13a76df8fc0ae599ba91f74b308a532e3a6e51a7ab5f1",
+        "2a4de6800c4074ac5306b153a37e9a1b8749c3cc0811cb81ad30b741de127f32"),
     (True, 11): (
-        "1d27e7eea9d172682d717eaa865ee78757d0d90b33a96d54b1e344fdd6e40fa3",
-        "2e3cbe84a38b5518bfd5e587dc82fbcc9829466c26d68f720a19e067553ead72"),
+        "119d96f4efcf5dcf888dd424ce13b1943870b9cfec68533bf27d031d9c71ff17",
+        "77174bead0ff616f5d41588f2ef70f5fcdcd145be65e765b7524bb72315553ec"),
     (True, 13): (
-        "3bd61d4c4a81a64e49c057902a77bedab73a8d2857ba2904588c4060b01bccfa",
-        "6cb059136fa1366e5b0964ae8e6bb65fa2591c5593a1a621775c090dbd51dc6a"),
+        "59e34e7a1afef118fe135e713ec142ab1dc90030e50a35bf9b09f6056df02756",
+        "a3294669e2ed380ecb32c3533ee9fd748244c82faed994cd8a302574c9083cec"),
     (True, 14): (
-        "82757706f721c59d839178d987acb78e684921cd7d30ac9f70709b42b1dbbeb7",
-        "64523cef9abb5bbe7c2ac5b12a7a74bbec9ec85f7f98e7452917dd38c8f2b89e"),
+        "ee6bb72aba6214b8cb61b1d41b800bee1f3ef21397e3388b6d2ecc7196570dfb",
+        "7f62ade6f5269f173a327e1f7bc683101e421b2cdcc15865f561bf2471d48ce0"),
     (True, 606): (
-        "8d0deb4de1b818065fc161c8f65aa52514b90b00adcb57629b09c00e8520e9c6",
-        "158d2cea0e0c53358e272695ab2be1e6d55c2c3b7d46c1daccef3fc6aeb11cee"),
+        "c65d2d7bab7ffe6a7943e55a61b368cb16c40a8e17b8ba3e7a1ccac8119d53ab",
+        "013005d2cf11a8270240dd57def2f7bf9b1a9c935c67dd6abeae4c9a6934f617"),
 }
 
 
