@@ -17,6 +17,8 @@ the paper requires.
 
 from __future__ import annotations
 
+from repro.core.message import Message
+
 
 class Layer:
     """Base micro-protocol layer.  Subclasses override the handlers."""
@@ -64,6 +66,19 @@ class Layer:
 
     def send_up(self, msg):
         self.stack.up_from(self, msg)
+
+    # the host port of the machines without I/O (reliable.StreamMachine,
+    # view_change.ViewChange), with count() below ----------------------
+    def send(self, kind, payload, size, dest=None):
+        """Send this layer's own message down, in the current view."""
+        self.send_down(Message(kind, self.me, self.view.vid, payload,
+                               payload_size=size, dest=dest))
+
+    def arm(self, delay, callback, *args):
+        return self.sim.schedule(delay, callback, *args)
+
+    def now(self):
+        return self.sim.now
 
     # introspection -----------------------------------------------------
     def state_sizes(self):
@@ -122,10 +137,16 @@ class LayerStack:
 
     def __init__(self, process, layers):
         self.process = process
+        # the process's layer handles work while the layers attach: a
+        # layer may take a service of one attached below it
+        process.stack = self
         # the cluster's observability plane (None when disabled): every
         # hook below is a single is-None branch in the disabled case
         self.obs = getattr(process, "obs", None)
         self.layers = list(layers)  # bottom first
+        self._by_name = {layer.name: layer for layer in self.layers}
+        if len(self._by_name) != len(self.layers):
+            raise ValueError("duplicate layer names in stack")
         for idx, layer in enumerate(self.layers):
             layer._idx = idx
             layer.attach(self)
@@ -146,9 +167,6 @@ class LayerStack:
                     layer.send_up = layer._above.handle_up
                 if layer._below is not None:
                     layer.send_down = layer._below.handle_down
-        self._by_name = {layer.name: layer for layer in self.layers}
-        if len(self._by_name) != len(self.layers):
-            raise ValueError("duplicate layer names in stack")
         self.blocked = False
 
     def layer(self, name):

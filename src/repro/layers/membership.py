@@ -2,9 +2,10 @@
 
 The view change itself -- consensus on the suspicion vector, the flush,
 the uniform broadcast of the new view -- is
-:class:`repro.layers.view_change.ViewChange`, a machine without I/O.  This
-layer is its host: it turns messages, timers and the stack's services into
-the machine's inputs and outputs, and keeps what lives beside a change.
+:class:`repro.layers.view_change.ViewChange`, a machine without I/O that
+flushes the reliable layer's stream machine directly.  This layer is its
+host: it turns messages, timers and the stack's services into the
+machine's inputs and outputs, and keeps what lives beside a change.
 
 Merging (section 3.4.2): all nodes listen to coordinator gossip.  The
 side with the *smaller* view identifier requests a merge; the target
@@ -74,7 +75,7 @@ class MembershipLayer(Layer):
         self.mute = process.mute_detector
         self.verbose = process.verbose_detector
         self.machine = ViewChange(
-            self, self.config, self.me,
+            self, process.reliable.streams, self.config, self.me,
             vid_counter_floor=self.vid_counter_floor,
             oneshot_view_send=self.oneshot_view_send,
             unsubscribe_stability=self.unsubscribe_stability)
@@ -100,18 +101,8 @@ class MembershipLayer(Layer):
     def f(self):
         return self.process.f
 
-    def send(self, kind, payload, size, dest=None):
-        self.send_down(Message(kind, self.me, self.view.vid, payload,
-                               payload_size=size, dest=dest))
-
-    def arm(self, delay, callback, *args):
-        return self.sim.schedule(delay, callback, *args)
-
     def suspects(self, member):
-        process = self.process
-        return (process.suspicion.is_suspected(member)
-                or process.mute_levels.level(member)
-                >= self.config.mute_suspect_threshold)
+        return self.process.suspicion.suspects(member)
 
     def suspected(self):
         return self.process.suspicion.suspected_set()
@@ -132,15 +123,9 @@ class MembershipLayer(Layer):
         self.stack.control("view-change-aborted")
 
     def wedge(self, undecidable):
-        streams = self.process.reliable.streams
-        streams.wedge()
-        self.stack.control("wedged")
-        report = streams.stream_state()
-        return report, self.process.ordering_freeze(undecidable)
-
-    def set_cut(self, cut, survivors, on_complete):
-        self.process.reliable.streams.set_cut(cut, survivors,
-                                             on_complete=on_complete)
+        """The ordering half of the wedge (the machine wedged the streams):
+        its (started, decided) watermarks."""
+        return self.process.ordering_freeze(undecidable)
 
     def flush_app(self, k_star, on_done, undecidable):
         self.process.flush_app(k_star, on_done, undecidable=undecidable)

@@ -407,7 +407,8 @@ class OrderingLayer(Layer):
         args = (("ord", view.vid.key(), k), members, self.me, self.process.f,
                 (self._proposal(),), lambda proto: self._bcast_proto(k, proto))
         instance = VectorConsensus(
-            *args, eager_dec=False, is_suspected=self._fd_suspects,
+            *args, eager_dec=False,
+            is_suspected=self.process.suspicion.suspects,
             on_decide=lambda vec: self._on_decided(k, vec),
             on_misbehavior=self._misbehavior,
             coordinator_seed=("ord",) + view.vid.key() + (k,),
@@ -421,9 +422,7 @@ class OrderingLayer(Layer):
             instance.on_message(sender, proto)
 
     def _bcast_proto(self, k, proto):
-        out = Message(mk.KIND_ORDER, self.me, self.view.vid,
-                      ("ord", k, proto), payload_size=self._proto_size(proto))
-        self.send_down(out)
+        self.send(mk.KIND_ORDER, ("ord", k, proto), self._proto_size(proto))
 
     def _on_round(self, rnd, awaited):
         """A consensus round began: its awaited members owe us a message
@@ -436,13 +435,6 @@ class OrderingLayer(Layer):
         """Accounting size of one ordering protocol message: what it
         actually carries, a proposal vector in its last slot."""
         return 16 + sum(e[2] + 10 for e in batch_entries(proto[-1][0]))
-    def _fd_suspects(self, member):
-        process = self.process
-        if process.suspicion.is_suspected(member):
-            return True
-        return (process.mute_levels.level(member)
-                >= self.config.mute_suspect_threshold)
-
     def _misbehavior(self, member, reason):
         if self.config.byzantine and member != self.me:
             self.process.verbose_detector.illegal(member, reason)

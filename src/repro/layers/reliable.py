@@ -88,20 +88,22 @@ class StreamMachine:
     """The receive side of the reliable layer, without I/O.
 
     Inputs: :meth:`accept`, :meth:`ask` (ack evidence), :meth:`set_cut`
-    (cut evidence), :meth:`wedge`, the repair timer's expiry and
-    :meth:`clear`.  Outputs go through ``host`` (the layer, or a fake):
-    ``admit(origin, stream, seq, msg)``, ``opened(origin, stream)``,
+    (cut evidence, from the view change), :meth:`wedge`, the repair
+    timer's expiry and :meth:`clear`.  Outputs go through ``host``, the
+    port every machine without I/O shares (``send``, ``arm``, ``now``,
+    ``count``; see :class:`repro.layers.base.Layer`), plus this machine's
+    own: ``admit(origin, stream, seq, msg)``, ``opened(origin, stream)``,
     ``deliver(msg)`` (``send_up`` on unacknowledged p2p streams),
-    ``drained(origin, stream, top)``, ``send_nak(target, origin, stream,
-    seqs)``, ``count(name)``, ``schedule(delay, callback, *args)`` and the
-    queries ``now()``, ``acked_seq(member, origin, stream)``, ``members()``
-    and ``sent(stream)``.  Every write of repair fields, cut, scope and
-    wedge goes through :meth:`_to`; only ``_record`` adds a record, and
-    only ``accept`` and the drain move ``next_seq``, ``buffer`` and ``top``."""
+    ``drained(origin, stream, top)`` and the queries ``view``,
+    ``acked_seq(member, origin, stream)`` and ``sent(stream)``.  Every
+    write of repair fields, cut, scope and wedge goes through :meth:`_to`;
+    only ``_record`` adds a record, and only ``accept`` and the drain move
+    ``next_seq``, ``buffer`` and ``top``."""
 
     def __init__(self, host, config, me):
         self.host, self.config, self.me = host, config, me
         self.records = {}
+        self.naks_sent = 0
         self.clear()
 
     def _to(self, target, **fields):
@@ -198,7 +200,7 @@ class StreamMachine:
             self._to(rec, asked_at=now)
             self._send_nak(origin, stream, rec)
         if rec.timer is None:
-            self._to(rec, timer=self.host.schedule(
+            self._to(rec, timer=self.host.arm(
                 self._retrans_delay(origin, stream, rec.round),
                 self._repair_expired, origin, stream, rec))
 
@@ -235,7 +237,7 @@ class StreamMachine:
         """Round 0 asks the origin while it is in scope, p2p always; later
         rounds rotate over in-scope holders of ``first``, so an origin that
         ignores one member's NAKs cannot starve it.  None if no one is."""
-        scope = self.host.members() if self.scope is None else self.scope
+        scope = self.host.view.mbrs if self.scope is None else self.scope
         if stream == STREAM_P2P or (nak_round == 0 and origin in scope):
             return origin
         acked_seq = self.host.acked_seq
@@ -264,11 +266,14 @@ class StreamMachine:
             self.window_naks += 1
         last, buffer = self._limit(origin, stream, rec), rec.buffer
         holes = (seq for seq in range(first, last + 1) if seq not in buffer)
-        self.host.send_nak(target, origin, stream,
-                           tuple(islice(holes, NAK_MAX)))
+        seqs = tuple(islice(holes, NAK_MAX))
+        self.naks_sent += 1
+        self.host.count("naks_sent")
+        self.host.send(mk.KIND_NAK, (origin, stream, seqs), 8 + 4 * len(seqs),
+                       dest=target)
 
     # ------------------------------------------------------------------
-    # flush support (wedge / cut), driven by the membership layer
+    # flush support (wedge / cut), driven by the view change
     # ------------------------------------------------------------------
     def wedge(self):
         """Stop delivering new app-stream messages (view change started)."""
@@ -318,7 +323,6 @@ class ReliableLayer(Layer):
         super().__init__()
         self._reset_state()
         self.retransmissions_served = 0
-        self.naks_sent = 0
         self.duplicates = 0
         self.archive_trimmed = 0
 
@@ -424,24 +428,8 @@ class ReliableLayer(Layer):
             self._dv_changed = {}
         self.process.stability.on_ack(self.me, tuple(changed.values()))
 
-    def send_nak(self, target, origin, stream, seqs):
-        self.naks_sent += 1
-        self.count("naks_sent")
-        self.send_down(Message(mk.KIND_NAK, self.me, self.view.vid,
-                               (origin, stream, seqs),
-                               payload_size=8 + 4 * len(seqs), dest=target))
-
-    def schedule(self, delay, callback, *args):
-        return self.sim.schedule(delay, callback, *args)
-
-    def now(self):
-        return self.sim.now
-
     def acked_seq(self, member, origin, stream):
         return self.process.stability.acked_seq(member, origin, stream)
-
-    def members(self):
-        return self.view.mbrs
 
     def sent(self, stream):
         return self._out_seq[stream]
@@ -651,8 +639,7 @@ class ReliableLayer(Layer):
         self._ack_sent = vector
         self._ack_sent_at = self.sim.now
         self.count("acks_sent")
-        self.send_down(Message(mk.KIND_ACK, self.me, self.view.vid, vector,
-                               payload_size=6 * len(vector)))
+        self.send(mk.KIND_ACK, vector, 6 * len(vector))
 
     def _on_ack(self, msg):
         vector = msg.payload
@@ -752,9 +739,7 @@ class ReliableLayer(Layer):
                 continue
             self.retransmissions_served += 1
             self.count("retransmissions_served")
-            retrans = Message(mk.KIND_RETRANS, self.me, self.view.vid, wire,
-                              payload_size=wire[6] + 24, dest=msg.sender)
-            self.send_down(retrans)
+            self.send(mk.KIND_RETRANS, wire, wire[6] + 24, dest=msg.sender)
 
     def _on_retrans(self, msg):
         wire = msg.payload

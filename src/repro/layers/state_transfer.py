@@ -116,10 +116,8 @@ class StateTransferLayer(Layer):
         self.transfers_sent += 1
         self.count("snapshots_sent")
         size = 24 + len(repr(snapshot))
-        full = Message(KIND_STATE, self.me, self.view.vid,
-                       ("snapshot", digest, snapshot), payload_size=size,
-                       dest=joiner)
-        self.send_down(full)
+        self.send(KIND_STATE, ("snapshot", digest, snapshot), size,
+                  dest=joiner)
 
     # ------------------------------------------------------------------
     # message plane
@@ -216,9 +214,7 @@ class StateTransferLayer(Layer):
             return
         target = candidates[self._provider_rank % len(candidates)]
         self._provider_rank += 1
-        request = Message(KIND_STATE, self.me, view.vid, ("request",),
-                          payload_size=8, dest=target)
-        self.send_down(request)
+        self.send(KIND_STATE, ("request",), 8, dest=target)
         if self._retry_timer is None and self._awaiting:
             self._retry_timer = self.sim.schedule(
                 self.config.newview_timeout, self._retry)

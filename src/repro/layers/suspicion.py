@@ -20,7 +20,6 @@ immediately when the *coordinator* is suspected.
 from __future__ import annotations
 
 from repro.core import message as mk
-from repro.core.message import Message
 from repro.layers.base import Layer
 
 
@@ -96,9 +95,7 @@ class SuspicionLayer(Layer):
         self._local.add(member)
         self.count("local_suspicions")
         self._slanders.setdefault(member, set()).add(self.me)
-        slander = Message(mk.KIND_SLANDER, self.me, self.view.vid,
-                          (member, reason), payload_size=12)
-        self.send_down(slander)
+        self.send(mk.KIND_SLANDER, (member, reason), 12)
         self._after_new_suspicion()
 
     def adopt(self, member, reason="adopted"):
@@ -149,6 +146,13 @@ class SuspicionLayer(Layer):
 
     def is_suspected(self, member):
         return member in self._local or member in self._adopted
+
+    def suspects(self, member):
+        """The failure detector the agreement protocols consult: a
+        suspicion, or a mute level at ``mute_suspect_threshold``."""
+        return (self.is_suspected(member)
+                or self.process.mute_levels.level(member)
+                >= self.config.mute_suspect_threshold)
 
     def _after_new_suspicion(self):
         if self._change_requested:

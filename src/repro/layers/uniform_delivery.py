@@ -212,9 +212,7 @@ class UniformDeliveryLayer(Layer):
         self._check_flush()
 
     def _fetch(self, msg_id):
-        out = Message(mk.KIND_UDELIV, self.me, self.view.vid,
-                      ("fetch", msg_id, None), payload_size=26)
-        self.send_down(out)
+        self.send(mk.KIND_UDELIV, ("fetch", msg_id, None), 26)
 
     def _serve_fetch(self, requester, msg_id):
         entry = self._pending.get(msg_id)
@@ -225,10 +223,8 @@ class UniformDeliveryLayer(Layer):
             return  # already released and dropped our buffer; others serve
         if payload is None:
             return
-        out = Message(mk.KIND_UDELIV, self.me, self.view.vid,
-                      ("copy", msg_id, payload),
-                      payload_size=26 + payload[1], dest=requester)
-        self.send_down(out)
+        self.send(mk.KIND_UDELIV, ("copy", msg_id, payload), 26 + payload[1],
+                  dest=requester)
 
     def _on_copy(self, msg_id, body):
         entry = self._pending.get(msg_id)

@@ -26,11 +26,15 @@ Byzantine defences at each step:
 
 Inputs are peer messages (:meth:`ViewChange.on_message`), the regroup
 timer, and local signals: suspicions updated, cut complete, app flushed,
-stability changed.  Outputs go through the ``host`` (the membership layer
-in a stack; a fake in the explorer test): sends, timer arms, mute
-expectations, the flush steps and one install.  Everything one attempt
-owns lives in one :class:`Attempt`; begin, restart, epoch join, abort and
-install each replace it whole (:meth:`ViewChange._replace`).
+stability changed.  The machine flushes the reliable layer's
+:class:`repro.layers.reliable.StreamMachine` itself: it wedges it, reads
+its ``stream_state`` for the SYNC report and sets the agreed cut on it.
+Outputs go through the ``host``, the port it shares with that machine
+(``send``, ``arm``, ``now``, ``count``; the membership layer in a stack,
+``tests/machines.py`` beside the explorer): mute expectations, blocking,
+the ordering freeze, the app flush and one install.  Everything one
+attempt owns lives in one :class:`Attempt`; begin, restart, epoch join,
+abort and install each replace it whole (:meth:`ViewChange._replace`).
 """
 
 from __future__ import annotations
@@ -54,6 +58,11 @@ JOINING = "joining"
 #: uniform-broadcast messages that arrive before our flush completes
 SYNC_STASH_EPOCHS = 4
 UB_STASH_PER_SENDER = 8
+
+
+def _natural(value):
+    """A sequence number or watermark: a non-negative int, not a bool."""
+    return type(value) is int and value >= 0
 
 
 class Attempt:
@@ -83,9 +92,10 @@ class Attempt:
 class ViewChange:
     """One node's view-change machine; see the module docstring."""
 
-    def __init__(self, host, config, me, vid_counter_floor=True,
+    def __init__(self, host, streams, config, me, vid_counter_floor=True,
                  oneshot_view_send=True, unsubscribe_stability=True):
         self.host = host
+        self.streams = streams
         self.config = config
         self.me = me
         self.vid_counter_floor = vid_counter_floor
@@ -325,7 +335,9 @@ class ViewChange:
         # quorum can complete; the host freezes ordering so the
         # watermarks we report stay true
         att.undecidable = len(survivors) < view.n - host.f
-        report, ord_k = host.wedge(att.undecidable)
+        self.streams.wedge()
+        report = self.streams.stream_state()
+        ord_k = host.wedge(att.undecidable)
         att.sync_sent = (tuple(sorted(report.items(), key=repr)), ord_k)
         self._send_report()
         att.sync_reports[self.me] = dict(report)
@@ -368,14 +380,13 @@ class ViewChange:
         if sender in att.sync_reports and epoch == self.epoch:
             return
         try:
-            report = {origin: int(top) for origin, top in wire_report}
-            ord_k = (int(ord_k[0]), int(ord_k[1]))
-            valid = (isinstance(epoch, int) and not isinstance(epoch, bool)
-                     and min(report.values(), default=0) >= 0
-                     and min(ord_k) >= 0)
-        except (TypeError, ValueError, IndexError):
-            valid = False
-        if not valid:
+            report = {origin: top for origin, top in wire_report}
+        except (TypeError, ValueError):
+            report = None
+        if (report is None or type(epoch) is not int
+                or not all(map(_natural, report.values()))
+                or type(ord_k) is not tuple or len(ord_k) != 2
+                or not all(map(_natural, ord_k))):
             self.misbehaved(sender, "membership:bad-sync-body")
             return
         entry = (sender, epoch, report, ord_k)
@@ -421,7 +432,7 @@ class ViewChange:
         self._to(CUT)
         if att.new_coord != self.me:
             self._expect(att.new_coord, "newview", self.config.newview_timeout)
-        self.host.set_cut(cut, att.survivors, self.on_cut_complete)
+        self.streams.set_cut(cut, att.survivors, self.on_cut_complete)
 
     def on_cut_complete(self):
         if self.state != CUT:

@@ -2,12 +2,16 @@
 
 Builds a :class:`GroupProcess`-compatible environment around ONE layer:
 a recording stub below it and a recording stub above it, plus real
-detectors and a real simulator.  This lets tests poke a layer with
+detectors, a real simulator and, for a layer other than the reliable
+layer, a real stream machine on the test port (``process.reliable`` is
+its :class:`tests.machines.Port`).  This lets tests poke a layer with
 hand-crafted messages and observe exactly what it emits, without the
 rest of the stack reacting.
 """
 
 from __future__ import annotations
+
+from tests.machines import Port
 
 from repro.core.config import StackConfig
 from repro.core.history import History
@@ -70,37 +74,10 @@ class StubProcess:
         self.below = RecordingLayer("below")
         self.above = RecordingLayer("above")
         self.layer = layer
+        self.port = Port(node_id, self.view, self.config)
         self.stack = LayerStack(self, [self.below, layer, self.above])
 
     # services the layers might call ------------------------------------
-    class FakeReliable:
-        """Stands in for the reliable layer's stream machine when testing
-        layers above it (they reach it as ``process.reliable.streams``)."""
-
-        def __init__(self):
-            self.wedged = False
-            self.cut = None
-            self.state = {}
-            self.complete = True
-
-        @property
-        def streams(self):
-            return self
-
-        def wedge(self):
-            self.wedged = True
-
-        def stream_state(self):
-            return dict(self.state)
-
-        def set_cut(self, cut, survivors, on_complete=None):
-            self.cut = dict(cut)
-            if self.complete and on_complete is not None:
-                on_complete()
-
-        def cut_complete(self, cut):
-            return self.complete
-
     def note_heard_from(self, src):
         self._last_heard[src] = self.sim.now
 
@@ -118,9 +95,8 @@ class StubProcess:
 
     @property
     def reliable(self):
-        if getattr(self, "fake_reliable", None) is not None:
-            return self.fake_reliable
-        return self.layer  # when the layer under test IS the reliable layer
+        # the layer under test, when it IS the reliable layer
+        return self.layer if self.layer.name == "reliable" else self.port
 
     @property
     def suspicion(self):

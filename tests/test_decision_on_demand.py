@@ -139,7 +139,7 @@ def test_straggler_draws_one_dec_per_decided_peer_and_converges():
     # hear it: its round 1 ends on n - f estimates short of the n - f
     # matching ones a decision needs, while everyone else hears all eight
     behind._proposal = lambda: ()
-    behind._fd_suspects = lambda member: member == slow_peer
+    behind.process.suspicion.suspects = lambda member: member == slow_peer
     hold = Hold(behind, keep=lambda msg: msg.origin == slow_peer)
     log = record_broadcasts(layers)
     group.endpoints[0].cast("x")
@@ -210,7 +210,8 @@ def test_undecidable_flush_finishes_by_adopting_on_demand_decs(laggards):
         # suspect it, so they decide without its val
         for node, layer in layers.items():
             if node != absent:
-                layer._fd_suspects = lambda member: member == absent
+                layer.process.suspicion.suspects = (
+                    lambda member: member == absent)
         layers[absent]._ticker.stop()
         holds.append(Hold(layers[absent]))
     if frozen is not None:

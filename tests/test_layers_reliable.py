@@ -48,7 +48,7 @@ def test_loss_recovered_by_retransmission():
         payloads = [p for p in cast_payloads(group.endpoints[node])
                     if isinstance(p, tuple) and p[0] == "m"]
         assert payloads == [("m", k) for k in range(30)], "node %d" % node
-    naks = sum(p.reliable.naks_sent for p in group.processes.values())
+    naks = sum(p.reliable.streams.naks_sent for p in group.processes.values())
     assert naks > 0  # recovery actually exercised
 
 
@@ -350,7 +350,7 @@ def test_lossy_ring_stays_under_the_nak_bound():
     RingDemo(group, burst=16, msg_size=16).start()
     group.run(0.4)
     processes = group.processes.values()
-    assert sum(p.reliable.naks_sent for p in processes) > 100
+    assert sum(p.reliable.streams.naks_sent for p in processes) > 100
     assert all(p.verbose_detector.violations == 0 for p in processes)
     assert all(p.verbose_levels.level(m) == 0
                for p in processes for m in group.processes)

@@ -1,4 +1,5 @@
-"""Unit tests driving the membership layer's FSM through the stub harness."""
+"""Unit tests driving the membership layer's FSM through the stub harness,
+whose view change flushes a real stream machine (``process.reliable``)."""
 
 import pytest
 
@@ -21,6 +22,8 @@ class FakeSuspicion:
     def is_suspected(self, member):
         return member in self._suspected
 
+    suspects = is_suspected
+
     def suspect_locally(self, member, reason="x"):
         self._suspected.add(member)
 
@@ -34,7 +37,6 @@ _ORIGINAL_SUSPICION = StubProcess.suspicion
 def membership_stub(members=(0, 1, 2, 3, 4, 5, 6, 7), me=0):
     layer = MembershipLayer()
     process = StubProcess(layer, node_id=me, members=members)
-    process.fake_reliable = StubProcess.FakeReliable()
     process._fake_suspicion = FakeSuspicion()
     StubProcess.suspicion = property(
         lambda self: getattr(self, "_fake_suspicion", None)
@@ -56,6 +58,16 @@ def sync_msg(process, origin, epoch, report, ord_k=(0, 0)):
     return msg
 
 
+def deliver_cut(process, cut):
+    """Deliver every app message up to ``cut`` from origins other than
+    us, as the stream machine's repair would."""
+    for origin, last in cut.items():
+        if origin != process.node_id:
+            for seq in range(1, last + 1):
+                process.reliable.streams.accept(origin, "a", seq,
+                                                ("cast", origin, seq))
+
+
 def test_begin_runs_consensus_then_sync():
     process = membership_stub()
     layer = process.layer
@@ -72,7 +84,7 @@ def test_begin_runs_consensus_then_sync():
         msg.sender = sender
         layer.handle_up(msg)
     assert layer.machine.state == "sync"
-    assert process.fake_reliable.wedged
+    assert process.reliable.streams.wedged
     assert layer.machine.attempt.survivors == [0, 1, 2, 3, 4, 5, 6]
     # our own SYNC went out
     sync_out = [m for m in process.below.received_down
@@ -102,10 +114,15 @@ def test_sync_reports_from_all_survivors_produce_cut():
     epoch = layer.machine.epoch
     for origin in (1, 2, 3, 4, 5, 6):
         layer.handle_up(sync_msg(process, origin, epoch, {0: 3, 1: 5}))
-    # all survivors reported: the agreed cut is the entry-wise max
-    assert process.fake_reliable.cut is not None
-    assert process.fake_reliable.cut[1] == 5
-    assert layer.machine.state == "await-view"  # FakeReliable completes instantly
+    # all survivors reported: the agreed cut is the entry-wise max, and
+    # its missing part is asked from its origin at once
+    streams = process.reliable.streams
+    assert streams.cut[1] == 5 and layer.machine.state == "cut"
+    assert process.reliable.naks() == [(1, 1, "a", (1, 2, 3, 4, 5))]
+    deliver_cut(process, {1: 4})
+    assert layer.machine.state == "cut"
+    deliver_cut(process, {1: 5})
+    assert layer.machine.state == "await-view"
 
 
 def test_sync_from_failed_member_does_not_count():
@@ -115,16 +132,36 @@ def test_sync_from_failed_member_does_not_count():
     layer.handle_up(sync_msg(process, 7, epoch, {0: 99}))  # the evictee
     assert 7 not in layer.machine.attempt.sync_reports or layer.machine.state == "sync"
     # still waiting: survivors 1..6 have not reported
-    assert process.fake_reliable.cut is None
+    assert process.reliable.streams.cut is None
 
 
-def test_malformed_sync_flagged():
+#: SYNC bodies a correct member never sends: a watermark pair that is not
+#: a 2-tuple of non-negative ints, or a report top that is not an int
+MALFORMED_SYNC_BODIES = {
+    "short": ("report", "x"),
+    "dict-empty": ("report", 1, ((1, 2),), {}),
+    "dict-one": ("report", 1, ((1, 2),), {0: 1}),
+    "dict-two": ("report", 1, ((1, 2),), {0: 1, 1: 2}),
+    "list": ("report", 1, ((1, 2),), [1, 2]),
+    "triple": ("report", 1, ((1, 2),), (1, 2, 3)),
+    "bool": ("report", 1, ((1, 2),), (1, True)),
+    "negative": ("report", 1, ((1, 2),), (-1, 0)),
+    "str-top": ("report", 1, ((1, "2"),), (1, 2)),
+    "float-top": ("report", 1, ((1, 2.0),), (1, 2)),
+}
+
+
+@pytest.mark.parametrize("body", MALFORMED_SYNC_BODIES.values(),
+                         ids=MALFORMED_SYNC_BODIES.keys())
+@pytest.mark.parametrize("driven", [False, True], ids=["idle", "sync"])
+def test_malformed_sync_flagged(driven, body):
     process = membership_stub()
-    layer = drive_to_sync(process)
-    bad = Message(mk.KIND_SYNC, 1, process.view.vid, ("report", "x"))
+    layer = drive_to_sync(process) if driven else process.layer
+    bad = Message(mk.KIND_SYNC, 1, process.view.vid, body)
     bad.sender = 1
     layer.handle_up(bad)
     assert process.verbose_detector.violations >= 1
+    assert 1 not in layer.machine.attempt.sync_reports
 
 
 def test_malformed_consensus_payload_flagged_not_raised():
@@ -332,6 +369,7 @@ def test_epoch_join_echoes_the_new_epochs_view():
     process = membership_stub()
     layer = drive_to_sync(process)
     flush_at(process, 1, {0: 3, 1: 5})
+    deliver_cut(process, {0: 3, 1: 5})
     assert layer.machine.state == "await-view"
     cut = {m: 0 for m in process.view.mbrs}
     cut.update({0: 3, 1: 5})
@@ -355,6 +393,7 @@ def test_restart_drops_the_stability_listener():
     layer = drive_to_sync(process)
     listeners = process.stability.state_sizes()["listeners"]
     flush_at(process, 1, {0: 3})     # seq 3 of origin 0 is not stable yet
+    deliver_cut(process, {0: 3})
     assert layer.machine.state == "await-view"
     assert process.stability.state_sizes()["listeners"] == listeners + 1
     process._fake_suspicion.suspect_locally(2)
@@ -390,7 +429,7 @@ def test_sync_stash_keeps_a_correct_report_under_a_flood():
     for origin in (2, 4, 5, 6):
         layer.handle_up(sync_msg(process, origin, 1, {0: 1}))
     # member 1 reported once, before the decide: the flush must not wait
-    assert process.fake_reliable.cut is not None
+    assert process.reliable.streams.cut is not None
 
 
 def test_regroup_consensus_flood_arms_one_timer():

@@ -1,11 +1,14 @@
 """The reliable layer's receive side, :class:`StreamMachine`, driven
-through a fake host: no simulator, no stack, no network.  Every output
-lands in a list, and a timer fires only when the test fires it."""
+through the test port (``tests/machines.py``): no simulator, no stack, no
+network.  Every output lands in a list, and a timer fires only when the
+test fires it."""
 
 import pytest
+from tests.machines import Node, Port
 
 from repro import StackConfig
-from repro.layers.reliable import StreamMachine
+from repro.core.message import KIND_RETRANS, KIND_SYNC
+from repro.core.view import View, ViewId
 
 #: a record's repair fields and the machine's flush state, as new
 REPAIR_DEFAULTS = {"ceiling": 0, "round": 0, "asked_at": float("-inf"),
@@ -13,74 +16,9 @@ REPAIR_DEFAULTS = {"ceiling": 0, "round": 0, "asked_at": float("-inf"),
 FLUSH_DEFAULTS = {"cut": None, "scope": None, "wedged": False}
 
 
-class FakeTimer:
-    def __init__(self, delay, callback, args):
-        self.delay, self.callback, self.args = delay, callback, args
-        self.cancelled = False
-
-    def cancel(self):
-        self.cancelled = True
-
-
-class FakeHost:
-    """The machine's host port, recording instead of acting."""
-
-    def __init__(self, members):
-        self.view = list(members)
-        self.time = 0.0
-        self.acked = {}         # (member, origin, stream) -> acked seq
-        self.delivered = []
-        self.naks = []          # (target, origin, stream, seqs)
-        self.timers = []
-
-    def admit(self, origin, stream, seq, msg):
-        return True
-
-    def opened(self, origin, stream):
-        pass
-
-    def deliver(self, msg):
-        self.delivered.append(msg)
-
-    send_up = deliver
-
-    def drained(self, origin, stream, top):
-        pass
-
-    def send_nak(self, target, origin, stream, seqs):
-        self.naks.append((target, origin, stream, seqs))
-
-    def count(self, name):
-        pass
-
-    def schedule(self, delay, callback, *args):
-        timer = FakeTimer(delay, callback, args)
-        self.timers.append(timer)
-        return timer
-
-    def now(self):
-        return self.time
-
-    def acked_seq(self, member, origin, stream):
-        return self.acked.get((member, origin, stream), 0)
-
-    def members(self):
-        return self.view
-
-    def sent(self, stream):
-        return 0
-
-
 def machine_for(members=(0, 1, 2, 3), me=3):
-    host = FakeHost(members)
-    return StreamMachine(host, StackConfig.byz(), me), host
-
-
-def expire(host, timer):
-    """Advance the fake clock to ``timer`` and fire it."""
-    assert not timer.cancelled
-    host.time += timer.delay
-    timer.callback(*timer.args)
+    port = Port(me, View(ViewId(1, members[0]), members), StackConfig.byz())
+    return port.streams, port
 
 
 def watch(machine):
@@ -109,31 +47,31 @@ def watch(machine):
 
 
 def test_a_withholding_origin_is_passed_over_for_a_holder():
-    machine, host = machine_for()
+    machine, port = machine_for()
     check = watch(machine)
-    host.acked[(1, 0, "a")] = 2         # member 1 holds origin 0's 1 and 2
+    port.acks[(1, 0, "a")] = 2         # member 1 holds origin 0's 1 and 2
     machine.accept(0, "a", 2, "m2")     # 1 is missing
     check()
     rec = machine.records[(0, "a")]
-    assert host.naks == [] and rec.ceiling == 2 and rec.timer is not None
-    expire(host, rec.timer)             # round 0: the origin
+    assert port.naks() == [] and rec.ceiling == 2 and rec.timer is not None
+    port.expire(rec.timer)             # round 0: the origin
     check()
-    assert host.naks == [(0, 0, "a", (1,))] and rec.round == 1
-    expire(host, rec.timer)             # round 1: the origin ignored us
+    assert port.naks() == [(0, 0, "a", (1,))] and rec.round == 1
+    port.expire(rec.timer)             # round 1: the origin ignored us
     check()
-    assert host.naks[-1] == (1, 0, "a", (1,)) and rec.round == 2
+    assert port.naks()[-1] == (1, 0, "a", (1,)) and rec.round == 2
     machine.accept(0, "a", 1, "m1")     # a holder answered
     check()
-    assert host.delivered == ["m1", "m2"]
+    assert port.delivered == ["m1", "m2"]
     assert rec.timer is None and rec.round == 0
-    assert host.timers[-1].cancelled
+    assert port.timers[-1].cancelled
 
 
 def test_a_cut_without_the_crashed_origin_asks_a_holder_at_round_zero():
-    machine, host = machine_for()
+    machine, port = machine_for()
     check = watch(machine)
     machine.accept(0, "a", 1, "m1")
-    host.acked[(2, 0, "a")] = 3
+    port.acks[(2, 0, "a")] = 3
     machine.wedge()
     done = []
     machine.set_cut({0: 3, 1: 0, 2: 0, 3: 0}, [1, 2, 3],
@@ -141,26 +79,26 @@ def test_a_cut_without_the_crashed_origin_asks_a_holder_at_round_zero():
     check()
     rec = machine.records[(0, "a")]
     assert machine.scope == [1, 2, 3] and rec.round == 0
-    assert host.naks == [(2, 0, "a", (2, 3))]
+    assert port.naks() == [(2, 0, "a", (2, 3))]
     machine.accept(0, "a", 3, "m3")
     check()
-    assert host.delivered == ["m1"] and rec.timer is not None and not done
+    assert port.delivered == ["m1"] and rec.timer is not None and not done
     machine.accept(0, "a", 2, "m2")     # the holes are filled
     check()
-    assert host.delivered == ["m1", "m2", "m3"] and done == [True]
-    assert rec.timer is None and host.timers[-1].cancelled
+    assert port.delivered == ["m1", "m2", "m3"] and done == [True]
+    assert rec.timer is None and port.timers[-1].cancelled
     machine.accept(0, "a", 4, "m4")     # past the cut: held
-    assert host.delivered[-1] == "m3"
+    assert port.delivered[-1] == "m3"
 
 
 def test_ack_evidence_asks_once_per_timeout_and_clear_cancels_it_all():
-    machine, host = machine_for()
+    machine, port = machine_for()
     check = watch(machine)
     machine.ask(0, "a", 2)
     machine.ask(1, "c", 1)
     machine.ask(0, "a", 3)              # within retrans_timeout: no ask
     check()
-    assert host.naks == [(0, 0, "a", (1, 2)), (1, 1, "c", (1,))]
+    assert port.naks() == [(0, 0, "a", (1, 2)), (1, 1, "c", (1,))]
     assert machine.records[(0, "a")].ceiling == 3
     timers = [rec.timer for rec in machine.records.values()]
     assert len(timers) == 2 and None not in timers
@@ -174,7 +112,7 @@ def test_ack_evidence_asks_once_per_timeout_and_clear_cancels_it_all():
 
 
 def test_a_ceiling_inside_the_delivered_prefix_is_not_recorded():
-    machine, host = machine_for()
+    machine, port = machine_for()
     check = watch(machine)
     for seq in (1, 2, 3):
         machine.accept(0, "c", seq, seq)
@@ -182,13 +120,34 @@ def test_a_ceiling_inside_the_delivered_prefix_is_not_recorded():
     check()
     rec = machine.records[(0, "c")]
     assert rec.ceiling == 0 and rec.top == 3 and rec.timer is None
-    assert host.naks == [] and host.timers == []
+    assert port.naks() == [] and port.timers == []
 
 
 @pytest.mark.parametrize("seq", [1, 3], ids=["delivered", "buffered"])
 def test_a_duplicate_is_refused(seq):
-    machine, host = machine_for()
+    machine, port = machine_for()
     assert machine.accept(0, "a", 1, "m1") and machine.accept(0, "a", 3, "m3")
     assert machine.accept(0, "a", seq, "again") is False
-    assert host.delivered == ["m1"]
+    assert port.delivered == ["m1"]
     assert machine.records[(0, "a")].buffer == {3: "m3"}
+
+
+def test_the_view_change_completes_its_cut_through_a_holders_retransmission():
+    """The composed pair, as in a stack: member 3 crashed after only
+    survivor 0 took its cast 1.  Survivor 1's view change sets the agreed
+    cut on its real stream machine, whose first NAK goes to survivor 0,
+    never to the crashed origin; the change waits in ``cut`` until the
+    retransmission is accepted."""
+    config = StackConfig.byz()
+    node = Node(1, View(ViewId(1, 0), (0, 1, 2, 3), f=0), config,
+                crashed={3})
+    node.machine.start({3})                   # regroup mode: more than f
+    node.expire(node.machine.regroup_timer)
+    assert node.machine.state == "sync" and node.streams.wedged
+    for sender, report in ((0, ((0, 0), (3, 1))), (2, ((2, 0),))):
+        node.take(sender, (KIND_SYNC, ("report", 1, report, (0, 0)),
+                           node.view.vid))
+    assert node.streams.cut[3] == 1 and node.machine.state == "cut"
+    assert node.naks() == [(0, 3, "a", (1,))]
+    node.take(0, (KIND_RETRANS, (3, "a", 1, "m3"), node.view.vid))
+    assert node.delivered == ["m3"] and node.machine.state == "await-view"

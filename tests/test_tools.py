@@ -1,10 +1,10 @@
 """Tests for the tooling: schedule explorer and ASCII charts."""
 
-import copy
+from tests.machines import BusExplorer, Node, on_bus
 
 from repro.core.config import StackConfig
 from repro.core.view import View, ViewId
-from repro.layers.view_change import ViewChange
+from repro.layers.reliable import STREAM_APP
 from repro.tools.ascii_chart import chart_block, render_chart
 from repro.tools.explorer import (ScheduleExplorer,
                                   explore_consensus_agreement,
@@ -81,157 +81,50 @@ def test_consensus_validity_under_all_schedules():
 
 
 # ----------------------------------------------------------------------
-# the view-change machine under the explorer (ROADMAP 8(a) starts here)
+# the view-change machine over the real stream machine, under the
+# explorer (ROADMAP 8(a) starts here)
 # ----------------------------------------------------------------------
 CRASHED = 3
-
-
-class ViewChangeHost:
-    """A view-change host whose outputs are collected, not performed: a
-    timer arm is a message to itself, and the cut, the app flush and
-    stability complete at once, as the stub harness's FakeReliable does."""
-
-    def __init__(self, me, view, config):
-        self.view = view
-        self.f = config.resilience(view.n)
-        self.leavers = set()
-        self.joiners = None
-        self.stability = self.mute = self.verbose = self
-        self.installed = None
-        self.evidence = []
-        self.outbox = []
-        self.machine = ViewChange(self, config, me)
-
-    def take(self, sender, payload):
-        if payload[0] == "timer":
-            getattr(self.machine, payload[1])(*payload[2])
-        else:
-            self.machine.on_message(sender, *payload)
-
-    def drain(self):
-        """This step's sends as one FIFO batch per receiver."""
-        batches = {}
-        for dest, payload in self.outbox:
-            batches.setdefault(dest, []).append(payload)
-        self.outbox = []
-        return tuple((dest, tuple(batch)) for dest, batch in batches.items())
-
-    def send(self, kind, payload, size, dest=None):
-        for peer in [dest] if dest is not None else self.view.mbrs:
-            if peer not in (self.machine.me, CRASHED):
-                self.outbox.append((peer, (kind, payload)))
-
-    def arm(self, delay, callback, *args):
-        self.outbox.append((self.machine.me,
-                            ("timer", callback.__name__, args)))
-        return self
-
-    def expect(self, member, tag, timeout):
-        return self
-
-    def ignore(self, *args):
-        pass
-
-    cancel = fulfil = subscribe = unsubscribe = block = count = ignore
-
-    def suspects(self, member):
-        return member == CRASHED
-
-    def suspected(self):
-        return {CRASHED}
-
-    def suspect(self, member, reason):
-        self.evidence.append((member, reason))
-
-    illegal = suspect
-
-    def aborted(self):
-        self.evidence.append("aborted")
-
-    def wedge(self, undecidable):
-        return {}, (0, 0)
-
-    def set_cut(self, cut, survivors, on_complete):
-        on_complete()
-
-    def flush_app(self, k_star, on_done, undecidable):
-        on_done()
-
-    def all_stable(self, cut, survivors):
-        return True
-
-    def install(self, view):
-        self.installed = self.view = view
-        self.machine.on_view()
-
-
-class Survivor:
-    """One survivor on the explorer's bus.  Its state is the inputs it has
-    taken: the machine is deterministic, so each (node, inputs) state is
-    computed once and shared, and the explorer's per-step copy of a node
-    is a tuple instead of a machine."""
-
-    def __init__(self, me, bus, states):
-        self.me = me
-        self.inputs = ()
-        self._bus = bus
-        self._states = states
-
-    def __deepcopy__(self, memo):
-        return copy.copy(self)
-
-    @property
-    def host(self):
-        return self._states[self.me, self.inputs][0]
-
-    def on_message(self, sender, batch):
-        inputs = self.inputs + ((sender, batch),)
-        if (self.me, inputs) not in self._states:
-            host = copy.deepcopy(self.host)
-            for payload in batch:
-                host.take(sender, payload)
-            self._states[self.me, inputs] = (host, host.drain())
-        self.inputs = inputs
-        self.post()
-
-    def post(self):
-        for dest, batch in self._states[self.me, self.inputs][1]:
-            self._bus.send(self.me, dest, batch)
+#: member 3's last app cast, which only survivor 0 accepted before the crash
+LAST_CAST = "m3"
 
 
 def test_view_change_installs_one_view_under_all_schedules():
     """n=4, f=0, member 3 crashed: every survivor starts a change, regroup
-    mode decides on its timer, and under every explored schedule all three
-    install the same view with no evidence against anyone."""
+    mode decides on its timer, and the agreed cut holds member 3's last
+    cast, which only survivor 0 has.  Survivors 1 and 2 complete the cut
+    only by a NAK that 0 answers with a retransmission.  Under every
+    explored schedule all three deliver the cast and install the same
+    view with no evidence against anyone."""
 
     def factory(bus):
         config = StackConfig.byz()
         view = View(ViewId(1, 0), (0, 1, 2, CRASHED), f=config.resilience(4))
-        states = {}
-        for me in (0, 1, 2):
-            host = ViewChangeHost(me, view, config)
-            host.machine.start({CRASHED})
-            states[me, ()] = (host, host.drain())
-        nodes = {me: Survivor(me, bus, states) for me in (0, 1, 2)}
+        nodes = {me: Node(me, view, config, crashed={CRASHED})
+                 for me in (0, 1, 2)}
+        nodes[0].streams.accept(CRASHED, STREAM_APP, 1, LAST_CAST)
+        for node in nodes.values():
+            node.machine.start({CRASHED})
+        return on_bus(bus, nodes)
 
-        def kickoff():
-            for node in nodes.values():
-                node.post()
-        return nodes, kickoff
-
-    def check(nodes):
-        hosts = [node.host for node in nodes.values()]
-        views = {(h.installed.vid, h.installed.mbrs) if h.installed else None
-                 for h in hosts}
-        if len(views) != 1 or None in views or any(h.evidence for h in hosts):
-            return "split, stuck or evidence: %r" % (views,)
+    def check(instances):
+        nodes = [instance.node for instance in instances.values()]
+        views = {(n.installed.vid, n.installed.mbrs) if n.installed else None
+                 for n in nodes}
+        if (len(views) != 1 or None in views or any(n.evidence for n in nodes)
+                or any(LAST_CAST not in n.delivered for n in nodes)
+                or not any(LAST_CAST in n.repaired for n in nodes)):
+            return "split, stuck or evidence: %r, states %r" % (
+                views, [n.machine.state for n in nodes])
         return None
 
-    explorer = ScheduleExplorer(factory, check, max_states=100_000,
-                                max_inflight_choice=2)
+    explorer = BusExplorer(factory, check, max_states=100_000,
+                           max_inflight_choice=2)
     assert explorer.run(), explorer.violations
     assert not explorer.truncated
-    assert explorer.terminal_states > 10_000
+    print("states visited:", explorer.states_explored,
+          "terminal:", explorer.terminal_states)
+    assert explorer.terminal_states > 500
 
 
 # ----------------------------------------------------------------------
