@@ -208,7 +208,7 @@ class TwoFacedCaster(ByzantineBehavior):
         process = self.process
         receivers = tuple(m for m in process.view.mbrs if m != self.me)
         signature, _cost, _bytes = process.auth.sign(
-            self.me, receivers, out.auth_token())
+            self.me, receivers, out)
         out.signature = signature
         self.forged += 1
         return out
@@ -240,8 +240,7 @@ class ForgedRetransmitter(ByzantineBehavior):
                        ("tampered", payload), size, signature, msg_id)
         # re-sign the outer wrapper so only the inner check can catch it
         process = self.process
-        new_sig, _cost, _bytes = process.auth.sign(
-            self.me, (dst,), out.auth_token())
+        new_sig, _cost, _bytes = process.auth.sign(self.me, (dst,), out)
         out.signature = new_sig
         self.forged += 1
         return out
@@ -326,7 +325,7 @@ class Equivocator(ByzantineBehavior):
         process = self.process
         receivers = tuple(m for m in process.view.mbrs if m != self.me)
         signature, _cost, _bytes = process.auth.sign(
-            self.me, receivers, out.auth_token())
+            self.me, receivers, out)
         out.signature = signature
         self.equivocations += 1
         return out

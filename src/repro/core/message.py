@@ -14,7 +14,8 @@ signature size.  The simulator charges NIC bandwidth for the total.
 
 Hot-path notes (see docs/PERFORMANCE.md): the canonical byte encoding a
 message is authenticated over -- and its SHA-256 digest, which is what the
-authenticators actually MAC -- is computed once and memoized.  Every write
+MAC schemes actually MAC -- is computed once, on a scheme's first read,
+and memoized (NoCrypto never reads it).  Every write
 that can change the authenticated content (``push_header``/``pop_header``
 and ``payload`` assignment, which is why ``payload`` is a property) drops
 the cache, so a Byzantine mutation after signing is still caught on
@@ -171,13 +172,15 @@ class Message:
         return repr(self.auth_content()).encode("utf-8")
 
     def auth_token(self):
-        """What the authenticators sign/verify: a 32-byte SHA-256 digest
-        of the canonical encoding, computed once per message and memoized.
+        """What a MAC scheme signs/verifies: a 32-byte SHA-256 digest of
+        the canonical encoding, computed once per message and memoized.
 
-        Receivers share the sender's cache through the object reference --
-        in-model that is sound because every mutation path (headers,
-        payload) drops the cache, so the digest always matches the actual
-        content.
+        Callers hand the authenticator the message, and only a scheme that
+        MACs reads this (``repro.crypto.auth.stable_bytes``): under
+        NoCrypto no message is ever encoded or hashed.  Receivers share the
+        sender's cache through the object reference -- in-model that is
+        sound because every mutation path (headers, payload) drops the
+        cache, so the digest always matches the actual content.
         """
         cached = self._auth_cache
         if cached is None:

@@ -18,14 +18,17 @@ schemes are measured:
 Every method returns the simulated CPU cost alongside its result so the
 bottom layer can charge the node's CPU.
 
-Hot-path design (docs/PERFORMANCE.md): callers pass
-:meth:`repro.core.message.Message.auth_token` -- the memoized 32-byte
-SHA-256 digest of the canonical encoding -- so signing a broadcast to n-1
-receivers MACs a constant 32 bytes per receiver instead of re-encoding the
-whole message, and each receiver verifies against the same digest without
-re-encoding either.  Pairwise keys and their half-initialized HMAC state
-are derived once per pair and reused (identical MAC values, no per-call
-key-schedule work).
+Hot-path design (docs/PERFORMANCE.md): callers pass the
+:class:`repro.core.message.Message` itself, and only a scheme that MACs
+asks for its :meth:`~repro.core.message.Message.auth_token` -- the
+memoized 32-byte SHA-256 digest of the canonical encoding -- through
+:func:`stable_bytes`.  ``NullAuth`` never reads it, so a NoCrypto stack
+encodes and hashes nothing; a MAC scheme signs a broadcast to n-1
+receivers over a constant 32 bytes per receiver instead of re-encoding
+the whole message, and each receiver verifies against the same digest
+without re-encoding either.  Pairwise keys and their half-initialized
+HMAC state are derived once per pair and reused (identical MAC values,
+no per-call key-schedule work).
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ from __future__ import annotations
 import hashlib
 import hmac
 
+from repro.core.message import Message
 from repro.crypto.cost import CryptoCostModel
 
 MAC_BYTES = 10  # truncated MAC length on the wire, as in BFT
@@ -41,13 +45,17 @@ MAC_BYTES = 10  # truncated MAC length on the wire, as in BFT
 def stable_bytes(obj):
     """Canonical byte encoding used as MAC input.
 
-    Message headers in this system are tuples/strings/ints, whose ``repr``
-    is stable and injective enough for authentication purposes within the
-    simulation.  ``bytes`` pass through untouched, which is how the
-    memoized message digests reach the MACs without a second encoding.
+    A :class:`~repro.core.message.Message` maps to its memoized digest
+    (``auth_token()``), computed here on a scheme's first read and not
+    before.  ``bytes`` pass through untouched.  Anything else is encoded by
+    its ``repr``: message headers in this system are tuples/strings/ints,
+    whose ``repr`` is stable and injective enough for authentication
+    purposes within the simulation.
     """
     if isinstance(obj, bytes):
         return obj
+    if isinstance(obj, Message):
+        return obj.auth_token()
     return repr(obj).encode("utf-8")
 
 
@@ -173,7 +181,7 @@ class PairwiseSymmetricAuth(Authenticator):
         if base is None:
             base = self._mac_base(claimed_sender, receiver)
         state = base.copy()
-        state.update(data if isinstance(data, bytes) else stable_bytes(data))
+        state.update(stable_bytes(data))
         return hmac.compare_digest(mac, state.digest()[:MAC_BYTES]), cost
 
 

@@ -92,8 +92,7 @@ class BottomLayer(Layer):
             msg.group = group
             msg._auth_cache = None
         auth = process.auth
-        signature, sign_cost, sig_bytes = auth.sign(
-            self.me, receivers, msg.auth_token())
+        signature, sign_cost, sig_bytes = auth.sign(self.me, receivers, msg)
         msg.signature = signature
         self.messages_signed += 1
         self.count("messages_signed")
@@ -241,7 +240,7 @@ class BottomLayer(Layer):
                 return
             ok, _cost = process.auth.verify(
                 self.me, msg.origin if msg.sender == msg.origin else msg.sender,
-                msg.auth_token(), msg.signature)
+                msg, msg.signature)
             if not ok:
                 # a corrupt or forged message: its digest does not fit its
                 # content; drop it before it reaches any layer
@@ -255,6 +254,14 @@ class BottomLayer(Layer):
             # cross-shard replay): never let it reach this group's layers
             self.dropped_wrong_group += 1
             self.count("drop_wrong_group")
+            return
+        if type(inc) is not int or inc < 0:
+            # the header is unsigned: anything but a non-negative int
+            # ("x", None, a tuple) would raise in the comparison below, or
+            # (1.5, True) be adopted as the peer's incarnation
+            self.count("drop_bad_inc")
+            if self.config.byzantine:
+                process.verbose_detector.illegal(src, "bottom:bad-inc")
             return
         known = self._peer_inc.get(src, 0)
         if inc != known:

@@ -38,7 +38,7 @@ by the stability tracker.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from collections import defaultdict
 from itertools import islice
 from zlib import crc32
 
@@ -67,6 +67,14 @@ ARCHIVED_LEN = 9
 #: the most sequence numbers one NAK lists; a correct member lists at most
 #: this many, strictly increasing, and any other NAK is refused
 NAK_MAX = 64
+
+
+def _hashable(value):
+    try:
+        hash(value)
+    except TypeError:
+        return False
+    return True
 
 
 class _Record:
@@ -165,7 +173,9 @@ class StreamMachine:
             deliver(buffer.pop(seq))
         if rec.next_seq != first and rec.round:
             self._to(rec, round=0)
-        self._repair(origin, stream, rec, ceiling)
+        top = rec.top
+        if rec.timer is not None or rec.ceiling > top or ceiling > top:
+            self._repair(origin, stream, rec, ceiling)  # else a no-op
         if stream == STREAM_P2P:
             return
         host.drained(origin, stream, rec.top)
@@ -333,17 +343,16 @@ class ReliableLayer(Layer):
     def _reset_state(self):
         self._out_seq = {STREAM_APP: 0, STREAM_CTL: 0}
         self._p2p_out = {}
-        self._archive = {}      # (origin, stream, seq) -> archived wire tuple
+        self._archive = defaultdict(dict)   # (origin, stream) -> {seq: wire}
+        self._trimmed = {}      # (origin, stream) -> floor trimmed up to
         self._since_ack = 0
         self._ack_sent = None    # the vector my last ack carried
         self._ack_sent_at = float("-inf")   # when it left, if broadcast
         self._ack_stable = None  # the last vector found stable everywhere
         self._probed = False     # a peer probed me since my last tick
-        # incremental delivered-vector bookkeeping, built lazily
+        # delivered-vector bookkeeping, built lazily
         self._dv_map = None     # map key -> current entry, or None (unbuilt)
-        self._dv_keys = []      # sorted reprs of entries (parallel list)
-        self._dv_entries = []   # entries, sorted by repr
-        self._dv_tuple = None   # memoized tuple(self._dv_entries)
+        self._dv_tuple = None   # the sorted vector, until the next change
         self._dv_changed = {}   # key -> latest changed entry since last flush
         self._ack_seen = {}     # sender -> last fully-processed ack vector
         self._ack_dirty = {}    # sender -> last evidence scan found a gap
@@ -352,7 +361,7 @@ class ReliableLayer(Layer):
         records = self.streams.records
         return {"in_streams": len(records),
                 "stash": sum(len(rec.buffer) for rec in records.values()),
-                "archive": len(self._archive), "p2p_out": len(self._p2p_out),
+                "archive": self.archive_size, "p2p_out": len(self._p2p_out),
                 "ack_seen": len(self._ack_seen)}
 
     # ------------------------------------------------------------------
@@ -513,24 +522,20 @@ class ReliableLayer(Layer):
         """My ack vector, sorted by entry repr: one ``(origin, stream,
         top)`` per in-stream -- ``top`` also counts the contiguous
         buffered-but-undeliverable prefix, so the flush can account for
-        wedged messages I hold -- plus my own two out-streams."""
+        wedged messages I hold -- plus my own two out-streams.  Sorted when
+        an ack or heartbeat leaves and memoized until an entry moves, so an
+        unchanged vector is the same object, holding the same entries, that
+        the receivers' identity diff in :meth:`_on_ack` keys off."""
         if self._dv_map is None:
             self._dv_build()
         vector = self._dv_tuple
         if vector is None:
-            vector = self._dv_tuple = tuple(self._dv_entries)
+            vector = self._dv_tuple = tuple(
+                sorted(self._dv_map.values(), key=repr))
         return vector
 
-    # ------------------------------------------------------------------
-    # incremental delivered-vector maintenance (re-sorting the vector per
-    # drain was the hottest non-crypto call in fig5): entries live in a
-    # repr-sorted parallel list pair and only a moved entry is touched;
-    # equal reprs are equal tuples, so which duplicate goes is irrelevant
-    # ------------------------------------------------------------------
     def _dv_build(self):
         self._dv_map = {}
-        self._dv_keys = []
-        self._dv_entries = []
         self._dv_changed = {}
         for (origin, stream), rec in self.streams.records.items():
             if stream != STREAM_P2P:
@@ -542,21 +547,8 @@ class ReliableLayer(Layer):
     def _dv_set(self, key, entry):
         if self._dv_map is None:
             return  # unbuilt; built lazily on first use
-        old = self._dv_map.get(key)
-        if old == entry:
+        if self._dv_map.get(key) == entry:
             return
-        keys = self._dv_keys
-        entries = self._dv_entries
-        if old is not None:
-            # NB: repr-order is not stable under counter increments
-            # ("... 10)" sorts before "... 9)"): re-insert, never update
-            pos = bisect_left(keys, repr(old))
-            del keys[pos]
-            del entries[pos]
-        text = repr(entry)
-        pos = bisect_left(keys, text)
-        keys.insert(pos, text)
-        entries.insert(pos, entry)
         self._dv_map[key] = entry
         self._dv_tuple = None
         self._dv_changed[key] = entry
@@ -670,7 +662,9 @@ class ReliableLayer(Layer):
             entries = vector
         for entry in entries:
             if (not isinstance(entry, tuple) or len(entry) != 3
-                    or not isinstance(entry[2], int) or entry[2] < 0):
+                    or entry[1] not in (STREAM_APP, STREAM_CTL)
+                    or not isinstance(entry[2], int) or entry[2] < 0
+                    or not _hashable(entry[0])):
                 if self.config.byzantine:
                     self.process.verbose_detector.illegal(
                         msg.sender, "rel:bad-ack-entry")
@@ -733,8 +727,9 @@ class ReliableLayer(Layer):
             # p2p streams are per-pair; only the origin holds the copy,
             # filed under the requester's pair key
             stream = STREAM_P2P + repr(msg.sender)
+        archived = self._archive.get((origin, stream), {})
         for seq in seqs:
-            wire = self._archive.get((origin, stream, seq))
+            wire = archived.get(seq)
             if wire is None:
                 continue
             self.retransmissions_served += 1
@@ -774,9 +769,10 @@ class ReliableLayer(Layer):
                 and self.config.crypto != "none"):
             # third-party retransmission: verify the ORIGIN's signature over
             # the reconstructed content -- p must prove it is q's message
-            # (auth_token() matches the origin's digest iff the content does)
-            ok, cost = self.process.auth.verify(
-                self.me, origin, inner.auth_token(), signature)
+            # (the rebuilt message's digest matches the origin's iff the
+            # content does)
+            ok, cost = self.process.auth.verify(self.me, origin, inner,
+                                                signature)
             self.process.cpu.charge(cost)
             if not ok:
                 self.process.verbose_detector.illegal(
@@ -791,32 +787,30 @@ class ReliableLayer(Layer):
     # ------------------------------------------------------------------
     def _archive_copy(self, msg, stream, seq):
         vid = msg.view_id.to_wire() if msg.view_id is not None else None
-        self._archive[(msg.origin, stream, seq)] = (
+        self._archive[(msg.origin, stream)][seq] = (
             msg.kind, msg.origin, vid, stream, seq, msg.payload,
             msg.payload_size, msg.signature, msg.msg_id)
 
     def trim_archive(self):
         """Buffer management (paper section 3.1): messages acknowledged
         by every low-fuzziness member are dropped from the retransmission
-        archive.  Called periodically by the stability tracker."""
-        stability = self.process.stability
-        members = self.view.mbrs
-        floors = {}
-        removed = []
-        for key in self._archive:
-            origin, stream, seq = key
+        archive.  Called periodically by the stability tracker.  Per stream
+        only the seqs above the floor trimmed last time are popped: exact,
+        as the floor never exceeds my own ack, my top (the fuzzy filter
+        never skips me), so no seq at or below it is archived again."""
+        stability, members = self.process.stability, self.view.mbrs
+        for (origin, stream), copies in self._archive.items():
             if stream not in (STREAM_APP, STREAM_CTL):
                 continue  # p2p acks are not tracked; keep those copies
-            group = (origin, stream)
-            if group not in floors:
-                floors[group] = stability.min_ack(origin, stream, members,
-                                                  ignore_fuzzy=True)
-            if seq <= floors[group]:
-                removed.append(key)
-        for key in removed:
-            del self._archive[key]
-        self.archive_trimmed += len(removed)
+            floor = stability.min_ack(origin, stream, members,
+                                      ignore_fuzzy=True)
+            last = self._trimmed.get((origin, stream), 0)
+            if floor > last:
+                self._trimmed[(origin, stream)] = floor
+                for seq in range(last + 1, floor + 1):
+                    if copies.pop(seq, None) is not None:
+                        self.archive_trimmed += 1
 
     @property
     def archive_size(self):
-        return len(self._archive)
+        return sum(len(copies) for copies in self._archive.values())

@@ -263,7 +263,7 @@ def test_a_relabelled_retransmission_is_rejected():
     group.run(0.002)
     victim = group.processes[3]
     assert victim.top.delivered == 0
-    wire = group.processes[2].reliable._archive[(1, "a", 1)]
+    wire = group.processes[2].reliable._archive[(1, "a")][1]
     assert wire[8] == (1, 1)
     tags = tagged_detector(victim)
 

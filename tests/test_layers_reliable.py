@@ -368,7 +368,7 @@ def test_a_malformed_nak_is_refused_and_serves_nothing(seqs):
         group.endpoints[0].cast(("wanted", k))
     group.run(0.002)            # delivered, not yet stable: still archived
     victim, asker = group.processes[0], group.processes[3]
-    assert all((0, "a", seq) in victim.reliable._archive
+    assert all(seq in victim.reliable._archive[(0, "a")]
                for seq in range(1, 11))
     tags = tagged_detector(victim)
     served = victim.reliable.retransmissions_served

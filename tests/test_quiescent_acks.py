@@ -340,6 +340,12 @@ def beacon_from(process, sender, payload, probe=False):
     (((2, "a", "1"),), "rel:bad-ack-entry"),
     (((0, "a", 5),), "rel:ack-for-unsent"),
     (("matrix", ((3, ((0, "a", 0),)),)), "rel:bad-ack-entry"),
+    # unhashable origin or stream, or a stream no vector carries
+    ((([1], "a", 3),), "rel:bad-ack-entry"),
+    (((1, ["a"], 3),), "rel:bad-ack-entry"),
+    ((({}, "a", 0),), "rel:bad-ack-entry"),
+    ((((1, [2]), "c", 0),), "rel:bad-ack-entry"),
+    (((1, "p", 3),), "rel:bad-ack-entry"),
 ])
 def test_malformed_heartbeat_vector_is_flagged_and_ignored(payload, tag):
     group, log = boot(n=4)
