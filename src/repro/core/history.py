@@ -47,9 +47,11 @@ class History:
     def record_cast(self, time, msg_id, vid):
         self.events.append((EV_CAST, time, msg_id, vid))
 
-    def record_cast_deliver(self, time, msg_id, origin, payload, vid):
+    def record_cast_deliver(self, time, msg_id, origin, payload, vid,
+                            digest=None):
+        # digest: the origin's, when the message carries it (Message._digest)
         self.events.append((EV_CAST_DELIVER, time, msg_id, origin,
-                            content_digest(payload), vid))
+                            digest or content_digest(payload), vid))
 
     def record_send(self, time, dest, vid):
         self.events.append((EV_SEND, time, dest, vid))

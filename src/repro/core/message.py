@@ -23,6 +23,8 @@ verification (``kind``, ``origin``, ``view_id`` and ``msg_id`` are fixed at
 construction).  Per-destination fan-out (``clone_for``) is copy-on-write:
 the clone shares the header map and the digest cache until either side
 mutates, so an n-1-receiver broadcast no longer copies n-1 header dicts.
+The unsigned ``inc`` transport header is outside the authenticated content,
+so pushing and popping it keeps the cache.
 """
 
 from __future__ import annotations
@@ -83,11 +85,21 @@ def batch_sort_key(msg_id):
 
 
 class Message:
-    """One protocol message travelling through a node's stack."""
+    """One protocol message travelling through a node's stack.
+
+    Three memo slots ride the message, never the wire: ``_auth_cache``
+    (the digest a MAC scheme signs), ``_digest`` (the checker's content
+    digest of a cast, set by its origin's top layer) and ``_archived``
+    (the retransmission archive's record, built by its origin's reliable
+    layer after signing).  ``clone_for`` copies all three, so the
+    receivers of a broadcast share them; assigning ``payload`` drops all
+    three, and ``from_wire_fields`` starts them empty.
+    """
 
     __slots__ = ("kind", "origin", "sender", "view_id", "_payload",
                  "payload_size", "headers", "signature", "dest", "msg_id",
-                 "group", "_auth_cache", "_hdrs_shared")
+                 "group", "_auth_cache", "_hdrs_shared", "_digest",
+                 "_archived")
 
     def __init__(self, kind, origin, view_id, payload, payload_size=0,
                  dest=None, msg_id=None, group=None):
@@ -108,6 +120,8 @@ class Message:
         self.group = group
         self._auth_cache = None
         self._hdrs_shared = False
+        self._digest = None
+        self._archived = None
 
     # ------------------------------------------------------------------
     # the payload is a property so that Byzantine in-flight mutation
@@ -121,7 +135,7 @@ class Message:
     @payload.setter
     def payload(self, value):
         self._payload = value
-        self._auth_cache = None
+        self._auth_cache = self._digest = self._archived = None
 
     # ------------------------------------------------------------------
     def push_header(self, layer_name, header):
@@ -131,7 +145,8 @@ class Message:
             self.headers = headers
             self._hdrs_shared = False
         headers[layer_name] = header
-        self._auth_cache = None
+        if layer_name != "inc":
+            self._auth_cache = None
 
     def header(self, layer_name, default=None):
         return self.headers.get(layer_name, default)
@@ -144,7 +159,8 @@ class Message:
             headers = dict(headers)
             self.headers = headers
             self._hdrs_shared = False
-        self._auth_cache = None
+        if layer_name != "inc":
+            self._auth_cache = None
         return headers.pop(layer_name)
 
     # ------------------------------------------------------------------
@@ -152,12 +168,13 @@ class Message:
         """The byte-stable content covered by the bottom layer's signature.
 
         Covers everything a Byzantine retransmitter could try to alter:
-        kind, origin, view id, headers, the payload itself, and the cast
-        id when there is one.
+        kind, origin, view id, headers (all but ``inc``), the payload
+        itself, and the cast id when there is one.
         """
         vid = self.view_id.to_wire() if self.view_id is not None else None
         content = (self.kind, repr(self.origin), vid,
-                   tuple(sorted((k, repr(v)) for k, v in self.headers.items())),
+                   tuple(sorted((k, repr(v)) for k, v in self.headers.items()
+                                if k != "inc")),
                    repr(self._payload))
         if self.msg_id is not None:
             content += (("mid", repr(self.msg_id)),)
@@ -289,7 +306,7 @@ class Message:
         msg.group = group
         msg.dest = dest
         msg.msg_id = msg_id
-        msg._auth_cache = None
+        msg._auth_cache = msg._digest = msg._archived = None
         msg._hdrs_shared = False
         return msg
 
@@ -298,8 +315,8 @@ class Message:
         Byzantine behaviour, per-destination retransmission, and the
         bottom layer's broadcast fan-out).
 
-        Copy-on-write: the clone shares the header map and the memoized
-        auth digest; the first ``push_header``/``pop_header`` on either
+        Copy-on-write: the clone shares the header map and the three
+        memo slots; the first ``push_header``/``pop_header`` on either
         side copies the map, so unmutated fan-out copies cost no dict
         allocation.
         """
@@ -316,6 +333,8 @@ class Message:
         copy.dest = dest
         copy.msg_id = self.msg_id
         copy._auth_cache = self._auth_cache
+        copy._digest = self._digest
+        copy._archived = self._archived
         copy._hdrs_shared = True
         self._hdrs_shared = True
         return copy

@@ -18,11 +18,12 @@ from __future__ import annotations
 class ViewId:
     """Totally-ordered view identifier: ``(counter, creator)``."""
 
-    __slots__ = ("counter", "creator")
+    __slots__ = ("counter", "creator", "_wire")
 
     def __init__(self, counter, creator):
         self.counter = counter
         self.creator = creator
+        self._wire = None
 
     def key(self):
         return (self.counter, repr(self.creator))
@@ -57,7 +58,12 @@ class ViewId:
         return "vid({};{})".format(self.counter, self.creator)
 
     def to_wire(self):
-        return ("vid", self.counter, self.creator)
+        # computed once: every message signed or archived in the view
+        # reads it, and the archive holds one per message
+        wire = self._wire
+        if wire is None:
+            wire = self._wire = ("vid", self.counter, self.creator)
+        return wire
 
     @classmethod
     def from_wire(cls, wire):

@@ -98,11 +98,11 @@ class BottomLayer(Layer):
         self.count("messages_signed")
         self.observe("sign_cpu", sign_cost)
         if process.incarnation:
-            # transport metadata, pushed AFTER signing: the incarnation
-            # number stays outside the signed content so archived copies
-            # retransmitted by third parties (which reconstruct only the
-            # signed headers) still verify.  It defends against *stale*
-            # messages, not active forgery -- the impersonation check
+            # transport metadata, pushed AFTER signing and left out of
+            # auth_content (so it keeps the memoized digest): archived
+            # copies retransmitted by third parties (which reconstruct
+            # only the signed headers) still verify.  It defends against
+            # *stale* messages, not active forgery -- the impersonation check
             # already makes the network source authoritative.  First-boot
             # processes (incarnation 0) push nothing, so wire sizes and
             # seed-pinned timings are unchanged unless a restart happened.

@@ -171,6 +171,8 @@ class StreamMachine:
                 break
             rec.next_seq = seq + 1
             deliver(buffer.pop(seq))
+            if self.records.get((origin, stream)) is not rec:
+                return  # that delivery installed a view: rec is detached
         if rec.next_seq != first and rec.round:
             self._to(rec, round=0)
         top = rec.top
@@ -786,10 +788,20 @@ class ReliableLayer(Layer):
     # archiving
     # ------------------------------------------------------------------
     def _archive_copy(self, msg, stream, seq):
+        """The origin builds the record once, after signing, and it rides
+        the message (``_archived``); a holder files the same tuple only if
+        every field matches its own copy, and builds its own otherwise."""
         vid = msg.view_id.to_wire() if msg.view_id is not None else None
-        self._archive[(msg.origin, stream)][seq] = (
-            msg.kind, msg.origin, vid, stream, seq, msg.payload,
-            msg.payload_size, msg.signature, msg.msg_id)
+        record = msg._archived
+        if (record is None or record[5] is not msg.payload
+                or record[7] is not msg.signature or record[4] != seq
+                or record[3] != stream or record[0] != msg.kind
+                or record[1] != msg.origin or record[2] != vid
+                or record[6] != msg.payload_size or record[8] != msg.msg_id):
+            record = msg._archived = (
+                msg.kind, msg.origin, vid, stream, seq, msg.payload,
+                msg.payload_size, msg.signature, msg.msg_id)
+        self._archive[(msg.origin, stream)][seq] = record
 
     def trim_archive(self):
         """Buffer management (paper section 3.1): messages acknowledged

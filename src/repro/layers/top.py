@@ -65,6 +65,8 @@ class TopLayer(Layer):
         from repro.core.message import Message
         msg = Message(mk.KIND_CAST, self.me, self.view.vid, payload, size,
                       msg_id=msg_id)
+        # computed once per cast: every receiver's history reads this one
+        msg._digest = self.process.history.cast_digests[msg_id]
         self.casts_sent += 1
         self.count("casts_sent")
         # opens the message's span: the first hop of its life is entering
@@ -99,7 +101,8 @@ class TopLayer(Layer):
                     obs.metrics.observe(self.me, self.name, "cast_latency",
                                         now - born)
             process.history.record_cast_deliver(
-                now, msg.msg_id, msg.origin, msg.payload, self.view.vid)
+                now, msg.msg_id, msg.origin, msg.payload, self.view.vid,
+                msg._digest)
             endpoint = process.endpoint
             if endpoint is not None:
                 endpoint.dispatch_cast(now, msg.origin, msg.payload,

@@ -23,18 +23,14 @@ waiting for its own agreement.  This layer costs O(n) broadcasts per cast
 
 from __future__ import annotations
 
-import hashlib
 from collections import deque
 
 from repro.broadcast.bracha import BrachaBroadcast
 from repro.broadcast.uniform import UniformBroadcast
 from repro.core import message as mk
+from repro.core.history import content_digest
 from repro.core.message import Message, is_cast_id
 from repro.layers.base import Layer
-
-
-def payload_digest(payload):
-    return hashlib.sha256(repr(payload).encode("utf-8")).hexdigest()[:16]
 
 
 class _Pending:
@@ -101,7 +97,7 @@ class UniformDeliveryLayer(Layer):
         if msg_id is None or msg_id in self._done or msg_id in self._pending:
             return
         self.process.cpu.charge(self.config.crypto_costs.hash_digest)
-        digest = payload_digest(msg.payload)
+        digest = msg._digest or content_digest(msg.payload)
         entry = _Pending(msg, digest)
         # a lost-and-retransmitted cast may arrive after its agreement
         # already completed from the quorum's echoes
@@ -231,7 +227,7 @@ class UniformDeliveryLayer(Layer):
         if entry is None or entry.agreed is None or not isinstance(body, tuple):
             return
         payload, size = body
-        if payload_digest(payload) != entry.agreed:
+        if content_digest(payload) != entry.agreed:
             return
         self.mismatches_recovered += 1
         self.count("mismatches_recovered")

@@ -7,8 +7,10 @@ import os
 
 from repro import Group, NetworkConfig, StackConfig
 from repro.chaos import FaultPlan
-from repro.core.message import KIND_HEARTBEAT
+from repro.core import history
+from repro.core.message import KIND_HEARTBEAT, Message
 from repro.core.properties import check_virtual_synchrony
+from repro.layers import uniform_delivery
 
 #: the committed fault plans: the golden scenarios and pinned reproducers
 GOLDEN_PLANS = os.path.join(os.path.dirname(os.path.abspath(__file__)),
@@ -124,6 +126,33 @@ def count_calls(obj, name):
         calls.append(args)
         return method(*args, **kw)
     setattr(obj, name, counted)
+    return calls
+
+
+def count_digests(monkeypatch):
+    """Record every message whose auth digest is computed (one canonical
+    encoding per digest)."""
+    calls = []
+    encode = Message.canonical_bytes
+
+    def counted(self):
+        calls.append(self)
+        return encode(self)
+    monkeypatch.setattr(Message, "canonical_bytes", counted)
+    return calls
+
+
+def count_content_digests(monkeypatch):
+    """Record every payload whose checker content digest is computed
+    (``history.content_digest``, in each module that calls it)."""
+    calls = []
+    digest = history.content_digest
+
+    def counted(payload):
+        calls.append(payload)
+        return digest(payload)
+    for module in (history, uniform_delivery):
+        monkeypatch.setattr(module, "content_digest", counted)
     return calls
 
 

@@ -279,8 +279,8 @@ def test_uniform_holds_cast_until_agreement():
     process.feed_up(cast)
     assert process.above.received_up == []  # held: agreement pending
     # the quorum's echoes arrive (digest of OUR copy)
-    from repro.layers.uniform_delivery import payload_digest
-    digest = payload_digest(("u", 1))
+    from repro.core.history import content_digest
+    digest = content_digest(("u", 1))
     for sender in (2, 3, 4, 5, 6, 7):
         msg = Message("udeliv", sender, process.view.vid,
                       ("ub", (1, 1), ("ub-echo", digest)))

@@ -1,10 +1,14 @@
 """What a message pays for on the common path, and what the receiver
 refuses before it pays anything (docs/PERFORMANCE.md, "Memoized canonical
 encoding + digest MACs", "Ack vector sorted when it leaves", "Archive
-trimmed per stream").
+trimmed per stream", "Once per cast").
 
 * the digest a MAC scheme signs is computed only when a scheme reads it:
-  never under NoCrypto, once per signed message under SymCrypto;
+  never under NoCrypto, once per signed message under SymCrypto, also for
+  a restarted member, whose unsigned ``inc`` header keeps the memo;
+* the checker's content digest and the archive record are computed once
+  per cast and shared by its receivers; a copy a Byzantine member altered
+  inherits neither, and a message decoded from the wire carries none;
 * the ack vector is sorted when an ack or heartbeat leaves, and equals the
   repr-sorted vector rebuilt from the stream records;
 * the retransmission archive is trimmed per stream up to the stability
@@ -14,25 +18,20 @@ trimmed per stream").
 
 import pytest
 
-from tests.helpers import make_group, tagged_detector
+from tests.helpers import (count_content_digests, count_digests, make_group,
+                           tagged_detector)
 
 from repro import Group, StackConfig
+from repro.apps.ring import RingDemo
+from repro.byzantine.behaviors import (BadViewCoordinator, Equivocator,
+                                       ForgedRetransmitter, TwoFacedCaster)
 from repro.core import message as mk
+from repro.core.history import content_digest
 from repro.core.message import Message
+from repro.core.properties import check_content_agreement
 from repro.layers.reliable import STREAM_APP, STREAM_CTL, STREAM_P2P
+from repro.runtime.wire import decode_value, encode_value
 from repro.sim.network import NetworkConfig
-
-
-def count_digests(monkeypatch):
-    """Count every canonical encoding computed (one per digest)."""
-    calls = []
-    encode = Message.canonical_bytes
-
-    def counted(self):
-        calls.append(self.kind)
-        return encode(self)
-    monkeypatch.setattr(Message, "canonical_bytes", counted)
-    return calls
 
 
 def cast_and_settle(crypto):
@@ -59,7 +58,34 @@ def test_a_sym_run_computes_one_digest_per_signed_message(monkeypatch):
     signed = sum(p.bottom.messages_signed for p in group.processes.values())
     # the receivers of a broadcast verify against the sender's memo
     assert len(digests) == signed
-    assert digests.count(mk.KIND_CAST) == 20
+    assert [msg.kind for msg in digests].count(mk.KIND_CAST) == 20
+
+
+def test_a_restarted_member_costs_one_digest_per_signed_message(monkeypatch):
+    group = make_group(4, seed=7, crypto="sym")
+    group.run(0.3)
+    group.crash(3)
+    assert group.run_until(lambda: all(
+        3 not in p.view.mbrs for node, p in group.processes.items()
+        if node != 3), timeout=5.0)
+    group.restart(3)
+    assert group.run_until(lambda: all(
+        len(p.view.mbrs) == 4 for p in group.processes.values()),
+        timeout=8.0)
+    group.run(0.3)
+    restarted = group.processes[3]
+    assert restarted.incarnation == 1
+    signed = restarted.bottom.messages_signed
+    digests = count_digests(monkeypatch)
+    for k in range(10):
+        group.endpoints[3].cast(("again", k))
+    group.run(0.3)
+    signed = restarted.bottom.messages_signed - signed
+    assert signed > 20
+    # the receivers verify against the signer's memo: the ``inc`` header
+    # it pushed after signing, and they pop before verifying, is not part
+    # of the authenticated content (four digests a message before)
+    assert sum(msg.sender == 3 for msg in digests) == signed
 
 
 # ----------------------------------------------------------------------
@@ -211,3 +237,88 @@ def test_a_malformed_inc_header_is_refused_before_any_comparison(crypto,
     assert process.bottom._peer_inc[1] == 1
     group.run(0.05)
     assert process.top.delivered == delivered + 1
+
+
+# ----------------------------------------------------------------------
+# once per cast: the content digest and the archive record
+# ----------------------------------------------------------------------
+def test_a_ring_digests_each_cast_once_not_once_per_delivery(monkeypatch):
+    digests = count_content_digests(monkeypatch)
+    group = make_group(16, seed=7, crypto="sym")
+    RingDemo(group, burst=4).start()
+    group.run(0.1)
+    casts = sum(len(p.history.cast_digests)
+                for p in group.processes.values())
+    delivered = sum(p.top.delivered for p in group.processes.values())
+    assert casts > 100 and delivered > 12 * casts
+    assert len(digests) == casts
+
+
+def test_every_holder_archives_one_broadcast_as_the_same_tuple():
+    group = make_group(5, seed=4, crypto="sym")
+    group.endpoints[0].cast(("once", 0))
+    group.run(0.002)                        # delivered, not yet trimmed
+    records = [p.reliable._archive[(0, STREAM_APP)][1]
+               for p in group.processes.values()]
+    assert len(records) == 5
+    assert all(record is records[0] for record in records)
+    assert records[0][5] == ("once", 0)
+
+
+@pytest.mark.parametrize("behavior,kind,payload", [
+    (TwoFacedCaster, mk.KIND_CAST, ("m", 1)),
+    (Equivocator, mk.KIND_UB, ("inst", ("ub-initial", "v"))),
+    (BadViewCoordinator, mk.KIND_UB,
+     ("inst", ("ub-initial", (("view", ("vid", 1, 0), (0, 1, 2, 3), 0, 0,
+                                False), ())))),
+    (ForgedRetransmitter, mk.KIND_RETRANS,
+     (mk.KIND_CAST, 1, ("vid", 1, 0), STREAM_APP, 1, ("m",), 16, b"s",
+      (1, 1))),
+], ids=["two-faced", "equivocator", "bad-view", "forged-retrans"])
+def test_an_altered_copy_inherits_no_digest_and_no_record(behavior, kind,
+                                                          payload):
+    group = make_group(4, seed=3, crypto="sym", behaviors={0: behavior()})
+    process = group.processes[0]
+    msg = Message(kind, 0, process.view.vid, payload, 16)
+    msg.signature, _cost, _bytes = process.auth.sign(0, (1, 2, 3), msg)
+    msg._digest, msg._archived = "digest", ("record",)
+    out = process.behavior.filter_outgoing(1, msg)
+    assert out is not msg and out.payload != payload
+    assert out._digest is None and out._archived is None
+    # an unaltered fan-out copy shares both
+    same = msg.clone_for(2)
+    assert same._digest == "digest" and same._archived == ("record",)
+
+
+def test_two_faced_receivers_record_their_own_digests_and_are_flagged():
+    group = make_group(5, seed=4, crypto="sym",
+                       behaviors={0: TwoFacedCaster()})
+    msg_id = group.endpoints[0].cast(("two-faced", 1))
+    group.run(0.002)
+    origin_record = group.processes[0].reliable._archive[(0, STREAM_APP)][1]
+    assert origin_record[5] == ("two-faced", 1)
+    for node in (1, 2, 3, 4):
+        record = group.processes[node].reliable._archive[(0, STREAM_APP)][1]
+        assert record[5] == ("evil", ("two-faced", 1), node)
+    group.run(0.3)
+    for node in (1, 2, 3, 4):
+        process = group.processes[node]
+        assert process.history.delivery_digests()[msg_id] == content_digest(
+            ("evil", ("two-faced", 1), node))
+    violations = check_content_agreement(group.execution())
+    assert violations and all(repr(msg_id) in v for v in violations)
+
+
+def test_a_message_decoded_from_the_wire_starts_with_empty_slots():
+    group = make_group(4, seed=3, crypto="sym")
+    process = group.processes[0]
+    msg = Message(mk.KIND_CAST, 0, process.view.vid, ("m", 1), 16,
+                  msg_id=(0, 1))
+    msg._digest = content_digest(msg.payload)
+    msg.signature, _cost, _bytes = process.auth.sign(0, (1, 2, 3), msg)
+    process.reliable._archive_copy(msg, STREAM_APP, 1)
+    assert msg._auth_cache is not None and msg._archived is not None
+    decoded = decode_value(encode_value(msg))
+    assert decoded.payload == msg.payload
+    assert (decoded._auth_cache, decoded._digest,
+            decoded._archived) == (None, None, None)

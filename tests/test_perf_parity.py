@@ -57,7 +57,12 @@ def run_scenario(plan):
 #: 202, 303 and 505, both halves, by the deciding coordinator that sends
 #: no coord (membership's failed-set agreement sends one message fewer
 #: per one-round instance, so the view changes run on shifted timing; 101
-#: and 606 did not move).
+#: and 606 did not move); and 505, both halves, by the stream drain that
+#: stops once a delivery installed a view (the drain that delivered the
+#: uniform broadcast carrying the view armed a repair timer on the cleared
+#: record, which nothing cancelled: it NAKed old-view seqs into the later
+#: views until the run ended, so the merges after 0.3 s ran on other
+#: timing).
 GOLDEN_SCENARIOS = {
     101: (
         "a6b0f49b58ef4ec1cdb9d84b4b131bcb5f4f8e57e3f23c8664663c5e11e083bc",
@@ -69,8 +74,8 @@ GOLDEN_SCENARIOS = {
         "a96837523889dadcf463070b682ff859e417dca1696c811c888b7bf404b0a22f",
         "01c2944d83602fc4d4dfbf31b97aa48cddc84b498b2ebf07ad32ab5e57154c62"),
     505: (
-        "3256226b7d5b8a77790123120d306029957354c66475120efb932f804314f765",
-        "370a586f06543f318e77b8c06afa7fcc836a5fb2f95c64327fa011e6149b1efe"),
+        "723347c39457e396112f9a6f7bad9a19b88f74294b54a7ec764b54332a61fe29",
+        "efc08009902eedcbf1b124da738375aa778429b393c0b644166b7af67858c0c5"),
     606: (
         "a0d4da078832c5546715347f406bb8792809ff3be61aa0f0360a07e82f9f6ea5",
         "6214539ddf847405d13b2613d0f7f9980b99b52e1c67b460bfdbff7997c63530"),

@@ -151,3 +151,38 @@ def test_the_view_change_completes_its_cut_through_a_holders_retransmission():
     assert node.naks() == [(0, 3, "a", (1,))]
     node.take(0, (KIND_RETRANS, (3, "a", 1, "m3"), node.view.vid))
     assert node.delivered == ["m3"] and node.machine.state == "await-view"
+
+
+class Installing(Port):
+    """A port whose delivery of ``"ub"`` installs a view, as the uniform
+    broadcast carrying a new view does in a stack: every record is
+    cleared mid-drain.  ``drains`` records each ``drained`` call."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.drains = []
+
+    def deliver(self, msg):
+        super().deliver(msg)
+        if msg == "ub":
+            self.streams.clear()
+
+    def drained(self, origin, stream, top):
+        self.drains.append((origin, stream, top))
+
+
+def test_a_drain_stops_at_the_delivery_that_installs_a_view():
+    port = Installing(3, View(ViewId(1, 0), (0, 1, 2, 3)), StackConfig.byz())
+    machine = port.streams
+    machine.accept(0, "c", 2, "m2")     # buffered behind the UB, seq 1
+    machine.accept(0, "c", 4, "m4")     # and a hole at 3: a ceiling of 4
+    rec = machine.records[(0, "c")]
+    assert rec.timer is not None and port.drains == [(0, "c", 0)] * 2
+    machine.accept(0, "c", 1, "ub")
+    # the old view's successor is not delivered into the new one, no
+    # repair timer is left on the detached record, and nothing is
+    # reported drained with the old view's top
+    assert port.delivered == ["ub"]
+    assert all(timer.cancelled for timer in port.timers)
+    assert port.drains == [(0, "c", 0)] * 2
+    assert machine.records == {}
