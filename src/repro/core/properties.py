@@ -79,14 +79,10 @@ def check_sending_view_delivery(execution):
     violations = []
     sent_in = {}
     for node, history in execution.correct_histories().items():
-        for ev in history.events:
-            if ev[0] == "cast":
-                sent_in[ev[2]] = ev[3]
+        for _time, msg_id, vid in history.casts():
+            sent_in[msg_id] = vid
     for node, history in execution.correct_histories().items():
-        for ev in history.events:
-            if ev[0] != "cast_deliver":
-                continue
-            msg_id, vid = ev[2], ev[5]
+        for _time, msg_id, _origin, _digest, vid in history.deliveries():
             origin_vid = sent_in.get(msg_id)
             if origin_vid is not None and origin_vid != vid:
                 violations.append(
@@ -158,10 +154,7 @@ def check_fifo_no_holes(execution):
     violations = []
     for node, history in execution.correct_histories().items():
         per_view_origin = {}
-        for ev in history.events:
-            if ev[0] != "cast_deliver":
-                continue
-            msg_id, origin, vid = ev[2], ev[3], ev[5]
+        for _time, msg_id, origin, _digest, vid in history.deliveries():
             if origin not in execution.correct or not isinstance(msg_id, tuple):
                 continue
             per_view_origin.setdefault((vid, origin), []).append(msg_id[1])
@@ -192,14 +185,12 @@ def check_origin_authenticity(execution):
         cast.update(history.cast_digests)
     violations = []
     for node, history in histories.items():
-        for ev in history.events:
-            if ev[0] != "cast_deliver":
-                continue
-            expected = cast.get(ev[2])
-            if expected is not None and expected != ev[4]:
+        for _time, msg_id, _origin, digest, _vid in history.deliveries():
+            expected = cast.get(msg_id)
+            if expected is not None and expected != digest:
                 violations.append(
                     "origin-authenticity: %r delivered %r as %s but its "
-                    "origin cast %s" % (node, ev[2], ev[4], expected))
+                    "origin cast %s" % (node, msg_id, digest, expected))
     return violations
 
 
@@ -252,10 +243,7 @@ def check_no_duplicate_delivery(execution):
     violations = []
     for node, history in execution.correct_histories().items():
         seen = set()
-        for ev in history.events:
-            if ev[0] != "cast_deliver":
-                continue
-            msg_id = ev[2]
+        for msg_id in history.delivery_order():
             if msg_id in seen:
                 violations.append(
                     "duplicate-delivery: %r delivered %r twice" % (node, msg_id))
@@ -269,8 +257,7 @@ def check_self_delivery(execution):
     view the sender stayed in past one more view, mirroring item 3)."""
     violations = []
     for node, history in execution.correct_histories().items():
-        delivered = {ev[2] for ev in history.events
-                     if ev[0] == "cast_deliver"}
+        delivered = set(history.delivery_order())
         for v1, v2 in _continuing_pairs(history):
             for msg_id in history.casts_in_view(v1):
                 if msg_id not in delivered:

@@ -88,6 +88,8 @@ class AsyncioClock:
     #: a per-node clock may be closed by its owning GroupProcess on stop
     #: (the shared Simulator must not be -- see GroupProcess.stop)
     per_process = True
+    #: the CPU model a process on this clock charges (see _WallCpu)
+    cpu_model = _WallCpu
 
     def __init__(self, loop=None, seed=0):
         self._loop = loop or asyncio.get_event_loop()

@@ -81,7 +81,8 @@ def history_to_jsonable(history):
 
 def history_from_jsonable(obj):
     history = History(obj["node_id"])
-    history.events = [event_from_jsonable(ev) for ev in obj["events"]]
+    for ev in obj["events"]:
+        history.append(event_from_jsonable(ev))
     return history
 
 

@@ -26,7 +26,6 @@ final view composition and on per-sender delivery order.
 
 from __future__ import annotations
 
-from repro.core.history import EV_CAST_DELIVER
 from repro.core.properties import check_virtual_synchrony
 from repro.runtime.report import NodeReport, execution_from_reports
 
@@ -268,10 +267,9 @@ class WorkloadResult:
         for node in self.survivors():
             per_origin = {}
             seen = set()
-            for ev in self.reports[node].history.events:
-                if ev[0] != EV_CAST_DELIVER:
-                    continue
-                key = workload_cast_key(ev[4])
+            history = self.reports[node].history
+            for _t, _m, _o, digest, _v in history.deliveries():
+                key = workload_cast_key(digest)
                 if key is None or key in seen:
                     continue
                 seen.add(key)

@@ -87,13 +87,10 @@ def view_summary(execution):
             entry = summary.setdefault(
                 vid, {"members": mbrs, "installed_by": [], "deliveries": {}})
             entry["installed_by"].append(node)
-        for ev in history.events:
-            if ev[0] == EV_CAST_DELIVER:
-                vid = ev[5]
-                entry = summary.setdefault(
-                    vid, {"members": None, "installed_by": [],
-                          "deliveries": {}})
-                entry["deliveries"][node] = entry["deliveries"].get(node, 0) + 1
+        for _t, _m, _o, _d, vid in history.deliveries():
+            entry = summary.setdefault(
+                vid, {"members": None, "installed_by": [], "deliveries": {}})
+            entry["deliveries"][node] = entry["deliveries"].get(node, 0) + 1
     return summary
 
 

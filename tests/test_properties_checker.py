@@ -4,7 +4,7 @@ The checker must catch synthetic violations (so a green run means
 something) and pass hand-built legal histories.
 """
 
-from repro.core.history import Execution, History, content_digest
+from repro.core.history import Execution, History
 from repro.core.properties import (check_content_agreement,
                                    check_delivery_agreement,
                                    check_fifo_no_holes,
@@ -30,7 +30,7 @@ def record_view(history, t, counter, members):
 
 def test_self_inclusion_violation_detected():
     h = History("a")
-    h.events.append(("view", 0.0, ViewId(1, "b"), ("b", "c")))
+    h.record_view(0.0, View(ViewId(1, "b"), ("b", "c")))
     execution = Execution({"a": h})
     assert check_self_inclusion(execution)
 
@@ -51,16 +51,16 @@ def test_monotonic_vid_violation():
 def test_view_agreement_violation():
     ha, hb = History("a"), History("b")
     vid = ViewId(1, "a")
-    ha.events.append(("view", 0.0, vid, ("a", "b")))
-    hb.events.append(("view", 0.0, vid, ("a", "b", "c")))
+    ha.record_view(0.0, View(vid, ("a", "b")))
+    hb.record_view(0.0, View(vid, ("a", "b", "c")))
     assert check_view_agreement(Execution({"a": ha, "b": hb}))
 
 
 def test_view_agreement_ignores_byzantine_histories():
     ha, hb = History("a"), History("b")
     vid = ViewId(1, "a")
-    ha.events.append(("view", 0.0, vid, ("a", "b")))
-    hb.events.append(("view", 0.0, vid, ("a", "b", "c")))
+    ha.record_view(0.0, View(vid, ("a", "b")))
+    hb.record_view(0.0, View(vid, ("a", "b", "c")))
     execution = Execution({"a": ha, "b": hb}, correct={"a"})
     assert not check_view_agreement(execution)
 
@@ -78,11 +78,10 @@ def test_view_confirmation_violation():
 def test_sending_view_violation():
     ha, hb = History("a"), History("b")
     v1, v2 = ViewId(1, "a"), ViewId(2, "a")
-    ha.events.append(("view", 0.0, v1, ("a", "b")))
-    ha.events.append(("cast", 0.1, ("a", 1), v1))
-    hb.events.append(("view", 0.0, v2, ("a", "b")))
-    hb.events.append(("cast_deliver", 0.2, ("a", 1), "a",
-                      content_digest("x"), v2))
+    ha.record_view(0.0, View(v1, ("a", "b")))
+    ha.record_cast(0.1, ("a", 1), v1)
+    hb.record_view(0.0, View(v2, ("a", "b")))
+    hb.record_cast_deliver(0.2, ("a", 1), "a", "x", v2)
     assert check_sending_view_delivery(Execution({"a": ha, "b": hb}))
 
 
@@ -91,12 +90,11 @@ def test_reliable_delivery_violation():
     ha, hb = History("a"), History("b")
     v1, v2 = ViewId(1, "a"), ViewId(2, "a")
     for h in (ha, hb):
-        h.events.append(("view", 0.0, v1, ("a", "b")))
-    ha.events.append(("cast", 0.1, ("a", 1), v1))
-    ha.events.append(("cast_deliver", 0.2, ("a", 1), "a",
-                      content_digest("x"), v1))
+        h.record_view(0.0, View(v1, ("a", "b")))
+    ha.record_cast(0.1, ("a", 1), v1)
+    ha.record_cast_deliver(0.2, ("a", 1), "a", "x", v1)
     for h in (ha, hb):
-        h.events.append(("view", 1.0, v2, ("a", "b")))
+        h.record_view(1.0, View(v2, ("a", "b")))
     assert check_reliable_delivery(Execution({"a": ha, "b": hb}))
 
 
@@ -104,22 +102,19 @@ def test_delivery_agreement_violation():
     ha, hb = History("a"), History("b")
     v1, v2 = ViewId(1, "a"), ViewId(2, "a")
     for h in (ha, hb):
-        h.events.append(("view", 0.0, v1, ("a", "b")))
-    ha.events.append(("cast_deliver", 0.2, ("c", 9), "c",
-                      content_digest("x"), v1))
+        h.record_view(0.0, View(v1, ("a", "b")))
+    ha.record_cast_deliver(0.2, ("c", 9), "c", "x", v1)
     for h in (ha, hb):
-        h.events.append(("view", 1.0, v2, ("a", "b")))
+        h.record_view(1.0, View(v2, ("a", "b")))
     assert check_delivery_agreement(Execution({"a": ha, "b": hb}))
 
 
 def test_fifo_hole_violation():
     ha = History("a")
     v1 = ViewId(1, "a")
-    ha.events.append(("view", 0.0, v1, ("a", "b")))
-    ha.events.append(("cast_deliver", 0.1, ("b", 1), "b",
-                      content_digest("x"), v1))
-    ha.events.append(("cast_deliver", 0.2, ("b", 3), "b",
-                      content_digest("y"), v1))  # skipped counter 2
+    ha.record_view(0.0, View(v1, ("a", "b")))
+    ha.record_cast_deliver(0.1, ("b", 1), "b", "x", v1)
+    ha.record_cast_deliver(0.2, ("b", 3), "b", "y", v1)  # skipped counter 2
     execution = Execution({"a": ha, "b": History("b")})
     assert check_fifo_no_holes(execution)
 
@@ -127,11 +122,9 @@ def test_fifo_hole_violation():
 def test_fifo_out_of_order_violation():
     ha = History("a")
     v1 = ViewId(1, "a")
-    ha.events.append(("view", 0.0, v1, ("a", "b")))
-    ha.events.append(("cast_deliver", 0.1, ("b", 2), "b",
-                      content_digest("x"), v1))
-    ha.events.append(("cast_deliver", 0.2, ("b", 1), "b",
-                      content_digest("y"), v1))
+    ha.record_view(0.0, View(v1, ("a", "b")))
+    ha.record_cast_deliver(0.1, ("b", 2), "b", "x", v1)
+    ha.record_cast_deliver(0.2, ("b", 1), "b", "y", v1)
     execution = Execution({"a": ha, "b": History("b")})
     assert check_fifo_no_holes(execution)
 
@@ -139,9 +132,8 @@ def test_fifo_out_of_order_violation():
 def test_fifo_ignores_byzantine_origins():
     ha = History("a")
     v1 = ViewId(1, "a")
-    ha.events.append(("view", 0.0, v1, ("a", "b")))
-    ha.events.append(("cast_deliver", 0.1, ("z", 5), "z",
-                      content_digest("x"), v1))
+    ha.record_view(0.0, View(v1, ("a", "b")))
+    ha.record_cast_deliver(0.1, ("z", 5), "z", "x", v1)
     execution = Execution({"a": ha}, correct={"a"})
     assert not check_fifo_no_holes(execution)
 
@@ -150,11 +142,9 @@ def test_content_agreement_violation():
     ha, hb = History("a"), History("b")
     v1 = ViewId(1, "a")
     for h in (ha, hb):
-        h.events.append(("view", 0.0, v1, ("a", "b")))
-    ha.events.append(("cast_deliver", 0.1, ("z", 1), "z",
-                      content_digest("version-1"), v1))
-    hb.events.append(("cast_deliver", 0.1, ("z", 1), "z",
-                      content_digest("version-2"), v1))
+        h.record_view(0.0, View(v1, ("a", "b")))
+    ha.record_cast_deliver(0.1, ("z", 1), "z", "version-1", v1)
+    hb.record_cast_deliver(0.1, ("z", 1), "z", "version-2", v1)
     assert check_content_agreement(Execution({"a": ha, "b": hb}))
 
 
@@ -167,11 +157,9 @@ def squatted_execution(delivered):
     ha.record_cast_content(("a", 1), "x")
     hz.record_cast_content(("z", 1), "p")
     for h in (ha, hb):
-        h.events.append(("view", 0.0, v1, ("a", "b", "z")))
-        h.events.append(("cast_deliver", 0.1, ("a", 1), "a",
-                         content_digest(delivered), v1))
-        h.events.append(("cast_deliver", 0.2, ("z", 1), "z",
-                         content_digest("q"), v1))
+        h.record_view(0.0, View(v1, ("a", "b", "z")))
+        h.record_cast_deliver(0.1, ("a", 1), "a", delivered, v1)
+        h.record_cast_deliver(0.2, ("z", 1), "z", "q", v1)
     return Execution({"a": ha, "b": hb, "z": hz}, correct={"a", "b"})
 
 
@@ -196,10 +184,9 @@ def test_total_order_violation():
     v1 = ViewId(1, "a")
     m1, m2 = ("a", 1), ("b", 1)
     for h, order in ((ha, (m1, m2)), (hb, (m2, m1))):
-        h.events.append(("view", 0.0, v1, ("a", "b")))
+        h.record_view(0.0, View(v1, ("a", "b")))
         for i, m in enumerate(order):
-            h.events.append(("cast_deliver", 0.1 + i / 10, m, m[0],
-                             content_digest("x"), v1))
+            h.record_cast_deliver(0.1 + i / 10, m, m[0], "x", v1)
     assert check_total_order(Execution({"a": ha, "b": hb}))
 
 
@@ -208,12 +195,12 @@ def test_clean_execution_passes_everything():
     v1, v2 = ViewId(1, "a"), ViewId(2, "a")
     m = ("a", 1)
     for h in (ha, hb):
-        h.events.append(("view", 0.0, v1, ("a", "b")))
-        h.events.append(("cast_deliver", 0.2, m, "a", content_digest("x"), v1))
-    ha.events.append(("cast", 0.1, m, v1))
+        h.record_view(0.0, View(v1, ("a", "b")))
+        h.record_cast_deliver(0.2, m, "a", "x", v1)
+    ha.record_cast(0.1, m, v1)
     ha.record_cast_content(m, "x")
     for h in (ha, hb):
-        h.events.append(("view", 1.0, v2, ("a", "b")))
+        h.record_view(1.0, View(v2, ("a", "b")))
     execution = Execution({"a": ha, "b": hb})
     assert not check_view_synchrony(execution)
     assert not check_virtual_synchrony(execution, content_agreement=True,
@@ -224,10 +211,9 @@ def test_duplicate_delivery_violation():
     from repro.core.properties import check_no_duplicate_delivery
     ha = History("a")
     v1 = ViewId(1, "a")
-    ha.events.append(("view", 0.0, v1, ("a",)))
+    ha.record_view(0.0, View(v1, ("a",)))
     for t in (0.1, 0.2):
-        ha.events.append(("cast_deliver", t, ("b", 1), "b",
-                          content_digest("x"), v1))
+        ha.record_cast_deliver(t, ("b", 1), "b", "x", v1)
     assert check_no_duplicate_delivery(Execution({"a": ha}))
 
 
@@ -235,7 +221,7 @@ def test_self_delivery_violation():
     from repro.core.properties import check_self_delivery
     ha = History("a")
     v1, v2 = ViewId(1, "a"), ViewId(2, "a")
-    ha.events.append(("view", 0.0, v1, ("a",)))
-    ha.events.append(("cast", 0.1, ("a", 1), v1))
-    ha.events.append(("view", 1.0, v2, ("a",)))  # moved on without delivering
+    ha.record_view(0.0, View(v1, ("a",)))
+    ha.record_cast(0.1, ("a", 1), v1)
+    ha.record_view(1.0, View(v2, ("a",)))  # moved on without delivering
     assert check_self_delivery(Execution({"a": ha}))

@@ -77,3 +77,27 @@ def test_example_runs(path):
     done = subprocess.run([sys.executable, path], env=env, cwd=ROOT,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stdout[-2000:] + done.stderr[-2000:]
+
+
+SIM_ONLY = """
+import sys
+import repro
+from repro import Group
+group = Group.bootstrap(4, seed=3)
+group.endpoints[0].cast("x")
+group.run(0.05)
+assert group.processes[1].history.delivery_order() == [(0, 1)]
+import repro.chaos
+print(sorted(m for m in ("asyncio", "ssl") if m in sys.modules))
+"""
+
+
+def test_simulator_does_not_load_asyncio():
+    """The simulator needs no event loop: a clock hands the process its
+    CPU model, so only the UDP runtime imports asyncio (and ssl with it)."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    done = subprocess.run([sys.executable, "-c", SIM_ONLY], env=env,
+                          cwd=ROOT, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert done.stdout.split("\n")[-2] == "[]"
