@@ -17,7 +17,12 @@ Differences from the simulator, deliberate:
   Ready callbacks run in FIFO order, like the simulator's insertion
   sequence;
 * there is no modelled CPU (DESIGN §2): a real host pays for its work
-  by doing it, so :class:`_WallCpu` completes every charge at once;
+  by doing it, so :class:`_WallCpu` completes every charge at once, and
+  :meth:`AsyncioClock.schedule_serial` runs the work such a charge
+  guards (the bottom layer's transmit and receive halves) inline, with
+  no loop handle and no timer: a send reaches the transport inside
+  ``BottomLayer.handle_down`` and a received datagram reaches the
+  reliable layer inside the transport's readiness callback;
 * the clock tracks every armed timer and :meth:`close` cancels them all,
   which is what lets ``GroupProcess.stop`` guarantee that repeated
   start/stop cycles leak nothing (each node process owns its clock, so
@@ -83,7 +88,13 @@ class _WallCpu:
 
 
 class AsyncioClock:
-    """One node's real-time clock; the ``process.sim`` seam over asyncio."""
+    """One node's real-time clock; the ``process.sim`` seam over asyncio.
+
+    Timers are loop handles (``call_soon`` when due, ``call_at``
+    otherwise), tracked so :meth:`close` cancels them all; a completed
+    CPU charge is no timer at all (:meth:`schedule_serial` runs it
+    inline).
+    """
 
     #: a per-node clock may be closed by its owning GroupProcess on stop
     #: (the shared Simulator must not be -- see GroupProcess.stop)
@@ -141,8 +152,14 @@ class AsyncioClock:
         return None
 
     def schedule_serial(self, queue, deadline, callback, *args):
-        """Surface parity with the simulator; plain ``schedule_at``."""
+        """Run the work behind a CPU charge.  A charge :class:`_WallCpu`
+        completed is due now, so it runs inline and returns None (no
+        timer, not an event); a future deadline is a plain
+        ``schedule_at``."""
         del queue
+        if deadline <= self.now and not self.closed:
+            callback(*args)
+            return None
         return self.schedule_at(deadline, callback, *args)
 
     def _fire(self, timer):

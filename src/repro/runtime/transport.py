@@ -5,6 +5,23 @@ a UDP socket on localhost and implements the exact surface the stack
 uses on :class:`repro.sim.network.Network` -- ``attach``, ``send``,
 ``gossip_cast``, ``crash``, ``detach`` plus the datagram counters.
 
+The socket is a plain non-blocking one, with no asyncio
+``DatagramTransport`` in between (docs/PERFORMANCE.md, "Real sockets pay
+real costs only"):
+
+* **one wakeup, every queued datagram** -- one ``loop.add_reader``
+  callback drains the socket, handing each datagram to
+  ``_on_datagram`` in the same callback, up to :data:`DRAIN_BOUND` per
+  wakeup so the loop's timers keep their turn under a flood.  It stops
+  early when the socket runs dry or a delivery closed the transport; an
+  ``OSError`` from ``recvfrom`` counts ``socket_errors`` and the drain
+  goes on;
+* **send is ``sendto``** -- nothing is buffered below the coalescer: a
+  ``sendto`` that would block (a full socket buffer) or fails drops the
+  datagram and counts it in ``datagrams_dropped`` and ``socket_errors``;
+  the stack's repair path resends what it needs, as it would after a
+  loss on the wire.
+
 The **gossip bus** stands in for the paper's IP multicast: a gossip
 frame is fanned out to every address in the static address book, member
 or not, which reproduces the discovery property the merge protocol
@@ -57,6 +74,7 @@ pre-shard wire format.
 from __future__ import annotations
 
 import asyncio
+import socket
 import struct
 import sys
 
@@ -82,23 +100,15 @@ MAX_DATAGRAM_BYTES = 65000
 #: overrides it from StackConfig.packing_policy(wire=True)
 DEFAULT_COALESCE_BYTES = 16000
 
+#: datagrams one readiness callback takes off the socket before it
+#: returns to the loop (timers and other sockets wait at most this many)
+DRAIN_BOUND = 64
+
+#: ``recvfrom`` buffer: any UDP datagram arrives whole (a stranger's
+#: oversize one too -- the codec rejects it, nothing truncates it)
+RECV_BYTES = 65536
+
 _pack_u32 = struct.Struct("!I").pack
-
-
-class _UdpProtocol(asyncio.DatagramProtocol):
-    """Thin adapter routing socket events into the transport."""
-
-    def __init__(self, transport):
-        self.owner = transport
-
-    def connection_made(self, transport):
-        self.owner._udp = transport
-
-    def datagram_received(self, data, addr):
-        self.owner._on_datagram(data, addr)
-
-    def error_received(self, exc):
-        self.owner.socket_errors += 1
 
 
 class _DestBuffer:
@@ -143,7 +153,8 @@ class AsyncioTransport:
         self.node_id = node_id
         self.addresses = dict(addresses)
         self._loop = loop or asyncio.get_event_loop()
-        self._udp = None          # asyncio DatagramTransport once open
+        self._udp = None          # the bound non-blocking socket once open
+        self._reading = False     # the socket's reader is on the loop
         #: node_id -> _Port; several hosted processes share this socket
         #: when their address-book entries equal the bind address
         self._ports = {}
@@ -216,10 +227,23 @@ class AsyncioTransport:
                                       MAX_DATAGRAM_BYTES)
 
     async def open(self):
-        """Bind the UDP endpoint on this node's address-book entry."""
+        """Bind the UDP socket on this node's address-book entry and put
+        its reader on the loop."""
         host, port = self.addresses[self.node_id]
-        await self._loop.create_datagram_endpoint(
-            lambda: _UdpProtocol(self), local_addr=(host, port))
+        # the address book holds literal addresses: resolved in place,
+        # no resolver thread
+        family, kind, proto, _name, addr = socket.getaddrinfo(
+            host, port, type=socket.SOCK_DGRAM)[0]
+        sock = socket.socket(family, kind, proto)
+        try:
+            sock.setblocking(False)
+            sock.bind(addr)
+        except OSError:
+            sock.close()
+            raise
+        self._udp = sock
+        self._loop.add_reader(sock.fileno(), self._on_readable)
+        self._reading = True
         return self
 
     def close(self):
@@ -236,9 +260,11 @@ class AsyncioTransport:
         self.closed = True
         self._drop_pending()
         self._body_cache = None
-        if self._udp is not None:
-            self._udp.close()
-            self._udp = None
+        udp, self._udp = self._udp, None
+        if udp is not None:
+            if self._reading:
+                self._loop.remove_reader(udp.fileno())
+            udp.close()
 
     # ------------------------------------------------------------------
     # the Network surface the stack uses
@@ -562,6 +588,24 @@ class AsyncioTransport:
         for port in self._live_ports():
             if port.on_undecodable is not None:
                 port.on_undecodable(src)
+
+    def _on_readable(self):
+        """The socket is readable: deliver what it holds, up to
+        :data:`DRAIN_BOUND` datagrams (the loop calls back while more
+        remain)."""
+        recvfrom = self._udp.recvfrom
+        for _ in range(DRAIN_BOUND):
+            try:
+                data, addr = recvfrom(RECV_BYTES)
+            except BlockingIOError:
+                return
+            except OSError:
+                self.socket_errors += 1
+                continue
+            # looked up per datagram: an instrumented transport wraps it
+            self._on_datagram(data, addr)
+            if self.closed:
+                return
 
     def _on_datagram(self, data, addr):
         if self.closed or self.crashed:

@@ -26,6 +26,7 @@ final view composition and on per-sender delivery order.
 
 from __future__ import annotations
 
+from repro.core.history import content_digest
 from repro.core.properties import check_virtual_synchrony
 from repro.runtime.report import NodeReport, execution_from_reports
 
@@ -261,15 +262,21 @@ class WorkloadResult:
         Keyed on the workload payload (not the stack msg_id) and deduped
         to first delivery, so an application re-cast -- which gets a
         fresh stack msg_id -- does not perturb the cross-backend
-        comparison.
+        comparison.  The history records a content digest, not the
+        payload, so each digest is mapped back to the script's
+        ``("wl", origin, index)`` cast it names.
         """
+        workload = self.workload
+        keys = {content_digest(("wl", origin, index)): (origin, index)
+                for origin in range(workload.n)
+                for index in range(workload.casts_per_node)}
         orders = {}
         for node in self.survivors():
             per_origin = {}
             seen = set()
             history = self.reports[node].history
             for _t, _m, _o, digest, _v in history.deliveries():
-                key = workload_cast_key(digest)
+                key = keys.get(digest)
                 if key is None or key in seen:
                     continue
                 seen.add(key)

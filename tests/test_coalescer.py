@@ -23,8 +23,13 @@ Covered contracts:
   (nested pack payloads flattened), and a corrupt sub-frame feeds
   ``on_undecodable`` for that sub-frame only while siblings deliver;
 * crash drops pending buffers, graceful close flushes them;
-* on an AsyncioClock a bottom-layer send reaches the transport, and the
-  datagram reaches the reliable layer, without arming a timer.
+* the socket reader drains every queued datagram in one callback, up to
+  its per-wakeup bound; a ``recvfrom`` error is counted and skipped, a
+  delivery that closes the transport ends the drain, and a ``sendto``
+  that would block is a counted drop;
+* on an AsyncioClock a bottom-layer send reaches the transport inside
+  ``handle_down``, and the datagram reaches the reliable layer inside
+  the transport's receive call, without a loop hop or a timer.
 """
 
 from __future__ import annotations
@@ -33,7 +38,11 @@ import pytest
 
 from repro.core.message import Message
 from repro.core.view import ViewId
-from repro.runtime.transport import MAX_DATAGRAM_BYTES, AsyncioTransport
+from repro.runtime.transport import (
+    DRAIN_BOUND,
+    MAX_DATAGRAM_BYTES,
+    AsyncioTransport,
+)
 from repro.runtime.wire import (
     FRAME_BATCH,
     FRAME_DATAGRAM,
@@ -319,6 +328,94 @@ def test_single_frame_delivers_unwrapped():
 
 
 # ----------------------------------------------------------------------
+# the socket reader: one wakeup drains what is queued
+# ----------------------------------------------------------------------
+class ScriptedSocket(FakeUdp):
+    """A socket whose ``recvfrom`` replays a script: each entry is a
+    ``(data, addr)`` datagram or an exception to raise; past the end it
+    would block."""
+
+    def __init__(self, script):
+        super().__init__()
+        self.script = list(script)
+        self.reads = 0
+
+    def recvfrom(self, bufsize):
+        self.reads += 1
+        if not self.script:
+            raise BlockingIOError()
+        entry = self.script.pop(0)
+        if isinstance(entry, BaseException):
+            raise entry
+        return entry
+
+
+def reader_transport(script):
+    t = make_transport(node_id=1)
+    t._udp = ScriptedSocket(script)
+    return t, collect_deliveries(t)
+
+
+def datagram(k):
+    return (encode_frame(FRAME_DATAGRAM, 0, msg(msg_id=("r", k))), ADDRS[0])
+
+
+def test_reader_drains_past_a_socket_error_in_one_callback():
+    t, inbox = reader_transport([datagram(0), OSError("injected"),
+                                 datagram(1), BlockingIOError(),
+                                 datagram(2)])
+    seen = []
+    on_datagram = t._on_datagram
+
+    def wrapped(data, addr):              # how an instrumented run wraps it
+        seen.append(addr)
+        on_datagram(data, addr)
+
+    t._on_datagram = wrapped
+    t._on_readable()
+    assert [p.msg_id for _s, p in inbox] == [("r", 0), ("r", 1)]
+    assert seen == [ADDRS[0], ADDRS[0]]
+    assert t.socket_errors == 1
+    assert t._udp.reads == 4              # stopped at the would-block
+
+
+def test_reader_yields_to_the_loop_after_its_bound():
+    t, inbox = reader_transport([datagram(k) for k in range(DRAIN_BOUND + 5)])
+    t._on_readable()
+    assert len(inbox) == DRAIN_BOUND
+    t._on_readable()
+    assert len(inbox) == DRAIN_BOUND + 5
+    assert [p.msg_id[1] for _s, p in inbox] == list(range(DRAIN_BOUND + 5))
+
+
+def test_reader_stops_when_a_delivery_closes_the_transport():
+    t = make_transport(node_id=1)
+    sock = t._udp = ScriptedSocket([datagram(0), datagram(1)])
+    inbox = []
+
+    def deliver(src, payload):
+        inbox.append(payload)
+        t.close()
+
+    t.attach(1, deliver)
+    t._on_readable()
+    assert len(inbox) == 1
+    assert sock.reads == 1 and len(sock.script) == 1
+
+
+def test_sendto_that_would_block_is_a_counted_drop():
+    t = make_transport(coalescing=False)
+
+    def would_block(data, addr):
+        raise BlockingIOError()
+
+    t._udp.sendto = would_block
+    t.send(0, 1, 100, msg())
+    assert t.datagrams_dropped == 1 and t.socket_errors == 1
+    assert t.frames_dropped == 1 and t.datagrams_sent == 0
+
+
+# ----------------------------------------------------------------------
 # lifecycle
 # ----------------------------------------------------------------------
 def test_crash_drops_pending_close_flushes():
@@ -369,10 +466,12 @@ class HopLoop(FakeLoop):
 
 
 def test_hop_to_socket_and_back_takes_no_timer():
-    """On an AsyncioClock a bottom-layer send reaches ``transport.send``,
-    and the datagram it becomes reaches the reliable layer, with no
-    ``call_at`` on the way: real clocks pay no modelled CPU, and due work
-    runs off the ready queue (a timer would wait out a selector quantum)."""
+    """On an AsyncioClock a bottom-layer send reaches ``transport.send``
+    inside ``handle_down``, and the datagram it becomes reaches the
+    reliable layer inside ``_on_datagram``, with no ``call_at`` and no
+    ready-queue hop on the way: real clocks pay no modelled CPU, so the
+    work a charge guards runs inline (a timer would wait out a selector
+    quantum, a ``call_soon`` costs a loop handle)."""
     from repro.core.config import StackConfig
     from repro.crypto.keys import KeyManager
     from repro.runtime.backend_asyncio import AsyncioRuntime
@@ -402,13 +501,13 @@ def test_hop_to_socket_and_back_takes_no_timer():
 
     sender.bottom.handle_down(Message("cast", 1, sender.view.vid, ("hop",),
                                       payload_size=16, dest=0))
+    assert sends == [timers_before]       # before the loop ran anything
     loop.run_ready()
-    assert sends == [timers_before]
     (data, addr), = sender.network._udp.sent
     assert addr == ADDRS[0]
     receiver.network._on_datagram(data, ADDRS[1])
-    loop.run_ready()
     assert arrivals == [(("hop",), timers_before)]
+    assert loop.ready == []
 
 
 # ----------------------------------------------------------------------

@@ -55,7 +55,8 @@ def _assert_healthy(result, workload):
 
 
 def _sender_orders_agree(sim, net, workload):
-    """Every (observer, origin) pair delivered the same index sequence."""
+    """Every (observer, origin) pair delivered the same index sequence,
+    and every survivor's order covers every cast of the script."""
     sim_orders = sim.per_sender_orders()
     net_orders = net.per_sender_orders()
     assert set(sim_orders) == set(net_orders)
@@ -63,6 +64,9 @@ def _sender_orders_agree(sim, net, workload):
     for node in sim_orders:
         assert sim_orders[node] == net_orders[node], (
             node, sim_orders[node], net_orders[node])
+        compared = sum(len(indices) for indices in sim_orders[node].values())
+        assert compared == workload.expected_deliveries, (
+            node, compared, sim_orders[node])
         for origin, indices in sim_orders[node].items():
             assert indices == full, (node, origin, indices)
 

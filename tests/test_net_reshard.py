@@ -46,15 +46,33 @@ def test_net_migration_fences_and_applies_exactly_once():
     assert sum(fencing.values()) > 0, fencing
 
 
-def test_idle_members_stop_ticking_and_ops_await_the_signal():
+def test_idle_members_stop_ticking_and_ops_await_the_signal(monkeypatch):
     """The asyncio half of tests/test_idle_cost.py: on ``AsyncioClock`` a
     quiet member's ordering tick is dormant (at most the boot tick), an
     op wakes it and it goes back to sleep, and ``NetShardClient.op``
-    completes off the shard's ``Applied`` signal with no waiter left."""
+    completes off the shard's ``Applied`` signal with no waiter left.
+
+    The wake is observed as an arm, not a fire: an op that is decided
+    inside one ``order_tick`` puts the armed tick back to sleep before
+    its grid instant (DESIGN §4 promises dormancy, not a fire per op)."""
     import asyncio
 
     from tests.helpers import TickCounter
     from repro.shard.netplane import NetShardClient, boot_plane
+    from repro.sim.clock import GridTimer
+
+    arms = {}       # node id -> times its ordering tick went dormant -> armed
+    arm = GridTimer.arm
+
+    def counted_arm(timer):
+        dormant = timer.timer is None
+        arm(timer)
+        owner = getattr(timer.callback, "__self__", None)
+        if (dormant and timer.timer is not None
+                and type(owner).__name__ == "OrderingLayer"):
+            arms[owner.me] = arms.get(owner.me, 0) + 1
+
+    monkeypatch.setattr(GridTimer, "arm", counted_arm)
 
     async def scenario():
         plane = await boot_plane(1, 4, seed=3)
@@ -66,12 +84,12 @@ def test_idle_members_stop_ticking_and_ops_await_the_signal():
             await asyncio.sleep(0.5)
             quiet = counter.counts()
             assert all(ticks <= 1 for ticks in quiet.values()), quiet
+            quiet_arms = dict(arms)
             client = NetShardClient(plane, name="idle")
             assert await client.set("k", 1) == ("ok", None)
             assert await client.incr("k") == ("ok", 2)
-            busy = counter.counts()
-            assert all(busy[node] > quiet.get(node, 0)
-                       for node in plane.processes), busy
+            assert all(arms.get(node, 0) > quiet_arms.get(node, 0)
+                       for node in plane.processes), (quiet_arms, arms)
             await asyncio.sleep(0.3)            # drain, then go quiet
             drained = counter.counts()
             await asyncio.sleep(0.5)
