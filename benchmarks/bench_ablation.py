@@ -5,16 +5,13 @@ Not figures from the paper, but quantifications of its *arguments*:
 1. **Fuzzy flow control** (section 3.1): with a slow/mute member, the
    fuzzy window keeps the group's throughput up; classic all-ack flow
    control stalls behind the laggard.
-2. **2-step UB vs Bracha** (section 3.4.3): the paper's protocol buys one
-   fewer communication step for the new-view dissemination at the price
-   of lower resilience; measure the view-change latency of both.
-3. **Consensus batching** (section 3.5): the 1-round amortization claim --
+2. **Consensus batching** (section 3.5): the 1-round amortization claim --
    throughput of total ordering with large vs degenerate batch caps.
 """
 
 import pytest
 
-from benchmarks.harness import ring_throughput, view_change_latency
+from benchmarks.harness import ring_throughput
 from repro import Group, StackConfig
 from repro.apps.ring import RingDemo
 from repro.byzantine.behaviors import MuteNode
@@ -61,22 +58,6 @@ def test_ablation_fuzzy_flow_keeps_throughput(benchmark):
     # classic flow control stalls at the window once the laggard stops
     # acking; the fuzzy window sails past it
     assert with_fuzzy > 3 * without, (with_fuzzy, without)
-
-
-def test_ablation_ub_protocol_resilience_tradeoff(benchmark):
-    result = {}
-    for protocol in ("twostep", "bracha"):
-        config = StackConfig.byz(uniform_protocol=protocol)
-        sample = view_change_latency(16, "leave", config=config)
-        assert sample["converged"], protocol
-        result[protocol] = sample["seconds"]
-        result[protocol + "_f_at_16"] = config.resilience(16)
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-    benchmark.extra_info.update(result)
-    # the trade: 2-step is *never slower* by more than noise, but Bracha
-    # tolerates more Byzantine members at the same n
-    assert result["twostep_f_at_16"] <= result["bracha_f_at_16"]
-    assert result["twostep"] <= result["bracha"] * 1.5
 
 
 def test_ablation_consensus_batching_amortization(benchmark):

@@ -3,29 +3,29 @@
 A Byzantine sender may hand different versions of "the same" message to
 different correct processes; *uniform* broadcast guarantees all core
 processes deliver one identical value.  The paper trades resilience for
-latency: two communication steps (``initial`` then ``echo``) instead of
-Bracha's three, at the price of lower resilience.
+latency: two communication steps (``initial`` then ``echo``).
 
 Per broadcast (tagged ``(origin, k)`` to keep concurrent broadcasts apart):
 
 * the originator sends ``initial(v)``;
-* a process echoes ``v`` after receiving the ``initial`` from the origin
-  itself, or after n/2 + f + 1 ``echo(v)`` messages -- and echoes at most
-  once, ever;
+* a process echoes ``v`` after receiving the ``initial`` of ``v`` from the
+  origin itself, or after n/2 + f + 1 ``echo(v)`` messages -- once per
+  value, even when it already echoed another one;
 * a process delivers ``v`` after n/2 + 2f + 1 ``echo(v)`` messages.
 
-Safety (Lemma 3.7) holds because two deliverable values would need
-n/2 + f + 1 core echoes each, forcing some core process to echo twice.
-Liveness (Lemmas 3.8/3.9) needs every core process to be able to reach the
-delivery threshold, i.e. n - f >= n/2 + 2f + 1; the paper headlines
-f < n/5 but that inequality actually requires n >= 6f + 2, and we expose
-the safe bound as :func:`repro.consensus.interface.max_f_uniform`
-(DESIGN.md deviation 1).
+The paper echoes at most once, ever; that loses totality to a two-faced
+origin (DESIGN.md section 6, deviation 1).  Echoing once per value, as in
+Imbs & Raynal's two-step broadcast, closes it: at most one value is ever
+amplified (its first correct amplifier saw n/2 + 1 correct initial-based
+echoes of it), so a correct process echoes at most two distinct values and
+a receiver counts a sender's first two.  Liveness (Lemmas 3.8/3.9) needs
+every core process to be able to reach the delivery threshold, i.e.
+n - f >= n/2 + 2f + 1; the paper headlines f < n/5 but that inequality
+actually requires n >= 6f + 2, and we expose the safe bound as
+:func:`repro.consensus.interface.max_f_uniform`.
 """
 
 from __future__ import annotations
-
-from collections import Counter
 
 from repro.consensus.interface import AgreementInstance
 
@@ -51,8 +51,8 @@ class UniformBroadcast(AgreementInstance):
             )
         self.origin = origin
         self._initial_value = None
-        self._echoed_value = None  # a correct process echoes at most once
-        self._echoes = {}          # sender -> value (first echo only)
+        self._echoes = {}  # sender -> values it echoed, arrival order
+        self._tally = {}   # value -> echoes counted for it
 
     # thresholds, kept as real-valued comparisons exactly as in Figure 4
     @property
@@ -108,23 +108,23 @@ class UniformBroadcast(AgreementInstance):
         self._maybe_echo(value)
 
     def _on_echo(self, sender, value):
-        previous = self._echoes.get(sender)
-        if previous is not None:
-            if previous != value:
-                self.on_misbehavior(sender, "ub:echo-equivocated")
+        echoed = self._echoes.setdefault(sender, [])
+        if value in echoed:
             return
-        self._echoes[sender] = value
-        counts = Counter(self._echoes.values())
-        count = counts[value]
+        if len(echoed) == 2:
+            # a correct process echoes its initial's value and at most
+            # the one value that can ever reach the echo threshold
+            self.on_misbehavior(sender, "ub:echo-equivocated")
+            return
+        echoed.append(value)
+        count = self._tally[value] = self._tally.get(value, 0) + 1
         if count >= self.echo_threshold:
             self._maybe_echo(value)
-            count = Counter(self._echoes.values())[value]
-        if count >= self.deliver_threshold:
+        if self._tally[value] >= self.deliver_threshold:
             self._decide(value)
 
     def _maybe_echo(self, value):
-        if self._echoed_value is not None:
+        if value in self._echoes.get(self.me, ()):
             return
-        self._echoed_value = value
         self.broadcast(("ub-echo", value))
         self._on_echo(self.me, value)

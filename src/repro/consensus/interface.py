@@ -32,17 +32,15 @@ def max_f_uniform(n):
 
     The paper states f < n/5, but its own Lemma 3.9 needs
     n - f >= n/2 + 2f + 1 for every core process to reach the delivery
-    threshold (DESIGN.md section 6, deviation 1).  We return the safe bound.
+    threshold (DESIGN.md section 6, deviation 1).  We return the safe bound;
+    with the echo once per value it is also the bound under which a
+    two-faced origin cannot split deliveries.  A byz stack tolerates the
+    lower of this and :func:`max_f_consensus`.
     """
     f = 0
     while n - (f + 1) >= n / 2.0 + 2 * (f + 1) + 1:
         f += 1
     return f
-
-
-def max_f_bracha(n):
-    """Largest f with n > 3f -- Bracha's optimal resilience."""
-    return max(0, (n - 1) // 3)
 
 
 class AgreementInstance:

@@ -17,11 +17,7 @@ the simulated LAN in :mod:`repro.sim.topology`.
 
 from __future__ import annotations
 
-from repro.consensus.interface import (
-    max_f_bracha,
-    max_f_consensus,
-    max_f_uniform,
-)
+from repro.consensus.interface import max_f_consensus, max_f_uniform
 from repro.crypto.cost import CryptoCostModel
 from repro.obs import ObsConfig
 from repro.sim.topology import HostModel
@@ -70,7 +66,6 @@ class StackConfig:
                  crypto="none",
                  total_order=False,
                  uniform_delivery=False,
-                 uniform_protocol="twostep",
                  f_override=None,
                  # failure detection / fuzziness
                  heartbeat_interval=0.02,
@@ -134,7 +129,6 @@ class StackConfig:
         self.crypto = crypto
         self.total_order = total_order
         self.uniform_delivery = uniform_delivery
-        self.uniform_protocol = uniform_protocol
         self.f_override = f_override
         self.heartbeat_interval = heartbeat_interval
         self.mute_timeout = mute_timeout
@@ -207,17 +201,13 @@ class StackConfig:
     def resilience(self, n):
         """The f this stack tolerates in a view of n members.
 
-        Bounded by every agreement protocol the stack uses: the vector
-        consensus (n > 6f) and the configured uniform broadcast.  The
-        benign stack tolerates no Byzantine nodes by definition.
+        Bounded by both agreement protocols the stack uses: the vector
+        consensus (n > 6f) and the 2-step uniform broadcast (n >= 6f + 2).
+        The benign stack tolerates no Byzantine nodes by definition.
         """
         if not self.byzantine:
             return 0
-        bound = max_f_consensus(n)
-        if self.uniform_protocol == "twostep":
-            bound = min(bound, max_f_uniform(n))
-        else:
-            bound = min(bound, max_f_bracha(n))
+        bound = min(max_f_consensus(n), max_f_uniform(n))
         if self.f_override is not None:
             bound = min(bound, self.f_override)
         return max(0, bound)

@@ -24,8 +24,7 @@ from repro.layers.base import Layer
 #: both sides run the same stack (paper section 3.4.2)
 def stack_fingerprint(config):
     return (config.byzantine, config.crypto, config.total_order,
-            config.uniform_delivery, config.uniform_protocol,
-            config.ordering_fast_path)
+            config.uniform_delivery, config.ordering_fast_path)
 
 
 class HeartbeatLayer(Layer):

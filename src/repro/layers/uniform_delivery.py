@@ -25,7 +25,6 @@ from __future__ import annotations
 
 from collections import deque
 
-from repro.broadcast.bracha import BrachaBroadcast
 from repro.broadcast.uniform import UniformBroadcast
 from repro.core import message as mk
 from repro.core.history import content_digest
@@ -111,9 +110,7 @@ class UniformDeliveryLayer(Layer):
         if instance is not None and not instance.delivered:
             # the cast is the origin's "initial"; our copy's digest is what
             # the origin told *us*
-            instance.on_message(msg_id[0], ("ub-initial", digest)
-                                if self.config.uniform_protocol == "twostep"
-                                else ("br-initial", digest))
+            instance.on_message(msg_id[0], ("ub-initial", digest))
         self._try_release(msg.origin)
 
     def _instance_for(self, msg_id):
@@ -132,11 +129,8 @@ class UniformDeliveryLayer(Layer):
                           ("ub", msg_id, proto), payload_size=26)
             self.send_down(out)
 
-        protocol = (UniformBroadcast
-                    if self.config.uniform_protocol == "twostep"
-                    else BrachaBroadcast)
         try:
-            instance = protocol(
+            instance = UniformBroadcast(
                 msg_id, list(view.mbrs), self.me, self.process.f, origin,
                 bcast,
                 on_deliver=lambda digest: self._on_agreed(msg_id, digest),

@@ -41,7 +41,6 @@ from __future__ import annotations
 
 from functools import partial
 
-from repro.broadcast.bracha import BrachaBroadcast
 from repro.broadcast.uniform import UniformBroadcast
 from repro.consensus.vector import VectorConsensus
 from repro.core import message as mk
@@ -530,13 +529,11 @@ class ViewChange:
         instance_id = ("nv", self.host.view.vid.key(), self.epoch)
         bcast = partial(self._bcast, mk.KIND_UB, instance_id,
                         24 + 8 * len(att.survivors))
-        protocol = (UniformBroadcast if self.config.uniform_protocol == "twostep"
-                    else BrachaBroadcast)
-        # n too small for the chosen protocol at this f: retry at f=0, and
+        # n too small for the broadcast at this f: retry at f=0, and
         # below even that (tiny views) fall back to plain delivery
         for f in (self.host.f, 0) if self.host.f else (0,):
             try:
-                att.ub = protocol(
+                att.ub = UniformBroadcast(
                     instance_id, list(att.survivors), self.me, f,
                     att.new_coord, bcast, on_deliver=self._delivered,
                     on_misbehavior=self.misbehaved)

@@ -5,13 +5,14 @@ paper (and mentions ITUA's formal verification as desirable future work,
 section 6).  This tool is the executable counterpart: it runs a protocol
 instance set under *every* message-delivery schedule up to a bound --
 breadth-limited DFS over the nondeterministic choice of which in-flight
-message to deliver next -- and checks the safety properties in every
-reachable terminal state.
+message to deliver next -- and checks the safety properties (and, for
+the uniform broadcast, totality) in every reachable terminal state.
 
 Exhaustive exploration explodes fast, so it is only tractable for tiny
 systems (n <= 5, short protocols); that is exactly where hand-proofs are
 most often wrong about thresholds, which makes it a good complement to
-the randomized tests.
+the randomized tests.  Beyond that, a ``max_states`` budget makes it a
+bounded search: ``truncated`` says the scope was not exhausted.
 """
 
 from __future__ import annotations
@@ -109,12 +110,14 @@ class ScheduleExplorer:
         self._instances = snapshot
 
 
-def explore_uniform_broadcast(n, f, origin=0, two_faced=None,
+def explore_uniform_broadcast(n, f, origin=0, two_faced=None, echo_to=(),
                               max_states=100_000):
-    """Explore the 2-step UB for uniformity under every schedule.
+    """Explore the 2-step UB for agreement and totality under every schedule.
 
-    ``two_faced``: optional ``{receiver: value}`` overriding the initial
-    the Byzantine origin shows each receiver.
+    ``two_faced``: optional ``{receiver: value}`` scripting a Byzantine
+    origin: it shows each receiver that initial (``"v"`` if unlisted),
+    sends its echo of the same value to the members in ``echo_to`` only,
+    and is not run as a correct instance.
     """
     from repro.broadcast.uniform import UniformBroadcast
 
@@ -122,6 +125,8 @@ def explore_uniform_broadcast(n, f, origin=0, two_faced=None,
         instances = {}
         members = list(range(n))
         for i in members:
+            if two_faced is not None and i == origin:
+                continue
             instances[i] = UniformBroadcast(
                 ("x", 0), members, i, f, origin,
                 lambda payload, i=i: bus.broadcast(i, payload))
@@ -133,14 +138,17 @@ def explore_uniform_broadcast(n, f, origin=0, two_faced=None,
             if two_faced is not None:
                 value = two_faced.get(receiver, "v")
             bus.send(origin, receiver, ("ub-initial", value))
+            if receiver in echo_to:
+                bus.send(origin, receiver, ("ub-echo", value))
         return instances
 
     def check(instances):
         delivered = {i: inst.decision for i, inst in instances.items()
-                     if inst.decided and i != origin}
-        values = set(delivered.values())
-        if len(values) > 1:
+                     if inst.decided}
+        if len(set(delivered.values())) > 1:
             return "uniformity violated: %r" % (delivered,)
+        if delivered and len(delivered) < len(instances):
+            return "totality violated: only %r delivered" % (delivered,)
         return None
 
     explorer = ScheduleExplorer(factory, check, max_states=max_states,

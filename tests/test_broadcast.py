@@ -1,10 +1,9 @@
-"""Unit tests for the two Byzantine broadcast protocols."""
+"""Unit tests for the 2-step Byzantine uniform broadcast."""
 
 import pytest
 
-from repro.broadcast.bracha import BrachaBroadcast
 from repro.broadcast.uniform import UniformBroadcast
-from repro.consensus.interface import max_f_bracha, max_f_uniform
+from repro.consensus.interface import max_f_uniform
 from repro.sim.scheduler import Simulator
 
 
@@ -87,15 +86,41 @@ def test_uniform_broadcast_with_crashed_members():
     assert set(bus.delivered.values()) == {"v"}
 
 
-def test_uniform_echo_equivocation_first_kept():
+def test_uniform_echo_equivocation_third_value_reported():
+    # a correct member echoes at most two values (its initial's and the
+    # one that can be amplified): a second counts, a third is reported
     bus = Bus(12).build(UniformBroadcast, 1, origin=0)
     reports = []
     inst = bus.instances[5]
     inst.on_misbehavior = lambda m, r: reports.append((m, r))
     inst.on_message(7, ("ub-echo", "x"))
     inst.on_message(7, ("ub-echo", "y"))
-    assert inst._echoes[7] == "x"
-    assert (7, "ub:echo-equivocated") in reports
+    assert inst._echoes[7] == ["x", "y"]
+    assert reports == []
+    inst.on_message(7, ("ub-echo", "z"))
+    inst.on_message(7, ("ub-echo", "x"))   # a repeat is not a new value
+    assert inst._echoes[7] == ["x", "y"]
+    assert inst._tally == {"x": 1, "y": 1}
+    assert reports == [(7, "ub:echo-equivocated")]
+
+
+def test_uniform_two_faced_origin_cannot_split_totality():
+    # n=8, f=1, no loss: the origin shows "A" to members 1-6 and "B" to
+    # member 7, and sends its own echo of "A" to member 1 only.  Member 1
+    # reaches the deliver threshold (7) with the origin's echo; members
+    # 2-7 hold 6 echoes of "A".  Echoing once ever, member 7 (which
+    # echoed "B") never echoes "A" and 2-7 never deliver; echoing once
+    # per value, member 7 crosses the echo threshold (6) and echoes "A",
+    # and every correct member delivers it.
+    bus = Bus(8)
+    bus.build(UniformBroadcast, 1, origin=0)
+    bus.crashed = {0}  # the Byzantine origin runs no correct instance
+    for receiver in range(1, 8):
+        bus.sim.schedule(0.001, bus._deliver, receiver, 0,
+                         ("ub-initial", "A" if receiver <= 6 else "B"))
+    bus.sim.schedule(0.001, bus._deliver, 1, 0, ("ub-echo", "A"))
+    bus.run()
+    assert bus.delivered == {i: "A" for i in range(1, 8)}
 
 
 def test_uniform_initial_forgery_detected():
@@ -137,60 +162,3 @@ def test_uniform_f0_still_agrees():
     bus.run()
     assert set(bus.delivered.values()) == {"v"}
     assert len(bus.delivered) == 4
-
-
-# ----------------------------------------------------------------------
-# Bracha's 3-phase protocol
-# ----------------------------------------------------------------------
-def test_bracha_delivers_everywhere():
-    bus = Bus(7).build(BrachaBroadcast, 2, origin=1)
-    bus.instances[1].originate("w")
-    bus.run()
-    assert len(bus.delivered) == 7
-    assert set(bus.delivered.values()) == {"w"}
-
-
-def test_bracha_higher_resilience_than_twostep():
-    # n = 7 tolerates f = 2 for Bracha but not for the 2-step protocol
-    assert max_f_bracha(7) == 2
-    assert max_f_uniform(7) < 2
-    BrachaBroadcast(("t", 0), list(range(7)), 0, 2, 0, lambda p: None)
-    with pytest.raises(ValueError):
-        UniformBroadcast(("t", 0), list(range(7)), 0, 2, 0, lambda p: None)
-
-
-def test_bracha_two_faced_origin_no_split():
-    n, f = 10, 3
-    bus = Bus(n)
-    bus.twist[0] = (lambda dst, payload:
-                    ("br-initial", "A" if dst < 5 else "B")
-                    if payload[0] == "br-initial" else payload)
-    bus.build(BrachaBroadcast, f, origin=0)
-    bus.instances[0].originate("A")
-    bus.run()
-    assert len(set(bus.delivered.values())) <= 1
-
-
-def test_bracha_ready_amplification():
-    # f+1 readys for a value trigger our own ready even without echoes
-    bus = Bus(7).build(BrachaBroadcast, 2, origin=0)
-    inst = bus.instances[3]
-    inst.on_message(1, ("br-ready", "v"))
-    inst.on_message(2, ("br-ready", "v"))
-    inst.on_message(4, ("br-ready", "v"))  # f+1 = 3 readys
-    assert inst._readied == "v"
-
-
-def test_bracha_needs_n_gt_3f():
-    with pytest.raises(ValueError):
-        BrachaBroadcast(("t", 0), list(range(6)), 0, 2, 0, lambda p: None)
-
-
-def test_bracha_echo_equivocation_detected():
-    bus = Bus(7).build(BrachaBroadcast, 2, origin=0)
-    reports = []
-    inst = bus.instances[3]
-    inst.on_misbehavior = lambda m, r: reports.append(r)
-    inst.on_message(1, ("br-echo", "x"))
-    inst.on_message(1, ("br-echo", "y"))
-    assert "bracha:echo-equivocated" in reports

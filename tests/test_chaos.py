@@ -8,7 +8,6 @@ import pytest
 
 from tests.helpers import cast_payloads, golden_plan, make_group
 
-from repro.broadcast.bracha import BrachaBroadcast
 from repro.broadcast.uniform import UniformBroadcast
 from repro.chaos import (ADVERSARY_OPS, DEFAULT_OPS, ChaosEngine, FaultPlan,
                          LinkFaults, random_plan, run_plan, shrink_plan)
@@ -448,14 +447,13 @@ def test_originate_is_idempotent():
     ``originate`` on every ack-matrix update, and each re-broadcast's
     zero-delay self-delivery produced the next update -- the simulator
     span forever at one instant.  ``originate`` must broadcast once."""
-    for protocol, initial in ((UniformBroadcast, "ub-initial"),
-                              (BrachaBroadcast, "br-initial")):
-        sent = []
-        inst = protocol(("nv", 0), list(range(7)), 0, 0, 0, sent.append)
-        inst.originate("view-a")
-        inst.originate("view-a")
-        inst.originate("view-b")   # also not an equivocation channel
-        assert [p for p in sent if p[0] == initial] == [(initial, "view-a")]
+    sent = []
+    inst = UniformBroadcast(("nv", 0), list(range(7)), 0, 0, 0, sent.append)
+    inst.originate("view-a")
+    inst.originate("view-a")
+    inst.originate("view-b")   # also not an equivocation channel
+    assert [p for p in sent if p[0] == "ub-initial"] == [("ub-initial",
+                                                           "view-a")]
 
 
 def test_known_counterexamples_stay_fixed():
@@ -489,13 +487,11 @@ def livelock_bug():
     """Revert the one-shot view send + idempotent originate fixes."""
     MembershipLayer.oneshot_view_send = False
     UniformBroadcast.idempotent_originate = False
-    BrachaBroadcast.idempotent_originate = False
     try:
         yield
     finally:
         MembershipLayer.oneshot_view_send = True
         UniformBroadcast.idempotent_originate = True
-        BrachaBroadcast.idempotent_originate = True
 
 
 #: membership churn only, no link faults: keeps every run cheap

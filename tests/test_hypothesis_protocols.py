@@ -3,10 +3,8 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.broadcast.bracha import BrachaBroadcast
 from repro.broadcast.uniform import UniformBroadcast
-from repro.consensus.interface import (max_f_bracha, max_f_consensus,
-                                       max_f_uniform)
+from repro.consensus.interface import max_f_consensus, max_f_uniform
 from repro.consensus.vector import VectorConsensus
 from repro.sim.scheduler import Simulator
 
@@ -90,43 +88,81 @@ def test_consensus_with_crashes_still_agrees(n, seed, data):
     assert len({decisions[i] for i in live}) == 1
 
 
-@settings(max_examples=30, deadline=None)
-@given(
-    st.integers(min_value=2, max_value=20),
-    st.integers(min_value=0, max_value=2**31),
-    st.sampled_from(["ub", "bracha"]),
-)
-def test_broadcast_delivers_origin_value(n, seed, protocol_name):
+def run_broadcast(n, f, origin, seed, initials=None, echoes=None):
+    """Run one UB instance over random delays; returns the deliveries.
+
+    ``initials``: ``{receiver: value}`` scripts a Byzantine origin that
+    shows each receiver its own initial and sends ``echoes``
+    (``{receiver: value}``), running no correct instance itself.
+    """
     sim = Simulator(seed=seed)
     members = list(range(n))
-    protocol = UniformBroadcast if protocol_name == "ub" else BrachaBroadcast
-    f = max_f_uniform(n) if protocol_name == "ub" else max_f_bracha(n)
-    if protocol_name == "bracha" and n <= 3 * f:
-        f = max(0, (n - 1) // 3)
     instances = {}
     delivered = {}
 
     def bcast_from(sender):
         def bcast(payload):
-            for receiver in members:
+            for receiver in instances:
                 if receiver != sender:
                     sim.schedule(0.001 + sim.rng.random() * 0.002,
                                  lambda r=receiver, s=sender, p=payload:
                                  instances[r].on_message(s, p))
         return bcast
 
-    origin = seed % n
-    try:
-        for i in members:
-            instances[i] = protocol(
-                ("t", 0), members, i, f, origin, bcast_from(i),
-                on_deliver=lambda v, i=i: delivered.__setitem__(i, v))
-    except ValueError:
-        return  # n too small for this (protocol, f): out of scope
-    instances[origin].originate(("value", seed))
+    for i in members:
+        if initials is not None and i == origin:
+            continue
+        instances[i] = UniformBroadcast(
+            ("t", 0), members, i, f, origin, bcast_from(i),
+            on_deliver=lambda v, i=i: delivered.__setitem__(i, v))
+    if initials is None:
+        instances[origin].originate(("value", seed))
+    else:
+        script = [(r, ("ub-initial", v)) for r, v in initials.items()]
+        script += [(r, ("ub-echo", v)) for r, v in echoes.items()]
+        for receiver, payload in script:
+            sim.schedule(0.001 + sim.rng.random() * 0.002,
+                         instances[receiver].on_message, origin, payload)
     sim.run(max_events=1_000_000)
+    return delivered
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(min_value=2, max_value=20),
+    st.integers(min_value=0, max_value=2**31),
+)
+def test_broadcast_delivers_origin_value(n, seed):
+    f = max_f_uniform(n)
+    delivered = run_broadcast(n, f, seed % n, seed)
     assert len(delivered) == n
     assert set(delivered.values()) == {("value", seed)}
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(min_value=8, max_value=14),
+    st.integers(min_value=0, max_value=2**31),
+    st.data(),
+)
+def test_broadcast_two_faced_origin_all_or_none(n, seed, data):
+    # a two-faced origin picks each receiver's initial and which members
+    # get its echo (of either value): at quiescence the correct members
+    # all deliver one common value, or none delivers
+    f = max_f_uniform(n)
+    origin = seed % n
+    receivers = [i for i in range(n) if i != origin]
+    initials = {r: data.draw(st.sampled_from("AB"), label="initial%d" % r)
+                for r in receivers}
+    echoes = {}
+    for r in receivers:
+        echo = data.draw(st.sampled_from([None, "A", "B"]),
+                         label="echo%d" % r)
+        if echo is not None:
+            echoes[r] = echo
+    delivered = run_broadcast(n, f, origin, seed, initials, echoes)
+    assert len(set(delivered.values())) <= 1
+    assert len(delivered) in (0, len(receivers))
 
 
 @settings(max_examples=40, deadline=None)
@@ -134,10 +170,5 @@ def test_broadcast_delivers_origin_value(n, seed, protocol_name):
 def test_resilience_bound_helpers_consistent(n):
     fc = max_f_consensus(n)
     fu = max_f_uniform(n)
-    fb = max_f_bracha(n)
     assert n > 6 * fc
     assert n - fu >= n / 2.0 + 2 * fu + 1 or fu == 0
-    assert n > 3 * fb
-    # the 2-step protocol trades resilience for latency: never above Bracha
-    assert fu <= fb
-    assert fc <= fb

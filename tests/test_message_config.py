@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.consensus.interface import max_f_consensus, max_f_uniform
 from repro.core import message as mk
 from repro.core.config import StackConfig
 from repro.core.message import Message
@@ -85,12 +86,14 @@ def test_resilience_override_caps():
     assert StackConfig.byz(f_override=99).resilience(14) == 2
 
 
-def test_bracha_uniform_protocol_changes_bound():
-    two_step = StackConfig.byz(uniform_protocol="twostep")
-    bracha = StackConfig.byz(uniform_protocol="bracha")
-    # at n=7: Bracha allows f=1 (consensus caps it), 2-step does not
-    assert bracha.resilience(7) == 1
-    assert two_step.resilience(7) == 0
+def test_byz_resilience_is_both_agreement_bounds():
+    # one uniform broadcast, on the paper's thresholds: the stack's f is
+    # the lower of the consensus bound and the broadcast's liveness bound
+    config = StackConfig.byz()
+    for n in range(1, 65):
+        assert config.resilience(n) == min(max_f_consensus(n),
+                                           max_f_uniform(n))
+    assert config.resilience(7) == 0
 
 
 def test_clone_overrides():

@@ -64,6 +64,21 @@ def test_uniform_broadcast_two_faced_safe_under_all_schedules():
     assert explorer.states_explored > 100
 
 
+def test_uniform_broadcast_two_faced_total_bounded_search():
+    # n=8, f=1: the origin shows "A" to members 1-6 and "B" to member 7,
+    # and echoes "A" to member 1 only.  Echoing once ever, every schedule
+    # that delivers the initials first leaves only member 1 delivering
+    # (found within ~50 states); echoing once per value, none may.  This
+    # is a bounded search: 5,000 states of a space too large to exhaust
+    # without a visited set, not a proof over every schedule.
+    explorer = explore_uniform_broadcast(
+        8, 1, two_faced={1: "A", 2: "A", 3: "A", 4: "A", 5: "A", 6: "A",
+                         7: "B"},
+        echo_to={1}, max_states=5_000)
+    assert not explorer.violations
+    assert explorer.terminal_states > 1_000
+
+
 def test_consensus_agreement_under_all_schedules():
     proposals = {0: (1,), 1: (0,), 2: (1,), 3: (0,)}
     explorer = explore_consensus_agreement(4, 0, proposals,

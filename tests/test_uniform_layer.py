@@ -1,9 +1,13 @@
 """Tests for the per-cast uniform delivery layer."""
 
+import pytest
+
 from tests.helpers import cast_payloads, make_group
 
 from repro import Group, StackConfig
 from repro.byzantine.behaviors import TwoFacedCaster
+from repro.core import message as mk
+from repro.core.properties import check_virtual_synchrony
 from repro.sim.network import NetworkConfig
 
 
@@ -71,6 +75,73 @@ def test_two_faced_minority_copy_recovered_by_fetch():
         assert others
         assert delivered_at_5[0][4] == others[0][4]
         assert group.processes[5].uniform.mismatches_recovered >= 1
+
+
+class EchoToOne(TwoFacedCaster):
+    """A two-faced caster whose own uniform-broadcast echo reaches one
+    member only (the stack-level form of the n=8, f=1 split)."""
+
+    def __init__(self, alter, echo_dst):
+        super().__init__(alter=alter)
+        self.echo_dst = echo_dst
+
+    def filter_outgoing(self, dst, msg):
+        if (msg.kind == mk.KIND_UDELIV and msg.payload[0] == "ub"
+                and msg.payload[2][0] == "ub-echo" and dst != self.echo_dst):
+            # a no-op in the echo's place keeps the reliable stream whole,
+            # so no repair hands the echo on
+            out = msg.clone_for(dst)
+            out.payload = ("copy", msg.payload[1], None)
+            process = self.process
+            receivers = tuple(m for m in process.view.mbrs if m != self.me)
+            out.signature, _cost, _bytes = process.auth.sign(
+                self.me, receivers, out)
+            return out
+        return super().filter_outgoing(dst, msg)
+
+
+def run_echo_to_one():
+    """Member 3 shows member 7 another version and echoes its own digest
+    to member 0 only: 0 reaches the deliver threshold (7) with that echo,
+    the others hold 6 echoes of the majority digest.  Echoing once ever,
+    member 7 (which echoed its own copy's digest) never echoes the
+    majority's and members 1-7 never agree; echoing once per value, 7
+    crosses the echo threshold (6) and every correct member agrees."""
+    def alter(payload, dst):
+        return ("evil-version",) if dst == 7 else payload
+
+    behaviors = {3: EchoToOne(alter, echo_dst=0)}
+    config = StackConfig.byz(uniform_delivery=True)
+    group = Group.bootstrap(8, config=config, seed=7, behaviors=behaviors)
+    group.byzantine_nodes = {3}
+    msg_id = group.endpoints[3].cast(("split", 1))
+    group.run(1.0)
+    correct = [node for node in range(8) if node != 3]
+    delivered = {node: [p for p in cast_payloads(group.endpoints[node])
+                        if p in (("split", 1), ("evil-version",))]
+                 for node in correct}
+    return group, msg_id, correct, delivered
+
+
+def test_two_faced_cast_with_echo_to_one_agrees_everywhere():
+    group, msg_id, correct, delivered = run_echo_to_one()
+    uniform = {node: group.processes[node].uniform for node in correct}
+    agreed = {node: layer._done.get(msg_id) or layer._pending[msg_id].agreed
+              for node, layer in uniform.items()}
+    assert len(set(agreed.values())) == 1 and None not in agreed.values()
+    assert all(delivered[node] == [("split", 1)] for node in range(7)
+               if node != 3)
+    assert check_virtual_synchrony(group.execution(),
+                                   content_agreement=True) == []
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "member 7 agrees on the majority digest but its fetch for a matching "
+    "copy goes unanswered: every holder already released the cast, and "
+    "UniformDeliveryLayer._serve_fetch serves pending entries only"))
+def test_two_faced_cast_with_echo_to_one_is_total():
+    _group, _msg_id, correct, delivered = run_echo_to_one()
+    assert delivered == {node: [("split", 1)] for node in correct}
 
 
 def test_uniform_delivery_under_message_loss():
