@@ -20,43 +20,33 @@ bottom layer can charge the node's CPU.
 
 Hot-path design (docs/PERFORMANCE.md): callers pass the
 :class:`repro.core.message.Message` itself, and only a scheme that MACs
-asks for its :meth:`~repro.core.message.Message.auth_token` -- the
-memoized 32-byte SHA-256 digest of the canonical encoding -- through
-:func:`stable_bytes`.  ``NullAuth`` never reads it, so a NoCrypto stack
-encodes and hashes nothing; a MAC scheme signs a broadcast to n-1
-receivers over a constant 32 bytes per receiver instead of re-encoding
-the whole message, and each receiver verifies against the same digest
-without re-encoding either.  Pairwise keys and their half-initialized
-HMAC state are derived once per pair and reused (identical MAC values,
-no per-call key-schedule work).
+reads its :meth:`~repro.core.message.Message.auth_token` (the memoized
+SHA-256 of its signed block) through :func:`stable_bytes`, so a NoCrypto
+stack encodes and hashes nothing.  A MAC is two ``hashlib`` state copies
+under keyed states derived once per pair (:func:`~repro.crypto.keys
+.mac_states`), equal to ``hmac.new``'s.  Content the codec cannot encode
+verifies as False: a scheme never raises on what a peer sent.
 """
 
 from __future__ import annotations
 
-import hashlib
 import hmac
 
 from repro.core.message import Message
 from repro.crypto.cost import CryptoCostModel
+from repro.runtime.wire import WireError, encode_value
 
 MAC_BYTES = 10  # truncated MAC length on the wire, as in BFT
 
 
 def stable_bytes(obj):
-    """Canonical byte encoding used as MAC input.
-
-    A :class:`~repro.core.message.Message` maps to its memoized digest
-    (``auth_token()``), computed here on a scheme's first read and not
-    before.  ``bytes`` pass through untouched.  Anything else is encoded by
-    its ``repr``: message headers in this system are tuples/strings/ints,
-    whose ``repr`` is stable and injective enough for authentication
-    purposes within the simulation.
-    """
+    """MAC input: a Message's memoized ``auth_token()``, ``bytes`` as
+    they are, anything else its wire encoding (or ``WireError``)."""
     if isinstance(obj, bytes):
         return obj
     if isinstance(obj, Message):
         return obj.auth_token()
-    return repr(obj).encode("utf-8")
+    return encode_value(obj)
 
 
 class Authenticator:
@@ -120,53 +110,31 @@ class PairwiseSymmetricAuth(Authenticator):
 
     def __init__(self, keys=None, costs=None):
         super().__init__(keys, costs)
-        # (a, b) -> half-initialized HMAC state under pair_key(a, b);
-        # copy()+update() per MAC skips the per-call key schedule while
-        # producing byte-identical MAC values.  The cache itself lives on
-        # the KeyManager when one is present, so co-hosted shard
-        # processes sharing a manager also share HMAC states (the same
-        # contract as the pairwise-key cache); the local dict is the
-        # fallback for keyless test doubles.
+        # (a, b) -> keyed (inner, outer) SHA-256 states of pair_key(a, b):
+        # an L1 memo over the KeyManager's, which co-hosted shard
+        # processes share (the same contract as the pairwise-key cache)
         self._mac_bases = {}
 
     def _mac_base(self, a, b):
-        # the local dict is an L1 memo: the *object* comes from the shared
-        # KeyManager when one is present, so co-hosted authenticators still
-        # share one HMAC state per pair; the memo only skips the manager
-        # round-trip on the per-MAC hot path
-        base = self._mac_bases.get((a, b))
-        if base is not None:
-            return base
-        keys = self.keys
-        if keys is not None and hasattr(keys, "mac_base"):
-            base = keys.mac_base(a, b)
-        else:
-            base = hmac.new(keys.pair_key(a, b),
-                            digestmod=hashlib.sha256)
-        self._mac_bases[(a, b)] = base
+        base = self._mac_bases[(a, b)] = self.keys.mac_base(a, b)
         self._mac_bases[(b, a)] = base  # pairwise keys are symmetric
         return base
 
-    def _mac(self, a, b, payload):
-        state = self._mac_base(a, b).copy()
-        state.update(payload)
-        return state.digest()[:MAC_BYTES]
-
     def sign(self, sender, receivers, data):
-        # n-1 MACs per broadcast: the _mac/_mac_base frames are inlined
-        # (identical MAC bytes, two fewer Python calls per receiver)
+        # n-1 MACs per broadcast, each two C-level state copies
         payload = stable_bytes(data)
         macs = {}
         bases = self._mac_bases
         for receiver in receivers:
             if receiver == sender:
                 continue
-            base = bases.get((sender, receiver))
-            if base is None:
-                base = self._mac_base(sender, receiver)
-            state = base.copy()
-            state.update(payload)
-            macs[receiver] = state.digest()[:MAC_BYTES]
+            inner, outer = (bases.get((sender, receiver))
+                            or self._mac_base(sender, receiver))
+            inner = inner.copy()
+            inner.update(payload)
+            outer = outer.copy()
+            outer.update(inner.digest())
+            macs[receiver] = outer.digest()[:MAC_BYTES]
         cost = self.costs.sym_sign * len(macs)
         return macs, cost, MAC_BYTES * len(macs)
 
@@ -177,12 +145,17 @@ class PairwiseSymmetricAuth(Authenticator):
         mac = signature.get(receiver)
         if mac is None:
             return False, cost
-        base = self._mac_bases.get((claimed_sender, receiver))
-        if base is None:
-            base = self._mac_base(claimed_sender, receiver)
-        state = base.copy()
-        state.update(stable_bytes(data))
-        return hmac.compare_digest(mac, state.digest()[:MAC_BYTES]), cost
+        try:
+            payload = stable_bytes(data)
+        except WireError:
+            return False, cost
+        inner, outer = (self._mac_bases.get((claimed_sender, receiver))
+                        or self._mac_base(claimed_sender, receiver))
+        inner = inner.copy()
+        inner.update(payload)
+        outer = outer.copy()
+        outer.update(inner.digest())
+        return hmac.compare_digest(mac, outer.digest()[:MAC_BYTES]), cost
 
 
 class PublicKeyAuth(Authenticator):
@@ -200,15 +173,19 @@ class PublicKeyAuth(Authenticator):
 
     def sign(self, sender, receivers, data):
         key = self.keys.private_key_of(sender, requester=sender)
-        sig = hmac.new(key, stable_bytes(data), hashlib.sha256).digest()
+        sig = hmac.digest(key, stable_bytes(data), "sha256")
         return sig, self.costs.pub_sign, self.SIG_BYTES
 
     def verify(self, receiver, claimed_sender, data, signature):
         cost = self.costs.pub_verify
         if not isinstance(signature, bytes):
             return False, cost
+        try:
+            payload = stable_bytes(data)
+        except WireError:
+            return False, cost
         key = self.keys.verify_key_of(claimed_sender)
-        expected = hmac.new(key, stable_bytes(data), hashlib.sha256).digest()
+        expected = hmac.digest(key, payload, "sha256")
         return hmac.compare_digest(signature, expected), cost
 
 

@@ -30,6 +30,21 @@ import hashlib
 import hmac
 
 
+_BLOCK = hashlib.sha256().block_size
+_IPAD = bytes(x ^ 0x36 for x in range(256))
+_OPAD = bytes(x ^ 0x5C for x in range(256))
+
+
+def mac_states(key):
+    """``(inner, outer)`` SHA-256 states keyed with ``key`` XOR ipad and
+    opad (RFC 2104): HMAC(key, m) is outer+(inner+m), two C copies."""
+    if len(key) > _BLOCK:
+        key = hashlib.sha256(key).digest()
+    key = key.ljust(_BLOCK, b"\0")
+    return (hashlib.sha256(key.translate(_IPAD)),
+            hashlib.sha256(key.translate(_OPAD)))
+
+
 class KeyAccessError(PermissionError):
     """A node asked for key material it does not own."""
 
@@ -47,7 +62,7 @@ class KeyManager:
             master_secret = master_secret.encode("utf-8")
         self._master = master_secret
         self._pair_cache = {}   # (a, b) -> pairwise key (both orderings)
-        self._mac_base_cache = {}  # (a, b) -> half-initialized HMAC state
+        self._mac_base_cache = {}  # (a, b) -> keyed (inner, outer) states
         self._priv_cache = {}   # owner -> signing key
         # derivation-vs-cache accounting: with one manager shared across a
         # whole shard plane (repro.shard), each node pair derives exactly
@@ -73,18 +88,13 @@ class KeyManager:
         return key
 
     def mac_base(self, a, b):
-        """Half-initialized HMAC-SHA256 state under ``pair_key(a, b)``.
-
-        Callers ``copy()`` the returned state and ``update()`` the copy;
-        the key schedule is paid once per pair per manager.  Like the
-        pairwise-key cache, the state is shared across every authenticator
-        holding this manager (one per co-hosted shard process), so the
-        whole shard plane performs each key schedule once.
-        """
+        """:func:`mac_states` of ``pair_key(a, b)``, once per pair per
+        manager: like the pairwise-key cache, shared by every
+        authenticator holding it (one per co-hosted shard process)."""
         cached = self._mac_base_cache.get((a, b))
         if cached is not None:
             return cached
-        base = hmac.new(self.pair_key(a, b), digestmod=hashlib.sha256)
+        base = mac_states(self.pair_key(a, b))
         self._mac_base_cache[(a, b)] = base
         self._mac_base_cache[(b, a)] = base  # pairwise keys are symmetric
         return base

@@ -90,7 +90,7 @@ class BottomLayer(Layer):
             # is covered by the signature -- a datagram replayed into a
             # different shard fails verification, not just the filter below
             msg.group = group
-            msg._auth_cache = None
+            msg._signed = msg._auth_cache = None
         auth = process.auth
         signature, sign_cost, sig_bytes = auth.sign(self.me, receivers, msg)
         msg.signature = signature
@@ -99,7 +99,7 @@ class BottomLayer(Layer):
         self.observe("sign_cpu", sign_cost)
         if process.incarnation:
             # transport metadata, pushed AFTER signing and left out of
-            # auth_content (so it keeps the memoized digest): archived
+            # the signed block (so it keeps the memoized digest): archived
             # copies retransmitted by third parties (which reconstruct
             # only the signed headers) still verify.  It defends against
             # *stale* messages, not active forgery -- the impersonation check
@@ -225,6 +225,12 @@ class BottomLayer(Layer):
     def _process_in(self, src, msg):
         process = self.process
         if process.stopped:
+            return
+        try:
+            hash(src)
+        except TypeError:
+            # a claimed source no table can be keyed by names no node
+            self.count("drop_bad_source")
             return
         # popped before verification so the remaining headers match the
         # signed content (the header is unsigned transport metadata)

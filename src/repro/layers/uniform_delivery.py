@@ -51,7 +51,8 @@ class UniformDeliveryLayer(Layer):
         self._queues = {}     # origin -> deque of msg_ids, arrival order
         self._pending = {}    # msg_id -> _Pending
         self._instances = {}  # msg_id -> agreement instance
-        self._done = {}       # msg_id -> agreed digest (released tombstones)
+        self._done = {}       # msg_id -> released _Pending, served to a
+                              # fetch until the view ends
         self._agreed_early = {}  # agreement finished before our copy arrived
         self._flush_cb = None
         self._flush_timer = None
@@ -195,7 +196,7 @@ class UniformDeliveryLayer(Layer):
             queue.popleft()
             self._pending.pop(msg_id, None)
             self._instances.pop(msg_id, None)
-            self._done[msg_id] = entry.agreed
+            self._done[msg_id] = entry
             self.delivered_uniform += 1
             self.count("uniform_delivered")
             self.send_up(entry.msg)
@@ -205,16 +206,15 @@ class UniformDeliveryLayer(Layer):
         self.send(mk.KIND_UDELIV, ("fetch", msg_id, None), 26)
 
     def _serve_fetch(self, requester, msg_id):
-        entry = self._pending.get(msg_id)
-        payload = None
-        if entry is not None:
-            payload = (entry.msg.payload, entry.msg.payload_size)
-        elif msg_id in self._done:
-            return  # already released and dropped our buffer; others serve
-        if payload is None:
+        # a released cast is served too: the member holding a two-faced
+        # origin's minority copy may ask after every holder released it
+        entry = self._pending.get(msg_id) or self._done.get(msg_id)
+        if entry is None:
             return
-        self.send(mk.KIND_UDELIV, ("copy", msg_id, payload), 26 + payload[1],
-                  dest=requester)
+        msg = entry.msg
+        self.send(mk.KIND_UDELIV, ("copy", msg_id, (msg.payload,
+                                                    msg.payload_size)),
+                  26 + msg.payload_size, dest=requester)
 
     def _on_copy(self, msg_id, body):
         entry = self._pending.get(msg_id)

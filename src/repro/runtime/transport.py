@@ -40,11 +40,10 @@ Wire-path aggregation (docs/PERFORMANCE.md, "The wire path"):
   Anything already pending to a peer rides the same flush, which is how
   ack vectors produced while draining a received batch piggyback onto
   datagrams being emitted anyway.
-* **encode-once fan-out** -- the destination-independent prefix of an
-  encoded ``Message`` is cached across ``clone_for`` siblings
-  (:meth:`Message.wire_shares_body`), so an n-1-receiver broadcast
-  serializes the shared body once; scratch/output buffers are reused
-  ``bytearray`` objects, not per-frame allocations.
+* **encode-once fan-out** -- a ``Message`` frame copies the signed block
+  its message memoized when signed (shared by every ``clone_for``
+  sibling) and encodes only its unsigned tail; ``encode_cache_hits``
+  counts those frames.  Buffers are reused ``bytearray`` objects.
 * **batch receive drain** -- an arriving batch is fully decoded and
   handed to the stack as one ``("pack", ...)`` container, so the bottom
   layer charges one per-datagram cost and the scheduler runs one
@@ -56,7 +55,8 @@ reported through :attr:`on_undecodable` -- per *sub-frame* for batches,
 so one corrupt sub-frame feeds corruption suspicion without discarding
 its siblings; node wiring points that at
 :meth:`repro.layers.bottom.BottomLayer.note_undecodable`
-(docs/ROBUSTNESS.md).
+(docs/ROBUSTNESS.md).  A datagram whose claimed source is unhashable
+names no node: it is refused before any lookup, in ``bad_sources``.
 
 Shard multiplexing (repro.shard): one transport -- one socket -- can
 host SEVERAL attached processes (ports), one per group, when their
@@ -87,8 +87,6 @@ from repro.runtime.wire import (
     WireError,
     decode_datagram,
     encode_frame,
-    encode_message_prefix,
-    encode_message_tail_into,
     encode_value_into,
     frame_prefix,
 )
@@ -166,8 +164,6 @@ class AsyncioTransport:
         # coalescer state
         self._dest_bufs = {}          # (src, addr) -> _DestBuffer
         self._burst_flush_armed = False
-        # encode-once fan-out: (representative clone, shared prefix bytes)
-        self._body_cache = None
         self._scratch = bytearray()   # reusable body-encode buffer
         # precomputed frame prefixes keyed by source node id (a hosted
         # shard port sends under its OWN id, not the bind node's)
@@ -190,6 +186,7 @@ class AsyncioTransport:
         self.oversize_drops = 0
         self.socket_errors = 0
         self.misrouted = 0
+        self.bad_sources = 0
         self.bytes_out = 0
         self.bytes_in = 0
         self.flush_reasons = {"size": 0, "burst": 0, "final": 0}
@@ -259,7 +256,6 @@ class AsyncioTransport:
             self.flush_pending(reason="final")
         self.closed = True
         self._drop_pending()
-        self._body_cache = None
         udp, self._udp = self._udp, None
         if udp is not None:
             if self._reading:
@@ -365,17 +361,18 @@ class AsyncioTransport:
             return
         group = port.group if port is not None else None
         wire_payload = payload if group is None else ("grp", group, payload)
-        try:
-            if port is not None or src == self.node_id:
-                body = self._encode_gossip_body(wire_payload)
-                prefixes = self._src_prefixes(src)[0]
-                data = b"".join((prefixes[FRAME_GOSSIP],
-                                 _pack_u32(len(body)), body))
-            else:
+        if port is not None or src == self.node_id:
+            body = self._encode_body(wire_payload)
+            if body is None:
+                return
+            data = b"".join((self._src_prefixes(src)[0][FRAME_GOSSIP],
+                             _pack_u32(len(body)), body))
+        else:
+            try:
                 data = encode_frame(FRAME_GOSSIP, src, wire_payload)
-        except WireError:
-            self.encode_failures += 1
-            return
+            except WireError:
+                self.encode_failures += 1
+                return
         if len(data) > MAX_DATAGRAM_BYTES:
             self._drop_oversize(payload, len(data))
             return
@@ -395,39 +392,20 @@ class AsyncioTransport:
                 self.observer.on_gossip_sent(src, len(data))
 
     # ------------------------------------------------------------------
-    # encode-once body cache + reusable buffers
+    # reusable encode buffer
     # ------------------------------------------------------------------
     def _encode_body(self, payload):
         """Encoded body bytes of one protocol payload, or None on failure.
-
-        For ``Message`` payloads the destination-independent prefix is
-        cached across the back-to-back ``clone_for`` siblings of one
-        broadcast fan-out; only the (dest, msg_id) tail is re-encoded
-        per receiver.
-        """
+        A ``Message`` brings its signed block from its memo."""
         scratch = self._scratch
         del scratch[:]
         try:
-            if type(payload) is Message:
-                cached = self._body_cache
-                if cached is not None and payload.wire_shares_body(cached[0]):
-                    self.encode_cache_hits += 1
-                else:
-                    cached = (payload, encode_message_prefix(payload))
-                    self._body_cache = cached
-                scratch += cached[1]
-                encode_message_tail_into(payload, scratch)
-            else:
-                encode_value_into(payload, scratch)
+            if type(payload) is Message and payload._signed is not None:
+                self.encode_cache_hits += 1
+            encode_value_into(payload, scratch)
         except WireError:
             self.encode_failures += 1
             return None
-        return bytes(scratch)
-
-    def _encode_gossip_body(self, payload):
-        scratch = self._scratch
-        del scratch[:]
-        encode_value_into(payload, scratch)
         return bytes(scratch)
 
     def _send_single(self, frame_type, src, payload, addr):
@@ -572,7 +550,11 @@ class AsyncioTransport:
                 and len(payload) == 2 and payload[0] == "pack"
                 and payload[1]):
             dest = getattr(payload[1][0], "dest", None)
-        port = self._ports.get(dest) if dest is not None else None
+        try:
+            port = self._ports.get(dest) if dest is not None else None
+        except TypeError:         # an unhashable dest names no port
+            self.misrouted += 1
+            return None
         if port is not None:
             return None if port.crashed else port
         live = self._live_ports()
@@ -621,6 +603,11 @@ class AsyncioTransport:
             for err in errors:
                 self._report_undecodable(err.src)
         if not frames:
+            return
+        try:
+            hash(frames[0][1])    # one claimed source per datagram
+        except TypeError:
+            self.bad_sources += len(frames)
             return
         delivered_any = False
         batch_src = None
@@ -704,6 +691,7 @@ class AsyncioTransport:
             "oversize_drops": self.oversize_drops,
             "socket_errors": self.socket_errors,
             "misrouted": self.misrouted,
+            "bad_sources": self.bad_sources,
             "bytes_out": self.bytes_out,
             "bytes_in": self.bytes_in,
         }

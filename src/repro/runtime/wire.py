@@ -9,11 +9,30 @@ defines the datagram format the asyncio UDP backend speaks:
 where ``value`` is a tagged, recursively-defined encoding of the small
 Python value universe the protocol stack actually puts on the wire: None,
 bools, ints, floats, strings, bytes, tuples, lists, dicts, (frozen)sets,
-:class:`~repro.core.view.ViewId`, and whole ``Message`` structs (whose
-field list is owned by :meth:`Message.wire_fields`, so the codec never
-reaches into message internals).  The body of a datagram frame is either
-one ``Message`` or the bottom layer's ``("pack", (msg, ...))`` container;
-the body of a gossip frame is the plain gossip payload tuple.
+:class:`~repro.core.view.ViewId`, and whole ``Message`` structs.  The body
+of a datagram frame is either one ``Message`` or the bottom layer's
+``("pack", (msg, ...))`` container; the body of a gossip frame is the
+plain gossip payload tuple.
+
+Compact tags carry an int 0-127, a str or bytes under 32 bytes and a
+tuple under 16 items in one tag byte.  Each value has one encoding: the
+decoder refuses a long form where a short one applies, a big int with a
+redundant byte and a repeated dict key or set element, so bytes that
+decode re-encode to themselves (sets excepted: the encoder orders them
+by ``repr``, which for frozensets of strings follows the hash seed).
+
+A Message (WIRE_VERSION 4) is its length-prefixed **signed block** --
+kind, origin, view id, the headers but ``inc`` in name order, payload,
+msg_id, group -- then its unsigned tail: sender, payload_size,
+signature, dest, inc.  The block is what the MAC covers
+(:meth:`Message.auth_token` hashes it): a sender encodes it once
+(:func:`encode_signed`, memoized by the message) for the MAC and every
+frame, and a receiver keeps the bytes it received.  The decoder refuses
+a block whose header names do not ascend or include ``inc``, so a
+third-party retransmitter rebuilds the origin's block byte for byte.
+The block is encoded at a top-level message's depth, so inside a pack
+container its payload nests two levels less deep.  docs/RUNTIME.md has
+the layout.
 
 The transport's datagram coalescer emits the **batch container** -- many
 protocol frames from one source in one UDP datagram::
@@ -31,9 +50,8 @@ the rest of the datagram, exactly the blast radius of a single frame.
 
 There is one wire version.  A frame or batch whose version byte is not
 :data:`WIRE_VERSION` is refused with a :class:`WireError` like any other
-undecodable datagram: a sender cannot pick an older struct layout (one
-without the signed-and-filtered ``group`` field) by claiming an older
-version.
+undecodable datagram: a sender cannot pick an older struct layout by
+claiming an older version.
 
 Decoding is *total*: any input -- truncated, bit-flipped, or random
 garbage -- either yields a value or raises :class:`WireError`; it never
@@ -46,23 +64,17 @@ claimed source survived decoding; :class:`WireError` carries it as
 ``err.src``.
 
 Content authentication is *not* the codec's job: a bit flip that still
-decodes (e.g. inside a string) reconstructs a message whose HMAC no
-longer matches its content, and the bottom layer's signature check drops
-it -- the same defense the simulator's Byzantine mutators exercise.
+decodes (e.g. inside a string) yields a block whose digest no longer
+matches the MAC, and the bottom layer's signature check drops it -- the
+same defense the simulator's Byzantine mutators exercise.
 
 Zero-copy decoding (docs/PERFORMANCE.md, "The CPU path"): the decoders
-normalize their input to one :class:`memoryview` and walk it by offset.
-Slices taken during the walk (string bodies, big-int magnitudes, batch
-sub-frames) are views, not copies; bytes are materialized only where a
-value *escapes* into a long-lived Python object (``_T_BYTES`` payloads,
-and the str/int constructors which copy inherently).  Batch sub-frames
-decode in place, bounded by their computed ``end`` offset, instead of
-being carved into per-sub-frame ``bytes`` bodies first.  Any buffer type
--- ``bytes``, ``bytearray``, ``memoryview`` -- decodes to identical
-values and identical frame-vs-error verdicts; tests/test_wire_codec.py
-pins the verdicts of every bit flip and truncation of a batch
-(``WIRE_VERDICTS_SHA256``) and the decoded values of a seeded corpus
-under truncation and bit flips (``WIRE_VALUES_SHA256``).
+walk one :class:`memoryview` by offset; bytes are copied only where a
+value escapes (``bytes`` values, signed blocks, str and int objects).
+Any buffer type decodes to identical values and verdicts;
+tests/test_wire_codec.py pins the verdicts of every bit flip and
+truncation of a batch (``WIRE_VERDICTS_SHA256``) and the decoded values
+of a seeded corpus under damage (``WIRE_VALUES_SHA256``).
 """
 
 from __future__ import annotations
@@ -73,7 +85,7 @@ from repro.core.message import Message
 from repro.core.view import ViewId
 
 MAGIC = b"JB"
-WIRE_VERSION = 3
+WIRE_VERSION = 4
 
 #: frame types
 FRAME_DATAGRAM = 1   # unicast protocol datagram (Message or pack container)
@@ -102,11 +114,17 @@ _T_SET = 0x0B
 _T_FROZENSET = 0x0C
 _T_VIEWID = 0x0D
 _T_MESSAGE = 0x0E
+#: compact tags: the low bits carry the length, count or value
+_T_SHORT_STR = 0x20      # 0x20-0x3F: str of 0-31 utf-8 bytes
+_T_SHORT_BYTES = 0x40    # 0x40-0x5F: bytes of length 0-31
+_T_SHORT_TUPLE = 0x60    # 0x60-0x6F: tuple of 0-15 items
+_T_SMALL_INT = 0x80      # 0x80-0xFF: int 0-127
+_SHORT_LEN = 32
+_SHORT_COUNT = 16
 
 #: what the three payload-free tags decode to, indexed by tag
 _CONSTANTS = (None, True, False)
-_MESSAGE_FIELDS = Message.WIRE_FIELD_COUNT
-_message_from_fields = Message.from_wire_fields
+_message_from_wire = Message.from_wire
 
 _MAX_DEPTH = 32
 _INT64_MIN = -(1 << 63)
@@ -144,45 +162,26 @@ def encode_value(obj):
 
 
 def encode_value_into(obj, out, depth=0):
-    """Encode one value into a caller-owned (reusable) bytearray.
-
-    The hot-path variant of :func:`encode_value`: the transport keeps one
-    scratch buffer per socket and clears it between frames, so steady-state
-    encoding allocates no fresh ``bytearray`` per frame.
-    """
+    """Encode one value into a caller-owned (reusable) bytearray."""
     _encode(obj, out, depth)
 
 
-def encode_message_prefix(msg):
-    """The destination-independent leading bytes of one encoded Message.
-
-    ``clone_for`` fan-out siblings share every wire field except the
-    trailing ``(dest, msg_id)`` pair (:meth:`Message.wire_shared_fields`),
-    so a broadcast to n-1 receivers can serialize this prefix once and
-    append only the per-destination tail.  The output is the exact byte
-    prefix :func:`encode_value` would produce for the whole message.
-    """
+def encode_signed(msg):
+    """The signed block of ``msg``, the bytes its MAC covers (memoized by
+    :meth:`Message.signed_block`); :class:`WireError` if unencodable."""
+    try:
+        fields = msg.signed_fields()
+    except TypeError:       # header names that do not sort
+        raise WireError("header names of %r do not sort" % (msg,))
     out = bytearray()
-    out.append(_T_MESSAGE)
-    for field in msg.wire_shared_fields():
+    for field in fields:
         _encode(field, out, 1)
     return bytes(out)
 
 
-def encode_message_tail_into(msg, out):
-    """Append the per-destination tail fields after a shared prefix."""
-    for field in msg.wire_tail_fields():
-        _encode(field, out, 1)
-
-
 def frame_prefix(frame_type, src):
-    """``MAGIC VERSION FRAMETYPE src`` -- everything before the length.
-
-    Constant per (frame type, source), so a transport precomputes one per
-    frame type and assembles each outgoing datagram as
-    ``prefix + u32(len(body)) + body`` (or ``prefix + u32(count) + subframes``
-    for :data:`FRAME_BATCH`) without re-encoding its own node id.
-    """
+    """``MAGIC VERSION FRAMETYPE src`` -- everything before the length,
+    constant per (frame type, source): a transport precomputes it."""
     out = bytearray(MAGIC)
     out.append(WIRE_VERSION)
     out.append(frame_type)
@@ -190,39 +189,37 @@ def frame_prefix(frame_type, src):
     return bytes(out)
 
 
-def encode_subframe_into(frame_type, body, out):
-    """Append one batch sub-frame (``SUBTYPE BODYLEN body``) to ``out``."""
-    if frame_type not in _FRAME_TYPES:
-        raise WireError("unknown sub-frame type %r" % (frame_type,))
-    out.append(frame_type)
-    out += _pack_u32(len(body))
-    out += body
-
-
 def encode_batch(src, subframes):
-    """One batch datagram from ``[(frame_type, payload), ...]``.
-
-    The transport assembles batches incrementally from already-encoded
-    bodies; this convenience encoder (tests, tooling) takes raw payloads.
-    """
+    """One batch datagram from ``[(frame_type, payload), ...]`` (the
+    transport assembles its batches from already-encoded bodies)."""
     out = bytearray(frame_prefix(FRAME_BATCH, src))
     out += _pack_u32(len(subframes))
     for frame_type, payload in subframes:
-        encode_subframe_into(frame_type, encode_value(payload), out)
+        if frame_type not in _FRAME_TYPES:
+            raise WireError("unknown sub-frame type %r" % (frame_type,))
+        body = encode_value(payload)
+        out.append(frame_type)
+        out += _pack_u32(len(body))
+        out += body
     return bytes(out)
+
+
+def _encode_len(short_tag, long_tag, size, out):
+    if size < _SHORT_LEN:
+        out.append(short_tag | size)
+    else:
+        out.append(long_tag)
+        out += _pack_u32(size)
 
 
 def _encode(obj, out, depth):
     if depth > _MAX_DEPTH:
         raise WireError("value nesting exceeds depth %d" % _MAX_DEPTH)
-    if obj is None:
-        out.append(_T_NONE)
-    elif obj is True:
-        out.append(_T_TRUE)
-    elif obj is False:
-        out.append(_T_FALSE)
-    elif type(obj) is int:
-        if _INT64_MIN <= obj <= _INT64_MAX:
+    kind = type(obj)
+    if kind is int:
+        if 0 <= obj < 128:
+            out.append(_T_SMALL_INT | obj)
+        elif _INT64_MIN <= obj <= _INT64_MAX:
             out.append(_T_INT64)
             out += _pack_i64(obj)
         else:
@@ -230,52 +227,62 @@ def _encode(obj, out, depth):
             out.append(_T_BIGINT)
             out += _pack_u32(len(raw))
             out += raw
-    elif type(obj) is float:
-        out.append(_T_FLOAT)
-        out += _pack_f64(obj)
-    elif type(obj) is str:
+    elif kind is str:
         raw = obj.encode("utf-8")
-        out.append(_T_STR)
-        out += _pack_u32(len(raw))
+        _encode_len(_T_SHORT_STR, _T_STR, len(raw), out)
         out += raw
-    elif type(obj) is bytes:
-        out.append(_T_BYTES)
-        out += _pack_u32(len(obj))
+    elif kind is tuple:
+        if len(obj) < _SHORT_COUNT:
+            out.append(_T_SHORT_TUPLE | len(obj))
+        else:
+            out.append(_T_TUPLE)
+            out += _pack_u32(len(obj))
+        for item in obj:
+            _encode(item, out, depth + 1)
+    elif obj is None:
+        out.append(_T_NONE)
+    elif obj is True:
+        out.append(_T_TRUE)
+    elif obj is False:
+        out.append(_T_FALSE)
+    elif kind is Message:
+        block = obj.signed_block()
+        out.append(_T_MESSAGE)
+        out += _pack_u32(len(block))
+        out += block
+        for field in obj.wire_tail():
+            _encode(field, out, depth + 1)
+    elif kind is bytes:
+        _encode_len(_T_SHORT_BYTES, _T_BYTES, len(obj), out)
         out += obj
-    elif type(obj) is tuple:
-        out.append(_T_TUPLE)
-        out += _pack_u32(len(obj))
-        for item in obj:
-            _encode(item, out, depth + 1)
-    elif type(obj) is list:
-        out.append(_T_LIST)
-        out += _pack_u32(len(obj))
-        for item in obj:
-            _encode(item, out, depth + 1)
-    elif type(obj) is dict:
+    elif kind is dict:
         out.append(_T_DICT)
         out += _pack_u32(len(obj))
         for key, value in obj.items():
             _encode(key, out, depth + 1)
             _encode(value, out, depth + 1)
-    elif type(obj) in (set, frozenset):
-        out.append(_T_SET if type(obj) is set else _T_FROZENSET)
+    elif kind is list:
+        out.append(_T_LIST)
+        out += _pack_u32(len(obj))
+        for item in obj:
+            _encode(item, out, depth + 1)
+    elif kind is ViewId:
+        out.append(_T_VIEWID)
+        _encode(obj.counter, out, depth + 1)
+        _encode(obj.creator, out, depth + 1)
+    elif kind is float:
+        out.append(_T_FLOAT)
+        out += _pack_f64(obj)
+    elif kind is set or kind is frozenset:
+        out.append(_T_SET if kind is set else _T_FROZENSET)
         # repr-sorted for a canonical encoding (sets have no order)
         items = sorted(obj, key=repr)
         out += _pack_u32(len(items))
         for item in items:
             _encode(item, out, depth + 1)
-    elif type(obj) is ViewId:
-        out.append(_T_VIEWID)
-        _encode(obj.counter, out, depth + 1)
-        _encode(obj.creator, out, depth + 1)
-    elif type(obj) is Message:
-        out.append(_T_MESSAGE)
-        for field in obj.wire_fields():
-            _encode(field, out, depth + 1)
     else:
         raise WireError("unencodable value of type %s: %r"
-                        % (type(obj).__name__, obj))
+                        % (kind.__name__, obj))
 
 
 def encode_frame(frame_type, src, payload):
@@ -283,13 +290,7 @@ def encode_frame(frame_type, src, payload):
     if frame_type not in _FRAME_TYPES:
         raise WireError("unknown frame type %r" % (frame_type,))
     body = encode_value(payload)
-    out = bytearray(MAGIC)
-    out.append(WIRE_VERSION)
-    out.append(frame_type)
-    _encode(src, out, 0)
-    out += _pack_u32(len(body))
-    out += body
-    return bytes(out)
+    return frame_prefix(frame_type, src) + _pack_u32(len(body)) + body
 
 
 # ----------------------------------------------------------------------
@@ -319,6 +320,10 @@ def _truncated(offset, nbytes, end, src=None):
                      % (nbytes, offset, end - offset), src=src)
 
 
+def _non_canonical(what):
+    return WireError("non-canonical encoding of %s" % what)
+
+
 def _count(data, offset, end, minimum_item_bytes=1):
     """Read a u32 collection count, bounded by the bytes remaining before
     ``end``; returns ``(count, offset past it)``."""
@@ -332,80 +337,109 @@ def _count(data, offset, end, minimum_item_bytes=1):
     return count, start
 
 
+def _span(data, offset, end):
+    """A u32 length at ``offset`` and the ``(start, stop)`` of the bytes
+    it announces, bounded by ``end``."""
+    start = offset + 4
+    if start > end:
+        raise _truncated(offset, 4, end)
+    stop = start + _unpack_u32(data, offset)[0]
+    if stop > end:
+        raise _truncated(start, stop - start, end)
+    return start, stop
+
+
 def _decode(data, offset, depth, end):
     """One value at ``offset`` of ``data[:end]``: ``(value, offset past
     it)``.  Bounds checks are inline and tags are tested in the order
-    of how often they occur on the wire (ints, then strings and MACs,
-    then the containers carrying them)."""
+    of how often they occur on the wire (small ints, then short strings,
+    MACs and tuples, then the containers carrying them)."""
     if depth > _MAX_DEPTH:
         raise WireError("value nesting exceeds depth %d" % _MAX_DEPTH)
     if offset >= end:
         raise _truncated(offset, 1, end)
     tag = data[offset]
     offset += 1
-    if tag == _T_INT64:
-        stop = offset + 8
-        if stop > end:
-            raise _truncated(offset, 8, end)
-        return _unpack_i64(data, offset)[0], stop
-    if tag == _T_STR or tag == _T_BYTES or tag == _T_BIGINT:
-        start = offset + 4
-        if start > end:
-            raise _truncated(offset, 4, end)
-        stop = start + _unpack_u32(data, offset)[0]
-        if stop > end:
-            raise _truncated(start, stop - start, end)
-        raw = data[start:stop]
-        if tag == _T_BYTES:
-            return bytes(raw), stop
-        if tag == _T_BIGINT:
-            return int.from_bytes(raw, "big", signed=True), stop
-        # str() decodes straight out of the (view) slice; the only copy
-        # is the str object itself, which escapes anyway
-        try:
-            return str(raw, "utf-8"), stop
-        except UnicodeDecodeError as err:
-            raise WireError("invalid utf-8 in string: %s" % err)
-    if tag == _T_TUPLE or tag == _T_LIST:
-        count, offset = _count(data, offset, end)
-        depth += 1
-        items = []
-        append = items.append
-        for _ in range(count):
-            item, offset = _decode(data, offset, depth, end)
-            append(item)
-        return (tuple(items) if tag == _T_TUPLE else items), offset
-    if tag == _T_MESSAGE:
-        depth += 1
-        fields = []
-        append = fields.append
-        for _ in range(_MESSAGE_FIELDS):
-            field, offset = _decode(data, offset, depth, end)
-            append(field)
-        try:
-            return _message_from_fields(fields), offset
-        except (ValueError, TypeError) as err:
-            raise WireError("malformed message struct: %s" % err)
+    if tag >= _T_SMALL_INT:
+        return tag - _T_SMALL_INT, offset
+    if tag >= _T_SHORT_STR:
+        if tag < _T_SHORT_TUPLE:
+            stop = offset + (tag & 0x1F)
+            if stop > end:
+                raise _truncated(offset, stop - offset, end)
+            if tag >= _T_SHORT_BYTES:
+                return bytes(data[offset:stop]), stop
+            try:
+                return str(data[offset:stop], "utf-8"), stop
+            except UnicodeDecodeError as err:
+                raise WireError("invalid utf-8 in string: %s" % err)
+        if tag >= _T_SHORT_TUPLE + _SHORT_COUNT:
+            raise WireError("unknown value tag 0x%02x at offset %d"
+                            % (tag, offset - 1))
+        items, offset = _items(data, offset, depth + 1, end,
+                               tag - _T_SHORT_TUPLE)
+        return tuple(items), offset
+    if tag <= _T_FALSE:
+        return _CONSTANTS[tag], offset
     if tag == _T_DICT:
         count, offset = _count(data, offset, end, 2)
         depth += 1
+        leaf = depth <= _MAX_DEPTH
         table = {}
         for _ in range(count):
-            key, offset = _decode(data, offset, depth, end)
+            # a small int key (a MAC vector's receiver) is taken inline
+            if leaf and offset < end and data[offset] >= _T_SMALL_INT:
+                key = data[offset] - _T_SMALL_INT
+                offset += 1
+            else:
+                key, offset = _decode(data, offset, depth, end)
             value, offset = _decode(data, offset, depth, end)
             try:
                 table[key] = value
             except TypeError:
                 raise WireError("unhashable dict key")
+        if len(table) != count:
+            raise _non_canonical("a dict (repeated key)")
         return table, offset
+    if tag == _T_MESSAGE:
+        return _decode_message(data, offset, depth + 1, end)
     if tag == _T_VIEWID:
         counter, offset = _decode(data, offset, depth + 1, end)
         creator, offset = _decode(data, offset, depth + 1, end)
         if type(counter) is not int:
             raise WireError("view-id counter is not an int: %r" % (counter,))
         return ViewId(counter, creator), offset
-    if tag <= _T_FALSE:
-        return _CONSTANTS[tag], offset
+    if tag == _T_INT64:
+        stop = offset + 8
+        if stop > end:
+            raise _truncated(offset, 8, end)
+        value = _unpack_i64(data, offset)[0]
+        if 0 <= value < 128:
+            raise _non_canonical("a small int")
+        return value, stop
+    if tag == _T_STR or tag == _T_BYTES or tag == _T_BIGINT:
+        start, stop = _span(data, offset, end)
+        raw = data[start:stop]
+        if tag == _T_BIGINT:
+            value = int.from_bytes(raw, "big", signed=True)
+            if (_INT64_MIN <= value <= _INT64_MAX
+                    or len(raw) != (value.bit_length() + 8) // 8):
+                raise _non_canonical("a big int")
+            return value, stop
+        if stop - start < _SHORT_LEN:
+            raise _non_canonical("a short string")
+        if tag == _T_BYTES:
+            return bytes(raw), stop
+        try:
+            return str(raw, "utf-8"), stop
+        except UnicodeDecodeError as err:
+            raise WireError("invalid utf-8 in string: %s" % err)
+    if tag == _T_TUPLE or tag == _T_LIST:
+        count, offset = _count(data, offset, end)
+        if tag == _T_TUPLE and count < _SHORT_COUNT:
+            raise _non_canonical("a short tuple")
+        items, offset = _items(data, offset, depth + 1, end, count)
+        return (tuple(items) if tag == _T_TUPLE else items), offset
     if tag == _T_FLOAT:
         stop = offset + 8
         if stop > end:
@@ -413,16 +447,49 @@ def _decode(data, offset, depth, end):
         return _unpack_f64(data, offset)[0], stop
     if tag == _T_SET or tag == _T_FROZENSET:
         count, offset = _count(data, offset, end)
-        items = []
-        for _ in range(count):
-            item, offset = _decode(data, offset, depth + 1, end)
-            items.append(item)
+        items, offset = _items(data, offset, depth + 1, end, count)
         try:
-            return (set(items) if tag == _T_SET else frozenset(items)), offset
+            result = set(items) if tag == _T_SET else frozenset(items)
         except TypeError:
             raise WireError("unhashable set element")
+        if len(result) != count:
+            raise _non_canonical("a set (repeated element)")
+        return result, offset
     raise WireError("unknown value tag 0x%02x at offset %d"
                     % (tag, offset - 1))
+
+
+def _items(data, offset, depth, end, count):
+    """``count`` values at ``offset``: ``(list, offset past them)``.  A
+    small int or None is taken inline, without a call."""
+    leaf = depth <= _MAX_DEPTH
+    items = []
+    append = items.append
+    for _ in range(count):
+        if leaf and offset < end:
+            item = data[offset]
+            if item >= _T_SMALL_INT or item == _T_NONE:
+                append(item - _T_SMALL_INT if item else None)
+                offset += 1
+                continue
+        item, offset = _decode(data, offset, depth, end)
+        append(item)
+    return items, offset
+
+
+def _decode_message(data, offset, depth, end):
+    """One Message at ``offset``: its signed block, kept as the bytes
+    that arrived, then its unsigned tail."""
+    start, stop = _span(data, offset, end)
+    fields, offset = _items(data, start, depth, stop, 7)
+    if offset != stop:
+        raise WireError("signed block ends at %d, not %d" % (offset, stop))
+    tail, offset = _items(data, offset, depth, end, 5)
+    try:
+        return _message_from_wire(bytes(data[start:stop]), fields + tail), \
+            offset
+    except (ValueError, TypeError) as err:
+        raise WireError("malformed message struct: %s" % err)
 
 
 def decode_frame(data):

@@ -7,10 +7,11 @@ import os
 
 from repro import Group, NetworkConfig, StackConfig
 from repro.chaos import FaultPlan
-from repro.core import history
-from repro.core.message import KIND_HEARTBEAT, Message
+from repro.core import history, message
+from repro.core.message import KIND_HEARTBEAT
 from repro.core.properties import check_virtual_synchrony
 from repro.layers import uniform_delivery
+from repro.runtime import wire
 
 #: the committed fault plans: the golden scenarios and pinned reproducers
 GOLDEN_PLANS = os.path.join(os.path.dirname(os.path.abspath(__file__)),
@@ -130,15 +131,27 @@ def count_calls(obj, name):
 
 
 def count_digests(monkeypatch):
-    """Record every message whose auth digest is computed (one canonical
-    encoding per digest)."""
+    """Record every message whose signed block is encoded (the one
+    encoding its auth digest covers: ``wire.encode_signed``)."""
     calls = []
-    encode = Message.canonical_bytes
+    encode = wire.encode_signed
 
-    def counted(self):
-        calls.append(self)
-        return encode(self)
-    monkeypatch.setattr(Message, "canonical_bytes", counted)
+    def counted(msg):
+        calls.append(msg)
+        return encode(msg)
+    monkeypatch.setattr(wire, "encode_signed", counted)
+    return calls
+
+
+def count_hashes(monkeypatch):
+    """Record every signed block a message hashes into its auth digest."""
+    calls = []
+    sha256 = message._sha256
+
+    def counted(block):
+        calls.append(block)
+        return sha256(block)
+    monkeypatch.setattr(message, "_sha256", counted)
     return calls
 
 

@@ -11,6 +11,7 @@ from repro.core import message as mk
 from repro.core.message import Message
 from repro.core.properties import check_virtual_synchrony
 from repro.layers.ordering import batch_entries
+from repro.runtime.wire import encode_value
 
 #: the delivery disciplines an id travels through above the reliable layer,
 #: as StackConfig.byz keywords
@@ -63,9 +64,13 @@ def test_the_id_is_inside_the_signature():
         return Message(mk.KIND_CAST, 1, None, ("x",), 16,
                        msg_id=msg_id).auth_token()
     assert token((1, 1)) != token((1, 7))
-    # id-less protocol traffic is encoded as it always was
-    assert Message(mk.KIND_ACK, 1, None, ()).auth_content() == (
-        mk.KIND_ACK, "1", None, (), "()")
+    # the id has its own slot in the signed block, after the payload;
+    # id-less protocol traffic carries None there
+    cast = Message(mk.KIND_CAST, 1, None, ("x",), 16, msg_id=(1, 7))
+    assert cast.signed_fields()[5] == (1, 7)
+    assert Message(mk.KIND_ACK, 1, None, ()).signed_block() == b"".join(
+        encode_value(field) for field in (mk.KIND_ACK, 1, None, {}, (),
+                                          None, None))
 
 
 def test_a_restarted_member_mints_the_same_shape():

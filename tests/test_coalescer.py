@@ -15,13 +15,16 @@ Covered contracts:
   and the frame starts a fresh datagram;
 * oversize frames (over the hard datagram ceiling) are dropped loudly:
   counter, observer hook, one stderr line per frame kind;
-* clone_for fan-out hits the encode-once cache and the emitted bytes
-  are identical to encoding each clone from scratch;
+* clone_for fan-out copies the signed block its message memoized when
+  signed (one encode for the broadcast) and the emitted bytes are
+  identical to encoding each clone from scratch;
 * gossip_cast counts a send only if >=1 transmit succeeded and accounts
   per-address failures (the counter-drift fix);
 * a received batch enters the stack as ONE ``("pack", ...)`` container
   (nested pack payloads flattened), and a corrupt sub-frame feeds
   ``on_undecodable`` for that sub-frame only while siblings deliver;
+* a datagram whose claimed source is unhashable is refused whole and
+  counted in ``bad_sources``; an unhashable ``dest`` is misrouted;
 * crash drops pending buffers, graceful close flushes them;
 * the socket reader drains every queued datagram in one callback, up to
   its per-wakeup bound; a ``recvfrom`` error is counted and skipped, a
@@ -36,6 +39,8 @@ from __future__ import annotations
 
 import pytest
 
+from tests.helpers import count_digests
+
 from repro.core.message import Message
 from repro.core.view import ViewId
 from repro.runtime.transport import (
@@ -46,8 +51,10 @@ from repro.runtime.transport import (
 from repro.runtime.wire import (
     FRAME_BATCH,
     FRAME_DATAGRAM,
+    FRAME_GOSSIP,
     decode_datagram,
     decode_frame,
+    encode_batch,
     encode_frame,
     encode_value,
 )
@@ -206,34 +213,44 @@ def test_coalescing_off_sends_immediately():
 # ----------------------------------------------------------------------
 # encode-once fan-out
 # ----------------------------------------------------------------------
-def test_fanout_hits_encode_cache_with_identical_bytes():
+def test_fanout_hits_encode_cache_with_identical_bytes(monkeypatch):
+    encodes = count_digests(monkeypatch)
     t = make_transport()
     base = msg(msg_id=("bcast",))
+    base.signed_block()                   # signing fills the memo
     clones = [base.clone_for(dst) for dst in (1, 2, 3)]
+    clones[2].push_header("inc", 7)       # unsigned: keeps the block
     for clone in clones:
         t.send(0, clone.dest, 100, clone)
-    assert t.encode_cache_hits == 2       # first clone misses, siblings hit
+    assert t.encode_cache_hits == 3 and len(encodes) == 1
     t._loop.drain()
     for (data, _addr), clone in zip(t._udp.sent, clones):
         frames, errors = decode_datagram(data)
         assert errors == []
-        # cache-assembled bytes == from-scratch encoding of the clone
-        assert data.endswith(encode_value(clone))
-        assert frames[0][2].wire_fields() == clone.wire_fields()
+        # memo-assembled bytes == from-scratch encoding of the clone
+        fresh = clone.clone_for(clone.dest)
+        fresh._signed = None
+        assert data.endswith(encode_value(fresh))
+        decoded = frames[0][2]
+        assert decoded.signed_block() == base.signed_block()
+        assert decoded.wire_tail() == clone.wire_tail()
+    assert decoded.header("inc") == 7
 
 
 def test_diverged_clone_misses_cache():
     t = make_transport()
     base = msg(msg_id=("bcast",))
+    base.signed_block()
     first = base.clone_for(1)
     second = base.clone_for(2)
-    second.push_header("inc", 7)          # COW divergence
+    second.push_header("frag", (0, 1))    # COW divergence, signed
     t.send(0, 1, 100, first)
     t.send(0, 2, 100, second)
-    assert t.encode_cache_hits == 0
+    assert t.encode_cache_hits == 1
     t._loop.drain()
     frames, _ = decode_datagram(t._udp.sent[1][0])
-    assert frames[0][2].header("inc") == 7
+    assert frames[0][2].header("frag") == (0, 1)
+    assert frames[0][2].signed_block() != base.signed_block()
 
 
 # ----------------------------------------------------------------------
@@ -525,3 +542,26 @@ def test_configure_adopts_stack_packing_policy():
     # the wire budget is capped at the hard datagram ceiling
     t.configure(StackConfig(wire_mtu=10 ** 9))
     assert t.coalesce_max_bytes == MAX_DATAGRAM_BYTES
+
+
+# ----------------------------------------------------------------------
+# a claimed source that cannot key a table
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("src", [[1], (1, [2])], ids=["list", "nested"])
+def test_an_unhashable_frame_source_is_refused_and_counted(src):
+    t = make_transport()
+    delivered = []
+    t.attach(0, lambda s, p: delivered.append(p),
+             lambda s, p: delivered.append(p))
+    forged = msg(origin=src, dest=0, msg_id=(src, 1))
+    forged.signature = {0: b"0123456789"}
+    t._on_datagram(encode_frame(FRAME_DATAGRAM, src, forged), ADDRS[1])
+    t._on_datagram(encode_batch(src, [(FRAME_DATAGRAM, forged),
+                                      (FRAME_GOSSIP, ("gossip",))]),
+                   ADDRS[1])
+    assert delivered == [] and t.bad_sources == 3
+    # an unhashable dest names no hosted port either
+    forged.dest = [0]
+    t._on_datagram(encode_frame(FRAME_DATAGRAM, 1, forged), ADDRS[1])
+    assert delivered == [] and t.misrouted == 1
+    assert t.counters()["bad_sources"] == 3

@@ -1,11 +1,15 @@
 """Unit tests for key management and the three authenticators."""
 
+import hashlib
+import hmac
+
 import pytest
 
-from repro.crypto.auth import (NullAuth, PairwiseSymmetricAuth, PublicKeyAuth,
-                               make_authenticator, stable_bytes)
+from repro.crypto.auth import (MAC_BYTES, NullAuth, PairwiseSymmetricAuth,
+                               PublicKeyAuth, make_authenticator,
+                               stable_bytes)
 from repro.crypto.cost import FREE, CryptoCostModel
-from repro.crypto.keys import KeyAccessError, KeyManager
+from repro.crypto.keys import KeyAccessError, KeyManager, mac_states
 
 
 @pytest.fixture
@@ -127,3 +131,40 @@ def test_free_cost_model_is_all_zero():
 
 def test_cost_model_describe():
     assert "sym_sign" in CryptoCostModel().describe()
+
+
+@pytest.mark.parametrize("key_len", [0, 16, 32, 63, 64, 65, 200])
+def test_keyed_states_mac_equals_hmac_new(key_len):
+    """The two-copy MAC over keyed SHA-256 states (RFC 2104) is the
+    stdlib's HMAC, for keys shorter than, equal to and longer than the
+    64-byte block."""
+    key = bytes(range(key_len % 256)) * (key_len // 256) + bytes(
+        (7 * k) % 256 for k in range(key_len % 256))
+    assert len(key) == key_len
+    inner, outer = mac_states(key)
+    for msg in (b"", b"x", b"m" * 32, bytes(range(256)) * 3):
+        mac_inner = inner.copy()
+        mac_inner.update(msg)
+        mac_outer = outer.copy()
+        mac_outer.update(mac_inner.digest())
+        expected = hmac.new(key, msg, hashlib.sha256).digest()
+        assert mac_outer.digest() == expected
+        assert mac_outer.digest()[:MAC_BYTES] == expected[:MAC_BYTES]
+
+
+def test_pairwise_macs_are_hmac_of_the_digest(keys):
+    auth = PairwiseSymmetricAuth(keys, CryptoCostModel())
+    sig, _cost, _size = auth.sign(0, [1, 2], b"d" * 32)
+    for receiver in (1, 2):
+        assert sig[receiver] == hmac.new(keys.pair_key(0, receiver),
+                                         b"d" * 32, hashlib.sha256
+                                         ).digest()[:MAC_BYTES]
+
+
+def test_content_the_codec_cannot_encode_verifies_false(keys):
+    auth = PairwiseSymmetricAuth(keys, CryptoCostModel())
+    pub = PublicKeyAuth(keys, CryptoCostModel())
+    sig, _cost, _size = auth.sign(0, [1], ("x",))
+    assert auth.verify(1, 0, (object(),), sig) == (False,
+                                                   auth.costs.sym_verify)
+    assert pub.verify(1, 0, (object(),), b"s" * 64)[0] is False

@@ -7,6 +7,7 @@ from repro.core import message as mk
 from repro.core.config import StackConfig
 from repro.core.message import Message
 from repro.core.view import ViewId
+from repro.runtime.wire import encode_signed
 
 
 def test_headers_push_pop():
@@ -18,24 +19,29 @@ def test_headers_push_pop():
     assert msg.pop_header("rel", "sentinel") == "sentinel"
 
 
-def test_auth_content_covers_headers_and_payload():
+def test_signed_block_covers_headers_and_payload():
     msg = Message(mk.KIND_CAST, 0, ViewId(1, 0), "data", 16)
-    base = msg.auth_content()
+    base = msg.signed_block()
     msg.push_header("rel", ("a", 1))
-    with_header = msg.auth_content()
+    with_header = msg.signed_block()
     assert base != with_header
     other = Message(mk.KIND_CAST, 0, ViewId(1, 0), "DATA", 16)
-    assert other.auth_content() != base
+    assert other.signed_block() != base
+    # the unsigned transport header and the tail fields are left out
+    msg.push_header("inc", 3)
+    msg.sender, msg.dest, msg.payload_size = 5, 2, 99
+    assert msg.signed_block() == encode_signed(msg) == with_header
 
 
-def test_auth_content_stable_under_header_order():
+def test_signed_block_stable_under_header_order():
     a = Message(mk.KIND_CAST, 0, ViewId(1, 0), "x", 4)
     a.push_header("h1", 1)
     a.push_header("h2", 2)
     b = Message(mk.KIND_CAST, 0, ViewId(1, 0), "x", 4)
     b.push_header("h2", 2)
     b.push_header("h1", 1)
-    assert a.auth_content() == b.auth_content()
+    assert a.signed_block() == b.signed_block()
+    assert list(b.signed_fields()[3]) == ["h1", "h2"]
 
 
 def test_wire_size_accounting():

@@ -22,14 +22,18 @@ select it with ``pytest -m net``.
 from __future__ import annotations
 
 import asyncio
+import socket
 import time
 
 import pytest
 
 from repro.core.config import StackConfig
 from repro.core.endpoint import GroupEndpoint
+from repro.core.message import KIND_CAST, Message
+from repro.core.view import ViewId
 from repro.runtime.backend_asyncio import AsyncioRuntime, net_profile
 from repro.runtime.driver import free_udp_ports, run_net_workload
+from repro.runtime.wire import FRAME_DATAGRAM, encode_frame
 from repro.runtime.workload import NetWorkload, run_sim_workload
 
 pytestmark = pytest.mark.net
@@ -179,13 +183,15 @@ def test_net_artifacts_on_failure(tmp_path):
     assert (tmp_path / "node0.log").exists()
 
 
-async def _fifo_cast_latencies(nodes, casts, spacing, warmup):
+async def _fifo_cast_latencies(nodes, casts, spacing, warmup, before=None):
     """Cast→all-delivered wall times on a loopback FIFO cluster.
 
     ``nodes`` AsyncioRuntimes on one event loop, sym crypto, started in
     an established view; casts round-robin over the members, ``spacing``
     seconds apart, each timed from its ``cast()`` call to its delivery at
     the last member.  The first ``warmup`` casts are not timed.
+    ``before(runtimes, addresses)``, when given, runs once the members
+    have started.
     """
     loop = asyncio.get_running_loop()
     config = net_profile(StackConfig.byz(crypto="sym"))
@@ -212,6 +218,8 @@ async def _fifo_cast_latencies(nodes, casts, spacing, warmup):
             endpoints.append(endpoint)
         for process in processes:
             process.start()
+        if before is not None:
+            before(runtimes, addresses)
         started = {}
         for k in range(warmup + casts):
             await asyncio.sleep(spacing)
@@ -247,6 +255,40 @@ def test_fifo_cast_latency_median_under_a_millisecond():
     median = latencies[len(latencies) // 2]
     assert median < 0.001, "median cast->all-delivered %.3f ms" % (
         median * 1e3)
+
+
+def test_an_unhashable_frame_source_leaves_a_live_cluster_running():
+    """A datagram whose frame source and ``msg.sender`` are ``[1]`` (or
+    ``(1, [2])``), MAC'd for node 0, reaches node 0 of a live 4-node
+    cluster: its transport refuses it before any table lookup and counts
+    it, nothing reaches the loop's exception handler, and every cast
+    after it is delivered everywhere."""
+    loop = asyncio.new_event_loop()
+    raised = []
+    loop.set_exception_handler(lambda _loop, context: raised.append(context))
+    transports = []
+
+    def inject(runtimes, addresses):
+        transports.append(runtimes[0].transport)
+        sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+        try:
+            for src in ([1], (1, [2])):
+                forged = Message(KIND_CAST, src, ViewId(1, 0), ("x",), 16,
+                                 dest=0, msg_id=(src, 1))
+                forged.signature = {0: b"0123456789"}
+                sock.sendto(encode_frame(FRAME_DATAGRAM, src, forged),
+                            addresses[0])
+        finally:
+            sock.close()
+
+    try:
+        latencies = loop.run_until_complete(_fifo_cast_latencies(
+            nodes=4, casts=20, spacing=0.005, warmup=4, before=inject))
+    finally:
+        loop.close()
+    assert raised == []
+    assert transports[0].bad_sources == 2
+    assert len(latencies) == 20
 
 
 def _benign_stack_config():

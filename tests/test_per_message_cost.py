@@ -9,17 +9,21 @@ trimmed per stream", "Once per cast").
 * the checker's content digest and the archive record are computed once
   per cast and shared by its receivers; a copy a Byzantine member altered
   inherits neither, and a message decoded from the wire carries none;
+* on real sockets a broadcast encodes its signed block once, for the MAC
+  and every frame, and a receiver hashes the block it received without
+  encoding anything;
 * the ack vector is sorted when an ack or heartbeat leaves, and equals the
   repr-sorted vector rebuilt from the stream records;
 * the retransmission archive is trimmed per stream up to the stability
   floor, and what is above the floor is still served;
-* a malformed ``inc`` transport header is refused before any comparison.
+* a malformed ``inc`` transport header is refused before any comparison,
+  and an unhashable claimed source before any table lookup.
 """
 
 import pytest
 
-from tests.helpers import (count_content_digests, count_digests, make_group,
-                           tagged_detector)
+from tests.helpers import (count_content_digests, count_digests,
+                           count_hashes, make_group, tagged_detector)
 
 from repro import Group, StackConfig
 from repro.apps.ring import RingDemo
@@ -30,7 +34,8 @@ from repro.core.history import content_digest
 from repro.core.message import Message
 from repro.core.properties import check_content_agreement
 from repro.layers.reliable import STREAM_APP, STREAM_CTL, STREAM_P2P
-from repro.runtime.wire import decode_value, encode_value
+from repro.runtime.wire import (FRAME_DATAGRAM, decode_datagram, decode_value,
+                                encode_frame, encode_value)
 from repro.sim.network import NetworkConfig
 
 
@@ -320,5 +325,84 @@ def test_a_message_decoded_from_the_wire_starts_with_empty_slots():
     assert msg._auth_cache is not None and msg._archived is not None
     decoded = decode_value(encode_value(msg))
     assert decoded.payload == msg.payload
+    # the block is the bytes that arrived; the digest is the receiver's
+    # own, taken when it verifies
+    assert decoded._signed == msg._signed
     assert (decoded._auth_cache, decoded._digest,
             decoded._archived) == (None, None, None)
+
+
+# ----------------------------------------------------------------------
+# one encoding per message on real sockets
+# ----------------------------------------------------------------------
+def test_receivers_hash_the_blocks_they_received_and_encode_none(
+        monkeypatch):
+    group = make_group(4, seed=3, crypto="sym")
+    process, receiver = group.processes[0], group.processes[1]
+    datagrams = []
+    for k in range(5):
+        msg = Message(mk.KIND_CAST, 0, process.view.vid, ("m", k), 16,
+                      msg_id=(0, k + 1))
+        msg.push_header("rel", (STREAM_APP, k + 1))
+        msg.signature, _cost, _bytes = process.auth.sign(0, (1, 2, 3), msg)
+        datagrams.append(encode_frame(FRAME_DATAGRAM, 0, msg.clone_for(1)))
+    encodes = count_digests(monkeypatch)
+    hashes = count_hashes(monkeypatch)
+    for data in datagrams:
+        frames, errors = decode_datagram(memoryview(data))
+        assert errors == []
+        msg = frames[0][2]
+        assert receiver.auth.verify(1, 0, msg, msg.signature)[0]
+    assert encodes == [] and len(hashes) == len(datagrams)
+
+
+def test_a_broadcast_encodes_its_signed_block_once(monkeypatch):
+    """The MAC and every frame of an n-1-receiver fan-out share one
+    encoding of the signed fields; each receiver verifies the bytes it
+    got with one digest and no encode."""
+    from repro.crypto.keys import KeyManager
+    from repro.runtime.backend_asyncio import AsyncioRuntime
+    from tests.test_coalescer import ADDRS, FakeUdp, HopLoop
+    loop, keys, processes = HopLoop(), KeyManager(), {}
+    for node in ADDRS:
+        runtime = AsyncioRuntime(node, ADDRS, seed=node, loop=loop)
+        runtime.transport._udp = FakeUdp()
+        processes[node] = runtime.spawn_process(
+            StackConfig.byz(crypto="sym"), keys=keys,
+            initial_view=runtime.initial_view(ADDRS, established=True))
+    sender = processes[1]
+    arrivals = []
+    for node, process in processes.items():
+        process.bottom.send_up = lambda m, node=node: arrivals.append(node)
+    encodes = count_digests(monkeypatch)
+    hashes = count_hashes(monkeypatch)
+    sender.bottom.handle_down(Message(mk.KIND_CAST, 1, sender.view.vid,
+                                      ("b",), payload_size=16))
+    loop.run_ready()
+    sent = sender.network._udp.sent
+    assert len(sent) == 3 and len(encodes) == 1 and len(hashes) == 1
+    assert sender.network.encode_cache_hits == 3
+    by_addr = {addr: node for node, addr in ADDRS.items()}
+    for data, addr in sent:
+        processes[by_addr[addr]].network._on_datagram(data, ADDRS[1])
+    assert sorted(arrivals) == [0, 2, 3]
+    assert len(encodes) == 1 and len(hashes) == 1 + 3
+
+
+# ----------------------------------------------------------------------
+# a claimed source that cannot key a table
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("src", [[1], (1, [2])], ids=["list", "nested"])
+def test_an_unhashable_source_is_refused_before_any_lookup(src):
+    group = make_group(4, seed=3, crypto="sym")
+    group.run(0.05)
+    process = group.processes[0]
+    msg = Message(mk.KIND_CAST, src, process.view.vid, ("x",), 16,
+                  msg_id=(src, 1))
+    msg.signature = {0: b"0123456789"}
+    tags = tagged_detector(process)
+    delivered = process.top.delivered
+    process.bottom._process_in(src, msg)
+    assert tags == []
+    group.run(0.05)
+    assert process.top.delivered == delivered

@@ -1,7 +1,5 @@
 """Tests for the per-cast uniform delivery layer."""
 
-import pytest
-
 from tests.helpers import cast_payloads, make_group
 
 from repro import Group, StackConfig
@@ -67,14 +65,13 @@ def test_two_faced_minority_copy_recovered_by_fetch():
     group.run(1.5)
     delivered_at_5 = [ev for ev in group.processes[5].history.events
                       if ev[0] == "cast_deliver" and ev[3] == 2]
-    if delivered_at_5:
-        # node 5 must have delivered the majority version, not its own copy
-        others = [ev for node in (0, 1, 4) for ev in
-                  group.processes[node].history.events
-                  if ev[0] == "cast_deliver" and ev[3] == 2]
-        assert others
-        assert delivered_at_5[0][4] == others[0][4]
-        assert group.processes[5].uniform.mismatches_recovered >= 1
+    others = [ev for node in (0, 1, 4) for ev in
+              group.processes[node].history.events
+              if ev[0] == "cast_deliver" and ev[3] == 2]
+    assert others
+    # node 5 must have delivered the majority version, not its own copy
+    assert delivered_at_5 and delivered_at_5[0][4] == others[0][4]
+    assert group.processes[5].uniform.mismatches_recovered >= 1
 
 
 class EchoToOne(TwoFacedCaster):
@@ -126,7 +123,8 @@ def run_echo_to_one():
 def test_two_faced_cast_with_echo_to_one_agrees_everywhere():
     group, msg_id, correct, delivered = run_echo_to_one()
     uniform = {node: group.processes[node].uniform for node in correct}
-    agreed = {node: layer._done.get(msg_id) or layer._pending[msg_id].agreed
+    agreed = {node: (layer._done.get(msg_id)
+                     or layer._pending[msg_id]).agreed
               for node, layer in uniform.items()}
     assert len(set(agreed.values())) == 1 and None not in agreed.values()
     assert all(delivered[node] == [("split", 1)] for node in range(7)
@@ -135,10 +133,6 @@ def test_two_faced_cast_with_echo_to_one_agrees_everywhere():
                                    content_agreement=True) == []
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "member 7 agrees on the majority digest but its fetch for a matching "
-    "copy goes unanswered: every holder already released the cast, and "
-    "UniformDeliveryLayer._serve_fetch serves pending entries only"))
 def test_two_faced_cast_with_echo_to_one_is_total():
     _group, _msg_id, correct, delivered = run_echo_to_one()
     assert delivered == {node: [("split", 1)] for node in correct}

@@ -41,8 +41,7 @@ from repro.runtime.wire import (
     decode_value,
     encode_batch,
     encode_frame,
-    encode_message_prefix,
-    encode_message_tail_into,
+    encode_signed,
     encode_value,
     frame_prefix,
 )
@@ -89,6 +88,11 @@ messages = st.builds(
 )
 
 
+def wire_fields(msg):
+    """Everything a Message carries on the wire, in wire order."""
+    return msg.signed_fields() + msg.wire_tail()
+
+
 # ----------------------------------------------------------------------
 # 1. round-trip
 # ----------------------------------------------------------------------
@@ -107,7 +111,7 @@ def test_value_round_trip_preserves_type(value):
 def test_message_round_trip(msg):
     decoded = decode_value(encode_value(msg))
     assert type(decoded) is Message
-    assert decoded.wire_fields() == msg.wire_fields()
+    assert wire_fields(decoded) == wire_fields(msg)
 
 
 @given(st.sampled_from([FRAME_DATAGRAM, FRAME_GOSSIP]),
@@ -127,7 +131,7 @@ def test_frame_layout_is_versioned():
 #: sha256 over the concatenated corpus below; a decoder-side change must
 #: leave it alone, an encoder-side one re-records it with WIRE_VERSION bumped
 WIRE_CORPUS_SHA256 = (
-    "5c893109c77a194d15e08547801b8e56e8c53d8a4c6c4a5d471feb92edb02434")
+    "ca400bf10f731d4861e35c0932f6fbd9aad752df600984a38d7b86dfa4832a3b")
 
 
 def _corpus():
@@ -311,7 +315,7 @@ def test_decode_datagram_handles_plain_frames(frame_type, src, payload):
     assert frames == [(frame_type, src, payload)]
 
 
-@pytest.mark.parametrize("version", [1, 2, WIRE_VERSION + 1])
+@pytest.mark.parametrize("version", [1, 2, 3, WIRE_VERSION + 1])
 def test_other_wire_versions_are_refused(version):
     # one wire version: a frame or batch claiming any other yields exactly
     # one WireError and no frame -- a sender cannot choose the struct
@@ -409,18 +413,6 @@ def test_nested_batch_rejected():
     assert len(errors) == 1
 
 
-@given(messages, st.integers(0, 64), st.one_of(st.none(), st.integers(0, 64)))
-def test_shared_prefix_plus_tail_equals_full_encoding(msg, dest, msg_id):
-    """The encode-once fan-out seam: shared prefix + per-destination tail
-    must be byte-identical to encoding the clone outright."""
-    msg.msg_id = msg_id
-    clone = msg.clone_for(dest)
-    out = bytearray(encode_message_prefix(msg))
-    encode_message_tail_into(clone, out)
-    assert bytes(out) == encode_value(clone)
-    assert decode_value(bytes(out)).wire_fields() == clone.wire_fields()
-
-
 @given(st.sampled_from([FRAME_DATAGRAM, FRAME_GOSSIP]),
        st.integers(0, 1 << 20), values)
 def test_frame_prefix_assembly_matches_encode_frame(frame_type, src, payload):
@@ -506,7 +498,7 @@ def test_corrupt_subframe_spares_siblings_from_memoryview():
 #: (type, source) -- never the values: a set's repr moves with the
 #: per-process string hash seed, and the round-trip tests own values.
 WIRE_VERDICTS_SHA256 = (
-    "7613eccfce029cdad966fcb92657499e730941b68b19fedba4bb8b2b262c09d1")
+    "346bf48f67dd036ea29a8606cbbc435f20c088e0a50733d4215d889c0eec8761")
 
 
 def _damaged(blob):
@@ -536,7 +528,7 @@ def test_batch_damage_verdicts_are_pinned():
 #: flip.  Where WIRE_VERDICTS_SHA256 pins accept/reject, this pins the
 #: values: a decoder rewrite must leave both alone.
 WIRE_VALUES_SHA256 = (
-    "b5eefa904ff418f05cd4bf0735b9ec691db23eb28888ef5456edfdb66f7e4eaf")
+    "178e4bc2c0e1beebd8e17cb8296a6362c419c496c5780c33b2b627710687c086")
 
 
 def _random_value(rng, depth):
@@ -589,7 +581,7 @@ def _render(value):
     """A hash-seed-independent rendering of a decoded value."""
     kind = type(value)
     if kind is Message:
-        return ("Message",) + tuple(_render(f) for f in value.wire_fields())
+        return ("Message",) + tuple(_render(f) for f in wire_fields(value))
     if kind is ViewId:
         return ("ViewId", _render(value.counter), _render(value.creator))
     if kind in (tuple, list):
@@ -650,3 +642,241 @@ def test_undecodable_ignores_strangers_and_stopped_stacks():
     assert process.stopped
     bottom.note_undecodable(2)               # after stop: full no-op
     assert bottom.dropped_undecodable == 1
+
+
+# ----------------------------------------------------------------------
+# 6. compact tags and the one encoding (WIRE_VERSION 4)
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("value, size", [
+    (0, 1), (127, 1), (128, 9), (-1, 9), (-(1 << 63), 9), ((1 << 63) - 1, 9),
+    (1 << 63, 14), (-(1 << 63) - 1, 14),
+    ("a" * 31, 32), ("a" * 32, 37), ("é" * 15 + "a", 32), ("é" * 16, 37),
+    (b"\x00" * 31, 32), (b"\x00" * 32, 37),
+    ((0,) * 15, 16), ((0,) * 16, 21), ((), 1), ("", 1), (b"", 1),
+    (True, 1), (False, 1), (1, 1), (None, 1),
+])
+def test_tag_boundaries_round_trip(value, size):
+    blob = encode_value(value)
+    assert len(blob) == size
+    decoded = decode_value(blob)
+    assert decoded == value and type(decoded) is type(value)
+    assert encode_value(decoded) == blob
+
+
+def test_bool_and_int_keep_their_types():
+    assert encode_value(True) != encode_value(1)
+    assert encode_value(False) != encode_value(0)
+    assert decode_value(encode_value((True, 1, False, 0))) == (True, 1,
+                                                               False, 0)
+    assert [type(v) for v in decode_value(encode_value((True, 1)))] == [
+        bool, int]
+
+
+@pytest.mark.parametrize("blob", [
+    b"\x03" + (5).to_bytes(8, "big"),               # int64 of a small int
+    b"\x04\x00\x00\x00\x01\x05",                    # big int in int64 range
+    b"\x04\x00\x00\x00\x0a" + b"\x00" + (1 << 70).to_bytes(9, "big"),
+    b"\x06\x00\x00\x00\x01a",                       # long form, short str
+    b"\x07\x00\x00\x00\x01a",                       # long form, short bytes
+    b"\x08\x00\x00\x00\x01\x80",                    # long form, short tuple
+    b"\x0a\x00\x00\x00\x02\x81\x82\x81\x83",         # repeated dict key
+    b"\x0b\x00\x00\x00\x02\x81\x81",                 # repeated set element
+])
+def test_non_canonical_encodings_are_refused(blob):
+    with pytest.raises(WireError, match="non-canonical"):
+        decode_value(blob)
+
+
+#: the value universe without sets, whose encoding follows their
+#: iteration order (see the codec's docstring)
+set_free_values = st.recursive(
+    scalars | st.builds(ViewId, st.integers(), st.integers()),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=20).map(tuple),
+        st.lists(inner, max_size=5),
+        st.dictionaries(scalars, inner, max_size=4),
+    ),
+    max_leaves=24,
+)
+
+set_free_messages = st.builds(
+    lambda kind, origin, vid, payload, size: Message(
+        kind, origin, vid, payload, payload_size=size),
+    st.text(min_size=1, max_size=40),
+    st.integers(-2, 300),
+    st.builds(ViewId, st.integers(0, 1 << 40), st.integers(0, 64)),
+    set_free_values,
+    st.integers(0, 65000),
+)
+
+
+def _has_set(value):
+    if isinstance(value, (set, frozenset)):
+        return True
+    if isinstance(value, Message):
+        value = wire_fields(value)
+    if isinstance(value, dict):
+        value = list(value.items())
+    if isinstance(value, (tuple, list)):
+        return any(_has_set(item) for item in value)
+    if isinstance(value, ViewId):
+        return _has_set(value.creator)
+    return False
+
+
+@given(set_free_values)
+def test_encoder_output_re_encodes_to_itself(value):
+    blob = encode_value(value)
+    assert encode_value(decode_value(blob)) == blob
+
+
+@given(set_free_messages, st.integers(0, 64),
+       st.one_of(st.none(), st.integers(0, 9)))
+def test_a_decoded_message_rebuilds_the_block_it_arrived_with(msg, dest,
+                                                              inc):
+    msg.push_header("rel", ("app", 3))
+    if inc is not None:
+        msg.push_header("inc", inc)
+    blob = encode_value(msg.clone_for(dest))
+    decoded = decode_value(blob)
+    assert decoded.signed_block() == msg.signed_block()
+    # the block rebuilt from the decoded values is the one received
+    assert encode_signed(decoded) == decoded.signed_block()
+    assert encode_value(decoded) == blob
+    assert decoded.header("inc") == inc
+
+
+def _raw_message(fields, block_fields=7):
+    """A hand-built Message struct: the first ``block_fields`` values
+    form the signed block, the rest its tail."""
+    block = b"".join(encode_value(f) for f in fields[:block_fields])
+    return (bytes([0x0E]) + len(block).to_bytes(4, "big") + block
+            + b"".join(encode_value(f) for f in fields[block_fields:]))
+
+
+@pytest.mark.parametrize("headers", [
+    {"rel": 1, "frag": 2},      # names out of order
+    {"inc": 1},                 # the unsigned header inside the block
+    {1: "x", "a": 2},           # names that do not sort
+])
+def test_a_block_with_headers_out_of_signed_order_is_refused(headers):
+    fields = ["cast", 1, ViewId(1, 0), headers, ("p",), None, None,
+              1, 16, None, None, None]
+    with pytest.raises(WireError, match="malformed message struct"):
+        decode_value(_raw_message(fields))
+    fields[3] = {}
+    assert decode_value(_raw_message(fields)).headers == {}
+
+
+def test_a_block_longer_than_its_fields_is_refused():
+    fields = ["cast", 1, ViewId(1, 0), {}, ("p",), None, None,
+              1, 16, None, None, None]
+    # the block claims one byte more than its fields take
+    blob = bytearray(_raw_message(fields))
+    blob[4] += 1
+    blob[5 + blob[4] - 1:5 + blob[4] - 1] = b"\x80"
+    with pytest.raises(WireError, match="signed block ends"):
+        decode_value(bytes(blob))
+
+
+def test_every_decodable_damage_re_encodes_to_the_bytes_received():
+    """The one encoding under damage: any bit flip or truncation of a
+    batch that still decodes, into values without a set, yields values
+    that encode back to exactly the bytes received, and each decoded
+    message's block, rebuilt from its values, is the block it
+    carried."""
+    inner = Message("ack", 2, ViewId(7, 2), ((0, "app", 130), (1, "c", 2)),
+                    payload_size=8, dest=0)
+    msg = Message("cast", 1, ViewId(1 << 40, 3),
+                  (None, True, -5, 1 << 70, 2.5, "hé", b"\x00\xff" * 20,
+                   [1, [2, (3,) * 17]], {"k": {"n": ViewId(2, 0)}, 4: [5]}),
+                  payload_size=64, dest=4, msg_id=(1, 9), group=3)
+    msg.push_header("reliable", ("data", 12))
+    msg.push_header("inc", 2)
+    msg.signature = {0: b"\x01" * 10, 4: b"\x02" * 10}
+    blob = encode_batch(5, [(FRAME_DATAGRAM, inner),
+                            (FRAME_DATAGRAM, ("pack", (msg, inner)))])
+    prefix = len(frame_prefix(FRAME_BATCH, 5)) + 4
+    decoded_any = 0
+    for data in _damaged(blob):
+        frames, errors = decode_datagram(data)
+        if errors or len(frames) != 2 or _has_set(frames):
+            continue
+        decoded_any += 1
+        assert encode_batch(frames[0][1], [(ft, p) for ft, _, p in frames]) \
+            [prefix:] == data[prefix:]
+        for payload in (frames[0][2], frames[1][2][1][0]):
+            assert encode_signed(payload) == payload.signed_block()
+    assert decoded_any > 100
+
+
+# ----------------------------------------------------------------------
+# 7. signed blocks through the stack
+# ----------------------------------------------------------------------
+def _signed_cast(group, origin, payload):
+    """The cast ``origin``'s bottom layer signs and fans out for
+    ``payload`` (the simulator hands its clones over by reference)."""
+    bottom = group.processes[origin].bottom
+    transmit = bottom._transmit
+    signed = []
+
+    def recording(msg, receivers, size):
+        if msg.kind == "cast":
+            signed.append(msg)
+        return transmit(msg, receivers, size)
+    bottom._transmit = recording
+    group.endpoints[origin].cast(payload)
+    group.run(0.005)            # delivered, not yet trimmed as stable
+    del bottom._transmit
+    return signed[0]
+
+
+def test_a_third_party_retransmission_rebuilds_the_origins_block():
+    from tests.helpers import tagged_detector
+    from repro.layers.reliable import STREAM_APP
+    group = Group.bootstrap(4, config=StackConfig.byz(crypto="sym"), seed=3)
+    try:
+        origin_block = _signed_cast(group, 0, ("m", 1)).signed_block()
+        holder, asker = group.processes[1], group.processes[3]
+        record = holder.reliable._archive[(0, STREAM_APP)][1]
+        retrans = Message("retrans", 1, holder.view.vid, record,
+                          payload_size=record[6] + 24, dest=3)
+        retrans.signature, _cost, _size = holder.auth.sign(1, (3,), retrans)
+        wire = decode_value(encode_value(retrans))
+        (kind, origin, _vid, stream, seq, payload, size, signature,
+         cast_id) = wire.payload
+        inner = Message(kind, origin, asker.view.vid, payload, size,
+                        msg_id=cast_id)
+        inner.push_header("rel", (stream, seq))
+        assert inner.signed_block() == origin_block
+        assert asker.auth.verify(3, 0, inner, signature)[0]
+        # the reliable layer's own rebuild agrees: no forgery reported
+        tags = tagged_detector(asker)
+        asker.reliable._on_retrans(wire)
+        assert "rel:forged-retrans" not in tags
+    finally:
+        group.stop()
+
+
+@pytest.mark.parametrize("where", ["block", "signature"])
+def test_a_flipped_byte_in_the_block_or_the_mac_is_a_bad_signature(where):
+    from tests.helpers import tagged_detector
+    group = Group.bootstrap(4, config=StackConfig.byz(crypto="sym"), seed=3)
+    try:
+        to_2 = _signed_cast(group, 0, ("m", 1)).clone_for(2)
+        frame = bytearray(encode_frame(FRAME_DATAGRAM, 0, to_2))
+        receiver = group.processes[2]
+        intact = decode_frame(bytes(frame))[2]
+        assert receiver.auth.verify(2, 0, intact, intact.signature)[0]
+        target = (encode_value(("m", 1)) if where == "block"
+                  else to_2.signature[2])
+        at = bytes(frame).index(target) + len(target) - 1
+        frame[at] ^= 0x01           # still decodes: a payload int, a MAC
+        damaged = decode_frame(bytes(frame))[2]
+        tags = tagged_detector(receiver)
+        rejected = receiver.bottom.dropped_bad_signature
+        receiver.bottom._process_in(0, damaged)
+        assert tags == ["bottom:bad-signature"]
+        assert receiver.bottom.dropped_bad_signature == rejected + 1
+    finally:
+        group.stop()
