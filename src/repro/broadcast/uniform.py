@@ -94,6 +94,10 @@ class UniformBroadcast(AgreementInstance):
     def delivered(self):
         return self.decided
 
+    @property
+    def contested(self):   # a second value was echoed: a two-faced origin
+        return len(self._tally) > 1
+
     # ------------------------------------------------------------------
     def _on_initial(self, sender, value):
         if sender != self.origin:

@@ -45,13 +45,16 @@ class GroupEndpoint:
 
         ``size`` is the payload's wire size in bytes (the simulation
         transfers Python objects but charges bandwidth/CPU for ``size``).
+        Any other ``payload`` than a wire value (``wire.check_payload``)
+        raises ``WireError``, a ``ValueError``, and casts nothing.
         """
         if self.process.stopped:
             raise RuntimeError("endpoint of a stopped process")
         return self.process.top.submit_cast(payload, size)
 
     def send(self, dest, payload, size=16):
-        """Reliable FIFO point-to-point send to ``dest``."""
+        """Reliable FIFO point-to-point send to ``dest``; ``payload`` as
+        for :meth:`cast`."""
         if self.process.stopped:
             raise RuntimeError("endpoint of a stopped process")
         if dest == self.node_id:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from repro.core import message as mkinds
 from repro.layers.base import Layer
+from repro.runtime.wire import WireError
 
 #: kinds a node may accept from outside its current view
 CROSS_VIEW_KINDS = frozenset({mkinds.KIND_MERGE, mkinds.KIND_NEWVIEW})
@@ -41,6 +42,7 @@ class BottomLayer(Layer):
         self.dropped_impersonation = 0
         self.dropped_stale_incarnation = 0
         self.dropped_undecodable = 0
+        self.dropped_unencodable = 0
         self.packets_packed = 0
         self._pack_queues = {}   # dst -> [(msg, inner_size)]
         self._pack_bytes = {}    # dst -> running byte total of that queue
@@ -72,6 +74,7 @@ class BottomLayer(Layer):
         self._cpu_queue = self.sim.serial_queue()
         # fixed at process construction; cached off the per-message path
         self._group_id = getattr(self.process, "group_id", None)
+        self._encodes = getattr(self.process.network, "encodes", False)
 
     # ------------------------------------------------------------------
     # downward: sign once, charge CPU, transmit per destination
@@ -91,8 +94,17 @@ class BottomLayer(Layer):
             # different shard fails verification, not just the filter below
             msg.group = group
             msg._signed = msg._auth_cache = None
-        auth = process.auth
-        signature, sign_cost, sig_bytes = auth.sign(self.me, receivers, msg)
+        try:
+            signature, sign_cost, sig_bytes = process.auth.sign(
+                self.me, receivers, msg)
+            if self._encodes and len(receivers) > 1:
+                msg.signed_block()    # one block for the fan-out's frames
+        except WireError:
+            # what no frame can carry: a Byzantine payload this member
+            # relays (its own pass wire.check_payload at submit)
+            self.dropped_unencodable += 1
+            self.count("drop_unencodable")
+            return
         msg.signature = signature
         self.messages_signed += 1
         self.count("messages_signed")

@@ -17,6 +17,7 @@ from collections import deque
 
 from repro.core import message as mk
 from repro.layers.base import Layer
+from repro.runtime.wire import check_payload
 
 
 class TopLayer(Layer):
@@ -34,6 +35,7 @@ class TopLayer(Layer):
     # ------------------------------------------------------------------
     def submit_cast(self, payload, size):
         """Entry point used by the endpoint for ``cast``."""
+        check_payload(payload)
         if self._cast_counter + 1 >= 1 << mk.CAST_COUNTER_BITS:
             # past the bound the id would alias the next incarnation's
             raise OverflowError(
@@ -55,6 +57,7 @@ class TopLayer(Layer):
     def submit_send(self, dest, payload, size):
         """Entry point used by the endpoint for point-to-point ``send``."""
         from repro.core.message import Message
+        check_payload(payload)
         msg = Message(mk.KIND_SEND, self.me, self.view.vid, payload, size,
                       dest=dest)
         self.count("sends_submitted")

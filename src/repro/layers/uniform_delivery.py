@@ -51,8 +51,8 @@ class UniformDeliveryLayer(Layer):
         self._queues = {}     # origin -> deque of msg_ids, arrival order
         self._pending = {}    # msg_id -> _Pending
         self._instances = {}  # msg_id -> agreement instance
-        self._done = {}       # msg_id -> released _Pending, served to a
-                              # fetch until the view ends
+        self._done = {}       # msg_id -> agreed digest, or a contested
+                              # cast's _Pending, until the view ends
         self._agreed_early = {}  # agreement finished before our copy arrived
         self._flush_cb = None
         self._flush_timer = None
@@ -195,8 +195,11 @@ class UniformDeliveryLayer(Layer):
                 return
             queue.popleft()
             self._pending.pop(msg_id, None)
-            self._instances.pop(msg_id, None)
-            self._done[msg_id] = entry
+            instance = self._instances.pop(msg_id, None)
+            # only a cast whose agreement saw a second digest may leave a
+            # member holding another version, who fetches it later
+            self._done[msg_id] = (entry if instance is not None
+                                  and instance.contested else entry.agreed)
             self.delivered_uniform += 1
             self.count("uniform_delivered")
             self.send_up(entry.msg)
@@ -206,10 +209,10 @@ class UniformDeliveryLayer(Layer):
         self.send(mk.KIND_UDELIV, ("fetch", msg_id, None), 26)
 
     def _serve_fetch(self, requester, msg_id):
-        # a released cast is served too: the member holding a two-faced
-        # origin's minority copy may ask after every holder released it
+        # a released contested cast is served too: a minority copy's
+        # holder may ask after every other holder released it
         entry = self._pending.get(msg_id) or self._done.get(msg_id)
-        if entry is None:
+        if type(entry) is not _Pending:
             return
         msg = entry.msg
         self.send(mk.KIND_UDELIV, ("copy", msg_id, (msg.payload,

@@ -41,9 +41,10 @@ Wire-path aggregation (docs/PERFORMANCE.md, "The wire path"):
   ack vectors produced while draining a received batch piggyback onto
   datagrams being emitted anyway.
 * **encode-once fan-out** -- a ``Message`` frame copies the signed block
-  its message memoized when signed (shared by every ``clone_for``
-  sibling) and encodes only its unsigned tail; ``encode_cache_hits``
-  counts those frames.  Buffers are reused ``bytearray`` objects.
+  its message memoized when signed (or, under NoCrypto, before its
+  fan-out: :attr:`AsyncioTransport.encodes`), shared by every
+  ``clone_for`` sibling, and encodes only its unsigned tail;
+  ``encode_cache_hits`` counts those frames.
 * **batch receive drain** -- an arriving batch is fully decoded and
   handed to the stack as one ``("pack", ...)`` container, so the bottom
   layer charges one per-datagram cost and the scheduler runs one
@@ -144,6 +145,9 @@ class _Port:
 
 class AsyncioTransport:
     """Real UDP sockets for one node of a localhost cluster."""
+
+    #: the bottom layer encodes a broadcast's block before its fan-out
+    encodes = True
 
     def __init__(self, node_id, addresses, loop=None):
         """``addresses``: {node_id: (host, port)} for the whole cluster,

@@ -17,9 +17,9 @@ plain gossip payload tuple.
 Compact tags carry an int 0-127, a str or bytes under 32 bytes and a
 tuple under 16 items in one tag byte.  Each value has one encoding: the
 decoder refuses a long form where a short one applies, a big int with a
-redundant byte and a repeated dict key or set element, so bytes that
-decode re-encode to themselves (sets excepted: the encoder orders them
-by ``repr``, which for frozensets of strings follows the hash seed).
+redundant byte, a repeated dict key or set element and a set whose
+elements' encodings do not ascend (the order the encoder writes, which
+no hash seed moves), so bytes that decode re-encode to themselves.
 
 A Message (WIRE_VERSION 4) is its length-prefixed **signed block** --
 kind, origin, view id, the headers but ``inc`` in name order, payload,
@@ -30,9 +30,12 @@ signature, dest, inc.  The block is what the MAC covers
 frame, and a receiver keeps the bytes it received.  The decoder refuses
 a block whose header names do not ascend or include ``inc``, so a
 third-party retransmitter rebuilds the origin's block byte for byte.
-The block is encoded at a top-level message's depth, so inside a pack
-container its payload nests two levels less deep.  docs/RUNTIME.md has
-the layout.
+The block's fields encode and decode at one depth (:data:`BLOCK_DEPTH`,
+theirs inside a pack container), so a block that encodes decodes
+alone or packed; a message nested deeper than a pack is refused.  An
+application payload nests at most :data:`PAYLOAD_DEPTH` levels
+(:func:`check_payload`), which leaves the layers' own wrapping room
+under the depth bound.  docs/RUNTIME.md has the layout.
 
 The transport's datagram coalescer emits the **batch container** -- many
 protocol frames from one source in one UDP datagram::
@@ -127,6 +130,10 @@ _CONSTANTS = (None, True, False)
 _message_from_wire = Message.from_wire
 
 _MAX_DEPTH = 32
+#: a signed block's fields' depth: a message's fields' inside a pack
+BLOCK_DEPTH = 3
+#: an application payload's nesting bound (layers wrap it deeper)
+PAYLOAD_DEPTH = 16
 _INT64_MIN = -(1 << 63)
 _INT64_MAX = (1 << 63) - 1
 
@@ -162,8 +169,10 @@ def encode_value(obj):
 
 
 def encode_value_into(obj, out, depth=0):
-    """Encode one value into a caller-owned (reusable) bytearray."""
+    """Encode one value into a caller-owned (reusable) bytearray;
+    returns ``out``."""
     _encode(obj, out, depth)
+    return out
 
 
 def encode_signed(msg):
@@ -175,8 +184,14 @@ def encode_signed(msg):
         raise WireError("header names of %r do not sort" % (msg,))
     out = bytearray()
     for field in fields:
-        _encode(field, out, 1)
+        _encode(field, out, BLOCK_DEPTH)
     return bytes(out)
+
+
+def check_payload(payload):
+    """:class:`WireError` unless ``payload`` may be cast or sent: a wire
+    value nesting at most :data:`PAYLOAD_DEPTH` levels."""
+    _encode(payload, bytearray(), _MAX_DEPTH - PAYLOAD_DEPTH)
 
 
 def frame_prefix(frame_type, src):
@@ -246,6 +261,8 @@ def _encode(obj, out, depth):
     elif obj is False:
         out.append(_T_FALSE)
     elif kind is Message:
+        if depth >= BLOCK_DEPTH:
+            raise WireError("a message nested inside a value")
         block = obj.signed_block()
         out.append(_T_MESSAGE)
         out += _pack_u32(len(block))
@@ -275,11 +292,11 @@ def _encode(obj, out, depth):
         out += _pack_f64(obj)
     elif kind is set or kind is frozenset:
         out.append(_T_SET if kind is set else _T_FROZENSET)
-        # repr-sorted for a canonical encoding (sets have no order)
-        items = sorted(obj, key=repr)
+        # ordered by encoding: canonical, and the same in every process
+        items = sorted(encode_value_into(item, bytearray(), depth + 1)
+                       for item in obj)
         out += _pack_u32(len(items))
-        for item in items:
-            _encode(item, out, depth + 1)
+        out += b"".join(items)
     else:
         raise WireError("unencodable value of type %s: %r"
                         % (kind.__name__, obj))
@@ -402,6 +419,8 @@ def _decode(data, offset, depth, end):
             raise _non_canonical("a dict (repeated key)")
         return table, offset
     if tag == _T_MESSAGE:
+        if depth >= BLOCK_DEPTH:
+            raise WireError("a message nested inside a value")
         return _decode_message(data, offset, depth + 1, end)
     if tag == _T_VIEWID:
         counter, offset = _decode(data, offset, depth + 1, end)
@@ -447,7 +466,15 @@ def _decode(data, offset, depth, end):
         return _unpack_f64(data, offset)[0], stop
     if tag == _T_SET or tag == _T_FROZENSET:
         count, offset = _count(data, offset, end)
-        items, offset = _items(data, offset, depth + 1, end, count)
+        items, last = [], b""
+        for _ in range(count):
+            start = offset
+            item, offset = _decode(data, offset, depth + 1, end)
+            raw = data[start:offset].tobytes()
+            if raw <= last:
+                raise _non_canonical("a set (elements out of order)")
+            items.append(item)
+            last = raw
         try:
             result = set(items) if tag == _T_SET else frozenset(items)
         except TypeError:
@@ -481,7 +508,7 @@ def _decode_message(data, offset, depth, end):
     """One Message at ``offset``: its signed block, kept as the bytes
     that arrived, then its unsigned tail."""
     start, stop = _span(data, offset, end)
-    fields, offset = _items(data, start, depth, stop, 7)
+    fields, offset = _items(data, start, BLOCK_DEPTH, stop, 7)
     if offset != stop:
         raise WireError("signed block ends at %d, not %d" % (offset, stop))
     tail, offset = _items(data, offset, depth, end, 5)

@@ -356,10 +356,13 @@ def test_receivers_hash_the_blocks_they_received_and_encode_none(
     assert encodes == [] and len(hashes) == len(datagrams)
 
 
-def test_a_broadcast_encodes_its_signed_block_once(monkeypatch):
+@pytest.mark.parametrize("crypto", ["sym", "none"])
+def test_a_broadcast_encodes_its_signed_block_once(monkeypatch, crypto):
     """The MAC and every frame of an n-1-receiver fan-out share one
     encoding of the signed fields; each receiver verifies the bytes it
-    got with one digest and no encode."""
+    got with one digest and no encode.  Under NoCrypto no MAC reads the
+    block, and the bottom layer encodes it once for the fan-out."""
+    signs = crypto == "sym"
     from repro.crypto.keys import KeyManager
     from repro.runtime.backend_asyncio import AsyncioRuntime
     from tests.test_coalescer import ADDRS, FakeUdp, HopLoop
@@ -368,7 +371,7 @@ def test_a_broadcast_encodes_its_signed_block_once(monkeypatch):
         runtime = AsyncioRuntime(node, ADDRS, seed=node, loop=loop)
         runtime.transport._udp = FakeUdp()
         processes[node] = runtime.spawn_process(
-            StackConfig.byz(crypto="sym"), keys=keys,
+            StackConfig.byz(crypto=crypto), keys=keys,
             initial_view=runtime.initial_view(ADDRS, established=True))
     sender = processes[1]
     arrivals = []
@@ -380,13 +383,13 @@ def test_a_broadcast_encodes_its_signed_block_once(monkeypatch):
                                       ("b",), payload_size=16))
     loop.run_ready()
     sent = sender.network._udp.sent
-    assert len(sent) == 3 and len(encodes) == 1 and len(hashes) == 1
+    assert len(sent) == 3 and len(encodes) == 1 and len(hashes) == signs
     assert sender.network.encode_cache_hits == 3
     by_addr = {addr: node for node, addr in ADDRS.items()}
     for data, addr in sent:
         processes[by_addr[addr]].network._on_datagram(data, ADDRS[1])
     assert sorted(arrivals) == [0, 2, 3]
-    assert len(encodes) == 1 and len(hashes) == 1 + 3
+    assert len(encodes) == 1 and len(hashes) == (1 + 3) * signs
 
 
 # ----------------------------------------------------------------------
@@ -406,3 +409,33 @@ def test_an_unhashable_source_is_refused_before_any_lookup(src):
     assert tags == []
     group.run(0.05)
     assert process.top.delivered == delivered
+
+
+# ----------------------------------------------------------------------
+# a payload no codec path can carry
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("payload", [bytearray(b"x"), ("k", object())],
+                         ids=["bytearray", "object"])
+def test_an_unencodable_payload_is_refused_at_submit(payload):
+    from repro.runtime.wire import WireError
+    group = make_group(4, seed=3, crypto="sym")
+    top = group.processes[0].top
+    with pytest.raises(WireError):
+        group.endpoints[0].cast(payload)
+    with pytest.raises(WireError):
+        group.endpoints[0].send(1, payload)
+    # nothing was consumed: the next cast takes the first id
+    assert top._cast_counter == 0
+    assert group.endpoints[0].cast(("ok",)) == (0, 1)
+    group.run(0.1)
+    assert all(p.top.delivered == 1 for p in group.processes.values())
+
+
+def test_a_relayed_unencodable_message_is_a_counted_drop():
+    group = make_group(4, seed=3, crypto="sym")
+    bottom = group.processes[0].bottom
+    signed = bottom.messages_signed
+    bottom.handle_down(Message(mk.KIND_RETRANS, 0, bottom.view.vid,
+                               ("r", bytearray(b"x")), 16, dest=1))
+    assert bottom.dropped_unencodable == 1
+    assert bottom.messages_signed == signed

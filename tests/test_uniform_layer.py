@@ -74,6 +74,15 @@ def test_two_faced_minority_copy_recovered_by_fetch():
     assert group.processes[5].uniform.mismatches_recovered >= 1
 
 
+def test_a_plain_cast_leaves_only_its_digest():
+    # an uncontested cast is never fetched: nothing keeps its payload
+    group = make_group(8, seed=1, uniform_delivery=True)
+    msg_id = group.endpoints[2].cast(("plain", 1))
+    group.run(0.6)
+    for node in range(8):
+        assert type(group.processes[node].uniform._done[msg_id]) is str
+
+
 class EchoToOne(TwoFacedCaster):
     """A two-faced caster whose own uniform-broadcast echo reaches one
     member only (the stack-level form of the n=8, f=1 split)."""
@@ -123,8 +132,10 @@ def run_echo_to_one():
 def test_two_faced_cast_with_echo_to_one_agrees_everywhere():
     group, msg_id, correct, delivered = run_echo_to_one()
     uniform = {node: group.processes[node].uniform for node in correct}
-    agreed = {node: (layer._done.get(msg_id)
-                     or layer._pending[msg_id]).agreed
+    # a released cast leaves its digest, or its entry when contested
+    agreed = {node: getattr(layer._done.get(msg_id), "agreed",
+                            layer._done.get(msg_id))
+              or layer._pending[msg_id].agreed
               for node, layer in uniform.items()}
     assert len(set(agreed.values())) == 1 and None not in agreed.values()
     assert all(delivered[node] == [("split", 1)] for node in range(7)

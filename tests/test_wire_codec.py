@@ -498,7 +498,7 @@ def test_corrupt_subframe_spares_siblings_from_memoryview():
 #: (type, source) -- never the values: a set's repr moves with the
 #: per-process string hash seed, and the round-trip tests own values.
 WIRE_VERDICTS_SHA256 = (
-    "346bf48f67dd036ea29a8606cbbc435f20c088e0a50733d4215d889c0eec8761")
+    "586516fde930b5826c5b7a9d981f0cbcafd903f9e6f072755485a4243ce8bf9f")
 
 
 def _damaged(blob):
@@ -528,15 +528,15 @@ def test_batch_damage_verdicts_are_pinned():
 #: flip.  Where WIRE_VERDICTS_SHA256 pins accept/reject, this pins the
 #: values: a decoder rewrite must leave both alone.
 WIRE_VALUES_SHA256 = (
-    "178e4bc2c0e1beebd8e17cb8296a6362c419c496c5780c33b2b627710687c086")
+    "00fda5040b8774c364e1dc4c2972bd83a7ddf115ac1edd002e53bce604c8a1bc")
 
 
 def _random_value(rng, depth):
-    """One seeded value: no sets in the corpus (their order follows the
-    string hash seed); damage may still decode into one (see _render)."""
+    """One seeded value; a set holds scalars (see _render for how a
+    decoded one is rendered)."""
     kinds = ["int", "bigint", "float", "str", "bytes", "vid", "none", "bool"]
     if depth < 3:
-        kinds += ["tuple", "list", "dict"] * 3
+        kinds += ["tuple", "list", "dict"] * 3 + ["set", "frozenset"]
     kind = rng.choice(kinds)
     if kind == "int":
         return rng.randrange(-(1 << 63), 1 << 63) >> rng.randrange(64)
@@ -554,6 +554,9 @@ def _random_value(rng, depth):
         return None
     if kind == "bool":
         return rng.random() < 0.5
+    if kind in ("set", "frozenset"):
+        items = (_random_value(rng, 3) for _ in range(rng.randrange(5)))
+        return set(items) if kind == "set" else frozenset(items)
     items = [_random_value(rng, depth + 1) for _ in range(rng.randrange(5))]
     if kind == "tuple":
         return tuple(items)
@@ -681,56 +684,45 @@ def test_bool_and_int_keep_their_types():
     b"\x08\x00\x00\x00\x01\x80",                    # long form, short tuple
     b"\x0a\x00\x00\x00\x02\x81\x82\x81\x83",         # repeated dict key
     b"\x0b\x00\x00\x00\x02\x81\x81",                 # repeated set element
+    b"\x0b\x00\x00\x00\x02\x82\x81",                 # set out of order
+    b"\x0c\x00\x00\x00\x02\x21b\x21a",             # frozenset likewise
 ])
 def test_non_canonical_encodings_are_refused(blob):
     with pytest.raises(WireError, match="non-canonical"):
         decode_value(blob)
 
 
-#: the value universe without sets, whose encoding follows their
-#: iteration order (see the codec's docstring)
-set_free_values = st.recursive(
+#: the value universe with tuples long enough for the long tuple tag
+wide_values = st.recursive(
     scalars | st.builds(ViewId, st.integers(), st.integers()),
     lambda inner: st.one_of(
         st.lists(inner, max_size=20).map(tuple),
         st.lists(inner, max_size=5),
         st.dictionaries(scalars, inner, max_size=4),
+        st.frozensets(hashables, max_size=6),
+        st.sets(hashables, max_size=6),
     ),
     max_leaves=24,
 )
 
-set_free_messages = st.builds(
+wide_messages = st.builds(
     lambda kind, origin, vid, payload, size: Message(
         kind, origin, vid, payload, payload_size=size),
     st.text(min_size=1, max_size=40),
     st.integers(-2, 300),
     st.builds(ViewId, st.integers(0, 1 << 40), st.integers(0, 64)),
-    set_free_values,
+    wide_values,
     st.integers(0, 65000),
 )
 
 
-def _has_set(value):
-    if isinstance(value, (set, frozenset)):
-        return True
-    if isinstance(value, Message):
-        value = wire_fields(value)
-    if isinstance(value, dict):
-        value = list(value.items())
-    if isinstance(value, (tuple, list)):
-        return any(_has_set(item) for item in value)
-    if isinstance(value, ViewId):
-        return _has_set(value.creator)
-    return False
-
-
-@given(set_free_values)
+@given(wide_values)
 def test_encoder_output_re_encodes_to_itself(value):
     blob = encode_value(value)
     assert encode_value(decode_value(blob)) == blob
 
 
-@given(set_free_messages, st.integers(0, 64),
+@given(wide_messages, st.integers(0, 64),
        st.one_of(st.none(), st.integers(0, 9)))
 def test_a_decoded_message_rebuilds_the_block_it_arrived_with(msg, dest,
                                                               inc):
@@ -781,15 +773,15 @@ def test_a_block_longer_than_its_fields_is_refused():
 
 def test_every_decodable_damage_re_encodes_to_the_bytes_received():
     """The one encoding under damage: any bit flip or truncation of a
-    batch that still decodes, into values without a set, yields values
-    that encode back to exactly the bytes received, and each decoded
-    message's block, rebuilt from its values, is the block it
-    carried."""
+    batch that still decodes yields values that encode back to exactly
+    the bytes received, and each decoded message's block, rebuilt from
+    its values, is the block it carried."""
     inner = Message("ack", 2, ViewId(7, 2), ((0, "app", 130), (1, "c", 2)),
                     payload_size=8, dest=0)
     msg = Message("cast", 1, ViewId(1 << 40, 3),
                   (None, True, -5, 1 << 70, 2.5, "hé", b"\x00\xff" * 20,
-                   [1, [2, (3,) * 17]], {"k": {"n": ViewId(2, 0)}, 4: [5]}),
+                   [1, [2, (3,) * 17]], {"k": {"n": ViewId(2, 0)}, 4: [5]},
+                   frozenset({"a", "b", ("c", 1)}), {3, 130, -1}),
                   payload_size=64, dest=4, msg_id=(1, 9), group=3)
     msg.push_header("reliable", ("data", 12))
     msg.push_header("inc", 2)
@@ -800,7 +792,7 @@ def test_every_decodable_damage_re_encodes_to_the_bytes_received():
     decoded_any = 0
     for data in _damaged(blob):
         frames, errors = decode_datagram(data)
-        if errors or len(frames) != 2 or _has_set(frames):
+        if errors or len(frames) != 2:
             continue
         decoded_any += 1
         assert encode_batch(frames[0][1], [(ft, p) for ft, _, p in frames]) \
@@ -808,6 +800,71 @@ def test_every_decodable_damage_re_encodes_to_the_bytes_received():
         for payload in (frames[0][2], frames[1][2][1][0]):
             assert encode_signed(payload) == payload.signed_block()
     assert decoded_any > 100
+
+
+def test_a_set_is_ordered_by_its_elements_encodings():
+    # the order no hash seed moves, nested frozensets of strings included
+    items = [frozenset({"b", "a"}), frozenset({"c"}), "z" * 40, 7, ("t", 1)]
+    blob = encode_value(frozenset(items))
+    assert blob == (b"\x0c" + len(items).to_bytes(4, "big")
+                    + b"".join(sorted(encode_value(i) for i in items)))
+    assert decode_value(blob) == frozenset(items)
+
+
+def _nested(levels):
+    value = 0
+    for _ in range(levels):
+        value = (value,)
+    return value
+
+
+def test_a_payload_at_the_depth_bound_travels_alone_and_packed():
+    # a block's fields encode and decode at one depth, so a message that
+    # encodes decodes in a pack too (where it sits two levels deeper)
+    from repro.runtime.wire import _MAX_DEPTH, BLOCK_DEPTH
+    deepest = _nested(_MAX_DEPTH - BLOCK_DEPTH)
+    msg = Message("cast", 1, ViewId(1, 0), deepest, payload_size=8, dest=2)
+    for body in (msg, ("pack", (msg, msg.clone_for(3)))):
+        frames, errors = decode_datagram(encode_frame(FRAME_DATAGRAM, 1, body))
+        assert errors == []
+    deeper = Message("cast", 1, ViewId(1, 0), (deepest,), payload_size=8)
+    with pytest.raises(WireError, match="depth"):
+        deeper.signed_block()
+    # nor does a lone message's block decode any deeper than it encodes
+    fields = ["cast", 1, ViewId(1, 0), {}, (deepest,), None, None,
+              1, 8, None, None, None]
+    with pytest.raises(WireError, match="depth"):
+        decode_value(_raw_message(fields))
+
+
+def test_a_message_nested_inside_a_value_is_refused():
+    msg = Message("cast", 1, ViewId(1, 0), ("p",), payload_size=8)
+    with pytest.raises(WireError, match="nested"):
+        encode_value(("x", ("y", (msg,))))
+    with pytest.raises(WireError, match="nested"):
+        encode_value(Message("cast", 1, ViewId(1, 0), msg))
+    packed = encode_value(("pack", (msg,)))
+    assert decode_value(packed)[1][0].signed_block() == msg.signed_block()
+    with pytest.raises(WireError, match="nested"):
+        decode_value(b"\x61" + packed)       # the pack one level deeper
+
+
+@pytest.mark.parametrize("payload, ok", [
+    (("t", 1, b"x", 2.5, None, True), True),
+    (_nested(16), True),
+    (_nested(17), False),
+    (bytearray(b"x"), False),
+    ({"k": object()}, False),
+    ((Message("cast", 1, ViewId(1, 0), ("p",)),), False),
+], ids=["flat", "at-bound", "past-bound", "bytearray", "object", "message"])
+def test_check_payload_admits_wire_values_to_the_payload_bound(payload, ok):
+    from repro.runtime.wire import PAYLOAD_DEPTH, check_payload
+    assert PAYLOAD_DEPTH == 16
+    if ok:
+        check_payload(payload)
+    else:
+        with pytest.raises(WireError):
+            check_payload(payload)
 
 
 # ----------------------------------------------------------------------
