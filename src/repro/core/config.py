@@ -104,12 +104,10 @@ class StackConfig:
                  # measurements; implemented here as the predicted extension
                  packing=False,
                  packing_delay=0.0008,
-                 # wire-path datagram coalescing (real-network runtime only;
-                 # the sim backend never reads these, so toggling them is
-                 # byte-identical per seed).  wire_mtu is the coalescer's
+                 # the real-network transport's datagram coalescer: its
                  # byte budget per UDP datagram (capped by the transport's
-                 # MAX_DATAGRAM_BYTES)
-                 wire_coalesce=True,
+                 # MAX_DATAGRAM_BYTES); the sim backend never reads it, so
+                 # changing it is byte-identical per seed
                  wire_mtu=16000,
                  # total ordering
                  order_batch_max=1024,
@@ -154,7 +152,6 @@ class StackConfig:
         self.mtu = mtu
         self.packing = packing
         self.packing_delay = packing_delay
-        self.wire_coalesce = wire_coalesce
         self.wire_mtu = wire_mtu
         self.order_batch_max = order_batch_max
         self.order_tick = order_tick
@@ -211,21 +208,6 @@ class StackConfig:
         if self.f_override is not None:
             bound = min(bound, self.f_override)
         return max(0, bound)
-
-    def packing_policy(self, wire=False):
-        """The aggregation policy of one aggregation point.
-
-        The simulator's bottom-layer pack queues (``wire=False``) get
-        ``(max_bytes, flush_delay)``: the modelled LAN MTU and the packing
-        delay.  The real-network transport's datagram coalescer
-        (``wire=True``) gets its byte budget only, the loopback-sized
-        ``wire_mtu``: it flushes at the end of each event-loop burst, so
-        it needs no delay.  The transport additionally caps the wire
-        budget at its hard datagram ceiling.
-        """
-        if wire:
-            return self.wire_mtu
-        return (self.mtu, self.packing_delay)
 
     def clone(self, **overrides):
         """A copy with ``overrides`` replaced; every key must be a field."""

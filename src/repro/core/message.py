@@ -115,7 +115,7 @@ class Message:
         self.msg_id = msg_id
         # multi-group envelope (repro.shard): the shard/group this message
         # belongs to, or None for a single-group stack.  Stamped by the
-        # bottom layer before signing, so one transport can multiplex many
+        # bottom layer before signing, so one network can carry many
         # groups and a replayed cross-shard message fails authentication.
         self.group = group
         self._signed = self._auth_cache = None

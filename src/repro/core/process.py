@@ -186,11 +186,7 @@ class GroupProcess:
         # node's pending wall timers; cancel them so a stopped node leaks
         # neither sockets (released by crash above) nor timer callbacks.
         # The shared Simulator clock is untouched: per_process is False.
-        # A multiplexing transport hosting other live shard ports stays
-        # open after crash(node_id) -- then the clock is shared too and
-        # must survive until the last co-hosted process stops.
-        if (getattr(self.sim, "per_process", False)
-                and getattr(self.network, "closed", True)):
+        if getattr(self.sim, "per_process", False):
             self.sim.close()
 
     # ------------------------------------------------------------------

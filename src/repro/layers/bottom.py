@@ -161,15 +161,13 @@ class BottomLayer(Layer):
         queue.append((out, size))
         total = self._pack_bytes[dst] + size
         self._pack_bytes[dst] = total
-        # StackConfig.packing_policy is the single definition of "when is
-        # an aggregate full / stale" (the wire coalescer reads its byte
-        # budget from it too)
-        max_bytes, flush_delay = self.config.packing_policy()
-        if total >= max_bytes:
+        # an aggregate is full at the modelled LAN MTU, stale after the
+        # packing delay
+        if total >= self.config.mtu:
             self._flush_pack(dst)
         elif dst not in self._pack_timers:
             self._pack_timers[dst] = self.sim.schedule(
-                flush_delay, self._flush_pack, dst)
+                self.config.packing_delay, self._flush_pack, dst)
 
     def _flush_pack(self, dst):
         timer = self._pack_timers.pop(dst, None)

@@ -763,8 +763,10 @@ class ReliableLayer(Layer):
             return
         if stream not in (STREAM_APP, STREAM_CTL):
             return
+        # the bottom layer refused every other group's traffic, so the
+        # origin signed under this process's group
         inner = Message(kind, origin, self.view.vid, payload, size,
-                        msg_id=msg_id)
+                        msg_id=msg_id, group=self.process.group_id)
         inner.push_header("rel", (stream, seq))
         inner.signature = signature
         if (msg.sender != origin and self.config.byzantine

@@ -104,8 +104,8 @@ class AsyncioRuntime(Runtime):
         return View(ViewId(1, members[0]), members)
 
     def spawn_process(self, config, keys=None, initial_view=None, obs=None,
-                      group_id=None, node_id=None):
-        """Build a GroupProcess on this runtime.
+                      group_id=None):
+        """Build this runtime's node's GroupProcess.
 
         Wires the transport's undecodable-datagram reports into the
         bottom layer's corruption-suspicion path, the same escalation a
@@ -114,13 +114,9 @@ class AsyncioRuntime(Runtime):
         ``group_id`` tags the process for the shard plane: the bottom
         layer stamps it into every signed message, the transport scopes
         its gossip, and wrong-group traffic is filtered on receive.
-        ``node_id`` lets one OS process host members of several shards
-        over the one shared socket (their address-book entries must all
-        name this transport's bind address); default is the bind node.
         """
         keys = keys or KeyManager()
-        node_id = self.node_id if node_id is None else node_id
-        # adopt the stack's packing policy for the datagram coalescer
+        # adopt the stack's wire_mtu for the datagram coalescer
         self._transport.configure(config)
         if initial_view is None:
             initial_view = self.initial_view(self.addresses)
@@ -129,16 +125,10 @@ class AsyncioRuntime(Runtime):
             f = config.resilience(view.n)
             view = View(view.vid, view.mbrs, coordinator=view.coordinator,
                         f=f, underprovisioned=(f == 0))
-        process = GroupProcess(self._clock, self._transport, node_id,
+        process = GroupProcess(self._clock, self._transport, self.node_id,
                                config, keys, view, obs=obs,
                                group_id=group_id)
-        # undecodable reports go to the hosting port so each shard's
-        # corruption suspicion runs on its own stack
-        port = self._transport._ports.get(node_id)
-        if port is not None:
-            port.on_undecodable = process.bottom.note_undecodable
-        else:
-            self._transport.on_undecodable = process.bottom.note_undecodable
+        self._transport.on_undecodable = process.bottom.note_undecodable
         if obs is not None:
             self._clock.observer = obs
             self._transport.observer = obs

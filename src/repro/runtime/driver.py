@@ -58,22 +58,12 @@ def _src_path():
 
 
 def write_specs(workload, out_dir, seed=0, config=None, established=False,
-                obs=False, host="127.0.0.1", shard_of=None):
-    """Write one node spec per cluster member; returns [(node_id, path)].
-
-    ``shard_of`` (optional, ``{node_id: shard_id}``) turns the cluster
-    into a multi-group shard plane: every node keeps the full address
-    book (one shared bus), but its spec carries its own ``group`` tag
-    and the ``group_nodes`` of its shard block, so each shard boots and
-    runs membership on its own while sockets multiplex all of them.
-    """
+                obs=False, host="127.0.0.1"):
+    """Write one node spec per cluster member; returns [(node_id, path)]."""
     ports = free_udp_ports(workload.n, host=host)
     addresses = {node: [host, ports[node]] for node in range(workload.n)}
     specs = []
     for node in range(workload.n):
-        group = shard_of.get(node) if shard_of else None
-        group_nodes = (sorted(n for n, s in shard_of.items() if s == group)
-                       if shard_of else None)
         spec = {
             "node_id": node,
             "addresses": {str(k): v for k, v in addresses.items()},
@@ -85,8 +75,6 @@ def write_specs(workload, out_dir, seed=0, config=None, established=False,
             "obs": bool(obs),
             "obs_export": (os.path.join(out_dir, "node%d.obs.json" % node)
                            if obs else None),
-            "group": group,
-            "group_nodes": group_nodes,
         }
         path = os.path.join(out_dir, "node%d.spec.json" % node)
         with open(path, "w") as handle:
@@ -97,7 +85,7 @@ def write_specs(workload, out_dir, seed=0, config=None, established=False,
 
 def run_net_workload(workload, seed=0, config=None, established=False,
                      obs=False, out_dir=None, wall_timeout=None,
-                     keep_artifacts="on-failure", shard_of=None):
+                     keep_artifacts="on-failure"):
     """Run the workload on a localhost UDP cluster of OS processes.
 
     Parameters
@@ -118,7 +106,7 @@ def run_net_workload(workload, seed=0, config=None, established=False,
     out_dir = out_dir or tempfile.mkdtemp(prefix="repro-net-")
     os.makedirs(out_dir, exist_ok=True)
     specs = write_specs(workload, out_dir, seed=seed, config=config,
-                        established=established, obs=obs, shard_of=shard_of)
+                        established=established, obs=obs)
 
     env = dict(os.environ)
     src = _src_path()

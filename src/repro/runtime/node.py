@@ -17,16 +17,7 @@ The spec is plain JSON::
      "workload": {... NetWorkload.to_jsonable() ...},
      "report": "/tmp/.../node0.report.json",
      "obs": false,
-     "obs_export": null,
-     "group": null,
-     "group_nodes": null}
-
-``group``/``group_nodes`` are the shard-plane fields (repro.shard): a
-non-null ``group`` tags the process with its shard id (group-enveloped
-gossip, group-stamped signed messages), and ``group_nodes`` restricts
-the boot view to the shard's own member block while the address book
-still spans the whole plane -- one socket per node, every shard
-multiplexed over the shared bus.
+     "obs_export": null}
 
 Exit status 0 means the node's script completed; 1 means it timed out or
 errored (the report still records whatever history it collected).
@@ -112,14 +103,9 @@ async def run_node(spec, loop):
         from repro.obs import ObsConfig, ObservabilityPlane
         obs = ObservabilityPlane(runtime.clock, ObsConfig())
 
-    group_id = spec.get("group")
-    group_nodes = spec.get("group_nodes")
-    members = ([int(n) for n in group_nodes] if group_nodes
-               else addresses)
     initial = runtime.initial_view(
-        members, established=spec.get("established", False))
-    process = runtime.spawn_process(config, initial_view=initial, obs=obs,
-                                    group_id=group_id)
+        addresses, established=spec.get("established", False))
+    process = runtime.spawn_process(config, initial_view=initial, obs=obs)
     endpoint = GroupEndpoint(process)
     script = NodeScript(workload, endpoint, runtime.clock)
 

@@ -3,7 +3,9 @@
 One :class:`AsyncioTransport` serves one node (one OS process): it binds
 a UDP socket on localhost and implements the exact surface the stack
 uses on :class:`repro.sim.network.Network` -- ``attach``, ``send``,
-``gossip_cast``, ``crash``, ``detach`` plus the datagram counters.
+``gossip_cast``, ``crash``, ``detach`` plus the datagram counters.  It
+hosts exactly the node it is bound to: ``attach`` refuses any other,
+and every frame it emits names that node as its source.
 
 The socket is a plain non-blocking one, with no asyncio
 ``DatagramTransport`` in between (docs/PERFORMANCE.md, "Real sockets pay
@@ -27,11 +29,16 @@ frame is fanned out to every address in the static address book, member
 or not, which reproduces the discovery property the merge protocol
 depends on (any process on the LAN hears any coordinator's view
 announcement).  On a localhost cluster the address book IS the LAN.
+Several groups may share that bus (repro.shard): gossip from a
+group-tagged node travels in a ``("grp", group_id, payload)`` envelope
+and is delivered only to a node of the same group, so one shard's view
+announcements never feed another shard's merge machinery.  An untagged
+node's datagrams carry the payload bare.
 
 Wire-path aggregation (docs/PERFORMANCE.md, "The wire path"):
 
 * **datagram coalescing** -- outgoing protocol frames are buffered per
-  destination and flushed as one ``FRAME_BATCH`` datagram when the byte
+  peer address and flushed as one ``FRAME_BATCH`` datagram when the byte
   budget fills (``StackConfig.wire_mtu``, capped by
   :data:`MAX_DATAGRAM_BYTES`) or at the end of the current event-loop
   burst (a ``call_soon`` armed on the first buffered frame runs after
@@ -58,18 +65,6 @@ its siblings; node wiring points that at
 :meth:`repro.layers.bottom.BottomLayer.note_undecodable`
 (docs/ROBUSTNESS.md).  A datagram whose claimed source is unhashable
 names no node: it is refused before any lookup, in ``bad_sources``.
-
-Shard multiplexing (repro.shard): one transport -- one socket -- can
-host SEVERAL attached processes (ports), one per group, when their
-address-book entries share this transport's bind address.  Outgoing
-frames carry their own source id (per-source frame prefixes and
-coalescer buffers); incoming protocol frames are routed to the hosting
-port by ``msg.dest``; gossip from a group-tagged port travels in a
-``("grp", group_id, payload)`` envelope and is delivered only to ports
-of the same group, so one shard's view announcements can never feed
-another shard's merge machinery.  A single un-tagged port (the classic
-one-node-one-process deployment) sees byte-identical datagrams to the
-pre-shard wire format.
 """
 
 from __future__ import annotations
@@ -79,6 +74,7 @@ import socket
 import struct
 import sys
 
+from repro.core.config import StackConfig
 from repro.core.message import Message
 from repro.runtime.wire import (
     FRAME_BATCH,
@@ -87,17 +83,12 @@ from repro.runtime.wire import (
     SUBFRAME_OVERHEAD,
     WireError,
     decode_datagram,
-    encode_frame,
     encode_value_into,
     frame_prefix,
 )
 
 #: payloads above this encoded size cannot travel in one UDP datagram
 MAX_DATAGRAM_BYTES = 65000
-
-#: unconfigured-transport default; :meth:`AsyncioTransport.configure`
-#: overrides it from StackConfig.packing_policy(wire=True)
-DEFAULT_COALESCE_BYTES = 16000
 
 #: datagrams one readiness callback takes off the socket before it
 #: returns to the loop (timers and other sockets wait at most this many)
@@ -111,36 +102,14 @@ _pack_u32 = struct.Struct("!I").pack
 
 
 class _DestBuffer:
-    """Pending coalesced sub-frames for one (source, destination) pair.
+    """Pending coalesced sub-frames for one peer address."""
 
-    Keyed by source too because a batch datagram names ONE source for
-    all its sub-frames -- two co-hosted shard ports sending to the same
-    peer address must not share a batch.
-    """
+    __slots__ = ("addr", "buf", "frames")
 
-    __slots__ = ("src", "dst", "addr", "buf", "frames")
-
-    def __init__(self, src, dst, addr):
-        self.src = src
-        self.dst = dst
+    def __init__(self, addr):
         self.addr = addr
         self.buf = bytearray()   # concatenated sub-frames, reused across flushes
         self.frames = 0
-
-
-class _Port:
-    """One attached process on this transport (one group's member)."""
-
-    __slots__ = ("node_id", "deliver", "gossip_deliver", "group",
-                 "crashed", "on_undecodable")
-
-    def __init__(self, node_id, deliver, gossip_deliver, group):
-        self.node_id = node_id
-        self.deliver = deliver
-        self.gossip_deliver = gossip_deliver
-        self.group = group
-        self.crashed = False
-        self.on_undecodable = None
 
 
 class AsyncioTransport:
@@ -157,22 +126,23 @@ class AsyncioTransport:
         self._loop = loop or asyncio.get_event_loop()
         self._udp = None          # the bound non-blocking socket once open
         self._reading = False     # the socket's reader is on the loop
-        #: node_id -> _Port; several hosted processes share this socket
-        #: when their address-book entries equal the bind address
-        self._ports = {}
+        # the hosted node (set by attach)
+        self._deliver = None
+        self._gossip_deliver = None
+        self.group = None
         self.closed = False
         self.crashed = False
-        # coalescing policy (reconfigured from StackConfig by the runtime)
-        self.coalescing = True
-        self.coalesce_max_bytes = DEFAULT_COALESCE_BYTES
+        self.configure(StackConfig())
         # coalescer state
-        self._dest_bufs = {}          # (src, addr) -> _DestBuffer
+        self._dest_bufs = {}          # addr -> _DestBuffer
         self._burst_flush_armed = False
         self._scratch = bytearray()   # reusable body-encode buffer
-        # precomputed frame prefixes keyed by source node id (a hosted
-        # shard port sends under its OWN id, not the bind node's)
-        self._prefixes = {}
-        self._src_prefixes(node_id)
+        # every frame names this node: its three prefixes are built once
+        self._prefixes = {frame_type: frame_prefix(frame_type, node_id)
+                          for frame_type in (FRAME_DATAGRAM, FRAME_GOSSIP,
+                                             FRAME_BATCH)}
+        self._single_overhead = len(self._prefixes[FRAME_DATAGRAM]) + 4
+        self._batch_overhead = len(self._prefixes[FRAME_BATCH]) + 4
         # counters mirroring repro.sim.network.Network; datagrams_* count
         # wire datagrams, frames_* count logical protocol frames
         self.datagrams_sent = 0
@@ -189,7 +159,6 @@ class AsyncioTransport:
         self.encode_cache_hits = 0
         self.oversize_drops = 0
         self.socket_errors = 0
-        self.misrouted = 0
         self.bad_sources = 0
         self.bytes_out = 0
         self.bytes_in = 0
@@ -197,34 +166,14 @@ class AsyncioTransport:
         self._oversize_warned = set()
         # hooks
         self.observer = None          # ObservabilityPlane, or None
-        self.on_undecodable = None    # transport-wide callback(src_or_None)
-
-    def _src_prefixes(self, src):
-        """``(prefix_map, single_overhead, batch_overhead)`` for one
-        source id, cached (prefix length varies with the encoded id)."""
-        entry = self._prefixes.get(src)
-        if entry is None:
-            prefixes = {
-                FRAME_DATAGRAM: frame_prefix(FRAME_DATAGRAM, src),
-                FRAME_GOSSIP: frame_prefix(FRAME_GOSSIP, src),
-                FRAME_BATCH: frame_prefix(FRAME_BATCH, src),
-            }
-            entry = (prefixes,
-                     len(prefixes[FRAME_DATAGRAM]) + 4,
-                     len(prefixes[FRAME_BATCH]) + 4)
-            self._prefixes[src] = entry
-        return entry
-
-    def _live_ports(self):
-        return [port for port in self._ports.values() if not port.crashed]
+        self.on_undecodable = None    # callback(src_or_None)
 
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
     def configure(self, config):
-        """Adopt the stack's shared packing policy for the coalescer."""
-        self.coalescing = bool(getattr(config, "wire_coalesce", True))
-        self.coalesce_max_bytes = min(int(config.packing_policy(wire=True)),
+        """Adopt the stack's ``wire_mtu`` as the coalescer's byte budget."""
+        self.coalesce_max_bytes = min(int(config.wire_mtu),
                                       MAX_DATAGRAM_BYTES)
 
     async def open(self):
@@ -270,122 +219,74 @@ class AsyncioTransport:
     # the Network surface the stack uses
     # ------------------------------------------------------------------
     def attach(self, node_id, deliver, gossip_deliver=None, group=None):
-        """Host ``node_id`` on this socket.
-
-        Any node whose address-book entry equals this transport's bind
-        address may attach (that is what lets one OS process run several
-        shard members over one socket); ``group`` tags the port for
-        gossip scoping and rides the same contract as
-        :meth:`repro.sim.network.Network.attach`.
-        """
-        if self.addresses.get(node_id) != self.addresses[self.node_id]:
-            raise ValueError("transport bound at %r cannot host node %r "
-                             "(address-book entry differs)"
-                             % (self.addresses[self.node_id], node_id))
-        self._ports[node_id] = _Port(node_id, deliver, gossip_deliver, group)
+        """Host ``node_id``, which must be the node this transport is
+        bound to; ``group`` scopes its gossip, with the same contract as
+        :meth:`repro.sim.network.Network.attach`."""
+        if node_id != self.node_id:
+            raise ValueError("transport bound to node %r cannot host node %r"
+                             % (self.node_id, node_id))
+        self._deliver = deliver
+        self._gossip_deliver = gossip_deliver
+        self.group = group
 
     def detach(self, node_id):
-        self._ports.pop(node_id, None)
-        if not self._ports:
-            self.close()
+        self.close()
 
     def crash(self, node_id):
-        """Crash semantics: silence the node and drop its pending
-        coalescer buffers; the socket is released once every hosted
-        port has crashed (a co-hosted shard member keeps it open)."""
-        port = self._ports.get(node_id)
-        if port is not None:
-            port.crashed = True
-            self._drop_pending(src=node_id)
-        if port is None or not self._live_ports():
-            self.crashed = True
-            self._drop_pending()
-            self.close()
+        """Crash semantics: silence the node, drop its pending coalescer
+        buffers and release the socket."""
+        self.crashed = True
+        self._drop_pending()
+        self.close()
 
     def send(self, src, dst, size_bytes, payload):
-        """Unicast one protocol frame (``size_bytes`` is the *modelled*
-        size; the wire carries the encoded frame, possibly coalesced
-        into a batch datagram with other frames to the same peer)."""
+        """Unicast one protocol frame from the hosted node (``size_bytes``
+        is the *modelled* size; the wire carries the encoded frame,
+        possibly coalesced into a batch datagram with other frames to the
+        same peer)."""
         if self.closed or self.crashed:
-            self.datagrams_dropped += 1
-            return
-        port = self._ports.get(src)
-        if port is not None and port.crashed:
             self.datagrams_dropped += 1
             return
         addr = self.addresses.get(dst)
         if addr is None:
             self.datagrams_dropped += 1
             return
-        if port is None and src != self.node_id:
-            # exotic caller (the stack always sends as itself): keep the
-            # faithful-source wire contract via the uncached slow path
-            self._send_single(FRAME_DATAGRAM, src, payload, addr)
-            return
-        prefixes, single_overhead, _ = self._src_prefixes(src)
         body = self._encode_body(payload)
         if body is None:
             return
-        if single_overhead + len(body) > MAX_DATAGRAM_BYTES:
-            self._drop_oversize(payload, single_overhead + len(body))
+        if self._single_overhead + len(body) > MAX_DATAGRAM_BYTES:
+            self._drop_oversize(payload, self._single_overhead + len(body))
             return
         if self.observer is not None:
             self.observer.on_datagram_sent(
                 src, dst, SUBFRAME_OVERHEAD + len(body), payload)
-        if not self.coalescing:
-            data = b"".join((prefixes[FRAME_DATAGRAM],
-                             _pack_u32(len(body)), body))
-            if self._transmit(data, addr):
-                self.datagrams_sent += 1
-                self.frames_sent += 1
-            else:
-                self.frames_dropped += 1
-            return
-        self._enqueue(FRAME_DATAGRAM, src, dst, addr, body)
+        self._enqueue(addr, body)
 
     def gossip_cast(self, src, size_bytes, payload):
-        """Fan one gossip frame out to every address on the bus.
+        """Fan one gossip frame out to every other address on the bus.
 
         The frame is encoded once for the whole fan-out.  The sent
         counter reflects *reachability*: it increments only when at
         least one per-address transmit succeeded, and every failed
-        address is accounted in ``gossip_drops``.
-
-        A group-tagged source wraps the payload in a ``("grp", group,
-        payload)`` envelope; receivers deliver it only to same-group
-        ports.  An un-tagged source (the classic deployment) sends the
-        payload bare -- byte-identical to the pre-shard wire format.
-        Shared addresses are deduplicated so a socket hosting several
-        ports receives one copy, not one per hosted node.
+        address is accounted in ``gossip_drops``.  A group-tagged node
+        wraps the payload in its ``("grp", group, payload)`` envelope.
         """
         if self.closed or self.crashed:
             return
-        port = self._ports.get(src)
-        if port is not None and port.crashed:
+        group = self.group
+        body = self._encode_body(payload if group is None
+                                 else ("grp", group, payload))
+        if body is None:
             return
-        group = port.group if port is not None else None
-        wire_payload = payload if group is None else ("grp", group, payload)
-        if port is not None or src == self.node_id:
-            body = self._encode_body(wire_payload)
-            if body is None:
-                return
-            data = b"".join((self._src_prefixes(src)[0][FRAME_GOSSIP],
-                             _pack_u32(len(body)), body))
-        else:
-            try:
-                data = encode_frame(FRAME_GOSSIP, src, wire_payload)
-            except WireError:
-                self.encode_failures += 1
-                return
+        data = b"".join((self._prefixes[FRAME_GOSSIP],
+                         _pack_u32(len(body)), body))
         if len(data) > MAX_DATAGRAM_BYTES:
             self._drop_oversize(payload, len(data))
             return
         sent_any = False
-        seen_addrs = set()
         for node_id, addr in self.addresses.items():
-            if node_id == src or addr in seen_addrs:
+            if node_id == self.node_id:
                 continue
-            seen_addrs.add(addr)
             if self._transmit(data, addr):
                 sent_any = True
             else:
@@ -412,30 +313,14 @@ class AsyncioTransport:
             return None
         return bytes(scratch)
 
-    def _send_single(self, frame_type, src, payload, addr):
-        try:
-            data = encode_frame(frame_type, src, payload)
-        except WireError:
-            self.encode_failures += 1
-            return
-        if len(data) > MAX_DATAGRAM_BYTES:
-            self._drop_oversize(payload, len(data))
-            return
-        if self._transmit(data, addr):
-            self.datagrams_sent += 1
-            self.frames_sent += 1
-        else:
-            self.frames_dropped += 1
-
     # ------------------------------------------------------------------
     # the coalescer
     # ------------------------------------------------------------------
-    def _enqueue(self, frame_type, src, dst, addr, body):
-        key = (src, addr)
-        dest = self._dest_bufs.get(key)
+    def _enqueue(self, addr, body):
+        dest = self._dest_bufs.get(addr)
         if dest is None:
-            dest = self._dest_bufs[key] = _DestBuffer(src, dst, addr)
-        batch_overhead = self._src_prefixes(src)[2]
+            dest = self._dest_bufs[addr] = _DestBuffer(addr)
+        batch_overhead = self._batch_overhead
         sub_len = SUBFRAME_OVERHEAD + len(body)
         # budget split: a frame that would overflow the pack flushes what
         # is pending first and starts a fresh datagram -- never dropped
@@ -444,7 +329,7 @@ class AsyncioTransport:
                 > self.coalesce_max_bytes):
             self._flush_dest(dest, "size")
         buf = dest.buf
-        buf.append(frame_type)
+        buf.append(FRAME_DATAGRAM)
         buf += _pack_u32(len(body))
         buf += body
         dest.frames += 1
@@ -476,15 +361,13 @@ class AsyncioTransport:
         if not count:
             return
         buf = dest.buf
-        prefixes = self._src_prefixes(dest.src)[0]
         if count == 1:
             # a lone frame travels as a plain (non-batch) datagram: the
             # sub-frame framing is stripped, saving the batch overhead
-            frame_type = buf[0]
-            data = b"".join((prefixes[frame_type],
+            data = b"".join((self._prefixes[FRAME_DATAGRAM],
                              bytes(buf[1:])))
         else:
-            data = b"".join((prefixes[FRAME_BATCH],
+            data = b"".join((self._prefixes[FRAME_BATCH],
                              _pack_u32(count), buf))
         if self._transmit(data, dest.addr):
             self.datagrams_sent += 1
@@ -500,10 +383,8 @@ class AsyncioTransport:
         del buf[:]                # reuse the bytearray across flushes
         dest.frames = 0
 
-    def _drop_pending(self, src=None):
+    def _drop_pending(self):
         for dest in self._dest_bufs.values():
-            if src is not None and dest.src != src:
-                continue
             del dest.buf[:]
             dest.frames = 0
 
@@ -540,41 +421,6 @@ class AsyncioTransport:
     # ------------------------------------------------------------------
     # receive path
     # ------------------------------------------------------------------
-    def _route_port(self, payload):
-        """The hosted port a protocol frame is addressed to.
-
-        Routing key is ``msg.dest`` (every stack payload is a Message or
-        a ``("pack", ...)`` container of same-dest Messages).  A payload
-        with no readable dest falls back to the lone live port -- the
-        classic one-process deployment and raw-payload tests -- and is
-        counted ``misrouted`` when several ports could claim it.
-        """
-        dest = getattr(payload, "dest", None)
-        if (dest is None and isinstance(payload, tuple)
-                and len(payload) == 2 and payload[0] == "pack"
-                and payload[1]):
-            dest = getattr(payload[1][0], "dest", None)
-        try:
-            port = self._ports.get(dest) if dest is not None else None
-        except TypeError:         # an unhashable dest names no port
-            self.misrouted += 1
-            return None
-        if port is not None:
-            return None if port.crashed else port
-        live = self._live_ports()
-        if len(live) == 1:
-            return live[0]
-        self.misrouted += 1
-        return None
-
-    def _report_undecodable(self, src):
-        callback = self.on_undecodable
-        if callback is not None:
-            callback(src)
-        for port in self._live_ports():
-            if port.on_undecodable is not None:
-                port.on_undecodable(src)
-
     def _on_readable(self):
         """The socket is readable: deliver what it holds, up to
         :data:`DRAIN_BOUND` datagrams (the loop calls back while more
@@ -604,58 +450,49 @@ class AsyncioTransport:
             # per-sub-frame attribution: one corrupt sub-frame strikes
             # its source without discarding decodable siblings
             self.undecodable += len(errors)
-            for err in errors:
-                self._report_undecodable(err.src)
+            if self.on_undecodable is not None:
+                for err in errors:
+                    self.on_undecodable(err.src)
         if not frames:
             return
+        src = frames[0][1]        # one claimed source per datagram
         try:
-            hash(frames[0][1])    # one claimed source per datagram
+            hash(src)
         except TypeError:
             self.bad_sources += len(frames)
             return
         delivered_any = False
-        batch_src = None
-        batch_port = None
-        batch = None            # accumulated payloads, same (src, port)
-        for frame_type, src, payload in frames:
+        batch = []                # the protocol payloads, in wire order
+        for frame_type, _src, payload in frames:
             if frame_type == FRAME_GOSSIP:
                 group = None
-                inner = payload
                 if (isinstance(payload, tuple) and len(payload) == 3
                         and payload[0] == "grp"):
-                    group, inner = payload[1], payload[2]
-                for port in self._live_ports():
-                    if (port.gossip_deliver is None or port.node_id == src
-                            or port.group != group):
-                        continue
-                    self.gossips_delivered += 1
-                    delivered_any = True
-                    if self.observer is not None:
-                        self.observer.on_gossip_delivered(port.node_id, src)
-                    port.gossip_deliver(src, inner)
+                    group, payload = payload[1], payload[2]
+                if (self._gossip_deliver is None or src == self.node_id
+                        or group != self.group):
+                    continue
+                self.gossips_delivered += 1
+                delivered_any = True
+                if self.observer is not None:
+                    self.observer.on_gossip_delivered(self.node_id, src)
+                self._gossip_deliver(src, payload)
                 continue
-            port = self._route_port(payload)
-            if port is None or port.deliver is None:
+            if self._deliver is None:
                 continue
             delivered_any = True
             self.frames_delivered += 1
             if self.observer is not None:
-                self.observer.on_datagram_delivered(port.node_id, src,
+                self.observer.on_datagram_delivered(self.node_id, src,
                                                     payload)
-            if batch is not None and (src != batch_src
-                                      or port is not batch_port):
-                self._deliver_batch(batch_port, batch_src, batch)
-                batch = None
-            if batch is None:
-                batch_src, batch_port, batch = src, port, []
             batch.append(payload)
-        if batch is not None:
-            self._deliver_batch(batch_port, batch_src, batch)
+        if batch:
+            self._deliver_batch(src, batch)
         if delivered_any:
             self.datagrams_delivered += 1
 
-    def _deliver_batch(self, port, src, payloads):
-        """Drain all sub-frames from one source into the stack at once.
+    def _deliver_batch(self, src, payloads):
+        """Drain all sub-frames of one datagram into the stack at once.
 
         A multi-frame batch enters the bottom layer as one ``("pack",
         (msg, ...))`` container -- one per-datagram CPU charge and one
@@ -664,7 +501,7 @@ class AsyncioTransport:
         containers are flattened in wire order.
         """
         if len(payloads) == 1:
-            port.deliver(src, payloads[0])
+            self._deliver(src, payloads[0])
             return
         msgs = []
         for payload in payloads:
@@ -674,7 +511,7 @@ class AsyncioTransport:
                 msgs.extend(payload[1])
             else:
                 msgs.append(payload)
-        port.deliver(src, ("pack", tuple(msgs)))
+        self._deliver(src, ("pack", tuple(msgs)))
 
     # ------------------------------------------------------------------
     def counters(self):
@@ -694,7 +531,6 @@ class AsyncioTransport:
             "encode_cache_hits": self.encode_cache_hits,
             "oversize_drops": self.oversize_drops,
             "socket_errors": self.socket_errors,
-            "misrouted": self.misrouted,
             "bad_sources": self.bad_sources,
             "bytes_out": self.bytes_out,
             "bytes_in": self.bytes_in,

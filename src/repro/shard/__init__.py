@@ -13,7 +13,7 @@ layer, not one big group.  This package is that plane:
 * :class:`~repro.shard.manager.ShardManager` -- N independent groups
   over ONE shared runtime (clock, network, pairwise-key cache,
   observability plane), each group tagged with its shard id at the
-  bottom layer so one transport multiplexes them all;
+  bottom layer so one network carries them all;
 * :class:`~repro.shard.cluster.Cluster` -- the documented front door
   (``Cluster.create(runtime=..., shards=..., config=...)``), including
   live resharding via ``Cluster.reshard(...)``;

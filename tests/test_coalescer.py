@@ -24,7 +24,12 @@ Covered contracts:
   (nested pack payloads flattened), and a corrupt sub-frame feeds
   ``on_undecodable`` for that sub-frame only while siblings deliver;
 * a datagram whose claimed source is unhashable is refused whole and
-  counted in ``bad_sources``; an unhashable ``dest`` is misrouted;
+  counted in ``bad_sources``; a frame with an unhashable ``dest`` still
+  reaches the one node the transport hosts (the stack refuses it);
+* the transport hosts only the node it is bound to; a group-tagged
+  node's gossip travels in a ``("grp", group, payload)`` envelope and
+  reaches same-group nodes only, and an untagged node's datagrams keep
+  their bytes (pinned);
 * crash drops pending buffers, graceful close flushes them;
 * the socket reader drains every queued datagram in one callback, up to
   its per-wakeup bound; a ``recvfrom`` error is counted and skipped, a
@@ -103,10 +108,9 @@ ADDRS = {0: ("127.0.0.1", 40000), 1: ("127.0.0.1", 40001),
          2: ("127.0.0.1", 40002), 3: ("127.0.0.1", 40003)}
 
 
-def make_transport(node_id=0, coalescing=True):
+def make_transport(node_id=0):
     transport = AsyncioTransport(node_id, ADDRS, loop=FakeLoop())
     transport._udp = FakeUdp()
-    transport.coalescing = coalescing
     return transport
 
 
@@ -199,15 +203,6 @@ def test_oversize_frame_dropped_loudly(capsys):
     t.send(0, 1, 100, msg(kind="frag", payload=("y" * (MAX_DATAGRAM_BYTES))))
     assert t.oversize_drops == 2
     assert "frag" not in capsys.readouterr().err
-
-
-def test_coalescing_off_sends_immediately():
-    t = make_transport(coalescing=False)
-    t.send(0, 1, 100, msg(msg_id=("now",)))
-    assert len(t._udp.sent) == 1          # no buffering at all
-    frame_type, src, payload = decode_frame(t._udp.sent[0][0])
-    assert payload.msg_id == ("now",)
-    assert t.datagrams_sent == 1 and t.frames_sent == 1
 
 
 # ----------------------------------------------------------------------
@@ -421,13 +416,14 @@ def test_reader_stops_when_a_delivery_closes_the_transport():
 
 
 def test_sendto_that_would_block_is_a_counted_drop():
-    t = make_transport(coalescing=False)
+    t = make_transport()
 
     def would_block(data, addr):
         raise BlockingIOError()
 
     t._udp.sendto = would_block
     t.send(0, 1, 100, msg())
+    t.flush_pending()
     assert t.datagrams_dropped == 1 and t.socket_errors == 1
     assert t.frames_dropped == 1 and t.datagrams_sent == 0
 
@@ -528,20 +524,78 @@ def test_hop_to_socket_and_back_takes_no_timer():
 
 
 # ----------------------------------------------------------------------
-# configure: one packing policy shared with the sim pack queues
+# configure: the coalescer's budget is the stack's wire_mtu
 # ----------------------------------------------------------------------
-def test_configure_adopts_stack_packing_policy():
+def test_configure_adopts_the_stack_wire_mtu():
     from repro.core.config import StackConfig
     t = make_transport()
-    t.configure(StackConfig(wire_coalesce=False, wire_mtu=9000))
-    assert t.coalescing is False
+    assert t.coalesce_max_bytes == StackConfig().wire_mtu
+    t.configure(StackConfig(wire_mtu=9000))
     assert t.coalesce_max_bytes == 9000
-    t.configure(StackConfig())
-    assert t.coalescing is True
-    assert t.coalesce_max_bytes == StackConfig().packing_policy(wire=True)
     # the wire budget is capped at the hard datagram ceiling
     t.configure(StackConfig(wire_mtu=10 ** 9))
     assert t.coalesce_max_bytes == MAX_DATAGRAM_BYTES
+
+
+# ----------------------------------------------------------------------
+# one node per transport; gossip scoped by group
+# ----------------------------------------------------------------------
+def test_attach_refuses_any_other_node():
+    t = make_transport(node_id=2)
+    with pytest.raises(ValueError):
+        t.attach(1, lambda s, p: None)
+    t.attach(2, lambda s, p: None)
+
+
+def test_group_gossip_reaches_its_own_group_only():
+    heard = {}
+
+    def node(node_id, group):
+        t = make_transport(node_id=node_id)
+        heard[node_id] = []
+        t.attach(node_id, None,
+                 lambda src, p, node_id=node_id: heard[node_id].append(
+                     (src, p)),
+                 group=group)
+        return t
+
+    sender = node(0, 1)
+    receivers = [node(1, 1), node(2, 2), node(3, None)]
+    sender.gossip_cast(0, 64, ("announce", 7))
+    datagrams = {addr: data for data, addr in sender._udp.sent}
+    assert sorted(datagrams) == [ADDRS[1], ADDRS[2], ADDRS[3]]
+    frame_type, src, payload = decode_frame(datagrams[ADDRS[1]])
+    assert (frame_type, src) == (FRAME_GOSSIP, 0)
+    assert payload == ("grp", 1, ("announce", 7))
+    for receiver in receivers:
+        receiver._on_datagram(datagrams[ADDRS[receiver.node_id]], ADDRS[0])
+    assert heard == {0: [], 1: [(0, ("announce", 7))], 2: [], 3: []}
+    assert [r.gossips_delivered for r in receivers] == [1, 0, 0]
+    # untagged gossip reaches no tagged node either
+    bare = receivers[2]
+    bare.gossip_cast(3, 64, ("announce", 8))
+    receivers[0]._on_datagram(bare._udp.sent[0][0], ADDRS[3])
+    assert heard[1] == [(0, ("announce", 7))]
+
+
+def test_an_untagged_node_keeps_its_datagram_bytes():
+    """Byte pins of an untagged node's gossip and coalesced frames."""
+    import hashlib
+    t = make_transport()
+    t.attach(0, lambda s, p: None, lambda s, p: None)
+    t.gossip_cast(0, 64, ("announce", 1, ("view", 3)))
+    assert [addr for _data, addr in t._udp.sent] \
+        == [ADDRS[1], ADDRS[2], ADDRS[3]]
+    assert {data.hex() for data, _addr in t._udp.sent} == {
+        "4a42040280000000126328616e6e6f756e63658162247669657783"}
+    del t._udp.sent[:]
+    for k in range(2):
+        t.send(0, 1, 100, msg(msg_id=("m", k)))
+    t.send(0, 2, 100, msg(msg_id=("solo",)))
+    t._loop.drain()
+    assert hashlib.sha256(b"".join(
+        data for data, _addr in t._udp.sent)).hexdigest() \
+        == "f46252f7f851436925d282fbacfcbaa194258b6afbbe376effe1423bf5195f4b"
 
 
 # ----------------------------------------------------------------------
@@ -560,8 +614,10 @@ def test_an_unhashable_frame_source_is_refused_and_counted(src):
                                       (FRAME_GOSSIP, ("gossip",))]),
                    ADDRS[1])
     assert delivered == [] and t.bad_sources == 3
-    # an unhashable dest names no hosted port either
+    assert t.counters()["bad_sources"] == 3
+    # an unhashable dest routes nothing: the frame reaches the one
+    # hosted node, whose stack refuses it
     forged.dest = [0]
     t._on_datagram(encode_frame(FRAME_DATAGRAM, 1, forged), ADDRS[1])
-    assert delivered == [] and t.misrouted == 1
-    assert t.counters()["bad_sources"] == 3
+    assert [p.dest for p in delivered] == [[0]]
+    assert t.frames_delivered == 1 and t.bad_sources == 3

@@ -411,6 +411,43 @@ def test_an_unhashable_source_is_refused_before_any_lookup(src):
     assert process.top.delivered == delivered
 
 
+def test_a_p2p_message_with_an_unhashable_dest_is_not_delivered():
+    """Nothing below the stack routes by ``dest`` (one transport hosts one
+    node), so a point-to-point message whose unsigned ``dest`` is
+    rewritten in flight reaches its receiver's stack: the reliable layer
+    compares it with its own id and drops it, raising nothing."""
+    from repro.core.history import EV_SEND_DELIVER
+    group = make_group(4, seed=3, crypto="sym")
+    group.run(0.05)
+    port = group.network._ports[1]
+    deliver = port.deliver
+    rewritten = []
+
+    def rewrite(m):
+        if isinstance(m, Message) and m.kind == mk.KIND_SEND:
+            m = m.clone_for([1])
+            rewritten.append(m)
+        return m
+
+    def tampered(src, payload):
+        if isinstance(payload, tuple) and payload and payload[0] == "pack":
+            payload = ("pack", tuple(rewrite(m) for m in payload[1]))
+        deliver(src, rewrite(payload))
+
+    port.deliver = tampered
+    tags = tagged_detector(group.processes[1])
+    group.endpoints[0].send(1, ("p2p", 1))
+    group.endpoints[0].send(2, ("p2p", 2))
+    group.run(0.1)
+    assert len(rewritten) == 1 and tags == []
+
+    def sends_delivered(node):
+        return [e for e in group.processes[node].history.events
+                if e[0] == EV_SEND_DELIVER]
+    assert sends_delivered(1) == []
+    assert len(sends_delivered(2)) == 1
+
+
 # ----------------------------------------------------------------------
 # a payload no codec path can carry
 # ----------------------------------------------------------------------

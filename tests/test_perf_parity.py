@@ -204,12 +204,10 @@ def test_golden_ordering_digest(fast, seed):
 
 
 def test_parity_wire_knobs():
-    """The wire-path coalescing knobs live strictly below the ``network``
-    seam: the simulator never reads them, so any combination must leave
-    the simulated history byte-identical per seed."""
-    for overrides in ({}, dict(wire_coalesce=False),
-                      dict(wire_mtu=1000),
-                      dict(wire_coalesce=False, wire_mtu=64000)):
+    """The wire coalescer's byte budget lives strictly below the
+    ``network`` seam: the simulator never reads it, so any value must
+    leave the simulated history byte-identical per seed."""
+    for overrides in ({}, dict(wire_mtu=1000), dict(wire_mtu=64000)):
         assert_golden("GOLDEN_SCENARIOS[505] with wire knobs %r"
                       % (overrides,), GOLDEN_SCENARIOS[505],
                       golden_plan("scenario-505", **overrides))

@@ -85,7 +85,7 @@ def test_cluster_routing_matches_directory():
 # config: one flat surface
 # ----------------------------------------------------------------------
 AGGREGATION_KNOBS = {"mtu": 900, "packing": True, "packing_delay": 0.002,
-                     "wire_coalesce": False, "wire_mtu": 4000}
+                     "wire_mtu": 4000}
 
 
 def test_aggregation_knobs_are_plain_fields():
@@ -110,7 +110,7 @@ def test_clone_rejects_unknown_fields():
     with pytest.raises(TypeError, match="packng, wire"):
         base.clone(wire=None, packng=True, mtu=900)
     assert not hasattr(base, "packng")
-    for removed in ("wire", "chaos", "wire_coalesce_delay"):
+    for removed in ("wire", "chaos", "wire_coalesce_delay", "wire_coalesce"):
         with pytest.raises(TypeError):
             StackConfig(**{removed: None})
 
@@ -212,6 +212,27 @@ def test_stop_shard_releases_runtime_and_spares_the_rest():
     # ids are free for a fresh attach on the same shared network
     for node in cluster.shard_group(0).processes:
         assert node not in cluster.manager.network._ports
+    cluster.stop()
+
+
+def test_a_third_party_retransmission_in_a_shard_is_no_forgery():
+    """A holder's retransmission of a sharded member's cast is rebuilt
+    under the shard's group, so it verifies as the origin signed it."""
+    from tests.helpers import tagged_detector
+    from repro.core.message import Message
+    from repro.layers.reliable import STREAM_APP
+    cluster = make_cluster(2, 4, seed=3, crypto="sym")
+    group = cluster.shard_group(1)
+    origin, holder_id, _, asker_id = sorted(group.processes)
+    group.endpoints[origin].cast(("m", 1))
+    cluster.run(0.005)          # delivered, not yet trimmed as stable
+    holder, asker = group.processes[holder_id], group.processes[asker_id]
+    record = holder.reliable._archive[(origin, STREAM_APP)][1]
+    retrans = Message("retrans", holder_id, holder.view.vid, record,
+                      payload_size=record[6] + 24, dest=asker_id)
+    tags = tagged_detector(asker)
+    asker.reliable._on_retrans(retrans)
+    assert tags == []
     cluster.stop()
 
 
