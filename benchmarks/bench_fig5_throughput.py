@@ -49,13 +49,14 @@ def test_fig5_shape_symcrypto_about_half():
 
 def test_fig5_shape_pubcrypto_near_zero():
     """PubCrypto drops to 'almost useless'.  The paper reads a few dozen
-    msgs/s; this stack reads 293, because under load a member RSA-signs an
-    ack every 12 ms but no heartbeat (DESIGN section 6, deviation 10: with
-    both, as in the paper's stack, it read 24).  That is a cost to the
-    reproduction's fidelity, pinned at its measured value so that it
-    cannot grow unnoticed."""
+    msgs/s; this stack reads 591, because under load a member RSA-signs
+    one ack per 20 ms heartbeat tick and nothing more (DESIGN section 6,
+    deviation 10: with an ack every 12 ms and a heartbeat every 20 ms, as
+    in the paper's stack, it read 24; with the ack every 12 ms alone,
+    293).  That is a cost to the reproduction's fidelity, pinned at its
+    measured value so that it cannot grow unnoticed."""
     pub = ring_throughput(FIG5_CONFIGS["ByzEns+PubCrypto"](), 8)
-    assert pub["throughput"] < 350, pub["throughput"]
+    assert pub["throughput"] < 700, pub["throughput"]
 
 
 def test_fig5_shape_total_below_plain():

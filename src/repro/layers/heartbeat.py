@@ -4,9 +4,9 @@ Heartbeats alone cannot detect Byzantine failures (a Byzantine node can
 heartbeat on time while misbehaving -- paper section 3.2), but they remain
 the baseline liveness signal: a node from which *nothing* has been heard
 for a timeout gains mute fuzziness.  Any authenticated datagram counts as
-heard, so the heartbeat is the *idle* beacon only: it is skipped while a
-broadcast ack left within the last interval, and it carries the reliable
-layer's delivered vector, which the receiver's reliable layer consumes.
+heard.  The tick's one message is the reliable layer's vector-carrying
+broadcast: an ack while one is due, else the idle heartbeat, which carries
+the same delivered vector for the receiver's reliable layer to consume.
 
 The layer also implements the view-discovery gossip of section 3.4.2: the
 coordinator of every view periodically IP-multicasts a gossip message
@@ -70,9 +70,9 @@ class HeartbeatLayer(Layer):
             self.observe("hb_interval", tick - self._last_hb_tick)
         self._last_hb_tick = tick
         if self.view.n > 1:
-            # one beacon (DESIGN section 4): the reliable layer builds
-            # it around its delivered vector; while a recent broadcast ack
-            # already served as the heartbeat it hands over a probe or None
+            # one beacon (DESIGN section 4): the reliable layer sends the
+            # ack itself while one is due (None), else hands over the
+            # heartbeat built around its delivered vector
             hb = process.reliable.beacon()
             if hb is not None:
                 self.count("heartbeats_sent")
