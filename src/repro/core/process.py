@@ -233,6 +233,17 @@ class GroupProcess:
         else:
             on_done()
 
+    def release_own(self):
+        """Deliver this member's own casts still held below the
+        application, in send order: the last act of a member about to
+        leave its view for a singleton one (DESIGN section 4, "the
+        flush")."""
+        self.reliable.streams.release(self.node_id)
+        if self.config.total_order:
+            self.ordering.release_own()
+        elif self.config.uniform_delivery:
+            self.uniform.release_own()
+
     def gossip(self, payload, size=64):
         if not self.stopped:
             self.network.gossip_cast(self.node_id, size, payload)

@@ -24,7 +24,7 @@ from repro.core.message import Message
 from repro.core.view import View
 from repro.layers.base import Layer
 from repro.layers.heartbeat import stack_fingerprint
-from repro.layers.view_change import IDLE, JOINING, ViewChange
+from repro.layers.view_change import IDLE, JOINING, ViewChange, parse_report
 
 
 def _digest(obj):
@@ -61,6 +61,7 @@ class MembershipLayer(Layer):
         self._rejoin_requested_at = -1e9
         self._join_offer = None        # (view, digest) received as a joiner
         self._join_echoes = {}
+        self._join_done = {}           # member -> digest it flushed for
         self._join_timer = None        # fallback for a stalled join
         # measurement hooks used by the benchmarks
         self.view_changes = 0
@@ -130,6 +131,9 @@ class MembershipLayer(Layer):
     def flush_app(self, k_star, on_done, undecidable):
         self.process.flush_app(k_star, on_done, undecidable=undecidable)
 
+    def release_own(self):
+        self.process.release_own()
+
     def install(self, new_view):
         started = self.change_started_at
         self.view_changes += 1
@@ -150,6 +154,7 @@ class MembershipLayer(Layer):
         self.joiners = None
         self._join_offer = None
         self._join_echoes = {}
+        self._join_done = {}
         self._merge_requested_at.clear()
         self._merge_inflight = None
         self._rejoin_requested_at = -1e9
@@ -182,6 +187,9 @@ class MembershipLayer(Layer):
             if (kind == mk.KIND_SYNC and isinstance(payload, tuple)
                     and payload[:1] == ("nv-echo",)):
                 self._on_join_echo(msg)
+            elif (kind == mk.KIND_SYNC and isinstance(payload, tuple)
+                    and payload[:1] == ("nv-done",)):
+                self._on_join_done(msg)
             else:
                 self.machine.on_message(msg.origin, kind, payload)
         elif kind == mk.KIND_LEAVE:
@@ -346,13 +354,15 @@ class MembershipLayer(Layer):
         self._join_offer = (offered, digest)
         self.mute.fulfil(view.coordinator, "merge-progress")
         if view.n == 1:
-            self.machine.install(offered)
+            self.machine.leave_for(offered)
             return
         # cross-check among our old members: a two-faced target coordinator
-        # must not split us across different "merged" views
-        self.machine.joining()
-        self.send(mk.KIND_SYNC, ("nv-echo", digest, payload[1]), 24)
-        self._join_echoes[self.me] = digest
+        # must not split us across different "merged" views.  The echo
+        # carries our report for the flush of the view we leave
+        wire_report, ord_k = self.machine.joining()
+        self.send(mk.KIND_SYNC, ("nv-echo", digest, payload[1], wire_report,
+                                 ord_k), 24 + 6 * len(wire_report))
+        self._join_echoes[self.me] = (digest, dict(wire_report), ord_k)
         # a co-member that moved on without us (it suspected us, or raced
         # into a different merge) will never echo; without an escape we
         # would wait forever in JOINING while our stale membership blocks
@@ -374,14 +384,18 @@ class MembershipLayer(Layer):
 
     def _on_join_echo(self, msg):
         payload = msg.payload
-        if len(payload) != 3:
+        if len(payload) != 5:
             return
-        _tag, digest, view_wire = payload
+        _tag, digest, view_wire, wire_report, ord_k = payload
         if msg.origin in self._join_echoes:
-            if self._join_echoes[msg.origin] != digest:
+            if self._join_echoes[msg.origin][0] != digest:
                 self._on_peer_misbehavior(msg.origin, "membership:join-equiv")
             return
-        self._join_echoes[msg.origin] = digest
+        report = parse_report(wire_report, ord_k)
+        if report is None:
+            self._on_peer_misbehavior(msg.origin, "membership:bad-sync-body")
+            return
+        self._join_echoes[msg.origin] = (digest, report, ord_k)
         if self._join_offer is None:
             # adopt the offer relayed by a peer member (we may have missed
             # the unicast); full verification still applies
@@ -396,6 +410,22 @@ class MembershipLayer(Layer):
         if self._join_offer is None:
             return
         offered, digest = self._join_offer
-        if all(self._join_echoes.get(member) == digest
-               for member in self.view.mbrs):
-            self.machine.install(offered)
+        echoes, members = self._join_echoes, self.view.mbrs
+        if all(echoes.get(member, (None,))[0] == digest for member in members):
+            self.machine.join_reports(
+                {member: echoes[member][1:] for member in members})
+        if all(self._join_done.get(member) == digest for member in members):
+            self.machine.join_done(offered)
+
+    def join_flushed(self):
+        """Our flush of the view we leave is done: tell every member."""
+        digest = self._join_offer[1]
+        self._join_done[self.me] = digest
+        self.send(mk.KIND_SYNC, ("nv-done", digest), 24)
+        self._maybe_finish_join()
+
+    def _on_join_done(self, msg):
+        payload = msg.payload
+        if len(payload) == 2 and msg.origin not in self._join_done:
+            self._join_done[msg.origin] = payload[1]
+            self._maybe_finish_join()

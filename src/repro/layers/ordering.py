@@ -586,6 +586,14 @@ class OrderingLayer(Layer):
             self._open_instance()
             self._freeze_in_flight()
 
+    def release_own(self):
+        """Deliver my own buffered casts, in batch order: I leave the view
+        for a singleton one, where no one else delivers them after me."""
+        own = [mid for mid in self._buffer if mid[0] == self.me]
+        for msg_id in sorted(own, key=batch_sort_key):
+            msg = self._buffer[msg_id]
+            self._deliver(msg_id, msg.payload, msg.payload_size)
+
     def _deliver_tail(self):
         # every agreed batch is delivered; the rest of the cut is delivered
         # in a deterministic order identical at all members

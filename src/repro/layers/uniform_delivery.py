@@ -205,6 +205,18 @@ class UniformDeliveryLayer(Layer):
             self.send_up(entry.msg)
         self._check_flush()
 
+    def release_own(self):
+        """Deliver my own casts still awaiting agreement, in arrival order:
+        I leave the view for a singleton one."""
+        for msg_id in self._queues.pop(self.me, ()):
+            entry = self._pending.pop(msg_id, None)
+            if entry is not None:
+                self._instances.pop(msg_id, None)
+                self._done[msg_id] = entry.digest
+                self.delivered_uniform += 1
+                self.count("uniform_delivered")
+                self.send_up(entry.msg)
+
     def _fetch(self, msg_id):
         self.send(mk.KIND_UDELIV, ("fetch", msg_id, None), 26)
 

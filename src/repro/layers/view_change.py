@@ -8,6 +8,9 @@
     CUT --app flushed--> AWAIT_VIEW new coordinator uniformly broadcasts
                                     the new view
     AWAIT_VIEW --UB delivered + verified--> install
+    IDLE --merge offer--> JOINING   wedge; reports ride the cross-check
+                                    echoes; cut and app flush; install the
+                                    offer once every member flushed
 
 Byzantine defences at each step:
 
@@ -64,6 +67,19 @@ def _natural(value):
     return type(value) is int and value >= 0
 
 
+def parse_report(wire_report, ord_k):
+    """A SYNC report off the wire as ``{origin: top}``, or None unless it
+    and the ``(started, decided)`` watermarks are well formed."""
+    try:
+        report = {origin: top for origin, top in wire_report}
+    except (TypeError, ValueError):
+        return None
+    if (not all(map(_natural, report.values())) or type(ord_k) is not tuple
+            or len(ord_k) != 2 or not all(map(_natural, ord_k))):
+        return None
+    return report
+
+
 class Attempt:
     """Everything one view-change attempt owns."""
 
@@ -86,6 +102,7 @@ class Attempt:
         self.legacy_watch = False     # oneshot_view_send revert only
         self.expectations = []
         self.reentered = False        # begun by a peer's regroup re-entry
+        self.flushed = False          # a join flush delivered its cut
 
 
 class ViewChange:
@@ -147,8 +164,52 @@ class ViewChange:
         self._replace(IDLE, 0)
 
     def joining(self):
-        """The host cross-checks a merged view offered to us."""
-        self._to(JOINING)
+        """The host cross-checks a merged view offered to us.  Meanwhile
+        our view is flushed among all its members, as a change that fails
+        no one flushes it: wedged now, with the SYNC report returned here
+        riding the host's cross-check echo; :meth:`join_reports` fixes the
+        cut once every member's echo is in."""
+        if self.state == JOINING:
+            return self.attempt.sync_sent
+        self._replace(JOINING)
+        att = self.attempt
+        att.survivors = list(self.host.view.mbrs)
+        self.host.block()
+        self.streams.wedge()
+        report = self.streams.stream_state()
+        att.sync_sent = (tuple(sorted(report.items(), key=repr)),
+                         self.host.wedge(False))
+        return att.sync_sent
+
+    def join_reports(self, reports):
+        """Every member echoed the offer with its report, ``{member:
+        (report, ord_k)}``: fix the cut as :meth:`_maybe_finish_sync`
+        does, deliver to it and finish the app backlog; then the host
+        says so to every member, and installs the offer once every member
+        has (:meth:`join_done`)."""
+        att = self.attempt
+        if self.state != JOINING or att.cut is not None:
+            return
+        att.cut = cut = {origin: 0 for origin in self.host.view.mbrs}
+        for report, _ord_k in reports.values():
+            for origin, top in report.items():
+                if origin in cut and top > cut[origin]:
+                    cut[origin] = top
+        k_star = max(ord_k[0] for _report, ord_k in reports.values())
+        self.streams.set_cut(cut, att.survivors, partial(
+            self.host.flush_app, k_star, partial(self._join_flushed, att),
+            False))
+
+    def _join_flushed(self, att):
+        if self.attempt is att and self.state == JOINING:
+            att.flushed = True
+            self.host.join_flushed()
+
+    def join_done(self, offered):
+        """Every member delivered the cut and flushed its app backlog, so
+        no one needs anything more of our view: install ``offered``."""
+        if self.state == JOINING and self.attempt.flushed:
+            self.install(offered)
 
     def stop(self):
         # crash semantics: a dead node's regroup retry must not fire
@@ -378,14 +439,8 @@ class ViewChange:
         att = self.attempt
         if sender in att.sync_reports and epoch == self.epoch:
             return
-        try:
-            report = {origin: top for origin, top in wire_report}
-        except (TypeError, ValueError):
-            report = None
-        if (report is None or type(epoch) is not int
-                or not all(map(_natural, report.values()))
-                or type(ord_k) is not tuple or len(ord_k) != 2
-                or not all(map(_natural, ord_k))):
+        report = parse_report(wire_report, ord_k)
+        if report is None or type(epoch) is not int:
             self.misbehaved(sender, "membership:bad-sync-body")
             return
         entry = (sender, epoch, report, ord_k)
@@ -621,11 +676,18 @@ class ViewChange:
         self.counter_floor = max(self.counter_floor, new_view.vid.counter)
         self.host.install(new_view)
 
+    def leave_for(self, new_view):
+        """Install ``new_view``, which no member of our view but us enters,
+        without a flush: our own casts still held below the application
+        are delivered first, as no one else delivers them after us."""
+        self.host.release_own()
+        self.install(new_view)
+
     def fall_back(self):
         """Install a singleton view, its counter past all we ever proposed
         or installed (Def 2.1 item 2); gossip merges us back."""
         view = self.host.view
-        self.install(View(ViewId(max(view.vid.counter, self._floor()) + 1,
-                                 self.me),
-                          (self.me,), coordinator=self.me, f=0,
-                          underprovisioned=True))
+        self.leave_for(View(ViewId(max(view.vid.counter, self._floor()) + 1,
+                                   self.me),
+                            (self.me,), coordinator=self.me, f=0,
+                            underprovisioned=True))

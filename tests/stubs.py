@@ -90,6 +90,9 @@ class StubProcess:
     def flush_app(self, k_star, on_done, undecidable=False):
         on_done()
 
+    def release_own(self):
+        pass
+
     def gossip(self, payload, size=64):
         pass
 
