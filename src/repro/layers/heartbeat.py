@@ -4,9 +4,9 @@ Heartbeats alone cannot detect Byzantine failures (a Byzantine node can
 heartbeat on time while misbehaving -- paper section 3.2), but they remain
 the baseline liveness signal: a node from which *nothing* has been heard
 for a timeout gains mute fuzziness.  Any authenticated datagram counts as
-heard.  The tick's one message is the reliable layer's vector-carrying
+heard.  The tick's one message is the reliable layer's row-carrying
 broadcast: an ack while one is due, else the idle heartbeat, which carries
-the same delivered vector for the receiver's reliable layer to consume.
+the same ack row for the receiver's reliable layer to consume.
 
 The layer also implements the view-discovery gossip of section 3.4.2: the
 coordinator of every view periodically IP-multicasts a gossip message
@@ -72,7 +72,7 @@ class HeartbeatLayer(Layer):
         if self.view.n > 1:
             # one beacon (DESIGN section 4): the reliable layer sends the
             # ack itself while one is due (None), else hands over the
-            # heartbeat built around its delivered vector
+            # heartbeat built around its ack row
             hb = process.reliable.beacon()
             if hb is not None:
                 self.count("heartbeats_sent")

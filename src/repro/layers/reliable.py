@@ -13,7 +13,7 @@ Point-to-point sends use per-pair streams (``"p"``).
 The receive side is :class:`StreamMachine`, a machine without I/O with
 one record per (origin, stream).  Loss recovery is receiver-driven: the
 record's ceiling is raised by a buffered message past a hole, a peer's ack
-entry above our top (capped at ``top + flow_window``) and the agreed cut,
+count above our top (capped at ``top + flow_window``) and the agreed cut,
 inclusive.  One backed-off timer asks while anything up to the ceiling is
 missing; ack and cut evidence also ask at once, once per
 ``retrans_timeout``.  Round 0 asks the origin while it is in scope (the
@@ -24,22 +24,25 @@ verifies -- the one place the paper needs cryptography above raw sends
 (section 1.2).
 
 Acknowledgements ride the heartbeat tick (DESIGN section 4): its one
-message is an ack while this member's delivered vector moved or is not
-yet known stable at every view member, else the idle heartbeat, which
-carries the same vector (so a lost final ack is repaired).  The flush
-does not wait for that cadence: a completed cut is acked at once.  The
-ack tick sends no acks; it is the probe slot, which asks the peer silent
+message is an ack while this member's ack row moved or is not yet known
+stable at every view member, else the idle heartbeat, which carries the
+same row (so a lost final ack is repaired).  The row is one ``bytes``
+value per view: two fixed-width counts (app, ctl) per member, in the
+column order :func:`ack_layout` derives from the view.  The flush does
+not wait for that cadence: a completed cut is acked at once.  The ack
+tick sends no acks; it is the probe slot, which asks the peer silent
 for longer than any loss-free gap and answers a probe from the next
 tick: no tick signs more than one message.
 
 The layer feeds the fuzzy detectors: acknowledgements that could not
-correspond to any sent message, malformed stream headers and NAKs, and NAK
-or probe floods are verbose failures; persistent ack laggards are handled
-by the stability tracker.
+correspond to any sent message, malformed ack rows, stream headers and
+NAKs, and NAK or probe floods are verbose failures; persistent ack
+laggards are handled by the stability tracker.
 """
 
 from __future__ import annotations
 
+import struct
 from collections import defaultdict
 from itertools import islice
 from zlib import crc32
@@ -71,12 +74,15 @@ ARCHIVED_LEN = 9
 NAK_MAX = 64
 
 
-def _hashable(value):
-    try:
-        hash(value)
-    except TypeError:
-        return False
-    return True
+def ack_layout(mbrs):
+    """The ack row of a view of ``mbrs``: its columns, one (member, stream)
+    per member and acknowledged stream sorted by repr (members in repr
+    order, app before ctl: the order ack evidence asks in), and its codec,
+    one unsigned 32-bit big-endian count per column (a count past it
+    raises, as the top layer does at 2**CAST_COUNTER_BITS casts)."""
+    columns = tuple(sorted(((member, stream) for member in mbrs
+                            for stream in (STREAM_APP, STREAM_CTL)), key=repr))
+    return columns, struct.Struct("!%dI" % len(columns))
 
 
 class _Record:
@@ -104,8 +110,8 @@ class StreamMachine:
     ``count``; see :class:`repro.layers.base.Layer`), plus this machine's
     own: ``admit(origin, stream, seq, msg)``, ``opened(origin, stream)``,
     ``deliver(msg)`` (``send_up`` on unacknowledged p2p streams),
-    ``drained(origin, stream, top)``, ``ack()`` (broadcast the delivered
-    vector now, once the agreed cut is delivered) and the queries ``view``,
+    ``drained(origin, stream, top)``, ``ack()`` (broadcast the ack row
+    now, once the agreed cut is delivered) and the queries ``view``,
     ``acked_seq(member, origin, stream)`` and ``sent(stream)``.  Every
     write of repair fields, cut, scope and wedge goes through :meth:`_to`;
     only ``_record`` adds a record, and only ``accept`` and the drain move
@@ -188,7 +194,7 @@ class StreamMachine:
                 and self.cut_complete(self.cut)):
             callback = self.on_cut
             self._to(self, on_cut=None)
-            host.ack()  # the flush's stability wait needs my vector now
+            host.ack()  # the flush's stability wait needs my row now
             callback()
 
     # ------------------------------------------------------------------
@@ -350,7 +356,6 @@ class ReliableLayer(Layer):
 
     def __init__(self):
         super().__init__()
-        self._reset_state()
         self.retransmissions_served = 0
         self.duplicates = 0
         self.archive_trimmed = 0
@@ -358,21 +363,25 @@ class ReliableLayer(Layer):
     def attach(self, stack):
         super().attach(stack)
         self.streams = StreamMachine(self, self.config, self.me)
+        self._reset_state(self.view)
 
-    def _reset_state(self):
+    def _reset_state(self, view):
         self._out_seq = {STREAM_APP: 0, STREAM_CTL: 0}
         self._p2p_out = {}
         self._archive = defaultdict(dict)   # (origin, stream) -> {seq: wire}
         self._trimmed = {}      # (origin, stream) -> floor trimmed up to
         self._since_ack = 0
-        self._ack_sent = None    # the vector my last ack carried
-        self._ack_stable = None  # the last vector found stable everywhere
+        self._ack_sent = None    # the row my last ack carried
+        self._ack_stable = None  # the last row found stable everywhere
         self._probed = False     # a peer probed me since my last tick
-        # delivered-vector bookkeeping, built lazily
-        self._dv_map = None     # (origin, stream) -> entry, or None (unbuilt)
-        self._dv_tuple = None   # the sorted vector, until the next change
-        self._dv_changed = {}   # key -> latest changed entry since last flush
-        self._ack_seen = {}     # sender -> last fully-processed ack vector
+        # the ack row: one count per column, packed when it leaves
+        self._columns, self._codec = ack_layout(view.mbrs)
+        self._column = {column: i for i, column in enumerate(self._columns)}
+        self._counts = [0] * len(self._columns)
+        self._row = None        # the packed counts, until one moves
+        self._acked_streams = 2  # my two and every in-stream opened
+        self._own = [(s, self._column[self.me, s]) for s in self._out_seq]
+        self._ack_seen = {}     # sender -> last row taken
         self._ack_dirty = {}    # sender -> last evidence scan found a gap
 
     def state_sizes(self):
@@ -412,7 +421,7 @@ class ReliableLayer(Layer):
 
     def on_view(self, view):
         self.streams.clear()
-        self._reset_state()
+        self._reset_state(view)
         self.process.stability.reset(view)
 
     # ------------------------------------------------------------------
@@ -422,45 +431,41 @@ class ReliableLayer(Layer):
         if msg.msg_id is not None and not is_cast_id(msg.msg_id, origin):
             # cast ids are admitted here and nowhere else: no layer above
             # holds a cast under an id its origin did not mint
-            if self.config.byzantine and origin != self.me:
-                self.process.verbose_detector.illegal(
-                    msg.sender, "rel:forged-id")
+            if origin != self.me:
+                self._illegal(msg.sender, "rel:forged-id")
             return False
         if origin != self.me and stream != STREAM_P2P:
             self._archive_copy(msg, stream, seq)
         return True
 
     def opened(self, origin, stream):
-        # a fresh stream contributes a 0-entry to the ack vector even
-        # before anything is delivered; p2p streams are not acknowledged
-        if stream != STREAM_P2P:
-            self._dv_set(origin, stream, 0)
+        # a peer's fresh app or ctl stream is acknowledged, at 0, before
+        # anything is delivered: it moves the row; p2p streams are not
+        if origin != self.me and (origin, stream) in self._column:
+            self._acked_streams += 1
+            self._row = None
 
     def deliver(self, msg):
         self._since_ack += 1
         self.send_up(msg)
 
     def drained(self, origin, stream, top):
-        self._dv_set(origin, stream, top)
+        self._count(origin, stream, top)
         if self._since_ack >= self.config.ack_every:
-            self._broadcast_ack(self._delivered_vector())
-        # the ack table keeps per-(origin, stream) maxima and the vector
-        # entries are monotone, so feeding only the entries that changed
-        # since the last drain yields the table the full vector would;
-        # on_ack still runs (and notifies listeners) once per drain
-        if self._dv_map is None:
-            self._dv_build()
-        changed = self._dv_changed
-        if changed:
-            self._dv_changed = {}
-        self.process.stability.on_ack(self.me, tuple(changed.values()))
+            self._broadcast_ack(self._delivered_row())
+        # the table max-merges and a count moves only here and at a send:
+        # this stream and my own two yield what the full row would
+        out = self._out_seq
+        self.process.stability.on_ack(self.me, (
+            (origin, stream, top), (self.me, STREAM_APP, out[STREAM_APP]),
+            (self.me, STREAM_CTL, out[STREAM_CTL])))
 
     def ack(self):
-        # the flush ack, skipped when my last ack carried this vector:
-        # the heartbeat tick repairs a lost one
-        vector = self._delivered_vector()
-        if vector != self._ack_sent:
-            self._broadcast_ack(vector)
+        # the flush ack, skipped when my last ack carried this row: the
+        # heartbeat tick repairs a lost one
+        row = self._delivered_row()
+        if row is not self._ack_sent:
+            self._broadcast_ack(row)
 
     def acked_seq(self, member, origin, stream):
         return self.process.stability.acked_seq(member, origin, stream)
@@ -479,7 +484,7 @@ class ReliableLayer(Layer):
             stream = STREAM_APP if msg.kind in APP_STREAM_KINDS else STREAM_CTL
             self._out_seq[stream] += 1
             seq = self._out_seq[stream]
-            self._dv_set(self.me, stream, seq)
+            self._count(self.me, stream, seq)
             msg.push_header("rel", (stream, seq))
             self.send_down(msg)
             # archived once signed: a holder serves it under this signature
@@ -512,23 +517,18 @@ class ReliableLayer(Layer):
         elif msg.sender != msg.origin:
             # only a KIND_RETRANS may carry another member's message: the
             # bottom layer verified this one under the sender's key
-            if self.config.byzantine:
-                self.process.verbose_detector.illegal(
-                    msg.sender, "rel:spoofed-origin")
+            self._illegal(msg.sender, "rel:spoofed-origin")
         else:
             header = msg.pop_header("rel")
             if (not isinstance(header, tuple) or len(header) != 2
                     or not isinstance(header[1], int) or header[1] < 1):
-                if self.config.byzantine:
-                    self.process.verbose_detector.illegal(
-                        msg.sender, "rel:malformed-header")
+                self._illegal(msg.sender, "rel:malformed-header")
                 return
             stream, seq = header
             if stream in (STREAM_APP, STREAM_CTL, STREAM_P2P):
                 self._accept_stream(msg.origin, msg, stream, seq)
-            elif self.config.byzantine:
-                self.process.verbose_detector.illegal(
-                    msg.sender, "rel:unknown-stream")
+            else:
+                self._illegal(msg.sender, "rel:unknown-stream")
 
     def _accept_own(self, msg, stream, seq):
         # a view installed since the send cleared my streams and restarted
@@ -549,51 +549,37 @@ class ReliableLayer(Layer):
     # ------------------------------------------------------------------
     # acknowledgements
     # ------------------------------------------------------------------
-    def _delivered_vector(self):
-        """My ack vector, sorted by entry repr: one ``(origin, stream,
-        top)`` per peer's in-stream -- ``top`` also counts the contiguous
-        buffered-but-undeliverable prefix, so the flush can account for
-        wedged messages I hold -- and my own two streams at their sent
-        seq (see :meth:`_dv_set`).  Sorted when an ack or heartbeat leaves
-        and memoized until an entry moves, so an unchanged vector is the
-        same object, holding the same entries, that the receivers'
-        identity diff in :meth:`_on_ack` keys off."""
-        if self._dv_map is None:
-            self._dv_build()
-        vector = self._dv_tuple
-        if vector is None:
-            vector = self._dv_tuple = tuple(
-                sorted(self._dv_map.values(), key=repr))
-        return vector
+    def _delivered_row(self):
+        """My ack row: each in-stream's top -- which also counts the
+        contiguous buffered-but-undeliverable prefix, so the flush can
+        account for wedged messages I hold -- and my own streams' sent
+        seq.  Packed when an ack or heartbeat leaves and memoized until a
+        count moves or an in-stream opens: a new object is a moved row."""
+        row = self._row
+        if row is None:
+            row = self._row = self._codec.pack(*self._counts)
+        return row
 
-    def _dv_build(self):
-        self._dv_map = {}
-        self._dv_changed = {}
-        for (origin, stream), rec in self.streams.records.items():
-            if stream != STREAM_P2P:
-                self._dv_set(origin, stream, rec.top)
-        for stream in (STREAM_APP, STREAM_CTL):
-            self._dv_set(self.me, stream, self._out_seq[stream])
+    def _count(self, origin, stream, cum):
+        """Raise one column to ``cum``: a stream's top only grows within a
+        view, and my own streams' sent seq bounds their delivered top from
+        above (DESIGN section 4)."""
+        index = self._column.get((origin, stream))
+        if index is not None and self._counts[index] < cum:
+            self._counts[index] = cum
+            self._row = None
 
-    def _dv_set(self, origin, stream, cum):
-        """One entry per (origin, stream), at the highest count known: a
-        stream's top only grows within a view, and my own streams' sent
-        seq bounds their delivered top from above (DESIGN section 4)."""
-        if self._dv_map is None:
-            return  # unbuilt; built lazily on first use
-        key = (origin, stream)
-        entry = self._dv_map.get(key)
-        if entry is not None and entry[2] >= cum:
-            return
-        self._dv_map[key] = self._dv_changed[key] = (origin, stream, cum)
-        self._dv_tuple = None
+    def _triples(self, row):
+        """``row`` as ``(origin, stream, count)``, in column order."""
+        return [column + (cum,) for column, cum
+                in zip(self._columns, self._codec.unpack(row))]
 
     def _ack_tick(self):
         # the probe slot (DESIGN section 4), no acks: one signed message
         # at most, the answer if a peer probed me, else a due probe
         if self._probed:
             self._probed = False
-            self.send_down(self._heartbeat(self._delivered_vector()))
+            self.send_down(self._heartbeat(self._delivered_row()))
         else:
             probe = self._probe()
             if probe is not None:
@@ -613,37 +599,38 @@ class ReliableLayer(Layer):
         if peer is None or last_heard(peer) >= horizon:
             return None
         self.count("probes_sent")
-        probe = self._heartbeat(self._delivered_vector(), peer)
+        probe = self._heartbeat(self._delivered_row(), peer)
         probe.push_header("rel", "probe")
         return probe
 
-    def _unstable(self, vector):
-        """Is some entry of ``vector`` above what a view member acked?"""
-        if vector == self._ack_stable:
-            return False  # rows only grow within a view
+    def _unstable(self, row):
+        """Is some count of ``row`` above what a view member acked?"""
+        if row == self._ack_stable:
+            return False  # counts only grow within a view
         acked_seq = self.process.stability.acked_seq
+        triples = self._triples(row)
         for member in self.view.mbrs:
             if member != self.me:
-                for origin, stream, cum in vector:
+                for origin, stream, cum in triples:
                     if acked_seq(member, origin, stream) < cum:
                         return True
-        self._ack_stable = vector
+        self._ack_stable = row
         return False
 
-    def _heartbeat(self, vector, dest=None):
-        """A heartbeat carrying ``vector``: the beacon, or a probe."""
-        return Message(mk.KIND_HEARTBEAT, self.me, self.view.vid, vector,
-                       payload_size=4 + 6 * len(vector), dest=dest)
+    def _heartbeat(self, row, dest=None):
+        """A heartbeat carrying ``row``: the beacon, or a probe."""
+        return Message(mk.KIND_HEARTBEAT, self.me, self.view.vid, row,
+                       payload_size=4 + 6 * self._acked_streams, dest=dest)
 
     def beacon(self):
         """The heartbeat tick's one message: an ack, sent here (None),
-        while my vector moved since the last one sent or is not yet known
+        while my row moved since the last one sent or is not yet known
         stable at some view member; else the heartbeat to send."""
-        vector = self._delivered_vector()
-        if vector != self._ack_sent or self._unstable(vector):
-            self._broadcast_ack(vector)
+        row = self._delivered_row()
+        if row is not self._ack_sent or self._unstable(row):
+            self._broadcast_ack(row)
             return None
-        return self._heartbeat(vector)
+        return self._heartbeat(row)
 
     def _on_beacon(self, msg):
         """A heartbeat is an ack (it repairs a lost final one); one with
@@ -656,86 +643,51 @@ class ReliableLayer(Layer):
             self._probed = True
         self._on_ack(msg)
 
-    def _broadcast_ack(self, vector):
+    def _broadcast_ack(self, row):
         self._since_ack = 0
-        self._ack_sent = vector
+        self._ack_sent = row
         self.count("acks_sent")
-        self.send(mk.KIND_ACK, vector, 6 * len(vector))
+        self.send(mk.KIND_ACK, row, 6 * self._acked_streams)
 
     def _on_ack(self, msg):
-        vector = msg.payload
-        if not isinstance(vector, tuple):
-            if self.config.byzantine:
-                self.process.verbose_detector.illegal(msg.sender, "rel:bad-ack")
+        """A peer's ack row: the columns that moved since that peer's last
+        row feed the ack table and the ack evidence."""
+        row, sender = msg.payload, msg.sender
+        if type(row) is not bytes or len(row) != self._codec.size:
+            self._illegal(sender, "rel:bad-ack")
             return
-        # Receive-side ack diffing: senders memoize their vector and its
-        # entry tuples, so in the simulator repeats arrive as the *same
-        # objects*.  An identical vector already validated and merged; only
-        # the notify and, while dirty, the evidence scan run.  Otherwise
-        # only entries that differ from the one at the same position of
-        # the sender's previous vector take the full path: by identity,
-        # then by value, since a vector decoded off the wire is fresh
-        # however little moved (a shift re-passes legal, merged entries:
-        # time, never a verdict).  _ack_dirty: the last scan of this
-        # sender's vector found an entry above our tops; tops only grow
-        # within a view, so a clean entry stays clean and only a dirty
-        # vector is rescanned.
-        prev = self._ack_seen.get(msg.sender)
-        if vector is prev:
-            self.process.stability.on_ack(msg.sender, ())
-            if self._ack_dirty.get(msg.sender):
-                self._ack_dirty[msg.sender] = self._ack_evidence(vector)
-            return
-        if prev is not None:
-            # equal by value is the same only with an int origin and count:
-            # 3.0 == 3, but a float ceiling would reach range() in the
-            # repair, and set({1}) == frozenset({1}), but a set origin is
-            # unhashable in _ack_evidence
-            kept = len(prev)
-            entries = tuple(
-                entry for index, entry in enumerate(vector)
-                if index >= kept or not (
-                    entry is prev[index] or entry == prev[index]
-                    and type(entry[0]) is int and type(entry[2]) is int))
-        else:
-            entries = vector
-        for entry in entries:
-            if (not isinstance(entry, tuple) or len(entry) != 3
-                    or entry[1] not in (STREAM_APP, STREAM_CTL)
-                    or not isinstance(entry[2], int) or entry[2] < 0
-                    or not _hashable(entry[0])):
-                if self.config.byzantine:
-                    self.process.verbose_detector.illegal(
-                        msg.sender, "rel:bad-ack-entry")
+        prev, moved = self._ack_seen.get(sender), ()
+        if row != prev:
+            counts = self._codec.unpack(row)
+            if self.config.byzantine and any(
+                    counts[i] > self._out_seq[s] for s, i in self._own):
+                self._illegal(sender, "rel:ack-for-unsent")
                 return
-            origin, stream, cum = entry
-            # verbose: an ack for more than we ever sent (out_seq only
-            # grows, so entries validated earlier stay legal)
-            if (origin == self.me and stream in self._out_seq
-                    and cum > self._out_seq[stream]
-                    and self.config.byzantine):
-                self.process.verbose_detector.illegal(
-                    msg.sender, "rel:ack-for-unsent")
-                return
-        self._ack_seen[msg.sender] = vector
-        self.process.stability.on_ack(msg.sender, entries)
-        dirty = self._ack_dirty.get(msg.sender)
-        self._ack_dirty[msg.sender] = self._ack_evidence(
-            vector if dirty else entries)
+            moved = [column + (cum,) for column, cum, was in zip(
+                self._columns, counts,
+                self._codec.unpack(prev or bytes(len(row)))) if cum != was]
+            self._ack_seen[sender] = row
+        self.process.stability.on_ack(sender, moved)
+        # rescan a dirty row (its last scan found a count above our tops)
+        # whole: tops only grow within a view, so a clean one stays clean
+        if self._ack_dirty.get(sender):
+            self._ack_dirty[sender] = self._ack_evidence(self._triples(row))
+        elif moved:
+            self._ack_dirty[sender] = self._ack_evidence(moved)
 
-    def _ack_evidence(self, vector):
-        """Ask off peers' ack vectors, existence proofs for the last
-        message of a burst, which no later message reveals.  True if any
-        entry was ahead of our tops, even a throttled one (the ack-diff
-        memo in _on_ack keys off this)."""
+    def _ack_evidence(self, entries):
+        """Ask off peers' ack rows, existence proofs for the last message
+        of a burst, which no later message reveals.  True if any count
+        was ahead of our tops, even a throttled one (the row memo in
+        _on_ack keys off this)."""
         dirty = False
         records = self.streams.records
-        for origin, stream, cum in vector:
-            if stream not in (STREAM_APP, STREAM_CTL) or origin == self.me:
+        for origin, stream, cum in entries:
+            if origin == self.me:
                 continue
             rec = records.get((origin, stream))
             top = rec.top if rec is not None else 0
-            if cum <= top or origin not in self.view.mbrs:
+            if cum <= top:
                 continue
             dirty = True
             # bound the chase: a lying ack cannot make us request unbounded
@@ -743,6 +695,10 @@ class ReliableLayer(Layer):
             self.streams.ask(origin, stream,
                              min(cum, top + self.config.flow_window))
         return dirty
+
+    def _illegal(self, sender, tag):
+        if self.config.byzantine:
+            self.process.verbose_detector.illegal(sender, tag)
 
     # ------------------------------------------------------------------
     # retransmission service
@@ -752,16 +708,17 @@ class ReliableLayer(Layer):
             if self.process.verbose_detector.observe(msg.sender, "rel:nak"):
                 return
         payload = msg.payload
-        seqs = (payload[2] if isinstance(payload, tuple) and len(payload) == 3
-                else None)
-        if (not isinstance(seqs, tuple) or not 0 < len(seqs) <= NAK_MAX
+        origin, stream, seqs = (payload if isinstance(payload, tuple)
+                                and len(payload) == 3 else (None,) * 3)
+        # a correct member names a view member's stream (``in`` compares
+        # without hashing) and lists 1..NAK_MAX strictly increasing seqs
+        if (origin not in self.view.mbrs
+                or stream not in (STREAM_APP, STREAM_CTL, STREAM_P2P)
+                or not isinstance(seqs, tuple) or not 0 < len(seqs) <= NAK_MAX
                 or not all(isinstance(seq, int) for seq in seqs)
                 or any(a >= b for a, b in zip(seqs, seqs[1:]))):
-            # a correct member lists 1..NAK_MAX strictly increasing seqs
-            if self.config.byzantine:
-                self.process.verbose_detector.illegal(msg.sender, "rel:bad-nak")
+            self._illegal(msg.sender, "rel:bad-nak")
             return
-        origin, stream = payload[0], payload[1]
         if stream == STREAM_P2P:
             # p2p streams are per-pair; only the origin holds the copy,
             # filed under the requester's pair key
@@ -777,10 +734,11 @@ class ReliableLayer(Layer):
 
     def _on_retrans(self, msg):
         wire = msg.payload
-        if not isinstance(wire, tuple) or len(wire) != ARCHIVED_LEN:
-            if self.config.byzantine:
-                self.process.verbose_detector.illegal(
-                    msg.sender, "rel:bad-retrans")
+        if (not isinstance(wire, tuple) or len(wire) != ARCHIVED_LEN
+                or wire[1] not in self.view.mbrs):
+            # only a view member's message is archived; its origin is
+            # checked before any table is keyed by it
+            self._illegal(msg.sender, "rel:bad-retrans")
             return
         (kind, origin, vid_wire, stream, seq, payload, size, signature,
          msg_id) = wire
@@ -789,9 +747,7 @@ class ReliableLayer(Layer):
         if isinstance(stream, str) and stream.startswith(STREAM_P2P):
             if msg.sender != origin:
                 # only the origin holds a p2p copy: anyone else forged it
-                if self.config.byzantine:
-                    self.process.verbose_detector.illegal(
-                        msg.sender, "rel:forged-retrans")
+                self._illegal(msg.sender, "rel:forged-retrans")
                 return
             inner = Message(kind, origin, self.view.vid, payload, size,
                             dest=self.me, msg_id=msg_id)
@@ -816,8 +772,7 @@ class ReliableLayer(Layer):
                                                 signature)
             self.process.cpu.charge(cost)
             if not ok:
-                self.process.verbose_detector.illegal(
-                    msg.sender, "rel:forged-retrans")
+                self._illegal(msg.sender, "rel:forged-retrans")
                 return
         inner.pop_header("rel")
         inner.sender = origin

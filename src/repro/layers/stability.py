@@ -1,9 +1,10 @@
 """Stability tracking (paper sections 3.1 and 3.4.4).
 
 A broadcast message is *stable* once every member not considered faulty
-has acknowledged it.  The tracker aggregates the ack vectors (on-demand
-acks and the heartbeats that carry the same vector) from
-:class:`repro.layers.reliable.ReliableLayer` into an ack matrix and
+has acknowledged it.  The tracker aggregates the ack rows (on-demand
+acks and the heartbeats that carry the same row), which
+:class:`repro.layers.reliable.ReliableLayer` feeds as the ``(origin,
+stream, count)`` triples that moved, into an ack matrix and
 answers the two questions the system asks of it:
 
 * flow control: how far has the slowest *low-fuzziness* member acked my

@@ -45,7 +45,7 @@ Wire-path aggregation (docs/PERFORMANCE.md, "The wire path"):
   every callback that was ready this iteration -- so a saturating burst
   aggregates, while a lone heartbeat leaves within the same loop turn).
   Anything already pending to a peer rides the same flush, which is how
-  ack vectors produced while draining a received batch piggyback onto
+  ack rows produced while draining a received batch piggyback onto
   datagrams being emitted anyway.
 * **encode-once fan-out** -- a ``Message`` frame copies the signed block
   its message memoized when signed (or, under NoCrypto, before its

@@ -11,6 +11,7 @@ from repro.core import history, message
 from repro.core.message import KIND_HEARTBEAT
 from repro.core.properties import check_virtual_synchrony
 from repro.layers import uniform_delivery
+from repro.layers.reliable import STREAM_P2P, ack_layout
 from repro.runtime import wire
 
 #: the committed fault plans: the golden scenarios and pinned reproducers
@@ -103,6 +104,30 @@ class DatagramLog:
 def is_probe(msg):
     """A probe is a heartbeat carrying the reliable layer's header."""
     return msg.kind == KIND_HEARTBEAT and msg.header("rel") is not None
+
+
+def ack_row(mbrs, counts=()):
+    """The ack row a member of a view of ``mbrs`` sends: ``counts`` maps
+    ``(origin, stream)`` columns to counts, every other column is 0."""
+    counts = dict(counts)
+    columns, codec = ack_layout(mbrs)
+    return codec.pack(*(counts.get(column, 0) for column in columns))
+
+
+def row_entries(mbrs, row):
+    """``row`` decoded to ``(origin, stream, count)`` triples, in column
+    order."""
+    columns, codec = ack_layout(mbrs)
+    return tuple(column + (cum,) for column, cum
+                 in zip(columns, codec.unpack(row)))
+
+
+def acknowledged(reliable):
+    """The (origin, stream) pairs a member's ack row acknowledges, which its
+    modelled size counts: its own two streams and every peer in-stream
+    opened, at 0 or more."""
+    return 2 + sum(1 for origin, stream in reliable.streams.records
+                   if stream != STREAM_P2P and origin != reliable.me)
 
 
 def tagged_detector(process):

@@ -7,7 +7,7 @@ properties throughout.
 
 import pytest
 
-from tests.helpers import cast_payloads, make_group
+from tests.helpers import cast_payloads, make_group, tagged_detector
 
 from repro import Group, StackConfig
 from repro.byzantine.behaviors import (BadViewCoordinator, ByzantineBehavior,
@@ -215,8 +215,9 @@ def test_replayed_duplicates_are_absorbed():
 class MatrixAckFlooder(ByzantineBehavior):
     """Floods signed ``("matrix", rows)`` payloads -- the gossip ack
     dialect this stack no longer speaks -- claiming EVERY member's row is
-    the attacker's own delivered vector (never above what an origin sent,
-    so no ack-for-unsent check can fire)."""
+    the attacker's own ack row (never above what an origin sent, so no
+    ack-for-unsent check could fire); an ack is one ``bytes`` row, so each
+    is refused as ``rel:bad-ack``."""
 
     def __init__(self, kind, start_at=0.0, interval=0.004):
         super().__init__()
@@ -232,11 +233,11 @@ class MatrixAckFlooder(ByzantineBehavior):
         process = self.process
         if process.stopped:
             return
-        vector = process.reliable._delivered_vector()
-        rows = tuple((member, vector) for member in process.view.mbrs)
+        row = process.reliable._delivered_row()
+        rows = tuple((member, row) for member in process.view.mbrs)
         process.reliable.send_down(Message(
             self.kind, self.me, process.view.vid, ("matrix", rows),
-            payload_size=8 + 6 * len(vector) * len(rows)))
+            payload_size=8 + len(row) * len(rows)))
         self.sent += 1
         self.sim.schedule(self.interval, self._flood)
 
@@ -252,6 +253,7 @@ def test_matrix_ack_flood_cannot_starve_a_deaf_member(kind):
     group = make_group(8, seed=12, behaviors=behaviors)
     correct = [n for n in group.processes if n != liar]
     moved, peak = [], dict.fromkeys(correct, 0.0)
+    tags = tagged_detector(group.processes[0])
 
     def watch(process):
         on_ack = process.reliable._on_ack
@@ -287,4 +289,5 @@ def test_matrix_ack_flood_cannot_starve_a_deaf_member(kind):
             deaf, len(payloads), group.processes[deaf].view.vid)
     assert not moved, moved[:3]
     assert all(level > 0 for level in peak.values()), peak
+    assert "rel:bad-ack" in tags
     assert check_virtual_synchrony(group.execution()) == []

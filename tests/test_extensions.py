@@ -6,7 +6,7 @@ stability (section 3.1) and the packing/batching optimization of [33]
 small messages").
 """
 
-from tests.helpers import cast_payloads, make_group
+from tests.helpers import cast_payloads, make_group, tagged_detector
 
 from repro import Group, StackConfig
 from repro.core import message as mk
@@ -169,7 +169,8 @@ def test_matrix_ack_rejected_in_broadcast_mode():
     bogus = Message(mk.KIND_ACK, 2, process.view.vid,
                     ("matrix", ((3, ((0, "a", 99),)),)), dest=0)
     bogus.sender = 2
+    tags = tagged_detector(process)
     process.reliable.handle_up(bogus)
-    assert process.verbose_detector.violations >= 1
+    assert tags == ["rel:bad-ack"]
     # and the lie did not enter the matrix
     assert process.stability.acked_seq(3, 0, "a") == 0

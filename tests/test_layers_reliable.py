@@ -166,6 +166,25 @@ def test_forged_retransmission_rejected():
         assert payloads == [("f", k) for k in range(15)], "node %d" % node
 
 
+@pytest.mark.parametrize("origin", [[2], 9])
+def test_retransmission_of_a_non_members_message_is_refused(origin):
+    # NoCrypto skips the origin's signature check: an unhashable origin
+    # would raise when the record is filed under it
+    group = make_group(4, seed=3)
+    group.run(0.05)
+    process = group.processes[0]
+    tags = tagged_detector(process)
+    record = (mk.KIND_CAST, origin, process.view.vid.to_wire(), "a", 1,
+              "x", 16, None, None)
+    retrans = Message(mk.KIND_RETRANS, 1, process.view.vid, record, dest=0)
+    retrans.sender = 1
+    process.reliable.handle_up(retrans)
+    assert tags == ["rel:bad-retrans"]
+    assert "x" not in cast_payloads(group.endpoints[0])
+    group.run(0.2)
+    assert {p.view.n for p in group.processes.values()} == {4}
+
+
 class LoseRetransmissionsFrom:
     """Network chaos filter: lose every retransmission one member sends."""
 

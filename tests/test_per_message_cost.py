@@ -1,7 +1,7 @@
 """What a message pays for on the common path, and what the receiver
 refuses before it pays anything (docs/PERFORMANCE.md, "Memoized canonical
-encoding + digest MACs", "Ack vector sorted when it leaves", "Archive
-trimmed per stream", "Once per cast").
+encoding + digest MACs", "One ack row per view", "Archive trimmed per
+stream", "Once per cast").
 
 * the digest a MAC scheme signs is computed only when a scheme reads it:
   never under NoCrypto, once per signed message under SymCrypto, also for
@@ -12,18 +12,22 @@ trimmed per stream", "Once per cast").
 * on real sockets a broadcast encodes its signed block once, for the MAC
   and every frame, and a receiver hashes the block it received without
   encoding anything;
-* the ack vector is sorted when an ack or heartbeat leaves, and equals the
-  repr-sorted vector rebuilt from the stream records;
+* the ack row is packed when an ack or heartbeat leaves, decodes to the
+  triples rebuilt from the stream records, and off the wire is one
+  ``bytes`` value;
 * the retransmission archive is trimmed per stream up to the stability
   floor, and what is above the floor is still served;
 * a malformed ``inc`` transport header is refused before any comparison,
   and an unhashable claimed source before any table lookup.
 """
 
+import sys
+
 import pytest
 
-from tests.helpers import (count_content_digests, count_digests,
-                           count_hashes, make_group, tagged_detector)
+from tests.helpers import (acknowledged, count_content_digests,
+                           count_digests, count_hashes, make_group,
+                           row_entries, tagged_detector)
 
 from repro import Group, StackConfig
 from repro.apps.ring import RingDemo
@@ -94,18 +98,21 @@ def test_a_restarted_member_costs_one_digest_per_signed_message(monkeypatch):
 
 
 # ----------------------------------------------------------------------
-# the ack vector, sorted when it leaves
+# the ack row, packed when it leaves
 # ----------------------------------------------------------------------
-def reference_vector(reliable):
-    """The vector rebuilt from the stream records: every acknowledged
-    peer in-stream's top and my two out-streams' counters, sorted by repr
-    -- one entry per (origin, stream)."""
-    entries = [(origin, stream, rec.top) for (origin, stream), rec
-               in reliable.streams.records.items()
-               if stream != STREAM_P2P and origin != reliable.me]
-    entries += [(reliable.me, stream, reliable._out_seq[stream])
-                for stream in (STREAM_APP, STREAM_CTL)]
-    return tuple(sorted(entries, key=repr))
+def reference_entries(reliable):
+    """The row's triples rebuilt from the stream records: every view
+    member's acknowledged in-stream at its top (0 while never opened) and
+    my two out-streams at their counters, sorted by repr of (origin,
+    stream) -- one entry per column."""
+    counts = {(origin, stream): rec.top for (origin, stream), rec
+              in reliable.streams.records.items()
+              if stream != STREAM_P2P and origin != reliable.me}
+    counts.update({(reliable.me, stream): reliable._out_seq[stream]
+                   for stream in (STREAM_APP, STREAM_CTL)})
+    columns = sorted(((member, stream) for member in reliable.view.mbrs
+                      for stream in (STREAM_APP, STREAM_CTL)), key=repr)
+    return tuple(column + (counts.get(column, 0),) for column in columns)
 
 
 def test_every_ack_and_heartbeat_carries_the_sorted_reference_vector():
@@ -120,8 +127,11 @@ def test_every_ack_and_heartbeat_carries_the_sorted_reference_vector():
         def checking(msg, process=process, send_down=send_down):
             if msg.kind in (mk.KIND_ACK, mk.KIND_HEARTBEAT):
                 reliable = process.reliable
-                assert msg.payload == reference_vector(reliable)
-                assert msg.payload == reliable._delivered_vector()
+                assert row_entries(reliable.view.mbrs, msg.payload) \
+                    == reference_entries(reliable)
+                assert msg.payload is reliable._delivered_row()
+                assert msg.payload_size == 6 * acknowledged(reliable) + (
+                    4 if msg.kind == mk.KIND_HEARTBEAT else 0)
                 checked.append(msg.kind)
             send_down(msg)
         above.send_down = checking
@@ -135,38 +145,96 @@ def test_every_ack_and_heartbeat_carries_the_sorted_reference_vector():
     assert checked.count(mk.KIND_HEARTBEAT) > 12
     assert sum(p.reliable.streams.naks_sent
                for p in group.processes.values()) > 0
-    # my own stream across 9 -> 10 is one entry, at the sent seq: the
+    # my own stream across 9 -> 10 is one column, at the sent seq: the
     # tenth cast is counted out before its self-delivery event runs
     reliable = group.processes[0].reliable
+    mbrs = reliable.view.mbrs
     assert reliable._out_seq[STREAM_APP] == 9
     assert reliable.streams.records[(0, STREAM_APP)].top == 9
-    vector = reliable._delivered_vector()
-    assert vector == reference_vector(reliable)
+    row = reliable._delivered_row()
+    assert row_entries(mbrs, row) == reference_entries(reliable)
     group.endpoints[0].cast(("own", 9))
-    moved = reliable._delivered_vector()
-    assert moved is not vector
-    assert moved == reference_vector(reliable)
-    assert (0, STREAM_APP, 10) in moved and (0, STREAM_APP, 9) not in moved
+    moved = reliable._delivered_row()
+    assert moved is not row
+    assert row_entries(mbrs, moved) == reference_entries(reliable)
+    assert (0, STREAM_APP, 10) in row_entries(mbrs, moved)
     group.run(0.05)
-    assert reliable._delivered_vector() == reference_vector(reliable)
-    assert (0, STREAM_APP, 9) not in reliable._delivered_vector()
+    assert row_entries(mbrs, reliable._delivered_row()) \
+        == reference_entries(reliable)
     group.stop()
 
 
-def test_an_unchanged_vector_is_the_same_object_with_the_same_entries():
+def test_an_unchanged_row_is_the_same_object():
     group = make_group(4, seed=2)
     group.endpoints[1].cast("x")
     group.run(0.2)
     reliable = group.processes[0].reliable
-    vector = reliable._delivered_vector()
-    assert reliable._delivered_vector() is vector
+    row = reliable._delivered_row()
+    assert reliable._delivered_row() is row
     group.endpoints[2].cast("y")
     group.run(0.2)
-    moved = reliable._delivered_vector()
-    assert moved is not vector
-    unmoved = [entry for entry in vector if entry in moved]
-    assert unmoved and all(any(entry is other for other in moved)
-                           for entry in unmoved)
+    moved = reliable._delivered_row()
+    assert moved is not row and moved != row
+    assert reliable._delivered_row() is moved
+    # an in-stream opened at 0 leaves the bytes as they are, but the row
+    # moved: it is a new object, and the next beacon is an ack
+    assert (3, STREAM_CTL) not in reliable.streams.records
+    size = acknowledged(reliable)
+    reliable.streams.ask(3, STREAM_CTL, 0)
+    opened = reliable._delivered_row()
+    assert opened == moved and opened is not moved
+    assert acknowledged(reliable) == size + 1
+    reliable._ack_sent = moved
+    assert reliable.beacon() is None
+
+
+def count_decoded_values(monkeypatch):
+    """Every value the wire decoder produces: each ``_decode`` call, but
+    the one an ``_items`` loop makes for an item it counts itself, and
+    every item an ``_items`` loop reads (small ints are read inline)."""
+    from repro.runtime import wire
+    tally = [0]
+    decode, items = wire._decode, wire._items
+
+    def counting_decode(*args):
+        if sys._getframe(1).f_code is not items.__code__:
+            tally[0] += 1
+        return decode(*args)
+
+    def counting_items(data, offset, depth, end, count):
+        tally[0] += count
+        return items(data, offset, depth, end, count)
+    monkeypatch.setattr(wire, "_decode", counting_decode)
+    monkeypatch.setattr(wire, "_items", counting_items)
+    return tally
+
+
+#: the values one n=4 ack datagram decodes to: the frame's source, the
+#: message, its twelve fields, the view id's two and the row (the sorted
+#: vector of (origin, stream, count) triples took 33 for the payload alone)
+ACK_DATAGRAM_VALUES = 16
+
+
+def test_an_ack_decodes_its_row_as_one_bytes_value(monkeypatch):
+    group = make_group(4, seed=2)
+    for k in range(200):                 # counts past the small-int tag
+        group.endpoints[k % 4].cast(("m", k))
+    group.run(0.3)
+    reliable = group.processes[0].reliable
+    row = reliable._delivered_row()
+    assert [cum for _origin, stream, cum in row_entries(reliable.view.mbrs,
+                                                         row)
+            if stream == STREAM_APP] == [50] * 4
+    ack = Message(mk.KIND_ACK, 0, reliable.view.vid, row,
+                  payload_size=6 * acknowledged(reliable))
+    data = encode_frame(FRAME_DATAGRAM, 0, ack)
+    values = count_decoded_values(monkeypatch)
+    frames, errors = decode_datagram(memoryview(data))
+    assert errors == []
+    payload = frames[0][2].payload
+    assert type(payload) is bytes and payload == row
+    assert len(payload) == 4 * 2 * 4
+    assert values[0] <= ACK_DATAGRAM_VALUES
 
 
 # ----------------------------------------------------------------------

@@ -1,10 +1,10 @@
 """The quiescent control plane (DESIGN section 4, "the beacon contract").
 
-The heartbeat tick sends a member's one vector-carrying broadcast: an ack
-while one is due -- this member's delivered vector moved since its last
-ack, or something it holds is not yet known stable at some view member --
-else the idle heartbeat, which carries the same vector (so it repairs a
-lost final ack).  A delivered flush cut is acked at once.  The ack tick is
+The heartbeat tick sends a member's one row-carrying broadcast: an ack
+while one is due -- this member's ack row moved since its last ack, or
+something it holds is not yet known stable at some view member -- else
+the idle heartbeat, which carries the same row (so it repairs a lost
+final ack).  A delivered flush cut is acked at once.  The ack tick is
 the probe slot: it probes the peer silent longest past the worst loss-free
 gap, which answers from its own next ack tick -- no tick ever signs more
 than one message.  Counted from outside the layers, through
@@ -15,7 +15,8 @@ import asyncio
 
 import pytest
 
-from tests.helpers import DatagramLog, is_probe, tagged_detector
+from tests.helpers import (DatagramLog, acknowledged, ack_row, is_probe,
+                           row_entries, tagged_detector)
 
 from repro import Group, StackConfig
 from repro.byzantine.behaviors import ByzantineBehavior
@@ -56,7 +57,7 @@ def assert_every_tick(times, period):
 
 
 # ----------------------------------------------------------------------
-# (a) idle: no acks, one vector-carrying heartbeat per interval
+# (a) idle: no acks, one row-carrying heartbeat per interval
 # ----------------------------------------------------------------------
 def test_idle_group_sends_no_acks_and_one_vector_heartbeat_per_interval():
     group, log = boot()
@@ -66,28 +67,33 @@ def test_idle_group_sends_no_acks_and_one_vector_heartbeat_per_interval():
     assert log.count(mk.KIND_ACK, since=start) == 0
     assert log.count(since=start) == idle_datagrams(group, 1.0)
     for node, process in group.processes.items():
-        vector = process.reliable._delivered_vector()
+        row = process.reliable._delivered_row()
         beats = log.select(mk.KIND_HEARTBEAT, since=start, src=node)
         assert len(beats) == idle_datagrams(group, 1.0) // N
         for _t, _src, _dst, msg in beats:
-            assert msg.payload is vector    # the receiver's memo hits
-            assert msg.payload_size == 4 + 6 * len(vector)
+            assert msg.payload is row       # the sender's memo hits
+            assert msg.payload_size == \
+                4 + 6 * acknowledged(process.reliable)
     assert not log.probes()
     group.stop()
 
 
 def test_delivered_vector_has_one_entry_per_origin_and_stream():
-    # a member's own streams appear once, at the sent seq: receivers
-    # max-merge, so an entry at the delivered top would never count
+    # the row has one column per member and stream; a member's own
+    # streams count the sent seq: receivers max-merge, so a count at the
+    # delivered top would never count
     group, _log = boot(n=4)
     for k in range(8):
         group.endpoints[k % 4].cast(("once", k))
     group.run(SETTLE)
     for node, process in group.processes.items():
-        vector = process.reliable._delivered_vector()
-        keys = [(origin, stream) for origin, stream, _cum in vector]
-        assert len(keys) == len(set(keys)), vector
-        assert (node, "a", 2) in vector
+        row = process.reliable._delivered_row()
+        assert type(row) is bytes and len(row) == 4 * 2 * 4
+        entries = row_entries(process.view.mbrs, row)
+        keys = [(origin, stream) for origin, stream, _cum in entries]
+        assert keys == sorted(keys, key=repr)
+        assert len(keys) == len(set(keys)) == 8
+        assert (node, "a", 2) in entries
         assert {origin for origin, _stream in keys} == set(range(4))
     group.stop()
 
@@ -142,7 +148,7 @@ def test_lost_final_ack_is_repaired_by_the_heartbeat_without_ping_pong():
     group, log = boot()
     config = group.config
     # a's ack will leave at the 80 ms heartbeat tick; the tick after it
-    # finds the vector unchanged and stable at a, so its heartbeat repairs
+    # finds the row unchanged and stable at a, so its heartbeat repairs
     group.run(0.062)
     a, b = 0, 1
     group.endpoints[a].cast("once")
@@ -360,20 +366,32 @@ def beacon_from(process, sender, payload, probe=False):
     return msg
 
 
+class Row:
+    """A row for the n=4 test view, cut or padded to ``size`` bytes (32 is
+    a row's size), with ``counts`` in its columns."""
+
+    def __init__(self, size=32, counts=()):
+        self.size, self.counts = size, counts
+
+    def build(self):
+        row = ack_row(range(4), self.counts)
+        return (row + bytes(self.size))[:self.size]
+
+
 @pytest.mark.parametrize("payload,tag", [
     (7, "rel:bad-ack"),
     ("vector", "rel:bad-ack"),
-    (((2, "a"),), "rel:bad-ack-entry"),
-    (((2, "a", -1),), "rel:bad-ack-entry"),
-    (((2, "a", "1"),), "rel:bad-ack-entry"),
-    (((0, "a", 5),), "rel:ack-for-unsent"),
-    (("matrix", ((3, ((0, "a", 0),)),)), "rel:bad-ack-entry"),
-    # unhashable origin or stream, or a stream no vector carries
-    ((([1], "a", 3),), "rel:bad-ack-entry"),
-    (((1, ["a"], 3),), "rel:bad-ack-entry"),
-    ((({}, "a", 0),), "rel:bad-ack-entry"),
-    ((((1, [2]), "c", 0),), "rel:bad-ack-entry"),
-    (((1, "p", 3),), "rel:bad-ack-entry"),
+    (((2, "a", 3),), "rel:bad-ack"),            # the per-entry dialect
+    (Row(size=31), "rel:bad-ack"),              # too short
+    (Row(size=33), "rel:bad-ack"),              # too long
+    (Row(counts={(0, "a"): 5}), "rel:ack-for-unsent"),
+    (Row(size=0), "rel:bad-ack"),               # empty
+    (("matrix", ((3, ((0, "a", 0),)),)), "rel:bad-ack"),
+    (bytearray(32), "rel:bad-ack"),             # not bytes
+    (Row(size=64), "rel:bad-ack"),              # eight-byte counts
+    (Row(size=24), "rel:bad-ack"),              # one member fewer
+    (Row(size=40), "rel:bad-ack"),              # one member more
+    (Row(counts={(0, "c"): 1, (1, "a"): 3}), "rel:ack-for-unsent"),
 ])
 def test_malformed_heartbeat_vector_is_flagged_and_ignored(payload, tag):
     group, log = boot(n=4)
@@ -387,6 +405,8 @@ def test_malformed_heartbeat_vector_is_flagged_and_ignored(payload, tag):
                 for member in range(4) for origin in range(4)
                 for stream in "ac"]
     before = table()
+    if isinstance(payload, Row):
+        payload = payload.build()
     process.reliable.handle_up(beacon_from(process, 2, payload))
     assert tags == [tag]
     assert table() == before
@@ -405,11 +425,11 @@ def test_probes_are_answered_by_one_beacon_from_the_next_ack_tick():
     process = group.processes[0]
     bound = 2 * int(config.mute_timeout / config.ack_interval)
     before = group.sim.now
-    vectors = {node: group.processes[node].reliable._delivered_vector()
-               for node in (2, 3)}
+    rows = {node: group.processes[node].reliable._delivered_row()
+            for node in (2, 3)}
     for sender in (3,) + (2,) * (bound + 2):    # two over: verbose only
         process.reliable.handle_up(beacon_from(process, sender,
-                                               vectors[sender], probe=True))
+                                               rows[sender], probe=True))
     # however many asked, one signature answers them all: an extra
     # beacon to everybody, from the ack tick -- never an extra ack
     group.run(config.ack_interval)
@@ -418,7 +438,7 @@ def test_probes_are_answered_by_one_beacon_from_the_next_ack_tick():
                if row[0] % config.heartbeat_interval > 1e-3]
     assert sorted(row[2] for row in answers) == [1, 2, 3]
     assert len({row[0] for row in answers}) == 1
-    assert all(row[3].payload is process.reliable._delivered_vector()
+    assert all(row[3].payload is process.reliable._delivered_row()
                and not is_probe(row[3]) for row in answers)
     assert log.count(mk.KIND_ACK, since=before, src=0) == 0
     assert group.obs.metrics.total("probes_dropped", layer="reliable") == 2
@@ -443,7 +463,7 @@ class Prober(ByzantineBehavior):
         reliable = self.process.reliable
         if not self.process.stopped:
             probe = Message(mk.KIND_HEARTBEAT, self.me, reliable.view.vid,
-                            reliable._delivered_vector(), dest=self.victim)
+                            reliable._delivered_row(), dest=self.victim)
             probe.push_header("rel", "probe")
             reliable.send_down(probe)
             self.sim.schedule(self.process.config.ack_interval, self.start)
@@ -477,12 +497,13 @@ def test_prober_cannot_raise_a_members_send_rate_above_the_periodic_one():
 
 
 class NeverAcks(ByzantineBehavior):
-    """Live and on time, but acknowledges nothing: every vector it sends
-    (acks, heartbeats, probe answers) is empty."""
+    """Live and on time, but acknowledges nothing: every row it sends
+    (acks, heartbeats, probe answers) is all zeros."""
 
     def install(self, process):
         super().install(process)
-        process.reliable._delivered_vector = lambda: ()
+        zeros = ack_row(process.view.mbrs)
+        process.reliable._delivered_row = lambda: zeros
 
 
 def test_never_acking_member_cannot_raise_the_ack_rate():
@@ -561,7 +582,7 @@ def test_net_idle_cluster_sends_no_acks_and_keeps_its_view():
                      if row[1] == mk.KIND_HEARTBEAT]
             assert len(beats) >= nodes * (0.5 / config.heartbeat_interval
                                           - 2)
-            assert all(isinstance(row[2].payload, tuple) for row in beats)
+            assert all(type(row[2].payload) is bytes for row in beats)
             assert not [row for row in window if row[1] == mk.KIND_SLANDER]
             for process in processes:
                 assert process.view.n == nodes
