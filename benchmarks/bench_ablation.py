@@ -74,22 +74,6 @@ def test_ablation_consensus_batching_amortization(benchmark):
     assert big["throughput"] > 2 * tiny["throughput"], (big, tiny)
 
 
-def test_ablation_packing_boost(benchmark):
-    """The packing optimization the paper left out (footnote 3): predicted
-    'at least a factor of 10' for small messages; measure the factor."""
-    plain = ring_throughput(StackConfig.byz(), 8, seed=29)
-    packed = ring_throughput(StackConfig.byz(packing=True), 8, seed=29,
-                             burst=32)
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-    factor = packed["throughput"] / plain["throughput"]
-    benchmark.extra_info.update({
-        "plain_msgs_per_s": plain["throughput"],
-        "packed_msgs_per_s": packed["throughput"],
-        "boost_factor": factor,
-    })
-    assert factor > 3.0, factor
-
-
 @pytest.mark.parametrize("entries", (10, 1000))
 def test_ablation_state_transfer_catchup(benchmark, entries):
     """Joiner catch-up: Byzantine-vouched snapshot transfer vs state size."""

@@ -102,9 +102,6 @@ class LinkFaults:
                 return payload, 0, True
         if self._corrupt:
             prob = self._prob(self._corrupt, src, dst)
-            # only plain Messages are mangled: a flipped bit in a packed
-            # container would fail Python-level unpacking rather than
-            # model wire corruption of one message's bytes
             if prob and rng.random() < prob and isinstance(payload, Message):
                 bad = payload.clone_for(payload.dest)
                 # the payload setter invalidates the memoized auth token,

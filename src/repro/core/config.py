@@ -100,10 +100,6 @@ class StackConfig:
                  # (0 disables corruption-triggered suspicion)
                  corruption_suspect_threshold=4,
                  mtu=1400,
-                 # packing/batching optimization [33] -- OFF in the paper's
-                 # measurements; implemented here as the predicted extension
-                 packing=False,
-                 packing_delay=0.0008,
                  # the real-network transport's datagram coalescer: its
                  # byte budget per UDP datagram (capped by the transport's
                  # MAX_DATAGRAM_BYTES); the sim backend never reads it, so
@@ -150,8 +146,6 @@ class StackConfig:
         self.nak_window_budget = nak_window_budget
         self.corruption_suspect_threshold = corruption_suspect_threshold
         self.mtu = mtu
-        self.packing = packing
-        self.packing_delay = packing_delay
         self.wire_mtu = wire_mtu
         self.order_batch_max = order_batch_max
         self.order_tick = order_tick
@@ -190,8 +184,6 @@ class StackConfig:
             parts.append("Total")
         if self.uniform_delivery:
             parts.append("Uniform")
-        if self.packing:
-            parts.append("Pack")
         return "+".join(parts)
 
     # ------------------------------------------------------------------

@@ -43,10 +43,6 @@ class BottomLayer(Layer):
         self.dropped_stale_incarnation = 0
         self.dropped_undecodable = 0
         self.dropped_unencodable = 0
-        self.packets_packed = 0
-        self._pack_queues = {}   # dst -> [(msg, inner_size)]
-        self._pack_bytes = {}    # dst -> running byte total of that queue
-        self._pack_timers = {}   # dst -> Timer
         # crash-recovery: highest incarnation seen per transmitter.  Kept
         # across views on purpose -- a reincarnated peer's number must not
         # reset when the membership changes, or the dead incarnation's
@@ -61,7 +57,6 @@ class BottomLayer(Layer):
         return {
             "peer_inc": len(self._peer_inc),
             "sig_strikes": len(self._sig_strikes),
-            "pack_queued": sum(len(q) for q in self._pack_queues.values()),
         }
 
     def attach(self, stack):
@@ -120,14 +115,10 @@ class BottomLayer(Layer):
             # seed-pinned timings are unchanged unless a restart happened.
             msg.push_header("inc", process.incarnation)
         host = self.config.host
-        if self.config.packing:
-            # per-packet costs are charged at pack-flush time instead
-            total_cpu = sign_cost
-        else:
-            per_datagram = host.send_cpu
-            if self.config.byzantine:
-                per_datagram += host.byz_check_cpu
-            total_cpu = sign_cost + per_datagram * len(receivers)
+        per_datagram = host.send_cpu
+        if self.config.byzantine:
+            per_datagram += host.byz_check_cpu
+        total_cpu = sign_cost + per_datagram * len(receivers)
         size = msg.wire_size(HEADER_BYTES * len(msg.headers), sig_bytes)
         done = process.cpu.charge(total_cpu)
         self.sim.schedule_serial(self._cpu_queue, done,
@@ -142,85 +133,33 @@ class BottomLayer(Layer):
                 out = behavior.filter_outgoing(dst, out)
                 if out is None:
                     continue
-            if self.config.packing:
-                self._enqueue_packed(dst, out, size)
-            else:
-                process.network.send(self.me, dst, size, out)
-
-    # ------------------------------------------------------------------
-    # packing/batching optimization [33] (paper footnote 3: not used in
-    # its measurements; the predicted 10x+ boost for small messages)
-    # ------------------------------------------------------------------
-    def _enqueue_packed(self, dst, out, size):
-        # running byte total per queue: O(1) per enqueue (a sum() here made
-        # a k-message burst cost O(k^2) in queue length)
-        queue = self._pack_queues.get(dst)
-        if queue is None:
-            queue = self._pack_queues[dst] = []
-            self._pack_bytes[dst] = 0
-        queue.append((out, size))
-        total = self._pack_bytes[dst] + size
-        self._pack_bytes[dst] = total
-        # an aggregate is full at the modelled LAN MTU, stale after the
-        # packing delay
-        if total >= self.config.mtu:
-            self._flush_pack(dst)
-        elif dst not in self._pack_timers:
-            self._pack_timers[dst] = self.sim.schedule(
-                self.config.packing_delay, self._flush_pack, dst)
-
-    def _flush_pack(self, dst):
-        timer = self._pack_timers.pop(dst, None)
-        if timer is not None:
-            timer.cancel()
-        queue = self._pack_queues.pop(dst, None)
-        total = self._pack_bytes.pop(dst, 0)
-        if not queue:
-            return
-        # one per-packet CPU charge instead of one per message: this is
-        # the entire saving packing buys
-        host = self.config.host
-        cost = host.send_cpu
-        if self.config.byzantine:
-            cost += host.byz_check_cpu
-        done = self.process.cpu.charge(cost)
-        container = ("pack", tuple(msg for msg, _size in queue))
-        self.packets_packed += 1
-        self.count("packets_packed")
-        self.sim.schedule_serial(self._cpu_queue, done,
-                                 self.process.network.send,
-                                 self.me, dst, total, container)
+            process.network.send(self.me, dst, size, out)
 
     # ------------------------------------------------------------------
     # upward: charge CPU, verify once, filter, pass up
     # ------------------------------------------------------------------
     def on_datagram(self, src, msg):
-        """Raw datagram arrival (called by the owning process)."""
+        """Raw datagram arrival (called by the owning process): one
+        ``Message``, or a tuple of them -- the sub-frames of one coalesced
+        UDP datagram, which the transport hands over whole."""
         self.datagrams_in += 1
         host = self.config.host
-        if isinstance(msg, tuple) and len(msg) == 2 and msg[0] == "pack":
-            inner = msg[1]
-            if not isinstance(inner, tuple):
-                return
-            cost = host.recv_cpu + self._per_message_in_cost() * len(inner)
+        if type(msg) is tuple:
+            # one per-datagram charge and one callback for the batch
+            cost = host.recv_cpu + self._per_message_in_cost() * len(msg)
             done = self.process.cpu.charge(cost)
-            # one batched event for the whole packet instead of one per
-            # inner message: the messages ran back-to-back either way
-            # (consecutive heap sequence numbers at the same deadline), so
-            # processing them in one callback preserves execution order
-            # while saving k-1 heap operations per packet
             self.sim.schedule_serial(self._cpu_queue, done,
-                                     self._process_pack_in, src, inner)
+                                     self._process_batch_in, src, msg)
             return
         cost = host.recv_cpu + self._per_message_in_cost()
         done = self.process.cpu.charge(cost)
         self.sim.schedule_serial(self._cpu_queue, done,
                                  self._process_in, src, msg)
 
-    def _process_pack_in(self, src, inner):
+    def _process_batch_in(self, src, batch):
         process_in = self._process_in
-        for one in inner:
-            process_in(src, one)
+        for msg in batch:
+            process_in(src, msg)
 
     def _per_message_in_cost(self):
         cost = 0.0
@@ -333,12 +272,3 @@ class BottomLayer(Layer):
         # strikes are per-view evidence; the incarnation table is NOT
         # reset (see __init__)
         self._sig_strikes.clear()
-
-    def stop(self):
-        # crash semantics: a dead node's pack-flush timers must not fire
-        # callbacks into the stopped stack
-        for timer in self._pack_timers.values():
-            timer.cancel()
-        self._pack_timers.clear()
-        self._pack_queues.clear()
-        self._pack_bytes.clear()

@@ -53,18 +53,20 @@ Wire-path aggregation (docs/PERFORMANCE.md, "The wire path"):
   ``clone_for`` sibling, and encodes only its unsigned tail;
   ``encode_cache_hits`` counts those frames.
 * **batch receive drain** -- an arriving batch is fully decoded and
-  handed to the stack as one ``("pack", ...)`` container, so the bottom
-  layer charges one per-datagram cost and the scheduler runs one
-  callback for the whole batch (the same contract the simulator's pack
-  queues already have).
+  handed to the stack as one plain tuple of its ``Message`` bodies, in
+  wire order, so the bottom layer charges one per-datagram cost and the
+  scheduler runs one callback for the whole batch.
 
 Undecodable datagrams (truncated, bit-flipped, garbage) are counted and
 reported through :attr:`on_undecodable` -- per *sub-frame* for batches,
 so one corrupt sub-frame feeds corruption suspicion without discarding
 its siblings; node wiring points that at
 :meth:`repro.layers.bottom.BottomLayer.note_undecodable`
-(docs/ROBUSTNESS.md).  A datagram whose claimed source is unhashable
-names no node: it is refused before any lookup, in ``bad_sources``.
+(docs/ROBUSTNESS.md).  A datagram frame's body must be one ``Message``:
+any other value that decodes is refused the same way, so a tuple the
+stack receives is always a batch.  A datagram whose claimed source is
+unhashable names no node: it is refused before any lookup, in
+``bad_sources``.
 """
 
 from __future__ import annotations
@@ -200,8 +202,7 @@ class AsyncioTransport:
         """Release the socket; further sends and deliveries are dropped.
 
         A *graceful* close drains pending coalescer buffers first; a
-        crash (:meth:`crash`) drops them, matching the simulator's
-        crash semantics for pack queues.
+        crash (:meth:`crash`) drops them.
         """
         if self.closed:
             return
@@ -322,7 +323,7 @@ class AsyncioTransport:
             dest = self._dest_bufs[addr] = _DestBuffer(addr)
         batch_overhead = self._batch_overhead
         sub_len = SUBFRAME_OVERHEAD + len(body)
-        # budget split: a frame that would overflow the pack flushes what
+        # budget split: a frame that would overflow the batch flushes what
         # is pending first and starts a fresh datagram -- never dropped
         if (dest.frames
                 and batch_overhead + len(dest.buf) + sub_len
@@ -480,6 +481,12 @@ class AsyncioTransport:
                 continue
             if self._deliver is None:
                 continue
+            if type(payload) is not Message:
+                # decodable, but no protocol datagram
+                self.undecodable += 1
+                if self.on_undecodable is not None:
+                    self.on_undecodable(src)
+                continue
             delivered_any = True
             self.frames_delivered += 1
             if self.observer is not None:
@@ -487,31 +494,10 @@ class AsyncioTransport:
                                                     payload)
             batch.append(payload)
         if batch:
-            self._deliver_batch(src, batch)
+            # all sub-frames of one datagram enter the stack at once
+            self._deliver(src, batch[0] if len(batch) == 1 else tuple(batch))
         if delivered_any:
             self.datagrams_delivered += 1
-
-    def _deliver_batch(self, src, payloads):
-        """Drain all sub-frames of one datagram into the stack at once.
-
-        A multi-frame batch enters the bottom layer as one ``("pack",
-        (msg, ...))`` container -- one per-datagram CPU charge and one
-        scheduler callback for the whole batch, the same contract the
-        simulator's pack queues have.  Payloads that are themselves pack
-        containers are flattened in wire order.
-        """
-        if len(payloads) == 1:
-            self._deliver(src, payloads[0])
-            return
-        msgs = []
-        for payload in payloads:
-            if (isinstance(payload, tuple) and len(payload) == 2
-                    and payload[0] == "pack"
-                    and isinstance(payload[1], tuple)):
-                msgs.extend(payload[1])
-            else:
-                msgs.append(payload)
-        self._deliver(src, ("pack", tuple(msgs)))
 
     # ------------------------------------------------------------------
     def counters(self):

@@ -10,8 +10,7 @@ where ``value`` is a tagged, recursively-defined encoding of the small
 Python value universe the protocol stack actually puts on the wire: None,
 bools, ints, floats, strings, bytes, tuples, lists, dicts, (frozen)sets,
 :class:`~repro.core.view.ViewId`, and whole ``Message`` structs.  The body
-of a datagram frame is either one ``Message`` or the bottom layer's
-``("pack", (msg, ...))`` container; the body of a gossip frame is the
+of a datagram frame is one ``Message``; the body of a gossip frame is the
 plain gossip payload tuple.
 
 Compact tags carry an int 0-127, a str or bytes under 32 bytes and a
@@ -21,7 +20,7 @@ redundant byte, a repeated dict key or set element and a set whose
 elements' encodings do not ascend (the order the encoder writes, which
 no hash seed moves), so bytes that decode re-encode to themselves.
 
-A Message (WIRE_VERSION 4) is its length-prefixed **signed block** --
+A Message is its length-prefixed **signed block** --
 kind, origin, view id, the headers but ``inc`` in name order, payload,
 msg_id, group -- then its unsigned tail: sender, payload_size,
 signature, dest, inc.  The block is what the MAC covers
@@ -30,9 +29,10 @@ signature, dest, inc.  The block is what the MAC covers
 frame, and a receiver keeps the bytes it received.  The decoder refuses
 a block whose header names do not ascend or include ``inc``, so a
 third-party retransmitter rebuilds the origin's block byte for byte.
-The block's fields encode and decode at one depth (:data:`BLOCK_DEPTH`,
-theirs inside a pack container), so a block that encodes decodes
-alone or packed; a message nested deeper than a pack is refused.  An
+A Message is a value only as a frame's or a sub-frame's body: one
+anywhere else -- inside a tuple, a field or the frame's source -- is
+refused, so its block's fields encode and decode at one depth
+(:data:`BLOCK_DEPTH`) and a block that encodes decodes.  An
 application payload nests at most :data:`PAYLOAD_DEPTH` levels
 (:func:`check_payload`), which leaves the layers' own wrapping room
 under the depth bound.  docs/RUNTIME.md has the layout.
@@ -88,10 +88,10 @@ from repro.core.message import Message
 from repro.core.view import ViewId
 
 MAGIC = b"JB"
-WIRE_VERSION = 4
+WIRE_VERSION = 5
 
 #: frame types
-FRAME_DATAGRAM = 1   # unicast protocol datagram (Message or pack container)
+FRAME_DATAGRAM = 1   # unicast protocol datagram (one Message)
 FRAME_GOSSIP = 2     # gossip-bus announcement (plain payload)
 FRAME_BATCH = 3      # coalescer container: many sub-frames, one source
 
@@ -130,8 +130,9 @@ _CONSTANTS = (None, True, False)
 _message_from_wire = Message.from_wire
 
 _MAX_DEPTH = 32
-#: a signed block's fields' depth: a message's fields' inside a pack
-BLOCK_DEPTH = 3
+#: a signed block's fields' depth: a message's own fields' (a message
+#: travels only at depth 0, as a frame's body)
+BLOCK_DEPTH = 1
 #: an application payload's nesting bound (layers wrap it deeper)
 PAYLOAD_DEPTH = 16
 _INT64_MIN = -(1 << 63)
@@ -200,7 +201,7 @@ def frame_prefix(frame_type, src):
     out = bytearray(MAGIC)
     out.append(WIRE_VERSION)
     out.append(frame_type)
-    _encode(src, out, 0)
+    _encode(src, out, 1)     # below a body's depth: never a Message
     return bytes(out)
 
 
@@ -541,7 +542,7 @@ def decode_frame(data):
         frame_type = data[3]
         if frame_type not in _FRAME_TYPES:
             raise WireError("unknown frame type %d" % frame_type)
-        src, offset = _decode(data, 4, 0, end)
+        src, offset = _decode(data, 4, 1, end)
         if offset + 4 > end:
             raise _truncated(offset, 4, end)
         body_len = _unpack_u32(data, offset)[0]
@@ -587,7 +588,7 @@ def decode_datagram(data):
     try:
         if data[2] != WIRE_VERSION:
             raise WireError("unsupported wire version %d" % data[2])
-        src, offset = _decode(data, 4, 0, size)
+        src, offset = _decode(data, 4, 1, size)
         count, offset = _count(data, offset, size, SUBFRAME_OVERHEAD + 1)
     except WireError as err:
         if err.src is None:

@@ -27,17 +27,11 @@ def _independent_copy(payload):
     the first delivery pops layer headers in place, so the replayed
     object arrives header-stripped and the receiver misreads a benign
     network duplicate as a malformed (Byzantine) message.  Cloning the
-    message -- and the inner messages of a packed container, which are
-    also held by reference -- restores wire semantics: every delivery
-    is an independent image of what was sent.
+    message restores wire semantics: every delivery is an independent
+    image of what was sent.
     """
     if hasattr(payload, "clone_for"):
         return payload.clone_for(payload.dest)
-    if (isinstance(payload, tuple) and len(payload) == 2
-            and payload[0] == "pack" and isinstance(payload[1], tuple)):
-        return ("pack", tuple(
-            msg.clone_for(msg.dest) if hasattr(msg, "clone_for") else msg
-            for msg in payload[1]))
     return payload
 
 
@@ -45,16 +39,15 @@ class NetworkConfig:
     """Tunable loss/latency behaviour of the oblivious scheduler."""
 
     __slots__ = ("drop_prob", "reorder_prob", "reorder_extra", "jitter",
-                 "duplicate_prob", "mtu")
+                 "duplicate_prob")
 
     def __init__(self, drop_prob=0.0, reorder_prob=0.0, reorder_extra=400e-6,
-                 jitter=4e-6, duplicate_prob=0.0, mtu=1400):
+                 jitter=4e-6, duplicate_prob=0.0):
         self.drop_prob = drop_prob
         self.reorder_prob = reorder_prob
         self.reorder_extra = reorder_extra
         self.jitter = jitter
         self.duplicate_prob = duplicate_prob
-        self.mtu = mtu
 
 
 class Nic:

@@ -11,7 +11,7 @@ Covered contracts:
 * frames to one destination coalesce into one FRAME_BATCH datagram at
   the end-of-burst flush; a lone frame travels as a plain v1-layout
   frame (no batch overhead);
-* the byte budget splits, never drops: an overflowing pack is flushed
+* the byte budget splits, never drops: an overflowing batch is flushed
   and the frame starts a fresh datagram;
 * oversize frames (over the hard datagram ceiling) are dropped loudly:
   counter, observer hook, one stderr line per frame kind;
@@ -20,9 +20,10 @@ Covered contracts:
   identical to encoding each clone from scratch;
 * gossip_cast counts a send only if >=1 transmit succeeded and accounts
   per-address failures (the counter-drift fix);
-* a received batch enters the stack as ONE ``("pack", ...)`` container
-  (nested pack payloads flattened), and a corrupt sub-frame feeds
-  ``on_undecodable`` for that sub-frame only while siblings deliver;
+* a received batch enters the stack as ONE plain tuple of its messages,
+  and a corrupt sub-frame -- or one whose body decodes to anything but a
+  ``Message`` -- feeds ``on_undecodable`` for that sub-frame only while
+  siblings deliver; a tuple of messages is no frame body at all;
 * a datagram whose claimed source is unhashable is refused whole and
   counted in ``bad_sources``; a frame with an unhashable ``dest`` still
   reaches the one node the transport hosts (the stack refuses it);
@@ -62,6 +63,7 @@ from repro.runtime.wire import (
     encode_batch,
     encode_frame,
     encode_value,
+    frame_prefix,
 )
 
 
@@ -277,7 +279,7 @@ def collect_deliveries(t):
     return inbox
 
 
-def test_batch_delivered_as_one_pack_container():
+def test_batch_delivered_as_one_tuple_of_messages():
     receiver = make_transport(node_id=1)
     inbox = collect_deliveries(receiver)
     sender = make_transport(node_id=0)
@@ -288,25 +290,69 @@ def test_batch_delivered_as_one_pack_container():
     assert len(inbox) == 1                # ONE deliver call for the batch
     src, payload = inbox[0]
     assert src == 0
-    assert payload[0] == "pack"
-    assert [m.msg_id for m in payload[1]] == [("m", k) for k in range(3)]
+    assert type(payload) is tuple
+    assert [m.msg_id for m in payload] == [("m", k) for k in range(3)]
     assert receiver.datagrams_delivered == 1
     assert receiver.frames_delivered == 3
 
 
-def test_nested_pack_payloads_flatten():
+def test_a_tuple_of_messages_is_refused_at_encode():
+    # the one batching mechanism is the coalescer: a message travels only
+    # as a frame's own body, so a tuple the stack receives is a batch
     receiver = make_transport(node_id=1)
     inbox = collect_deliveries(receiver)
     sender = make_transport(node_id=0)
-    # the bottom layer's own pack containers ride the coalescer too
-    sender.send(0, 1, 100, ("pack", (msg(msg_id=("p", 0)),
-                                     msg(msg_id=("p", 1)))))
+    sender.send(0, 1, 100, (msg(msg_id=("p", 0)), msg(msg_id=("p", 1))))
+    assert sender.encode_failures == 1
     sender.send(0, 1, 100, msg(msg_id=("q",)))
     sender._loop.drain()
     receiver._on_datagram(sender._udp.sent[0][0], ADDRS[0])
-    (src, payload), = inbox
-    assert payload[0] == "pack"
-    assert [m.msg_id for m in payload[1]] == [("p", 0), ("p", 1), ("q",)]
+    (_src, payload), = inbox
+    assert payload.msg_id == ("q",)
+
+
+def _raw_datagram(*bodies):
+    """One datagram from source 0 carrying the given encoded bodies: a
+    plain frame for one, else a batch (bodies the encoder would refuse
+    can still arrive from a stranger on the port)."""
+    if len(bodies) == 1:
+        return (frame_prefix(FRAME_DATAGRAM, 0)
+                + len(bodies[0]).to_bytes(4, "big") + bodies[0])
+    out = frame_prefix(FRAME_BATCH, 0) + len(bodies).to_bytes(4, "big")
+    for body in bodies:
+        out += bytes([FRAME_DATAGRAM]) + len(body).to_bytes(4, "big") + body
+    return out
+
+
+#: the bottom layer's retired ("pack", (msg,)) container, as a peer on
+#: the old wire would have encoded it
+_OLD_PACK = (b"\x62" + encode_value("pack") + b"\x61"
+             + encode_value(msg(msg_id=("p",))))
+
+
+@pytest.mark.parametrize("body", [
+    encode_value(7), encode_value(("x",)), encode_value([1, 2]), _OLD_PACK,
+], ids=["int", "tuple", "list", "old-pack"])
+def test_a_body_that_is_no_message_is_undecodable(body):
+    receiver = make_transport(node_id=1)
+    inbox = collect_deliveries(receiver)
+    strikes = []
+    receiver.on_undecodable = strikes.append
+    siblings = [encode_value(msg(msg_id=("m", k))) for k in range(2)]
+    receiver._on_datagram(_raw_datagram(siblings[0], body, siblings[1]),
+                          ADDRS[0])
+    assert strikes == [0] and receiver.undecodable == 1
+    (_src, payload), = inbox              # the siblings still deliver
+    assert [m.msg_id for m in payload] == [("m", 0), ("m", 1)]
+    assert receiver.frames_delivered == 2
+    # alone, it delivers nothing
+    receiver._on_datagram(_raw_datagram(body), ADDRS[0])
+    assert strikes == [0, 0] and receiver.undecodable == 2
+    assert len(inbox) == 1 and receiver.datagrams_delivered == 1
+    if body is _OLD_PACK:
+        # the codec itself refuses the old container
+        frames, errors = decode_datagram(_raw_datagram(body))
+        assert frames == [] and "nested" in str(errors[0])
 
 
 def test_corrupt_subframe_strikes_source_and_spares_siblings():
@@ -326,7 +372,7 @@ def test_corrupt_subframe_strikes_source_and_spares_siblings():
     assert strikes == [0]                 # attributed to the claimed source
     assert receiver.undecodable == 1
     (_src, payload), = inbox              # siblings still delivered...
-    assert [m.msg_id for m in payload[1]] == [("m", 0), ("m", 1)]
+    assert [m.msg_id for m in payload] == [("m", 0), ("m", 1)]
     assert receiver.frames_delivered == 2
 
 
@@ -579,7 +625,8 @@ def test_group_gossip_reaches_its_own_group_only():
 
 
 def test_an_untagged_node_keeps_its_datagram_bytes():
-    """Byte pins of an untagged node's gossip and coalesced frames."""
+    """Byte pins of an untagged node's gossip and coalesced frames
+    (re-recorded at WIRE_VERSION 5, where only the version byte moved)."""
     import hashlib
     t = make_transport()
     t.attach(0, lambda s, p: None, lambda s, p: None)
@@ -587,7 +634,7 @@ def test_an_untagged_node_keeps_its_datagram_bytes():
     assert [addr for _data, addr in t._udp.sent] \
         == [ADDRS[1], ADDRS[2], ADDRS[3]]
     assert {data.hex() for data, _addr in t._udp.sent} == {
-        "4a42040280000000126328616e6e6f756e63658162247669657783"}
+        "4a42050280000000126328616e6e6f756e63658162247669657783"}
     del t._udp.sent[:]
     for k in range(2):
         t.send(0, 1, 100, msg(msg_id=("m", k)))
@@ -595,7 +642,7 @@ def test_an_untagged_node_keeps_its_datagram_bytes():
     t._loop.drain()
     assert hashlib.sha256(b"".join(
         data for data, _addr in t._udp.sent)).hexdigest() \
-        == "f46252f7f851436925d282fbacfcbaa194258b6afbbe376effe1423bf5195f4b"
+        == "d0a01e56730c1da2fdcd80e485f779fa8238d7913071364de2f4eb0975f02c14"
 
 
 # ----------------------------------------------------------------------

@@ -101,7 +101,6 @@ def test_all_configs_deliver_identical_sets():
         "sym": StackConfig.byz(crypto="sym"),
         "total": StackConfig.byz(total_order=True),
         "uniform": StackConfig.byz(uniform_delivery=True),
-        "packed": StackConfig.byz(packing=True),
     }
     expected = {(n, k) for n in range(5) for k in range(4)}
     for label, config in configs.items():

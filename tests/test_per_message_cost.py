@@ -517,12 +517,7 @@ def test_a_p2p_message_with_an_unhashable_dest_is_not_delivered():
             rewritten.append(m)
         return m
 
-    def tampered(src, payload):
-        if isinstance(payload, tuple) and payload and payload[0] == "pack":
-            payload = ("pack", tuple(rewrite(m) for m in payload[1]))
-        deliver(src, rewrite(payload))
-
-    port.deliver = tampered
+    port.deliver = lambda src, payload: deliver(src, rewrite(payload))
     tags = tagged_detector(group.processes[1])
     group.endpoints[0].send(1, ("p2p", 1))
     group.endpoints[0].send(2, ("p2p", 2))

@@ -1,11 +1,12 @@
 """The public surface: ``repro.__all__``, the docs/API.md snippets and
 the example programs.
 
-Three guarantees: every name the package advertises actually resolves,
+Four guarantees: every name the package advertises actually resolves,
 every ``python`` code block in docs/API.md executes as written (run in
-order, in one shared namespace), and every ``examples/*.py`` runs to exit
-0 against ``src/`` -- so neither the documentation nor the examples can
-drift from the code.
+order, in one shared namespace), docs/API.md's ``StackConfig`` table
+names exactly the config's fields, and every ``examples/*.py`` runs to
+exit 0 against ``src/`` -- so neither the documentation nor the examples
+can drift from the code.
 """
 
 import glob
@@ -69,6 +70,34 @@ def test_api_md_snippets_execute():
         except Exception as exc:  # pragma: no cover - diagnostic path
             pytest.fail("docs/API.md block %d failed: %r\n%s"
                         % (index, exc, block))
+
+
+def _api_md_knobs(fields):
+    """The names docs/API.md's ``StackConfig`` table lists: each
+    backticked token's leading name, ``name(+_x)`` as ``name`` and
+    ``name_x``, ``prefix_*`` as every field with that prefix."""
+    with open(DOCS_API) as handle:
+        table = handle.read().split("| group | knobs |", 1)[1]
+    table = table.split("\n\n", 1)[0]
+    names = set()
+    for token in re.findall(r"`([^`]*)`", table):
+        name, suffix, star = re.match(r"([a-z_]+)(?:\(\+(_[a-z_]+)\))?(\*)?",
+                                      token).groups()
+        if star:
+            names.update(f for f in fields if f.startswith(name))
+        else:
+            names.add(name)
+            if suffix:
+                names.add(name + suffix)
+    return names
+
+
+def test_api_md_config_table_lists_every_field():
+    # a knob removed from StackConfig cannot leave a stale row behind,
+    # nor a new one go undocumented
+    from repro import StackConfig
+    fields = set(vars(StackConfig()))
+    assert _api_md_knobs(fields) == fields
 
 
 @pytest.mark.parametrize("path", EXAMPLES, ids=os.path.basename)

@@ -123,7 +123,7 @@ def test_first_boot_pushes_no_incarnation_header():
 #: transient callbacks that may legitimately still sit in the heap at the
 #: crash instant: in-flight datagram/CPU completions, all guarded by
 #: ``process.stopped`` (or dropped by the crashed network port)
-_TRANSIENT_OK = {"_process_in", "_process_pack_in", "_transmit",
+_TRANSIENT_OK = {"_process_in", "_transmit",
                  "_accept_stream", "send"}
 
 

@@ -84,8 +84,7 @@ def test_cluster_routing_matches_directory():
 # ----------------------------------------------------------------------
 # config: one flat surface
 # ----------------------------------------------------------------------
-AGGREGATION_KNOBS = {"mtu": 900, "packing": True, "packing_delay": 0.002,
-                     "wire_mtu": 4000}
+AGGREGATION_KNOBS = {"mtu": 900, "wire_mtu": 4000}
 
 
 def test_aggregation_knobs_are_plain_fields():
@@ -110,9 +109,12 @@ def test_clone_rejects_unknown_fields():
     with pytest.raises(TypeError, match="packng, wire"):
         base.clone(wire=None, packng=True, mtu=900)
     assert not hasattr(base, "packng")
-    for removed in ("wire", "chaos", "wire_coalesce_delay", "wire_coalesce"):
+    for removed in ("wire", "chaos", "wire_coalesce_delay", "wire_coalesce",
+                    "packing", "packing_delay"):
         with pytest.raises(TypeError):
             StackConfig(**{removed: None})
+        with pytest.raises(TypeError):
+            base.clone(**{removed: None})
 
 
 # ----------------------------------------------------------------------

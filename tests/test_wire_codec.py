@@ -129,9 +129,11 @@ def test_frame_layout_is_versioned():
 
 
 #: sha256 over the concatenated corpus below; a decoder-side change must
-#: leave it alone, an encoder-side one re-records it with WIRE_VERSION bumped
+#: leave it alone, an encoder-side one re-records it with WIRE_VERSION bumped.
+#: Last re-recorded at WIRE_VERSION 5, which refuses a message anywhere but
+#: as a frame's body: the corpus lost its ("pack", ...) frame.
 WIRE_CORPUS_SHA256 = (
-    "ca400bf10f731d4861e35c0932f6fbd9aad752df600984a38d7b86dfa4832a3b")
+    "6bd0060c20de197b15344707fe81bff5a39f0db344ae82aa82c84449303a27d8")
 
 
 def _corpus():
@@ -146,7 +148,6 @@ def _corpus():
     msg.push_header("frag", (0, 1))
     msg.signature = b"\x01" * 32
     return (encode_frame(FRAME_DATAGRAM, 1, msg),
-            encode_frame(FRAME_DATAGRAM, 1, ("pack", (msg, inner))),
             encode_batch(5, [(FRAME_DATAGRAM, inner),
                              (FRAME_GOSSIP, ("grp", 3, ("view", 5))),
                              (FRAME_DATAGRAM, msg)]),
@@ -315,7 +316,7 @@ def test_decode_datagram_handles_plain_frames(frame_type, src, payload):
     assert frames == [(frame_type, src, payload)]
 
 
-@pytest.mark.parametrize("version", [1, 2, 3, WIRE_VERSION + 1])
+@pytest.mark.parametrize("version", [1, 2, 3, 4, WIRE_VERSION + 1])
 def test_other_wire_versions_are_refused(version):
     # one wire version: a frame or batch claiming any other yields exactly
     # one WireError and no frame -- a sender cannot choose the struct
@@ -517,7 +518,7 @@ def _verdict(data):
 
 
 def test_batch_damage_verdicts_are_pinned():
-    verdicts = [_verdict(blob) for blob in _damaged(_corpus()[2])]
+    verdicts = [_verdict(blob) for blob in _damaged(_corpus()[1])]
     digest = hashlib.sha256(repr(verdicts).encode("utf-8")).hexdigest()
     assert digest == WIRE_VERDICTS_SHA256
 
@@ -526,9 +527,11 @@ def test_batch_damage_verdicts_are_pinned():
 #: and full decoded payload, each error's type and source -- for a seeded
 #: corpus of frames, intact, at every truncation and under every 7th bit
 #: flip.  Where WIRE_VERDICTS_SHA256 pins accept/reject, this pins the
-#: values: a decoder rewrite must leave both alone.
+#: values: a decoder rewrite must leave both alone.  Last re-recorded at
+#: WIRE_VERSION 5, whose corpus lost its ("pack", ...) value; the version-4
+#: decoder reads the new corpus to the same digest.
 WIRE_VALUES_SHA256 = (
-    "00fda5040b8774c364e1dc4c2972bd83a7ddf115ac1edd002e53bce604c8a1bc")
+    "ebe2afc853cc2c463055da9a4e66f85ae7712569e3deb08ea8c63066d96efb8e")
 
 
 def _random_value(rng, depth):
@@ -573,7 +576,7 @@ def _value_corpus():
     msg.push_header("reliable", ("data", 40))
     msg.push_header("frag", (1, 3))
     msg.signature = bytes(rng.randrange(256) for _ in range(32))
-    values += [msg, ("pack", (msg, msg.clone_for(0)))]
+    values += [msg, msg.clone_for(0)]
     blobs = [encode_frame(FRAME_DATAGRAM if k % 3 else FRAME_GOSSIP, k, value)
              for k, value in enumerate(values)]
     blobs.append(encode_batch(7, [(FRAME_DATAGRAM, v) for v in values[-4:]]))
@@ -648,7 +651,7 @@ def test_undecodable_ignores_strangers_and_stopped_stacks():
 
 
 # ----------------------------------------------------------------------
-# 6. compact tags and the one encoding (WIRE_VERSION 4)
+# 6. compact tags and the one encoding (since WIRE_VERSION 4)
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("value, size", [
     (0, 1), (127, 1), (128, 9), (-1, 9), (-(1 << 63), 9), ((1 << 63) - 1, 9),
@@ -786,8 +789,7 @@ def test_every_decodable_damage_re_encodes_to_the_bytes_received():
     msg.push_header("reliable", ("data", 12))
     msg.push_header("inc", 2)
     msg.signature = {0: b"\x01" * 10, 4: b"\x02" * 10}
-    blob = encode_batch(5, [(FRAME_DATAGRAM, inner),
-                            (FRAME_DATAGRAM, ("pack", (msg, inner)))])
+    blob = encode_batch(5, [(FRAME_DATAGRAM, inner), (FRAME_DATAGRAM, msg)])
     prefix = len(frame_prefix(FRAME_BATCH, 5)) + 4
     decoded_any = 0
     for data in _damaged(blob):
@@ -797,7 +799,7 @@ def test_every_decodable_damage_re_encodes_to_the_bytes_received():
         decoded_any += 1
         assert encode_batch(frames[0][1], [(ft, p) for ft, _, p in frames]) \
             [prefix:] == data[prefix:]
-        for payload in (frames[0][2], frames[1][2][1][0]):
+        for _frame_type, _src, payload in frames:
             assert encode_signed(payload) == payload.signed_block()
     assert decoded_any > 100
 
@@ -820,13 +822,17 @@ def _nested(levels):
 
 def test_a_payload_at_the_depth_bound_travels_alone_and_packed():
     # a block's fields encode and decode at one depth, so a message that
-    # encodes decodes in a pack too (where it sits two levels deeper)
+    # encodes decodes alone in a frame and packed with a sibling into a
+    # coalesced batch alike
     from repro.runtime.wire import _MAX_DEPTH, BLOCK_DEPTH
+    assert BLOCK_DEPTH == 1
     deepest = _nested(_MAX_DEPTH - BLOCK_DEPTH)
     msg = Message("cast", 1, ViewId(1, 0), deepest, payload_size=8, dest=2)
-    for body in (msg, ("pack", (msg, msg.clone_for(3)))):
-        frames, errors = decode_datagram(encode_frame(FRAME_DATAGRAM, 1, body))
-        assert errors == []
+    batch = encode_batch(1, [(FRAME_DATAGRAM, msg),
+                             (FRAME_DATAGRAM, msg.clone_for(3))])
+    for blob, count in ((encode_frame(FRAME_DATAGRAM, 1, msg), 1), (batch, 2)):
+        frames, errors = decode_datagram(blob)
+        assert errors == [] and len(frames) == count
     deeper = Message("cast", 1, ViewId(1, 0), (deepest,), payload_size=8)
     with pytest.raises(WireError, match="depth"):
         deeper.signed_block()
@@ -843,10 +849,23 @@ def test_a_message_nested_inside_a_value_is_refused():
         encode_value(("x", ("y", (msg,))))
     with pytest.raises(WireError, match="nested"):
         encode_value(Message("cast", 1, ViewId(1, 0), msg))
-    packed = encode_value(("pack", (msg,)))
-    assert decode_value(packed)[1][0].signed_block() == msg.signed_block()
+    # the bottom layer's retired ("pack", (msg, ...)) container included:
+    # a message is a value only as a frame's body
     with pytest.raises(WireError, match="nested"):
-        decode_value(b"\x61" + packed)       # the pack one level deeper
+        encode_value(("pack", (msg,)))
+    alone = encode_value(msg)
+    assert decode_value(alone).signed_block() == msg.signed_block()
+    with pytest.raises(WireError, match="nested"):
+        decode_value(b"\x62" + encode_value("pack") + b"\x61" + alone)
+    with pytest.raises(WireError, match="nested"):
+        decode_value(b"\x61" + alone)
+    # nor is a message a frame's source
+    with pytest.raises(WireError, match="nested"):
+        encode_frame(FRAME_DATAGRAM, msg, msg)
+    forged = (MAGIC + bytes([WIRE_VERSION, FRAME_DATAGRAM]) + alone
+              + len(alone).to_bytes(4, "big") + alone)
+    frames, errors = decode_datagram(forged)
+    assert frames == [] and "nested" in str(errors[0])
 
 
 @pytest.mark.parametrize("payload, ok", [
