@@ -33,12 +33,6 @@ from repro.consensus.interface import AgreementInstance
 class UniformBroadcast(AgreementInstance):
     """One uniform broadcast instance, identified by ``(origin, k)``."""
 
-    #: regression-revert switch (tests only): with ``False``, a repeated
-    #: ``originate`` re-broadcasts the initial -- combined with a caller
-    #: that retries on every ack-matrix update, the zero-delay
-    #: self-delivery feeds itself forever (the livelock PR 3 fixed)
-    idempotent_originate = True
-
     def __init__(self, instance_id, members, me, f, origin, broadcast,
                  on_deliver=None, on_misbehavior=None):
         super().__init__(instance_id, members, me, f, broadcast,
@@ -74,7 +68,7 @@ class UniformBroadcast(AgreementInstance):
         """
         if self.me != self.origin:
             raise RuntimeError("only the origin may originate")
-        if self._initial_value is not None and self.idempotent_originate:
+        if self._initial_value is not None:
             return
         self.broadcast(("ub-initial", value))
         self._on_initial(self.me, value)
@@ -82,11 +76,21 @@ class UniformBroadcast(AgreementInstance):
     def on_message(self, sender, payload):
         if sender not in self.members:
             return
-        kind = payload[0]
+        # the wire value as a Byzantine member sent it: refuse any shape
+        # the tallies cannot hold rather than raise in this process
+        if not isinstance(payload, tuple) or len(payload) != 2:
+            self.on_misbehavior(sender, "ub:malformed")
+            return
+        kind, value = payload
+        try:
+            hash(value)
+        except TypeError:
+            self.on_misbehavior(sender, "ub:malformed")
+            return
         if kind == "ub-initial":
-            self._on_initial(sender, payload[1])
+            self._on_initial(sender, value)
         elif kind == "ub-echo":
-            self._on_echo(sender, payload[1])
+            self._on_echo(sender, value)
         else:
             self.on_misbehavior(sender, "ub:unknown-kind")
 

@@ -170,7 +170,7 @@ class BadViewCoordinator(ByzantineBehavior):
                 or not isinstance(payload[1], tuple)):
             return msg
         instance_id, proto = payload
-        if proto[0] not in ("ub-initial", "br-initial", "ub-plain"):
+        if proto[0] not in ("ub-initial", "ub-plain"):
             return msg
         value = proto[1]
         if not isinstance(value, tuple) or len(value) != 2:

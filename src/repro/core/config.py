@@ -58,7 +58,9 @@ class StackConfig:
 
     ``obs=`` and ``shard=`` take small config objects of their own
     (:class:`~repro.obs.ObsConfig`, :class:`ShardConfig`); everything
-    else is a flat field.
+    else is a flat field.  A field is a value some caller varies; a value
+    nobody varies is a named constant beside the code that reads it
+    (e.g. ``repro.layers.reliable.NAK_WINDOW_BUDGET``).
     """
 
     def __init__(self,
@@ -66,48 +68,24 @@ class StackConfig:
                  crypto="none",
                  total_order=False,
                  uniform_delivery=False,
-                 f_override=None,
                  # failure detection / fuzziness
                  heartbeat_interval=0.02,
                  mute_timeout=0.08,
                  fuzzy_decay_interval=0.05,
-                 fuzzy_decay_amount=1.0,
                  mute_suspect_threshold=3.0,
                  verbose_suspect_threshold=4.0,
                  # membership
                  gossip_interval=0.05,
                  suspicion_settle_delay=0.004,
-                 suspect_count_threshold=3,
                  consensus_msg_timeout=0.08,
                  newview_timeout=0.12,
                  # reliable delivery / flow control
                  fuzzy_flow=True,
-                 fuzzy_flow_threshold=2.0,
                  flow_window=256,
                  ack_interval=0.012,
-                 ack_every=512,
                  retrans_timeout=0.04,
-                 # hardening against loss storms (chaos plane): repeated
-                 # retransmission retries back off exponentially up to this
-                 # ceiling, with +-retrans_jitter relative decorrelation
-                 retrans_backoff_max=0.32,
-                 retrans_jitter=0.25,
-                 # NAKs one node may emit per retrans_timeout window
-                 # (0 disables suppression)
-                 nak_window_budget=64,
-                 # signature rejections from one transmitter before the
-                 # bottom layer reports it to the suspicion layer
-                 # (0 disables corruption-triggered suspicion)
-                 corruption_suspect_threshold=4,
-                 mtu=1400,
-                 # the real-network transport's datagram coalescer: its
-                 # byte budget per UDP datagram (capped by the transport's
-                 # MAX_DATAGRAM_BYTES); the sim backend never reads it, so
-                 # changing it is byte-identical per seed
-                 wire_mtu=16000,
                  # total ordering
                  order_batch_max=1024,
-                 order_tick=0.002,
                  # pipelined ordering: up to FAST_PIPELINE_WINDOW
                  # consensus instances in flight, any cast may open one
                  ordering_fast_path=False,
@@ -123,32 +101,20 @@ class StackConfig:
         self.crypto = crypto
         self.total_order = total_order
         self.uniform_delivery = uniform_delivery
-        self.f_override = f_override
         self.heartbeat_interval = heartbeat_interval
         self.mute_timeout = mute_timeout
         self.fuzzy_decay_interval = fuzzy_decay_interval
-        self.fuzzy_decay_amount = fuzzy_decay_amount
         self.mute_suspect_threshold = mute_suspect_threshold
         self.verbose_suspect_threshold = verbose_suspect_threshold
         self.gossip_interval = gossip_interval
         self.fuzzy_flow = fuzzy_flow
-        self.fuzzy_flow_threshold = fuzzy_flow_threshold
         self.suspicion_settle_delay = suspicion_settle_delay
-        self.suspect_count_threshold = suspect_count_threshold
         self.consensus_msg_timeout = consensus_msg_timeout
         self.newview_timeout = newview_timeout
         self.flow_window = flow_window
         self.ack_interval = ack_interval
-        self.ack_every = ack_every
         self.retrans_timeout = retrans_timeout
-        self.retrans_backoff_max = retrans_backoff_max
-        self.retrans_jitter = retrans_jitter
-        self.nak_window_budget = nak_window_budget
-        self.corruption_suspect_threshold = corruption_suspect_threshold
-        self.mtu = mtu
-        self.wire_mtu = wire_mtu
         self.order_batch_max = order_batch_max
-        self.order_tick = order_tick
         self.ordering_fast_path = ordering_fast_path
         if obs is True:
             obs = ObsConfig()
@@ -196,10 +162,7 @@ class StackConfig:
         """
         if not self.byzantine:
             return 0
-        bound = min(max_f_consensus(n), max_f_uniform(n))
-        if self.f_override is not None:
-            bound = min(bound, self.f_override)
-        return max(0, bound)
+        return max(0, min(max_f_consensus(n), max_f_uniform(n)))
 
     def clone(self, **overrides):
         """A copy with ``overrides`` replaced; every key must be a field."""

@@ -84,12 +84,10 @@ class GroupProcess:
         self.auth = make_authenticator(config.crypto, keys,
                                        config.crypto_costs)
         self.history = History(node_id)
-        self.mute_levels = FuzzyLevels(
-            self.sim, "mute", config.fuzzy_decay_interval,
-            config.fuzzy_decay_amount)
-        self.verbose_levels = FuzzyLevels(
-            self.sim, "verbose", config.fuzzy_decay_interval,
-            config.fuzzy_decay_amount)
+        self.mute_levels = FuzzyLevels(self.sim, "mute",
+                                       config.fuzzy_decay_interval)
+        self.verbose_levels = FuzzyLevels(self.sim, "verbose",
+                                          config.fuzzy_decay_interval)
         self.mute_detector = FuzzyMuteDetector(self.sim, self.mute_levels,
                                                config.mute_timeout)
         self.verbose_detector = FuzzyVerboseDetector(self.sim,

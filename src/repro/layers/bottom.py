@@ -26,6 +26,10 @@ CROSS_VIEW_KINDS = frozenset({mkinds.KIND_MERGE, mkinds.KIND_NEWVIEW})
 #: modelled per-header wire overhead, bytes
 HEADER_BYTES = 6
 
+#: signature rejections from one transmitter, in one view, after which
+#: the bottom layer reports it to the suspicion layer
+CORRUPTION_SUSPECT_THRESHOLD = 4
+
 
 class BottomLayer(Layer):
     """The lowest micro-protocol layer; talks to the simulated network."""
@@ -242,7 +246,7 @@ class BottomLayer(Layer):
         wire they are exactly the corruption the signature check would have
         caught one step later, so they feed the same evidence trail: the
         verbose detector's illegal count and the corruption-strike path
-        toward ``corruption_suspect_threshold``.  ``src`` is the claimed
+        toward ``CORRUPTION_SUSPECT_THRESHOLD``.  ``src`` is the claimed
         frame source when the header survived, else None (unattributable
         noise is counted but suspects nobody)."""
         if self.process.stopped:
@@ -258,12 +262,9 @@ class BottomLayer(Layer):
         one transmitter are evidence its link (or the node itself) is
         feeding us garbage -- report it to the suspicion layer, which
         slanders so the group can agree to route around it."""
-        threshold = self.config.corruption_suspect_threshold
-        if not threshold:
-            return
         strikes = self._sig_strikes.get(src, 0) + 1
         self._sig_strikes[src] = strikes
-        if strikes == threshold:
+        if strikes == CORRUPTION_SUSPECT_THRESHOLD:
             self.count("corruption_suspicions")
             self.process.suspicion.suspect_locally(
                 src, reason="bottom:corruption")

@@ -15,6 +15,9 @@ from repro.core import message as mk
 from repro.core.message import Message
 from repro.layers.base import Layer
 
+#: the largest app cast sent unsplit, in modelled payload bytes
+MTU = 1400
+
 
 class FragmentLayer(Layer):
     """Splits oversized casts; reassembles on the way up."""
@@ -32,17 +35,16 @@ class FragmentLayer(Layer):
 
     # ------------------------------------------------------------------
     def handle_down(self, msg):
-        mtu = self.config.mtu
         if (msg.kind != mk.KIND_CAST or msg.dest is not None
-                or msg.payload_size <= mtu):
+                or msg.payload_size <= MTU):
             self.send_down(msg)
             return
         total = msg.payload_size
-        count = -(-total // mtu)  # ceil division
+        count = -(-total // MTU)  # ceil division
         self.fragmented += 1
         self.count("casts_fragmented")
         for index in range(count):
-            chunk_size = mtu if index < count - 1 else total - mtu * (count - 1)
+            chunk_size = MTU if index < count - 1 else total - MTU * (count - 1)
             # only the last fragment carries the payload object; earlier
             # ones carry filler of the right wire size
             chunk_payload = msg.payload if index == count - 1 else None

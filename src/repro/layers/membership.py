@@ -36,21 +36,6 @@ class MembershipLayer(Layer):
 
     name = "membership"
 
-    #: regression-revert switches (tests only), handed to the machine.
-    #: Each re-opens a bug the chaos campaign once found, so a test can
-    #: prove random plans (or the soak's checker) still find it:
-    #:
-    #: * ``vid_counter_floor=False``: an aborted change plus a later
-    #:   singleton fallback can bind two memberships to one vid;
-    #: * ``oneshot_view_send=False``: every ack-matrix update re-enters the
-    #:   coordinator's view send, whose zero-delay self-delivery then feeds
-    #:   itself forever (livelock) when originate() re-broadcasts;
-    #: * ``unsubscribe_stability=False``: one dead stability listener per
-    #:   view change, which the soak's BoundedStateChecker flags.
-    vid_counter_floor = True
-    oneshot_view_send = True
-    unsubscribe_stability = True
-
     def __init__(self):
         super().__init__()
         self.machine = None
@@ -75,11 +60,8 @@ class MembershipLayer(Layer):
         self.stability = process.stability
         self.mute = process.mute_detector
         self.verbose = process.verbose_detector
-        self.machine = ViewChange(
-            self, process.reliable.streams, self.config, self.me,
-            vid_counter_floor=self.vid_counter_floor,
-            oneshot_view_send=self.oneshot_view_send,
-            unsubscribe_stability=self.unsubscribe_stability)
+        self.machine = ViewChange(self, process.reliable.streams,
+                                  self.config, self.me)
 
     def snapshot(self):
         """The view change and the merge/join state around it."""

@@ -48,7 +48,7 @@ ordering tick dormant (nothing to batch with), otherwise the tick or the
 decide event of the instance in flight.  The tick goes dormant at a grid
 instant that finds nothing buffered, stashed or in flight, and at a decide
 that leaves the member so -- unless the member is *busy*: its last cast
-came less than ``order_tick`` after the one before.  ``order_tick`` is thus
+came less than ``ORDER_TICK`` after the one before.  ``ORDER_TICK`` is thus
 the batching period of a busy member, not a poll (DESIGN section 4, the
 ordering tick contract).
 """
@@ -71,6 +71,9 @@ MAX_INSTANCE_SKEW = 64
 #: bounded by one in-flight instance instead of (instance + tick) while
 #: capping the per-node state and the overlap between concurrent proposals.
 FAST_PIPELINE_WINDOW = 2
+
+#: the ordering tick (seconds): the grid a busy member batches its casts on
+ORDER_TICK = 0.002
 
 
 def fast_coordinator(members, coordinator_seed):
@@ -160,9 +163,9 @@ class OrderingLayer(Layer):
         self._instances = {}     # k -> AgreementInstance (in flight)
         self._instance_k = 0     # number of the last instance opened
         self._pending = {}       # k -> [(sender, proto)] early messages
-        self._ticker = None      # GridTimer on order_tick, set at attach
+        self._ticker = None      # GridTimer on ORDER_TICK, set at attach
         self._last_cast_at = float("-inf")  # arrival of the last buffered cast
-        self._busy = False       # ... less than order_tick after the one before
+        self._busy = False       # ... less than ORDER_TICK after the one before
         self._stopped_proposing = False
         self._decided_k = 0
         self._flush_target = None
@@ -177,8 +180,7 @@ class OrderingLayer(Layer):
     # ------------------------------------------------------------------
     def attach(self, stack):
         super().attach(stack)
-        self._ticker = GridTimer(self.sim, self.config.order_tick,
-                                 self._tick)
+        self._ticker = GridTimer(self.sim, ORDER_TICK, self._tick)
 
     def start(self):
         if self.config.total_order:
@@ -262,7 +264,7 @@ class OrderingLayer(Layer):
                 return
             self._buffer[msg.msg_id] = msg
             now = self.sim.now
-            self._busy = now - self._last_cast_at < self.config.order_tick
+            self._busy = now - self._last_cast_at < ORDER_TICK
             self._last_cast_at = now
             # a dormant tick says this member had nothing buffered,
             # stashed or in flight at its last grid instant, or at the

@@ -73,6 +73,19 @@ ARCHIVED_LEN = 9
 #: this many, strictly increasing, and any other NAK is refused
 NAK_MAX = 64
 
+#: deliveries since the last ack after which a member acks at once,
+#: without waiting for the heartbeat tick
+ACK_EVERY = 512
+
+#: hardening against loss storms: repeated repair rounds back off
+#: exponentially up to this ceiling (seconds), each stretched by up to
+#: ``RETRANS_JITTER`` of itself to decorrelate the receivers of one loss
+RETRANS_BACKOFF_MAX = 0.32
+RETRANS_JITTER = 0.25
+
+#: NAKs one member may emit per ``retrans_timeout`` window
+NAK_WINDOW_BUDGET = 64
+
 
 def ack_layout(mbrs):
     """The ack row of a view of ``mbrs``: its columns, one (member, stream)
@@ -240,20 +253,15 @@ class StreamMachine:
         return rec.ceiling
 
     def _retrans_delay(self, origin, stream, nak_round):
-        """Each round doubles the base timeout up to ``retrans_backoff_max``;
+        """Each round doubles the base timeout up to ``RETRANS_BACKOFF_MAX``;
         the jitter decorrelates the receivers of one lost broadcast without
         a simulator RNG draw: a pure hash of (receiver, origin, stream,
         round)."""
-        config = self.config
-        delay = config.retrans_timeout * (1 << min(nak_round, 8))
-        if delay > config.retrans_backoff_max:
-            delay = config.retrans_backoff_max
-        jitter = config.retrans_jitter
-        if jitter:
-            salt = crc32(repr((self.me, origin, stream, nak_round))
-                         .encode("utf-8"))
-            delay *= 1.0 + jitter * (salt & 0x3FF) / 1024.0
-        return delay
+        delay = min(self.config.retrans_timeout * (1 << min(nak_round, 8)),
+                    RETRANS_BACKOFF_MAX)
+        salt = crc32(repr((self.me, origin, stream, nak_round))
+                     .encode("utf-8"))
+        return delay * (1.0 + RETRANS_JITTER * (salt & 0x3FF) / 1024.0)
 
     def _target(self, origin, stream, first, nak_round):
         """Round 0 asks the origin while it is in scope, p2p always; later
@@ -277,15 +285,13 @@ class StreamMachine:
         # NAK-storm suppression: when every repair timer fires at once the
         # repair traffic can drown the repairs; suppressed asks are retried
         # by the (backed-off) repair timers, so recovery still converges
-        budget = self.config.nak_window_budget
-        if budget:
-            now = self.host.now()
-            if now - self.window_start >= self.config.retrans_timeout:
-                self.window_start, self.window_naks = now, 0
-            if self.window_naks >= budget:
-                self.host.count("naks_suppressed")
-                return
-            self.window_naks += 1
+        now = self.host.now()
+        if now - self.window_start >= self.config.retrans_timeout:
+            self.window_start, self.window_naks = now, 0
+        if self.window_naks >= NAK_WINDOW_BUDGET:
+            self.host.count("naks_suppressed")
+            return
+        self.window_naks += 1
         last, buffer = self._limit(origin, stream, rec), rec.buffer
         holes = (seq for seq in range(first, last + 1) if seq not in buffer)
         seqs = tuple(islice(holes, NAK_MAX))
@@ -404,12 +410,11 @@ class ReliableLayer(Layer):
             self.process.verbose_detector.set_rate_bound(
                 "rel:probe", window=config.mute_timeout,
                 max_count=2 * int(config.mute_timeout / config.ack_interval))
-            if config.nak_window_budget:
-                # a correct member emits at most its budget per window,
-                # and two of its windows can straddle one of ours
-                self.process.verbose_detector.set_rate_bound(
-                    "rel:nak", window=config.retrans_timeout,
-                    max_count=2 * config.nak_window_budget)
+            # a correct member emits at most its budget per window, and
+            # two of its windows can straddle one of ours
+            self.process.verbose_detector.set_rate_bound(
+                "rel:nak", window=config.retrans_timeout,
+                max_count=2 * NAK_WINDOW_BUDGET)
 
     def stop(self):
         if getattr(self, "_ack_timer", None) is not None:
@@ -451,7 +456,7 @@ class ReliableLayer(Layer):
 
     def drained(self, origin, stream, top):
         self._count(origin, stream, top)
-        if self._since_ack >= self.config.ack_every:
+        if self._since_ack >= ACK_EVERY:
             self._broadcast_ack(self._delivered_row())
         # the table max-merges and a count moves only here and at a send:
         # this stream and my own two yield what the full row would

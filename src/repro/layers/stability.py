@@ -20,6 +20,10 @@ acknowledging -- which is how mute nodes are noticed between heartbeats.
 
 from __future__ import annotations
 
+#: the mute level at or above which a member no longer holds back a
+#: sender's flow-control window (fuzzy flow control)
+FUZZY_FLOW_THRESHOLD = 2.0
+
 
 class StabilityTracker:
     """Ack matrix + stability queries for one process."""
@@ -134,11 +138,10 @@ class StabilityTracker:
         fuzzy = process.mute_levels._levels if ignore_fuzzy else None
         if fuzzy:
             me = process.node_id
-            threshold = process.config.fuzzy_flow_threshold
         lowest = None
         for member in members:
             if fuzzy and member != me:
-                if fuzzy.get(member, 0.0) >= threshold:
+                if fuzzy.get(member, 0.0) >= FUZZY_FLOW_THRESHOLD:
                     continue
             # inlined acked_seq: once per member per call
             value = 0

@@ -22,6 +22,10 @@ from __future__ import annotations
 from repro.core import message as mk
 from repro.layers.base import Layer
 
+#: adopted suspicions that start the view change at once, without the
+#: settle delay
+SUSPECT_COUNT_THRESHOLD = 3
+
 
 class SuspicionLayer(Layer):
     """Local suspicion, slander exchange, and view-change triggering."""
@@ -165,7 +169,7 @@ class SuspicionLayer(Layer):
         suspected = self.suspected_set()
         coordinator_suspected = self.view.coordinator in suspected
         if (coordinator_suspected
-                or len(suspected) >= config.suspect_count_threshold):
+                or len(suspected) >= SUSPECT_COUNT_THRESHOLD):
             self._fire_change()
         elif self._settle_timer is None:
             self._settle_timer = self.sim.schedule(

@@ -233,7 +233,8 @@ class UniformDeliveryLayer(Layer):
 
     def _on_copy(self, msg_id, body):
         entry = self._pending.get(msg_id)
-        if entry is None or entry.agreed is None or not isinstance(body, tuple):
+        if (entry is None or entry.agreed is None
+                or not isinstance(body, tuple) or len(body) != 2):
             return
         payload, size = body
         if content_digest(payload) != entry.agreed:

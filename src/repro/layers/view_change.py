@@ -99,7 +99,6 @@ class Attempt:
         self.ub_ready = False
         self.ub_stash = []            # (sender, (instance_id, proto))
         self.watching = False         # subscribed to stability updates
-        self.legacy_watch = False     # oneshot_view_send revert only
         self.expectations = []
         self.reentered = False        # begun by a peer's regroup re-entry
         self.flushed = False          # a join flush delivered its cut
@@ -108,15 +107,11 @@ class Attempt:
 class ViewChange:
     """One node's view-change machine; see the module docstring."""
 
-    def __init__(self, host, streams, config, me, vid_counter_floor=True,
-                 oneshot_view_send=True, unsubscribe_stability=True):
+    def __init__(self, host, streams, config, me):
         self.host = host
         self.streams = streams
         self.config = config
         self.me = me
-        self.vid_counter_floor = vid_counter_floor
-        self.oneshot_view_send = oneshot_view_send
-        self.unsubscribe_stability = unsubscribe_stability
         self.state = IDLE
         self.epoch = 0
         self.attempt = Attempt(frozenset())
@@ -142,11 +137,8 @@ class ViewChange:
         old = self.attempt
         for exp in old.expectations:
             exp.cancel()
-        if self.unsubscribe_stability:
-            # one unsubscribe per live registration
-            for live in (old.watching, old.legacy_watch):
-                if live:
-                    self.host.stability.unsubscribe(self.on_stability)
+        if old.watching:
+            self.host.stability.unsubscribe(self.on_stability)
         if epoch is not None:
             self.epoch = epoch
         new = self.attempt = Attempt(suspected)
@@ -516,10 +508,6 @@ class ViewChange:
     # ------------------------------------------------------------------
     # phase 3: uniform broadcast of the new view
     # ------------------------------------------------------------------
-    def _floor(self):
-        """The vid-counter floor, or 0 with the regression revert on."""
-        return self.counter_floor if self.vid_counter_floor else 0
-
     def _proposed_view(self):
         view, joining = self.host.view, self.host.joiners
         att = self.attempt
@@ -531,7 +519,7 @@ class ViewChange:
         members = tuple(att.survivors) + joiners
         if att.new_coord == self.me:
             # only the creator can collide with its own past proposals
-            counter = max(counter, self._floor() + 1)
+            counter = max(counter, self.counter_floor + 1)
         f = self.config.resilience(len(members))
         return View(ViewId(counter, att.new_coord), members,
                     coordinator=att.new_coord, f=f,
@@ -541,11 +529,6 @@ class ViewChange:
         att, stability = self.attempt, self.host.stability
         if self.state != AWAIT_VIEW:
             return
-        if not self.oneshot_view_send and not att.legacy_watch:
-            # reverted wiring: every ack-matrix update, our own send's
-            # zero-delay self-delivery included, re-enters this method
-            att.legacy_watch = True
-            stability.subscribe(self.on_stability)
         if not stability.all_stable(att.cut, att.survivors):
             if not att.watching:
                 att.watching = True
@@ -553,7 +536,7 @@ class ViewChange:
             return
         # the cut went stable: the send below is one-shot per change, so
         # this change's registration is spent
-        if att.watching and self.unsubscribe_stability:
+        if att.watching:
             stability.unsubscribe(self.on_stability)
         att.watching = False
         proposed = self._proposed_view()
@@ -573,8 +556,7 @@ class ViewChange:
             ub.originate(value)
 
     def on_stability(self):
-        if self.state == AWAIT_VIEW and (self.attempt.watching
-                                         or not self.oneshot_view_send):
+        if self.state == AWAIT_VIEW and self.attempt.watching:
             self._try_send_view()
 
     def _ub_instance(self):
@@ -627,7 +609,7 @@ class ViewChange:
             if sender == att.new_coord and att.ub is None:
                 self._delivered(proto[1])
             return
-        if proto[0] in ("ub-initial", "br-initial"):
+        if proto[0] == "ub-initial":
             host.mute.fulfil(att.new_coord, "newview")
             if not self._verify(proto[1]):
                 # the coordinator sent a wrong view (CoordBadView): do not
@@ -687,7 +669,8 @@ class ViewChange:
         """Install a singleton view, its counter past all we ever proposed
         or installed (Def 2.1 item 2); gossip merges us back."""
         view = self.host.view
-        self.leave_for(View(ViewId(max(view.vid.counter, self._floor()) + 1,
+        self.leave_for(View(ViewId(max(view.vid.counter,
+                                       self.counter_floor) + 1,
                                    self.me),
                             (self.me,), coordinator=self.me, f=0,
                             underprovisioned=True))

@@ -116,8 +116,6 @@ class AsyncioRuntime(Runtime):
         its gossip, and wrong-group traffic is filtered on receive.
         """
         keys = keys or KeyManager()
-        # adopt the stack's wire_mtu for the datagram coalescer
-        self._transport.configure(config)
         if initial_view is None:
             initial_view = self.initial_view(self.addresses)
         view = initial_view

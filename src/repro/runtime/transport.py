@@ -39,8 +39,7 @@ Wire-path aggregation (docs/PERFORMANCE.md, "The wire path"):
 
 * **datagram coalescing** -- outgoing protocol frames are buffered per
   peer address and flushed as one ``FRAME_BATCH`` datagram when the byte
-  budget fills (``StackConfig.wire_mtu``, capped by
-  :data:`MAX_DATAGRAM_BYTES`) or at the end of the current event-loop
+  budget :data:`WIRE_MTU` fills or at the end of the current event-loop
   burst (a ``call_soon`` armed on the first buffered frame runs after
   every callback that was ready this iteration -- so a saturating burst
   aggregates, while a lone heartbeat leaves within the same loop turn).
@@ -76,7 +75,6 @@ import socket
 import struct
 import sys
 
-from repro.core.config import StackConfig
 from repro.core.message import Message
 from repro.runtime.wire import (
     FRAME_BATCH,
@@ -91,6 +89,10 @@ from repro.runtime.wire import (
 
 #: payloads above this encoded size cannot travel in one UDP datagram
 MAX_DATAGRAM_BYTES = 65000
+
+#: the coalescer's byte budget per datagram (below MAX_DATAGRAM_BYTES); the
+#: simulator never reads it, so it moves no simulated result
+WIRE_MTU = 16000
 
 #: datagrams one readiness callback takes off the socket before it
 #: returns to the loop (timers and other sockets wait at most this many)
@@ -134,7 +136,6 @@ class AsyncioTransport:
         self.group = None
         self.closed = False
         self.crashed = False
-        self.configure(StackConfig())
         # coalescer state
         self._dest_bufs = {}          # addr -> _DestBuffer
         self._burst_flush_armed = False
@@ -173,11 +174,6 @@ class AsyncioTransport:
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
-    def configure(self, config):
-        """Adopt the stack's ``wire_mtu`` as the coalescer's byte budget."""
-        self.coalesce_max_bytes = min(int(config.wire_mtu),
-                                      MAX_DATAGRAM_BYTES)
-
     async def open(self):
         """Bind the UDP socket on this node's address-book entry and put
         its reader on the loop."""
@@ -326,15 +322,14 @@ class AsyncioTransport:
         # budget split: a frame that would overflow the batch flushes what
         # is pending first and starts a fresh datagram -- never dropped
         if (dest.frames
-                and batch_overhead + len(dest.buf) + sub_len
-                > self.coalesce_max_bytes):
+                and batch_overhead + len(dest.buf) + sub_len > WIRE_MTU):
             self._flush_dest(dest, "size")
         buf = dest.buf
         buf.append(FRAME_DATAGRAM)
         buf += _pack_u32(len(body))
         buf += body
         dest.frames += 1
-        if batch_overhead + len(buf) >= self.coalesce_max_bytes:
+        if batch_overhead + len(buf) >= WIRE_MTU:
             self._flush_dest(dest, "size")
             return
         if not self._burst_flush_armed:

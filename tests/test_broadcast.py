@@ -133,6 +133,26 @@ def test_uniform_initial_forgery_detected():
     assert inst._initial_value is None
 
 
+@pytest.mark.parametrize("payload", [
+    5, (), ("ub-initial",), ("ub-echo",), ("ub-echo", "v", "extra"),
+    ["ub-echo", "v"], ("ub-echo", ["unhashable"]),
+])
+def test_uniform_malformed_body_refused_not_raised(payload):
+    # a Byzantine member's body arrives as any wire value: the instance
+    # reports it and stays live (the interface's "it never raises")
+    bus = Bus(8).build(UniformBroadcast, 1, origin=3)
+    reports = []
+    for instance in bus.instances.values():
+        instance.on_misbehavior = lambda member, reason: reports.append(
+            (member, reason))
+    bus.instances[0].on_message(5, payload)
+    assert reports == [(5, "ub:malformed")]
+    bus.instances[3].originate("value")
+    bus.run()
+    assert set(bus.delivered.values()) == {"value"}
+    assert len(bus.delivered) == 8
+
+
 def test_uniform_only_origin_can_originate():
     bus = Bus(12).build(UniformBroadcast, 1, origin=0)
     with pytest.raises(RuntimeError):

@@ -3,6 +3,7 @@
 import hashlib
 import random
 from contextlib import contextmanager
+from unittest.mock import patch
 
 import pytest
 
@@ -12,7 +13,9 @@ from repro.broadcast.uniform import UniformBroadcast
 from repro.chaos import (ADVERSARY_OPS, DEFAULT_OPS, ChaosEngine, FaultPlan,
                          LinkFaults, random_plan, run_plan, shrink_plan)
 from repro.chaos.plan import RESHARD_OPS
-from repro.layers.membership import MembershipLayer
+from repro.layers.bottom import CORRUPTION_SUSPECT_THRESHOLD
+from repro.layers.reliable import RETRANS_BACKOFF_MAX, RETRANS_JITTER
+from repro.layers.view_change import AWAIT_VIEW, ViewChange
 
 
 # ----------------------------------------------------------------------
@@ -259,20 +262,9 @@ def test_corruption_faults_drive_suspicion_and_eviction():
     # eviction happened long before the mute timeout could fire, so the
     # corruption-triggered strikes are what reported node 3
     assert group.sim.now < 0.9
-    threshold = group.config.corruption_suspect_threshold
-    assert any(p.bottom.dropped_bad_signature >= threshold
+    assert any(p.bottom.dropped_bad_signature >= CORRUPTION_SUSPECT_THRESHOLD
                for node, p in group.processes.items() if node != 3)
-    assert engine.faults.corrupted >= threshold
-    group.stop()
-
-
-def test_corruption_threshold_zero_disables_reporting():
-    group = make_group(4, seed=1, crypto="sym",
-                       corruption_suspect_threshold=0)
-    process = group.processes[0]
-    for _ in range(10):
-        process.bottom._sig_strike(2)
-    assert process.bottom._sig_strikes == {}
+    assert engine.faults.corrupted >= CORRUPTION_SUSPECT_THRESHOLD
     group.stop()
 
 
@@ -289,8 +281,7 @@ def test_retrans_backoff_grows_and_caps():
     # growth until the cap; at the cap only the per-round jitter varies
     assert config.retrans_timeout <= d0 < d3
     for delay in (d0, d3, d20):
-        assert delay <= config.retrans_backoff_max * (1.0
-                                                      + config.retrans_jitter)
+        assert delay <= RETRANS_BACKOFF_MAX * (1.0 + RETRANS_JITTER)
     # jitter is a pure hash: the same (peer, stream, round) always gets
     # the same delay -- no RNG draw, so seeds stay stable
     assert d3 == reliable.streams._retrans_delay(1, "stream", 3)
@@ -472,29 +463,47 @@ def test_known_counterexamples_stay_fixed():
     assert not violations and not engine.stalled
 
 
-# rediscovery: with a fix reverted behind its test-only switch, plain
-# random plans must find the bug within a small budget and ddmin must
-# shrink it to a replayable counterexample that the fix kills
+# rediscovery: with a fixed bug planted back by the test, plain random
+# plans must find it within a small budget and ddmin must shrink it to a
+# replayable counterexample that the shipped code kills
 @contextmanager
 def vid_reuse_bug():
-    """Revert the vid-counter floor: restarted coordinators reuse vids."""
-    MembershipLayer.vid_counter_floor = False
-    try:
+    """Plant vid reuse: the vid-counter floor reads 0 and drops writes,
+    so an aborted change plus a later singleton fallback can bind two
+    memberships to one vid."""
+    floorless = property(lambda self: 0, lambda self, value: None)
+    with patch.object(ViewChange, "counter_floor", floorless, create=True):
         yield
-    finally:
-        MembershipLayer.vid_counter_floor = True
 
 
 @contextmanager
 def livelock_bug():
-    """Revert the one-shot view send + idempotent originate fixes."""
-    MembershipLayer.oneshot_view_send = False
-    UniformBroadcast.idempotent_originate = False
-    try:
+    """Plant the self-delivery livelock: the view send re-enters on every
+    ack-matrix update, through one standing stability subscription, and
+    ``originate`` re-broadcasts, so its zero-delay self-delivery feeds the
+    next update forever."""
+    try_send_view = ViewChange._try_send_view
+
+    def standing_try_send_view(self):
+        if not getattr(self, "standing", False):
+            self.standing = True
+            self.host.stability.subscribe(self.on_stability)
+        try_send_view(self)
+
+    def reentering_on_stability(self):
+        if self.state == AWAIT_VIEW:
+            self._try_send_view()
+
+    def rebroadcasting_originate(self, value):
+        self.broadcast(("ub-initial", value))
+        self._on_initial(self.me, value)
+
+    with patch.object(ViewChange, "_try_send_view", standing_try_send_view), \
+            patch.object(ViewChange, "on_stability",
+                         reentering_on_stability), \
+            patch.object(UniformBroadcast, "originate",
+                         rebroadcasting_originate):
         yield
-    finally:
-        MembershipLayer.oneshot_view_send = True
-        UniformBroadcast.idempotent_originate = True
 
 
 #: membership churn only, no link faults: keeps every run cheap
@@ -533,7 +542,7 @@ def test_rediscovers_vid_reuse_bug_and_shrinks():
             run, lambda violations, _engine: bool(violations), max_runs=64)
         # the counterexample replays from scratch, violation for violation
         assert violations and run(small)[0] == violations
-    # ... and the fix (flag back on) kills it
+    # ... and the shipped code kills it
     violations, engine = run(small)
     assert not violations and engine.recovery_time is not None
 

@@ -49,6 +49,7 @@ from tests.helpers import count_digests
 
 from repro.core.message import Message
 from repro.core.view import ViewId
+from repro.runtime import transport as transport_module
 from repro.runtime.transport import (
     DRAIN_BOUND,
     MAX_DATAGRAM_BYTES,
@@ -165,9 +166,9 @@ def test_destinations_get_separate_datagrams():
         == sorted((ADDRS[1], ADDRS[2]))
 
 
-def test_size_budget_splits_instead_of_dropping():
+def test_size_budget_splits_instead_of_dropping(monkeypatch):
+    monkeypatch.setattr(transport_module, "WIRE_MTU", 600)
     t = make_transport()
-    t.coalesce_max_bytes = 600
     for k in range(6):
         t.send(0, 1, 100, msg(payload=("blob", "x" * 100, k)))
     t._loop.drain()
@@ -567,20 +568,6 @@ def test_hop_to_socket_and_back_takes_no_timer():
     receiver.network._on_datagram(data, ADDRS[1])
     assert arrivals == [(("hop",), timers_before)]
     assert loop.ready == []
-
-
-# ----------------------------------------------------------------------
-# configure: the coalescer's budget is the stack's wire_mtu
-# ----------------------------------------------------------------------
-def test_configure_adopts_the_stack_wire_mtu():
-    from repro.core.config import StackConfig
-    t = make_transport()
-    assert t.coalesce_max_bytes == StackConfig().wire_mtu
-    t.configure(StackConfig(wire_mtu=9000))
-    assert t.coalesce_max_bytes == 9000
-    # the wire budget is capped at the hard datagram ceiling
-    t.configure(StackConfig(wire_mtu=10 ** 9))
-    assert t.coalesce_max_bytes == MAX_DATAGRAM_BYTES
 
 
 # ----------------------------------------------------------------------

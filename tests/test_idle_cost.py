@@ -24,6 +24,7 @@ from tests.test_reshard import make_plane
 from repro import Group, StackConfig
 from repro.core import message as mk
 from repro.core.message import Message
+from repro.layers.ordering import ORDER_TICK
 from repro.shard.rsm import Applied
 from repro.sim.clock import GridTimer, NodeClock
 from repro.sim.scheduler import Simulator
@@ -175,7 +176,7 @@ def long_dormant_group(fast, member=2):
         4, config=StackConfig.byz(total_order=True, ordering_fast_path=fast),
         seed=9, start=False)
     sim = group.sim
-    tick = group.processes[0].config.order_tick
+    tick = ORDER_TICK
     reference = reference_chain(sim, tick)      # same origin as start()
     for process in group.processes.values():
         process.start()
@@ -194,7 +195,7 @@ def long_dormant_group(fast, member=2):
 def test_mid_period_cast_is_served_on_the_always_armed_grid(fast, offset):
     group, reference, counter, opened = long_dormant_group(fast)
     sim = group.sim
-    tick = group.processes[0].config.order_tick
+    tick = ORDER_TICK
     arrival = grid_instant_after(0.0, tick, 0.061) + offset
     if offset == 0.0:
         # scheduled from inside the period, so the chain's own timer for
@@ -218,7 +219,7 @@ def test_cast_behind_an_armed_tick_waits_for_the_grid():
     for all of them.  (Two casts 1.1 ms apart make the member busy; a
     light member's tick would be asleep by then.)"""
     group, reference, _counter, opened = long_dormant_group(fast=False)
-    tick = group.processes[0].config.order_tick
+    tick = ORDER_TICK
     grid = grid_instant_after(0.0, tick, 0.061)
     arrivals = [grid - 0.0009, grid + 0.0002, grid + 0.0013, grid + 0.0016]
     for node in group.processes:
@@ -239,7 +240,7 @@ def test_light_member_opens_its_next_cast_at_arrival():
     ms after the first, long after the first was delivered -- finds the
     tick dormant and opens its instance at arrival."""
     group, _reference, _counter, opened = long_dormant_group(fast=False)
-    tick = group.processes[0].config.order_tick
+    tick = ORDER_TICK
     first = grid_instant_after(0.0, tick, 0.061) + 0.0002
     second = first + 0.0011
     for node in group.processes:
@@ -256,7 +257,7 @@ def test_busy_member_still_waits_for_the_grid():
     first, so the member is busy and its decide keeps the tick armed --
     the third cast, behind that tick, waits for the grid instant."""
     group, reference, _counter, opened = long_dormant_group(fast=False)
-    tick = group.processes[0].config.order_tick
+    tick = ORDER_TICK
     arrivals = [grid_instant_after(0.0, tick, 0.061) - 0.0009 + 0.0011 * i
                 for i in range(3)]
     for node in group.processes:
@@ -303,7 +304,7 @@ def test_idle_group_orders_a_cast_at_arrival(n, config_kw, tick_paced_ms):
     rounds = instance_rounds(group)
     group.run(0.05)
     issued = grid_instant_after(
-        0.0, group.processes[0].config.order_tick, sim.now) + 0.0001
+        0.0, ORDER_TICK, sim.now) + 0.0001
     delivered = {}
     for node, endpoint in group.endpoints.items():
         endpoint.on_cast = (
@@ -349,7 +350,7 @@ def test_grid_survives_a_view_change_that_empties_the_buffer(fast):
         5, config=StackConfig.byz(total_order=True, ordering_fast_path=fast),
         seed=21, start=False)
     sim = group.sim
-    tick = group.processes[0].config.order_tick
+    tick = ORDER_TICK
     reference = reference_chain(sim, tick)
     for process in group.processes.values():
         process.start()

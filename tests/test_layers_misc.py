@@ -51,7 +51,7 @@ def test_fuzzy_member_does_not_stall_window():
 # fragmentation
 # ----------------------------------------------------------------------
 def test_large_cast_fragmented_and_reassembled():
-    group = make_group(4, seed=3, mtu=1400)
+    group = make_group(4, seed=3)
     group.endpoints[0].cast(("big", "x" * 10), size=5000)
     group.run(0.3)
     frag0 = group.processes[0].stack.layer("fragment")
@@ -72,7 +72,7 @@ def test_small_casts_bypass_fragmentation():
 
 
 def test_mixed_large_and_small_keep_fifo():
-    group = make_group(4, seed=5, mtu=1400)
+    group = make_group(4, seed=5)
     group.endpoints[0].cast(("a", 1), size=16)
     group.endpoints[0].cast(("b", 2), size=4000)
     group.endpoints[0].cast(("c", 3), size=16)

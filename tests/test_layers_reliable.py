@@ -11,7 +11,8 @@ from repro.apps.ring import RingDemo
 from repro.byzantine.behaviors import ByzantineBehavior
 from repro.core import message as mk
 from repro.core.message import Message
-from repro.layers.reliable import ReliableLayer
+from repro.layers.reliable import (NAK_WINDOW_BUDGET, RETRANS_BACKOFF_MAX,
+                                   STREAM_APP, ReliableLayer)
 from repro.sim.network import NetworkConfig
 
 
@@ -325,7 +326,7 @@ def test_repair_asks_for_the_cuts_last_message():
     naks()
     process.layer.streams.set_cut({1: 10}, [0, 1, 2, 3])
     assert naks() == [(1, "a", (10,))]
-    process.run(process.config.retrans_backoff_max)
+    process.run(RETRANS_BACKOFF_MAX)
     sent = naks()
     assert sent and set(sent) == {(1, "a", (10,))}
 
@@ -350,7 +351,7 @@ def test_nak_flood_is_a_verbose_failure_and_stops_being_served():
     group.endpoints[0].cast("wanted")
     group.run(0.002)            # delivered, not yet stable: still archived
     victim, flooder = group.processes[0], group.processes[3]
-    bound = 2 * victim.config.nak_window_budget
+    bound = 2 * NAK_WINDOW_BUDGET
     served = victim.reliable.retransmissions_served
     for _ in range(3 * bound):
         flooder.reliable.send_down(Message(
@@ -401,3 +402,32 @@ def test_a_malformed_nak_is_refused_and_serves_nothing(seqs):
         dest=0))
     group.run(victim.config.retrans_timeout / 2.0)
     assert victim.reliable.retransmissions_served == served + 10
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP 24: an ack withholder stalls a correct "
+                          "sender; the laggard scan strikes only past "
+                          "flow_window, which flow control never lets pass")
+def test_an_ack_withholding_member_cannot_stall_a_correct_sender():
+    """Member 7 heartbeats and delivers, but never raises its ack column
+    for member 0's app stream: one Byzantine member, inside the fault
+    model at n=8 (f=1).  Member 0 casts 300 at 1 ms spacing.  Either all
+    300 reach members 0-6, or 7 is out of the view."""
+    group = make_group(8, seed=8)
+    assert group.config.resilience(8) == 1
+    withholder = group.processes[7].reliable
+    count = withholder._count
+
+    def withhold(origin, stream, cum):
+        if (origin, stream) != (0, STREAM_APP):
+            count(origin, stream, cum)
+
+    withholder._count = withhold
+    for k in range(300):
+        group.sim.schedule(0.001 * k, group.endpoints[0].cast, ("w", k))
+    group.run(5.0)
+    delivered = [sum(1 for p in cast_payloads(group.endpoints[node])
+                     if p[0] == "w") for node in range(7)]
+    assert (delivered == [300] * 7
+            or 7 not in group.processes[0].view.mbrs), delivered
+    group.stop()

@@ -14,7 +14,7 @@ from repro.core import message as mk
 from repro.core.message import Message
 from repro.layers.flow import FlowLayer
 from repro.layers.fragment import FragmentLayer
-from repro.layers.reliable import ReliableLayer
+from repro.layers.reliable import NAK_WINDOW_BUDGET, ReliableLayer
 from repro.layers.suspicion import SuspicionLayer
 
 
@@ -140,7 +140,7 @@ def test_reliable_nak_for_archived_message_served():
 def test_reliable_nak_flood_rate_limited():
     process = stub_for(ReliableLayer())     # start() sets the bound
     process.feed_down(make_cast(process, 0, "mine", msg_id=(0, 1)))
-    bound = 2 * process.config.nak_window_budget
+    bound = 2 * NAK_WINDOW_BUDGET
     for _ in range(bound + 6):
         nak = Message(mk.KIND_NAK, 2, process.view.vid, (0, "a", (1,)),
                       dest=0)

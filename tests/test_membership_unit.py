@@ -3,7 +3,7 @@ whose view change flushes a real stream machine (``process.reliable``)."""
 
 import pytest
 
-from tests.helpers import MALFORMED_CONSENSUS_PAYLOADS
+from tests.helpers import MALFORMED_CONSENSUS_PAYLOADS, tagged_detector
 from tests.stubs import StubProcess
 
 from repro.core import message as mk
@@ -386,6 +386,27 @@ def test_epoch_join_echoes_the_new_epochs_view():
     echoes = [m for m in process.below.received_down[sent:]
               if m.kind == mk.KIND_UB and m.payload[0][2] == 2]
     assert echoes, "a correct survivor stayed silent in the epoch-2 broadcast"
+
+
+def test_retired_bracha_initial_fulfils_nothing():
+    # only a real ub-initial answers the coordinator's newview debt; the
+    # tag of the retired Bracha broadcast is an unknown kind
+    process = membership_stub()
+    tags = tagged_detector(process)
+    layer = drive_to_sync(process)
+    flush_at(process, 1, {0: 3, 1: 5})
+    deliver_cut(process, {0: 3, 1: 5})
+    assert layer.machine.state == "await-view"
+    cut = {m: 0 for m in process.view.mbrs}
+    cut.update({0: 3, 1: 5})
+    coord, value = new_view_value(process, [0, 1, 2, 3, 4, 5, 6], cut)
+    mute = process.mute_detector
+    assert mute.pending_count(coord) == 1
+    layer.handle_up(ub_msg(process, coord, 1, ("br-initial", value)))
+    assert mute.pending_count(coord) == 1
+    assert tags == ["ub:unknown-kind"]
+    layer.handle_up(ub_msg(process, coord, 1, ("ub-initial", value)))
+    assert mute.pending_count(coord) == 0
 
 
 def test_restart_drops_the_stability_listener():

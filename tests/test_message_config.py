@@ -87,11 +87,6 @@ def test_benign_stack_tolerates_no_byzantine():
     assert StackConfig.benign().resilience(50) == 0
 
 
-def test_resilience_override_caps():
-    assert StackConfig.byz(f_override=1).resilience(50) == 1
-    assert StackConfig.byz(f_override=99).resilience(14) == 2
-
-
 def test_byz_resilience_is_both_agreement_bounds():
     # one uniform broadcast, on the paper's thresholds: the stack's f is
     # the lower of the consensus bound and the broadcast's liveness bound

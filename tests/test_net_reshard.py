@@ -53,7 +53,7 @@ def test_idle_members_stop_ticking_and_ops_await_the_signal(monkeypatch):
     completes off the shard's ``Applied`` signal with no waiter left.
 
     The wake is observed as an arm, not a fire: an op that is decided
-    inside one ``order_tick`` puts the armed tick back to sleep before
+    inside one ``ORDER_TICK`` puts the armed tick back to sleep before
     its grid instant (DESIGN §4 promises dormancy, not a fire per op)."""
     import asyncio
 

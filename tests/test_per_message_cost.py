@@ -38,6 +38,7 @@ from repro.core.history import content_digest
 from repro.core.message import Message
 from repro.core.properties import check_content_agreement
 from repro.layers.reliable import STREAM_APP, STREAM_CTL, STREAM_P2P
+from repro.layers.stability import FUZZY_FLOW_THRESHOLD
 from repro.runtime.wire import (FRAME_DATAGRAM, decode_datagram, decode_value,
                                 encode_frame, encode_value)
 from repro.sim.network import NetworkConfig
@@ -275,8 +276,7 @@ def test_a_trim_waits_for_a_fuzzy_member_that_lacks_the_copies():
         group.endpoints[0].cast(("held", k))
     group.run(0.045)                        # acked by all but member 3
     assert holder.view.n == 4
-    threshold = holder.config.fuzzy_flow_threshold
-    holder.mute_levels.raise_level(3, threshold + 1.0)
+    holder.mute_levels.raise_level(3, FUZZY_FLOW_THRESHOLD + 1.0)
     assert holder.stability.min_ack(0, STREAM_APP, holder.view.mbrs,
                                     ignore_fuzzy=True) == 3
     holder.reliable.trim_archive()

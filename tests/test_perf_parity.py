@@ -48,9 +48,8 @@ def run_scenario(plan):
 #: ``GOLDEN_ORDERING`` below -- of each scenario the differential oracle
 #: ran, recorded in the same commit as a passing differential check on the
 #: same seed, so every pair is also every reference path's output.  Each
-#: seed's plan is ``scenario-<seed>`` in ``tests/golden_plans.json``.  Seed
-#: 505 is the wire-knob scenario: all four knob combinations must hash to
-#: it.  Re-recorded since, from checker-clean replays: by the reliable
+#: seed's plan is ``scenario-<seed>`` in ``tests/golden_plans.json``.
+#: Re-recorded since, from checker-clean replays: by the reliable
 #: layer's one repair record aimed at holders, 101's bookkeeping half (two
 #: fewer NAKs, identical histories) and both of 505's halves (its repairs
 #: ask survivors that hold the cut, so its regroup runs differently);
@@ -124,6 +123,12 @@ def test_parity_sym_crypto_through_partitions_and_join():
     # sym crypto under churn: a two-faced caster, a crash, two partitions,
     # a join, a heal and a leave, with per-receiver MAC vectors throughout
     assert_scenario(303)
+
+
+def test_parity_verbose_node_through_partitions_crash_and_joins():
+    # sym crypto under a verbose Byzantine member, two partitions, a
+    # crash, two joins and a leave
+    assert_scenario(505)
 
 
 def test_parity_total_order_fast_path_off():
@@ -221,14 +226,3 @@ def test_golden_ordering_digest(fast, seed):
                                            seed))
     assert_golden("GOLDEN_ORDERING[(%r, %d)]" % (fast, seed),
                   GOLDEN_ORDERING[fast, seed], plan)
-
-
-def test_parity_wire_knobs():
-    """The wire coalescer's byte budget lives strictly below the
-    ``network`` seam: the simulator never reads it, so any value must
-    leave the simulated history byte-identical per seed."""
-    for overrides in ({}, dict(wire_mtu=1000), dict(wire_mtu=64000)):
-        assert_golden("GOLDEN_SCENARIOS[505] with wire knobs %r"
-                      % (overrides,), GOLDEN_SCENARIOS[505],
-                      golden_plan("scenario-505", **overrides))
-

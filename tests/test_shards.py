@@ -84,7 +84,7 @@ def test_cluster_routing_matches_directory():
 # ----------------------------------------------------------------------
 # config: one flat surface
 # ----------------------------------------------------------------------
-AGGREGATION_KNOBS = {"mtu": 900, "wire_mtu": 4000}
+AGGREGATION_KNOBS = {"order_batch_max": 64, "ack_interval": 0.006}
 
 
 def test_aggregation_knobs_are_plain_fields():
@@ -107,10 +107,16 @@ def test_aggregation_knobs_are_plain_fields():
 def test_clone_rejects_unknown_fields():
     base = StackConfig.byz()
     with pytest.raises(TypeError, match="packng, wire"):
-        base.clone(wire=None, packng=True, mtu=900)
+        base.clone(wire=None, packng=True, flow_window=900)
     assert not hasattr(base, "packng")
     for removed in ("wire", "chaos", "wire_coalesce_delay", "wire_coalesce",
-                    "packing", "packing_delay"):
+                    "packing", "packing_delay",
+                    # values no caller varied, now constants or gone
+                    "f_override", "fuzzy_decay_amount", "ack_every",
+                    "retrans_backoff_max", "retrans_jitter",
+                    "nak_window_budget", "corruption_suspect_threshold",
+                    "suspect_count_threshold", "fuzzy_flow_threshold",
+                    "order_tick", "mtu", "wire_mtu"):
         with pytest.raises(TypeError):
             StackConfig(**{removed: None})
         with pytest.raises(TypeError):

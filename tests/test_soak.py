@@ -6,12 +6,15 @@ checker); it is excluded from tier-1 by the pytest marker and runs in the
 nightly CI job.
 """
 
+from unittest.mock import patch
+
 import pytest
 
 from tests.helpers import make_group
 
 from repro.chaos import BoundedStateChecker, run_soak
 from repro.chaos.soak import SOAK_SCHEMA
+from repro.layers.stability import StabilityTracker
 
 
 # ----------------------------------------------------------------------
@@ -137,7 +140,6 @@ def _churn_with_stability_wait(checker, rounds=12):
     the membership layer through its real subscribe-wait-unsubscribe
     path on every view change -- the path the leak lived on.
     """
-    from repro.layers.stability import StabilityTracker
 
     real_all_stable = StabilityTracker.all_stable
     queries = {}
@@ -185,17 +187,13 @@ def test_stability_listeners_bounded_under_view_churn():
 
 
 def test_soak_checker_catches_resurrected_listener_leak():
-    """Flipping the revert flag re-opens the leak: one dead listener per
-    view change, which the bounded-state checker must flag under churn."""
-    from repro.layers.membership import MembershipLayer
-
+    """A planted leak -- ``unsubscribe`` a no-op -- leaves one dead
+    listener per view change, which the bounded-state checker must flag
+    under churn."""
     leaky = BoundedStateChecker(growth_slack=1.5, growth_floor=4)
-    assert MembershipLayer.unsubscribe_stability is True
-    MembershipLayer.unsubscribe_stability = False
-    try:
+    with patch.object(StabilityTracker, "unsubscribe",
+                      lambda self, callback: None):
         peak = _churn_with_stability_wait(leaky)
-    finally:
-        MembershipLayer.unsubscribe_stability = True
     assert peak > 4, peak
     violations = leaky.check()
     assert any("stability.listeners" in v for v in violations), violations

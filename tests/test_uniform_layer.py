@@ -5,7 +5,9 @@ from tests.helpers import cast_payloads, make_group
 from repro import Group, StackConfig
 from repro.byzantine.behaviors import TwoFacedCaster
 from repro.core import message as mk
+from repro.core.message import Message
 from repro.core.properties import check_virtual_synchrony
+from repro.layers.uniform_delivery import _Pending
 from repro.sim.network import NetworkConfig
 
 
@@ -72,6 +74,42 @@ def test_two_faced_minority_copy_recovered_by_fetch():
     # node 5 must have delivered the majority version, not its own copy
     assert delivered_at_5 and delivered_at_5[0][4] == others[0][4]
     assert group.processes[5].uniform.mismatches_recovered >= 1
+
+
+def test_malformed_uniform_body_is_refused_not_raised():
+    # member 3 is Byzantine: its "ub" bodies are not (kind, value) pairs
+    group = make_group(8, seed=3, uniform_delivery=True, crypto="sym")
+    group.run(0.05)
+    for body in (5, (), ("ub-initial",), ("ub-echo",), ("ub-echo", [1])):
+        group.processes[3].uniform.send(mk.KIND_UDELIV, ("ub", (3, 1), body),
+                                        26)
+    group.run(0.002)
+    for node, process in group.processes.items():
+        if node != 3:
+            assert process.verbose_levels.level(3) > 0
+    # five illegal bodies pass the verbose threshold, so 3 is evicted (it
+    # merges back later); the group goes on delivering
+    group.run(0.2)
+    group.endpoints[0].cast(("after", 1))
+    group.run(0.3)
+    for endpoint in group.endpoints.values():
+        assert ("after", 1) in cast_payloads(endpoint)
+
+
+def test_copy_body_of_wrong_arity_is_refused():
+    # a fetched copy is (payload, size): any other arity leaves the
+    # minority copy in place, awaiting a well-formed answer
+    group = make_group(8, seed=3, uniform_delivery=True)
+    layer = group.processes[1].uniform
+    msg_id, vid = (2, 1), layer.view.vid
+    held = Message(mk.KIND_CAST, 2, vid, ("minority",), 16, msg_id=msg_id)
+    entry = layer._pending[msg_id] = _Pending(held, "mine")
+    entry.agreed = "theirs"
+    for body in ((), (("x",),), (("x",), 16, "extra")):
+        layer.handle_up(Message(mk.KIND_UDELIV, 6, vid,
+                                ("copy", msg_id, body)))
+    assert layer._pending[msg_id] is entry and entry.msg is held
+    assert layer.mismatches_recovered == 0
 
 
 def test_a_plain_cast_leaves_only_its_digest():

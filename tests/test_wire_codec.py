@@ -11,7 +11,7 @@ Three claims, per the codec's contract:
    anything else, loops, or allocates unboundedly;
 3. attribution -- a decode failure whose frame header survived carries
    the claimed source on ``err.src``, and the bottom layer feeds such
-   rejects into the existing ``corruption_suspect_threshold`` suspicion
+   rejects into the existing ``CORRUPTION_SUSPECT_THRESHOLD`` suspicion
    path exactly like bad-signature drops.
 
 Everything here is socket-free: the codec is pure bytes in/bytes out.
@@ -29,6 +29,7 @@ from hypothesis import strategies as st
 from repro import Group, StackConfig
 from repro.core.message import Message
 from repro.core.view import ViewId
+from repro.layers.bottom import CORRUPTION_SUSPECT_THRESHOLD
 from repro.runtime.wire import (
     FRAME_BATCH,
     FRAME_DATAGRAM,
@@ -267,13 +268,13 @@ def test_decode_error_carries_claimed_source():
 
 def test_undecodable_rejects_feed_corruption_threshold():
     """note_undecodable strikes like a bad signature: after
-    corruption_suspect_threshold rejects from one member the bottom
+    CORRUPTION_SUSPECT_THRESHOLD rejects from one member the bottom
     layer reports it to the suspicion layer."""
     group = Group.bootstrap(4, config=StackConfig.byz(crypto="sym"), seed=5)
     try:
         process = group.processes[0]
         bottom = process.bottom
-        threshold = process.config.corruption_suspect_threshold
+        threshold = CORRUPTION_SUSPECT_THRESHOLD
         assert threshold > 1
 
         # unattributable noise: counted, suspects nobody
