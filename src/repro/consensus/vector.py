@@ -32,6 +32,7 @@ property the paper's total-ordering throughput relies on.
 from __future__ import annotations
 
 from collections import Counter
+from functools import lru_cache
 
 from repro.consensus.interface import AgreementInstance
 
@@ -45,12 +46,17 @@ def _stable_hash(n, seed):
     """Deterministic replacement for the listing's ``hash(n, view_id)``.
 
     Python's ``hash`` is randomized per interpreter; all members must agree
-    on the coordinator schedule, so we use a tiny deterministic mix.
+    on the coordinator schedule, so we use a tiny deterministic mix, FNV-1a
+    over the reprs (memoized by repr: ``1`` and ``True`` must differ).
     """
+    return _fnv(repr(n) + repr(seed))
+
+
+@lru_cache(maxsize=256)
+def _fnv(text):
     acc = 2166136261
-    for token in (n, seed):
-        for byte in repr(token).encode("utf-8"):
-            acc = ((acc ^ byte) * 16777619) & 0xFFFFFFFF
+    for byte in text.encode("utf-8"):
+        acc = ((acc ^ byte) * 16777619) & 0xFFFFFFFF
     return acc
 
 
@@ -286,14 +292,16 @@ class VectorConsensus(AgreementInstance):
             self._in_progress = False
 
     def _try_finish_step1(self):
-        heard = self._heard_from(self.round)
-        if len(heard) < self.n - self.f:
+        vals, decs = self._val_msgs.get(self.round, {}), self._dec_msgs
+        heard = len(vals) + sum(1 for sender in decs if sender not in vals)
+        if heard < self.n - self.f:
             return
         for member in self.members:
-            if member not in heard and not self.is_suspected(member):
+            if (member not in vals and member not in decs
+                    and not self.is_suspected(member)):
                 return
         # the wait of line 6 is satisfied: freeze the matrix V_i
-        self._view = heard
+        self._view = self._heard_from(self.round)
         self._step2()
 
     def _column(self, k):

@@ -61,6 +61,11 @@ class Layer:
         """A message arriving from the network; default: pass through."""
         self.send_up(msg)
 
+    def passes_up(self):
+        """Does ``handle_up`` pass every message on, untouched, for this
+        stack's lifetime?  Then obs off binds the layer below past it."""
+        return False
+
     def send_down(self, msg):
         self.stack.down_from(self, msg)
 
@@ -160,11 +165,15 @@ class LayerStack:
             # with observability off there is nothing to record per hop:
             # bind each layer's send_up/send_down straight to its
             # neighbour's handler, cutting two call frames per hop on the
-            # hottest path in the system.  (obs is fixed for the stack's
+            # hottest path in the system -- past any layer whose
+            # passes_up() is true.  (obs is fixed for the stack's
             # lifetime -- it is read from the process at construction.)
             for layer in self.layers:
-                if layer._above is not None:
-                    layer.send_up = layer._above.handle_up
+                above = layer._above
+                if above is not None:
+                    while above.passes_up() and above._above is not None:
+                        above = above._above
+                    layer.send_up = above.handle_up
                 if layer._below is not None:
                     layer.send_down = layer._below.handle_down
         self.blocked = False

@@ -74,6 +74,15 @@ class BottomLayer(Layer):
         # fixed at process construction; cached off the per-message path
         self._group_id = getattr(self.process, "group_id", None)
         self._encodes = getattr(self.process.network, "encodes", False)
+        # the receive charge: per datagram, and per message in it
+        self._per_in = 0.0
+        if self.config.byzantine:
+            self._per_in += self.config.host.byz_check_cpu
+            if self.config.crypto != "none":
+                self._per_in += (self.process.auth.costs.sym_verify
+                                 if self.config.crypto == "sym"
+                                 else self.process.auth.costs.pub_verify)
+        self._in_cost = self.config.host.recv_cpu + self._per_in
 
     # ------------------------------------------------------------------
     # downward: sign once, charge CPU, transmit per destination
@@ -147,16 +156,14 @@ class BottomLayer(Layer):
         ``Message``, or a tuple of them -- the sub-frames of one coalesced
         UDP datagram, which the transport hands over whole."""
         self.datagrams_in += 1
-        host = self.config.host
         if type(msg) is tuple:
             # one per-datagram charge and one callback for the batch
-            cost = host.recv_cpu + self._per_message_in_cost() * len(msg)
+            cost = self.config.host.recv_cpu + self._per_in * len(msg)
             done = self.process.cpu.charge(cost)
             self.sim.schedule_serial(self._cpu_queue, done,
                                      self._process_batch_in, src, msg)
             return
-        cost = host.recv_cpu + self._per_message_in_cost()
-        done = self.process.cpu.charge(cost)
+        done = self.process.cpu.charge(self._in_cost)
         self.sim.schedule_serial(self._cpu_queue, done,
                                  self._process_in, src, msg)
 
@@ -164,16 +171,6 @@ class BottomLayer(Layer):
         process_in = self._process_in
         for msg in batch:
             process_in(src, msg)
-
-    def _per_message_in_cost(self):
-        cost = 0.0
-        if self.config.byzantine:
-            cost += self.config.host.byz_check_cpu
-            if self.config.crypto != "none":
-                cost += (self.process.auth.costs.sym_verify
-                         if self.config.crypto == "sym"
-                         else self.process.auth.costs.pub_verify)
-        return cost
 
     def _process_in(self, src, msg):
         process = self.process

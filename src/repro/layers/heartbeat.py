@@ -57,6 +57,9 @@ class HeartbeatLayer(Layer):
     def on_view(self, view):
         self._last_coord_gossip = self.sim.now
 
+    def passes_up(self):
+        return True
+
     # ------------------------------------------------------------------
     def _heartbeat_tick(self):
         process = self.process

@@ -255,6 +255,9 @@ class OrderingLayer(Layer):
     # ------------------------------------------------------------------
     # message plane
     # ------------------------------------------------------------------
+    def passes_up(self):
+        return not self.config.total_order
+
     def handle_up(self, msg):
         if not self.config.total_order:
             self.send_up(msg)

@@ -28,11 +28,13 @@ message is an ack while this member's ack row moved or is not yet known
 stable at every view member, else the idle heartbeat, which carries the
 same row (so a lost final ack is repaired).  The row is one ``bytes``
 value per view: two fixed-width counts (app, ctl) per member, in the
-column order :func:`ack_layout` derives from the view.  The flush does
-not wait for that cadence: a completed cut is acked at once.  The ack
-tick sends no acks; it is the probe slot, which asks the peer silent
-for longer than any loss-free gap and answers a probe from the next
-tick: no tick signs more than one message.
+column order :func:`ack_layout` derives from the view.  The counts, as a
+list, are this member's row of the ack matrix, whose rows all follow that
+order (:mod:`repro.layers.stability`).  The flush does not wait for that
+cadence: a completed cut is acked at once.  The ack tick sends no acks; it
+is the probe slot, which asks the peer silent for longer than any
+loss-free gap and answers a probe from the next tick: no tick signs more
+than one message.
 
 The layer feeds the fuzzy detectors: acknowledgements that could not
 correspond to any sent message, malformed ack rows, stream headers and
@@ -44,7 +46,8 @@ from __future__ import annotations
 
 import struct
 from collections import defaultdict
-from itertools import islice
+from itertools import compress, islice
+from operator import lt, ne
 from zlib import crc32
 
 from repro.core import message as mk
@@ -388,6 +391,7 @@ class ReliableLayer(Layer):
         self._acked_streams = 2  # my two and every in-stream opened
         self._own = [(s, self._column[self.me, s]) for s in self._out_seq]
         self._ack_seen = {}     # sender -> last row taken
+        self.process.stability.bind(self._column, self._counts)
         self._ack_dirty = {}    # sender -> last evidence scan found a gap
 
     def state_sizes(self):
@@ -458,12 +462,8 @@ class ReliableLayer(Layer):
         self._count(origin, stream, top)
         if self._since_ack >= ACK_EVERY:
             self._broadcast_ack(self._delivered_row())
-        # the table max-merges and a count moves only here and at a send:
-        # this stream and my own two yield what the full row would
-        out = self._out_seq
-        self.process.stability.on_ack(self.me, (
-            (origin, stream, top), (self.me, STREAM_APP, out[STREAM_APP]),
-            (self.me, STREAM_CTL, out[STREAM_CTL])))
+        # my row of the ack matrix moved in place
+        self.process.stability.notify()
 
     def ack(self):
         # the flush ack, skipped when my last ack carried this row: the
@@ -574,11 +574,6 @@ class ReliableLayer(Layer):
             self._counts[index] = cum
             self._row = None
 
-    def _triples(self, row):
-        """``row`` as ``(origin, stream, count)``, in column order."""
-        return [column + (cum,) for column, cum
-                in zip(self._columns, self._codec.unpack(row))]
-
     def _ack_tick(self):
         # the probe slot (DESIGN section 4), no acks: one signed message
         # at most, the answer if a peer probed me, else a due probe
@@ -612,13 +607,10 @@ class ReliableLayer(Layer):
         """Is some count of ``row`` above what a view member acked?"""
         if row == self._ack_stable:
             return False  # counts only grow within a view
-        acked_seq = self.process.stability.acked_seq
-        triples = self._triples(row)
+        acked, counts = self.process.stability.row, self._counts
         for member in self.view.mbrs:
-            if member != self.me:
-                for origin, stream, cum in triples:
-                    if acked_seq(member, origin, stream) < cum:
-                        return True
+            if member != self.me and any(map(lt, acked(member), counts)):
+                return True
         self._ack_stable = row
         return False
 
@@ -656,40 +648,41 @@ class ReliableLayer(Layer):
 
     def _on_ack(self, msg):
         """A peer's ack row: the columns that moved since that peer's last
-        row feed the ack table and the ack evidence."""
+        row raise its row of the ack matrix and feed the ack evidence."""
         row, sender = msg.payload, msg.sender
         if type(row) is not bytes or len(row) != self._codec.size:
             self._illegal(sender, "rel:bad-ack")
             return
-        prev, moved = self._ack_seen.get(sender), ()
+        prev, counts, moved = self._ack_seen.get(sender), None, ()
         if row != prev:
             counts = self._codec.unpack(row)
             if self.config.byzantine and any(
                     counts[i] > self._out_seq[s] for s, i in self._own):
                 self._illegal(sender, "rel:ack-for-unsent")
                 return
-            moved = [column + (cum,) for column, cum, was in zip(
-                self._columns, counts,
-                self._codec.unpack(prev or bytes(len(row)))) if cum != was]
+            was = self._codec.unpack(prev or bytes(len(row)))
+            moved = list(compress(range(len(counts)), map(ne, counts, was)))
             self._ack_seen[sender] = row
-        self.process.stability.on_ack(sender, moved)
+        self.process.stability.raise_row(sender, counts, moved)
         # rescan a dirty row (its last scan found a count above our tops)
         # whole: tops only grow within a view, so a clean one stays clean
         if self._ack_dirty.get(sender):
-            self._ack_dirty[sender] = self._ack_evidence(self._triples(row))
+            self._ack_dirty[sender] = self._ack_evidence(
+                self._codec.unpack(row), range(len(self._columns)))
         elif moved:
-            self._ack_dirty[sender] = self._ack_evidence(moved)
+            self._ack_dirty[sender] = self._ack_evidence(counts, moved)
 
-    def _ack_evidence(self, entries):
+    def _ack_evidence(self, counts, indices):
         """Ask off peers' ack rows, existence proofs for the last message
-        of a burst, which no later message reveals.  True if any count
-        was ahead of our tops, even a throttled one (the row memo in
-        _on_ack keys off this)."""
+        of a burst, which no later message reveals, at column ``indices``.
+        True if any count was ahead of our tops, even a throttled one."""
         dirty = False
-        records = self.streams.records
-        for origin, stream, cum in entries:
+        records, columns = self.streams.records, self._columns
+        for index in indices:
+            origin, stream = columns[index]
             if origin == self.me:
                 continue
+            cum = counts[index]
             rec = records.get((origin, stream))
             top = rec.top if rec is not None else 0
             if cum <= top:

@@ -1,10 +1,12 @@
 """Stability tracking (paper sections 3.1 and 3.4.4).
 
 A broadcast message is *stable* once every member not considered faulty
-has acknowledged it.  The tracker aggregates the ack rows (on-demand
-acks and the heartbeats that carry the same row), which
-:class:`repro.layers.reliable.ReliableLayer` feeds as the ``(origin,
-stream, count)`` triples that moved, into an ack matrix and
+has acknowledged it.  The tracker holds the ack matrix: one count row
+per member, in the column order of :func:`repro.layers.reliable.ack_layout`.
+This member's row is :class:`repro.layers.reliable.ReliableLayer`'s own
+count list, which rises in place as it sends and delivers; a peer's row
+is raised in place from its ack rows (on-demand acks and the heartbeats
+that carry the same row), on the columns that moved.  The matrix
 answers the two questions the system asks of it:
 
 * flow control: how far has the slowest *low-fuzziness* member acked my
@@ -30,11 +32,9 @@ class StabilityTracker:
 
     def __init__(self, process):
         self.process = process
-        # member -> stream -> {origin: cum}.  Nested dicts instead of
-        # (origin, stream) tuple keys: the ack feeds and flow-control
-        # queries run once per drain per member, and the tuple build for
-        # every probe was a measurable slice of the fig5 slope
-        self._acked = {}
+        self._column = {}   # (origin, stream) -> index in every row
+        self._rows = {}     # member -> its row; mine is the reliable layer's
+        self._zero = ()     # the row of a member that never acked
         self._listeners = []
         self._view = None
         self._scan_timer = None
@@ -53,8 +53,14 @@ class StabilityTracker:
 
     def reset(self, view):
         self._view = view
-        self._acked = {}
         self._lag_strikes = {}
+
+    def bind(self, column, own):
+        """A view's layout: ``column`` maps (origin, stream) to a row index;
+        ``own``, my row, is the reliable layer's counts; peers start at 0."""
+        self._column = column
+        self._zero = (0,) * len(own)
+        self._rows = {self.process.node_id: own}
 
     def subscribe(self, callback):
         """``callback()`` after every ack-matrix update."""
@@ -76,9 +82,7 @@ class StabilityTracker:
 
     def state_sizes(self):
         return {
-            "ack_rows": sum(len(table)
-                            for streams in self._acked.values()
-                            for table in streams.values()),
+            "ack_rows": len(self._rows),
             "lag_strikes": len(self._lag_strikes),
             "listeners": len(self._listeners),
         }
@@ -86,23 +90,19 @@ class StabilityTracker:
     # ------------------------------------------------------------------
     # feeds
     # ------------------------------------------------------------------
-    def on_ack(self, member, vector):
-        # hot path: called once per reliable-layer drain; entries are
-        # max-merged, so callers may pass deltas (only the entries that
-        # changed) and the table converges to the same state as if the
-        # full vector were passed every time
-        streams = self._acked.get(member)
-        if streams is None:
-            streams = self._acked[member] = {}
-        for origin, stream, cum in vector:
-            table = streams.get(stream)
-            if table is None:
-                table = streams[stream] = {}
-            if cum > table.get(origin, 0):
-                table[origin] = cum
-        self._notify()
+    def raise_row(self, member, counts, moved):
+        """Raise ``member``'s row to ``counts`` at the ``moved`` indices (a
+        row only grows: a lower, Byzantine count changes nothing)."""
+        row = self._rows.get(member)
+        if row is None:
+            row = self._rows[member] = list(self._zero)
+        for index in moved:
+            if counts[index] > row[index]:
+                row[index] = counts[index]
+        self.notify()
 
-    def _notify(self):
+    def notify(self):
+        """Run the listeners (mine moves in place: once per drain)."""
         # snapshot: a callback may unsubscribe itself (the membership
         # layer does, once its cut goes stable) without skipping peers
         for callback in tuple(self._listeners):
@@ -111,14 +111,13 @@ class StabilityTracker:
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
+    def row(self, member):
+        """``member``'s row, in ack-layout column order (zeros if none)."""
+        return self._rows.get(member, self._zero)
+
     def acked_seq(self, member, origin, stream="a"):
-        streams = self._acked.get(member)
-        if streams is None:
-            return 0
-        table = streams.get(stream)
-        if table is None:
-            return 0
-        return table.get(origin, 0)
+        index = self._column.get((origin, stream))
+        return 0 if index is None else self.row(member)[index]
 
     def min_ack(self, origin, stream="a", members=None, ignore_fuzzy=True):
         """Lowest ack for ``origin``'s stream across ``members``.
@@ -130,7 +129,10 @@ class StabilityTracker:
         process = self.process
         if members is None:
             members = process.view.mbrs
-        acked = self._acked
+        index = self._column.get((origin, stream))
+        if index is None:
+            return 0
+        rows, zero = self._rows, self._zero
         # consult the fuzzy levels only when somebody IS fuzzy: the level
         # table is empty in the steady state, where the filter excludes
         # nobody (level 0.0 is below any positive threshold), and this
@@ -143,24 +145,20 @@ class StabilityTracker:
             if fuzzy and member != me:
                 if fuzzy.get(member, 0.0) >= FUZZY_FLOW_THRESHOLD:
                     continue
-            # inlined acked_seq: once per member per call
-            value = 0
-            streams = acked.get(member)
-            if streams is not None:
-                table = streams.get(stream)
-                if table is not None:
-                    value = table.get(origin, 0)
+            value = rows.get(member, zero)[index]
             if lowest is None or value < lowest:
                 lowest = value
         return 0 if lowest is None else lowest
 
     def all_stable(self, cut, members):
         """Is every app message up to ``cut`` acked by all ``members``?"""
+        rows, zero = self._rows, self._zero
         for origin, last in cut.items():
             if last <= 0:
                 continue
+            index = self._column.get((origin, "a"))
             for member in members:
-                if self.acked_seq(member, origin, "a") < last:
+                if index is None or rows.get(member, zero)[index] < last:
                     return False
         return True
 
@@ -171,12 +169,13 @@ class StabilityTracker:
         process = self.process
         config = process.config
         me = process.node_id
-        my_top = self.acked_seq(me, me, "a")
+        index = self._column.get((me, "a"))
+        my_top = 0 if index is None else self.row(me)[index]
         if my_top > 0 and self._view is not None:
             for member in self._view.mbrs:
                 if member == me:
                     continue
-                behind = my_top - self.acked_seq(member, me, "a")
+                behind = my_top - self.row(member)[index]
                 if behind > config.flow_window:
                     strikes = self._lag_strikes.get(member, 0) + 1
                     self._lag_strikes[member] = strikes

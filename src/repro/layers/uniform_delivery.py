@@ -80,6 +80,9 @@ class UniformDeliveryLayer(Layer):
             self._flush_timer.cancel()
             self._flush_timer = None
 
+    def passes_up(self):
+        return not self.active
+
     # ------------------------------------------------------------------
     def handle_up(self, msg):
         if not self.active:

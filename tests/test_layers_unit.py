@@ -14,7 +14,7 @@ from repro.core import message as mk
 from repro.core.message import Message
 from repro.layers.flow import FlowLayer
 from repro.layers.fragment import FragmentLayer
-from repro.layers.reliable import NAK_WINDOW_BUDGET, ReliableLayer
+from repro.layers.reliable import NAK_WINDOW_BUDGET, ReliableLayer, ack_layout
 from repro.layers.suspicion import SuspicionLayer
 
 
@@ -100,13 +100,14 @@ def test_reliable_copied_ack_row_passes_only_changed_columns():
     # diff must key off its bytes and columns, not identity
     process = stub_for(ReliableLayer())
     mbrs = process.view.mbrs
+    columns = process.layer._columns
     fed = []
-    on_ack = process.stability.on_ack
+    raise_row = process.stability.raise_row
 
-    def recording(member, vector):
-        fed.append(tuple(vector))
-        on_ack(member, vector)
-    process.stability.on_ack = recording
+    def recording(member, counts, moved):
+        fed.append(tuple(columns[i] + (counts[i],) for i in moved))
+        raise_row(member, counts, moved)
+    process.stability.raise_row = recording
 
     first = ack_row(mbrs, {(1, "a"): 3, (1, "c"): 9, (2, "c"): 4})
     ack_from(process, 1, first)
@@ -256,11 +257,17 @@ def test_flow_window_closes_without_acks():
         process.feed_down(make_cast(process, 0, ("w", k), msg_id=(0, k)))
     assert len(process.below.received_down) == 4
     assert process.layer.queued == 6
-    # acks arrive: window reopens
-    process.stability.on_ack(1, ((0, "a", 4),))
-    process.stability.on_ack(2, ((0, "a", 4),))
-    process.stability.on_ack(3, ((0, "a", 4),))
-    process.stability.on_ack(process.node_id, ((0, "a", 4),))
+    # acks arrive: window reopens once every row of the matrix has 4
+    columns, _codec = ack_layout(process.view.mbrs)
+    column = {col: i for i, col in enumerate(columns)}
+    own = [0] * len(columns)
+    process.stability.bind(column, own)
+    counts = [4 if col == (0, "a") else 0 for col in columns]
+    for member in (1, 2, 3):
+        process.stability.raise_row(member, counts, (column[0, "a"],))
+    assert len(process.below.received_down) == 4
+    own[column[0, "a"]] = 4    # my row is the reliable layer's, in place
+    process.stability.notify()
     assert len(process.below.received_down) == 8
 
 

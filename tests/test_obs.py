@@ -5,8 +5,14 @@ import os
 
 import pytest
 
+from tests.stubs import StubProcess
+
 from repro import Group, ObsConfig, StackConfig
 from repro.apps.ring import RingDemo
+from repro.core import message as mk
+from repro.core.message import Message
+from repro.layers.base import Layer
+from repro.obs.plane import ObservabilityPlane
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.obs.trace import Tracer
 from repro.tools.timeline import render_trace
@@ -91,8 +97,37 @@ def test_disabled_by_default():
 # ----------------------------------------------------------------------
 # the no-op guarantee: simulated execution identical with and without
 # ----------------------------------------------------------------------
-def _instrumented_run(obs):
-    config = StackConfig.byz(obs=obs)
+# with obs off, the layers an upward message calls: a layer that passes
+# every upward message on in that stack is bound past
+BOUND_PATH = {
+    "fifo": ["reliable", "fragment", "flow", "suspicion", "membership",
+             "state_transfer", "top"],
+    "total_order": ["reliable", "fragment", "flow", "suspicion",
+                    "membership", "state_transfer", "ordering", "top"],
+    "uniform": ["reliable", "fragment", "flow", "suspicion", "membership",
+                "state_transfer", "uniform", "top"],
+}
+PARITY_CONFIGS = [("fifo", {}), ("total_order", {"total_order": True}),
+                  ("total_order", {"total_order": True,
+                                   "ordering_fast_path": True}),
+                  ("uniform", {"uniform_delivery": True})]
+
+
+def _up_path(process):
+    """The layers a message from the bottom layer is handed to, or None
+    when every hop goes through the stack (obs on)."""
+    layer, path = process.stack.layers[0], []
+    while layer._above is not None:
+        up = layer.send_up
+        if up.__func__ is Layer.send_up:
+            return None
+        layer = up.__self__
+        path.append(layer.name)
+    return tuple(path)
+
+
+def _instrumented_run(obs, **config_kw):
+    config = StackConfig.byz(obs=obs, **config_kw)
     group = Group.bootstrap(4, config=config, seed=11)
     ring = RingDemo(group, burst=8, msg_size=16)
     ring.start()
@@ -101,15 +136,60 @@ def _instrumented_run(obs):
                    ring.deliveries, ring.min_rounds_completed(),
                    tuple(sorted((n, p.view.vid) for n, p in
                                 group.processes.items())))
+    paths = {_up_path(p) for p in group.processes.values()}
+    if group.obs is not None and group.obs.metrics_enabled:
+        # obs on: every layer took every upward message itself
+        for name in RECEIVE_PATH:
+            assert group.metrics.total("msgs_up", layer=name) > 0, name
     group.stop()
-    return fingerprint
+    return fingerprint, paths
 
 
 def test_obs_execution_parity():
-    base = _instrumented_run(None)
-    assert _instrumented_run(True) == base
-    assert _instrumented_run(ObsConfig(metrics=True, tracing=False)) == base
-    assert _instrumented_run(ObsConfig(metrics=False, tracing=True)) == base
+    for name, config_kw in PARITY_CONFIGS:
+        base, paths = _instrumented_run(None, **config_kw)
+        assert paths == {tuple(BOUND_PATH[name])}, name
+        for obs in (True, ObsConfig(metrics=True, tracing=False),
+                    ObsConfig(metrics=False, tracing=True)):
+            run, paths = _instrumented_run(obs, **config_kw)
+            assert run == base, (name, config_kw, obs)
+            assert paths == {None}
+
+
+KINDS = sorted(value for key, value in vars(mk).items()
+               if key.startswith("KIND_"))
+
+
+@pytest.mark.parametrize("config_kw,names", [
+    ({}, ["heartbeat", "ordering", "uniform"]),
+    ({"total_order": True}, ["heartbeat", "uniform"]),
+    ({"uniform_delivery": True}, ["heartbeat", "ordering"]),
+    ({"total_order": True, "uniform_delivery": True},
+     ["heartbeat", "uniform"])])
+def test_passing_layers_hand_every_kind_up_untouched(config_kw, names):
+    config = StackConfig.byz(**config_kw)
+    group = Group.bootstrap(4, config=config, seed=1)
+    passing = [layer for layer in group.processes[0].stack.layers
+               if layer.passes_up()]
+    group.stop()
+    assert [layer.name for layer in passing] == names
+    for layer in passing:
+        process = StubProcess(type(layer)(), config=config)
+        # counters on: a layer that counted anything would show here
+        plane = process.stack.obs = ObservabilityPlane(
+            process.sim, ObsConfig(metrics=True, tracing=True))
+        for kind in KINDS:
+            msg = Message(kind, 1, process.view.vid, ("x", kind),
+                          msg_id=(1, 7) if kind == mk.KIND_CAST else None)
+            msg.sender = 1
+            msg.push_header("t", ("h", kind))
+            headers = dict(msg.headers)
+            process.layer.handle_up(msg)
+            assert process.above.received_up[-1] is msg, (layer.name, kind)
+            assert msg.headers == headers
+        assert len(process.above.received_up) == len(KINDS)
+        assert process.below.received_down == []
+        assert len(plane.metrics) == 0, layer.name
 
 
 # ----------------------------------------------------------------------
